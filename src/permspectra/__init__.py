@@ -25,19 +25,16 @@ from .cesaro import (
 )
 from .ewens import (
     AgeOrderedCycles,
-    BernoulliWord,
     CoupledSample,
     CycleCounts,
     EwensParams,
     coupling_distance,
     coupling_horizon,
     coupling_tail_expectation,
-    cycle_counts_from_word,
     cycle_type_probability,
     expected_total_cycles,
     iter_cycle_types,
     sample_age_ordered,
-    sample_bernoulli_word,
     sample_coupled,
     sample_cycle_counts,
     sample_gem,
@@ -91,7 +88,6 @@ from .spectral import (
     count_arc_mod,
     count_arc_perm,
     enumerate_angles_mod,
-    enumerate_angles_perm,
     exact_covariance_mod,
     exact_covariance_perm,
     exact_moments_mod,

@@ -23,6 +23,10 @@ Two equivalent samplers are provided for the word itself: a dense one that
 draws every bit, and a sparse one that jumps straight from one 1 to the next
 by inverting the exact survival function of the gap (the expected number of
 ones up to n is only ~theta log n, so large n costs almost nothing).
+
+A cycle type is held as its sorted cycle lengths (``CycleCounts``).
+``draw_batch`` draws many trials in order and returns their lengths
+concatenated (``TrialBatch``), the form the Monte Carlo drivers compute on.
 """
 
 from __future__ import annotations
@@ -30,17 +34,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Iterable, Optional
 
 import numpy as np
 
 __all__ = [
     "EwensParams",
-    "BernoulliWord",
     "CycleCounts",
     "CoupledSample",
     "AgeOrderedCycles",
-    "sample_bernoulli_word",
-    "cycle_counts_from_word",
     "sample_cycle_counts",
     "sample_coupled",
     "sample_age_ordered",
@@ -71,50 +73,72 @@ class EwensParams:
             raise ValueError(f"theta must be positive, got {self.theta}")
 
 
-@dataclass
-class BernoulliWord:
-    """Realised prefix of the word (xi_1, ..., xi_horizon).
-
-    ``bits[k-1]`` is xi_k; xi_1 is always 1.  ``n`` is the permutation size
-    the word encodes, ``horizon`` how many bits are materialised (>= n).
-    """
-
-    n: int
-    bits: np.ndarray
-    horizon: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.horizon < self.n or len(self.bits) != self.horizon:
-            raise ValueError("inconsistent word dimensions")
-        if self.bits[0] != 1:
-            raise ValueError("first bit must be 1")
-
-
-@dataclass
 class CycleCounts:
-    """Cycle type of an n-permutation: ``counts[j]`` = number of j-cycles.
+    """Cycle type of an n-permutation, held as its sorted cycle lengths.
 
-    Absent keys mean multiplicity zero; sum of j * counts[j] equals n.
+    ``lengths`` (int64, ascending, one entry per cycle) is the one source of
+    truth; ``counts[j]`` = number of j-cycles is a view derived from it.
+    Build it as ``CycleCounts(n, {j: a_j})`` or ``CycleCounts(n, lengths=...)``.
     """
 
-    n: int
-    counts: dict[int, int]
+    def __init__(self, n: int, counts: Optional[dict[int, int]] = None, *, lengths=None):
+        if (counts is None) == (lengths is None):
+            raise ValueError("give exactly one of counts and lengths")
+        if counts is not None:
+            if any(a < 0 for a in counts.values()):
+                raise ValueError("multiplicities must be non-negative")
+            lengths = [j for j in sorted(counts) for _ in range(counts[j])]
+        self.n = n
+        self.lengths = np.sort(np.asarray(lengths, dtype=np.int64))
+        if len(lengths) and self.lengths[0] < 1 or int(self.lengths.sum()) != n:
+            raise ValueError("cycle lengths must be positive and sum to n")
 
-    def __post_init__(self):
-        if sum(j * a for j, a in self.counts.items()) != self.n:
-            raise ValueError("cycle lengths must sum to n")
-        if any(a < 0 for a in self.counts.values()):
-            raise ValueError("multiplicities must be non-negative")
+    def __repr__(self) -> str:
+        return f"CycleCounts(n={self.n}, counts={self.counts})"
+
+    @property
+    def counts(self) -> dict[int, int]:
+        values, mult = np.unique(self.lengths, return_counts=True)
+        return dict(zip(values.tolist(), mult.tolist()))
 
     def total_cycles(self) -> int:
-        return sum(self.counts.values())
+        return len(self.lengths)
 
     def as_array(self) -> np.ndarray:
         """Dense vector [a_1, ..., a_n]."""
-        out = np.zeros(self.n, dtype=np.int64)
-        for j, a in self.counts.items():
-            out[j - 1] = a
-        return out
+        return np.bincount(self.lengths, minlength=self.n + 1)[1:]
+
+
+@dataclass
+class TrialBatch:
+    """Cycle structures of consecutive trials at one size n, as flat arrays.
+
+    Trial t owns ``lengths[starts[t]:starts[t+1]]`` (ascending when drawn,
+    never empty) and the aligned ``phases``, if drawn; ``starts`` defaults
+    to one trial.  A coupled draw also keeps the word's spacings of length
+    <= n inside the horizon, with the trial each belongs to.
+    """
+
+    n: int
+    lengths: np.ndarray
+    phases: Optional[np.ndarray] = None
+    starts: Optional[np.ndarray] = None
+    spacings: Optional[np.ndarray] = None
+    spacing_trial: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.starts is None:
+            self.starts = np.array([0, len(self.lengths)])
+
+    @property
+    def trials(self) -> int:
+        return len(self.starts) - 1
+
+    def trial_of_cycle(self) -> np.ndarray:
+        return np.repeat(np.arange(self.trials), np.diff(self.starts))
+
+    def cycle_counts(self, t: int) -> CycleCounts:
+        return CycleCounts(self.n, lengths=self.lengths[self.starts[t] : self.starts[t + 1]])
 
 
 @dataclass
@@ -148,18 +172,6 @@ class AgeOrderedCycles:
 # ---------------------------------------------------------------------------
 # word sampling
 # ---------------------------------------------------------------------------
-
-
-def sample_bernoulli_word(
-    n: int, params: EwensParams, rng: np.random.Generator
-) -> BernoulliWord:
-    """Draw the first n bits of the word; P(xi_k = 1) = theta/(theta+k-1)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    k = np.arange(1, n + 1, dtype=np.float64)
-    bits = (rng.random(n) < params.theta / (params.theta + k - 1.0)).astype(np.uint8)
-    bits[0] = 1  # probability theta/theta = 1; forced for exactness
-    return BernoulliWord(n=n, bits=bits, horizon=n)
 
 
 def _log_gap_survival(k: int, t: int, theta: float) -> float:
@@ -198,60 +210,105 @@ def _next_one_position(k: int, limit: int, theta: float, rng: np.random.Generato
     return k + hi
 
 
-def _ones_positions_sparse(
-    n: int, theta: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Positions of ones in (xi_1, ..., xi_n) sampled by gap skipping."""
-    ones = [1]
-    pos = 1
-    while True:
-        pos = _next_one_position(pos, n, theta, rng)
-        if pos is None:
-            break
+def _ones_after(pos: int, limit: int, theta: float, rng: np.random.Generator) -> list[int]:
+    """Positions of the ones in (pos, limit], jumping from one to the next."""
+    ones = []
+    while (pos := _next_one_position(pos, limit, theta, rng)) is not None:
         ones.append(pos)
-    return np.asarray(ones, dtype=np.int64)
+    return ones
 
 
-def _ones_positions(n: int, theta: float, rng: np.random.Generator) -> np.ndarray:
+def _ones_positions_sparse(n: int, theta: float, rng: np.random.Generator) -> np.ndarray:
+    """Positions of ones in (xi_1, ..., xi_n) sampled by gap skipping."""
+    return np.asarray([1, *_ones_after(1, n, theta, rng)], dtype=np.int64)
+
+
+def _dense_thresholds(n: int, theta: float) -> np.ndarray:
+    """P(xi_k = 1) = theta/(theta+k-1) for k = 1..n."""
+    k = np.arange(1, n + 1, dtype=np.float64)
+    return theta / (theta + k - 1.0)
+
+
+def _ones_positions(
+    n: int, theta: float, rng: np.random.Generator, thresholds: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Positions of ones among the first n bits.
 
     Dense and sparse routes realise the same law; which one runs is a pure
     function of n, so reproducibility with a fixed generator is preserved.
+    Callers drawing many words of one size pass the dense ``thresholds``.
     """
-    if n <= _SPARSE_THRESHOLD:
-        k = np.arange(1, n + 1, dtype=np.float64)
-        hits = rng.random(n) < theta / (theta + k - 1.0)
-        hits[0] = True
-        return np.flatnonzero(hits).astype(np.int64) + 1
-    return _ones_positions_sparse(n, theta, rng)
+    if n > _SPARSE_THRESHOLD:
+        return _ones_positions_sparse(n, theta, rng)
+    hits = rng.random(n) < (_dense_thresholds(n, theta) if thresholds is None else thresholds)
+    hits[0] = True
+    return hits.nonzero()[0] + 1
 
 
-def _counts_dict_from_spacings(spacings: np.ndarray, n: int) -> CycleCounts:
-    lengths, mult = np.unique(spacings, return_counts=True)
-    counts = {int(j): int(a) for j, a in zip(lengths, mult)}
-    return CycleCounts(n=n, counts=counts)
+def _starts(sizes) -> np.ndarray:
+    return np.cumsum([0, *sizes])
 
 
-def cycle_counts_from_word(word: BernoulliWord) -> CycleCounts:
-    """Cycle counts read off the word: j-spacings of (1, xi_2, .., xi_n, 1).
+def _trial_order(trial: np.ndarray, values: np.ndarray, bound: int) -> np.ndarray:
+    """Indices sorting the pairs (trial, value), 0 <= value < bound, by trial
+    and then value: one int64 key trial * bound + value unless it could
+    overflow (a two-key sort is several times slower)."""
+    if (int(trial.max(initial=0)) + 1) * bound < 2**63:
+        return np.argsort(trial * bound + values)
+    return np.lexsort((values, trial))
 
-    The closing sentinel 1 at position n+1 turns the run after the last one
-    into a final spacing, which is what makes the lengths sum to n.
+
+def _sorted_lengths(n: int, ones: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Cycle lengths of concatenated words, ascending within each word: the
+    spacings of a word's ones closed by the sentinel n + 1 (so they sum to n)."""
+    closing = np.append(ones[1:], n + 1)
+    closing[starts[1:] - 1] = n + 1
+    lengths = closing - ones
+    trial = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    return lengths[_trial_order(trial, lengths, n + 1)]
+
+
+def draw_batch(
+    n: int, theta: float, rngs: Iterable[np.random.Generator], phases: bool = False,
+    horizon: Optional[int] = None,
+) -> TrialBatch:
+    """One trial per generator: draw the word, then, if ``phases``, one
+    uniform phase per cycle, or, given a ``horizon``, the coupled word's ones
+    in (n, horizon].  Only these draws run per trial; lengths, their sort
+    and the coupled spacings are computed for the whole batch at once.
     """
-    ones = np.flatnonzero(word.bits[: word.n]).astype(np.int64) + 1
-    spacings = np.diff(np.append(ones, word.n + 1))
-    return _counts_dict_from_spacings(spacings, word.n)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    thresholds = _dense_thresholds(n, theta) if n <= _SPARSE_THRESHOLD else None
+    words, phase_draws, tails = [], [], []
+    for rng in rngs:
+        words.append(_ones_positions(n, theta, rng, thresholds))
+        if phases:
+            phase_draws.append(rng.random(len(words[-1])))
+        if horizon is not None:
+            tails.append(np.asarray(_ones_after(n, horizon, theta, rng), dtype=np.int64))
+    starts = _starts([len(w) for w in words])
+    lengths = _sorted_lengths(n, np.concatenate(words), starts)
+    batch = TrialBatch(n, lengths, np.concatenate(phase_draws) if phases else None, starts)
+    bad_phase = phases and ((batch.phases < 0) | (batch.phases >= 1)).any()
+    if bad_phase or (np.add.reduceat(lengths, starts[:-1]) != n).any():
+        raise ValueError("cycle lengths must sum to n and phases lie in [0, 1)")
+    if horizon is not None:
+        # spacings of each whole word (prefix ones, then tail ones) up to n
+        word = np.concatenate([part for pair in zip(words, tails) for part in pair])
+        word_starts = _starts([len(w) + len(t) for w, t in zip(words, tails)])
+        keep = np.diff(word) <= n
+        keep[word_starts[1:-1] - 1] = False  # no spacing across two trials
+        batch.spacings = np.diff(word)[keep]
+        batch.spacing_trial = np.repeat(np.arange(batch.trials), np.diff(word_starts))[:-1][keep]
+    return batch
 
 
 def sample_cycle_counts(
     n: int, params: EwensParams, rng: np.random.Generator
 ) -> CycleCounts:
     """Draw the cycle type of an Ewens(theta) n-permutation."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    ones = _ones_positions(n, params.theta, rng)
-    spacings = np.diff(np.append(ones, n + 1))
-    return _counts_dict_from_spacings(spacings, n)
+    return draw_batch(n, params.theta, [rng]).cycle_counts(0)
 
 
 # ---------------------------------------------------------------------------
@@ -305,43 +362,45 @@ def sample_coupled(
     the first n bits closed by the sentinel, W_j from all spacings whose two
     endpoints fall inside an adaptively chosen horizon.  The horizon is the
     smallest one whose closed-form tail expectation is below epsilon_tail.
+    Ones in (n, horizon] depend only on the current position, so the chain
+    continues from position n regardless of xi_n itself.
     """
     if epsilon_tail <= 0:
         raise ValueError("epsilon_tail must be positive")
-    theta = params.theta
-    horizon, tail_bound = coupling_horizon(n, theta, epsilon_tail)
-
-    prefix_ones = _ones_positions(n, theta, rng)
-    a_spacings = np.diff(np.append(prefix_ones, n + 1))
-    cycle_counts = _counts_dict_from_spacings(a_spacings, n)
-
-    # ones in (n, horizon]: gaps depend only on the current position,
-    # so the chain continues from position n regardless of xi_n itself
-    tail_ones = []
-    pos = n
-    while True:
-        pos = _next_one_position(pos, horizon, theta, rng)
-        if pos is None:
-            break
-        tail_ones.append(pos)
-    all_ones = np.concatenate([prefix_ones, np.asarray(tail_ones, dtype=np.int64)])
-
-    w_spacings = np.diff(all_ones)
-    w_spacings = w_spacings[w_spacings <= n]
-    poisson_counts = np.bincount(w_spacings, minlength=n + 1)[1:].astype(np.int64)
-
+    horizon, tail_bound = coupling_horizon(n, params.theta, epsilon_tail)
+    batch = draw_batch(n, params.theta, [rng], horizon=horizon)
     return CoupledSample(
-        cycle_counts=cycle_counts,
-        poisson_counts=poisson_counts,
+        cycle_counts=batch.cycle_counts(0),
+        poisson_counts=np.bincount(batch.spacings, minlength=n + 1)[1:],
         horizon=horizon,
         tail_bound=tail_bound,
     )
 
 
+def coupling_distances(batch: TrialBatch) -> np.ndarray:
+    """sum_j |a_{n,j} - W_j| for every trial of a coupled batch.
+
+    Cycle lengths (+1 each) and coupled spacings (-1 each) are sorted
+    together by (trial, length); each run of equal keys nets a_j - W_j.
+    """
+    trial = np.concatenate([batch.trial_of_cycle(), batch.spacing_trial])
+    value = np.concatenate([batch.lengths, batch.spacings])
+    sign = np.repeat([1, -1], [len(batch.lengths), len(batch.spacings)])
+    order = _trial_order(trial, value, batch.n + 1)
+    trial, value = trial[order], value[order]
+    first = np.ones(len(value), dtype=bool)
+    first[1:] = (value[1:] != value[:-1]) | (trial[1:] != trial[:-1])
+    net = np.abs(np.add.reduceat(sign[order], np.flatnonzero(first)))
+    return np.bincount(trial[first], weights=net, minlength=batch.trials).astype(np.int64)
+
+
 def coupling_distance(sample: CoupledSample) -> int:
     """sum_j |a_{n,j} - W_j| for one coupled draw."""
-    a = sample.cycle_counts.as_array()
-    return int(np.abs(a - sample.poisson_counts).sum())
+    counts = sample.cycle_counts
+    spacings = np.repeat(np.arange(1, counts.n + 1), sample.poisson_counts)
+    batch = TrialBatch(counts.n, counts.lengths, spacings=spacings,
+                       spacing_trial=np.zeros(len(spacings), dtype=np.int64))
+    return int(coupling_distances(batch)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,12 @@ generator ``trial_rng(master_seed, i)``, so results are bit-identical for
 any worker count.  Aggregations run over the trial-ordered arrays, never
 over per-worker partial sums.
 
+All four drivers share one trial engine: trials run in chunks, and inside a
+chunk the per-trial loop only draws (the word, then the phases or the
+coupled tail; see ``ewens.draw_batch``).  Each driver's statistic is then
+computed once per chunk on the concatenated cycle-length arrays: arc counts,
+extremal spacings or coupling distances, one row per trial.
+
 The normality checks standardise integer counts with their *exact* finite-n
 moments (the asymptotic ones converge like 1/log n, far too slowly to be
 usable at desk scale) and compare them with the normal law by a lattice
@@ -30,21 +36,14 @@ import numpy as np
 from scipy.special import ndtr
 
 from .cesaro import psi_values
-from .ewens import (
-    EwensParams,
-    coupling_distance,
-    coupling_horizon,
-    sample_coupled,
-    sample_cycle_counts,
-)
+from .ewens import TrialBatch, coupling_distances, coupling_horizon, draw_batch
 from .limits import DeclaredIrrational, c2_meso, covariance_D, covariance_Dtilde
 from .rng import trial_rng
-from .spacings import max_pairwise_lcm, normalized_spacings, spacings_mod, spacings_perm
+from .spacings import max_lcms, mod_gap_extremes
 from .spectral import (
     Arc,
-    attach_phases,
-    count_arc_mod,
-    count_arc_perm,
+    count_arcs_mod,
+    count_arcs_perm,
     exact_moments_mod,
     exact_moments_perm,
     frac_parts,
@@ -258,31 +257,41 @@ def _chunk_ranges(trials: int, jobs: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + per, trials)) for lo in range(0, trials, per)]
 
 
-def _run_chunks(worker, payloads: list, jobs: int) -> list:
+def _trial_chunk(args) -> np.ndarray:
+    """Trials lo..hi-1: draw each from its own generator, then one statistic
+    over the whole batch (a row per trial)."""
+    lo, hi, seed, n, theta, phases, horizon, statistic, extra = args
+    rngs = (trial_rng(seed, t) for t in range(lo, hi))
+    return statistic(draw_batch(n, theta, rngs, phases, horizon), *extra)
+
+
+def _run_trials(statistic, extra, seed, n, theta, trials, jobs, phases=False, horizon=None):
+    """``statistic(batch, *extra)`` over every trial, rows in trial order.
+
+    Trials run in chunks (four per job, in worker processes if ``jobs`` > 1);
+    trial i always draws from ``trial_rng(seed, i)``, whatever the chunking.
+    """
+    payloads = [
+        (lo, hi, seed, n, theta, phases, horizon, statistic, extra)
+        for lo, hi in _chunk_ranges(trials, jobs)
+    ]
     if jobs <= 1:
-        return [worker(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, payloads))
+        parts = [_trial_chunk(p) for p in payloads]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(_trial_chunk, payloads))
+    return np.concatenate(parts, axis=0)
+
+
+def _arc_counts(model, arcs, seed, n, theta, trials, jobs) -> np.ndarray:
+    """Counts of every trial (rows) in every arc (columns) for one ensemble."""
+    statistic = count_arcs_mod if model == "mod" else count_arcs_perm
+    return _run_trials(statistic, (arcs,), seed, n, theta, trials, jobs, phases=model == "mod")
 
 
 # ---------------------------------------------------------------------------
 # fixed-arc central limit experiment
 # ---------------------------------------------------------------------------
-
-
-def _clt_counts_chunk(args) -> np.ndarray:
-    lo, hi, seed, n, theta, arcs, model = args
-    params = EwensParams(theta)
-    out = np.empty((hi - lo, len(arcs)), dtype=np.int64)
-    for t in range(lo, hi):
-        rng = trial_rng(seed, t)
-        counts = sample_cycle_counts(n, params, rng)
-        if model == "mod":
-            spectrum = attach_phases(counts, rng)
-            out[t - lo] = [count_arc_mod(spectrum, a) for a in arcs]
-        else:
-            out[t - lo] = [count_arc_perm(counts, a) for a in arcs]
-    return out
 
 
 @dataclass
@@ -318,11 +327,7 @@ def run_clt_fixed(
                 "standardisation is impossible"
             )
 
-    payloads = [
-        (lo, hi, config.master_seed, n, theta, config.arcs, model)
-        for lo, hi in _chunk_ranges(config.trials, jobs)
-    ]
-    counts = np.concatenate(_run_chunks(_clt_counts_chunk, payloads, jobs), axis=0)
+    counts = _arc_counts(model, config.arcs, config.master_seed, n, theta, config.trials, jobs)
 
     means = np.array([m.mean for m in moments])
     sds = np.sqrt([m.variance for m in moments])
@@ -365,20 +370,6 @@ def _meso_endpoint(alpha: Union[Fraction, DeclaredIrrational, None]):
 
 def _meso_arc(alpha_endpoint, delta: float) -> Arc:
     return Arc(alpha=alpha_endpoint, beta=float(alpha_endpoint) + delta)
-
-
-def _meso_counts_chunk(args) -> np.ndarray:
-    lo, hi, seed, n, theta, arc, model = args
-    params = EwensParams(theta)
-    out = np.empty(hi - lo, dtype=np.int64)
-    for t in range(lo, hi):
-        rng = trial_rng(seed, t)
-        counts = sample_cycle_counts(n, params, rng)
-        if model == "mod":
-            out[t - lo] = count_arc_mod(attach_phases(counts, rng), arc)
-        else:
-            out[t - lo] = count_arc_perm(counts, arc)
-    return out
 
 
 @dataclass
@@ -440,11 +431,9 @@ def run_mesoscopic(config: ExperimentConfig, jobs: int = 1) -> MesoscopicResult:
         need_counts = model == "perm" or n == largest
         counts = None
         if need_counts:
-            payloads = [
-                (lo, hi, config.master_seed, n, theta, arc, model)
-                for lo, hi in _chunk_ranges(config.trials, jobs)
-            ]
-            counts = np.concatenate(_run_chunks(_meso_counts_chunk, payloads, jobs))
+            counts = _arc_counts(
+                model, (arc,), config.master_seed, n, theta, config.trials, jobs
+            )[:, 0]
 
         if model == "mod":
             variance = exact_moments_mod(n, theta, arc).variance
@@ -475,16 +464,6 @@ def run_mesoscopic(config: ExperimentConfig, jobs: int = 1) -> MesoscopicResult:
 # ---------------------------------------------------------------------------
 
 
-def _coupling_chunk(args) -> np.ndarray:
-    lo, hi, seed, n, theta, epsilon_tail = args
-    params = EwensParams(theta)
-    out = np.empty(hi - lo, dtype=np.int64)
-    for t in range(lo, hi):
-        sample = sample_coupled(n, params, trial_rng(seed, t), epsilon_tail)
-        out[t - lo] = coupling_distance(sample)
-    return out
-
-
 @dataclass
 class CouplingReport:
     n: int
@@ -506,12 +485,12 @@ def run_coupling_check(
     jobs: int = 1,
 ) -> CouplingReport:
     """Empirical coupling distance against the closed-form bound."""
-    payloads = [
-        (lo, hi, master_seed, n, theta, epsilon_tail)
-        for lo, hi in _chunk_ranges(trials, jobs)
-    ]
-    distances = np.concatenate(_run_chunks(_coupling_chunk, payloads, jobs))
+    if epsilon_tail <= 0:
+        raise ValueError("epsilon_tail must be positive")
     horizon, tail_bound = coupling_horizon(n, theta, epsilon_tail)
+    distances = _run_trials(
+        coupling_distances, (), master_seed, n, theta, trials, jobs, horizon=horizon
+    )
     return CouplingReport(
         n=n,
         theta=theta,
@@ -531,34 +510,25 @@ def run_coupling_check(
 _QUANTILE_LEVELS = (0.05, 0.25, 0.50, 0.75, 0.95)
 
 
-def _spacings_chunk(args) -> np.ndarray:
-    """Per trial: nD, n2d, nD~, n2d~, viol_nD, viol_n2d, viol_dtilde (as floats)."""
-    lo, hi, seed, n, theta = args
-    params = EwensParams(theta)
-    out = np.empty((hi - lo, 7), dtype=np.float64)
-    for t in range(lo, hi):
-        rng = trial_rng(seed, t)
-        counts = sample_cycle_counts(n, params, rng)
-        perm = spacings_perm(counts)
-        mod = spacings_mod(attach_phases(counts, rng))
-        norm_p = normalized_spacings(perm)
-        norm_m = normalized_spacings(mod)
-        # exact bound checks on the rational side: n*D >= 1 and n^2*d >= 1
-        viol_nd = (
-            n * perm.largest_exact.numerator < perm.largest_exact.denominator
-        )
-        viol_n2d = n * n < max_pairwise_lcm(counts)
-        viol_dtilde = mod.smallest > perm.smallest + 1e-12
-        out[t - lo] = (
-            norm_p.nD,
-            norm_p.n2d,
-            norm_m.nD,
-            norm_m.n2d,
-            float(viol_nd),
-            float(viol_n2d),
-            float(viol_dtilde),
-        )
-    return out
+def _spacings_statistic(batch: TrialBatch) -> np.ndarray:
+    """Per trial: nD, n2d, nD~, n2d~, viol_nD, viol_n2d, viol_dtilde (as floats).
+
+    The plain spacings are the closed forms 1/longest and 1/lcm; the bound
+    checks n*D >= 1 and n^2*d >= 1 run on those exact integers.
+    """
+    n = batch.n
+    longest, lcm = batch.lengths[batch.starts[1:] - 1], max_lcms(batch)  # lengths ascend
+    largest_mod, smallest_mod = mod_gap_extremes(batch)
+    smallest = 1.0 / lcm
+    return np.column_stack([
+        n * (1.0 / longest),
+        n**2 * smallest,
+        n * largest_mod,
+        n**2 * smallest_mod,
+        n < longest,
+        n * n < lcm,
+        smallest_mod > smallest + 1e-12,
+    ])
 
 
 @dataclass
@@ -595,11 +565,9 @@ def run_spacings(
     """
     rows = []
     for idx, n in enumerate(n_schedule):
-        payloads = [
-            (lo, hi, master_seed + idx, n, theta)
-            for lo, hi in _chunk_ranges(trials, jobs)
-        ]
-        data = np.concatenate(_run_chunks(_spacings_chunk, payloads, jobs), axis=0)
+        data = _run_trials(
+            _spacings_statistic, (), master_seed + idx, n, theta, trials, jobs, phases=True
+        )
         qs = [np.quantile(data[:, c], _QUANTILE_LEVELS).tolist() for c in range(4)]
         rows.append(
             SpacingsRow(

@@ -8,12 +8,16 @@ number-theoretic closed form
 
     smallest = 1 / max{ lcm(k, l) : k, l present cycle lengths }
 
-(k = l allowed: a single grid of step 1/j realises 1/lcm(j, j)).  The
-largest gap has no such shortcut and is read off the sorted union.  Both
-extremes are computed in exact rational arithmetic: distinct reduced
-fractions with denominators up to n are farther apart than float64 noise,
-so a float sort orders them correctly, after which candidate gaps are
-compared exactly.
+(k = l allowed: a single grid of step 1/j realises 1/lcm(j, j)), and so
+does the largest gap:
+
+    largest = 1 / J,   J the longest cycle length.
+
+The union of the grids contains the J-grid, whose gaps are all 1/J, so no
+gap is longer; and no angle lies in (0, 1/J), since a j-grid with j <= J
+has no point there, so that gap is realised.  Both extremes are exact
+Fractions, read off the cycle lengths without enumerating a single angle
+(the test suite checks them against full enumeration).
 
 For the phase-modified ensemble the n eigenangles are almost surely
 distinct floats and both extremes come from a plain sort.  Rotating each
@@ -31,8 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from .ewens import CycleCounts
-from .spectral import ModifiedSpectrum, _perm_angle_arrays, enumerate_angles_mod
+from .ewens import CycleCounts, TrialBatch
+from .spectral import ModifiedSpectrum, _mod_angles
 
 __all__ = [
     "SpacingStats",
@@ -73,106 +77,76 @@ class NormalizedSpacings:
     n2d: float
 
 
+#: lcm evaluations per block in max_lcms; bounds its memory for any batch size
+_LCM_BLOCK = 2**18
+
+
+def max_lcms(batch: TrialBatch) -> np.ndarray:
+    """max lcm(k, l) over the present cycle lengths of every trial, k = l allowed.
+
+    The distinct lengths of each trial fill one row of a zero-padded grid
+    (lcm with a pad is 0, never the max); a block of rows takes every
+    pairwise lcm within each row at once.
+    """
+    lengths, trial = batch.lengths, batch.trial_of_cycle()
+    distinct = np.ones(len(lengths), dtype=bool)
+    distinct[1:] = (lengths[1:] != lengths[:-1]) | (trial[1:] != trial[:-1])
+    lengths, trial = lengths[distinct], trial[distinct]
+    column = np.arange(len(lengths)) - np.searchsorted(trial, trial)
+    grid = np.zeros((batch.trials, int(column.max()) + 1), dtype=np.int64)
+    grid[trial, column] = lengths
+    best = np.empty(batch.trials, dtype=np.int64)
+    step = max(1, _LCM_BLOCK // grid.shape[1] ** 2)
+    for lo in range(0, batch.trials, step):
+        rows = grid[lo : lo + step]
+        best[lo : lo + step] = np.lcm(rows[:, :, None], rows[:, None, :]).max(axis=(1, 2))
+    return best
+
+
 def max_pairwise_lcm(counts: CycleCounts) -> int:
     """max lcm(k, l) over present cycle lengths, k = l allowed."""
-    lengths = np.array(sorted(j for j, a in counts.counts.items() if a > 0), dtype=np.int64)
-    g = np.gcd.outer(lengths, lengths)
-    return int((np.outer(lengths, lengths) // g).max())
-
-
-def _circular_gaps_exact(num: np.ndarray, den: np.ndarray):
-    """Exact consecutive gaps of sorted reduced fractions on the circle.
-
-    Returns integer arrays (gap_num, gap_den); the wrap-around gap closes the
-    circle.  int64 is safe: cross products are bounded by n^2 * n^2.
-    """
-    nxt_num = np.roll(num, -1).copy()
-    nxt_den = np.roll(den, -1).copy()
-    nxt_num[-1] += nxt_den[-1]  # wrap: last gap runs to first angle + 1
-    gap_num = nxt_num * den - num * nxt_den
-    gap_den = den * nxt_den
-    return gap_num, gap_den
-
-
-def _extreme_fraction(gap_num, gap_den, want_max: bool) -> Fraction:
-    """Exact max or min of an array of positive fractions.
-
-    Float quotients select near-extremal candidates (each quotient is exact
-    to one rounding, so a 1e-12 relative window cannot miss the true
-    extreme); candidates are then compared by integer cross-multiplication,
-    which stays cheap even when thousands of gaps tie.
-    """
-    approx = gap_num / gap_den
-    if want_max:
-        idx = np.flatnonzero(approx >= approx.max() * (1.0 - 1e-12))
-    else:
-        idx = np.flatnonzero(approx <= approx.min() * (1.0 + 1e-12))
-    nums, dens = gap_num[idx], gap_den[idx]
-    g = np.gcd(nums, dens)
-    nums, dens = nums // g, dens // g
-    span = int(dens.max()) + 1
-    if int(nums.max()) < 2**63 // span:
-        keys = nums * np.int64(span) + dens
-        distinct = np.unique(keys, return_index=True)[1]  # ties collapse here
-    else:
-        distinct = np.arange(len(nums))  # key would overflow; compare all
-    best_num, best_den = int(nums[distinct[0]]), int(dens[distinct[0]])
-    for i in distinct[1:]:
-        num, den = int(nums[i]), int(dens[i])
-        better = num * best_den > best_num * den
-        if better == want_max and num * best_den != best_num * den:
-            best_num, best_den = num, den
-    return Fraction(best_num, best_den)
-
-
-def enumerated_gap_range(counts: CycleCounts) -> tuple[Fraction, Fraction]:
-    """(smallest, largest) circular gap by full enumeration, exact.
-
-    Independent oracle for the lcm shortcut; also the only route to the
-    largest gap.
-    """
-    num, den, _ = _perm_angle_arrays(counts)
-    if len(num) == 1:
-        return Fraction(1), Fraction(1)
-    gap_num, gap_den = _circular_gaps_exact(num, den)
-    return (
-        _extreme_fraction(gap_num, gap_den, want_max=False),
-        _extreme_fraction(gap_num, gap_den, want_max=True),
-    )
+    return int(max_lcms(TrialBatch(counts.n, counts.lengths))[0])
 
 
 def spacings_perm(counts: CycleCounts) -> SpacingStats:
-    """Extremal spacings of the unmodified spectrum.
-
-    Smallest comes from the lcm formula, largest from enumeration; the two
-    routes are checked against each other in the test suite, not here.
-    """
+    """Extremal spacings of the unmodified spectrum, both in closed form:
+    largest = 1/(longest cycle), smallest = 1/max_pairwise_lcm."""
+    largest = Fraction(1, int(counts.lengths[-1]))
     smallest = Fraction(1, max_pairwise_lcm(counts))
-    num, den, _ = _perm_angle_arrays(counts)
-    if len(num) == 1:
-        largest = Fraction(1)
-    else:
-        gap_num, gap_den = _circular_gaps_exact(num, den)
-        largest = _extreme_fraction(gap_num, gap_den, want_max=True)
-    return SpacingStats(
-        n=counts.n,
-        largest=float(largest),
-        smallest=float(smallest),
-        largest_exact=largest,
-        smallest_exact=smallest,
-    )
+    return SpacingStats(counts.n, float(largest), float(smallest), largest, smallest)
+
+
+#: angles sorted at once by mod_gap_extremes; bounds its memory for any batch size
+_ANGLE_BLOCK = 2**16
+
+
+def mod_gap_extremes(batch: TrialBatch) -> tuple[np.ndarray, np.ndarray]:
+    """(largest, smallest) circular gap of every trial's modified spectrum.
+
+    All trials have n angles, so a block of trials sorts as one 2-d array,
+    one row per trial; blocks hold about ``_ANGLE_BLOCK`` angles.
+    """
+    n, trials = batch.n, batch.trials
+    if n == 1:
+        return np.ones(trials), np.ones(trials)
+    largest, smallest = np.empty(trials), np.empty(trials)
+    step = max(1, _ANGLE_BLOCK // n)
+    for lo in range(0, trials, step):
+        hi = min(lo + step, trials)
+        cycles = slice(batch.starts[lo], batch.starts[hi])
+        angles = _mod_angles(batch.lengths[cycles], batch.phases[cycles]).reshape(hi - lo, n)
+        angles.sort(axis=1)
+        gaps = np.diff(angles, axis=1)
+        wrap = 1.0 - angles[:, -1] + angles[:, 0]
+        largest[lo:hi] = np.maximum(gaps.max(axis=1), wrap)
+        smallest[lo:hi] = np.minimum(gaps.min(axis=1), wrap)
+    return largest, smallest
 
 
 def spacings_mod(spectrum: ModifiedSpectrum) -> SpacingStats:
     """Extremal spacings of the modified spectrum (n angles, a.s. distinct)."""
-    angles = enumerate_angles_mod(spectrum)
-    if len(angles) == 1:
-        return SpacingStats(n=spectrum.n, largest=1.0, smallest=1.0)
-    gaps = np.diff(angles)
-    wrap = 1.0 - angles[-1] + angles[0]
-    largest = max(float(gaps.max()), wrap)
-    smallest = min(float(gaps.min()), wrap)
-    return SpacingStats(n=spectrum.n, largest=largest, smallest=smallest)
+    largest, smallest = mod_gap_extremes(TrialBatch(spectrum.n, spectrum.lengths, spectrum.phases))
+    return SpacingStats(n=spectrum.n, largest=float(largest[0]), smallest=float(smallest[0]))
 
 
 def two_cycle_min_spacing(p: int, q: int, shift: float) -> float:

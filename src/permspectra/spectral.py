@@ -15,12 +15,17 @@ uniform on [0, 1); the count becomes
 
     X~ = sum_cycles (floor(j beta - phi) - floor(j alpha - phi)).
 
+The counting kernels take a whole batch of trials (``ewens.TrialBatch``)
+and return one row per trial; ``count_arc_perm`` and ``count_arc_mod`` are
+their one-trial forms.
+
 Exact finite-n mean and variance of both counts are weighted sums against
 the psi table from :mod:`permspectra.cesaro`; see ``exact_moments_perm`` and
 ``exact_moments_mod``.
 
 Arc endpoints may be floats or ``fractions.Fraction``.  Rational endpoints
-make every floor and fractional part exact integer arithmetic, which is what
+make every floor and fractional part exact integer arithmetic (int64 while
+it cannot overflow, Python integers for larger denominators), which is what
 eliminates boundary misclassification at roots of unity; float endpoints use
 plain floor and inherit the usual caveat that an angle landing within one
 ulp of an endpoint may be classified either way.
@@ -31,12 +36,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .cesaro import psi_values
-from .ewens import CycleCounts
+from .ewens import CycleCounts, TrialBatch
 
 __all__ = [
     "Endpoint",
@@ -46,7 +51,6 @@ __all__ = [
     "count_arc_perm",
     "attach_phases",
     "count_arc_mod",
-    "enumerate_angles_perm",
     "enumerate_angles_mod",
     "exact_moments_perm",
     "exact_moments_mod",
@@ -105,10 +109,6 @@ class ModifiedSpectrum:
         if np.any((self.phases < 0) | (self.phases >= 1)):
             raise ValueError("phases must lie in [0, 1)")
 
-    @property
-    def cycles(self):
-        return list(zip(self.lengths.tolist(), self.phases.tolist()))
-
 
 @dataclass(frozen=True)
 class CountMoments:
@@ -125,119 +125,111 @@ class CountMoments:
 # ---------------------------------------------------------------------------
 
 
-def _floor_multiple(x: Endpoint, j: int) -> int:
-    """floor(j * x), exact when x is a Fraction."""
+def _fraction_terms(x: Fraction, j: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """(j p, q, w) for x = w + p/q with 0 <= p < q, so that exactly
+    floor(j x) = j w + (j p) // q and {j x} = ((j p) mod q) / q.
+
+    The products are int64 while max(j) * q < 2**62 and Python integers
+    (an object array) beyond, where int64 would wrap silently.
+    """
+    q = x.denominator
+    whole, p = divmod(x.numerator, q)
+    if len(j) and int(j.max()) * q >= 2**62:
+        j = j.astype(object)
+    return j * p, q, whole
+
+
+def _floor_multiples(x: Endpoint, j: np.ndarray) -> np.ndarray:
+    """floor(j x) for an int64 array j, exact when x is a Fraction."""
     if isinstance(x, Fraction):
-        return (j * x.numerator) // x.denominator
-    return math.floor(j * x)
+        prod, q, whole = _fraction_terms(x, j)
+        return np.asarray(j * whole + prod // q, dtype=np.int64)
+    return np.floor(j * float(x)).astype(np.int64)
 
 
 def frac_parts(x: Endpoint, n: int) -> np.ndarray:
     """Array of fractional parts {j x} for j = 1..n, exact for Fractions."""
     j = np.arange(1, n + 1, dtype=np.int64)
     if isinstance(x, Fraction):
-        q = x.denominator
-        p = x.numerator % q
-        return (((j % q) * p) % q) / float(q)
+        prod, q, _ = _fraction_terms(x, j)
+        prod %= q  # in place: keeps the peak at three arrays of n
+        return np.asarray(prod / float(q), dtype=np.float64)
     jx = j * float(x)
     return jx - np.floor(jx)
 
 
 # ---------------------------------------------------------------------------
-# counting
+# counting: kernels over a batch of trials, and their one-trial forms
 # ---------------------------------------------------------------------------
+
+
+def count_arcs_perm(batch: TrialBatch, arcs: Sequence[Arc]) -> np.ndarray:
+    """Permutation-matrix counts, one row per trial and one column per arc.
+
+    Each cycle of length j adds floor(j beta) - floor(j alpha); the
+    per-cycle terms are summed per trial.
+    """
+    per_cycle = np.empty((len(batch.lengths), len(arcs)), dtype=np.int64)
+    for k, a in enumerate(arcs):
+        per_cycle[:, k] = _floor_multiples(a.beta, batch.lengths)
+        per_cycle[:, k] -= _floor_multiples(a.alpha, batch.lengths)
+    return np.add.reduceat(per_cycle, batch.starts[:-1])
+
+
+def count_arcs_mod(batch: TrialBatch, arcs: Sequence[Arc], closed: str = "right") -> np.ndarray:
+    """Modified-matrix counts, one row per trial and one column per arc.
+
+    Each cycle of length j and phase phi adds
+    floor(j beta - phi) - floor(j alpha - phi) over (alpha, beta]
+    (``closed="right"``), or the same with ceil over [alpha, beta)
+    (``closed="left"``); with continuously distributed phases the two
+    almost surely agree.
+    """
+    rounding = {"right": np.floor, "left": np.ceil}.get(closed)
+    if rounding is None:
+        raise ValueError(f"closed must be 'right' or 'left', got {closed!r}")
+    j = batch.lengths.astype(np.float64)[:, None]
+    phi = batch.phases[:, None]
+    alpha = np.array([float(a.alpha) for a in arcs])
+    beta = np.array([float(a.beta) for a in arcs])
+    per_cycle = rounding(j * beta - phi) - rounding(j * alpha - phi)
+    return np.add.reduceat(per_cycle, batch.starts[:-1]).astype(np.int64)
 
 
 def count_arc_perm(counts: CycleCounts, arc: Arc) -> int:
     """Number of eigenvalues (with multiplicity) of the permutation matrix in the arc."""
-    total = 0
-    for j, a in counts.counts.items():
-        if a:
-            total += a * (_floor_multiple(arc.beta, j) - _floor_multiple(arc.alpha, j))
-    return total
+    return int(count_arcs_perm(TrialBatch(counts.n, counts.lengths), (arc,))[0, 0])
 
 
 def attach_phases(counts: CycleCounts, rng: np.random.Generator) -> ModifiedSpectrum:
-    """Draw one independent uniform phase per cycle of the given cycle type."""
-    lengths = np.repeat(
-        np.fromiter(sorted(counts.counts), dtype=np.int64, count=len(counts.counts)),
-        np.fromiter((counts.counts[j] for j in sorted(counts.counts)), dtype=np.int64),
-    )
-    phases = rng.random(len(lengths))
-    return ModifiedSpectrum(n=counts.n, lengths=lengths, phases=phases)
+    """Draw one independent uniform phase per cycle, in ascending length order."""
+    return ModifiedSpectrum(counts.n, counts.lengths, rng.random(len(counts.lengths)))
 
 
 def count_arc_mod(spectrum: ModifiedSpectrum, arc: Arc, closed: str = "right") -> int:
-    """Number of eigenvalues of the modified matrix in the arc.
-
-    ``closed="right"`` counts over (alpha, beta] (the default convention),
-    ``closed="left"`` over [alpha, beta); with continuously distributed
-    phases the two almost surely agree.
-    """
-    j = spectrum.lengths.astype(np.float64)
-    phi = spectrum.phases
-    a, b = float(arc.alpha), float(arc.beta)
-    if closed == "right":
-        per_cycle = np.floor(j * b - phi) - np.floor(j * a - phi)
-    elif closed == "left":
-        per_cycle = np.ceil(j * b - phi) - np.ceil(j * a - phi)
-    else:
-        raise ValueError(f"closed must be 'right' or 'left', got {closed!r}")
-    return int(per_cycle.sum())
+    """Number of eigenvalues of the modified matrix in the arc (see count_arcs_mod)."""
+    batch = TrialBatch(spectrum.n, spectrum.lengths, spectrum.phases)
+    return int(count_arcs_mod(batch, (arc,), closed)[0, 0])
 
 
 # ---------------------------------------------------------------------------
-# enumeration oracles
+# modified-ensemble angles
 # ---------------------------------------------------------------------------
 
 
-def _perm_angle_arrays(counts: CycleCounts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct angles of the permutation spectrum as reduced fractions.
+def _mod_angles(lengths: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Eigenangles (k + phi)/j, k = 0..j-1, cycle after cycle.
 
-    Returns (numerators, denominators, multiplicities), sorted by angle.
-    A j-cycle contributes each j-th root of unity once, so the multiplicity
-    of a reduced angle a/b is the total count of cycles whose length b
-    divides.  Distinct reduced fractions with denominators <= n are farther
-    apart than 1/n^2, far above float64 resolution, so sorting by the float
-    value orders the exact fractions correctly.
+    They already lie in [0, 1) since 0 <= phi < 1.
     """
-    nums, dens, weights = [], [], []
-    for j, a in sorted(counts.counts.items()):
-        if a == 0:
-            continue
-        k = np.arange(j, dtype=np.int64)
-        g = np.gcd(k, j)
-        nums.append(k // g)
-        dens.append(j // g)
-        weights.append(np.full(j, a, dtype=np.int64))
-    num = np.concatenate(nums)
-    den = np.concatenate(dens)
-    wt = np.concatenate(weights)
-    order = np.argsort(num / den, kind="stable")
-    num, den, wt = num[order], den[order], wt[order]
-    new = np.empty(len(num), dtype=bool)
-    new[0] = True
-    new[1:] = num[1:] * den[:-1] != num[:-1] * den[1:]  # exact neighbour test
-    group = np.cumsum(new) - 1
-    mult = np.bincount(group, weights=wt).astype(np.int64)
-    return num[new], den[new], mult
-
-
-def enumerate_angles_perm(counts: CycleCounts) -> list[tuple[Fraction, int]]:
-    """Sorted distinct eigenangles of the permutation matrix with multiplicities."""
-    num, den, mult = _perm_angle_arrays(counts)
-    return [(Fraction(int(a), int(b)), int(m)) for a, b, m in zip(num, den, mult)]
+    cycle = np.repeat(np.arange(len(lengths)), lengths)
+    k = np.arange(len(cycle)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return (k + phases[cycle]) / lengths[cycle]
 
 
 def enumerate_angles_mod(spectrum: ModifiedSpectrum) -> np.ndarray:
     """All n eigenangles (k + phi)/j mod 1 of the modified matrix, sorted."""
-    parts = [
-        (np.arange(j) + phi) / j  # already in [0, 1) since 0 <= phi < 1
-        for j, phi in zip(spectrum.lengths.tolist(), spectrum.phases.tolist())
-    ]
-    angles = np.concatenate(parts) if parts else np.empty(0)
-    angles.sort()
-    return angles
+    return np.sort(_mod_angles(spectrum.lengths, spectrum.phases))
 
 
 # ---------------------------------------------------------------------------

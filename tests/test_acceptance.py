@@ -24,6 +24,7 @@ import pytest
 
 from conftest import (
     crp_type_counts,
+    enumerated_gap_range,
     exhaustive_moments_perm,
     feller_type_counts,
     type_chisquare_pvalue,
@@ -260,6 +261,7 @@ def test_criterion_4_closed_form_constants():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_5_variance_formulas_vs_monte_carlo():
     """Exact count variances match M = 1e5 Monte Carlo within 4 relative
     standard errors of the variance estimator (mod at N=1e3, perm at N=500,
@@ -448,8 +450,10 @@ def test_criterion_7c_meso_perm_ratio():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_8_spacings():
-    """lcm formula == enumeration exactly on 1e4 random structures (n<=2000);
+    """lcm formula == enumeration exactly on 1e4 random structures (n<=2000),
+    and so does the largest spacing's closed form 1/(longest cycle);
     zero violations of n*D>=1, n^2*d>=1, d_mod<=d over 1e4 coupled trials;
     5/50/95 percent quantiles of n*D and n^2*d stable within 25 percent
     across n in {1e3, 4e3, 1.6e4}.
@@ -460,19 +464,18 @@ def test_criterion_8_spacings():
     swamp the 25 percent band with pure Monte Carlo error.
     """
     from permspectra import EwensParams, max_pairwise_lcm, sample_cycle_counts
-    from permspectra.spacings import enumerated_gap_range
 
     start = time.monotonic()
 
-    # exact equality of the two smallest-spacing routes
+    # exact equality of the closed forms and full enumeration
     rng = np.random.default_rng(808)
     params = EwensParams(1.0)
     mismatches = 0
     for _ in range(10_000):
         n = int(rng.integers(1, 2001))
         counts = sample_cycle_counts(n, params, rng)
-        smallest, _ = enumerated_gap_range(counts)
-        if smallest != F(1, max_pairwise_lcm(counts)):
+        smallest, largest = enumerated_gap_range(counts)
+        if smallest != F(1, max_pairwise_lcm(counts)) or largest != F(1, max(counts.counts)):
             mismatches += 1
     t_equality = time.monotonic() - start
 
@@ -496,7 +499,7 @@ def test_criterion_8_spacings():
     assert report(
         "criterion 8",
         ok,
-        f"lcm==enumeration mismatches {mismatches}/10000 ({t_equality:.0f}s), "
+        f"closed forms==enumeration mismatches {mismatches}/10000 ({t_equality:.0f}s), "
         f"bound violations {violations}/10000, worst quantile drift "
         f"{worst_name}={worst:.1%} (<25%); runtime {elapsed:.0f}s",
     )

@@ -6,23 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    BernoulliWord,
     crp_type_counts,
+    cycle_counts_from_word,
     feller_type_counts,
     partition_probabilities,
+    sample_bernoulli_word,
     type_chisquare_pvalue,
 )
 from permspectra import (
-    BernoulliWord,
     CycleCounts,
     EwensParams,
     coupling_horizon,
     coupling_tail_expectation,
-    cycle_counts_from_word,
     cycle_type_probability,
     expected_total_cycles,
     iter_cycle_types,
     sample_age_ordered,
-    sample_bernoulli_word,
     sample_coupled,
     sample_cycle_counts,
     sample_gem,
@@ -78,6 +78,31 @@ class TestCycleCountsFromWord:
         word = word_from_bits([1] + tail_bits)
         counts = cycle_counts_from_word(word)
         assert sum(j * a for j, a in counts.counts.items()) == word.n
+
+
+class TestCycleCountsForms:
+    @pytest.mark.parametrize(
+        "n, counts", [(1, {1: 1}), (10, {3: 2, 4: 1}), (12, {1: 5, 7: 1}), (6, {6: 1})]
+    )
+    def test_dict_and_lengths_forms_agree(self, n, counts):
+        lengths = [j for j, a in counts.items() for _ in range(a)][::-1]
+        a, b = CycleCounts(n, counts), CycleCounts(n, lengths=lengths)
+        assert a.counts == b.counts == counts
+        assert a.total_cycles() == b.total_cycles() == sum(counts.values())
+        assert np.array_equal(a.as_array(), b.as_array())
+        assert a.lengths.tolist() == b.lengths.tolist() == sorted(lengths)
+
+    def test_zero_multiplicity_dropped(self):
+        assert CycleCounts(3, {1: 3, 2: 0}).counts == {1: 3}
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"counts": {2: 1}}, {"counts": {1: 4, 2: -1}}, {"lengths": [2, 2]},
+         {"lengths": [0, 3]}, {}, {"counts": {3: 1}, "lengths": [3]}],
+    )
+    def test_invalid_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            CycleCounts(3, **kwargs)
 
 
 class TestSamplers:

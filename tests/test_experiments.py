@@ -284,3 +284,99 @@ class TestRunSpacings:
             assert row.violations_dtilde == 0
             assert row.nD[0] >= 1.0  # 5% quantile of n*D
             assert all(a <= b for a, b in zip(row.n2d, row.n2d[1:]))
+
+
+class TestTrialEngine:
+    """The chunk-batched engine against per-trial composition of the public
+    one-trial functions, and its invariance to chunking and worker count."""
+
+    def test_mesoscopic_jobs_identical(self):
+        from fractions import Fraction
+
+        cfg = ExperimentConfig(
+            theta=1.2, trials=50, master_seed=8, model="perm",
+            n_schedule=(500, 3000), gamma=0.5, meso_alpha=Fraction(1, 3),
+        )
+        one, many = run_mesoscopic(cfg, jobs=1), run_mesoscopic(cfg, jobs=3)
+        assert [r.variance for r in one.rows] == [r.variance for r in many.rows]
+        assert one.report == many.report
+
+    def test_spacings_jobs_identical(self):
+        one = run_spacings([120, 500], theta=0.9, trials=45, master_seed=12, jobs=1)
+        many = run_spacings([120, 500], theta=0.9, trials=45, master_seed=12, jobs=3)
+        assert one == many
+
+    @pytest.mark.parametrize("model", ["mod", "perm"])
+    def test_uneven_chunks_match_per_trial_path(self, model):
+        from fractions import Fraction
+
+        from permspectra import (
+            EwensParams, attach_phases, count_arc_mod, count_arc_perm,
+            sample_cycle_counts, trial_rng,
+        )
+        from permspectra.experiments import _chunk_ranges
+
+        trials, n, theta = 61, 400, 0.7
+        assert len({hi - lo for lo, hi in _chunk_ranges(trials, 1)}) > 1
+        arcs = (Arc(0.1, 0.55), Arc(Fraction(1, 3), Fraction(6, 5)))
+        cfg = ExperimentConfig(
+            theta=theta, trials=trials, master_seed=3, model=model, n=n, arcs=arcs,
+        )
+        got = run_clt_fixed(cfg, n_numeric=10**3).counts
+        params = EwensParams(theta)
+        for t in range(trials):
+            rng = trial_rng(3, t)
+            counts = sample_cycle_counts(n, params, rng)
+            if model == "mod":
+                spectrum = attach_phases(counts, rng)
+                want = [count_arc_mod(spectrum, a) for a in arcs]
+            else:
+                want = [count_arc_perm(counts, a) for a in arcs]
+            assert got[t].tolist() == want
+
+    def test_sparse_route_lengths_match_per_trial_sampler(self):
+        from permspectra import EwensParams, sample_cycle_counts, trial_rng
+        from permspectra.ewens import _SPARSE_THRESHOLD, _ones_positions_sparse, draw_batch
+
+        n, theta, trials = _SPARSE_THRESHOLD + 1000, 1.4, 7
+        batch = draw_batch(n, theta, (trial_rng(5, t) for t in range(trials)))
+        for t in range(trials):
+            lengths = batch.cycle_counts(t).lengths.tolist()
+            one = sample_cycle_counts(n, EwensParams(theta), trial_rng(5, t))
+            assert lengths == one.lengths.tolist()
+            ones = _ones_positions_sparse(n, theta, trial_rng(5, t))
+            assert lengths == sorted(np.diff(np.append(ones, n + 1)).tolist())
+
+    def test_coupling_distances_match_per_trial_path(self):
+        from permspectra import (
+            EwensParams, coupling_distance, coupling_horizon, sample_coupled, trial_rng,
+        )
+        from permspectra.ewens import coupling_distances, draw_batch
+
+        n, theta, eps = 150, 0.8, 1e-3
+        horizon, _ = coupling_horizon(n, theta, eps)
+        batch = draw_batch(n, theta, (trial_rng(4, t) for t in range(40)), horizon=horizon)
+        want = [
+            coupling_distance(sample_coupled(n, EwensParams(theta), trial_rng(4, t), eps))
+            for t in range(40)
+        ]
+        assert coupling_distances(batch).tolist() == want
+        # the dense definition, sum_j |a_j - W_j|, on the same draws
+        dense = []
+        for t in range(40):
+            s = sample_coupled(n, EwensParams(theta), trial_rng(4, t), eps)
+            dense.append(int(np.abs(s.cycle_counts.as_array() - s.poisson_counts).sum()))
+        assert want == dense
+
+    def test_two_key_sort_beyond_int64_keys(self):
+        # at n = 2**62 the key trial * (n + 1) + length would overflow int64
+        # for a second trial, so the batch sorts by two keys instead
+        from permspectra import EwensParams, sample_cycle_counts, trial_rng
+        from permspectra.ewens import draw_batch
+
+        n = 2**62
+        batch = draw_batch(n, 1.0, (trial_rng(6, t) for t in range(3)))
+        for t in range(3):
+            one = sample_cycle_counts(n, EwensParams(1.0), trial_rng(6, t))
+            assert batch.cycle_counts(t).lengths.tolist() == one.lengths.tolist()
+            assert sum(one.lengths.tolist()) == n

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import counts_from_lengths
+from conftest import counts_from_lengths, enumerated_gap_range
 from permspectra import (
     CycleCounts,
     EwensParams,
@@ -17,7 +17,6 @@ from permspectra import (
     two_cycle_min_spacing,
     trial_rng,
 )
-from permspectra.spacings import enumerated_gap_range
 
 
 class TestSpacingsPerm:

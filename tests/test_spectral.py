@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
-from conftest import counts_from_lengths, exhaustive_moments_perm, partition_probabilities
+from conftest import (
+    counts_from_lengths,
+    enumerate_angles_perm,
+    exhaustive_moments_perm,
+    partition_probabilities,
+)
 from permspectra import (
     Arc,
     CycleCounts,
@@ -16,7 +21,6 @@ from permspectra import (
     count_arc_mod,
     count_arc_perm,
     enumerate_angles_mod,
-    enumerate_angles_perm,
     exact_covariance_mod,
     exact_covariance_perm,
     exact_moments_mod,
@@ -311,3 +315,38 @@ class TestFracShiftInvariance:
     def test_property(self, x, y, t):
         lhs, rhs = frac_shift_invariant(x, y, t)
         assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+class TestExactFractionArithmetic:
+    """Rational endpoints stay exact for every denominator the CLI accepts:
+    int64 products j * p would wrap once n * q reaches 2**63."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        q=st.integers(2, 2**80),
+        p=st.integers(0, 2**81),
+        n=st.integers(1, 100),
+    )
+    def test_frac_parts_match_fraction_arithmetic(self, q, p, n):
+        from permspectra.spectral import frac_parts
+
+        x = F(p % (2 * q), q)
+        got = frac_parts(x, n)
+        exact = [float((j * x) % 1) for j in range(1, n + 1)]
+        # one rounding of the residue and one of q when q exceeds 2**53
+        assert np.max(np.abs(got - exact)) <= 1e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        q=st.integers(2, 2**80),
+        a=st.integers(0, 2**80),
+        width=st.integers(1, 2**80),
+        lengths=st.lists(st.integers(1, 60), min_size=1, max_size=12),
+    )
+    def test_count_arc_perm_floors_exact(self, q, a, width, lengths):
+        a %= q
+        b = a + 1 + (width - 1) % q  # a < b <= a + q
+        arc = Arc(F(a, q), F(b, q))
+        counts = counts_from_lengths(lengths)
+        exact = sum(math.floor(j * arc.beta) - math.floor(j * arc.alpha) for j in lengths)
+        assert count_arc_perm(counts, arc) == exact
