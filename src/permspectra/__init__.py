@@ -67,7 +67,6 @@ from .limits import (
     covariance_Dtilde,
     ctilde_numeric,
     ell_closed,
-    equidistribution_average,
     s3_closed,
 )
 from .rng import trial_rng
@@ -78,7 +77,6 @@ from .spacings import (
     normalized_spacings,
     spacings_mod,
     spacings_perm,
-    two_cycle_min_spacing,
 )
 from .spectral import (
     Arc,
@@ -92,7 +90,6 @@ from .spectral import (
     exact_covariance_perm,
     exact_moments_mod,
     exact_moments_perm,
-    frac_shift_invariant,
 )
 
 __version__ = "0.1.0"

@@ -19,10 +19,19 @@ therefore *declare* the arithmetic class of the endpoints through the
 package and are declared pairwise linearly independent over the rationals
 (together with 1), a fact used but not verified.
 
-Numeric oracles (``c_numeric``, ``ctilde_numeric``,
-``equidistribution_average``) evaluate the partial averages directly and
-are exact — rational arithmetic throughout — whenever the endpoints are
-``fractions.Fraction``; one full period then reproduces the limit exactly.
+Numeric oracles (``c_numeric``, ``ctilde_numeric``) evaluate the partial
+averages directly and are exact — rational arithmetic throughout — whenever
+the endpoints are ``fractions.Fraction``; one full period then reproduces
+the limit exactly.
+
+Float partial sums run through one blocked kernel: {j x} for every endpoint
+or difference a call needs is one (K, block) array per block of at most
+8192 values of j, in preallocated buffers, so no length-n temporary is
+made.  Results equal the full-array formulas bit for bit: each {j x} comes
+from the same product and floor, the omega columns fill the same C-ordered
+arrays the one BLAS call gets, and sums of h_j(x) = {jx}(1-{jx}) split
+where numpy's pairwise summation does (halves rounded down to a multiple
+of 8), with ``np.add.reduce`` summing each block.  x = 0 is not evaluated.
 """
 
 from __future__ import annotations
@@ -52,11 +61,8 @@ __all__ = [
     "s3_closed",
     "ell_closed",
     "c2_meso",
-    "l1_limit",
-    "l2_limit",
     "covariance_D",
     "covariance_Dtilde",
-    "equidistribution_average",
 ]
 
 
@@ -207,6 +213,68 @@ def _frac_seq_exact(x: Fraction, n: int) -> list[Fraction]:
     return [Fraction((j * p) % q, q) for j in range(1, n + 1)]
 
 
+#: most values of j per block; above numpy's pairwise leaf of 128 values, so
+#: numpy halves every length that the kernel halves
+_BLOCK = 8192
+
+
+def _frac_block(xs: np.ndarray, lo: int, hi: int, buf: np.ndarray):
+    """{j x} for x in ``xs`` (rows) and j = lo+1..hi, as j x minus its floor,
+    in a C-ordered view of ``buf[0]``; the same view of ``buf[1]`` is scratch."""
+    f, t = (b[: len(xs) * (hi - lo)].reshape(len(xs), hi - lo) for b in buf)
+    np.multiply(xs[:, None], np.arange(lo + 1, hi + 1, dtype=np.float64), out=f)
+    np.floor(f, out=t)
+    np.subtract(f, t, out=f)
+    return f, t
+
+
+def _fill_frac_differences(plus: Sequence[Endpoint], minus: Sequence[Endpoint], out) -> None:
+    """out[k][j-1] = {j plus[k]} - {j minus[k]} for j = 1..n, one length-n
+    array or view per pair in ``out``; Fraction endpoints stay exact."""
+    ends = [*plus, *minus]
+    xs = np.array([float(x) for x in ends])
+    buf = np.empty((2, len(ends) * _BLOCK))
+    for lo in range(0, len(out[0]), _BLOCK):
+        hi = min(lo + _BLOCK, len(out[0]))
+        f, _ = _frac_block(xs, lo, hi, buf)
+        for k, x in enumerate(ends):
+            if isinstance(x, Fraction):
+                f[k] = frac_parts(x, hi, start=lo + 1)
+        for k, row in enumerate(out):
+            np.subtract(f[k], f[len(plus) + k], out=row[lo:hi])
+
+
+def _pairwise(leaf, lo: int, size: int):
+    """Sum of the ``size`` values from index ``lo`` in numpy's pairwise order:
+    halve (rounded down to a multiple of 8) down to pieces of at most
+    ``_BLOCK`` values, each summed by ``leaf(lo, size)`` with ``np.add.reduce``."""
+    if size <= _BLOCK:
+        return leaf(lo, size)
+    half = size // 2
+    half -= half % 8
+    return _pairwise(leaf, lo, half) + _pairwise(leaf, lo + half, size - half)
+
+
+def _h_means(xs: Sequence[float], n: int) -> np.ndarray:
+    """(1/n) sum_{j<=n} h_j(x) for each x, bit for bit ``np.mean(f * (1 - f))``
+    over the full array f = {j x}; 0 for x = 0, which is not evaluated."""
+    xs = np.asarray(xs, dtype=np.float64)
+    live = xs != 0.0
+    rows = xs[live]
+    buf = np.empty((2, len(rows) * _BLOCK))
+
+    def leaf(lo: int, size: int) -> np.ndarray:
+        f, t = _frac_block(rows, lo, lo + size, buf)
+        np.subtract(1.0, f, out=t)
+        np.multiply(f, t, out=f)
+        return np.add.reduce(f, axis=1)
+
+    means = np.zeros(len(xs))
+    if len(rows):
+        means[live] = _pairwise(leaf, 0, n) / n
+    return means
+
+
 def c_numeric(s: Endpoint, t: Endpoint, u: Endpoint, v: Endpoint, n: int) -> float:
     """Partial Cesàro average (1/n) sum_{j<=n} ({js}-{jt})({ju}-{jv}).
 
@@ -220,18 +288,13 @@ def c_numeric(s: Endpoint, t: Endpoint, u: Endpoint, v: Endpoint, n: int) -> flo
         fs, ft, fu, fv = (_frac_seq_exact(Fraction(x), n) for x in (s, t, u, v))
         total = sum((a - b) * (c - d) for a, b, c, d in zip(fs, ft, fu, fv))
         return float(total / n)
-    left = frac_parts(s, n) - frac_parts(t, n)
-    right = frac_parts(u, n) - frac_parts(v, n)
+    left, right = np.empty(n), np.empty(n)
+    _fill_frac_differences((s, u), (t, v), (left, right))
     return float(left @ right) / n
 
 
 def _h_mean_exact(x: Fraction, n: int) -> Fraction:
     return sum(f * (1 - f) for f in _frac_seq_exact(x, n)) / n
-
-
-def _h_mean_float(x: float, n: int) -> float:
-    f = frac_parts(x, n)
-    return float(np.mean(f * (1.0 - f)))
 
 
 def ctilde_numeric(s: Endpoint, t: Endpoint, u: Endpoint, v: Endpoint, n: int) -> float:
@@ -247,43 +310,14 @@ def ctilde_numeric(s: Endpoint, t: Endpoint, u: Endpoint, v: Endpoint, n: int) -
             total += sign * _h_mean_exact(Fraction(d), n)
         return float(total / 2)
     total = 0.0
-    for d, sign in zip(diffs, signs):
-        total += sign * _h_mean_float(float(d), n)
+    for h, sign in zip(_h_means([float(d) for d in diffs], n).tolist(), signs):
+        total += sign * h
     return total / 2.0
-
-
-def equidistribution_average(f, t: float, b: float, n: int) -> float:
-    """(1/n) sum_{j<=n} f({j t + b}) for a vectorised f on [0, 1].
-
-    For irrational t this tends to the integral of f; it is the generic
-    numeric oracle behind every irrational-case constant.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    j = np.arange(1, n + 1, dtype=np.float64)
-    x = j * t + b
-    return float(np.mean(f(x - np.floor(x))))
 
 
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
-
-
-def l1_limit(x: Union[Fraction, DeclaredIrrational]) -> float:
-    """lim (1/n) sum {j x}: 1/2 for irrational x, (q-1)/(2q) for x = p/q."""
-    if isinstance(x, Fraction):
-        q = x.denominator
-        return float(Fraction(q - 1, 2 * q))
-    return 0.5
-
-
-def l2_limit(x: Union[Fraction, DeclaredIrrational]) -> float:
-    """lim (1/n) sum {j x}^2: 1/3 for irrational x, (2q-1)(q-1)/(6q^2) for p/q."""
-    if isinstance(x, Fraction):
-        q = x.denominator
-        return float(Fraction((2 * q - 1) * (q - 1), 6 * q * q))
-    return 1.0 / 3.0
 
 
 def _s3_both_rational_exact(p: int, q: int, r: int, s: int) -> Fraction:
@@ -403,9 +437,8 @@ def covariance_D(arcs: Sequence[Arc], n_numeric: int = 10**6) -> CovarianceMatri
     """
     if len(arcs) < 1:
         raise ValueError("need at least one arc")
-    omegas = np.column_stack(
-        [frac_parts(a.beta, n_numeric) - frac_parts(a.alpha, n_numeric) for a in arcs]
-    )
+    omegas = np.empty((n_numeric, len(arcs)))
+    _fill_frac_differences([a.beta for a in arcs], [a.alpha for a in arcs], omegas.T)
     gram = omegas.T @ omegas / n_numeric
     diag = np.diag(gram)
     if np.any(diag <= 1e-12):
@@ -426,27 +459,24 @@ def covariance_Dtilde(arcs: Sequence[Arc], n_numeric: int = 10**6) -> Covariance
     if len(arcs) < 1:
         raise ValueError("need at least one arc")
     m = len(arcs)
-    j = np.arange(1, n_numeric + 1, dtype=np.float64)
-
-    cache: dict[float, float] = {}
-
-    def h_mean(x: float) -> float:
-        key = round(x, 15)
-        if key not in cache:
-            f = j * x
-            f = f - np.floor(f)
-            cache[key] = float(np.mean(f * (1.0 - f)))
-        return cache[key]
+    ends = [(float(a.alpha), float(a.beta)) for a in arcs]
+    pairs = [(k, l) for k in range(m) for l in range(k, m)]
+    diffs = []
+    for k, l in pairs:
+        (ak, bk), (al, bl) = ends[k], ends[l]
+        diffs.append((bk - al, ak - bl, ak - al, bk - bl))
+    # one mean per distinct difference, keyed by round(x, 15) and taken at
+    # the first x seen with that key
+    first: dict[float, float] = {}
+    for row in diffs:
+        for x in row:
+            first.setdefault(round(x, 15), x)
+    h_mean = dict(zip(first, _h_means(list(first.values()), n_numeric).tolist()))
 
     gram = np.empty((m, m))
-    for k in range(m):
-        ak, bk = float(arcs[k].alpha), float(arcs[k].beta)
-        for l in range(k, m):
-            al, bl = float(arcs[l].alpha), float(arcs[l].beta)
-            val = 0.5 * (
-                h_mean(bk - al) + h_mean(ak - bl) - h_mean(ak - al) - h_mean(bk - bl)
-            )
-            gram[k, l] = gram[l, k] = val
+    for (k, l), row in zip(pairs, diffs):
+        h1, h2, h3, h4 = (h_mean[round(x, 15)] for x in row)
+        gram[k, l] = gram[l, k] = 0.5 * (h1 + h2 - h3 - h4)
     diag = np.diag(gram)
     if np.any(diag <= 1e-12):
         raise ValueError("degenerate arc: vanishing count variance constant")

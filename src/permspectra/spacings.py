@@ -28,7 +28,6 @@ cycle structure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -43,7 +42,6 @@ __all__ = [
     "NormalizedSpacings",
     "spacings_perm",
     "spacings_mod",
-    "two_cycle_min_spacing",
     "normalized_spacings",
     "max_pairwise_lcm",
 ]
@@ -147,22 +145,6 @@ def spacings_mod(spectrum: ModifiedSpectrum) -> SpacingStats:
     """Extremal spacings of the modified spectrum (n angles, a.s. distinct)."""
     largest, smallest = mod_gap_extremes(TrialBatch(spectrum.n, spectrum.lengths, spectrum.phases))
     return SpacingStats(n=spectrum.n, largest=float(largest[0]), smallest=float(smallest[0]))
-
-
-def two_cycle_min_spacing(p: int, q: int, shift: float) -> float:
-    """Closest approach of a p-th-root grid and a shifted q-th-root grid.
-
-    For coprime p, q and relative rotation ``shift`` in (0, 1) the minimum of
-    |l/q + shift - k/p| over integers k, l equals
-    min({shift p q}, 1 - {shift p q}) / (p q): the lattice of differences
-    l/q - k/p is exactly (1/pq) Z.
-    """
-    if math.gcd(p, q) != 1:
-        raise ValueError(f"p and q must be coprime, got p={p}, q={q}")
-    if not 0 < shift < 1:
-        raise ValueError(f"shift must lie in (0, 1), got {shift}")
-    f = (shift * p * q) % 1.0
-    return min(f, 1.0 - f) / (p * q)
 
 
 def normalized_spacings(stats: SpacingStats) -> NormalizedSpacings:

@@ -33,7 +33,6 @@ ulp of an endpoint may be classified either way.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -56,7 +55,6 @@ __all__ = [
     "exact_moments_mod",
     "exact_covariance_perm",
     "exact_covariance_mod",
-    "frac_shift_invariant",
 ]
 
 Endpoint = Union[float, Fraction]
@@ -147,9 +145,9 @@ def _floor_multiples(x: Endpoint, j: np.ndarray) -> np.ndarray:
     return np.floor(j * float(x)).astype(np.int64)
 
 
-def frac_parts(x: Endpoint, n: int) -> np.ndarray:
-    """Array of fractional parts {j x} for j = 1..n, exact for Fractions."""
-    j = np.arange(1, n + 1, dtype=np.int64)
+def frac_parts(x: Endpoint, n: int, start: int = 1) -> np.ndarray:
+    """Array of fractional parts {j x} for j = start..n, exact for Fractions."""
+    j = np.arange(start, n + 1, dtype=np.int64)
     if isinstance(x, Fraction):
         prod, q, _ = _fraction_terms(x, j)
         prod %= q  # in place: keeps the peak at three arrays of n
@@ -335,18 +333,3 @@ def exact_covariance_mod(n: int, theta: float, arc1: Arc, arc2: Arc) -> float:
     a1, b1, a2, b2 = arc1.alpha, arc1.beta, arc2.alpha, arc2.beta
     big_h = 0.5 * (h(b1 - a2) + h(a1 - b2) - h(a1 - a2) - h(b1 - b2))
     return theta * float((values / j) @ big_h)
-
-
-def frac_shift_invariant(x: float, y: float, t: float) -> tuple[float, float]:
-    """Both sides of the shift invariance of u (1 - u) with u = |{x} - {y}|.
-
-    Returns (shifted, unshifted) where shifted uses x+t, y+t; the two agree
-    for every real t, which is why the modified-ensemble variance depends on
-    the endpoints only through beta - alpha.
-    """
-
-    def h(a: float, b: float) -> float:
-        u = abs(math.modf(a)[0] % 1.0 - math.modf(b)[0] % 1.0)
-        return u * (1.0 - u)
-
-    return h(x + t, y + t), h(x, y)

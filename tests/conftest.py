@@ -6,10 +6,13 @@ exact type probabilities, and spacing formulas against full enumeration
 (``enumerated_gap_range``).  The Bernoulli-word helpers are the exception:
 they feed hand-written or fully drawn words through the sampler's own
 thresholds and length reading, so that those can be tested bit by bit.
+The ``*_formula`` functions are the full-array formulas of the float
+Cesàro sums in ``limits``, which its blocked kernel must equal bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +21,9 @@ import numpy as np
 
 from permspectra import (
     Arc,
+    CovarianceMatrix,
     CycleCounts,
+    DeclaredIrrational,
     EwensParams,
     count_arc_perm,
     cycle_type_probability,
@@ -29,6 +34,7 @@ from permspectra.ewens import (
     _sample_age_ordered_batch,
     _sorted_lengths,
 )
+from permspectra.spectral import frac_parts
 
 
 def counts_from_lengths(lengths) -> CycleCounts:
@@ -246,3 +252,128 @@ def enumerated_gap_range(counts: CycleCounts) -> tuple[Fraction, Fraction]:
         _extreme_fraction(gap_num, gap_den, want_max=False),
         _extreme_fraction(gap_num, gap_den, want_max=True),
     )
+
+
+# ---------------------------------------------------------------------------
+# limit constants: equidistribution oracles and the full-array formulas
+# ---------------------------------------------------------------------------
+
+
+def equidistribution_average(f, t: float, b: float, n: int) -> float:
+    """(1/n) sum_{j<=n} f({j t + b}) for a vectorised f on [0, 1].
+
+    For irrational t this tends to the integral of f; it is the generic
+    numeric oracle behind every irrational-case constant.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    j = np.arange(1, n + 1, dtype=np.float64)
+    x = j * t + b
+    return float(np.mean(f(x - np.floor(x))))
+
+
+def l1_limit(x: Fraction | DeclaredIrrational) -> float:
+    """lim (1/n) sum {j x}: 1/2 for irrational x, (q-1)/(2q) for x = p/q."""
+    if isinstance(x, Fraction):
+        q = x.denominator
+        return float(Fraction(q - 1, 2 * q))
+    return 0.5
+
+
+def l2_limit(x: Fraction | DeclaredIrrational) -> float:
+    """lim (1/n) sum {j x}^2: 1/3 for irrational x, (2q-1)(q-1)/(6q^2) for p/q."""
+    if isinstance(x, Fraction):
+        q = x.denominator
+        return float(Fraction((2 * q - 1) * (q - 1), 6 * q * q))
+    return 1.0 / 3.0
+
+
+def _correlation(gram: np.ndarray) -> np.ndarray:
+    diag = np.diag(gram)
+    if np.any(diag <= 1e-12):
+        raise ValueError("degenerate arc: vanishing count variance constant")
+    return CovarianceMatrix(entries=gram / np.sqrt(np.outer(diag, diag))).entries
+
+
+def h_mean_formula(x: float, n: int) -> float:
+    """(1/n) sum_{j<=n} {jx}(1-{jx}) over the full length-n array."""
+    f = frac_parts(x, n)
+    return float(np.mean(f * (1.0 - f)))
+
+
+def covariance_D_formula(arcs, n: int) -> np.ndarray:
+    """Entries of ``covariance_D``: the stacked omega columns and one gram."""
+    omegas = np.column_stack([frac_parts(a.beta, n) - frac_parts(a.alpha, n) for a in arcs])
+    return _correlation(omegas.T @ omegas / n)
+
+
+def covariance_Dtilde_formula(arcs, n: int) -> np.ndarray:
+    """Entries of ``covariance_Dtilde``, one full-array mean per distinct
+    difference (keyed by round(x, 15), evaluated at the first x seen)."""
+    cache: dict[float, float] = {}
+
+    def h(x: float) -> float:
+        key = round(x, 15)
+        if key not in cache:
+            cache[key] = h_mean_formula(x, n)
+        return cache[key]
+
+    m = len(arcs)
+    gram = np.empty((m, m))
+    for k in range(m):
+        ak, bk = float(arcs[k].alpha), float(arcs[k].beta)
+        for l in range(k, m):
+            al, bl = float(arcs[l].alpha), float(arcs[l].beta)
+            gram[k, l] = gram[l, k] = 0.5 * (h(bk - al) + h(ak - bl) - h(ak - al) - h(bk - bl))
+    return _correlation(gram)
+
+
+def c_numeric_formula(s, t, u, v, n: int) -> float:
+    """Float path of ``c_numeric``: one dot of two full-length arrays."""
+    left = frac_parts(s, n) - frac_parts(t, n)
+    right = frac_parts(u, n) - frac_parts(v, n)
+    return float(left @ right) / n
+
+
+def ctilde_numeric_formula(s, t, u, v, n: int) -> float:
+    """Float path of ``ctilde_numeric``: four full-array means."""
+    total = 0.0
+    for d, sign in zip((t - u, s - v, s - u, t - v), (1, 1, -1, -1)):
+        total += sign * h_mean_formula(float(d), n)
+    return total / 2.0
+
+
+# ---------------------------------------------------------------------------
+# closed-form identities the tests check directly
+# ---------------------------------------------------------------------------
+
+
+def two_cycle_min_spacing(p: int, q: int, shift: float) -> float:
+    """Closest approach of a p-th-root grid and a shifted q-th-root grid.
+
+    For coprime p, q and relative rotation ``shift`` in (0, 1) the minimum of
+    |l/q + shift - k/p| over integers k, l equals
+    min({shift p q}, 1 - {shift p q}) / (p q): the lattice of differences
+    l/q - k/p is exactly (1/pq) Z.
+    """
+    if math.gcd(p, q) != 1:
+        raise ValueError(f"p and q must be coprime, got p={p}, q={q}")
+    if not 0 < shift < 1:
+        raise ValueError(f"shift must lie in (0, 1), got {shift}")
+    f = (shift * p * q) % 1.0
+    return min(f, 1.0 - f) / (p * q)
+
+
+def frac_shift_invariant(x: float, y: float, t: float) -> tuple[float, float]:
+    """Both sides of the shift invariance of u (1 - u) with u = |{x} - {y}|.
+
+    Returns (shifted, unshifted) where shifted uses x+t, y+t; the two agree
+    for every real t, which is why the modified-ensemble variance depends on
+    the endpoints only through beta - alpha.
+    """
+
+    def h(a: float, b: float) -> float:
+        u = abs(math.modf(a)[0] % 1.0 - math.modf(b)[0] % 1.0)
+        return u * (1.0 - u)
+
+    return h(x + t, y + t), h(x, y)

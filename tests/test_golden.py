@@ -4,8 +4,11 @@ statistic computed from it must stay bit-identical across refactors.
 Each case runs a Monte Carlo driver at a small size and hashes the part of
 its output that never passes through BLAS (the correlation matrices and the
 exact modified-ensemble variances are left out: their last bits depend on
-the BLAS thread count).  Floats are hashed through ``json.dumps``, whose
-``repr`` round-trips every bit.  A changed digest means a changed stream or
+the BLAS thread count).  One more case hashes the reference matrix
+``covariance_Dtilde`` of the README arcs at the CLI's n_numeric = 10^6:
+its entries are means of h_j sums and ratios of them, with no BLAS call.
+Floats are hashed through ``json.dumps``, whose ``repr`` round-trips
+every bit.  A changed digest means a changed stream or
 a changed statistic; if that is intended, say so and record the new values.
 """
 
@@ -19,11 +22,13 @@ from permspectra import (
     Arc,
     ExperimentConfig,
     NAMED_IRRATIONALS,
+    covariance_Dtilde,
     run_clt_fixed,
     run_coupling_check,
     run_mesoscopic,
     run_spacings,
 )
+from permspectra.cli import parse_arcs
 
 ARCS = (
     Arc(NAMED_IRRATIONALS["golden"].value, NAMED_IRRATIONALS["sqrt2"].value + 1.0),
@@ -77,6 +82,9 @@ CASES = {
     "mesoscopic mod mean": lambda: mesoscopic("mod"),
     "spacings quantiles and counters": spacings,
     "coupling-check mean and se": coupling,
+    "covariance_Dtilde README arcs": lambda: covariance_Dtilde(
+        parse_arcs("irr:sqrt2,irr:golden;irr:e,irr:sqrt3"), 10**6
+    ).entries.tolist(),
 }
 
 GOLDEN = {
@@ -84,6 +92,8 @@ GOLDEN = {
     "clt perm counts": "7a3b30b811803b4b356c3f6ef67ec8ac185ac6280c33737d2bf26684358aa6da",
     "coupling-check mean and se":
         "c963115d064d918016288867cf211c11275b0a81d3e75d6faf4202c4aac50f49",
+    "covariance_Dtilde README arcs":
+        "3461da3a64ef9352b2d76e6d60fe537fbaa47f5ffd32a87c50e05d965f3b0dbf",
     "mesoscopic mod mean": "d4444644a577de10de6222f7536003d13a7f99e8b2f5679a1b7fcd09358e4013",
     "mesoscopic perm variances and mean":
         "a88937c3519e5d67abb00bc131e93f899fe62723c855bfaf4c79e12046fda775",

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from conftest import equidistribution_average, l1_limit, l2_limit
 from permspectra import (
     NAMED_IRRATIONALS,
     AffineRelated,
@@ -19,10 +20,9 @@ from permspectra import (
     covariance_Dtilde,
     ctilde_numeric,
     ell_closed,
-    equidistribution_average,
     s3_closed,
 )
-from permspectra.limits import arc_of_class, l1_limit, l2_limit
+from permspectra.limits import arc_of_class
 
 GOLDEN = NAMED_IRRATIONALS["golden"]
 SQRT2 = NAMED_IRRATIONALS["sqrt2"]

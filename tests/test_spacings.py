@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import counts_from_lengths, enumerated_gap_range
+from conftest import counts_from_lengths, enumerated_gap_range, two_cycle_min_spacing
 from permspectra import (
     CycleCounts,
     EwensParams,
@@ -14,7 +14,6 @@ from permspectra import (
     sample_cycle_counts,
     spacings_mod,
     spacings_perm,
-    two_cycle_min_spacing,
     trial_rng,
 )
 

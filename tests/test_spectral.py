@@ -11,6 +11,7 @@ from conftest import (
     counts_from_lengths,
     enumerate_angles_perm,
     exhaustive_moments_perm,
+    frac_shift_invariant,
     partition_probabilities,
 )
 from permspectra import (
@@ -25,7 +26,6 @@ from permspectra import (
     exact_covariance_perm,
     exact_moments_mod,
     exact_moments_perm,
-    frac_shift_invariant,
     sample_cycle_counts,
 )
 
