@@ -3,20 +3,16 @@
 Two ensembles, both under the Ewens measure of parameter theta: plain
 permutation matrices, and their modification where every unit entry is
 replaced by an independent uniform point of the unit circle.  The package
-samples cycle structures (Feller word and Chinese-restaurant routes),
-counts eigenvalues in arcs, evaluates the exact finite-n moments and every
-closed-form limit constant, measures extremal spacings, and ships a seeded
-Monte Carlo harness plus a command-line driver for all of it.
+samples cycle structures through the Feller word, counts eigenvalues in
+arcs, evaluates the exact finite-n moments and every closed-form limit
+constant, measures extremal spacings, and ships a seeded Monte Carlo
+harness plus a command-line driver for all of it.
 """
 
 from .cesaro import (
-    PsiTable,
     absolute_quadratic_sum,
-    cesaro_mean,
     cesaro_number,
-    log_weighted_ratio,
     psi,
-    psi_table,
     psi_values,
     verify_harmonic_identity,
     verify_mean_identity,
@@ -24,28 +20,20 @@ from .cesaro import (
     verify_telescoping,
 )
 from .ewens import (
-    AgeOrderedCycles,
     CoupledSample,
     CycleCounts,
     EwensParams,
     coupling_distance,
     coupling_horizon,
     coupling_tail_expectation,
-    cycle_type_probability,
-    expected_total_cycles,
-    iter_cycle_types,
-    sample_age_ordered,
     sample_coupled,
     sample_cycle_counts,
-    sample_gem,
 )
 from .experiments import (
     CouplingReport,
     ExperimentConfig,
     NormalityReport,
     coupling_bound,
-    digamma,
-    ks_test,
     run_clt_fixed,
     run_coupling_check,
     run_mesoscopic,

@@ -1,4 +1,4 @@
-"""Cesàro means of fractional order and the cycle-count weight function.
+"""The cycle-count weight function and the Cesàro summation identities.
 
 The central object is the weight
 
@@ -26,24 +26,19 @@ function returns the two sides; callers assert the gap at their tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
 __all__ = [
-    "PsiTable",
     "psi",
     "psi_values",
-    "psi_table",
     "cesaro_number",
-    "cesaro_mean",
     "verify_mean_identity",
     "verify_harmonic_identity",
     "verify_quadratic_identity",
     "absolute_quadratic_sum",
     "verify_telescoping",
-    "log_weighted_ratio",
 ]
 
 #: default size cap for the O(n^2) double sums
@@ -78,29 +73,6 @@ def psi(n: int, j: int, theta: float) -> float:
     return float(np.prod((n - i) / (theta + n - 1.0 - i)))
 
 
-@dataclass(frozen=True)
-class PsiTable:
-    """All weights psi(n, j), j = 1..n, for one (n, theta).
-
-    ``values[j-1]`` holds psi(n, j).  The table is monotone in j: constant 1
-    at theta = 1, decreasing for theta > 1, increasing for theta < 1.
-    """
-
-    n: int
-    theta: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        if len(self.values) != self.n:
-            raise ValueError("values must have length n")
-        if np.any(self.values <= 0):
-            raise ValueError("psi values must be positive")
-
-
-def psi_table(n: int, theta: float) -> PsiTable:
-    return PsiTable(n=n, theta=theta, values=psi_values(n, theta))
-
-
 def cesaro_number(n: int, delta: float) -> float:
     """Cesàro number A_n^delta = C(n+delta, n) = prod_{k=1..n} (k+delta)/k.
 
@@ -114,37 +86,6 @@ def cesaro_number(n: int, delta: float) -> float:
         return 1.0
     k = np.arange(1, n + 1, dtype=np.float64)
     return float(np.prod((k + delta) / k))
-
-
-def cesaro_mean(w, theta: float) -> float:
-    """Cesàro mean of order theta of the sequence ``w = (w_0, ..., w_n)``.
-
-    Requires ``w_0 = 0``, in which case the A-number form collapses to
-    ``theta/(theta+n) * sum_j psi(n, j) w_j``.
-    """
-    _check_theta(theta)
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 1 or len(w) < 2:
-        raise ValueError("w must be a 1-d sequence (w_0, ..., w_n) with n >= 1")
-    if w[0] != 0:
-        raise ValueError("cesaro_mean requires w_0 = 0")
-    n = len(w) - 1
-    return theta / (theta + n) * float(psi_values(n, theta) @ w[1:])
-
-
-def cesaro_mean_binomial(w, theta: float) -> float:
-    """Same mean evaluated directly from A-numbers (cross-check route).
-
-    Computes sum_j A_{n-j}^{theta-1}/A_n^theta * w_j via log-gamma; kept
-    independent from :func:`cesaro_mean` on purpose.
-    """
-    _check_theta(theta)
-    w = np.asarray(w, dtype=np.float64)
-    n = len(w) - 1
-    j = np.arange(0, n + 1, dtype=np.float64)
-    log_a_nj = gammaln(n - j + theta) - gammaln(theta) - gammaln(n - j + 1)
-    log_a_n = gammaln(n + theta + 1) - gammaln(theta + 1) - gammaln(n + 1)
-    return float(np.exp(log_a_nj - log_a_n) @ w)
 
 
 def verify_mean_identity(n: int, theta: float) -> tuple[float, float]:
@@ -225,22 +166,3 @@ def verify_telescoping(n: int, j: int, theta: float) -> tuple[float, float]:
     lhs = math.fsum((np.exp(log_num - log_den) / p).tolist())
     rhs = psi(n, j, theta) * (1.0 / j - 1.0 / n)
     return lhs, rhs
-
-
-def log_weighted_ratio(w, n: int, theta: float) -> float:
-    """(sum_j psi(n, j) w_j / j) / (theta log n) for a bounded w >= 0.
-
-    If (w_j) is Cesàro-convergent with limit L, this ratio tends to
-    L / theta; with w = 1 and theta = 1 it is H_n / log n.  Exposed as a
-    convergence diagnostic, not an identity.
-    """
-    _check_theta(theta)
-    w = np.asarray(w, dtype=np.float64)
-    if len(w) < n:
-        raise ValueError("need w_1..w_n")
-    if np.any(w[:n] < 0):
-        raise ValueError("w must be non-negative")
-    if n < 2:
-        raise ValueError("n must be >= 2 so that log n > 0")
-    j = np.arange(1, n + 1, dtype=np.float64)
-    return float((psi_values(n, theta) / j) @ w[:n]) / (theta * math.log(n))

@@ -76,6 +76,8 @@ def parse_endpoint(token: str):
     token = token.strip()
     if token.startswith("rat:"):
         num, _, den = token[4:].partition("/")
+        if den and int(den) == 0:
+            raise ValueError(f"zero denominator in {token!r}")
         return Fraction(int(num), int(den) if den else 1)
     if token.startswith("irr:"):
         name = token[4:]

@@ -32,7 +32,7 @@ concatenated (``TrialBatch``), the form the Monte Carlo drivers compute on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
@@ -42,17 +42,11 @@ __all__ = [
     "EwensParams",
     "CycleCounts",
     "CoupledSample",
-    "AgeOrderedCycles",
     "sample_cycle_counts",
     "sample_coupled",
-    "sample_age_ordered",
-    "cycle_type_probability",
-    "sample_gem",
-    "expected_total_cycles",
     "coupling_tail_expectation",
     "coupling_horizon",
     "coupling_distance",
-    "iter_cycle_types",
 ]
 
 #: hard cap on the materialised word horizon in sample_coupled
@@ -155,18 +149,6 @@ class CoupledSample:
     poisson_counts: np.ndarray
     horizon: int
     tail_bound: float
-
-
-@dataclass
-class AgeOrderedCycles:
-    """Cycle lengths in order of appearance (lowest element of each cycle)."""
-
-    n: int
-    lengths: list[int] = field(default_factory=list)
-
-    def __post_init__(self):
-        if sum(self.lengths) != self.n or any(l < 1 for l in self.lengths):
-            raise ValueError("lengths must be positive and sum to n")
 
 
 # ---------------------------------------------------------------------------
@@ -401,115 +383,3 @@ def coupling_distance(sample: CoupledSample) -> int:
     batch = TrialBatch(counts.n, counts.lengths, spacings=spacings,
                        spacing_trial=np.zeros(len(spacings), dtype=np.int64))
     return int(coupling_distances(batch)[0])
-
-
-# ---------------------------------------------------------------------------
-# age order, exact probabilities, GEM
-# ---------------------------------------------------------------------------
-
-
-def sample_age_ordered(
-    n: int, params: EwensParams, rng: np.random.Generator
-) -> AgeOrderedCycles:
-    """Cycle lengths in order of appearance via the Chinese-restaurant scheme.
-
-    Element i starts a new cycle with probability theta/(theta+i-1) and
-    otherwise joins the cycle of a uniformly chosen earlier element (which is
-    the same as joining an existing cycle with probability proportional to
-    its size).  Creation order of cycles is the order of their lowest
-    elements, so the lengths come out age-ordered.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    theta = params.theta
-    cycle_of = np.empty(n, dtype=np.int64)
-    lengths: list[int] = []
-    new_thresholds = theta / (theta + np.arange(n, dtype=np.float64))
-    uniforms = rng.random(n)
-    for i in range(n):
-        if uniforms[i] < new_thresholds[i]:
-            cycle_of[i] = len(lengths)
-            lengths.append(1)
-        else:
-            c = cycle_of[rng.integers(0, i)]
-            cycle_of[i] = c
-            lengths[c] += 1
-    return AgeOrderedCycles(n=n, lengths=lengths)
-
-
-def _sample_age_ordered_batch(
-    n: int, theta: float, trials: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Cycle labels for many restaurant runs at once; rows are trials.
-
-    Returns an array of shape (trials, n) whose entry [t, i] is the index of
-    the cycle element i joined in trial t.  Used by statistical tests that
-    need large batches quickly; the law per row matches sample_age_ordered.
-    """
-    labels = np.zeros((trials, n), dtype=np.int64)
-    n_cycles = np.ones(trials, dtype=np.int64)
-    for i in range(1, n):
-        new = rng.random(trials) < theta / (theta + i)
-        join_src = rng.integers(0, i, size=trials)
-        joined = labels[np.arange(trials), join_src]
-        labels[:, i] = np.where(new, n_cycles, joined)
-        n_cycles += new
-    return labels
-
-
-def cycle_type_probability(counts: CycleCounts, params: EwensParams) -> float:
-    """Exact Ewens probability of a cycle type.
-
-    P(type) = [n! / prod_j j^{a_j} a_j!] * theta^K / (theta (theta+1) ... (theta+n-1)),
-    evaluated in log space to survive n well beyond factorial overflow.
-    """
-    n = counts.n
-    theta = params.theta
-    k_total = counts.total_cycles()
-    log_p = math.lgamma(n + 1) + k_total * math.log(theta)
-    for j, a in counts.counts.items():
-        if a == 0:
-            continue
-        log_p -= a * math.log(j) + math.lgamma(a + 1)
-    log_p -= math.lgamma(theta + n) - math.lgamma(theta)
-    return math.exp(log_p)
-
-
-def sample_gem(params: EwensParams, m: int, rng: np.random.Generator) -> np.ndarray:
-    """First m coordinates of a GEM(theta) vector by stick breaking.
-
-    G_1 = B_1 and G_k = B_k prod_{i<k} (1 - B_i) with B_i iid Beta(1, theta);
-    this is the limit law of age-ordered cycle lengths divided by n.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    betas = rng.beta(1.0, params.theta, size=m)
-    remaining = np.concatenate([[1.0], np.cumprod(1.0 - betas[:-1])])
-    return betas * remaining
-
-
-def expected_total_cycles(n: int, theta: float) -> float:
-    """E K_n = sum_{k=0}^{n-1} theta/(theta+k)."""
-    k = np.arange(n, dtype=np.float64)
-    return float(np.sum(theta / (theta + k)))
-
-
-def iter_cycle_types(n: int):
-    """All cycle types of n-permutations (integer partitions as count dicts).
-
-    Yields CycleCounts in a deterministic order; intended for exhaustive
-    small-n oracles, so no attempt is made to be clever.
-    """
-
-    def partitions(remaining: int, max_part: int, acc: dict[int, int]):
-        if remaining == 0:
-            yield CycleCounts(n=n, counts=dict(acc))
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            acc[part] = acc.get(part, 0) + 1
-            yield from partitions(remaining - part, part, acc)
-            acc[part] -= 1
-            if acc[part] == 0:
-                del acc[part]
-
-    yield from partitions(n, n, {})

@@ -16,12 +16,13 @@ moments (the asymptotic ones converge like 1/log n, far too slowly to be
 usable at desk scale) and compare them with the normal law by a lattice
 Kolmogorov-Smirnov test: the reference cdf is the continuity-corrected
 Phi((k + 1/2 - mean) / sd), compared with the empirical cdf at every integer
-k, and the p-value comes from the asymptotic Kolmogorov series, which is
-conservative for a discrete null.  The variance is the exact one (the Monte
-Carlo one for plain mesoscopic rows), without Sheppard's -1/12.  Comparing
-integer counts with the continuous Phi instead would put a floor of about
-half the largest lattice atom (~0.15 at count variances ~1.5) under the KS
-distance and reject every sample, Gaussian or not.
+k, and the p-value is the asymptotic Kolmogorov one
+(``scipy.special.kolmogorov``), conservative for a discrete null.  The
+variance is the exact one (the Monte Carlo one for plain mesoscopic rows),
+without Sheppard's -1/12.  Comparing integer counts with the continuous
+Phi instead would put a floor of about half the largest lattice atom
+(~0.15 at count variances ~1.5) under the KS distance and reject every
+sample, Gaussian or not.
 """
 
 from __future__ import annotations
@@ -30,27 +31,25 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import digamma, kolmogorov, ndtr
 
-from .cesaro import psi_values
 from .ewens import TrialBatch, coupling_distances, coupling_horizon, draw_batch
 from .limits import DeclaredIrrational, c2_meso, covariance_D, covariance_Dtilde
 from .rng import trial_rng
 from .spacings import max_lcms, mod_gap_extremes
 from .spectral import (
     Arc,
+    _perm_mean,
     count_arcs_mod,
     count_arcs_perm,
     exact_moments_mod,
     exact_moments_perm,
-    frac_parts,
 )
 
 __all__ = [
-    "EULER_GAMMA",
     "ExperimentConfig",
     "NormalityReport",
     "CltFixedResult",
@@ -59,8 +58,6 @@ __all__ = [
     "CouplingReport",
     "SpacingsRow",
     "SpacingsResult",
-    "digamma",
-    "ks_test",
     "coupling_bound",
     "run_clt_fixed",
     "run_mesoscopic",
@@ -68,83 +65,9 @@ __all__ = [
     "run_spacings",
 ]
 
-EULER_GAMMA = 0.5772156649015328606
-
-
-# ---------------------------------------------------------------------------
-# special functions and the KS test (self-contained; cross-checked against
-# scipy in the test suite, which stays the independent route)
-# ---------------------------------------------------------------------------
-
-
-def digamma(x: float) -> float:
-    """Digamma function psi(x) for x > 0, to absolute accuracy ~1e-12.
-
-    Uses the recurrence psi(x+1) = psi(x) + 1/x to shift the argument to
-    x >= 10, then the asymptotic series
-    psi(x) ~ ln x - 1/(2x) - sum B_{2k}/(2k x^{2k}).
-    """
-    if not x > 0:
-        raise ValueError(f"digamma requires x > 0, got {x}")
-    acc = 0.0
-    while x < 10.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    series = inv2 * (
-        1.0 / 12.0
-        - inv2
-        * (
-            1.0 / 120.0
-            - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0 - inv2 * (1.0 / 132.0)))
-        )
-    )
-    return acc + math.log(x) - 0.5 / x - series
-
-
 def coupling_bound(theta: float) -> float:
     """Upper bound 2 + theta (gamma + psi(theta)) on E sum_j |a_{n,j} - W_j|."""
-    return 2.0 + theta * (EULER_GAMMA + digamma(theta))
-
-
-def _kolmogorov_sf(lam: float) -> float:
-    """Asymptotic Kolmogorov survival 2 sum_{k>=1} (-1)^{k-1} exp(-2 k^2 lam^2),
-    truncated once terms drop below 1e-10."""
-    if lam <= 0.05:
-        return 1.0  # the series is useless here and the answer is 1 to 1e-10
-    total = 0.0
-    sign = 1.0
-    k = 1
-    while True:
-        term = math.exp(-2.0 * k * k * lam * lam)
-        total += sign * term
-        if term < 1e-10 or k > 10_000:
-            break
-        sign = -sign
-        k += 1
-    return min(max(2.0 * total, 0.0), 1.0)
-
-
-def ks_test(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> tuple[float, float]:
-    """One-sample two-sided Kolmogorov-Smirnov test.
-
-    ``samples`` must be sorted ascending (rejected otherwise) with at least
-    8 entries.  Returns (statistic, p_value) where the statistic is
-    sup |F_emp - F| and the p-value uses the asymptotic Kolmogorov law at
-    sqrt(n) * statistic.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    n = len(samples)
-    if n < 8:
-        raise ValueError(f"need at least 8 samples, got {n}")
-    if np.any(np.diff(samples) < 0):
-        raise ValueError("samples must be sorted ascending")
-    f = np.asarray(cdf(samples), dtype=np.float64)
-    i = np.arange(1, n + 1, dtype=np.float64)
-    d_plus = float(np.max(i / n - f))
-    d_minus = float(np.max(f - (i - 1.0) / n))
-    stat = max(d_plus, d_minus, 0.0)
-    return stat, _kolmogorov_sf(math.sqrt(n) * stat)
+    return float(2.0 + theta * (np.euler_gamma + digamma(theta)))
 
 
 @dataclass
@@ -193,7 +116,7 @@ def _lattice_ks(
     empirical = np.searchsorted(ordered, grid, side="right") / m
     reference = ndtr((grid + 0.5 - reference_mean) / math.sqrt(reference_variance))
     stat = float(np.max(np.abs(empirical - reference)))
-    return stat, _kolmogorov_sf(math.sqrt(m) * stat)
+    return stat, float(kolmogorov(math.sqrt(m) * stat))
 
 
 def _normality_report(
@@ -390,12 +313,6 @@ class MesoscopicResult:
     constant: float  # the theory constant multiplying theta log(n delta)
 
 
-def _perm_exact_mean(n: int, theta: float, arc: Arc) -> float:
-    omega = frac_parts(arc.beta, n) - frac_parts(arc.alpha, n)
-    j = np.arange(1, n + 1, dtype=np.float64)
-    return n * float(arc.width) - theta * float((psi_values(n, theta) * omega / j).sum())
-
-
 def run_mesoscopic(config: ExperimentConfig, jobs: int = 1) -> MesoscopicResult:
     """Variance growth and normality on arcs shrinking like n**(-gamma).
 
@@ -408,6 +325,9 @@ def run_mesoscopic(config: ExperimentConfig, jobs: int = 1) -> MesoscopicResult:
     """
     if not config.n_schedule or config.gamma is None:
         raise ValueError("run_mesoscopic needs n_schedule and gamma")
+    for n in config.n_schedule:  # before any sampling
+        if n < 1 or n * float(n) ** (-config.gamma) <= 1:
+            raise ValueError(f"n * delta must exceed 1 for a mesoscopic window, got n={n}")
     theta, model = config.theta, config.model
     alpha_endpoint = _meso_endpoint(config.meso_alpha)
     if isinstance(alpha_endpoint, Fraction):
@@ -422,10 +342,6 @@ def run_mesoscopic(config: ExperimentConfig, jobs: int = 1) -> MesoscopicResult:
         delta = float(n) ** (-config.gamma)
         arc = _meso_arc(alpha_endpoint, delta)
         log_nd = math.log(n * delta)
-        if log_nd <= 0:
-            raise ValueError(
-                f"n * delta must exceed 1 for a mesoscopic window, got n={n}"
-            )
         target = constant * theta * log_nd
 
         need_counts = model == "perm" or n == largest
@@ -442,7 +358,7 @@ def run_mesoscopic(config: ExperimentConfig, jobs: int = 1) -> MesoscopicResult:
         else:
             variance = float(np.var(counts, ddof=1))
             exact = False
-            mean = _perm_exact_mean(n, theta, arc)
+            mean = _perm_mean(n, theta, arc)
         rows.append(
             MesoscopicRow(
                 n=n,
@@ -485,6 +401,8 @@ def run_coupling_check(
     jobs: int = 1,
 ) -> CouplingReport:
     """Empirical coupling distance against the closed-form bound."""
+    if n < 1 or not theta > 0 or trials < 2:
+        raise ValueError(f"need n >= 1, theta > 0 and trials >= 2, got {n}, {theta}, {trials}")
     if epsilon_tail <= 0:
         raise ValueError("epsilon_tail must be positive")
     horizon, tail_bound = coupling_horizon(n, theta, epsilon_tail)
@@ -563,6 +481,10 @@ def run_spacings(
     the samplewise bounds (n*D >= 1, n^2*d >= 1, modified d <= plain d),
     which are theorems and must come out zero.
     """
+    if not n_schedule or not theta > 0 or trials < 1:
+        raise ValueError(
+            f"need a size, theta > 0 and trials >= 1, got {n_schedule}, {theta}, {trials}"
+        )
     rows = []
     for idx, n in enumerate(n_schedule):
         data = _run_trials(

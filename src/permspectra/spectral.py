@@ -235,56 +235,38 @@ def enumerate_angles_mod(spectrum: ModifiedSpectrum) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _perm_mean(n: int, theta: float, arc: Arc) -> float:
+    """Exact mean n (beta - alpha) - theta sum_j P_j omega_j / j of the
+    permutation-matrix count, omega_j = {j beta} - {j alpha}; O(n)."""
+    omega = frac_parts(arc.beta, n) - frac_parts(arc.alpha, n)
+    j = np.arange(1, n + 1, dtype=np.float64)
+    weighted = psi_values(n, theta) * (omega / j)
+    return n * float(arc.beta - arc.alpha) - theta * float(weighted.sum())
+
+
 def exact_moments_perm(
     n: int, theta: float, arc: Arc, cap: int = PERM_VARIANCE_CAP
 ) -> CountMoments:
     """Exact mean and variance of the permutation-matrix count in the arc.
 
-    With omega_j = {j beta} - {j alpha} and P = psi table,
-
-        mean = n (beta - alpha) - theta sum_j (omega_j / j) P_j
-        var  = theta sum_j (omega_j^2 / j) P_j
-               + theta^2 sum_{j,k} (omega_j omega_k / (j k))
-                                   (P_{j+k} [j+k<=n] - P_j P_k).
-
-    The cross term is an O(n^2) convolution; above ``cap`` the call refuses
-    rather than approximate.
+    The variance is the diagonal of :func:`exact_covariance_perm`, clipped
+    at zero against rounding; above ``cap`` the call refuses rather than
+    approximate.
     """
-    if n > cap:
-        raise ValueError(f"n = {n} exceeds the O(n^2) variance cap {cap}")
-    values = psi_values(n, theta)
-    omega = frac_parts(arc.beta, n) - frac_parts(arc.alpha, n)
-    j = np.arange(1, n + 1, dtype=np.float64)
-    u = omega / j
-    weighted = values * u
-    delta = float(arc.beta - arc.alpha)
-    mean = n * delta - theta * float(weighted.sum())
-
-    first = theta * float((values * omega * u).sum())
-    if n >= 2:
-        conv = np.convolve(u, u)[: n - 1]  # entry i: sum over j+k = i+2
-        cross = float(values[1:] @ conv)
-    else:
-        cross = 0.0
-    square = float(weighted.sum()) ** 2
-    variance = first + theta**2 * (cross - square)
-    return CountMoments(mean=mean, variance=max(variance, 0.0))
+    variance = exact_covariance_perm(n, theta, arc, arc, cap)
+    return CountMoments(mean=_perm_mean(n, theta, arc), variance=max(variance, 0.0))
 
 
 def exact_moments_mod(n: int, theta: float, arc: Arc) -> CountMoments:
     """Exact mean and variance of the modified-matrix count in the arc.
 
     The mean is exactly n (beta - alpha) regardless of the endpoints; the
-    variance depends only on the width delta:
+    variance, the diagonal of :func:`exact_covariance_mod`, depends only on
+    the width delta:
 
         var = theta sum_j (P_j / j) {j delta} (1 - {j delta}).
     """
-    values = psi_values(n, theta)
-    delta = arc.width
-    h = frac_parts(delta, n)
-    h = h * (1.0 - h)
-    j = np.arange(1, n + 1, dtype=np.float64)
-    variance = theta * float((values / j) @ h)
+    variance = exact_covariance_mod(n, theta, arc, arc)
     return CountMoments(mean=n * float(arc.width), variance=variance)
 
 
@@ -293,22 +275,25 @@ def exact_covariance_perm(
 ) -> float:
     """Exact covariance of the two permutation-matrix counts at size n.
 
-    The bilinear form of the variance formula: with u_j = omega_j / j per arc,
+    With P the psi table, omega_j = {j beta} - {j alpha} and u_j = omega_j / j
+    per arc,
 
-        cov = theta sum_j omega_{j,1} omega_{j,2} / j * P_j
+        cov = theta sum_j P_j omega_{j,1} u_{j,2}
               + theta^2 [ sum_{j+k<=n} P_{j+k} u_{j,1} u_{k,2}
                           - (sum_j P_j u_{j,1})(sum_k P_k u_{k,2}) ].
+
+    The cross term is an O(n^2) convolution; above ``cap`` the call refuses.
     """
     if n > cap:
-        raise ValueError(f"n = {n} exceeds the O(n^2) covariance cap {cap}")
+        raise ValueError(f"n = {n} exceeds the O(n^2) cap {cap}")
     values = psi_values(n, theta)
     j = np.arange(1, n + 1, dtype=np.float64)
     w1 = frac_parts(arc1.beta, n) - frac_parts(arc1.alpha, n)
     w2 = frac_parts(arc2.beta, n) - frac_parts(arc2.alpha, n)
     u1, u2 = w1 / j, w2 / j
-    first = theta * float((values * w1 * w2 / j).sum())
+    first = theta * float((values * w1 * u2).sum())
     if n >= 2:
-        conv = np.convolve(u1, u2)[: n - 1]
+        conv = np.convolve(u1, u2)[: n - 1]  # entry i: sum over j+k = i+2
         cross = float(values[1:] @ conv)
     else:
         cross = 0.0
@@ -321,15 +306,19 @@ def exact_covariance_mod(n: int, theta: float, arc1: Arc, arc2: Arc) -> float:
 
     cov = theta sum_j (P_j / j) H_j with
     H_j = (h_j(b1-a2) + h_j(a1-b2) - h_j(a1-a2) - h_j(b1-b2)) / 2 and
-    h_j(x) = {jx}(1-{jx}); for arc1 = arc2 this is the variance formula.
+    h_j(x) = {jx}(1-{jx}).  h_j is even, so it is evaluated once per
+    distinct non-zero |x| with the summed weight; for arc1 = arc2 that is
+    h_j(beta - alpha) with weight 1.
     """
-    values = psi_values(n, theta)
-    j = np.arange(1, n + 1, dtype=np.float64)
+    a1, b1, a2, b2 = arc1.alpha, arc1.beta, arc2.alpha, arc2.beta
+    weights: dict = {}
+    for x, w in ((b1 - a2, 0.5), (a1 - b2, 0.5), (a1 - a2, -0.5), (b1 - b2, -0.5)):
+        if x != 0:
+            weights[abs(x)] = weights.get(abs(x), 0.0) + w
 
     def h(x: Endpoint) -> np.ndarray:
         f = frac_parts(x, n)
         return f * (1.0 - f)
 
-    a1, b1, a2, b2 = arc1.alpha, arc1.beta, arc2.alpha, arc2.beta
-    big_h = 0.5 * (h(b1 - a2) + h(a1 - b2) - h(a1 - a2) - h(b1 - b2))
-    return theta * float((values / j) @ big_h)
+    values = psi_values(n, theta) / np.arange(1, n + 1, dtype=np.float64)
+    return theta * sum(w * float(values @ h(x)) for x, w in weights.items() if w)

@@ -6,8 +6,10 @@ exact type probabilities, and spacing formulas against full enumeration
 (``enumerated_gap_range``).  The Bernoulli-word helpers are the exception:
 they feed hand-written or fully drawn words through the sampler's own
 thresholds and length reading, so that those can be tested bit by bit.
-The ``*_formula`` functions are the full-array formulas of the float
-Cesàro sums in ``limits``, which its blocked kernel must equal bit for bit.
+The ``*_formula`` functions are earlier forms that the library must equal
+bit for bit: the full-array formulas of the float Cesàro sums in ``limits``
+(which its blocked kernel replaced) and the separate variance formulas of
+``exact_moments_*`` (now the diagonal of ``exact_covariance_*``).
 """
 
 from __future__ import annotations
@@ -21,19 +23,15 @@ import numpy as np
 
 from permspectra import (
     Arc,
+    CountMoments,
     CovarianceMatrix,
     CycleCounts,
     DeclaredIrrational,
     EwensParams,
     count_arc_perm,
-    cycle_type_probability,
-    iter_cycle_types,
+    psi_values,
 )
-from permspectra.ewens import (
-    _dense_thresholds,
-    _sample_age_ordered_batch,
-    _sorted_lengths,
-)
+from permspectra.ewens import _dense_thresholds, _sorted_lengths
 from permspectra.spectral import frac_parts
 
 
@@ -89,6 +87,44 @@ def partition_key(counts: CycleCounts) -> tuple:
     return tuple(out)
 
 
+def iter_cycle_types(n: int):
+    """All cycle types of n-permutations (integer partitions as count dicts),
+    as CycleCounts in a deterministic order."""
+
+    def partitions(remaining: int, max_part: int, acc: dict[int, int]):
+        if remaining == 0:
+            yield CycleCounts(n=n, counts=dict(acc))
+            return
+        for part in range(min(remaining, max_part), 0, -1):
+            acc[part] = acc.get(part, 0) + 1
+            yield from partitions(remaining - part, part, acc)
+            acc[part] -= 1
+            if acc[part] == 0:
+                del acc[part]
+
+    yield from partitions(n, n, {})
+
+
+def cycle_type_probability(counts: CycleCounts, params: EwensParams) -> float:
+    """Exact Ewens probability of a cycle type.
+
+    P(type) = [n! / prod_j j^{a_j} a_j!] * theta^K / (theta (theta+1) ... (theta+n-1)),
+    evaluated in log space to survive n well beyond factorial overflow.
+    """
+    n, theta = counts.n, params.theta
+    log_p = math.lgamma(n + 1) + counts.total_cycles() * math.log(theta)
+    for j, a in counts.counts.items():
+        log_p -= a * math.log(j) + math.lgamma(a + 1)
+    log_p -= math.lgamma(theta + n) - math.lgamma(theta)
+    return math.exp(log_p)
+
+
+def expected_total_cycles(n: int, theta: float) -> float:
+    """E K_n = sum_{k=0}^{n-1} theta/(theta+k)."""
+    k = np.arange(n, dtype=np.float64)
+    return float(np.sum(theta / (theta + k)))
+
+
 def partition_probabilities(n: int, theta: float):
     """All cycle types of size n with their exact Ewens probabilities."""
     params = EwensParams(theta)
@@ -125,8 +161,17 @@ def feller_type_counts(n: int, theta: float, trials: int, rng) -> dict:
 
 
 def crp_type_counts(n: int, theta: float, trials: int, rng) -> dict:
-    """Cycle-type frequencies of the restaurant sampler, vectorised over trials."""
-    labels = _sample_age_ordered_batch(n, theta, trials, rng)
+    """Cycle-type frequencies of the Chinese restaurant process, vectorised
+    over trials: a second route to the exact type law, independent of the
+    word.  Element i opens a new cycle with probability theta/(theta+i) and
+    otherwise joins the cycle of a uniformly chosen earlier element."""
+    labels = np.zeros((trials, n), dtype=np.int64)
+    n_cycles = np.ones(trials, dtype=np.int64)
+    for i in range(1, n):
+        new = rng.random(trials) < theta / (theta + i)
+        joined = labels[np.arange(trials), rng.integers(0, i, size=trials)]
+        labels[:, i] = np.where(new, n_cycles, joined)
+        n_cycles += new
     sizes = (labels[:, :, None] == np.arange(n)[None, None, :]).sum(axis=1)
     sizes = np.sort(sizes, axis=1)[:, ::-1]
     base = (n + 1) ** np.arange(n, dtype=np.int64)
@@ -341,6 +386,29 @@ def ctilde_numeric_formula(s, t, u, v, n: int) -> float:
     for d, sign in zip((t - u, s - v, s - u, t - v), (1, 1, -1, -1)):
         total += sign * h_mean_formula(float(d), n)
     return total / 2.0
+
+
+def exact_moments_perm_formula(n: int, theta: float, arc: Arc) -> CountMoments:
+    """The separate plain-ensemble mean and variance formula."""
+    values = psi_values(n, theta)
+    omega = frac_parts(arc.beta, n) - frac_parts(arc.alpha, n)
+    j = np.arange(1, n + 1, dtype=np.float64)
+    u = omega / j
+    weighted = values * u
+    mean = n * float(arc.beta - arc.alpha) - theta * float(weighted.sum())
+    first = theta * float((values * omega * u).sum())
+    cross = float(values[1:] @ np.convolve(u, u)[: n - 1]) if n >= 2 else 0.0
+    variance = first + theta**2 * (cross - float(weighted.sum()) ** 2)
+    return CountMoments(mean=mean, variance=max(variance, 0.0))
+
+
+def exact_moments_mod_formula(n: int, theta: float, arc: Arc) -> CountMoments:
+    """The separate modified-ensemble variance formula, in the width only."""
+    h = frac_parts(arc.width, n)
+    h = h * (1.0 - h)
+    j = np.arange(1, n + 1, dtype=np.float64)
+    variance = theta * float((psi_values(n, theta) / j) @ h)
+    return CountMoments(mean=n * float(arc.width), variance=variance)
 
 
 # ---------------------------------------------------------------------------

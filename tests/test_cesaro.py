@@ -7,18 +7,14 @@ from hypothesis import strategies as st
 
 from permspectra import (
     absolute_quadratic_sum,
-    cesaro_mean,
     cesaro_number,
-    log_weighted_ratio,
     psi,
-    psi_table,
     psi_values,
     verify_harmonic_identity,
     verify_mean_identity,
     verify_quadratic_identity,
     verify_telescoping,
 )
-from permspectra.cesaro import cesaro_mean_binomial
 
 THETAS = [0.3, 0.5, 0.7, 1.0, 1.5, 2.5]
 
@@ -54,11 +50,6 @@ class TestPsi:
         else:
             assert np.allclose(values, 1.0)
 
-    def test_table_matches_scalar(self):
-        table = psi_table(37, 0.8)
-        for j in (1, 5, 36, 37):
-            assert table.values[j - 1] == pytest.approx(psi(37, j, 0.8), rel=1e-13)
-
 
 class TestCesaroNumbers:
     def test_order_zero_is_one(self):
@@ -77,31 +68,6 @@ class TestCesaroNumbers:
     def test_negative_integer_delta_rejected(self):
         with pytest.raises(ValueError):
             cesaro_number(3, -2.0)
-
-
-class TestCesaroMean:
-    def test_zero_sequence(self):
-        assert cesaro_mean([0.0] * 11, 1.7) == 0.0
-
-    def test_constant_sequence(self):
-        # w_j = c for j >= 1 averages to c * n/(theta+n)
-        n, c, theta = 40, 3.25, 0.6
-        w = [0.0] + [c] * n
-        assert cesaro_mean(w, theta) == pytest.approx(c * n / (theta + n), rel=1e-12)
-
-    def test_linear_sequence_at_theta_one(self):
-        # psi = 1, so the mean is (1/(1+n)) * sum j = 3/2 at n = 3
-        assert cesaro_mean([0.0, 1.0, 2.0, 3.0], 1.0) == pytest.approx(1.5, rel=1e-14)
-
-    def test_matches_binomial_route(self):
-        rng = np.random.default_rng(42)
-        w = np.concatenate([[0.0], rng.random(60)])
-        for theta in THETAS:
-            assert rel_gap(cesaro_mean(w, theta), cesaro_mean_binomial(w, theta)) < 1e-10
-
-    def test_requires_w0_zero(self):
-        with pytest.raises(ValueError):
-            cesaro_mean([1.0, 2.0], 1.0)
 
 
 class TestIdentities:
@@ -178,26 +144,3 @@ class TestAbsoluteQuadraticSum:
         values = [absolute_quadratic_sum(n, 0.5) for n in (50, 100, 200, 400)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
         assert abs(values[-1] / values[-2] - 1.0) < 0.05
-
-
-class TestLogWeightedRatio:
-    def test_harmonic_over_log(self):
-        n = 10**4
-        value = log_weighted_ratio(np.ones(n), n, 1.0)
-        expected = math.fsum(1 / k for k in range(1, n + 1)) / math.log(n)
-        assert value == pytest.approx(expected, rel=1e-12)
-
-    def test_theta_two_limit_is_half(self):
-        n = 10**5
-        assert log_weighted_ratio(np.ones(n), n, 2.0) == pytest.approx(0.5, abs=0.02)
-
-    def test_equidistributed_weights_golden(self):
-        # w_j = {j phi}(1 - {j phi}) averages to 1/6, so the ratio tends to
-        # 1/6; the deviation decays like const/log n, so only an absolute
-        # tolerance is honest at reachable n
-        n = 10**5
-        phi = (1 + math.sqrt(5)) / 2
-        f = np.arange(1, n + 1) * phi
-        f -= np.floor(f)
-        w = f * (1.0 - f)
-        assert log_weighted_ratio(w, n, 1.0) == pytest.approx(1 / 6, abs=0.02)

@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import permspectra
 from permspectra.cli import main, parse_arcs, parse_endpoint
 
 
@@ -148,6 +153,38 @@ class TestCliContract:
         )
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("exact-moments", "--n", "10", "--alpha", "rat:1/0", "--beta", "0.5"),
+            ("mesoscopic", "--n-list", "100,0", "--seed", "1", "--trials", "10"),
+            ("coupling-check", "--n", "0", "--seed", "1", "--trials", "10"),
+            ("spacings", "--n-list", ",", "--seed", "1", "--trials", "10"),
+            ("coupling-check", "--n", "5", "--seed", "1", "--trials", "1"),
+            ("coupling-check", "--n", "10", "--theta", "-1", "--seed", "1", "--trials", "5"),
+            ("spacings", "--n-list", "50", "--theta", "0", "--seed", "1", "--trials", "5"),
+        ],
+        ids=["zero-denominator", "zero-size", "coupling-n0", "empty-n-list", "one-trial",
+             "coupling-negative-theta", "spacings-zero-theta"],
+    )
+    def test_malformed_input_is_one_error_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_import_leaves_heavy_scipy_modules_unloaded(self):
+        # scipy.stats and scipy.signal each add a large share of the start-up time
+        code = (
+            "import sys, permspectra.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(permspectra.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert proc.stdout.strip() == "[]"
 
     def test_byte_identical_reruns(self, capsys):
         argv = ["clt", "--n", "150", "--arcs", "0.1,0.6", "--model", "perm",

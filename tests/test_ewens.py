@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from conftest import (
     BernoulliWord,
-    crp_type_counts,
     cycle_counts_from_word,
+    cycle_type_probability,
+    expected_total_cycles,
     feller_type_counts,
+    iter_cycle_types,
     partition_probabilities,
     sample_bernoulli_word,
     type_chisquare_pvalue,
@@ -19,13 +21,8 @@ from permspectra import (
     EwensParams,
     coupling_horizon,
     coupling_tail_expectation,
-    cycle_type_probability,
-    expected_total_cycles,
-    iter_cycle_types,
-    sample_age_ordered,
     sample_coupled,
     sample_cycle_counts,
-    sample_gem,
     trial_rng,
 )
 from permspectra.ewens import _ones_positions_sparse
@@ -113,13 +110,6 @@ class TestSamplers:
         freq = feller_type_counts(5, theta, trials, rng)
         assert type_chisquare_pvalue(freq, 5, theta, trials) > 0.001
 
-    @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
-    def test_restaurant_sampler_law_small_n(self, theta):
-        rng = np.random.default_rng(101)
-        trials = 50_000
-        freq = crp_type_counts(5, theta, trials, rng)
-        assert type_chisquare_pvalue(freq, 5, theta, trials) > 0.001
-
     def test_sparse_route_same_law(self):
         # force the gap-skipping sampler at small n and chi-square it too
         rng = np.random.default_rng(102)
@@ -145,40 +135,6 @@ class TestSamplers:
         n, trials = 2000, 400
         ks = [sample_cycle_counts(n, params, rng).total_cycles() for _ in range(trials)]
         expected = expected_total_cycles(n, 2.0)
-        se = np.std(ks, ddof=1) / math.sqrt(trials)
-        assert abs(np.mean(ks) - expected) < 3 * se
-
-
-class TestAgeOrdered:
-    def test_n1(self):
-        out = sample_age_ordered(1, EwensParams(5.0), np.random.default_rng(0))
-        assert out.lengths == [1]
-
-    def test_single_three_cycle_probability(self):
-        # exactly 2 of the 6 permutations of {1,2,3} are 3-cycles
-        rng = np.random.default_rng(105)
-        trials = 20_000
-        hits = sum(
-            sample_age_ordered(3, EwensParams(1.0), rng).lengths == [3]
-            for _ in range(trials)
-        )
-        p_hat = hits / trials
-        assert abs(p_hat - 1 / 3) < 4 * math.sqrt((1 / 3) * (2 / 3) / trials)
-
-    def test_lengths_sum_and_age_order_marginal(self):
-        rng = np.random.default_rng(106)
-        out = sample_age_ordered(500, EwensParams(0.4), rng)
-        assert sum(out.lengths) == 500
-
-    def test_expected_cycles_restaurant_route(self):
-        # batch sampler drives the mean-cycle-count check at n = 1e4
-        from permspectra.ewens import _sample_age_ordered_batch
-
-        rng = np.random.default_rng(107)
-        n, trials, theta = 10_000, 300, 2.0
-        labels = _sample_age_ordered_batch(n, theta, trials, rng)
-        ks = labels.max(axis=1) + 1
-        expected = expected_total_cycles(n, theta)
         se = np.std(ks, ddof=1) / math.sqrt(trials)
         assert abs(np.mean(ks) - expected) < 3 * se
 
@@ -284,23 +240,6 @@ class TestCoupled:
     def test_unreachable_epsilon_raises(self):
         with pytest.raises(ValueError):
             coupling_horizon(1000, 1.0, 1e-30)
-
-
-class TestGem:
-    def test_stick_breaking_invariants(self):
-        # m kept moderate: the unbroken remainder decays geometrically and
-        # below ~1e-16 the partial sums saturate to 1.0 in double precision
-        g = sample_gem(EwensParams(2.0), 20, np.random.default_rng(3))
-        assert np.all(g > 0) and np.all(g < 1)
-        partial = np.cumsum(g)
-        assert np.all(np.diff(partial) > 0)
-        assert partial[-1] < 1.0
-
-    @pytest.mark.parametrize("theta,mean", [(1.0, 0.5), (2.0, 1 / 3)])
-    def test_first_coordinate_mean(self, theta, mean):
-        rng = np.random.default_rng(4)
-        g1 = np.array([sample_gem(EwensParams(theta), 1, rng)[0] for _ in range(4000)])
-        assert abs(g1.mean() - mean) < 4 * g1.std(ddof=1) / math.sqrt(len(g1))
 
 
 class TestDeterminism:

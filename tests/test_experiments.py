@@ -10,44 +10,24 @@ from permspectra import (
     ExperimentConfig,
     NAMED_IRRATIONALS,
     coupling_bound,
-    digamma,
-    ks_test,
     run_clt_fixed,
     run_coupling_check,
     run_mesoscopic,
     run_spacings,
 )
 
-EULER_GAMMA = 0.5772156649015328606
 GOLDEN = NAMED_IRRATIONALS["golden"].value
 PI_FRAC = NAMED_IRRATIONALS["pi"].value
 
 
-class TestDigamma:
-    def test_classic_values(self):
-        assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-12)
-        assert digamma(2.0) == pytest.approx(1.0 - EULER_GAMMA, abs=1e-12)
-        assert digamma(0.5) == pytest.approx(-EULER_GAMMA - 2 * math.log(2), abs=1e-12)
-
-    def test_recurrence(self):
-        for x in (0.3, 1.7, 9.9):
-            assert digamma(x + 1.0) == pytest.approx(digamma(x) + 1.0 / x, abs=1e-12)
-
-    def test_against_scipy_grid(self):
-        xs = np.linspace(0.01, 50.0, 500)
-        ours = np.array([digamma(float(x)) for x in xs])
-        assert np.max(np.abs(ours - scipy.special.digamma(xs))) < 1e-10
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            digamma(0.0)
-        with pytest.raises(ValueError):
-            digamma(-1.0)
-
-
 class TestCouplingBound:
     def test_theta_one_is_two(self):
-        assert coupling_bound(1.0) == pytest.approx(2.0, abs=1e-12)
+        # psi(1) = -gamma
+        assert coupling_bound(1.0) == 2.0
+
+    def test_theta_half_is_two_minus_log_two(self):
+        # psi(1/2) = -gamma - 2 log 2
+        assert coupling_bound(0.5) == pytest.approx(2.0 - math.log(2.0), rel=1e-15, abs=0)
 
     def test_monotone_in_theta(self):
         grid = np.linspace(0.1, 5.0, 200)
@@ -56,48 +36,6 @@ class TestCouplingBound:
 
     def test_small_theta_limit_near_one(self):
         assert coupling_bound(0.001) == pytest.approx(1.0, abs=5e-3)
-
-
-class TestKsTest:
-    def test_decile_statistic(self):
-        samples = np.arange(1, 10) / 10.0
-        stat, _ = ks_test(samples, lambda x: x)
-        assert stat == pytest.approx(0.1, abs=1e-12)
-
-    def test_constant_samples(self):
-        stat, p = ks_test(np.full(100, 0.5), lambda x: x)
-        assert stat >= 0.5
-        assert p < 1e-10
-
-    def test_null_uniform_passes(self):
-        rng = np.random.default_rng(12)
-        samples = np.sort(rng.random(10_000))
-        _, p = ks_test(samples, lambda x: np.clip(x, 0, 1))
-        assert p > 0.01
-
-    def test_unsorted_rejected(self):
-        with pytest.raises(ValueError):
-            ks_test(np.array([0.3, 0.2, 0.5] * 4), lambda x: x)
-
-    def test_too_few_rejected(self):
-        with pytest.raises(ValueError):
-            ks_test(np.arange(5) / 5.0, lambda x: x)
-
-    def test_matches_scipy_asymptotic(self):
-        rng = np.random.default_rng(13)
-        samples = np.sort(rng.normal(0.1, 1.1, 2000))
-        stat, p = ks_test(samples, scipy.special.ndtr)
-        ref = scipy.stats.kstest(samples, "norm", mode="asymp")
-        assert stat == pytest.approx(ref.statistic, abs=1e-12)
-        assert p == pytest.approx(ref.pvalue, abs=1e-6)
-
-
-class TestKolmogorovSurvival:
-    def test_tiny_lambda_clamps_to_one(self):
-        from permspectra.experiments import _kolmogorov_sf
-
-        assert _kolmogorov_sf(0.01) == 1.0
-        assert _kolmogorov_sf(0.3) < 1.0
 
 
 class TestLatticeNormalityReport:
@@ -119,8 +57,15 @@ class TestLatticeNormalityReport:
         assert r.sample_size == self.M
         assert r.ks_p_value > 0.01
         # the same counts against the continuous normal hit the lattice floor
-        z = np.sort((rounded_normal - self.MU) / self.SD)
-        assert ks_test(z, scipy.special.ndtr)[1] < 1e-10
+        z = (rounded_normal - self.MU) / self.SD
+        assert scipy.stats.kstest(z, "norm", mode="asymp").pvalue < 1e-10
+
+    def test_p_value_is_asymptotic_kolmogorov(self, rounded_normal):
+        from permspectra.experiments import _normality_report
+
+        r = _normality_report(rounded_normal, self.MU + 0.05, self.SD**2)
+        assert 0 < r.ks_p_value < 1
+        assert r.ks_p_value == scipy.special.kolmogorov(math.sqrt(self.M) * r.ks_statistic)
 
     @pytest.mark.parametrize(
         "mean_shift, variance_scale", [(0.0, 2.0), (0.0, 0.5), (0.5, 1.0)]

@@ -10,6 +10,8 @@ from scipy.stats import kstest
 from conftest import (
     counts_from_lengths,
     enumerate_angles_perm,
+    exact_moments_mod_formula,
+    exact_moments_perm_formula,
     exhaustive_moments_perm,
     frac_shift_invariant,
     partition_probabilities,
@@ -241,9 +243,8 @@ class TestExactMomentsPerm:
 
     def test_covariance_diagonal_consistency(self):
         arc = Arc(0.1, 0.7)
-        assert exact_covariance_perm(300, 0.8, arc, arc) == pytest.approx(
-            exact_moments_perm(300, 0.8, arc).variance, rel=1e-12
-        )
+        variance = exact_moments_perm(300, 0.8, arc).variance
+        assert exact_covariance_perm(300, 0.8, arc, arc) == variance
 
 
 class TestExactMomentsMod:
@@ -284,9 +285,55 @@ class TestExactMomentsMod:
 
     def test_covariance_diagonal_consistency(self):
         arc = Arc(0.05, 0.55)
-        assert exact_covariance_mod(400, 1.9, arc, arc) == pytest.approx(
-            exact_moments_mod(400, 1.9, arc).variance, rel=1e-12
-        )
+        variance = exact_moments_mod(400, 1.9, arc).variance
+        assert exact_covariance_mod(400, 1.9, arc, arc) == variance
+
+
+# float, Fraction, mixed and wrapped (beta > 1) arcs
+FORMULA_ARCS = (
+    Arc(0.1, 0.7),
+    Arc(F(1, 3), F(3, 4)),
+    Arc(F(2, 7), 0.9),
+    Arc(0.8, 1.45),
+    Arc(F(5, 6), F(13, 10)),
+)
+
+
+class TestOneFormulaPerEnsemble:
+    """``exact_moments_*`` equal the separate variance formulas they replaced
+    bit for bit, and the off-diagonal covariance obeys additivity: for
+    adjacent arcs A = (a, b] and B = (b, c], X_A + X_B = X_(a, c], so
+    cov(A, B) = (var(a, c) - var(a, b) - var(b, c)) / 2."""
+
+    @pytest.mark.parametrize("arc", FORMULA_ARCS, ids=str)
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 2.3])
+    @pytest.mark.parametrize("n", [1, 2, 7, 300, 5000])
+    def test_perm_equals_formula(self, n, theta, arc):
+        assert exact_moments_perm(n, theta, arc) == exact_moments_perm_formula(n, theta, arc)
+
+    @pytest.mark.parametrize("arc", FORMULA_ARCS, ids=str)
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 2.3])
+    @pytest.mark.parametrize("n", [1, 7, 10**4, 10**6])
+    def test_mod_equals_formula(self, n, theta, arc):
+        assert exact_moments_mod(n, theta, arc) == exact_moments_mod_formula(n, theta, arc)
+
+    @pytest.mark.parametrize(
+        "model",
+        [(exact_covariance_perm, exact_moments_perm), (exact_covariance_mod, exact_moments_mod)],
+        ids=["perm", "mod"],
+    )
+    @pytest.mark.parametrize(
+        "a, b, c", [(0.1, 0.35, 0.8), (F(1, 5), F(1, 2), F(9, 8)), (0.6, 0.95, 1.3)]
+    )
+    def test_adjacent_arcs_additive(self, model, a, b, c):
+        covariance, moments = model
+        n, theta = 900, 1.7
+        left, right = Arc(a, b), Arc(b, c)
+        whole = moments(n, theta, Arc(a, c)).variance
+        parts = moments(n, theta, left).variance + moments(n, theta, right).variance
+        expected = (whole - parts) / 2
+        assert covariance(n, theta, left, right) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+        assert covariance(n, theta, right, left) == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
 class TestFracShiftInvariance:
