@@ -10,8 +10,6 @@ harness plus a command-line driver for all of it.
 """
 
 from .cesaro import (
-    absolute_quadratic_sum,
-    cesaro_number,
     psi,
     psi_values,
     verify_harmonic_identity,
@@ -73,7 +71,6 @@ from .spectral import (
     attach_phases,
     count_arc_mod,
     count_arc_perm,
-    enumerate_angles_mod,
     exact_covariance_mod,
     exact_covariance_perm,
     exact_moments_mod,

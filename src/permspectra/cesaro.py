@@ -33,11 +33,9 @@ from scipy.special import gammaln
 __all__ = [
     "psi",
     "psi_values",
-    "cesaro_number",
     "verify_mean_identity",
     "verify_harmonic_identity",
     "verify_quadratic_identity",
-    "absolute_quadratic_sum",
     "verify_telescoping",
 ]
 
@@ -71,21 +69,6 @@ def psi(n: int, j: int, theta: float) -> float:
         raise ValueError(f"j must lie in [1, n] = [1, {n}], got {j}")
     i = np.arange(j, dtype=np.float64)
     return float(np.prod((n - i) / (theta + n - 1.0 - i)))
-
-
-def cesaro_number(n: int, delta: float) -> float:
-    """Cesàro number A_n^delta = C(n+delta, n) = prod_{k=1..n} (k+delta)/k.
-
-    Defined for any real ``delta`` outside {-1, -2, ...}; A_0^delta = 1.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if delta < 0 and float(delta).is_integer():
-        raise ValueError(f"delta must not be a negative integer, got {delta}")
-    if n == 0:
-        return 1.0
-    k = np.arange(1, n + 1, dtype=np.float64)
-    return float(np.prod((k + delta) / k))
 
 
 def verify_mean_identity(n: int, theta: float) -> tuple[float, float]:
@@ -140,18 +123,6 @@ def verify_quadratic_identity(
     k = np.arange(n, dtype=np.float64)
     rhs = math.fsum((1.0 / (theta + k) ** 2).tolist())
     return lhs, rhs
-
-
-def absolute_quadratic_sum(n: int, theta: float, cap: int = QUADRATIC_CAP) -> float:
-    """Termwise-absolute version of the quadratic double sum.
-
-    Stays bounded in n for fixed theta; monitored in tests as a boundedness
-    proxy.  For theta >= 1 every term already has one sign, so this equals
-    the signed sum.
-    """
-    if n > cap:
-        raise ValueError(f"n = {n} exceeds the O(n^2) cap {cap}")
-    return _quadratic_double_sum(n, theta, absolute=True)
 
 
 def verify_telescoping(n: int, j: int, theta: float) -> tuple[float, float]:

@@ -444,6 +444,8 @@ def main(argv=None) -> int:
     config_echo = dict(sorted(vars(args).items()))
     start = time.monotonic()
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         results, csv_rows = _HANDLERS[args.command](args)
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -347,8 +347,8 @@ def sample_coupled(
     Ones in (n, horizon] depend only on the current position, so the chain
     continues from position n regardless of xi_n itself.
     """
-    if epsilon_tail <= 0:
-        raise ValueError("epsilon_tail must be positive")
+    if not 0 < epsilon_tail < math.inf:
+        raise ValueError(f"epsilon_tail must be positive and finite, got {epsilon_tail}")
     horizon, tail_bound = coupling_horizon(n, params.theta, epsilon_tail)
     batch = draw_batch(n, params.theta, [rng], horizon=horizon)
     return CoupledSample(

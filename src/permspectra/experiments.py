@@ -176,7 +176,7 @@ class ExperimentConfig:
 
 
 def _chunk_ranges(trials: int, jobs: int) -> list[tuple[int, int]]:
-    per = max(1, math.ceil(trials / max(jobs, 1) / 4))
+    per = max(1, math.ceil(trials / jobs / 4))
     return [(lo, min(lo + per, trials)) for lo in range(0, trials, per)]
 
 
@@ -194,11 +194,13 @@ def _run_trials(statistic, extra, seed, n, theta, trials, jobs, phases=False, ho
     Trials run in chunks (four per job, in worker processes if ``jobs`` > 1);
     trial i always draws from ``trial_rng(seed, i)``, whatever the chunking.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     payloads = [
         (lo, hi, seed, n, theta, phases, horizon, statistic, extra)
         for lo, hi in _chunk_ranges(trials, jobs)
     ]
-    if jobs <= 1:
+    if jobs == 1:
         parts = [_trial_chunk(p) for p in payloads]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -403,8 +405,8 @@ def run_coupling_check(
     """Empirical coupling distance against the closed-form bound."""
     if n < 1 or not theta > 0 or trials < 2:
         raise ValueError(f"need n >= 1, theta > 0 and trials >= 2, got {n}, {theta}, {trials}")
-    if epsilon_tail <= 0:
-        raise ValueError("epsilon_tail must be positive")
+    if not 0 < epsilon_tail < math.inf:
+        raise ValueError(f"epsilon_tail must be positive and finite, got {epsilon_tail}")
     horizon, tail_bound = coupling_horizon(n, theta, epsilon_tail)
     distances = _run_trials(
         coupling_distances, (), master_seed, n, theta, trials, jobs, horizon=horizon
@@ -432,7 +434,9 @@ def _spacings_statistic(batch: TrialBatch) -> np.ndarray:
     """Per trial: nD, n2d, nD~, n2d~, viol_nD, viol_n2d, viol_dtilde (as floats).
 
     The plain spacings are the closed forms 1/longest and 1/lcm; the bound
-    checks n*D >= 1 and n^2*d >= 1 run on those exact integers.
+    checks n*D >= 1 and n^2*d >= 1 run on those exact integers.  Both
+    smallest spacings are exact values rounded once, so d~ <= d compares
+    without slack.
     """
     n = batch.n
     longest, lcm = batch.lengths[batch.starts[1:] - 1], max_lcms(batch)  # lengths ascend
@@ -445,7 +449,7 @@ def _spacings_statistic(batch: TrialBatch) -> np.ndarray:
         n**2 * smallest_mod,
         n < longest,
         n * n < lcm,
-        smallest_mod > smallest + 1e-12,
+        smallest_mod > smallest,
     ])
 
 

@@ -19,11 +19,31 @@ has no point there, so that gap is realised.  Both extremes are exact
 Fractions, read off the cycle lengths without enumerating a single angle
 (the test suite checks them against full enumeration).
 
-For the phase-modified ensemble the n eigenangles are almost surely
-distinct floats and both extremes come from a plain sort.  Rotating each
-grid can only tighten the closest approach between two grids, which is why
-the modified smallest spacing never exceeds the unmodified one on the same
-cycle structure.
+For the phase-modified ensemble a j-cycle with phase phi has the angles
+(k + phi)/j.  Two such grids (j, phi1) and (l, phi2) with g = gcd(j, l)
+differ by (l k1 - j k2 + l phi1 - j phi2)/(jl), and l k1 - j k2 runs over
+gZ, so their closest approach is
+
+    dist(l phi1 - j phi2, gZ) / (jl) = dist((l/g) phi1 - (j/g) phi2, Z) / lcm(j, l),
+
+while one grid's own gap is 1/j.  So the smallest spacing is the minimum of
+1/J (J the longest cycle) and this distance over all pairs of cycles, equal
+lengths included.  The phases are multiples of 2**-53, which makes the
+distance an integer multiple of 2**-53 computed exactly in uint64, and the
+smallest spacing the exact value rounded once.  It never exceeds the
+unmodified 1/max lcm: two cycles realising the max lcm come within
+1/(2 lcm) of each other (or, if the max is lcm(J, J), 1/J is present), and
+rounding is monotone, so the floats compare exactly too.
+
+The largest spacing is exactly 1/J whenever n - J < J: the J-grid cuts the
+circle into J cells of length 1/J, the other n - J angles lie inside at
+most n - J of them, and the two ends of an empty cell are consecutive.
+Only the other trials (about 30% at theta = 1) sort their n angles.  That
+gives every gap within 2**-50, and a sorted gap that close to 1/J is
+recognised as exactly 1/J with the exact pairwise distances (see
+``mod_gap_extremes``).  So the largest spacing is inexact, by at most
+2**-50, only in a trial where every J-cell holds another angle: a few
+percent of the sorted trials.
 """
 
 from __future__ import annotations
@@ -35,7 +55,7 @@ from typing import Optional
 import numpy as np
 
 from .ewens import CycleCounts, TrialBatch
-from .spectral import ModifiedSpectrum, _mod_angles
+from .spectral import ModifiedSpectrum
 
 __all__ = [
     "SpacingStats",
@@ -75,8 +95,25 @@ class NormalizedSpacings:
     n2d: float
 
 
-#: lcm evaluations per block in max_lcms; bounds its memory for any batch size
-_LCM_BLOCK = 2**18
+#: pairwise evaluations per block in max_lcms and _pair_gaps; bounds their
+#: memory for any batch size
+_PAIR_BLOCK = 2**18
+
+#: phases are multiples of 2**-53 (what ``Generator.random`` draws)
+_PHASE_BITS = 53
+
+
+def _padded_grids(trial: np.ndarray, trials: int, *columns: np.ndarray) -> list[np.ndarray]:
+    """One zero-padded row per trial for each per-cycle column; ``trial``
+    (ascending) names the trial of each entry, which keep their order."""
+    column = np.arange(len(trial)) - np.searchsorted(trial, trial)
+    width = int(column.max()) + 1
+    grids = []
+    for values in columns:
+        grid = np.zeros((trials, width), dtype=values.dtype)
+        grid[trial, column] = values
+        grids.append(grid)
+    return grids
 
 
 def max_lcms(batch: TrialBatch) -> np.ndarray:
@@ -89,12 +126,9 @@ def max_lcms(batch: TrialBatch) -> np.ndarray:
     lengths, trial = batch.lengths, batch.trial_of_cycle()
     distinct = np.ones(len(lengths), dtype=bool)
     distinct[1:] = (lengths[1:] != lengths[:-1]) | (trial[1:] != trial[:-1])
-    lengths, trial = lengths[distinct], trial[distinct]
-    column = np.arange(len(lengths)) - np.searchsorted(trial, trial)
-    grid = np.zeros((batch.trials, int(column.max()) + 1), dtype=np.int64)
-    grid[trial, column] = lengths
+    (grid,) = _padded_grids(trial[distinct], batch.trials, lengths[distinct])
     best = np.empty(batch.trials, dtype=np.int64)
-    step = max(1, _LCM_BLOCK // grid.shape[1] ** 2)
+    step = max(1, _PAIR_BLOCK // grid.shape[1] ** 2)
     for lo in range(0, batch.trials, step):
         rows = grid[lo : lo + step]
         best[lo : lo + step] = np.lcm(rows[:, :, None], rows[:, None, :]).max(axis=(1, 2))
@@ -114,36 +148,114 @@ def spacings_perm(counts: CycleCounts) -> SpacingStats:
     return SpacingStats(counts.n, float(largest), float(smallest), largest, smallest)
 
 
+def _phase_integers(phases: np.ndarray) -> np.ndarray:
+    """m = phi * 2**53 as uint64, refusing phases off the 2**-53 grid."""
+    scaled = phases * float(2**_PHASE_BITS)  # exact: a power-of-two scaling
+    if not np.array_equal(scaled, np.floor(scaled)):
+        raise ValueError(
+            "modified spacings need phases on the 2**-53 grid of Generator.random; "
+            f"got {float(phases[scaled != np.floor(scaled)][0])!r}"
+        )
+    return scaled.astype(np.uint64)
+
+
+def _pair_gaps(batch: TrialBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Per trial, the closest approach of two distinct cycles' rotated grids,
+    and of any other cycle to the trial's last (longest) one; inf if none.
+
+    Cycles (j, phi1) and (l, phi2) come as close as
+    dist((l/g) phi1 - (j/g) phi2, Z) / lcm(j, l), g = gcd(j, l).  With
+    phi = m 2**-53 the distance is d 2**-53 for r = ((l/g) m1 - (j/g) m2)
+    mod 2**53 and d = min(r, 2**53 - r): exact in uint64, whose wrap mod
+    2**64 is exact mod 2**53.  d / lcm is then one correctly rounded division.
+    """
+    if batch.n > 2**27:  # lcm(j, l) <= n**2 / 4 must stay exact in float64
+        raise ValueError(f"modified spacings are exact up to n = 2**27, got n = {batch.n}")
+    mask = np.uint64(2**_PHASE_BITS - 1)
+    lengths, phases = _padded_grids(
+        batch.trial_of_cycle(), batch.trials, batch.lengths, _phase_integers(batch.phases)
+    )
+    last = np.diff(batch.starts)[:, None] - 1  # column of each trial's last cycle
+    first, second = np.triu_indices(lengths.shape[1], 1)
+    closest, to_last = np.full(batch.trials, np.inf), np.full(batch.trials, np.inf)
+    if not len(first):  # one cycle per trial
+        return closest, to_last
+    step = max(1, _PAIR_BLOCK // len(first))
+    for lo in range(0, batch.trials, step):
+        rows = slice(lo, lo + step)
+        j, l = lengths[rows, first], lengths[rows, second]
+        g = np.maximum(np.gcd(j, l), 1)  # a pad (length 0) pairs to lcm 0 below
+        lcm = j // g * l
+        r = (l // g).astype(np.uint64) * phases[rows, first]
+        r -= (j // g).astype(np.uint64) * phases[rows, second]
+        r &= mask
+        d = np.minimum(r, mask + np.uint64(1) - r).astype(np.float64)
+        gaps = np.divide(d, lcm, out=np.full(d.shape, np.inf), where=lcm > 0)
+        closest[rows] = gaps.min(axis=1)
+        to_last[rows] = np.where(second == last[rows], gaps, np.inf).min(axis=1)
+    return closest * 2.0**-_PHASE_BITS, to_last * 2.0**-_PHASE_BITS
+
+
 #: angles sorted at once by mod_gap_extremes; bounds its memory for any batch size
 _ANGLE_BLOCK = 2**16
 
 
-def mod_gap_extremes(batch: TrialBatch) -> tuple[np.ndarray, np.ndarray]:
-    """(largest, smallest) circular gap of every trial's modified spectrum.
+def _mod_angles(lengths: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Eigenangles (k + phi)/j, k = 0..j-1, cycle after cycle.
 
-    All trials have n angles, so a block of trials sorts as one 2-d array,
-    one row per trial; blocks hold about ``_ANGLE_BLOCK`` angles.
+    They already lie in [0, 1) since 0 <= phi < 1.
     """
-    n, trials = batch.n, batch.trials
-    if n == 1:
-        return np.ones(trials), np.ones(trials)
-    largest, smallest = np.empty(trials), np.empty(trials)
+    cycle = np.repeat(np.arange(len(lengths)), lengths)
+    k = np.arange(len(cycle)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return (k + phases[cycle]) / lengths[cycle]
+
+
+def _sorted_largest(batch: TrialBatch, trials: np.ndarray) -> np.ndarray:
+    """Largest circular gap of the given trials' angles by a plain sort; a
+    block of trials sorts as one 2-d array, one row per trial."""
+    n, starts = batch.n, batch.starts
+    largest = np.empty(len(trials))
     step = max(1, _ANGLE_BLOCK // n)
-    for lo in range(0, trials, step):
-        hi = min(lo + step, trials)
-        cycles = slice(batch.starts[lo], batch.starts[hi])
-        angles = _mod_angles(batch.lengths[cycles], batch.phases[cycles]).reshape(hi - lo, n)
+    for lo in range(0, len(trials), step):
+        rows = trials[lo : lo + step]
+        sizes = starts[rows + 1] - starts[rows]
+        cycles = np.repeat(starts[rows] - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+        angles = _mod_angles(batch.lengths[cycles], batch.phases[cycles]).reshape(len(rows), n)
         angles.sort(axis=1)
-        gaps = np.diff(angles, axis=1)
         wrap = 1.0 - angles[:, -1] + angles[:, 0]
-        largest[lo:hi] = np.maximum(gaps.max(axis=1), wrap)
-        smallest[lo:hi] = np.minimum(gaps.min(axis=1), wrap)
+        largest[lo : lo + step] = np.maximum(np.diff(angles, axis=1).max(axis=1), wrap)
+    return largest
+
+
+def mod_gap_extremes(batch: TrialBatch) -> tuple[np.ndarray, np.ndarray]:
+    """(largest, smallest) circular gap of every trial's modified spectrum;
+    the lengths ascend within each trial, as drawn.
+
+    With J the longest cycle, the smallest gap is the smaller of 1/J and
+    the closest approach of two cycles (``_pair_gaps``): exact, rounded
+    once.  The largest is exactly 1/J when n - J < J (pigeonhole: some
+    J-cell holds no other angle).  The other trials sort their n angles,
+    which gives every gap within 2**-50.  A sorted gap within 2**-49 of 1/J
+    has both ends within 2**-48 of J-grid points, so it is exactly 1/J once
+    no other cycle comes within 2**-48 of the J-grid; otherwise the sorted
+    value stands, capped at 1/J.
+    """
+    longest = batch.lengths[batch.starts[1:] - 1]
+    closest, to_longest = _pair_gaps(batch)
+    smallest = np.minimum(1.0 / longest, closest)
+    largest = 1.0 / longest
+    rest = np.flatnonzero(batch.n - longest >= longest)
+    found = np.minimum(_sorted_largest(batch, rest), largest[rest])
+    inexact = (found < largest[rest] - 2.0**-49) | (to_longest[rest] < 2.0**-48)
+    largest[rest[inexact]] = found[inexact]
     return largest, smallest
 
 
 def spacings_mod(spectrum: ModifiedSpectrum) -> SpacingStats:
-    """Extremal spacings of the modified spectrum (n angles, a.s. distinct)."""
-    largest, smallest = mod_gap_extremes(TrialBatch(spectrum.n, spectrum.lengths, spectrum.phases))
+    """Extremal spacings of the modified spectrum (see mod_gap_extremes)."""
+    order = np.argsort(spectrum.lengths, kind="stable")
+    batch = TrialBatch(spectrum.n, spectrum.lengths[order], spectrum.phases[order])
+    largest, smallest = mod_gap_extremes(batch)
     return SpacingStats(n=spectrum.n, largest=float(largest[0]), smallest=float(smallest[0]))
 
 

@@ -50,7 +50,6 @@ __all__ = [
     "count_arc_perm",
     "attach_phases",
     "count_arc_mod",
-    "enumerate_angles_mod",
     "exact_moments_perm",
     "exact_moments_mod",
     "exact_covariance_perm",
@@ -208,26 +207,6 @@ def count_arc_mod(spectrum: ModifiedSpectrum, arc: Arc, closed: str = "right") -
     """Number of eigenvalues of the modified matrix in the arc (see count_arcs_mod)."""
     batch = TrialBatch(spectrum.n, spectrum.lengths, spectrum.phases)
     return int(count_arcs_mod(batch, (arc,), closed)[0, 0])
-
-
-# ---------------------------------------------------------------------------
-# modified-ensemble angles
-# ---------------------------------------------------------------------------
-
-
-def _mod_angles(lengths: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Eigenangles (k + phi)/j, k = 0..j-1, cycle after cycle.
-
-    They already lie in [0, 1) since 0 <= phi < 1.
-    """
-    cycle = np.repeat(np.arange(len(lengths)), lengths)
-    k = np.arange(len(cycle)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return (k + phases[cycle]) / lengths[cycle]
-
-
-def enumerate_angles_mod(spectrum: ModifiedSpectrum) -> np.ndarray:
-    """All n eigenangles (k + phi)/j mod 1 of the modified matrix, sorted."""
-    return np.sort(_mod_angles(spectrum.lengths, spectrum.phases))
 
 
 # ---------------------------------------------------------------------------

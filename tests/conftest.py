@@ -3,8 +3,9 @@
 These deliberately avoid the library's own fast paths: moments come from
 exhaustive sums over all cycle types, sampler laws are checked against the
 exact type probabilities, and spacing formulas against full enumeration
-(``enumerated_gap_range``).  The Bernoulli-word helpers are the exception:
-they feed hand-written or fully drawn words through the sampler's own
+(``enumerated_gap_range``; ``exact_mod_gap_range`` for the modified
+ensemble, on exact integer angles).  The Bernoulli-word helpers are the
+exception: they feed hand-written or fully drawn words through the sampler's own
 thresholds and length reading, so that those can be tested bit by bit.
 The ``*_formula`` functions are earlier forms that the library must equal
 bit for bit: the full-array formulas of the float Cesàro sums in ``limits``
@@ -31,8 +32,10 @@ from permspectra import (
     count_arc_perm,
     psi_values,
 )
+from permspectra.cesaro import QUADRATIC_CAP, _quadratic_double_sum
 from permspectra.ewens import _dense_thresholds, _sorted_lengths
-from permspectra.spectral import frac_parts
+from permspectra.spacings import _mod_angles
+from permspectra.spectral import ModifiedSpectrum, frac_parts
 
 
 def counts_from_lengths(lengths) -> CycleCounts:
@@ -304,6 +307,30 @@ def enumerated_gap_range(counts: CycleCounts) -> tuple[Fraction, Fraction]:
 # ---------------------------------------------------------------------------
 
 
+def enumerate_angles_mod(spectrum: ModifiedSpectrum) -> np.ndarray:
+    """All n eigenangles (k + phi)/j mod 1 of the modified matrix, sorted."""
+    return np.sort(_mod_angles(spectrum.lengths, spectrum.phases))
+
+
+def exact_mod_gap_range(lengths, phases) -> tuple[Fraction, Fraction]:
+    """(smallest, largest) circular gap of the modified spectrum, exactly.
+
+    Phases are dyadic floats m 2**-53, so every angle (k + phi)/j is the
+    integer (k 2**53 + m) L/j over the common denominator L 2**53, L the lcm
+    of the lengths; the gaps are differences of sorted Python integers.
+    """
+    common = math.lcm(*{int(j) for j in lengths})
+    keys = []
+    for j, phi in zip(np.asarray(lengths).tolist(), np.asarray(phases).tolist()):
+        m, scale = Fraction(phi) * 2**53, common // j
+        assert m.denominator == 1, "phase off the 2**-53 grid"
+        keys.extend(range(int(m) * scale, ((j << 53) + int(m)) * scale, scale << 53))
+    keys.sort()
+    gaps = [b - a for a, b in zip(keys, keys[1:])]
+    gaps.append((common << 53) - keys[-1] + keys[0])
+    return Fraction(min(gaps), common << 53), Fraction(max(gaps), common << 53)
+
+
 def equidistribution_average(f, t: float, b: float, n: int) -> float:
     """(1/n) sum_{j<=n} f({j t + b}) for a vectorised f on [0, 1].
 
@@ -445,3 +472,30 @@ def frac_shift_invariant(x: float, y: float, t: float) -> tuple[float, float]:
         return u * (1.0 - u)
 
     return h(x + t, y + t), h(x, y)
+
+
+def cesaro_number(n: int, delta: float) -> float:
+    """Cesàro number A_n^delta = C(n+delta, n) = prod_{k=1..n} (k+delta)/k.
+
+    Defined for any real ``delta`` outside {-1, -2, ...}; A_0^delta = 1.
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if delta < 0 and float(delta).is_integer():
+        raise ValueError(f"delta must not be a negative integer, got {delta}")
+    if n == 0:
+        return 1.0
+    k = np.arange(1, n + 1, dtype=np.float64)
+    return float(np.prod((k + delta) / k))
+
+
+def absolute_quadratic_sum(n: int, theta: float, cap: int = QUADRATIC_CAP) -> float:
+    """Termwise-absolute version of the quadratic double sum of ``cesaro``.
+
+    Stays bounded in n for fixed theta; monitored in tests as a boundedness
+    proxy.  For theta >= 1 every term already has one sign, so this equals
+    the signed sum.
+    """
+    if n > cap:
+        raise ValueError(f"n = {n} exceeds the O(n^2) cap {cap}")
+    return _quadratic_double_sum(n, theta, absolute=True)

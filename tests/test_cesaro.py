@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import absolute_quadratic_sum, cesaro_number
 from permspectra import (
-    absolute_quadratic_sum,
-    cesaro_number,
     psi,
     psi_values,
     verify_harmonic_identity,

@@ -174,6 +174,23 @@ class TestCliContract:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("spacings", "--n-list", "50", "--seed", "1", "--trials", "4", "--jobs", "-3"),
+             "--jobs must be >= 1, got -3"),
+            (("sample", "--n", "5", "--seed", "1", "--trials", "2", "--jobs", "0"),
+             "--jobs must be >= 1, got 0"),
+            (("coupling-check", "--n", "10", "--seed", "1", "--trials", "5",
+              "--epsilon-tail", "nan"), "epsilon_tail must be positive and finite, got nan"),
+            (("coupling-check", "--n", "10", "--seed", "1", "--trials", "5",
+              "--epsilon-tail", "inf"), "epsilon_tail must be positive and finite, got inf"),
+        ],
+        ids=["negative-jobs", "zero-jobs", "nan-epsilon-tail", "inf-epsilon-tail"],
+    )
+    def test_bad_value_named_in_one_error_line(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
     def test_import_leaves_heavy_scipy_modules_unloaded(self):
         # scipy.stats and scipy.signal each add a large share of the start-up time
         code = (

@@ -218,8 +218,22 @@ class TestRunCouplingCheck:
         assert a.empirical_mean == b.empirical_mean
         assert a.std_error == b.std_error
 
+    @pytest.mark.parametrize("epsilon_tail", [math.nan, math.inf, 0.0])
+    def test_bad_epsilon_tail_refused_before_the_horizon(self, monkeypatch, epsilon_tail):
+        def no_horizon(*args):
+            raise AssertionError("coupling_horizon ran")
+
+        monkeypatch.setattr("permspectra.experiments.coupling_horizon", no_horizon)
+        with pytest.raises(ValueError, match=f"got {epsilon_tail}"):
+            run_coupling_check(100, 1.0, 10, master_seed=1, epsilon_tail=epsilon_tail)
+
 
 class TestRunSpacings:
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_refused(self, jobs):
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            run_spacings([50], theta=1.0, trials=4, master_seed=1, jobs=jobs)
+
     def test_small_schedule(self):
         res = run_spacings([100, 200], theta=1.0, trials=150, master_seed=6)
         assert [r.n for r in res.rows] == [100, 200]

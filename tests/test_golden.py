@@ -98,7 +98,7 @@ GOLDEN = {
     "mesoscopic perm variances and mean":
         "a88937c3519e5d67abb00bc131e93f899fe62723c855bfaf4c79e12046fda775",
     "spacings quantiles and counters":
-        "03d180270c855edba7a4e03abeb9735cf762234589454f434273ed356285df39",
+        "e90d119fd927a9126459281ee79a34b88dd12744146ac153b3d94ce9033719c5",
 }
 
 

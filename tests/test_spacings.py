@@ -1,13 +1,20 @@
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from conftest import counts_from_lengths, enumerated_gap_range, two_cycle_min_spacing
+from conftest import (
+    counts_from_lengths,
+    enumerated_gap_range,
+    exact_mod_gap_range,
+    two_cycle_min_spacing,
+)
 from permspectra import (
     CycleCounts,
     EwensParams,
+    ModifiedSpectrum,
     attach_phases,
     max_pairwise_lcm,
     normalized_spacings,
@@ -16,6 +23,8 @@ from permspectra import (
     spacings_perm,
     trial_rng,
 )
+from permspectra.ewens import draw_batch
+from permspectra.spacings import mod_gap_extremes
 
 
 class TestSpacingsPerm:
@@ -90,7 +99,7 @@ class TestSpacingsMod:
             counts = sample_cycle_counts(n, params, rng)
             d_plain = spacings_perm(counts).smallest
             d_mod = spacings_mod(attach_phases(counts, rng)).smallest
-            assert d_mod <= d_plain + 1e-12
+            assert d_mod <= d_plain
 
     def test_largest_bounded_by_longest_cycle(self):
         rng = np.random.default_rng(4)
@@ -100,8 +109,67 @@ class TestSpacingsMod:
             counts = sample_cycle_counts(n, params, rng)
             longest = max(counts.counts)
             st = spacings_mod(attach_phases(counts, rng))
-            assert st.largest <= 1.0 / longest + 1e-12
-            assert st.largest * n >= 1.0 - 1e-12
+            assert 1.0 / n <= st.largest <= 1.0 / longest
+
+    def test_two_two_cycles_without_an_empty_cell(self):
+        # angles 0, 1/2 and 1/8, 5/8: each half-turn cell holds a point
+        spec = ModifiedSpectrum(4, np.array([2, 2]), np.array([0.0, 0.25]))
+        st = spacings_mod(spec)
+        assert (st.smallest, st.largest) == (0.125, 0.375)
+
+    def test_cycle_order_does_not_matter(self):
+        rng = np.random.default_rng(6)
+        spec = attach_phases(sample_cycle_counts(500, EwensParams(1.0), rng), rng)
+        order = rng.permutation(len(spec.lengths))
+        shuffled = ModifiedSpectrum(500, spec.lengths[order], spec.phases[order])
+        assert spacings_mod(shuffled) == spacings_mod(spec)
+
+    def test_phases_off_the_dyadic_grid_refused(self):
+        spec = ModifiedSpectrum(2, np.array([1, 1]), np.array([0.1, 0.6]))
+        with pytest.raises(ValueError, match=r"2\*\*-53 grid.*0\.1"):
+            spacings_mod(spec)
+
+
+def _check_against_oracle(batch, kinds: Counter) -> None:
+    """Both modified extremes of every trial against exact_mod_gap_range.
+
+    The smallest gap and every largest gap of exactly 1/J must equal the
+    exact value rounded once; a largest gap below 1/J (no empty J-cell, so
+    it comes from the sort) must lie within 2**-50 of the exact one.
+    """
+    largest, smallest = mod_gap_extremes(batch)
+    n = batch.n
+    for t in range(batch.trials):
+        cycles = slice(batch.starts[t], batch.starts[t + 1])
+        lengths = batch.lengths[cycles]
+        exact_smallest, exact_largest = exact_mod_gap_range(lengths, batch.phases[cycles])
+        longest = int(lengths[-1])
+        assert smallest[t] == float(exact_smallest)
+        if exact_largest == F(1, longest):
+            assert largest[t] == float(exact_largest)
+            kinds["pigeonhole" if n - longest < longest else "sorted, empty J-cell"] += 1
+        else:
+            assert largest[t] < 1.0 / longest
+            assert abs(F(largest[t]) - exact_largest) <= F(1, 2**50)
+            kinds["sorted, no empty J-cell"] += 1
+
+
+class TestModifiedExactOracle:
+    def test_extremes_against_fraction_oracle(self):
+        rng = np.random.default_rng(7)
+        kinds = Counter()
+        for theta in (0.5, 1.0, 2.0):
+            sizes = np.unique(np.exp(rng.uniform(np.log(2), np.log(10**5), 30)).astype(int))
+            for i, n in enumerate([*sizes.tolist(), 10**5]):
+                rngs = [trial_rng(1000 + i, t) for t in range(4)]
+                _check_against_oracle(draw_batch(n, theta, rngs, phases=True), kinds)
+        # every route of mod_gap_extremes ran
+        assert min(kinds.values()) >= 3 and len(kinds) == 3, kinds
+
+    def test_smallest_exact_at_two_hundred_thousand(self):
+        # gaps of order 1/n^2 = 2.5e-11: a sort of float angles near 1 loses their digits
+        rngs = [trial_rng(2016, t) for t in range(6)]
+        _check_against_oracle(draw_batch(200_000, 1.0, rngs, phases=True), Counter())
 
 
 class TestTwoCycleMinSpacing:

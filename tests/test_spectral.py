@@ -9,6 +9,7 @@ from scipy.stats import kstest
 
 from conftest import (
     counts_from_lengths,
+    enumerate_angles_mod,
     enumerate_angles_perm,
     exact_moments_mod_formula,
     exact_moments_perm_formula,
@@ -23,7 +24,6 @@ from permspectra import (
     attach_phases,
     count_arc_mod,
     count_arc_perm,
-    enumerate_angles_mod,
     exact_covariance_mod,
     exact_covariance_perm,
     exact_moments_mod,
