@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "psi",
@@ -42,10 +41,27 @@ __all__ = [
 #: default size cap for the O(n^2) double sums
 QUADRATIC_CAP = 2000
 
+#: largest n of a psi table.  Measured with tracemalloc, the exact moments
+#: built on it peak at 24 bytes per element (three float64 arrays of n, for
+#: endpoints up to int64 range), the coupling tail bound at 40 and the
+#: identity checks at 48, so this n peaks below 2 GB.  Rational endpoints
+#: with denominators beyond 2**62 / n fall back to Python-integer arrays and
+#: take several times that.
+TABLE_SIZE_LIMIT = 40_000_000
+
 
 def _check_theta(theta: float) -> None:
     if not theta > 0:
         raise ValueError(f"theta must be positive, got {theta}")
+
+
+def check_table_size(n: int) -> None:
+    """Refuse n above TABLE_SIZE_LIMIT before anything of length n is allocated."""
+    if n > TABLE_SIZE_LIMIT:
+        raise ValueError(
+            f"n = {n} exceeds the size limit {TABLE_SIZE_LIMIT} of a psi table "
+            "(up to 48 bytes per element at the peak)"
+        )
 
 
 def psi_values(n: int, theta: float) -> np.ndarray:
@@ -53,13 +69,17 @@ def psi_values(n: int, theta: float) -> np.ndarray:
 
     Each factor ``(n-i)/(theta+n-1-i)`` is bounded, so the running product
     never overflows even though numerator and denominator of the closed form
-    are astronomically large for n beyond ~170.
+    are astronomically large for n beyond ~170.  n above TABLE_SIZE_LIMIT is
+    refused.
     """
     _check_theta(theta)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    check_table_size(n)
     i = np.arange(n, dtype=np.float64)
-    return np.cumprod((n - i) / (theta + n - 1.0 - i))
+    ratio = n - i
+    ratio /= np.subtract(theta + n - 1.0, i, out=i)  # in place: two arrays of n at most
+    return np.cumprod(ratio, out=ratio)
 
 
 def psi(n: int, j: int, theta: float) -> float:
@@ -79,6 +99,7 @@ def verify_mean_identity(n: int, theta: float) -> tuple[float, float]:
 
 def verify_harmonic_identity(n: int, theta: float) -> tuple[float, float]:
     """Both sides of sum_j psi(n, j)/j = sum_{j=1..n} 1/(theta+j-1)."""
+    check_table_size(n)
     j = np.arange(1, n + 1, dtype=np.float64)
     lhs = math.fsum((psi_values(n, theta) / j).tolist())
     rhs = math.fsum((1.0 / (theta + j - 1.0)).tolist())
@@ -131,6 +152,8 @@ def verify_telescoping(n: int, j: int, theta: float) -> tuple[float, float]:
     _check_theta(theta)
     if not 1 <= j <= n - 1:
         raise ValueError(f"j must lie in [1, n-1] = [1, {n - 1}], got {j}")
+    from scipy.special import gammaln  # here, not at import: it is most of a CLI call's start-up
+
     p = np.arange(j, n, dtype=np.float64)
     log_num = gammaln(p - j + theta) - gammaln(theta) - gammaln(p - j + 1)
     log_den = gammaln(p + theta + 1) - gammaln(theta + 1) - gammaln(p + 1)

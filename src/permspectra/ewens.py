@@ -21,8 +21,10 @@ a requested bound, computed in closed form from the psi weights.
 
 Two equivalent samplers are provided for the word itself: a dense one that
 draws every bit, and a sparse one that jumps straight from one 1 to the next
-by inverting the exact survival function of the gap (the expected number of
-ones up to n is only ~theta log n, so large n costs almost nothing).
+by inverting the exact survival function of the gap, evaluated without
+cancellation and inverted from a closed-form guess in about two evaluations
+(the expected number of ones up to n is only ~theta log n, so large n costs
+almost nothing).
 
 A cycle type is held as its sorted cycle lengths (``CycleCounts``).
 ``draw_batch`` draws many trials in order and returns their lengths
@@ -33,10 +35,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional
 
 import numpy as np
+
+from .cesaro import check_table_size
 
 __all__ = [
     "EwensParams",
@@ -156,36 +161,156 @@ class CoupledSample:
 # ---------------------------------------------------------------------------
 
 
+#: gaps of at most this many positions are summed term by term
+_SUM_TERMS = 8
+
+#: D is tabulated at the integers 1.._TABLE_SIZE
+_TABLE_SIZE = 64
+
+#: the Stirling-difference series runs where k >= _SERIES_RATIO * theta
+_SERIES_RATIO = 8
+
+#: terms of that series (cut earlier once the rest is below 2**-60)
+_SERIES_TERMS = 20
+
+
+@lru_cache(maxsize=None)
+def _bernoulli(m: int) -> Fraction:
+    """Bernoulli number B_m (B_1 = -1/2), exactly."""
+    if m == 0:
+        return Fraction(1)
+    return -sum(math.comb(m + 1, j) * _bernoulli(j) for j in range(m)) / (m + 1)
+
+
+@lru_cache(maxsize=16)
+def _survival_constants(theta: float) -> tuple[list[float], list[float], list[float], float]:
+    """Per-theta constants of ``_log_gap_survival``.
+
+    * ``table[x] = D(x) - D(_TABLE_SIZE)`` for x = 1.._TABLE_SIZE, filled
+      downward by D(x) = D(x+1) - log1p(theta/x);
+    * the series coefficients c_n = (-1)^(n+1) (B_{n+1}(theta) - B_{n+1}) / (n(n+1)),
+      computed exactly from the binary value of theta, rounded once and
+      stored as c_n / s^n with s = max(theta, 1), so none overflows;
+    * ``tail[n] = max_{j >= n} j |c_j| / s^j``, which bounds what the terms
+      from n on can add.
+    """
+    table = [math.nan] * (_TABLE_SIZE + 1)
+    table[_TABLE_SIZE] = 0.0
+    for x in range(_TABLE_SIZE - 1, 0, -1):
+        table[x] = table[x + 1] - math.log1p(theta / x)
+    exact, scale = Fraction(theta), Fraction(max(theta, 1.0))
+    coeffs = []
+    for n in range(1, _SERIES_TERMS + 1):
+        # B_{n+1}(theta) - B_{n+1}: the binomial sum without its constant term
+        diff = sum(math.comb(n + 1, j) * _bernoulli(j) * exact ** (n + 1 - j) for j in range(n + 1))
+        coeffs.append(float((-1) ** (n + 1) * diff / (n * (n + 1)) / scale**n))
+    tail = [abs(c) * n for n, c in enumerate(coeffs, 1)]
+    for n in range(len(tail) - 2, -1, -1):
+        tail[n] = max(tail[n], tail[n + 1])
+    return table, coeffs, tail, float(scale)
+
+
+#: B_2m / (2m (2m-1)), m = 1..5: Stirling's series lnGamma(z) = (z - 1/2) ln z - z
+#: + ln(2 pi)/2 + sum_m B_2m / (2m (2m-1) z^(2m-1)); the next term is < 1e-22 at z >= 64
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
+
+
+def _stirling_remainder_difference(z: float, t: int) -> float:
+    """F(z + t) - F(z) for F(z) = sum_m B_2m / (2m (2m-1) z^(2m-1)), z >= 64."""
+    return sum(c * ((z + t) ** (1 - 2 * m) - z ** (1 - 2 * m)) for m, c in enumerate(_STIRLING, 1))
+
+
 def _log_gap_survival(k: int, t: int, theta: float) -> float:
     """log P(no 1 at positions k+1 .. k+t) = log prod_{i=1..t} (k+i-1)/(theta+k+i-1).
 
-    Exact for every integer t >= 0 via log-gamma; decreasing in t.
+    This is D(k) - D(k+t) with D(x) = lnGamma(x+theta) - lnGamma(x), for
+    integers k >= 1, t >= 0.  Four lnGamma values at k+t ~ 10^9 are ~10^10
+    and cancel down to the answer, which may be ~10^-9; so no branch
+    subtracts lnGamma values:
+
+    * t <= _SUM_TERMS: -sum_i log1p(theta/(k+i));
+    * k < _TABLE_SIZE: the per-theta table of D, plus the rest of the gap
+      from _TABLE_SIZE on;
+    * k >= _SERIES_RATIO * theta: with L = log1p(t/k), the Stirling
+      difference -theta L + sum_n c_n k^-n (-expm1(-n L)), whose
+      corrections are at most |theta - 1|/(2k) of its leading term;
+    * otherwise (theta > 8, k < 8 theta, where the terms c_n k^-n ~ theta
+      (theta/k)^n decay too slowly), the two Stirling forms of
+      lnGamma(z+t) - lnGamma(z) at z = k and z = k + theta, which cancel by
+      at most a factor ~16 there.
+
+    Relative error below 1e-12 (tests/test_ewens.py checks it against
+    mpmath for k, t up to 2^40).
     """
-    return (
-        math.lgamma(k + t)
-        - math.lgamma(k)
-        + math.lgamma(theta + k)
-        - math.lgamma(theta + k + t)
-    )
+    if t <= _SUM_TERMS:
+        return -sum(math.log1p(theta / (k + i)) for i in range(t))
+    table, coeffs, tail, scale = _survival_constants(theta)
+    if k < _TABLE_SIZE:
+        if k + t <= _TABLE_SIZE:
+            return table[k] - table[k + t]
+        return table[k] + _log_gap_survival(_TABLE_SIZE, k + t - _TABLE_SIZE, theta)
+    if k < _SERIES_RATIO * theta:
+        kt = k + theta
+        return (
+            (k - 0.5) * math.log1p(t / k)
+            - (kt - 0.5) * math.log1p(t / kt)
+            - t * math.log1p(theta / (k + t))
+            + _stirling_remainder_difference(k, t)
+            - _stirling_remainder_difference(kt, t)
+        )
+    lead = math.log1p(t / k)
+    total, ratio, power = -theta * lead, scale / k, 1.0
+    for n, coeff in enumerate(coeffs, 1):
+        power *= ratio
+        if tail[n - 1] * power < 2.0**-60 * theta:
+            break
+        total -= coeff * power * math.expm1(-n * lead)
+    return total
 
 
 def _next_one_position(k: int, limit: int, theta: float, rng: np.random.Generator):
     """Position of the first 1 after position k, or None if it lies beyond limit.
 
-    Inverts the gap survival function by bisection: the gap T satisfies
-    P(T > t) = prod_{i=1..t} (k+i-1)/(theta+k+i-1), so T = min{t : S(t) < U}
-    for a uniform U in (0, 1].
+    The gap T satisfies P(T > t) = S(t) = prod_{i=1..t} (k+i-1)/(theta+k+i-1),
+    so T = min{t : S(t) < U} for one uniform U in (0, 1].  Since
+    log S(t) = -theta log1p(t/k) + c_1/k (1 - k/(k+t)) + O(k^-2), the guess
+    t0 = k expm1(-log U / theta), corrected once by the c_1/k term, is
+    almost always T itself; a galloping search outward from it then fixes
+    the exact integer with the bracket S(T-1) >= U > S(T), so a draw costs
+    about two survival evaluations.  T beyond the horizon (S(limit - k) >= U)
+    returns None.
     """
-    hi = limit - k
-    if hi <= 0:
+    horizon = limit - k
+    if horizon <= 0:
         return None
     log_u = math.log(1.0 - rng.random())  # uniform in (0, 1]
-    if _log_gap_survival(k, hi, theta) >= log_u:
-        return None  # gap exceeds the remaining horizon
-    lo = 0  # invariant: S(lo) >= U > S(hi)
+
+    def below(t: int) -> bool:  # S(t) < U
+        return _log_gap_survival(k, t, theta) < log_u
+
+    lead = -log_u / theta
+    lead -= (theta - 1.0) / (2.0 * k) * math.expm1(-lead)
+    if lead >= math.log1p(horizon / k):
+        guess = horizon
+    else:
+        guess = min(horizon, int(k * math.expm1(lead)) + 1)
+    # bracket lo < T <= hi with S(lo) >= U > S(hi); S(0) = 1 >= U
+    if below(guess):
+        hi, step = guess, 1
+        while (lo := max(hi - step, 0)) > 0 and below(lo):
+            hi, step = lo, 2 * step
+    else:
+        lo, step = guess, 1
+        while True:
+            if lo == horizon:
+                return None  # the gap exceeds the remaining horizon
+            hi = min(lo + step, horizon)
+            if below(hi):
+                break
+            lo, step = hi, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _log_gap_survival(k, mid, theta) < log_u:
+        if below(mid):
             hi = mid
         else:
             lo = mid
@@ -307,6 +432,7 @@ def coupling_tail_expectation(n: int, theta: float, horizon: int) -> float:
     """
     if horizon < n:
         raise ValueError("horizon must be at least n")
+    check_table_size(n)  # its arrays of length n peak at 40 bytes per element too
     i = np.arange(n, dtype=np.float64)
     psi_h = np.cumprod((horizon - i) / (theta + horizon - 1.0 - i))  # psi(H, j), j<=n
     j = np.arange(1, n + 1, dtype=np.float64)

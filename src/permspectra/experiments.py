@@ -28,14 +28,13 @@ sample, Gaussian or not.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import digamma, kolmogorov, ndtr
 
+from .cesaro import check_table_size
 from .ewens import TrialBatch, coupling_distances, coupling_horizon, draw_batch
 from .limits import DeclaredIrrational, c2_meso, covariance_D, covariance_Dtilde
 from .rng import trial_rng
@@ -67,6 +66,8 @@ __all__ = [
 
 def coupling_bound(theta: float) -> float:
     """Upper bound 2 + theta (gamma + psi(theta)) on E sum_j |a_{n,j} - W_j|."""
+    from scipy.special import digamma
+
     return float(2.0 + theta * (np.euler_gamma + digamma(theta)))
 
 
@@ -106,6 +107,8 @@ def _lattice_ks(
     (statistic, p_value); the asymptotic Kolmogorov p-value is conservative
     for a discrete null.
     """
+    from scipy.special import kolmogorov, ndtr
+
     if not np.issubdtype(counts.dtype, np.integer):
         raise ValueError(f"lattice KS needs integer counts, got dtype {counts.dtype}")
     m = len(counts)
@@ -203,6 +206,8 @@ def _run_trials(statistic, extra, seed, n, theta, trials, jobs, phases=False, ho
     if jobs == 1:
         parts = [_trial_chunk(p) for p in payloads]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_trial_chunk, payloads))
     return np.concatenate(parts, axis=0)
@@ -330,6 +335,7 @@ def run_mesoscopic(config: ExperimentConfig, jobs: int = 1) -> MesoscopicResult:
     for n in config.n_schedule:  # before any sampling
         if n < 1 or n * float(n) ** (-config.gamma) <= 1:
             raise ValueError(f"n * delta must exceed 1 for a mesoscopic window, got n={n}")
+        check_table_size(n)  # every row computes an exact mean or variance
     theta, model = config.theta, config.model
     alpha_endpoint = _meso_endpoint(config.meso_alpha)
     if isinstance(alpha_endpoint, Fraction):

@@ -39,7 +39,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .cesaro import psi_values
+from .cesaro import check_table_size, psi_values
 from .ewens import CycleCounts, TrialBatch
 
 __all__ = [
@@ -146,13 +146,14 @@ def _floor_multiples(x: Endpoint, j: np.ndarray) -> np.ndarray:
 
 def frac_parts(x: Endpoint, n: int, start: int = 1) -> np.ndarray:
     """Array of fractional parts {j x} for j = start..n, exact for Fractions."""
-    j = np.arange(start, n + 1, dtype=np.int64)
     if isinstance(x, Fraction):
-        prod, q, _ = _fraction_terms(x, j)
-        prod %= q  # in place: keeps the peak at three arrays of n
+        prod, q, _ = _fraction_terms(x, np.arange(start, n + 1, dtype=np.int64))
+        prod %= q  # in place: keeps the peak at two arrays of n
         return np.asarray(prod / float(q), dtype=np.float64)
-    jx = j * float(x)
-    return jx - np.floor(jx)
+    jx = np.arange(start, n + 1, dtype=np.float64)
+    jx *= float(x)
+    jx -= np.floor(jx)
+    return jx
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +218,12 @@ def count_arc_mod(spectrum: ModifiedSpectrum, arc: Arc, closed: str = "right") -
 def _perm_mean(n: int, theta: float, arc: Arc) -> float:
     """Exact mean n (beta - alpha) - theta sum_j P_j omega_j / j of the
     permutation-matrix count, omega_j = {j beta} - {j alpha}; O(n)."""
-    omega = frac_parts(arc.beta, n) - frac_parts(arc.alpha, n)
-    j = np.arange(1, n + 1, dtype=np.float64)
-    weighted = psi_values(n, theta) * (omega / j)
+    check_table_size(n)
+    # in place, psi table last: three arrays of n at most
+    weighted = frac_parts(arc.beta, n)
+    weighted -= frac_parts(arc.alpha, n)
+    weighted /= np.arange(1, n + 1, dtype=np.float64)
+    weighted *= psi_values(n, theta)
     return n * float(arc.beta - arc.alpha) - theta * float(weighted.sum())
 
 
@@ -297,7 +301,9 @@ def exact_covariance_mod(n: int, theta: float, arc1: Arc, arc2: Arc) -> float:
 
     def h(x: Endpoint) -> np.ndarray:
         f = frac_parts(x, n)
-        return f * (1.0 - f)
+        f *= 1.0 - f
+        return f
 
-    values = psi_values(n, theta) / np.arange(1, n + 1, dtype=np.float64)
+    values = psi_values(n, theta)
+    values /= np.arange(1, n + 1, dtype=np.float64)
     return theta * sum(w * float(values @ h(x)) for x, w in weights.items() if w)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import absolute_quadratic_sum, cesaro_number
 from permspectra import (
+    Arc,
+    coupling_tail_expectation,
+    exact_moments_mod,
     psi,
     psi_values,
     verify_harmonic_identity,
@@ -14,6 +19,8 @@ from permspectra import (
     verify_quadratic_identity,
     verify_telescoping,
 )
+from permspectra.cesaro import TABLE_SIZE_LIMIT
+from permspectra.spectral import _perm_mean
 
 THETAS = [0.3, 0.5, 0.7, 1.0, 1.5, 2.5]
 
@@ -37,6 +44,27 @@ class TestPsi:
             psi(5, 6, 1.0)
         with pytest.raises(ValueError):
             psi(5, 3, -1.0)
+
+    def test_size_limit_keeps_the_peak_near_2gb(self):
+        # the limit is derived from the bytes per element that the exact
+        # moments, the coupling tail and the identity checks hold at their peak
+        n = 200_000
+        peaks = []
+        for call in (
+            lambda: _perm_mean(n, 1.0, Arc(Fraction(0), n**-0.5)),
+            lambda: exact_moments_mod(n, 0.7, Arc(Fraction(1, 3), 0.7)),
+            lambda: coupling_tail_expectation(n, 1.0, 2 * n),
+            lambda: verify_mean_identity(n, 0.7),
+            lambda: verify_harmonic_identity(n, 0.7),
+        ):
+            tracemalloc.start()
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        per_element = max(peaks) / n
+        assert 40 < per_element < 49
+        assert TABLE_SIZE_LIMIT * per_element < 2e9
+        assert 10**9 > TABLE_SIZE_LIMIT
 
     @pytest.mark.parametrize("theta,expect", [(2.0, -1), (0.5, +1), (1.0, 0)])
     def test_monotone_in_j(self, theta, expect):

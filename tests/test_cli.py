@@ -191,11 +191,32 @@ class TestCliContract:
     def test_bad_value_named_in_one_error_line(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["mesoscopic", "--n-list", "10000,30000", "--model", "perm", "--seed", "1"],
+        ["mesoscopic", "--n-list", "30000", "--model", "mod", "--seed", "1"],
+        ["exact-moments", "--n", "30000", "--alpha", "0.1", "--beta", "0.3", "--model", "mod"],
+        ["coupling-check", "--n", "30000", "--seed", "1"],
+    ])
+    def test_size_beyond_the_table_limit_refused_before_sampling(self, capsys, monkeypatch,
+                                                                   argv):
+        # a lowered limit stands in for n = 10^9, whose arrays would not fit in memory
+        def no_draws(*args, **kwargs):
+            raise AssertionError("sampled before the size check")
+
+        monkeypatch.setattr("permspectra.cesaro.TABLE_SIZE_LIMIT", 20_000)
+        monkeypatch.setattr("permspectra.experiments.draw_batch", no_draws)
+        message = ("n = 30000 exceeds the size limit 20000 of a psi table "
+                   "(up to 48 bytes per element at the peak)")
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
     def test_import_leaves_heavy_scipy_modules_unloaded(self):
-        # scipy.stats and scipy.signal each add a large share of the start-up time
+        # scipy.special alone was most of a CLI call's start-up; the functions
+        # that need scipy import it when they run, and the process pool is
+        # imported only for --jobs > 1
         code = (
             "import sys, permspectra.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules))"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')"
+            " or m == 'concurrent.futures.process'))"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(permspectra.__file__).parents[1])}
         proc = subprocess.run(

@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from permspectra import (
     sample_cycle_counts,
     trial_rng,
 )
-from permspectra.ewens import _ones_positions_sparse
+from permspectra.ewens import _log_gap_survival, _next_one_position, _ones_positions_sparse
 
 
 def word_from_bits(bits) -> BernoulliWord:
@@ -110,17 +112,27 @@ class TestSamplers:
         freq = feller_type_counts(5, theta, trials, rng)
         assert type_chisquare_pvalue(freq, 5, theta, trials) > 0.001
 
-    def test_sparse_route_same_law(self):
+    @pytest.mark.parametrize("theta", [1.3, 0.3, 7.0])
+    def test_sparse_route_same_law(self, theta):
         # force the gap-skipping sampler at small n and chi-square it too
         rng = np.random.default_rng(102)
         trials = 20_000
         freq: dict = {}
         for _ in range(trials):
-            ones = _ones_positions_sparse(5, 1.3, rng)
+            ones = _ones_positions_sparse(5, theta, rng)
             spac = np.diff(np.append(ones, 6))
             key = tuple(sorted(spac.tolist(), reverse=True))
             freq[key] = freq.get(key, 0) + 1
-        assert type_chisquare_pvalue(freq, 5, 1.3, trials) > 0.001
+        assert type_chisquare_pvalue(freq, 5, theta, trials) > 0.001
+
+    @pytest.mark.parametrize("theta", [0.5, 2.0])
+    def test_sparse_route_mean_cycle_number_at_large_n(self, theta):
+        # every draw inverts the gap survival at positions up to 10^6
+        rng = np.random.default_rng(105)
+        n, trials = 10**6, 2000
+        ks = np.array([len(_ones_positions_sparse(n, theta, rng)) for _ in range(trials)])
+        se = ks.std(ddof=1) / math.sqrt(trials)
+        assert abs(ks.mean() - expected_total_cycles(n, theta)) < 4 * se
 
     def test_sample_cycle_counts_sum(self):
         rng = np.random.default_rng(103)
@@ -137,6 +149,99 @@ class TestSamplers:
         expected = expected_total_cycles(n, 2.0)
         se = np.std(ks, ddof=1) / math.sqrt(trials)
         assert abs(np.mean(ks) - expected) < 3 * se
+
+
+SURVIVAL_THETAS = [0.3, 0.5, 1.0, 2.0, 7.0, 50.0]
+
+
+def exact_log_survival(k: int, t: int, theta: float) -> float:
+    """log prod_{i=1..t} (k+i-1)/(theta+k+i-1) from the exact rational product."""
+    ratio = Fraction(1)
+    for i in range(t):
+        ratio *= Fraction(k + i) / (Fraction(theta) + k + i)
+    # log1p is well conditioned for a ratio near 1, log for one far below it
+    return math.log1p(float(ratio - 1)) if ratio > 0.5 else math.log(float(ratio))
+
+
+class TestGapSurvival:
+    @pytest.mark.parametrize("theta", SURVIVAL_THETAS)
+    def test_small_gaps_against_exact_product(self, theta):
+        for k in (1, 2, 5, 63, 64, 65, 399, 400, 10**6, 10**9, 2**40):
+            for t in (1, 2, 3, 8, 9, 12, 20):
+                exact = exact_log_survival(k, t, theta)
+                assert _log_gap_survival(k, t, theta) == pytest.approx(exact, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("theta", SURVIVAL_THETAS)
+    def test_log_uniform_grid_against_mpmath(self, theta):
+        mpmath = pytest.importorskip("mpmath")
+        grid = random.Random(int(theta * 10))
+        lg, th = mpmath.loggamma, mpmath.mpf(theta)
+        for _ in range(150):
+            k, t = (max(1, int(2 ** grid.uniform(0, 40))) for _ in range(2))
+            with mpmath.workdps(60):
+                exact = float(lg(k + t) - lg(k) + lg(th + k) - lg(th + k + t))
+            assert _log_gap_survival(k, t, theta) == pytest.approx(exact, rel=1e-12, abs=0)
+
+    def test_no_cancellation_at_large_k(self):
+        # four lnGamma values near 2e10 used to cancel to +3.8e-6 here
+        value = _log_gap_survival(10**9, 3, 0.5)
+        assert value < 0
+        assert value == pytest.approx(-1.499999998125e-9, rel=1e-12, abs=0)
+
+
+class FixedUniform:
+    """Stand-in generator whose random() returns a chosen value, counting calls."""
+
+    def __init__(self, value: float):
+        self.value, self.calls = value, 0
+
+    def random(self) -> float:
+        self.calls += 1
+        return self.value
+
+
+def bisected_position(k: int, limit: int, theta: float, rng):
+    """The first 1 after k by plain bisection over the same survival function."""
+    hi = limit - k
+    if hi <= 0:
+        return None
+    log_u = math.log(1.0 - rng.random())
+    if _log_gap_survival(k, hi, theta) >= log_u:
+        return None
+    lo = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _log_gap_survival(k, mid, theta) < log_u:
+            hi = mid
+        else:
+            lo = mid
+    return k + hi
+
+
+class TestGapInversion:
+    def test_same_position_as_bisection(self):
+        grid = random.Random(2024)
+        outcomes = set()
+        for case in range(3000):
+            theta = grid.choice(SURVIVAL_THETAS + [0.01, 1.3, 20.0])
+            k = max(1, int(10 ** grid.uniform(0, 9)))
+            gap = 1 if case % 10 == 0 else int(10 ** grid.uniform(0, 10))
+            draw = grid.choice([0.0, 1 - 2.0**-53, grid.random(), grid.random() ** 8])
+            got = _next_one_position(k, k + gap, theta, FixedUniform(draw))
+            assert got == bisected_position(k, k + gap, theta, FixedUniform(draw))
+            outcomes.add("beyond" if got is None else "hi=1" if gap == 1 else "inside")
+        assert outcomes == {"beyond", "hi=1", "inside"}
+
+    def test_one_uniform_per_call(self):
+        for seed, (k, limit, theta) in enumerate(
+            [(1, 10**6, 0.5), (70_000, 10**6, 2.0), (10**6, 10**6 + 1, 1.0), (5, 5, 1.0),
+             (3, 2**40, 50.0), (10**9, 2**40, 0.3)]
+        ):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            _next_one_position(k, limit, theta, rng)
+            if limit > k:
+                twin.random()
+            assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestCycleTypeProbability:
