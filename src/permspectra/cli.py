@@ -58,7 +58,7 @@ from .cesaro import (
     verify_quadratic_identity,
     verify_telescoping,
 )
-from .rng import trial_rng
+from .rng import trial_rngs
 from .spectral import Arc, attach_phases, exact_moments_mod, exact_moments_perm
 
 SCHEMA_VERSION = "1"
@@ -162,8 +162,7 @@ def _csv_cell(value):
 def _cmd_sample(args):
     params = EwensParams(args.theta)
     trials = []
-    for t in range(args.trials):
-        rng = trial_rng(args.seed, t)
+    for rng in trial_rngs(args.seed, 0, args.trials):
         counts = sample_cycle_counts(args.n, params, rng)
         entry = {"cycle_counts": {str(j): a for j, a in sorted(counts.counts.items())}}
         if args.model == "mod":
@@ -355,6 +354,17 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x]
 
 
+def _master_seed(text: str) -> int:
+    """--seed: SeedSequence takes non-negative integers only."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permspectra",
@@ -366,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--theta", type=float, default=1.0)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         if stochastic:
-            p.add_argument("--seed", type=int, required=True,
+            p.add_argument("--seed", type=_master_seed, required=True,
                            help="master seed (required; no silent time seeding)")
             p.add_argument("--trials", type=int, default=2000)
             p.add_argument("--jobs", type=int, default=1)

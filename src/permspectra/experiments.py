@@ -1,9 +1,12 @@
 """Monte Carlo harness: Gaussian-limit checks, coupling bound, spacings.
 
 Every experiment is driven by a master seed; trial ``i`` draws from the
-generator ``trial_rng(master_seed, i)``, so results are bit-identical for
-any worker count.  Aggregations run over the trial-ordered arrays, never
-over per-worker partial sums.
+generator ``trial_rng(master_seed, i)``, i.e. ``SeedSequence((master_seed,
+i))``, so results are bit-identical for any worker count.  That derivation is
+unchanged, but each chunk computes its generators at once with
+``rng.trial_rngs`` (one vectorised SeedSequence hash per chunk), which a test
+pins against the installed numpy's ``SeedSequence``.  Aggregations run over
+the trial-ordered arrays, never over per-worker partial sums.
 
 All four drivers share one trial engine: trials run in chunks, and inside a
 chunk the per-trial loop only draws (the word, then the phases or the
@@ -37,7 +40,7 @@ import numpy as np
 from .cesaro import check_table_size
 from .ewens import TrialBatch, coupling_distances, coupling_horizon, draw_batch
 from .limits import DeclaredIrrational, c2_meso, covariance_D, covariance_Dtilde
-from .rng import trial_rng
+from .rng import trial_rngs
 from .spacings import max_lcms, mod_gap_extremes
 from .spectral import (
     Arc,
@@ -187,8 +190,7 @@ def _trial_chunk(args) -> np.ndarray:
     """Trials lo..hi-1: draw each from its own generator, then one statistic
     over the whole batch (a row per trial)."""
     lo, hi, seed, n, theta, phases, horizon, statistic, extra = args
-    rngs = (trial_rng(seed, t) for t in range(lo, hi))
-    return statistic(draw_batch(n, theta, rngs, phases, horizon), *extra)
+    return statistic(draw_batch(n, theta, trial_rngs(seed, lo, hi), phases, horizon), *extra)
 
 
 def _run_trials(statistic, extra, seed, n, theta, trials, jobs, phases=False, horizon=None):
@@ -495,6 +497,8 @@ def run_spacings(
         raise ValueError(
             f"need a size, theta > 0 and trials >= 1, got {n_schedule}, {theta}, {trials}"
         )
+    for n in n_schedule:  # before any sampling: a third of trials sort all n angles
+        check_table_size(n)
     rows = []
     for idx, n in enumerate(n_schedule):
         data = _run_trials(

@@ -209,6 +209,18 @@ class TestCliContract:
                    "(up to 48 bytes per element at the peak)")
         assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
+    def test_spacings_size_refused_before_any_trial(self, capsys, monkeypatch):
+        # the mod spacings sort all n angles of a third of the trials
+        def no_draws(*args, **kwargs):
+            raise AssertionError("sampled before the size check")
+
+        monkeypatch.setattr("permspectra.experiments.draw_batch", no_draws)
+        code, out, err = run_cli(capsys, "spacings", "--n-list", "1000,1000000000",
+                                 "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: n = 1000000000 exceeds the size limit")
+        assert len(err.splitlines()) == 1
+
     def test_import_leaves_heavy_scipy_modules_unloaded(self):
         # scipy.special alone was most of a CLI call's start-up; the functions
         # that need scipy import it when they run, and the process pool is
