@@ -37,7 +37,7 @@ def _hashmix_calls(entropy_words: int) -> int:
     return _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * max(0, entropy_words - _POOL_SIZE)
 
 
-# enough for entropy of up to 64 words (a 1,900-bit seed); longer is computed per call
+# enough for entropy of up to 64 words (a seed of about 2,000 bits); longer is computed per call
 _HASH_A = _powers(_INIT_A, _MULT_A, _hashmix_calls(64) + 1)
 _HASH_B = _powers(_INIT_B, _MULT_B, _STATE_WORDS + 1)[:, None]
 

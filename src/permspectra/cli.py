@@ -358,11 +358,11 @@ def _master_seed(text: str) -> int:
     """--seed: SeedSequence takes non-negative integers only."""
     try:
         value = int(text)
+        if value >= 0:
+            return value
     except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,9 +9,9 @@ The Monte Carlo drivers derive the same generators a chunk of trials at a
 time (``trial_rngs``): the derivation is unchanged, but SeedSequence's
 entropy hash and ``generate_state`` run once over the chunk's trial indexes
 as numpy columns instead of once per trial (``_seedseq``), and each
-``PCG64`` is then seeded by numpy's own code from its precomputed words.  ``tests/test_rng.py``
-pins every state and first draw against the installed numpy's
-``SeedSequence``.
+``PCG64`` is then seeded by numpy's own code from its precomputed words.
+``tests/test_rng.py`` pins every state and first draw against the installed
+numpy's ``SeedSequence``.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def trial_rngs(master_seed: int, lo: int, hi: int) -> Iterator[np.random.Generat
     if master_seed < 0:
         raise ValueError(f"master seed must be non-negative, got {master_seed}")
     hi = max(lo, hi)
-    if lo < hi and not 0 <= lo < hi <= 2**64:
+    if lo < hi and not (0 <= lo and hi <= 2**64):
         raise ValueError(f"trial indexes must lie in [0, 2**64), got {lo}..{hi - 1}")
     from ._seedseq import PrecomputedSeed, seed_states, uint32_words
 

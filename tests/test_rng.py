@@ -59,11 +59,6 @@ def test_long_seed_beyond_the_tabulated_constants():
     assert_matches_seed_sequence(2**2230 + 12345, 3, 6)
 
 
-def test_trial_rng_is_seed_sequence():
-    for i in (0, 1, 2**32 + 1):
-        assert trial_rng(11, i).bit_generator.state == reference(11, i).bit_generator.state
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.one_of(st.integers(0, 2**40), st.integers(0, 2**130)),
