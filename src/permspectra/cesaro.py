@@ -45,8 +45,8 @@ QUADRATIC_CAP = 2000
 #: built on it peak at 24 bytes per element (three float64 arrays of n, for
 #: endpoints up to int64 range), the coupling tail bound at 40 and the
 #: identity checks at 48, so this n peaks below 2 GB.  Rational endpoints
-#: with denominators beyond 2**62 / n fall back to Python-integer arrays and
-#: take several times that.
+#: with denominators beyond 2**62 / n fall back to Python-integer arrays at
+#: about 92 bytes per element; ``spectral.check_endpoint_size`` caps those n.
 TABLE_SIZE_LIMIT = 40_000_000
 
 
@@ -55,13 +55,13 @@ def _check_theta(theta: float) -> None:
         raise ValueError(f"theta must be positive, got {theta}")
 
 
-def check_table_size(n: int) -> None:
-    """Refuse n above TABLE_SIZE_LIMIT before anything of length n is allocated."""
+def check_table_size(
+    n: int, arrays: str = "a psi table (up to 48 bytes per element at the peak)"
+) -> None:
+    """Refuse n above TABLE_SIZE_LIMIT before anything of length n is allocated;
+    ``arrays`` names what the caller would build."""
     if n > TABLE_SIZE_LIMIT:
-        raise ValueError(
-            f"n = {n} exceeds the size limit {TABLE_SIZE_LIMIT} of a psi table "
-            "(up to 48 bytes per element at the peak)"
-        )
+        raise ValueError(f"n = {n} exceeds the size limit {TABLE_SIZE_LIMIT} of {arrays}")
 
 
 def psi_values(n: int, theta: float) -> np.ndarray:

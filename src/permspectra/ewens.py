@@ -22,13 +22,20 @@ a requested bound, computed in closed form from the psi weights.
 Two equivalent samplers are provided for the word itself: a dense one that
 draws every bit, and a sparse one that jumps straight from one 1 to the next
 by inverting the exact survival function of the gap, evaluated without
-cancellation and inverted from a closed-form guess in about two evaluations
-(the expected number of ones up to n is only ~theta log n, so large n costs
-almost nothing).
+cancellation (the expected number of ones up to n is only ~theta log n, so
+large n costs almost nothing).  Each jump evaluates the survival function
+once, at a closed-form guess, and certifies the guess's lower neighbour from
+the exact step identity log S(t-1) = log S(t) + log1p(theta/(k+t-1)), with a
+slack of 2^-30 (1 + |log U|) that dwarfs the evaluation's error; a draw the
+certificate cannot settle falls back to a galloping search over the same
+function, so the position is the search's by construction.
 
 A cycle type is held as its sorted cycle lengths (``CycleCounts``).
 ``draw_batch`` draws many trials in order and returns their lengths
 concatenated (``TrialBatch``), the form the Monte Carlo drivers compute on.
+It reads each trial's generator through one ``_Uniforms`` source, 64
+uniforms at a time: the same stream as single draws, since numpy's
+``random(m)`` is m single draws in order.
 """
 
 from __future__ import annotations
@@ -173,6 +180,12 @@ _SERIES_RATIO = 8
 #: terms of that series (cut earlier once the rest is below 2**-60)
 _SERIES_TERMS = 20
 
+#: slack of the neighbour certificate, relative to 1 + |log U|
+_CERTIFICATE_SLACK = 2.0**-30
+
+#: uniforms a trial's source reads from its generator at a time
+_BLOCK = 64
+
 
 @lru_cache(maxsize=None)
 def _bernoulli(m: int) -> Fraction:
@@ -220,7 +233,7 @@ def _stirling_remainder_difference(z: float, t: int) -> float:
     return sum(c * ((z + t) ** (1 - 2 * m) - z ** (1 - 2 * m)) for m, c in enumerate(_STIRLING, 1))
 
 
-def _log_gap_survival(k: int, t: int, theta: float) -> float:
+def _log_gap_survival(k: int, t: int, theta: float, constants=None) -> float:
     """log P(no 1 at positions k+1 .. k+t) = log prod_{i=1..t} (k+i-1)/(theta+k+i-1).
 
     This is D(k) - D(k+t) with D(x) = lnGamma(x+theta) - lnGamma(x), for
@@ -239,16 +252,17 @@ def _log_gap_survival(k: int, t: int, theta: float) -> float:
       lnGamma(z+t) - lnGamma(z) at z = k and z = k + theta, which cancel by
       at most a factor ~16 there.
 
-    Relative error below 1e-12 (tests/test_ewens.py checks it against
-    mpmath for k, t up to 2^40).
+    ``constants`` are ``_survival_constants(theta)``, looked up here when
+    not given.  Relative error below 1e-12 (tests/test_ewens.py checks it
+    against mpmath for k, t up to 2^40; the worst seen is 1.7e-15).
     """
     if t <= _SUM_TERMS:
         return -sum(math.log1p(theta / (k + i)) for i in range(t))
-    table, coeffs, tail, scale = _survival_constants(theta)
+    table, coeffs, tail, scale = constants or _survival_constants(theta)
     if k < _TABLE_SIZE:
         if k + t <= _TABLE_SIZE:
             return table[k] - table[k + t]
-        return table[k] + _log_gap_survival(_TABLE_SIZE, k + t - _TABLE_SIZE, theta)
+        return table[k] + _log_gap_survival(_TABLE_SIZE, k + t - _TABLE_SIZE, theta, constants)
     if k < _SERIES_RATIO * theta:
         kt = k + theta
         return (
@@ -268,34 +282,46 @@ def _log_gap_survival(k: int, t: int, theta: float) -> float:
     return total
 
 
-def _next_one_position(k: int, limit: int, theta: float, rng: np.random.Generator):
+def _next_one_position(k: int, limit: int, theta: float, rng, constants=None):
     """Position of the first 1 after position k, or None if it lies beyond limit.
 
     The gap T satisfies P(T > t) = S(t) = prod_{i=1..t} (k+i-1)/(theta+k+i-1),
-    so T = min{t : S(t) < U} for one uniform U in (0, 1].  Since
+    so T = min{t : S(t) < U} for one uniform U in (0, 1], the one value read
+    from ``rng`` (a generator or a ``_Uniforms``).  Since
     log S(t) = -theta log1p(t/k) + c_1/k (1 - k/(k+t)) + O(k^-2), the guess
-    t0 = k expm1(-log U / theta), corrected once by the c_1/k term, is
-    almost always T itself; a galloping search outward from it then fixes
-    the exact integer with the bracket S(T-1) >= U > S(T), so a draw costs
-    about two survival evaluations.  T beyond the horizon (S(limit - k) >= U)
-    returns None.
+    g = k expm1(-log U / theta), corrected once by the c_1/k term, is almost
+    always T itself, and one evaluation settles it: if S(g) < U, the exact
+    identity log S(g-1) = log S(g) + log1p(theta/(k+g-1)) certifies
+    S(g-1) >= U, so T = g, once the sum clears log U by a slack of
+    2^-30 (1 + |log U|).  The slack exceeds what the evaluations' relative
+    error (below 2e-15) and the rounding of the sum can move, so the
+    evaluation at g-1 that a search would make agrees with the certificate.
+    Otherwise a galloping search outward from g, on the evaluation already
+    made, fixes the exact integer with the bracket S(T-1) >= U > S(T).
+    T beyond the horizon (S(limit - k) >= U) returns None.
     """
     horizon = limit - k
     if horizon <= 0:
         return None
     log_u = math.log(1.0 - rng.random())  # uniform in (0, 1]
-
-    def below(t: int) -> bool:  # S(t) < U
-        return _log_gap_survival(k, t, theta) < log_u
-
+    constants = constants or _survival_constants(theta)
     lead = -log_u / theta
     lead -= (theta - 1.0) / (2.0 * k) * math.expm1(-lead)
     if lead >= math.log1p(horizon / k):
         guess = horizon
     else:
         guess = min(horizon, int(k * math.expm1(lead)) + 1)
+    log_s = _log_gap_survival(k, guess, theta, constants)
+    if log_s < log_u:
+        neighbour = log_s + math.log1p(theta / (k + guess - 1))  # log S(guess - 1)
+        if guess == 1 or neighbour >= log_u + _CERTIFICATE_SLACK * (1.0 - log_u):
+            return k + guess
+
+    def below(t: int) -> bool:  # S(t) < U
+        return _log_gap_survival(k, t, theta, constants) < log_u
+
     # bracket lo < T <= hi with S(lo) >= U > S(hi); S(0) = 1 >= U
-    if below(guess):
+    if log_s < log_u:
         hi, step = guess, 1
         while (lo := max(hi - step, 0)) > 0 and below(lo):
             hi, step = lo, 2 * step
@@ -317,17 +343,52 @@ def _next_one_position(k: int, limit: int, theta: float, rng: np.random.Generato
     return k + hi
 
 
-def _ones_after(pos: int, limit: int, theta: float, rng: np.random.Generator) -> list[int]:
+def _ones_after(pos: int, limit: int, theta: float, rng) -> list[int]:
     """Positions of the ones in (pos, limit], jumping from one to the next."""
-    ones = []
-    while (pos := _next_one_position(pos, limit, theta, rng)) is not None:
+    ones, constants = [], _survival_constants(theta)
+    while (pos := _next_one_position(pos, limit, theta, rng, constants)) is not None:
         ones.append(pos)
     return ones
 
 
-def _ones_positions_sparse(n: int, theta: float, rng: np.random.Generator) -> np.ndarray:
+def _ones_positions_sparse(n: int, theta: float, rng) -> np.ndarray:
     """Positions of ones in (xi_1, ..., xi_n) sampled by gap skipping."""
     return np.asarray([1, *_ones_after(1, n, theta, rng)], dtype=np.int64)
+
+
+class _Uniforms:
+    """One trial's uniforms, read from its generator ``block`` at a time.
+
+    ``random()`` and ``take(m)`` return, in order, exactly what the
+    generator's ``random()`` and ``random(m)`` would: numpy's ``random(m)``
+    is m single draws.  Only the generator's own position runs ahead of the
+    values handed out, by at most block - 1; with block = 1 it reads nothing
+    ahead, for callers that keep drawing from the generator afterwards.
+    """
+
+    __slots__ = ("_rng", "_block", "_values", "_next")
+
+    def __init__(self, rng: np.random.Generator, block: int = _BLOCK):
+        self._rng, self._block = rng, block
+        self._values, self._next = [], 0
+
+    def random(self) -> float:
+        if self._next == len(self._values):
+            if self._block == 1:
+                return self._rng.random()
+            self._values, self._next = self._rng.random(self._block).tolist(), 0
+        self._next += 1
+        return self._values[self._next - 1]
+
+    def take(self, m: int) -> np.ndarray:
+        """The next m uniforms, as an array."""
+        rest = self._values[self._next : self._next + m]
+        self._next += len(rest)
+        if not rest:
+            return self._rng.random(m)
+        if len(rest) == m:
+            return np.array(rest, dtype=np.float64)
+        return np.concatenate([rest, self._rng.random(m - len(rest))])
 
 
 def _dense_thresholds(n: int, theta: float) -> np.ndarray:
@@ -337,7 +398,7 @@ def _dense_thresholds(n: int, theta: float) -> np.ndarray:
 
 
 def _ones_positions(
-    n: int, theta: float, rng: np.random.Generator, thresholds: Optional[np.ndarray] = None
+    n: int, theta: float, source: _Uniforms, thresholds: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Positions of ones among the first n bits.
 
@@ -346,8 +407,8 @@ def _ones_positions(
     Callers drawing many words of one size pass the dense ``thresholds``.
     """
     if n > _SPARSE_THRESHOLD:
-        return _ones_positions_sparse(n, theta, rng)
-    hits = rng.random(n) < (_dense_thresholds(n, theta) if thresholds is None else thresholds)
+        return _ones_positions_sparse(n, theta, source)
+    hits = source.take(n) < (_dense_thresholds(n, theta) if thresholds is None else thresholds)
     hits[0] = True
     return hits.nonzero()[0] + 1
 
@@ -376,24 +437,29 @@ def _sorted_lengths(n: int, ones: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 
 def draw_batch(
-    n: int, theta: float, rngs: Iterable[np.random.Generator], phases: bool = False,
+    n: int, theta: float, rngs: Iterable[np.random.Generator | _Uniforms], phases: bool = False,
     horizon: Optional[int] = None,
 ) -> TrialBatch:
     """One trial per generator: draw the word, then, if ``phases``, one
     uniform phase per cycle, or, given a ``horizon``, the coupled word's ones
     in (n, horizon].  Only these draws run per trial; lengths, their sort
     and the coupled spacings are computed for the whole batch at once.
+
+    A trial reads its generator through a ``_Uniforms`` source, in blocks,
+    so the generator ends up to 63 uniforms past the trial's last draw; a
+    ``_Uniforms(rng, block=1)`` given in its place reads nothing ahead.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     thresholds = _dense_thresholds(n, theta) if n <= _SPARSE_THRESHOLD else None
     words, phase_draws, tails = [], [], []
     for rng in rngs:
-        words.append(_ones_positions(n, theta, rng, thresholds))
+        source = rng if isinstance(rng, _Uniforms) else _Uniforms(rng)
+        words.append(_ones_positions(n, theta, source, thresholds))
         if phases:
-            phase_draws.append(rng.random(len(words[-1])))
+            phase_draws.append(source.take(len(words[-1])))
         if horizon is not None:
-            tails.append(np.asarray(_ones_after(n, horizon, theta, rng), dtype=np.int64))
+            tails.append(np.asarray(_ones_after(n, horizon, theta, source), dtype=np.int64))
     starts = _starts([len(w) for w in words])
     lengths = _sorted_lengths(n, np.concatenate(words), starts)
     batch = TrialBatch(n, lengths, np.concatenate(phase_draws) if phases else None, starts)
@@ -414,8 +480,9 @@ def draw_batch(
 def sample_cycle_counts(
     n: int, params: EwensParams, rng: np.random.Generator
 ) -> CycleCounts:
-    """Draw the cycle type of an Ewens(theta) n-permutation."""
-    return draw_batch(n, params.theta, [rng]).cycle_counts(0)
+    """Draw the cycle type of an Ewens(theta) n-permutation; ``rng`` is left
+    just past the uniforms the draw used."""
+    return draw_batch(n, params.theta, [_Uniforms(rng, block=1)]).cycle_counts(0)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +543,7 @@ def sample_coupled(
     if not 0 < epsilon_tail < math.inf:
         raise ValueError(f"epsilon_tail must be positive and finite, got {epsilon_tail}")
     horizon, tail_bound = coupling_horizon(n, params.theta, epsilon_tail)
-    batch = draw_batch(n, params.theta, [rng], horizon=horizon)
+    batch = draw_batch(n, params.theta, [_Uniforms(rng, block=1)], horizon=horizon)
     return CoupledSample(
         cycle_counts=batch.cycle_counts(0),
         poisson_counts=np.bincount(batch.spacings, minlength=n + 1)[1:],

@@ -45,6 +45,7 @@ from .spacings import max_lcms, mod_gap_extremes
 from .spectral import (
     Arc,
     _perm_mean,
+    check_endpoint_size,
     count_arcs_mod,
     count_arcs_perm,
     exact_moments_mod,
@@ -338,6 +339,8 @@ def run_mesoscopic(config: ExperimentConfig, jobs: int = 1) -> MesoscopicResult:
         if n < 1 or n * float(n) ** (-config.gamma) <= 1:
             raise ValueError(f"n * delta must exceed 1 for a mesoscopic window, got n={n}")
         check_table_size(n)  # every row computes an exact mean or variance
+        if config.model == "perm":  # the exact mean's {j alpha}
+            check_endpoint_size(n, _meso_endpoint(config.meso_alpha))
     theta, model = config.theta, config.model
     alpha_endpoint = _meso_endpoint(config.meso_alpha)
     if isinstance(alpha_endpoint, Fraction):
@@ -498,7 +501,7 @@ def run_spacings(
             f"need a size, theta > 0 and trials >= 1, got {n_schedule}, {theta}, {trials}"
         )
     for n in n_schedule:  # before any sampling: a third of trials sort all n angles
-        check_table_size(n)
+        check_table_size(n, "the sorted angles of a trial (32-48 bytes per element)")
     rows = []
     for idx, n in enumerate(n_schedule):
         data = _run_trials(

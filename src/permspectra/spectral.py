@@ -39,6 +39,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from . import cesaro
 from .cesaro import check_table_size, psi_values
 from .ewens import CycleCounts, TrialBatch
 
@@ -122,12 +123,33 @@ class CountMoments:
 # ---------------------------------------------------------------------------
 
 
+#: bytes per element of a Python-integer array of products j p, against the
+#: 24 per element of the int64 exact moments that TABLE_SIZE_LIMIT is set for
+_OBJECT_BYTES_PER_ELEMENT = 92
+
+
+def check_endpoint_size(n: int, *endpoints: Endpoint) -> None:
+    """Refuse, before any array of length n is built, an n at which a
+    rational endpoint takes the Python-integer products of
+    ``_fraction_terms`` (n q >= 2**62) and n exceeds TABLE_SIZE_LIMIT scaled
+    to their size, so that they stay within the limit's memory."""
+    limit = cesaro.TABLE_SIZE_LIMIT * 24 // _OBJECT_BYTES_PER_ELEMENT
+    for x in endpoints:
+        if isinstance(x, Fraction) and n > limit and n * x.denominator >= 2**62:
+            raise ValueError(
+                f"n = {n} exceeds the size limit {limit} of exact arithmetic on the rational "
+                f"{x}: its denominator {x.denominator} times n reaches 2**62, which takes "
+                f"Python-integer arrays (about {_OBJECT_BYTES_PER_ELEMENT} bytes per element)"
+            )
+
+
 def _fraction_terms(x: Fraction, j: np.ndarray) -> tuple[np.ndarray, int, int]:
     """(j p, q, w) for x = w + p/q with 0 <= p < q, so that exactly
     floor(j x) = j w + (j p) // q and {j x} = ((j p) mod q) / q.
 
     The products are int64 while max(j) * q < 2**62 and Python integers
-    (an object array) beyond, where int64 would wrap silently.
+    (an object array) beyond, where int64 would wrap silently; callers at
+    size n refuse the sizes that would not fit first (``check_endpoint_size``).
     """
     q = x.denominator
     whole, p = divmod(x.numerator, q)
@@ -219,6 +241,7 @@ def _perm_mean(n: int, theta: float, arc: Arc) -> float:
     """Exact mean n (beta - alpha) - theta sum_j P_j omega_j / j of the
     permutation-matrix count, omega_j = {j beta} - {j alpha}; O(n)."""
     check_table_size(n)
+    check_endpoint_size(n, arc.alpha, arc.beta)
     # in place, psi table last: three arrays of n at most
     weighted = frac_parts(arc.beta, n)
     weighted -= frac_parts(arc.alpha, n)
@@ -269,6 +292,7 @@ def exact_covariance_perm(
     """
     if n > cap:
         raise ValueError(f"n = {n} exceeds the O(n^2) cap {cap}")
+    check_endpoint_size(n, arc1.alpha, arc1.beta, arc2.alpha, arc2.beta)
     values = psi_values(n, theta)
     j = np.arange(1, n + 1, dtype=np.float64)
     w1 = frac_parts(arc1.beta, n) - frac_parts(arc1.alpha, n)
@@ -304,6 +328,7 @@ def exact_covariance_mod(n: int, theta: float, arc1: Arc, arc2: Arc) -> float:
         f *= 1.0 - f
         return f
 
+    check_endpoint_size(n, *(x for x, w in weights.items() if w))
     values = psi_values(n, theta)
     values /= np.arange(1, n + 1, dtype=np.float64)
     return theta * sum(w * float(values @ h(x)) for x, w in weights.items() if w)

@@ -215,11 +215,40 @@ class TestCliContract:
             raise AssertionError("sampled before the size check")
 
         monkeypatch.setattr("permspectra.experiments.draw_batch", no_draws)
-        code, out, err = run_cli(capsys, "spacings", "--n-list", "1000,1000000000",
-                                 "--seed", "1")
-        assert (code, out) == (1, "")
-        assert err.startswith("error: n = 1000000000 exceeds the size limit")
-        assert len(err.splitlines()) == 1
+        message = ("n = 1000000000 exceeds the size limit 40000000 of the sorted angles "
+                   "of a trial (32-48 bytes per element)")
+        assert run_cli(capsys, "spacings", "--n-list", "1000,1000000000", "--seed", "1") == (
+            1, "", f"error: {message}\n"
+        )
+
+    @pytest.mark.parametrize("argv, rational", [
+        (["exact-moments", "--n", "6000", "--alpha", f"rat:1/{2**60}", "--beta", "rat:1/4",
+          "--model", "mod"], f"{2**58 - 1}/{2**60}"),  # the width beta - alpha
+        (["mesoscopic", "--n-list", "1000,6000", "--alpha", f"rat:1/{2**60}", "--model", "perm",
+          "--seed", "1"], f"1/{2**60}"),
+    ])
+    def test_huge_denominator_beyond_its_share_of_the_limit_refused(self, capsys, monkeypatch,
+                                                                     argv, rational):
+        # n q >= 2**62 takes Python-integer products at ~92 bytes per element,
+        # so such n is capped at the limit times 24/92 (20000 -> 5217 here)
+        def no_draws(*args, **kwargs):
+            raise AssertionError("sampled before the size check")
+
+        monkeypatch.setattr("permspectra.cesaro.TABLE_SIZE_LIMIT", 20_000)
+        monkeypatch.setattr("permspectra.experiments.draw_batch", no_draws)
+        message = (f"n = 6000 exceeds the size limit 5217 of exact arithmetic on the rational "
+                   f"{rational}: its denominator {rational.split('/')[1]} times n reaches "
+                   "2**62, which takes Python-integer arrays (about 92 bytes per element)")
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("n, alpha", [("5217", f"rat:1/{2**60}"), ("6000", f"rat:1/{2**40}"),
+                                          ("6000", "0.25")])
+    def test_endpoint_size_check_spares_the_int64_path_and_small_n(self, capsys, monkeypatch,
+                                                                     n, alpha):
+        monkeypatch.setattr("permspectra.cesaro.TABLE_SIZE_LIMIT", 20_000)
+        out = run_json(capsys, "exact-moments", "--n", n, "--alpha", alpha, "--beta", "0.75",
+                       "--model", "mod")
+        assert out["results"]["variance"] > 0
 
     def test_import_leaves_heavy_scipy_modules_unloaded(self):
         # scipy.special alone was most of a CLI call's start-up; the functions

@@ -27,7 +27,18 @@ from permspectra import (
     sample_cycle_counts,
     trial_rng,
 )
-from permspectra.ewens import _log_gap_survival, _next_one_position, _ones_positions_sparse
+from permspectra import ewens
+from permspectra.ewens import (
+    _BLOCK,
+    _SPARSE_THRESHOLD,
+    _Uniforms,
+    _dense_thresholds,
+    _log_gap_survival,
+    _next_one_position,
+    _ones_after,
+    _ones_positions_sparse,
+    draw_batch,
+)
 
 
 def word_from_bits(bits) -> BernoulliWord:
@@ -242,6 +253,141 @@ class TestGapInversion:
             if limit > k:
                 twin.random()
             assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def count_survival_evaluations(monkeypatch) -> dict:
+    """Count draws (calls that read a uniform) and top-level survival evaluations."""
+    counts, depth = {"draws": 0, "evals": 0}, [0]
+    evaluate, step = ewens._log_gap_survival, ewens._next_one_position
+
+    def counted_evaluate(*args):
+        counts["evals"] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return evaluate(*args)
+        finally:
+            depth[0] -= 1
+
+    def counted_step(k, limit, *args):
+        counts["draws"] += limit > k
+        return step(k, limit, *args)
+
+    monkeypatch.setattr(ewens, "_log_gap_survival", counted_evaluate)
+    monkeypatch.setattr(ewens, "_next_one_position", counted_step)
+    return counts
+
+
+def sparse_mix():
+    """Words at n = 10^6 and coupled tails from 1000 to 2^20, several theta."""
+    return [
+        _ones_after(start, limit, theta, np.random.default_rng(seed))
+        for seed, (theta, start, limit) in enumerate(
+            [(theta, start, limit) for theta in (0.3, 0.5, 1.0, 2.0, 7.0, 50.0)
+             for start, limit in ((1, 10**6), (1000, 2**20))] * 10
+        )
+    ]
+
+
+class TestNeighbourCertificate:
+    def test_one_evaluation_per_draw(self, monkeypatch):
+        counts = count_survival_evaluations(monkeypatch)
+        sparse_mix()
+        assert counts["draws"] > 1000
+        assert counts["evals"] <= 1.05 * counts["draws"]
+
+    def test_positions_unchanged_when_no_certificate_holds(self, monkeypatch):
+        # an infinite slack fails every certificate, so every draw takes the
+        # galloping search; the positions must be the certified ones
+        certified = sparse_mix()
+        counts = count_survival_evaluations(monkeypatch)
+        monkeypatch.setattr(ewens, "_CERTIFICATE_SLACK", math.inf)
+        searched = sparse_mix()
+        assert searched == certified
+        assert counts["evals"] > 1.5 * counts["draws"]
+
+
+class TestUniformSource:
+    def test_single_draws_across_block_boundaries(self):
+        source, twin = _Uniforms(np.random.default_rng(11)), np.random.default_rng(11)
+        got = [source.random() for _ in range(3 * _BLOCK + 5)]
+        assert got == [twin.random() for _ in range(3 * _BLOCK + 5)]
+
+    @pytest.mark.parametrize("used, m", [(0, 5), (10, 7), (10, 54), (10, 200), (_BLOCK, 3),
+                                         (63, 0), (0, 0)])
+    def test_take_after_partial_consumption(self, used, m):
+        source, twin = _Uniforms(np.random.default_rng(12)), np.random.default_rng(12)
+        head = [source.random() for _ in range(used)]
+        taken = source.take(m)
+        after = source.random()
+        assert head == [twin.random() for _ in range(used)]
+        assert taken.dtype == np.float64 and taken.tolist() == twin.random(m).tolist()
+        assert after == twin.random()
+
+    def test_unbuffered_source_leaves_the_generator_in_step(self):
+        rng, twin = np.random.default_rng(13), np.random.default_rng(13)
+        source = _Uniforms(rng, block=1)
+        assert [source.random(), *source.take(4).tolist(), source.random()] == (
+            [twin.random(), *twin.random(4).tolist(), twin.random()]
+        )
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def reference_trial(n, theta, rng, phases, horizon):
+    """One trial from a raw generator, one uniform per draw: the word, then
+    its phases, then the coupled tail."""
+    if n > _SPARSE_THRESHOLD:
+        ones = _ones_positions_sparse(n, theta, rng)
+    else:
+        hits = rng.random(n) < _dense_thresholds(n, theta)
+        hits[0] = True
+        ones = np.flatnonzero(hits) + 1
+    phase = rng.random(len(ones)) if phases else None
+    tail = _ones_after(n, horizon, theta, rng) if horizon else []
+    return ones, phase, tail
+
+
+def cycle_lengths(ones, n):
+    return sorted(np.diff(np.append(ones, n + 1)).tolist())
+
+
+class TestBatchStream:
+    @pytest.mark.parametrize("theta", [0.5, 2.0])
+    def test_sparse_phases_follow_the_raw_stream(self, theta):
+        n, trials = _SPARSE_THRESHOLD + 1000, 12
+        batch = draw_batch(n, theta, (trial_rng(21, t) for t in range(trials)), phases=True)
+        for t in range(trials):
+            ones, phase, _ = reference_trial(n, theta, trial_rng(21, t), True, None)
+            lo, hi = batch.starts[t], batch.starts[t + 1]
+            assert batch.lengths[lo:hi].tolist() == cycle_lengths(ones, n)
+            assert batch.phases[lo:hi].tolist() == phase.tolist()
+
+    @pytest.mark.parametrize("n", [1000, _SPARSE_THRESHOLD + 1000])
+    @pytest.mark.parametrize("theta", [0.5, 2.0])
+    def test_coupled_tails_follow_the_raw_stream(self, n, theta):
+        horizon, trials = 16 * n, 12
+        batch = draw_batch(n, theta, (trial_rng(22, t) for t in range(trials)), horizon=horizon)
+        spacings, owner = [], []
+        for t in range(trials):
+            ones, _, tail = reference_trial(n, theta, trial_rng(22, t), False, horizon)
+            gaps = np.diff(np.append(ones, tail))
+            spacings += gaps[gaps <= n].tolist()
+            owner += [t] * int((gaps <= n).sum())
+            lo, hi = batch.starts[t], batch.starts[t + 1]
+            assert batch.lengths[lo:hi].tolist() == cycle_lengths(ones, n)
+        assert batch.spacings.tolist() == spacings
+        assert batch.spacing_trial.tolist() == owner
+
+    @pytest.mark.parametrize("n", [1000, _SPARSE_THRESHOLD + 1000])
+    def test_single_trial_samplers_leave_the_generator_in_step(self, n):
+        # sample_cycle_counts and sample_coupled read no uniform ahead, so a
+        # caller's next draw is the one after the trial's last
+        rng, twin = np.random.default_rng(23), np.random.default_rng(23)
+        sample_cycle_counts(n, EwensParams(1.5), rng)
+        reference_trial(n, 1.5, twin, False, None)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        coupled = sample_coupled(n, EwensParams(1.5), rng, epsilon_tail=0.5)
+        reference_trial(n, 1.5, twin, False, coupled.horizon)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestCycleTypeProbability:
