@@ -33,9 +33,9 @@ function, so the position is the search's by construction.
 A cycle type is held as its sorted cycle lengths (``CycleCounts``).
 ``draw_batch`` draws many trials in order and returns their lengths
 concatenated (``TrialBatch``), the form the Monte Carlo drivers compute on.
-It reads each trial's generator through one ``_Uniforms`` source, 64
-uniforms at a time: the same stream as single draws, since numpy's
-``random(m)`` is m single draws in order.
+A trial with scalar draws (a sparse word or a coupled tail) reads its
+generator through one ``_Uniforms``, 64 uniforms at a time: the same
+stream as single draws, since numpy's ``random(m)`` is m single draws.
 """
 
 from __future__ import annotations
@@ -357,13 +357,13 @@ def _ones_positions_sparse(n: int, theta: float, rng) -> np.ndarray:
 
 
 class _Uniforms:
-    """One trial's uniforms, read from its generator ``block`` at a time.
+    """A generator's ``random``, read from it ``block`` uniforms at a time.
 
-    ``random()`` and ``take(m)`` return, in order, exactly what the
-    generator's ``random()`` and ``random(m)`` would: numpy's ``random(m)``
-    is m single draws.  Only the generator's own position runs ahead of the
-    values handed out, by at most block - 1; with block = 1 it reads nothing
-    ahead, for callers that keep drawing from the generator afterwards.
+    ``random()`` and ``random(m)`` return, in order, exactly what the
+    generator's own would: numpy's ``random(m)`` is m single draws.  Only
+    the generator's position runs ahead of the values handed out, by at most
+    block - 1; with block = 1 it reads nothing ahead, for callers that keep
+    drawing from the generator afterwards.
     """
 
     __slots__ = ("_rng", "_block", "_values", "_next")
@@ -372,7 +372,9 @@ class _Uniforms:
         self._rng, self._block = rng, block
         self._values, self._next = [], 0
 
-    def random(self) -> float:
+    def random(self, size: Optional[int] = None):
+        if size is not None:
+            return self._take(size)
         if self._next == len(self._values):
             if self._block == 1:
                 return self._rng.random()
@@ -380,8 +382,7 @@ class _Uniforms:
         self._next += 1
         return self._values[self._next - 1]
 
-    def take(self, m: int) -> np.ndarray:
-        """The next m uniforms, as an array."""
+    def _take(self, m: int) -> np.ndarray:
         rest = self._values[self._next : self._next + m]
         self._next += len(rest)
         if not rest:
@@ -398,7 +399,7 @@ def _dense_thresholds(n: int, theta: float) -> np.ndarray:
 
 
 def _ones_positions(
-    n: int, theta: float, source: _Uniforms, thresholds: Optional[np.ndarray] = None
+    n: int, theta: float, rng, thresholds: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Positions of ones among the first n bits.
 
@@ -407,8 +408,8 @@ def _ones_positions(
     Callers drawing many words of one size pass the dense ``thresholds``.
     """
     if n > _SPARSE_THRESHOLD:
-        return _ones_positions_sparse(n, theta, source)
-    hits = source.take(n) < (_dense_thresholds(n, theta) if thresholds is None else thresholds)
+        return _ones_positions_sparse(n, theta, rng)
+    hits = rng.random(n) < (_dense_thresholds(n, theta) if thresholds is None else thresholds)
     hits[0] = True
     return hits.nonzero()[0] + 1
 
@@ -445,21 +446,24 @@ def draw_batch(
     in (n, horizon].  Only these draws run per trial; lengths, their sort
     and the coupled spacings are computed for the whole batch at once.
 
-    A trial reads its generator through a ``_Uniforms`` source, in blocks,
-    so the generator ends up to 63 uniforms past the trial's last draw; a
-    ``_Uniforms(rng, block=1)`` given in its place reads nothing ahead.
+    A trial that makes scalar draws (a sparse word or a coupled tail) reads
+    its generator through a ``_Uniforms``, in blocks, so the generator ends
+    up to 63 uniforms past the trial's last draw; a ``_Uniforms(rng,
+    block=1)`` given in its place reads nothing ahead.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     thresholds = _dense_thresholds(n, theta) if n <= _SPARSE_THRESHOLD else None
+    buffered = n > _SPARSE_THRESHOLD or horizon is not None
     words, phase_draws, tails = [], [], []
     for rng in rngs:
-        source = rng if isinstance(rng, _Uniforms) else _Uniforms(rng)
-        words.append(_ones_positions(n, theta, source, thresholds))
+        if buffered and not isinstance(rng, _Uniforms):
+            rng = _Uniforms(rng)
+        words.append(_ones_positions(n, theta, rng, thresholds))
         if phases:
-            phase_draws.append(source.take(len(words[-1])))
+            phase_draws.append(rng.random(len(words[-1])))
         if horizon is not None:
-            tails.append(np.asarray(_ones_after(n, horizon, theta, source), dtype=np.int64))
+            tails.append(np.asarray(_ones_after(n, horizon, theta, rng), dtype=np.int64))
     starts = _starts([len(w) for w in words])
     lengths = _sorted_lengths(n, np.concatenate(words), starts)
     batch = TrialBatch(n, lengths, np.concatenate(phase_draws) if phases else None, starts)

@@ -335,14 +335,14 @@ def run_mesoscopic(config: ExperimentConfig, jobs: int = 1) -> MesoscopicResult:
     """
     if not config.n_schedule or config.gamma is None:
         raise ValueError("run_mesoscopic needs n_schedule and gamma")
+    theta, model = config.theta, config.model
+    alpha_endpoint = _meso_endpoint(config.meso_alpha)
     for n in config.n_schedule:  # before any sampling
         if n < 1 or n * float(n) ** (-config.gamma) <= 1:
             raise ValueError(f"n * delta must exceed 1 for a mesoscopic window, got n={n}")
         check_table_size(n)  # every row computes an exact mean or variance
-        if config.model == "perm":  # the exact mean's {j alpha}
-            check_endpoint_size(n, _meso_endpoint(config.meso_alpha))
-    theta, model = config.theta, config.model
-    alpha_endpoint = _meso_endpoint(config.meso_alpha)
+        if model == "perm":  # the exact mean's {j alpha}
+            check_endpoint_size(n, alpha_endpoint)
     if isinstance(alpha_endpoint, Fraction):
         constant = c2_meso(alpha_endpoint) if model == "perm" else 1.0 / 6.0
     else:

@@ -314,10 +314,11 @@ class TestUniformSource:
 
     @pytest.mark.parametrize("used, m", [(0, 5), (10, 7), (10, 54), (10, 200), (_BLOCK, 3),
                                          (63, 0), (0, 0)])
-    def test_take_after_partial_consumption(self, used, m):
+    def test_array_draw_after_partial_consumption(self, used, m):
+        # a trial's phases follow its sparse word from the same block
         source, twin = _Uniforms(np.random.default_rng(12)), np.random.default_rng(12)
         head = [source.random() for _ in range(used)]
-        taken = source.take(m)
+        taken = source.random(m)
         after = source.random()
         assert head == [twin.random() for _ in range(used)]
         assert taken.dtype == np.float64 and taken.tolist() == twin.random(m).tolist()
@@ -326,7 +327,7 @@ class TestUniformSource:
     def test_unbuffered_source_leaves_the_generator_in_step(self):
         rng, twin = np.random.default_rng(13), np.random.default_rng(13)
         source = _Uniforms(rng, block=1)
-        assert [source.random(), *source.take(4).tolist(), source.random()] == (
+        assert [source.random(), *source.random(4).tolist(), source.random()] == (
             [twin.random(), *twin.random(4).tolist(), twin.random()]
         )
         assert rng.bit_generator.state == twin.bit_generator.state
