@@ -51,8 +51,62 @@ TABLE_SIZE_LIMIT = 40_000_000
 
 
 def _check_theta(theta: float) -> None:
-    if not theta > 0:
-        raise ValueError(f"theta must be positive, got {theta}")
+    if not 0 < theta < math.inf:
+        raise ValueError(f"theta must be positive and finite, got {theta}")
+
+
+# coefficients of the cephes log-gamma that scipy.special.gammaln evaluates
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
+_LGAM_C = (-3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+
+
+def _horner(x, coefficients, leading):
+    for c in coefficients:
+        leading = leading * x + c
+    return leading
+
+
+def _gammaln_small(x: float) -> float:
+    """cephes log-gamma for 0 < x < 13: shift x into [2, 3), then a rational form."""
+    z, p, u = 1.0, 0.0, x
+    while u >= 3.0:
+        p -= 1.0
+        u = x + p
+        z *= u
+    while u < 2.0:
+        z /= u
+        p += 1.0
+        u = x + p
+    if u == 2.0:
+        return math.log(z)
+    x += p - 2.0
+    return math.log(z) + x * _horner(x, _LGAM_B[1:], _LGAM_B[0]) / _horner(x, _LGAM_C, 1.0)
+
+
+def _gammaln(x: np.ndarray) -> np.ndarray:
+    """scipy.special.gammaln for x > 0, bit for bit: the same cephes algorithm
+    in the same order of operations, with the C library's log (math.log).
+    Importing scipy.special takes about 0.25 s, most of an identities call."""
+    out = np.empty_like(x)
+    small = x < 13.0
+    out[small] = [_gammaln_small(v) for v in x[small].tolist()]
+    big = x[~small]
+    log = np.fromiter(map(math.log, big.tolist()), np.float64, len(big))
+    q = (big - 0.5) * log - big + _LS2PI  # Stirling, then its 1/x series below
+    p = 1.0 / (big * big)
+    series = np.where(
+        big >= 1000.0,
+        (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+        + 0.0833333333333333333333,
+        _horner(p, _LGAM_A[1:], _LGAM_A[0]),
+    )
+    out[~small] = np.where(big > 1e8, q, q + series / big)
+    return out
 
 
 def check_table_size(
@@ -108,25 +162,27 @@ def verify_harmonic_identity(n: int, theta: float) -> tuple[float, float]:
 
 def _quadratic_double_sum(n: int, theta: float, absolute: bool) -> float:
     """sum over 1 <= j,k <= n of (psi(j)psi(k) - psi(j+k) [j+k<=n]) / (jk),
-    optionally with absolute values taken termwise.  Chunked O(n^2)."""
+    optionally with absolute values taken termwise.  Chunked O(n^2): the
+    psi(j+k) of row j is the window from j of psi padded with n+1 zeros."""
     values = psi_values(n, theta)
     j = np.arange(1, n + 1, dtype=np.float64)
     u = values / j
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((values, np.zeros(n + 1))), n
+    )
     partials = []
     block = 256
+    prod_buf, cross_buf = np.empty((2, min(block, n), n))
     for start in range(0, n, block):
         stop = min(start + block, n)
-        rows = np.arange(start + 1, stop + 1)  # j values in this block
-        prod = np.outer(u[start:stop], u)
-        m = rows[:, None] + np.arange(1, n + 1)[None, :]
-        cross = np.zeros_like(prod)
-        inside = m <= n
-        cross[inside] = values[m[inside] - 1]
-        cross /= rows[:, None] * j[None, :]
-        terms = prod - cross
+        prod, cross = prod_buf[: stop - start], cross_buf[: stop - start]
+        np.multiply(u[start:stop, None], u, out=prod)
+        np.multiply(j[start:stop, None], j, out=cross)
+        np.divide(windows[start + 1 : stop + 1], cross, out=cross)
+        np.subtract(prod, cross, out=prod)
         if absolute:
-            np.abs(terms, out=terms)
-        partials.append(float(terms.sum()))
+            np.abs(prod, out=prod)
+        partials.append(float(prod.sum()))
     return math.fsum(partials)
 
 
@@ -152,11 +208,10 @@ def verify_telescoping(n: int, j: int, theta: float) -> tuple[float, float]:
     _check_theta(theta)
     if not 1 <= j <= n - 1:
         raise ValueError(f"j must lie in [1, n-1] = [1, {n - 1}], got {j}")
-    from scipy.special import gammaln  # here, not at import: it is most of a CLI call's start-up
-
     p = np.arange(j, n, dtype=np.float64)
-    log_num = gammaln(p - j + theta) - gammaln(theta) - gammaln(p - j + 1)
-    log_den = gammaln(p + theta + 1) - gammaln(theta + 1) - gammaln(p + 1)
+    gammaln_theta, gammaln_theta1 = _gammaln(np.array([theta, theta + 1.0]))
+    log_num = _gammaln(p - j + theta) - gammaln_theta - _gammaln(p - j + 1)
+    log_den = _gammaln(p + theta + 1) - gammaln_theta1 - _gammaln(p + 1)
     lhs = math.fsum((np.exp(log_num - log_den) / p).tolist())
     rhs = psi(n, j, theta) * (1.0 / j - 1.0 / n)
     return lhs, rhs

@@ -365,35 +365,29 @@ def _master_seed(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="permspectra",
-        description="Eigenvalue counting statistics for random permutation matrices",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_common(p, stochastic: bool) -> None:
+    p.add_argument("--theta", type=float, default=1.0)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    if stochastic:
+        p.add_argument("--seed", type=_master_seed, required=True,
+                       help="master seed (required; no silent time seeding)")
+        p.add_argument("--trials", type=int, default=2000)
+        p.add_argument("--jobs", type=int, default=1)
 
-    def common(p, stochastic: bool):
-        p.add_argument("--theta", type=float, default=1.0)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        if stochastic:
-            p.add_argument("--seed", type=_master_seed, required=True,
-                           help="master seed (required; no silent time seeding)")
-            p.add_argument("--trials", type=int, default=2000)
-            p.add_argument("--jobs", type=int, default=1)
 
-    p = sub.add_parser("sample", help="draw cycle structures (and phases)")
+def _args_sample(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--model", choices=("perm", "mod"), default="perm")
-    common(p, stochastic=True)
 
-    p = sub.add_parser("exact-moments", help="exact finite-n count moments for one arc")
+
+def _args_exact_moments(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--model", choices=("perm", "mod"), default="perm")
-    common(p, stochastic=False)
 
-    p = sub.add_parser("constants", help="closed-form limit constants")
+
+def _args_constants(p):
     p.add_argument("--case", required=True, choices=(
         "both-irrational-independent", "rational-alpha", "rational-beta",
         "both-rational", "affine",
@@ -405,58 +399,87 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--alpha")
     p.add_argument("--beta")
-    common(p, stochastic=False)
 
-    p = sub.add_parser("identities", help="Cesàro-weight identity suite")
+
+def _args_identities(p):
     p.add_argument("--n", type=int, default=500)
-    common(p, stochastic=False)
 
-    p = sub.add_parser("clt", help="fixed-arc normality experiment")
+
+def _args_clt(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--arcs", required=True, help="'a1,b1;a2,b2' endpoint tokens")
     p.add_argument("--model", choices=("perm", "mod"), default="mod")
-    common(p, stochastic=True)
 
-    p = sub.add_parser("mesoscopic", help="shrinking-arc variance and normality")
+
+def _args_mesoscopic(p):
     p.add_argument("--n-list", type=_int_list, required=True)
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--alpha", help="rat:p/q or irr:name anchor (default rat:0/1)")
     p.add_argument("--model", choices=("perm", "mod"), default="mod")
-    common(p, stochastic=True)
 
-    p = sub.add_parser("spacings", help="extremal spacing quantiles across sizes")
+
+def _args_spacings(p):
     p.add_argument("--n-list", type=_int_list, required=True)
-    common(p, stochastic=True)
 
-    p = sub.add_parser("coupling-check", help="Feller coupling distance vs bound")
+
+def _args_coupling_check(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--epsilon-tail", type=float, default=1e-3)
-    common(p, stochastic=True)
-
-    return parser
 
 
-_HANDLERS = {
-    "sample": _cmd_sample,
-    "exact-moments": _cmd_exact_moments,
-    "constants": _cmd_constants,
-    "identities": _cmd_identities,
-    "clt": _cmd_clt,
-    "mesoscopic": _cmd_mesoscopic,
-    "spacings": _cmd_spacings,
-    "coupling-check": _cmd_coupling_check,
+#: name -> (help, argument adder, stochastic, handler)
+_COMMANDS = {
+    "sample": ("draw cycle structures (and phases)", _args_sample, True, _cmd_sample),
+    "exact-moments": ("exact finite-n count moments for one arc", _args_exact_moments, False,
+                      _cmd_exact_moments),
+    "constants": ("closed-form limit constants", _args_constants, False, _cmd_constants),
+    "identities": ("Cesàro-weight identity suite", _args_identities, False, _cmd_identities),
+    "clt": ("fixed-arc normality experiment", _args_clt, True, _cmd_clt),
+    "mesoscopic": ("shrinking-arc variance and normality", _args_mesoscopic, True,
+                   _cmd_mesoscopic),
+    "spacings": ("extremal spacing quantiles across sizes", _args_spacings, True,
+                 _cmd_spacings),
+    "coupling-check": ("Feller coupling distance vs bound", _args_coupling_check, True,
+                       _cmd_coupling_check),
 }
 
 
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The CLI's parser; without ``argv`` every subcommand is complete.
+
+    Given ``argv``, only the subcommand named by its first token gets its
+    arguments: building all eight costs about 2 ms, more than most
+    exact-moments calls compute.  If that token names no command (an
+    option, a typo, nothing), the eight are added bare, so that the help and
+    the invalid-choice error still list them all.
+    """
+    parser = argparse.ArgumentParser(
+        prog="permspectra",
+        description="Eigenvalue counting statistics for random permutation matrices",
+    )
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    # a parser holding one subcommand would list only that one in its usage line
+    metavar = "{" + ",".join(_COMMANDS) + "}" if named else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, add_arguments, stochastic, _) in _COMMANDS.items():
+        if named in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            if argv is None or named:
+                add_arguments(p)
+                _add_common(p, stochastic)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     config_echo = dict(sorted(vars(args).items()))
     start = time.monotonic()
     try:
         if getattr(args, "jobs", 1) < 1:
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-        results, csv_rows = _HANDLERS[args.command](args)
+        results, csv_rows = _COMMANDS[args.command][3](args)
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -75,8 +75,8 @@ class EwensParams:
     theta: float
 
     def __post_init__(self):
-        if not self.theta > 0:
-            raise ValueError(f"theta must be positive, got {self.theta}")
+        if not 0 < self.theta < math.inf:
+            raise ValueError(f"theta must be positive and finite, got {self.theta}")
 
 
 class CycleCounts:

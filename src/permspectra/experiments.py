@@ -170,8 +170,8 @@ class ExperimentConfig:
     meso_alpha: Union[Fraction, DeclaredIrrational, None] = None
 
     def __post_init__(self):
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
+        if not 0 < self.theta < math.inf:
+            raise ValueError(f"theta must be positive and finite, got {self.theta}")
         if self.trials < 2:
             raise ValueError("need at least 2 trials")
         if self.model not in ("perm", "mod"):

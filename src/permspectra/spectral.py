@@ -167,8 +167,16 @@ def _floor_multiples(x: Endpoint, j: np.ndarray) -> np.ndarray:
 
 
 def frac_parts(x: Endpoint, n: int, start: int = 1) -> np.ndarray:
-    """Array of fractional parts {j x} for j = start..n, exact for Fractions."""
+    """Array of fractional parts {j x} for j = start..n, exact for Fractions.
+
+    For x = w + p/q, {j x} = ((j p) mod q) / q has period q in j, so a run
+    of at least two periods is one period from ``start``, tiled.
+    """
     if isinstance(x, Fraction):
+        length = n - start + 1
+        q = x.denominator
+        if 2 * q <= length:
+            return np.tile(frac_parts(x, start + q - 1, start), -(-length // q))[:length]
         prod, q, _ = _fraction_terms(x, np.arange(start, n + 1, dtype=np.int64))
         prod %= q  # in place: keeps the peak at two arrays of n
         return np.asarray(prod / float(q), dtype=np.float64)
@@ -256,11 +264,12 @@ def exact_moments_perm(
     """Exact mean and variance of the permutation-matrix count in the arc.
 
     The variance is the diagonal of :func:`exact_covariance_perm`, clipped
-    at zero against rounding; above ``cap`` the call refuses rather than
-    approximate.
+    at zero against rounding; the mean n (beta - alpha) - theta sum_j P_j u_j
+    reuses its sum.  Above ``cap`` the call refuses rather than approximate.
     """
-    variance = exact_covariance_perm(n, theta, arc, arc, cap)
-    return CountMoments(mean=_perm_mean(n, theta, arc), variance=max(variance, 0.0))
+    variance, sum1 = _covariance_perm(n, theta, arc, arc, cap)
+    mean = n * float(arc.beta - arc.alpha) - theta * sum1
+    return CountMoments(mean=mean, variance=max(variance, 0.0))
 
 
 def exact_moments_mod(n: int, theta: float, arc: Arc) -> CountMoments:
@@ -290,6 +299,11 @@ def exact_covariance_perm(
 
     The cross term is an O(n^2) convolution; above ``cap`` the call refuses.
     """
+    return _covariance_perm(n, theta, arc1, arc2, cap)[0]
+
+
+def _covariance_perm(n: int, theta: float, arc1: Arc, arc2: Arc, cap: int) -> tuple[float, float]:
+    """(cov, sum_j P_j u_{j,1}) of :func:`exact_covariance_perm`."""
     if n > cap:
         raise ValueError(f"n = {n} exceeds the O(n^2) cap {cap}")
     check_endpoint_size(n, arc1.alpha, arc1.beta, arc2.alpha, arc2.beta)
@@ -304,8 +318,8 @@ def exact_covariance_perm(
         cross = float(values[1:] @ conv)
     else:
         cross = 0.0
-    square = float((values * u1).sum()) * float((values * u2).sum())
-    return first + theta**2 * (cross - square)
+    sum1 = float((values * u1).sum())
+    return first + theta**2 * (cross - sum1 * float((values * u2).sum())), sum1
 
 
 def exact_covariance_mod(n: int, theta: float, arc1: Arc, arc2: Arc) -> float:

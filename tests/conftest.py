@@ -9,8 +9,9 @@ exception: they feed hand-written or fully drawn words through the sampler's own
 thresholds and length reading, so that those can be tested bit by bit.
 The ``*_formula`` functions are earlier forms that the library must equal
 bit for bit: the full-array formulas of the float Cesàro sums in ``limits``
-(which its blocked kernel replaced) and the separate variance formulas of
-``exact_moments_*`` (now the diagonal of ``exact_covariance_*``).
+(which its blocked kernel replaced), the separate variance formulas of
+``exact_moments_*`` (now the diagonal of ``exact_covariance_*``), the
+untiled rational fractional parts and the masked quadratic double sum.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from permspectra import (
 from permspectra.cesaro import QUADRATIC_CAP, _quadratic_double_sum
 from permspectra.ewens import _dense_thresholds, _sorted_lengths
 from permspectra.spacings import _mod_angles
-from permspectra.spectral import ModifiedSpectrum, frac_parts
+from permspectra.spectral import ModifiedSpectrum, _fraction_terms, frac_parts
 
 
 def counts_from_lengths(lengths) -> CycleCounts:
@@ -499,3 +500,36 @@ def absolute_quadratic_sum(n: int, theta: float, cap: int = QUADRATIC_CAP) -> fl
     if n > cap:
         raise ValueError(f"n = {n} exceeds the O(n^2) cap {cap}")
     return _quadratic_double_sum(n, theta, absolute=True)
+
+
+def frac_parts_direct(x, n: int, start: int = 1) -> np.ndarray:
+    """``frac_parts`` without the periodic tiling: ((j p) mod q) / q for every
+    j = start..n of a Fraction, j x minus its floor for a float."""
+    if isinstance(x, Fraction):
+        prod, q, _ = _fraction_terms(x, np.arange(start, n + 1, dtype=np.int64))
+        return np.asarray(prod % q / float(q), dtype=np.float64)
+    jx = np.arange(start, n + 1, dtype=np.float64) * float(x)
+    return jx - np.floor(jx)
+
+
+def quadratic_double_sum_masked(n: int, theta: float, absolute: bool) -> float:
+    """``cesaro._quadratic_double_sum`` with psi(j+k) gathered through a
+    boolean mask and a fancy index, block by block of 256 rows."""
+    values = psi_values(n, theta)
+    j = np.arange(1, n + 1, dtype=np.float64)
+    u = values / j
+    partials = []
+    for start in range(0, n, 256):
+        stop = min(start + 256, n)
+        rows = np.arange(start + 1, stop + 1)
+        prod = np.outer(u[start:stop], u)
+        m = rows[:, None] + np.arange(1, n + 1)[None, :]
+        cross = np.zeros_like(prod)
+        inside = m <= n
+        cross[inside] = values[m[inside] - 1]
+        cross /= rows[:, None] * j[None, :]
+        terms = prod - cross
+        if absolute:
+            np.abs(terms, out=terms)
+        partials.append(float(terms.sum()))
+    return math.fsum(partials)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import absolute_quadratic_sum, cesaro_number
+from conftest import absolute_quadratic_sum, cesaro_number, quadratic_double_sum_masked
 from permspectra import (
     Arc,
     coupling_tail_expectation,
@@ -19,7 +19,7 @@ from permspectra import (
     verify_quadratic_identity,
     verify_telescoping,
 )
-from permspectra.cesaro import TABLE_SIZE_LIMIT
+from permspectra.cesaro import TABLE_SIZE_LIMIT, _gammaln, _quadratic_double_sum
 from permspectra.spectral import _perm_mean
 
 THETAS = [0.3, 0.5, 0.7, 1.0, 1.5, 2.5]
@@ -44,6 +44,12 @@ class TestPsi:
             psi(5, 6, 1.0)
         with pytest.raises(ValueError):
             psi(5, 3, -1.0)
+
+    @pytest.mark.parametrize("theta", [math.inf, math.nan, 0.0])
+    def test_theta_must_be_positive_and_finite(self, theta):
+        # an infinite theta made every psi ratio 0/inf and printed NaN moments
+        with pytest.raises(ValueError, match=f"theta must be positive and finite, got {theta}"):
+            psi_values(10, theta)
 
     def test_size_limit_keeps_the_peak_near_2gb(self):
         # the limit is derived from the bytes per element that the exact
@@ -140,6 +146,10 @@ class TestIdentities:
             lhs, rhs = verify_telescoping(n, j, theta)
             assert rel_gap(lhs, rhs) < 1e-10
 
+    def test_telescoping_readme_value(self):
+        # the identities command's probe at n = 500, unchanged by the scipy-free log-gamma
+        assert verify_telescoping(500, 166, 0.7) == (0.004541403841177735, 0.004541403841177419)
+
     def test_telescoping_theta_one_closed_form(self):
         lhs, rhs = verify_telescoping(80, 16, 1.0)
         assert rhs == pytest.approx(1 / 16 - 1 / 80, rel=1e-13)
@@ -171,3 +181,33 @@ class TestAbsoluteQuadraticSum:
         values = [absolute_quadratic_sum(n, 0.5) for n in (50, 100, 200, 400)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
         assert abs(values[-1] / values[-2] - 1.0) < 0.05
+
+
+class TestGammaln:
+    """``_gammaln`` is scipy.special.gammaln without its import, bit for bit."""
+
+    def test_equals_scipy_bit_for_bit(self):
+        from scipy.special import gammaln
+
+        rng = np.random.default_rng(5)
+        x = np.concatenate([
+            rng.uniform(1e-9, 13.0, 20_000),  # the shifted rational form
+            rng.uniform(13.0, 1000.0, 20_000),  # Stirling plus the 5-term series
+            rng.uniform(1000.0, 1e9, 20_000),  # the 3-term series, none above 1e8
+            np.arange(1.0, 5001.0),  # the integer arguments of verify_telescoping
+            np.arange(1.0, 5001.0) + 0.7,
+            [2.0, 3.0, 13.0, 1000.0, 1e8, np.nextafter(13.0, 0.0), 1e-300],
+        ])
+        assert _gammaln(x).tobytes() == gammaln(x).tobytes()
+
+
+class TestQuadraticSumKernel:
+    """The windowed kernel equals the masked gather it replaced bit for bit:
+    the same products in the same blocks of 256 rows, summed in the same order."""
+
+    @pytest.mark.parametrize("absolute", [False, True])
+    @pytest.mark.parametrize("theta", [0.5, 2.3])
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 2000])
+    def test_equals_masked_gather(self, n, theta, absolute):
+        got = _quadratic_double_sum(n, theta, absolute)
+        assert got == quadratic_double_sum_masked(n, theta, absolute)

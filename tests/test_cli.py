@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import permspectra
-from permspectra.cli import main, parse_arcs, parse_endpoint
+from permspectra.cli import build_parser, main, parse_arcs, parse_endpoint
 
 
 def run_cli(capsys, *argv):
@@ -164,9 +165,16 @@ class TestCliContract:
             ("coupling-check", "--n", "5", "--seed", "1", "--trials", "1"),
             ("coupling-check", "--n", "10", "--theta", "-1", "--seed", "1", "--trials", "5"),
             ("spacings", "--n-list", "50", "--theta", "0", "--seed", "1", "--trials", "5"),
+            ("exact-moments", "--n", "100", "--theta", "inf", "--alpha", "0.1", "--beta", "0.4"),
+            ("exact-moments", "--n", "100", "--theta", "inf", "--alpha", "0.1", "--beta", "0.4",
+             "--model", "mod"),
+            ("identities", "--theta", "inf"),
+            ("clt", "--n", "100", "--arcs", "0.1,0.3", "--theta", "inf", "--seed", "1",
+             "--trials", "5"),
         ],
         ids=["zero-denominator", "zero-size", "coupling-n0", "empty-n-list", "one-trial",
-             "coupling-negative-theta", "spacings-zero-theta"],
+             "coupling-negative-theta", "spacings-zero-theta", "exact-perm-infinite-theta",
+             "exact-mod-infinite-theta", "identities-infinite-theta", "clt-infinite-theta"],
     )
     def test_malformed_input_is_one_error_line(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -185,8 +193,18 @@ class TestCliContract:
               "--epsilon-tail", "nan"), "epsilon_tail must be positive and finite, got nan"),
             (("coupling-check", "--n", "10", "--seed", "1", "--trials", "5",
               "--epsilon-tail", "inf"), "epsilon_tail must be positive and finite, got inf"),
+            (("exact-moments", "--n", "100", "--theta", "inf", "--alpha", "0.1", "--beta", "0.4"),
+             "theta must be positive and finite, got inf"),
+            (("exact-moments", "--n", "100", "--theta", "inf", "--alpha", "0.1", "--beta", "0.4",
+              "--model", "mod"), "theta must be positive and finite, got inf"),
+            (("identities", "--n", "100", "--theta", "inf"),
+             "theta must be positive and finite, got inf"),
+            (("clt", "--n", "100", "--arcs", "0.1,0.3", "--theta", "inf", "--seed", "1",
+              "--trials", "5"), "theta must be positive and finite, got inf"),
         ],
-        ids=["negative-jobs", "zero-jobs", "nan-epsilon-tail", "inf-epsilon-tail"],
+        ids=["negative-jobs", "zero-jobs", "nan-epsilon-tail", "inf-epsilon-tail",
+             "exact-perm-inf-theta", "exact-mod-inf-theta", "identities-inf-theta",
+             "clt-inf-theta"],
     )
     def test_bad_value_named_in_one_error_line(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
@@ -265,6 +283,21 @@ class TestCliContract:
         )
         assert proc.stdout.strip() == "[]"
 
+    def test_identities_leave_scipy_special_unloaded(self):
+        # its log-gamma terms come from cesaro._gammaln, not from scipy.special
+        code = (
+            "import contextlib, io, sys\n"
+            "from permspectra.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['identities', '--n', '300', '--theta', '0.7']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(permspectra.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert proc.stdout.strip() == "[]"
+
     def test_byte_identical_reruns(self, capsys):
         argv = ["clt", "--n", "150", "--arcs", "0.1,0.6", "--model", "perm",
                 "--seed", "77", "--trials", "48"]
@@ -300,3 +333,93 @@ class TestCliContract:
         # 17 significant digits round-trip exactly through the CSV cell
         assert mean == env["results"]["mean"]
         assert variance == env["results"]["variance"]
+
+
+COMMANDS = ("sample", "exact-moments", "constants", "identities", "clt", "mesoscopic",
+            "spacings", "coupling-check")
+
+_FORMAT = {"theta": (1.0, False), "format": ("json", False)}
+_STOCHASTIC = {**_FORMAT, "seed": (None, True), "trials": (2000, False), "jobs": (1, False)}
+
+#: dest -> (default, required) of every subcommand; config_echo is built from these
+PINNED_ARGUMENTS = {
+    "sample": {"n": (None, True), "model": ("perm", False), **_STOCHASTIC},
+    "exact-moments": {"n": (None, True), "alpha": (None, True), "beta": (None, True),
+                      "model": ("perm", False), **_FORMAT},
+    "constants": {"case": (None, True), "p": (0, False), "q": (1, False), "r": (1, False),
+                  "s": (1, False), "alpha": (None, False), "beta": (None, False), **_FORMAT},
+    "identities": {"n": (500, False), **_FORMAT},
+    "clt": {"n": (None, True), "arcs": (None, True), "model": ("mod", False), **_STOCHASTIC},
+    "mesoscopic": {"n_list": (None, True), "gamma": (0.5, False), "alpha": (None, False),
+                   "model": ("mod", False), **_STOCHASTIC},
+    "spacings": {"n_list": (None, True), **_STOCHASTIC},
+    "coupling-check": {"n": (None, True), "epsilon_tail": (1e-3, False), **_STOCHASTIC},
+}
+
+
+def _subparser(parser, name):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[name]
+
+
+def _arguments(subparser):
+    return {a.dest: (a.default, a.required) for a in subparser._actions if a.dest != "help"}
+
+
+class TestLazyParser:
+    """main builds only the subparser its argv names; help, errors and
+    config_echo stay those of the full parser."""
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(COMMANDS) + "}" in out
+        for name in COMMANDS:
+            assert f"\n    {name} " in out
+
+    def test_unknown_command_error_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["frobnicate", "--n", "5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'frobnicate'" in err
+        assert "(choose from " + ", ".join(f"'{name}'" for name in COMMANDS) + ")" in err
+
+    def test_usage_of_a_one_command_parser_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["identities", "--n", "5", "surplus"])
+        err = capsys.readouterr().err
+        assert err.startswith(build_parser().format_usage())
+        assert "{" + ",".join(COMMANDS) + "}" in err
+        assert "unrecognized arguments: surplus" in err
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_arguments_match_the_pinned_table(self, name):
+        assert _arguments(_subparser(build_parser(), name)) == PINNED_ARGUMENTS[name]
+        assert _arguments(_subparser(build_parser([name]), name)) == PINNED_ARGUMENTS[name]
+
+    def test_full_parser_without_argv(self):
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        assert tuple(sub.choices) == COMMANDS
+
+    @pytest.mark.parametrize("argv, built", [
+        (["constants", "--case", "ell-rational", "--p", "1", "--q", "3"], 1),
+        (["frobnicate"], len(COMMANDS)),
+    ])
+    def test_main_adds_only_the_named_subparser(self, capsys, monkeypatch, argv, built):
+        added = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            added.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        assert len(added) == built

@@ -90,6 +90,13 @@ class TestCycleCountsFromWord:
         assert sum(j * a for j, a in counts.counts.items()) == word.n
 
 
+class TestParams:
+    @pytest.mark.parametrize("theta", [math.inf, math.nan, 0.0, -1.0])
+    def test_theta_must_be_positive_and_finite(self, theta):
+        with pytest.raises(ValueError, match=f"theta must be positive and finite, got {theta}"):
+            EwensParams(theta)
+
+
 class TestCycleCountsForms:
     @pytest.mark.parametrize(
         "n, counts", [(1, {1: 1}), (10, {3: 2, 4: 1}), (12, {1: 5, 7: 1}), (6, {6: 1})]

@@ -14,6 +14,7 @@ from conftest import (
     exact_moments_mod_formula,
     exact_moments_perm_formula,
     exhaustive_moments_perm,
+    frac_parts_direct,
     frac_shift_invariant,
     partition_probabilities,
 )
@@ -367,6 +368,19 @@ class TestFracShiftInvariance:
 class TestExactFractionArithmetic:
     """Rational endpoints stay exact for every denominator the CLI accepts:
     int64 products j * p would wrap once n * q reaches 2**63."""
+
+    @pytest.mark.parametrize("x", [F(5, 12), F(17, 5), F(-7, 3), F(3), F(1, 4999), F(1, 5000),
+                                   F(2, 5001), F(4999, 10001), F(10**6 + 1, 8192)], ids=str)
+    @pytest.mark.parametrize("n, start", [(10_000, 1), (10_000, 2), (10_001, 8), (8192, 1),
+                                          (16_384, 8193), (1, 1), (7, 7)])
+    def test_tiled_period_equals_direct_residues(self, x, n, start):
+        # q around half the length (tiled from 2q <= length on), starts beyond 1
+        # (limits' blocks), whole parts above 0 and q = 1
+        from permspectra.spectral import frac_parts
+
+        got, direct = frac_parts(x, n, start), frac_parts_direct(x, n, start)
+        assert got.dtype == direct.dtype and got.shape == direct.shape == (n - start + 1,)
+        assert got.tobytes() == direct.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(
