@@ -63,6 +63,7 @@ _LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.316129927388
 _LGAM_C = (-3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
            -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
 _LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+_MAXLGM = 2.556348e305  # log-gamma overflows above
 
 
 def _horner(x, coefficients, leading):
@@ -89,7 +90,7 @@ def _gammaln_small(x: float) -> float:
 
 
 def _gammaln(x: np.ndarray) -> np.ndarray:
-    """scipy.special.gammaln for x > 0, bit for bit: the same cephes algorithm
+    """scipy.special.gammaln for finite x > 0, bit for bit: the same cephes algorithm
     in the same order of operations, with the C library's log (math.log).
     Importing scipy.special takes about 0.25 s, most of an identities call."""
     out = np.empty_like(x)
@@ -105,7 +106,8 @@ def _gammaln(x: np.ndarray) -> np.ndarray:
         + 0.0833333333333333333333,
         _horner(p, _LGAM_A[1:], _LGAM_A[0]),
     )
-    out[~small] = np.where(big > 1e8, q, q + series / big)
+    q = np.where(big > 1e8, q, q + series / big)
+    out[~small] = np.where(big > _MAXLGM, np.inf, q)
     return out
 
 
