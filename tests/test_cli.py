@@ -385,7 +385,8 @@ class TestLazyParser:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "invalid choice: 'frobnicate'" in err
-        assert "(choose from " + ", ".join(f"'{name}'" for name in COMMANDS) + ")" in err
+        choices = err.split("choose from", 1)[1]
+        assert all(name in choices for name in COMMANDS)
 
     def test_usage_of_a_one_command_parser_lists_every_command(self, capsys):
         with pytest.raises(SystemExit):
