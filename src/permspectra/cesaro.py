@@ -50,9 +50,22 @@ QUADRATIC_CAP = 2000
 TABLE_SIZE_LIMIT = 40_000_000
 
 
+#: largest theta of the plain-ensemble covariance and the identity checks.
+#: They square theta (overflow above 1.3e154) or difference log-gamma values
+#: near theta log theta, whose rounding reaches exp's range near theta = 1e18;
+#: 2**53 keeps a margin of 100 below that
+THETA_LIMIT = 2.0**53
+
+
 def _check_theta(theta: float) -> None:
     if not 0 < theta < math.inf:
         raise ValueError(f"theta must be positive and finite, got {theta}")
+
+
+def check_theta_limit(theta: float) -> None:
+    """Refuse a theta above THETA_LIMIT, before the sums overflow."""
+    if theta > THETA_LIMIT:
+        raise ValueError(f"theta = {theta} exceeds the limit 2**53 of the exact sums")
 
 
 # coefficients of the cephes log-gamma that scipy.special.gammaln evaluates
@@ -198,6 +211,7 @@ def verify_quadratic_identity(
     """
     if n > cap:
         raise ValueError(f"n = {n} exceeds the O(n^2) cap {cap}")
+    check_theta_limit(theta)
     lhs = _quadratic_double_sum(n, theta, absolute=False)
     k = np.arange(n, dtype=np.float64)
     rhs = math.fsum((1.0 / (theta + k) ** 2).tolist())
@@ -208,6 +222,7 @@ def verify_telescoping(n: int, j: int, theta: float) -> tuple[float, float]:
     """Both sides of sum_{p=j}^{n-1} A_{p-j}^{theta-1}/(p A_p^theta)
     = psi(n, j) (1/j - 1/n), for 1 <= j <= n-1."""
     _check_theta(theta)
+    check_theta_limit(theta)
     if not 1 <= j <= n - 1:
         raise ValueError(f"j must lie in [1, n-1] = [1, {n - 1}], got {j}")
     p = np.arange(j, n, dtype=np.float64)

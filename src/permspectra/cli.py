@@ -365,8 +365,9 @@ def _master_seed(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
 
 
-def _add_common(p, stochastic: bool) -> None:
-    p.add_argument("--theta", type=float, default=1.0)
+def _add_common(p, stochastic: bool, theta: bool) -> None:
+    if theta:
+        p.add_argument("--theta", type=float, default=1.0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     if stochastic:
         p.add_argument("--seed", type=_master_seed, required=True,
@@ -466,7 +467,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
             p = sub.add_parser(name, help=help_text)
             if argv is None or named:
                 add_arguments(p)
-                _add_common(p, stochastic)
+                _add_common(p, stochastic, theta=name != "constants")  # limits need no theta
     return parser
 
 

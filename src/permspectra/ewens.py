@@ -31,11 +31,23 @@ certificate cannot settle falls back to a galloping search over the same
 function, so the position is the search's by construction.
 
 A cycle type is held as its sorted cycle lengths (``CycleCounts``).
-``draw_batch`` draws many trials in order and returns their lengths
-concatenated (``TrialBatch``), the form the Monte Carlo drivers compute on.
-A trial with scalar draws (a sparse word or a coupled tail) reads its
+``draw_batch`` draws many trials and returns their lengths concatenated
+(``TrialBatch``), the form the Monte Carlo drivers compute on.  It draws
+every trial's word first, then the phases, then the coupled tails; each
+trial's generator still sees its own word, phases and tail in that order.
+A trial with gap draws (a sparse word or a coupled tail) reads its
 generator through one ``_Uniforms``, 64 uniforms at a time: the same
 stream as single draws, since numpy's ``random(m)`` is m single draws.
+
+The gap walks of a batch run in lockstep (``_walks_lockstep``): each step
+reads one uniform per live walk and makes the guess and the one survival
+evaluation for all of them in numpy.  numpy's log1p and expm1 may differ
+from math's in the last bit, so a walk moves only when the numpy value
+clears the certificate by its slack on both sides; any other draw goes to
+the scalar step with the same uniform, and walks left with too few others
+finish one at a time.  Every position is the scalar walk's by
+construction.  Few draws fall back: about one in a thousand at theta <= 2,
+one in a hundred over theta up to 50.
 """
 
 from __future__ import annotations
@@ -186,6 +198,9 @@ _CERTIFICATE_SLACK = 2.0**-30
 #: uniforms a trial's source reads from its generator at a time
 _BLOCK = 64
 
+#: walks below this many step one at a time: a numpy step costs more than their scalar draws
+_MIN_LANES = 8
+
 
 @lru_cache(maxsize=None)
 def _bernoulli(m: int) -> Fraction:
@@ -282,12 +297,13 @@ def _log_gap_survival(k: int, t: int, theta: float, constants=None) -> float:
     return total
 
 
-def _next_one_position(k: int, limit: int, theta: float, rng, constants=None):
+def _next_one_position(k: int, limit: int, theta: float, rng, constants=None, u=None):
     """Position of the first 1 after position k, or None if it lies beyond limit.
 
     The gap T satisfies P(T > t) = S(t) = prod_{i=1..t} (k+i-1)/(theta+k+i-1),
-    so T = min{t : S(t) < U} for one uniform U in (0, 1], the one value read
-    from ``rng`` (a generator or a ``_Uniforms``).  Since
+    so T = min{t : S(t) < U} for one uniform U = 1 - u in (0, 1], with u the
+    one value read from ``rng`` (a generator or a ``_Uniforms``), or the
+    ``u`` given, which reads nothing.  Since
     log S(t) = -theta log1p(t/k) + c_1/k (1 - k/(k+t)) + O(k^-2), the guess
     g = k expm1(-log U / theta), corrected once by the c_1/k term, is almost
     always T itself, and one evaluation settles it: if S(g) < U, the exact
@@ -303,7 +319,7 @@ def _next_one_position(k: int, limit: int, theta: float, rng, constants=None):
     horizon = limit - k
     if horizon <= 0:
         return None
-    log_u = math.log(1.0 - rng.random())  # uniform in (0, 1]
+    log_u = math.log(1.0 - (rng.random() if u is None else u))  # uniform in (0, 1]
     constants = constants or _survival_constants(theta)
     lead = -log_u / theta
     lead -= (theta - 1.0) / (2.0 * k) * math.expm1(-lead)
@@ -349,6 +365,106 @@ def _ones_after(pos: int, limit: int, theta: float, rng) -> list[int]:
     while (pos := _next_one_position(pos, limit, theta, rng, constants)) is not None:
         ones.append(pos)
     return ones
+
+
+def _log_gap_survivals(k: np.ndarray, t: np.ndarray, theta: float, constants) -> np.ndarray:
+    """``_log_gap_survival`` at every pair of the int64 arrays k >= 1, t >= 1:
+    the same branches and constants in numpy, so each value is within a
+    few ulps of the scalar one, not equal to it (numpy's log1p and expm1
+    are not math's in the last bit)."""
+    table, coeffs, tail, scale = constants
+    out = np.empty(len(k))
+    kf, tf = k.astype(np.float64), t.astype(np.float64)
+    short = t <= _SUM_TERMS
+    if short.any():
+        i = np.arange(_SUM_TERMS)
+        terms = np.log1p(theta / (kf[short, None] + i))
+        out[short] = -np.where(i < t[short, None], terms, 0.0).sum(axis=1)
+    low = ~short & (k < _TABLE_SIZE)
+    if low.any():
+        tab, end = np.array(table), k[low] + t[low]
+        value = tab[k[low]] - tab[np.minimum(end, _TABLE_SIZE)]
+        spill = end > _TABLE_SIZE
+        if spill.any():
+            value[spill] += _log_gap_survivals(
+                np.full(int(spill.sum()), _TABLE_SIZE), end[spill] - _TABLE_SIZE, theta, constants
+            )
+        out[low] = value
+    series = ~short & (k >= _TABLE_SIZE) & (kf >= _SERIES_RATIO * theta)
+    if series.any():
+        ks, lead = kf[series], np.log1p(tf[series] / kf[series])
+        total, ratio, power = -theta * lead, scale / ks, np.ones(len(ks))
+        for n, coeff in enumerate(coeffs, 1):
+            power *= ratio
+            if tail[n - 1] * power.max() < 2.0**-60 * theta:
+                break
+            total -= coeff * power * np.expm1(-n * lead)
+        out[series] = total
+    middle = ~short & (k >= _TABLE_SIZE) & ~series
+    if middle.any():
+        km, tm = kf[middle], tf[middle]
+        kt = km + theta
+        out[middle] = (
+            (km - 0.5) * np.log1p(tm / km)
+            - (kt - 0.5) * np.log1p(tm / kt)
+            - tm * np.log1p(theta / (km + tm))
+            + _stirling_remainder_difference(km, tm)
+            - _stirling_remainder_difference(kt, tm)
+        )
+    return out
+
+
+def _walks_lockstep(starts, limit: int, theta: float, sources) -> list[np.ndarray]:
+    """``[_ones_after(s, limit, theta, src) for s, src in zip(starts, sources)]``
+    as int64 arrays, all walks stepped together.
+
+    Each step reads one uniform per live walk, from its own source, and
+    takes ``_next_one_position``'s guess g and one survival evaluation for
+    all of them in numpy.  A walk moves to k + g only when the evaluation
+    clears both sides of the scalar certificate by the margin
+    m = _CERTIFICATE_SLACK (1 + |log U|): log S(g) < log U - m, and
+    log S(g-1) = log S(g) + log1p(theta/(k+g-1)) >= log U + 2m (or g = 1);
+    it stops only when g is the horizon and log S(g) >= log U + m.  The
+    margin dwarfs the few ulps by which numpy's values may differ from
+    math's, so the scalar call would certify the same outcome.  Every other
+    draw goes to ``_next_one_position`` with the same uniform, and a walk
+    left with fewer than ``_MIN_LANES`` others finishes in ``_ones_after``:
+    each position is the scalar walk's by construction.
+    """
+    constants = _survival_constants(theta)
+    lanes, k = np.arange(len(starts)), np.array(starts, dtype=np.int64)
+    found_lanes, found = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    while True:
+        live = k < limit
+        lanes, k = lanes[live], k[live]
+        if len(lanes) < _MIN_LANES:
+            for lane, pos in zip(lanes.tolist(), k.tolist()):
+                rest = _ones_after(pos, limit, theta, sources[lane])
+                found_lanes.append(np.full(len(rest), lane))
+                found.append(np.array(rest, dtype=np.int64))
+            break
+        u = np.array([sources[lane].random() for lane in lanes.tolist()])
+        log_u, horizon, kf = np.log(1.0 - u), limit - k, k.astype(np.float64)
+        lead = -log_u / theta
+        lead -= (theta - 1.0) / (2.0 * kf) * np.expm1(-lead)
+        cap = np.log1p(horizon / kf)
+        guess = np.minimum(horizon, (kf * np.expm1(np.minimum(lead, cap))).astype(np.int64) + 1)
+        guess[lead >= cap] = horizon[lead >= cap]
+        log_s = _log_gap_survivals(k, guess, theta, constants)
+        margin = _CERTIFICATE_SLACK * (1.0 - log_u)
+        neighbour = log_s + np.log1p(theta / (k + guess - 1))
+        hit = (log_s < log_u - margin) & ((guess == 1) | (neighbour >= log_u + 2.0 * margin))
+        beyond = (guess == horizon) & (log_s >= log_u + margin)
+        k = np.where(hit, k + guess, np.where(beyond, limit, k))
+        for j in np.flatnonzero(~(hit | beyond)).tolist():
+            pos = _next_one_position(int(k[j]), limit, theta, None, constants, u=float(u[j]))
+            k[j], hit[j] = (limit, False) if pos is None else (pos, True)
+        found_lanes.append(lanes[hit])
+        found.append(k[hit])
+    lanes, found = np.concatenate(found_lanes), np.concatenate(found)
+    order = np.argsort(lanes, kind="stable")  # each walk's positions ascend step by step
+    counts = np.bincount(lanes, minlength=len(starts))
+    return np.split(found[order], np.cumsum(counts)[:-1])
 
 
 def _ones_positions_sparse(n: int, theta: float, rng) -> np.ndarray:
@@ -398,22 +514,6 @@ def _dense_thresholds(n: int, theta: float) -> np.ndarray:
     return theta / (theta + k - 1.0)
 
 
-def _ones_positions(
-    n: int, theta: float, rng, thresholds: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Positions of ones among the first n bits.
-
-    Dense and sparse routes realise the same law; which one runs is a pure
-    function of n, so reproducibility with a fixed generator is preserved.
-    Callers drawing many words of one size pass the dense ``thresholds``.
-    """
-    if n > _SPARSE_THRESHOLD:
-        return _ones_positions_sparse(n, theta, rng)
-    hits = rng.random(n) < (_dense_thresholds(n, theta) if thresholds is None else thresholds)
-    hits[0] = True
-    return hits.nonzero()[0] + 1
-
-
 def _starts(sizes) -> np.ndarray:
     return np.cumsum([0, *sizes])
 
@@ -441,10 +541,12 @@ def draw_batch(
     n: int, theta: float, rngs: Iterable[np.random.Generator | _Uniforms], phases: bool = False,
     horizon: Optional[int] = None,
 ) -> TrialBatch:
-    """One trial per generator: draw the word, then, if ``phases``, one
-    uniform phase per cycle, or, given a ``horizon``, the coupled word's ones
-    in (n, horizon].  Only these draws run per trial; lengths, their sort
-    and the coupled spacings are computed for the whole batch at once.
+    """One trial per generator: draw every trial's word, then, if ``phases``,
+    one uniform phase per cycle, or, given a ``horizon``, the coupled word's
+    ones in (n, horizon].  Each generator still sees its own trial's word,
+    phases and tail in that order; sparse words and tails are walked for all
+    trials at once (``_walks_lockstep``), and lengths, their sort and the
+    coupled spacings are computed for the whole batch.
 
     A trial that makes scalar draws (a sparse word or a coupled tail) reads
     its generator through a ``_Uniforms``, in blocks, so the generator ends
@@ -453,17 +555,22 @@ def draw_batch(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    thresholds = _dense_thresholds(n, theta) if n <= _SPARSE_THRESHOLD else None
-    buffered = n > _SPARSE_THRESHOLD or horizon is not None
-    words, phase_draws, tails = [], [], []
-    for rng in rngs:
-        if buffered and not isinstance(rng, _Uniforms):
-            rng = _Uniforms(rng)
-        words.append(_ones_positions(n, theta, rng, thresholds))
-        if phases:
-            phase_draws.append(rng.random(len(words[-1])))
-        if horizon is not None:
-            tails.append(np.asarray(_ones_after(n, horizon, theta, rng), dtype=np.int64))
+    sources = list(rngs)
+    if n > _SPARSE_THRESHOLD or horizon is not None:
+        sources = [s if isinstance(s, _Uniforms) else _Uniforms(s) for s in sources]
+    if n > _SPARSE_THRESHOLD:
+        walks = _walks_lockstep([1] * len(sources), n, theta, sources)
+        words = [np.concatenate(([1], walk)) for walk in walks]
+    else:
+        thresholds, words = _dense_thresholds(n, theta), []
+        for source in sources:
+            hits = source.random(n) < thresholds
+            hits[0] = True
+            words.append(hits.nonzero()[0] + 1)
+    phase_draws = [s.random(len(w)) for s, w in zip(sources, words)] if phases else None
+    tails = None
+    if horizon is not None:
+        tails = _walks_lockstep([n] * len(sources), horizon, theta, sources)
     starts = _starts([len(w) for w in words])
     lengths = _sorted_lengths(n, np.concatenate(words), starts)
     batch = TrialBatch(n, lengths, np.concatenate(phase_draws) if phases else None, starts)

@@ -9,8 +9,11 @@ pins against the installed numpy's ``SeedSequence``.  Aggregations run over
 the trial-ordered arrays, never over per-worker partial sums.
 
 All four drivers share one trial engine: trials run in chunks, and inside a
-chunk the per-trial loop only draws (the word, then the phases or the
-coupled tail; see ``ewens.draw_batch``).  Each driver's statistic is then
+chunk only the draws run per trial (every word, then the phases or the
+coupled tails; sparse words and tails are walked for all trials of the
+chunk in lockstep, see ``ewens.draw_batch``).  At ``jobs`` = 1 a call's
+trials are one chunk of up to ``_CHUNK_TRIALS``, so those walks run on the
+widest lanes.  Each driver's statistic is then
 computed once per chunk on the concatenated cycle-length arrays: arc counts,
 extremal spacings or coupling distances, one row per trial.
 
@@ -182,8 +185,14 @@ class ExperimentConfig:
             )
 
 
+#: most trials in one chunk at jobs = 1, where one chunk per call gives the
+#: lockstep walk (``ewens.draw_batch``) its widest lanes; more jobs take four
+#: chunks each
+_CHUNK_TRIALS = 4096
+
+
 def _chunk_ranges(trials: int, jobs: int) -> list[tuple[int, int]]:
-    per = max(1, math.ceil(trials / jobs / 4))
+    per = min(trials, _CHUNK_TRIALS) if jobs == 1 else max(1, math.ceil(trials / jobs / 4))
     return [(lo, min(lo + per, trials)) for lo in range(0, trials, per)]
 
 
@@ -197,7 +206,8 @@ def _trial_chunk(args) -> np.ndarray:
 def _run_trials(statistic, extra, seed, n, theta, trials, jobs, phases=False, horizon=None):
     """``statistic(batch, *extra)`` over every trial, rows in trial order.
 
-    Trials run in chunks (four per job, in worker processes if ``jobs`` > 1);
+    Trials run in chunks (up to ``_CHUNK_TRIALS`` each at ``jobs`` = 1, else
+    four per job, in worker processes);
     trial i always draws from ``trial_rng(seed, i)``, whatever the chunking.
     """
     if jobs < 1:

@@ -19,8 +19,8 @@ from permspectra import (
     verify_quadratic_identity,
     verify_telescoping,
 )
-from permspectra.cesaro import TABLE_SIZE_LIMIT, _gammaln, _quadratic_double_sum
-from permspectra.spectral import _perm_mean
+from permspectra.cesaro import TABLE_SIZE_LIMIT, THETA_LIMIT, _gammaln, _quadratic_double_sum
+from permspectra.spectral import _perm_mean, exact_covariance_perm
 
 THETAS = [0.3, 0.5, 0.7, 1.0, 1.5, 2.5]
 
@@ -50,6 +50,17 @@ class TestPsi:
         # an infinite theta made every psi ratio 0/inf and printed NaN moments
         with pytest.raises(ValueError, match=f"theta must be positive and finite, got {theta}"):
             psi_values(10, theta)
+
+    @pytest.mark.parametrize("call", [
+        lambda theta: verify_quadratic_identity(10, theta),
+        lambda theta: verify_telescoping(10, 3, theta),
+        lambda theta: exact_covariance_perm(10, theta, Arc(0.1, 0.5), Arc(0.2, 0.7)),
+    ], ids=["quadratic", "telescoping", "plain-covariance"])
+    def test_theta_above_the_limit_refused(self, call):
+        # at 1e308 these overflowed: an OverflowError naming nothing, or NaN
+        call(THETA_LIMIT)
+        with pytest.raises(ValueError, match="theta = 1e\\+308 exceeds the limit 2\\*\\*53"):
+            call(1e308)
 
     def test_size_limit_keeps_the_peak_near_2gb(self):
         # the limit is derived from the bytes per element that the exact

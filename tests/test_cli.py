@@ -148,6 +148,14 @@ class TestCliContract:
         assert exc.value.code == 2
         assert "usage" in capsys.readouterr().err
 
+    def test_constants_takes_no_theta(self, capsys):
+        # the limit constants do not depend on theta; a --theta there used to
+        # be echoed in config_echo without effect, negative or not
+        with pytest.raises(SystemExit) as exc:
+            main(["constants", "--case", "both-irrational-independent", "--theta", "-5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --theta -5" in capsys.readouterr().err
+
     def test_runtime_failure_exits_1(self, capsys):
         code, _, err = run_cli(
             capsys, "exact-moments", "--n", "1", "--alpha", "0.9", "--beta", "0.1",
@@ -171,10 +179,14 @@ class TestCliContract:
             ("identities", "--theta", "inf"),
             ("clt", "--n", "100", "--arcs", "0.1,0.3", "--theta", "inf", "--seed", "1",
              "--trials", "5"),
+            ("exact-moments", "--n", "10", "--alpha", "0.1", "--beta", "0.5", "--theta", "1e308",
+             "--model", "perm"),
+            ("identities", "--n", "10", "--theta", "1e308"),
         ],
         ids=["zero-denominator", "zero-size", "coupling-n0", "empty-n-list", "one-trial",
              "coupling-negative-theta", "spacings-zero-theta", "exact-perm-infinite-theta",
-             "exact-mod-infinite-theta", "identities-infinite-theta", "clt-infinite-theta"],
+             "exact-mod-infinite-theta", "identities-infinite-theta", "clt-infinite-theta",
+             "exact-perm-huge-theta", "identities-huge-theta"],
     )
     def test_malformed_input_is_one_error_line(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -201,10 +213,15 @@ class TestCliContract:
              "theta must be positive and finite, got inf"),
             (("clt", "--n", "100", "--arcs", "0.1,0.3", "--theta", "inf", "--seed", "1",
               "--trials", "5"), "theta must be positive and finite, got inf"),
+            (("exact-moments", "--n", "10", "--alpha", "0.1", "--beta", "0.5", "--theta",
+              "1e308", "--model", "perm"),
+             "theta = 1e+308 exceeds the limit 2**53 of the exact sums"),
+            (("identities", "--n", "10", "--theta", "1e308"),
+             "theta = 1e+308 exceeds the limit 2**53 of the exact sums"),
         ],
         ids=["negative-jobs", "zero-jobs", "nan-epsilon-tail", "inf-epsilon-tail",
              "exact-perm-inf-theta", "exact-mod-inf-theta", "identities-inf-theta",
-             "clt-inf-theta"],
+             "clt-inf-theta", "exact-perm-huge-theta", "identities-huge-theta"],
     )
     def test_bad_value_named_in_one_error_line(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
@@ -338,17 +355,18 @@ class TestCliContract:
 COMMANDS = ("sample", "exact-moments", "constants", "identities", "clt", "mesoscopic",
             "spacings", "coupling-check")
 
-_FORMAT = {"theta": (1.0, False), "format": ("json", False)}
-_STOCHASTIC = {**_FORMAT, "seed": (None, True), "trials": (2000, False), "jobs": (1, False)}
+_FORMAT = {"format": ("json", False)}
+_THETA = {"theta": (1.0, False), **_FORMAT}
+_STOCHASTIC = {**_THETA, "seed": (None, True), "trials": (2000, False), "jobs": (1, False)}
 
 #: dest -> (default, required) of every subcommand; config_echo is built from these
 PINNED_ARGUMENTS = {
     "sample": {"n": (None, True), "model": ("perm", False), **_STOCHASTIC},
     "exact-moments": {"n": (None, True), "alpha": (None, True), "beta": (None, True),
-                      "model": ("perm", False), **_FORMAT},
+                      "model": ("perm", False), **_THETA},
     "constants": {"case": (None, True), "p": (0, False), "q": (1, False), "r": (1, False),
                   "s": (1, False), "alpha": (None, False), "beta": (None, False), **_FORMAT},
-    "identities": {"n": (500, False), **_FORMAT},
+    "identities": {"n": (500, False), **_THETA},
     "clt": {"n": (None, True), "arcs": (None, True), "model": ("mod", False), **_STOCHASTIC},
     "mesoscopic": {"n_list": (None, True), "gamma": (0.5, False), "alpha": (None, False),
                    "model": ("mod", False), **_STOCHASTIC},
@@ -385,8 +403,9 @@ class TestLazyParser:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "invalid choice: 'frobnicate'" in err
-        choices = err.split("choose from", 1)[1]
-        assert all(name in choices for name in COMMANDS)
+        # the list in order, whether or not argparse quotes the names
+        listed = err.split("(choose from ", 1)[1].split(")", 1)[0]
+        assert [name.strip().strip("'") for name in listed.split(",")] == list(COMMANDS)
 
     def test_usage_of_a_one_command_parser_lists_every_command(self, capsys):
         with pytest.raises(SystemExit):

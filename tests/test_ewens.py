@@ -37,6 +37,7 @@ from permspectra.ewens import (
     _next_one_position,
     _ones_after,
     _ones_positions_sparse,
+    _walks_lockstep,
     draw_batch,
 )
 
@@ -275,24 +276,37 @@ def count_survival_evaluations(monkeypatch) -> dict:
         finally:
             depth[0] -= 1
 
-    def counted_step(k, limit, *args):
+    def counted_step(k, limit, *args, **kwargs):
         counts["draws"] += limit > k
-        return step(k, limit, *args)
+        return step(k, limit, *args, **kwargs)
 
     monkeypatch.setattr(ewens, "_log_gap_survival", counted_evaluate)
     monkeypatch.setattr(ewens, "_next_one_position", counted_step)
     return counts
 
 
+#: (theta, start, limit): words at n = 10^6 and coupled tails from 1000 to 2^20
+SPARSE_CASES = [(theta, start, limit) for theta in (0.3, 0.5, 1.0, 2.0, 7.0, 50.0)
+                for start, limit in ((1, 10**6), (1000, 2**20))]
+
+
 def sparse_mix():
-    """Words at n = 10^6 and coupled tails from 1000 to 2^20, several theta."""
+    """Ten walks of each sparse case, walk i drawn from default_rng(i)."""
     return [
         _ones_after(start, limit, theta, np.random.default_rng(seed))
-        for seed, (theta, start, limit) in enumerate(
-            [(theta, start, limit) for theta in (0.3, 0.5, 1.0, 2.0, 7.0, 50.0)
-             for start, limit in ((1, 10**6), (1000, 2**20))] * 10
-        )
+        for seed, (theta, start, limit) in enumerate(SPARSE_CASES * 10)
     ]
+
+
+def sparse_mix_lockstep(source=np.random.default_rng):
+    """``sparse_mix()``, each case's ten walks stepped as one lockstep call;
+    walk i reads ``source(i)``."""
+    walks = {}
+    for case, (theta, start, limit) in enumerate(SPARSE_CASES):
+        seeds = range(case, 10 * len(SPARSE_CASES), len(SPARSE_CASES))
+        got = _walks_lockstep([start] * 10, limit, theta, [source(seed) for seed in seeds])
+        walks.update(zip(seeds, (walk.tolist() for walk in got)))
+    return [walks[seed] for seed in range(len(walks))]
 
 
 class TestNeighbourCertificate:
@@ -311,6 +325,71 @@ class TestNeighbourCertificate:
         searched = sparse_mix()
         assert searched == certified
         assert counts["evals"] > 1.5 * counts["draws"]
+
+
+class CountingSource:
+    """A generator's ``random``, counting the uniforms handed out."""
+
+    def __init__(self, seed: int, counts: dict):
+        self.rng, self.counts = np.random.default_rng(seed), counts
+
+    def random(self):
+        self.counts["uniforms"] += 1
+        return self.rng.random()
+
+
+class TestLockstepWalk:
+    @pytest.mark.parametrize("theta", [0.3, 0.5, 1.0, 2.0, 7.0, 50.0])
+    @pytest.mark.parametrize("start, limit", [(1, 10**6), (1000, 2**20)])
+    @pytest.mark.parametrize("lanes", [1, 3, 150])
+    def test_same_walks_as_one_trial_at_a_time(self, monkeypatch, theta, start, limit, lanes):
+        # every lane steps in numpy to the end, however few are left
+        monkeypatch.setattr(ewens, "_MIN_LANES", 1)
+        sources = [_Uniforms(np.random.default_rng(seed)) for seed in range(lanes)]
+        twins = [_Uniforms(np.random.default_rng(seed)) for seed in range(lanes)]
+        got = _walks_lockstep([start] * lanes, limit, theta, sources)
+        assert [walk.tolist() for walk in got] == [
+            _ones_after(start, limit, theta, twin) for twin in twins
+        ]
+        # one uniform per draw, as the scalar walk reads
+        assert [s.random() for s in sources] == [t.random() for t in twins]
+
+    def test_sparse_mix_unchanged_and_mostly_vectorised(self, monkeypatch):
+        # the scalar walk's draws (fallbacks, and walks left with too few
+        # others) are at most a fifth of all: the numpy step is not dead code
+        want = sparse_mix()
+        counts = count_survival_evaluations(monkeypatch)
+        counts["uniforms"] = 0
+        assert sparse_mix_lockstep(lambda seed: CountingSource(seed, counts)) == want
+        assert counts["uniforms"] > 10_000
+        assert counts["draws"] <= 0.2 * counts["uniforms"]
+
+    def test_positions_unchanged_when_every_draw_falls_back(self, monkeypatch):
+        # an infinite slack clears no margin, so every draw goes to the
+        # scalar walk with the uniform the lockstep read
+        certified = sparse_mix()
+        counts = count_survival_evaluations(monkeypatch)
+        monkeypatch.setattr(ewens, "_CERTIFICATE_SLACK", math.inf)
+        assert sparse_mix_lockstep() == certified
+        limits = [limit for _, _, limit in SPARSE_CASES * 10]
+        # a walk ends with a draw beyond its limit unless its last one is the limit
+        ending = sum(not walk or walk[-1] != limit for walk, limit in zip(certified, limits))
+        assert counts["draws"] == sum(map(len, certified)) + ending
+
+    @pytest.mark.parametrize("theta", SURVIVAL_THETAS + [0.01, 20.0])
+    def test_vectorised_survival_against_scalar(self, theta):
+        # every branch: short gaps, the table and its spill past it, the
+        # series and, for theta > 8, the two Stirling forms
+        grid = random.Random(int(theta * 100))
+        pairs = [(k, t) for k in (1, 5, 63, 64, 65, 399, 10**6) for t in (1, 8, 9, 60, 10**5)]
+        pairs += [tuple(max(1, int(2 ** grid.uniform(0, 40))) for _ in range(2))
+                  for _ in range(300)]
+        k, t = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+        constants = ewens._survival_constants(theta)
+        got = ewens._log_gap_survivals(k, t, theta, constants)
+        for (ki, ti), value in zip(pairs, got.tolist()):
+            want = _log_gap_survival(ki, ti, theta)
+            assert value == pytest.approx(want, rel=1e-13, abs=0)
 
 
 class TestUniformSource:

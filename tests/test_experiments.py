@@ -249,6 +249,19 @@ class TestTrialEngine:
     """The chunk-batched engine against per-trial composition of the public
     one-trial functions, and its invariance to chunking and worker count."""
 
+    def test_chunk_rule(self):
+        from permspectra.experiments import _CHUNK_TRIALS, _chunk_ranges
+
+        # one job: a call's trials as one chunk, up to _CHUNK_TRIALS
+        assert _chunk_ranges(150, 1) == [(0, 150)]
+        assert _chunk_ranges(2 * _CHUNK_TRIALS + 5, 1) == [
+            (0, _CHUNK_TRIALS), (_CHUNK_TRIALS, 2 * _CHUNK_TRIALS),
+            (2 * _CHUNK_TRIALS, 2 * _CHUNK_TRIALS + 5),
+        ]
+        # more jobs: four chunks each
+        assert len(_chunk_ranges(150, 2)) == 8
+        assert len(_chunk_ranges(3 * _CHUNK_TRIALS, 3)) == 12
+
     def test_mesoscopic_jobs_identical(self):
         from fractions import Fraction
 
@@ -266,7 +279,7 @@ class TestTrialEngine:
         assert one == many
 
     @pytest.mark.parametrize("model", ["mod", "perm"])
-    def test_uneven_chunks_match_per_trial_path(self, model):
+    def test_uneven_chunks_match_per_trial_path(self, model, monkeypatch):
         from fractions import Fraction
 
         from permspectra import (
@@ -275,6 +288,9 @@ class TestTrialEngine:
         )
         from permspectra.experiments import _chunk_ranges
 
+        # one job runs up to _CHUNK_TRIALS trials as one chunk; a small
+        # bound gives 61 trials chunks of unequal sizes
+        monkeypatch.setattr("permspectra.experiments._CHUNK_TRIALS", 16)
         trials, n, theta = 61, 400, 0.7
         assert len({hi - lo for lo, hi in _chunk_ranges(trials, 1)}) > 1
         arcs = (Arc(0.1, 0.55), Arc(Fraction(1, 3), Fraction(6, 5)))
