@@ -427,10 +427,13 @@ def _walks_lockstep(starts, limit: int, theta: float, sources) -> list[np.ndarra
     it stops only when g is the horizon and log S(g) >= log U + m.  The
     margin dwarfs the few ulps by which numpy's values may differ from
     math's, so the scalar call would certify the same outcome.  Every other
-    draw goes to ``_next_one_position`` with the same uniform, and a walk
-    left with fewer than ``_MIN_LANES`` others finishes in ``_ones_after``:
-    each position is the scalar walk's by construction.
+    draw goes to ``_next_one_position`` with the same uniform, and once
+    fewer than ``_MIN_LANES`` walks are live (or given) they finish in
+    ``_ones_after``: each position is the scalar walk's by construction.
     """
+    if len(starts) < _MIN_LANES:  # as for the last walks below, without the bookkeeping
+        return [np.array(_ones_after(s, limit, theta, src), dtype=np.int64)
+                for s, src in zip(starts, sources)]
     constants = _survival_constants(theta)
     lanes, k = np.arange(len(starts)), np.array(starts, dtype=np.int64)
     found_lanes, found = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
