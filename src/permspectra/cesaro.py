@@ -50,10 +50,11 @@ QUADRATIC_CAP = 2000
 TABLE_SIZE_LIMIT = 40_000_000
 
 
-#: largest theta of the plain-ensemble covariance and the identity checks.
-#: They square theta (overflow above 1.3e154) or difference log-gamma values
-#: near theta log theta, whose rounding reaches exp's range near theta = 1e18;
-#: 2**53 keeps a margin of 100 below that
+#: overflow guard on theta for the plain-ensemble covariance and the identity
+#: checks.  They square theta (overflow above 1.3e154) or difference log-gamma
+#: values near theta log theta, whose rounding reaches exp's range near
+#: theta = 1e18; 2**53 keeps a margin of 100 below that.  It is not an
+#: accuracy bound: both lose digits at far smaller theta (ROADMAP item 11)
 THETA_LIMIT = 2.0**53
 
 
@@ -63,9 +64,11 @@ def _check_theta(theta: float) -> None:
 
 
 def check_theta_limit(theta: float) -> None:
-    """Refuse a theta above THETA_LIMIT, before the sums overflow."""
+    """Refuse a theta that is not positive and finite, or is above the
+    overflow guard THETA_LIMIT."""
+    _check_theta(theta)
     if theta > THETA_LIMIT:
-        raise ValueError(f"theta = {theta} exceeds the limit 2**53 of the exact sums")
+        raise ValueError(f"theta = {theta} exceeds 2**53, the guard against overflow in these sums")
 
 
 # coefficients of the cephes log-gamma that scipy.special.gammaln evaluates
@@ -221,7 +224,6 @@ def verify_quadratic_identity(
 def verify_telescoping(n: int, j: int, theta: float) -> tuple[float, float]:
     """Both sides of sum_{p=j}^{n-1} A_{p-j}^{theta-1}/(p A_p^theta)
     = psi(n, j) (1/j - 1/n), for 1 <= j <= n-1."""
-    _check_theta(theta)
     check_theta_limit(theta)
     if not 1 <= j <= n - 1:
         raise ValueError(f"j must lie in [1, n-1] = [1, {n - 1}], got {j}")

@@ -45,9 +45,10 @@ evaluation for all of them in numpy.  numpy's log1p and expm1 may differ
 from math's in the last bit, so a walk moves only when the numpy value
 clears the certificate by its slack on both sides; any other draw goes to
 the scalar step with the same uniform, and walks left with too few others
-finish one at a time.  Every position is the scalar walk's by
-construction.  Few draws fall back: about one in a thousand at theta <= 2,
-one in a hundred over theta up to 50.
+finish one at a time, as do batches of fewer than ``_MIN_LANES`` = 80
+walks (at ``--jobs`` > 1 most chunks are that narrow).  Every position is
+the scalar walk's by construction.  Few draws fall back: about one in a
+thousand at theta <= 2, one in a hundred over theta up to 50.
 """
 
 from __future__ import annotations
@@ -198,8 +199,14 @@ _CERTIFICATE_SLACK = 2.0**-30
 #: uniforms a trial's source reads from its generator at a time
 _BLOCK = 64
 
-#: walks below this many step one at a time: a numpy step costs more than their scalar draws
-_MIN_LANES = 8
+#: a call with fewer walks than this steps them one trial at a time: below
+#: it the numpy steps cost more than the scalar draws they replace (whole-call
+#: crossover 75-100 walks at theta <= 1, 50-75 at theta 2; per-call timings
+#: from 10 to 500 walks in BENCH_lockstep_walk.json)
+_MIN_LANES = 80
+
+#: walks of a lockstep call finish one at a time once fewer than this are live
+_MIN_LIVE = 8
 
 
 @lru_cache(maxsize=None)
@@ -428,10 +435,11 @@ def _walks_lockstep(starts, limit: int, theta: float, sources) -> list[np.ndarra
     margin dwarfs the few ulps by which numpy's values may differ from
     math's, so the scalar call would certify the same outcome.  Every other
     draw goes to ``_next_one_position`` with the same uniform, and once
-    fewer than ``_MIN_LANES`` walks are live (or given) they finish in
-    ``_ones_after``: each position is the scalar walk's by construction.
+    fewer than ``_MIN_LIVE`` walks are live they finish in ``_ones_after``,
+    as all do when fewer than ``_MIN_LANES`` are given: each position is the
+    scalar walk's by construction.
     """
-    if len(starts) < _MIN_LANES:  # as for the last walks below, without the bookkeeping
+    if len(starts) < _MIN_LANES:
         return [np.array(_ones_after(s, limit, theta, src), dtype=np.int64)
                 for s, src in zip(starts, sources)]
     constants = _survival_constants(theta)
@@ -440,7 +448,7 @@ def _walks_lockstep(starts, limit: int, theta: float, sources) -> list[np.ndarra
     while True:
         live = k < limit
         lanes, k = lanes[live], k[live]
-        if len(lanes) < _MIN_LANES:
+        if len(lanes) < _MIN_LIVE:
             for lane, pos in zip(lanes.tolist(), k.tolist()):
                 rest = _ones_after(pos, limit, theta, sources[lane])
                 found_lanes.append(np.full(len(rest), lane))

@@ -307,8 +307,8 @@ def _covariance_perm(n: int, theta: float, arc1: Arc, arc2: Arc, cap: int) -> tu
     if n > cap:
         raise ValueError(f"n = {n} exceeds the O(n^2) cap {cap}")
     check_endpoint_size(n, arc1.alpha, arc1.beta, arc2.alpha, arc2.beta)
-    values = psi_values(n, theta)
     check_theta_limit(theta)
+    values = psi_values(n, theta)
     j = np.arange(1, n + 1, dtype=np.float64)
     w1 = frac_parts(arc1.beta, n) - frac_parts(arc1.alpha, n)
     w2 = frac_parts(arc2.beta, n) - frac_parts(arc2.alpha, n)

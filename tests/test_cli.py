@@ -215,9 +215,9 @@ class TestCliContract:
               "--trials", "5"), "theta must be positive and finite, got inf"),
             (("exact-moments", "--n", "10", "--alpha", "0.1", "--beta", "0.5", "--theta",
               "1e308", "--model", "perm"),
-             "theta = 1e+308 exceeds the limit 2**53 of the exact sums"),
+             "theta = 1e+308 exceeds 2**53, the guard against overflow in these sums"),
             (("identities", "--n", "10", "--theta", "1e308"),
-             "theta = 1e+308 exceeds the limit 2**53 of the exact sums"),
+             "theta = 1e+308 exceeds 2**53, the guard against overflow in these sums"),
         ],
         ids=["negative-jobs", "zero-jobs", "nan-epsilon-tail", "inf-epsilon-tail",
              "exact-perm-inf-theta", "exact-mod-inf-theta", "identities-inf-theta",

@@ -338,13 +338,18 @@ class CountingSource:
         return self.rng.random()
 
 
+def step_every_lane_in_numpy(monkeypatch):
+    """Lockstep calls step every walk in numpy to its end, however few."""
+    monkeypatch.setattr(ewens, "_MIN_LANES", 1)
+    monkeypatch.setattr(ewens, "_MIN_LIVE", 1)
+
+
 class TestLockstepWalk:
     @pytest.mark.parametrize("theta", [0.3, 0.5, 1.0, 2.0, 7.0, 50.0])
     @pytest.mark.parametrize("start, limit", [(1, 10**6), (1000, 2**20)])
     @pytest.mark.parametrize("lanes", [1, 3, 150])
     def test_same_walks_as_one_trial_at_a_time(self, monkeypatch, theta, start, limit, lanes):
-        # every lane steps in numpy to the end, however few are left
-        monkeypatch.setattr(ewens, "_MIN_LANES", 1)
+        step_every_lane_in_numpy(monkeypatch)
         sources = [_Uniforms(np.random.default_rng(seed)) for seed in range(lanes)]
         twins = [_Uniforms(np.random.default_rng(seed)) for seed in range(lanes)]
         got = _walks_lockstep([start] * lanes, limit, theta, sources)
@@ -355,19 +360,37 @@ class TestLockstepWalk:
         assert [s.random() for s in sources] == [t.random() for t in twins]
 
     def test_sparse_mix_unchanged_and_mostly_vectorised(self, monkeypatch):
-        # the scalar walk's draws (fallbacks, and walks left with too few
-        # others) are at most a fifth of all: the numpy step is not dead code
+        # the scalar walk's draws (the fallbacks) are at most a fifth of
+        # all: the numpy step is not dead code
         want = sparse_mix()
+        step_every_lane_in_numpy(monkeypatch)
         counts = count_survival_evaluations(monkeypatch)
         counts["uniforms"] = 0
         assert sparse_mix_lockstep(lambda seed: CountingSource(seed, counts)) == want
         assert counts["uniforms"] > 10_000
         assert counts["draws"] <= 0.2 * counts["uniforms"]
 
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
+    def test_numpy_steps_from_the_batch_threshold_on(self, monkeypatch, theta):
+        # at the shipped thresholds a batch of _MIN_LANES walks takes almost
+        # every draw in numpy; one walk fewer makes no numpy step at all
+        lanes = ewens._MIN_LANES
+        want = [_ones_after(1, 10**6, theta, np.random.default_rng(seed)) for seed in range(lanes)]
+        counts = count_survival_evaluations(monkeypatch)
+        counts["uniforms"] = 0
+        sources = [CountingSource(seed, counts) for seed in range(lanes)]
+        assert [walk.tolist() for walk in _walks_lockstep([1] * lanes, 10**6, theta, sources)] == want
+        assert counts["draws"] <= 0.2 * counts["uniforms"]
+        monkeypatch.setattr(ewens, "_log_gap_survivals", None)
+        sources = [np.random.default_rng(seed) for seed in range(lanes - 1)]
+        narrow = _walks_lockstep([1] * (lanes - 1), 10**6, theta, sources)
+        assert [walk.tolist() for walk in narrow] == want[:-1]
+
     def test_positions_unchanged_when_every_draw_falls_back(self, monkeypatch):
         # an infinite slack clears no margin, so every draw goes to the
         # scalar walk with the uniform the lockstep read
         certified = sparse_mix()
+        step_every_lane_in_numpy(monkeypatch)
         counts = count_survival_evaluations(monkeypatch)
         monkeypatch.setattr(ewens, "_CERTIFICATE_SLACK", math.inf)
         assert sparse_mix_lockstep() == certified
