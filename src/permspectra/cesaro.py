@@ -9,8 +9,8 @@ a product of ``j`` ratios close to one.  Under the Ewens measure of parameter
 ``theta/j * psi(n, j)``, and the same weights are (up to normalisation) the
 kernel of Cesàro averaging of order ``theta``.  All the variance formulas in
 :mod:`permspectra.spectral` are weighted sums against this table, so this
-module provides a stable evaluator plus explicit two-sided checks of the
-summation identities those formulas rely on:
+module provides an evaluator within 1e-13 of the exact product, plus
+explicit two-sided checks of the summation identities they rely on:
 
 * mean identity       (1/n) sum_j psi(n, j)            = 1/theta
 * harmonic identity   sum_j psi(n, j)/j                = sum_j 1/(theta+j-1)
@@ -20,11 +20,15 @@ summation identities those formulas rely on:
                                                         = psi(n, j) (1/j - 1/n)
 
 where ``A_n^delta`` are the Cesàro (binomial) numbers.  Each ``verify_*``
-function returns the two sides; callers assert the gap at their tolerance.
+function returns the two sides in O(n); callers assert the gap at their
+tolerance.  The quadratic double sum collapses through
+sum_{j+k=m} 1/(jk) = 2 H_{m-1}/m, and the telescoping summands are
+exponentials of log1p window sums, not of log-gamma differences.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -38,27 +42,26 @@ __all__ = [
     "verify_telescoping",
 ]
 
-#: default size cap for the O(n^2) double sums
-QUADRATIC_CAP = 2000
-
 #: largest n of a psi table.  Measured with tracemalloc, the exact moments
 #: built on it peak at 24 bytes per element (three float64 arrays of n, for
-#: endpoints up to int64 range), the coupling tail bound at 40 and the
-#: identity checks at 48, so this n peaks below 2 GB.  Rational endpoints
+#: endpoints up to int64 range) for the modified ensemble, the coupling tail
+#: bound at 40 and the identity checks at 30, so this n peaks below 2 GB.
+#: The plain ensemble's FFT holds more; ``spectral._covariance_perm`` caps
+#: its n at this limit scaled to its bytes per element.  Rational endpoints
 #: with denominators beyond 2**62 / n fall back to Python-integer arrays at
 #: about 92 bytes per element; ``spectral.check_endpoint_size`` caps those n.
 TABLE_SIZE_LIMIT = 40_000_000
 
 
 #: overflow guard on theta for the plain-ensemble covariance and the identity
-#: checks.  They square theta (overflow above 1.3e154) or difference log-gamma
-#: values near theta log theta, whose rounding reaches exp's range near
-#: theta = 1e18; 2**53 keeps a margin of 100 below that.  It is not an
-#: accuracy bound: both lose digits at far smaller theta (ROADMAP item 11)
+#: checks, which square theta (overflow above 1.3e154); 2**53 leaves a wide
+#: margin.  It is not an accuracy bound: the plain covariance loses digits at
+#: far smaller theta (ROADMAP item 11)
 THETA_LIMIT = 2.0**53
 
 
-def _check_theta(theta: float) -> None:
+def check_theta(theta: float) -> None:
+    """Refuse a theta that is not positive and finite."""
     if not 0 < theta < math.inf:
         raise ValueError(f"theta must be positive and finite, got {theta}")
 
@@ -66,65 +69,9 @@ def _check_theta(theta: float) -> None:
 def check_theta_limit(theta: float) -> None:
     """Refuse a theta that is not positive and finite, or is above the
     overflow guard THETA_LIMIT."""
-    _check_theta(theta)
+    check_theta(theta)
     if theta > THETA_LIMIT:
         raise ValueError(f"theta = {theta} exceeds 2**53, the guard against overflow in these sums")
-
-
-# coefficients of the cephes log-gamma that scipy.special.gammaln evaluates
-_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
-           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
-_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
-           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
-_LGAM_C = (-3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
-           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
-_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
-_MAXLGM = 2.556348e305  # log-gamma overflows above
-
-
-def _horner(x, coefficients, leading):
-    for c in coefficients:
-        leading = leading * x + c
-    return leading
-
-
-def _gammaln_small(x: float) -> float:
-    """cephes log-gamma for 0 < x < 13: shift x into [2, 3), then a rational form."""
-    z, p, u = 1.0, 0.0, x
-    while u >= 3.0:
-        p -= 1.0
-        u = x + p
-        z *= u
-    while u < 2.0:
-        z /= u
-        p += 1.0
-        u = x + p
-    if u == 2.0:
-        return math.log(z)
-    x += p - 2.0
-    return math.log(z) + x * _horner(x, _LGAM_B[1:], _LGAM_B[0]) / _horner(x, _LGAM_C, 1.0)
-
-
-def _gammaln(x: np.ndarray) -> np.ndarray:
-    """scipy.special.gammaln for finite x > 0, bit for bit: the same cephes algorithm
-    in the same order of operations, with the C library's log (math.log).
-    Importing scipy.special takes about 0.25 s, most of an identities call."""
-    out = np.empty_like(x)
-    small = x < 13.0
-    out[small] = [_gammaln_small(v) for v in x[small].tolist()]
-    big = x[~small]
-    log = np.fromiter(map(math.log, big.tolist()), np.float64, len(big))
-    q = (big - 0.5) * log - big + _LS2PI  # Stirling, then its 1/x series below
-    p = 1.0 / (big * big)
-    series = np.where(
-        big >= 1000.0,
-        (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-        + 0.0833333333333333333333,
-        _horner(p, _LGAM_A[1:], _LGAM_A[0]),
-    )
-    q = np.where(big > 1e8, q, q + series / big)
-    out[~small] = np.where(big > _MAXLGM, np.inf, q)
-    return out
 
 
 def check_table_size(
@@ -136,36 +83,71 @@ def check_table_size(
         raise ValueError(f"n = {n} exceeds the size limit {TABLE_SIZE_LIMIT} of {arrays}")
 
 
-def psi_values(n: int, theta: float) -> np.ndarray:
-    """Table ``[psi(n, 1), ..., psi(n, n)]`` as one cumulative product.
+#: the factors of psi with m > _NEAR_ONE |theta-1| lie within 1/16 of one
+_NEAR_ONE = 16
 
-    Each factor ``(n-i)/(theta+n-1-i)`` is bounded, so the running product
-    never overflows even though numerator and denominator of the closed form
-    are astronomically large for n beyond ~170.  n above TABLE_SIZE_LIMIT is
-    refused.
+
+def _psi_prefix(n: int, j: int, theta: float) -> np.ndarray:
+    """``[psi(n, 1), ..., psi(n, j)]`` in one array: the running product of
+    the factors 1/(1 + (theta-1)/m), m = n, n-1, ..., n-j+1.
+
+    Factors near one (the first) go in as a running sum of log1p((theta-1)/m):
+    rounded to doubles, with the same sign over long runs of m, they drifted
+    the product by up to n eps.  The rest are multiplied directly, where a log
+    sum would cost |log psi| eps; at m = 1 the factor is 1/theta itself.
     """
-    _check_theta(theta)
+    table = np.arange(n, n - j, -1, dtype=np.float64)
+    np.divide(theta - 1.0, table, out=table)
+    cut = _NEAR_ONE * abs(theta - 1.0)
+    near = min(j, 0 if cut >= n - 1 else n - max(1, math.floor(cut)))
+    logs = table[:near]
+    np.cumsum(np.log1p(logs, out=logs), out=logs)
+    np.exp(np.negative(logs, out=logs), out=logs)
+    ratios = table[near:]
+    head = ratios[:-1] if j == n else ratios
+    np.divide(1.0, np.add(head, 1.0, out=head), out=head)
+    if j == n:
+        ratios[-1] = 1.0 / theta
+    np.cumprod(ratios, out=ratios)
+    if near:
+        ratios *= table[near - 1]
+    return table
+
+
+def psi_values(n: int, theta: float) -> np.ndarray:
+    """Table ``[psi(n, 1), ..., psi(n, n)]``; no factor overflows, though the
+    closed form's numerator and denominator do beyond n ~ 170.  n above
+    TABLE_SIZE_LIMIT is refused."""
+    check_theta(theta)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     check_table_size(n)
-    i = np.arange(n, dtype=np.float64)
-    ratio = n - i
-    ratio /= np.subtract(theta + n - 1.0, i, out=i)  # in place: two arrays of n at most
-    return np.cumprod(ratio, out=ratio)
+    return _psi_prefix(n, n, theta)
 
 
 def psi(n: int, j: int, theta: float) -> float:
-    """The weight psi(n, j) for a single index ``1 <= j <= n``."""
-    _check_theta(theta)
+    """The weight psi(n, j) for a single index ``1 <= j <= n``; the same bits
+    as ``psi_values(n, theta)[j - 1]``."""
+    check_theta(theta)
     if not 1 <= j <= n:
         raise ValueError(f"j must lie in [1, n] = [1, {n}], got {j}")
-    i = np.arange(j, dtype=np.float64)
-    return float(np.prod((n - i) / (theta + n - 1.0 - i)))
+    return float(_psi_prefix(n, j, theta)[-1])
+
+
+#: block of an array that ``_fsum`` turns into Python floats at a time
+_FSUM_BLOCK = 1 << 16
+
+
+def _fsum(values: np.ndarray) -> float:
+    """``math.fsum(values.tolist())`` read a block at a time, so that no list
+    of n Python floats (about 56 resident bytes per element) is built."""
+    blocks = (values[i : i + _FSUM_BLOCK].tolist() for i in range(0, values.size, _FSUM_BLOCK))
+    return math.fsum(itertools.chain.from_iterable(blocks))
 
 
 def verify_mean_identity(n: int, theta: float) -> tuple[float, float]:
     """Both sides of (1/n) sum_j psi(n, j) = 1/theta."""
-    lhs = math.fsum(psi_values(n, theta).tolist()) / n
+    lhs = _fsum(psi_values(n, theta)) / n
     return lhs, 1.0 / theta
 
 
@@ -173,64 +155,44 @@ def verify_harmonic_identity(n: int, theta: float) -> tuple[float, float]:
     """Both sides of sum_j psi(n, j)/j = sum_{j=1..n} 1/(theta+j-1)."""
     check_table_size(n)
     j = np.arange(1, n + 1, dtype=np.float64)
-    lhs = math.fsum((psi_values(n, theta) / j).tolist())
-    rhs = math.fsum((1.0 / (theta + j - 1.0)).tolist())
+    lhs = _fsum(psi_values(n, theta) / j)
+    rhs = _fsum(1.0 / (theta + j - 1.0))
     return lhs, rhs
 
 
-def _quadratic_double_sum(n: int, theta: float, absolute: bool) -> float:
-    """sum over 1 <= j,k <= n of (psi(j)psi(k) - psi(j+k) [j+k<=n]) / (jk),
-    optionally with absolute values taken termwise.  Chunked O(n^2): the
-    psi(j+k) of row j is the window from j of psi padded with n+1 zeros."""
-    values = psi_values(n, theta)
-    j = np.arange(1, n + 1, dtype=np.float64)
-    u = values / j
-    windows = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate((values, np.zeros(n + 1))), n
-    )
-    partials = []
-    block = 256
-    prod_buf, cross_buf = np.empty((2, min(block, n), n))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        prod, cross = prod_buf[: stop - start], cross_buf[: stop - start]
-        np.multiply(u[start:stop, None], u, out=prod)
-        np.multiply(j[start:stop, None], j, out=cross)
-        np.divide(windows[start + 1 : stop + 1], cross, out=cross)
-        np.subtract(prod, cross, out=prod)
-        if absolute:
-            np.abs(prod, out=prod)
-        partials.append(float(prod.sum()))
-    return math.fsum(partials)
-
-
-def verify_quadratic_identity(
-    n: int, theta: float, cap: int = QUADRATIC_CAP
-) -> tuple[float, float]:
-    """Both sides of the quadratic identity (an O(n^2) double sum).
-
-    Refuses n above ``cap`` so the identity suite stays fast; raise the cap
-    explicitly if you really want a bigger run.
-    """
-    if n > cap:
-        raise ValueError(f"n = {n} exceeds the O(n^2) cap {cap}")
+def verify_quadratic_identity(n: int, theta: float) -> tuple[float, float]:
+    """Both sides of the quadratic identity, in O(n): since sum_{j+k=m} 1/(jk)
+    = 2 H_{m-1}/m, its double sum is (sum_j psi_j/j)^2 - 2 sum_m psi_m H_{m-1}/m."""
     check_theta_limit(theta)
-    lhs = _quadratic_double_sum(n, theta, absolute=False)
-    k = np.arange(n, dtype=np.float64)
-    rhs = math.fsum((1.0 / (theta + k) ** 2).tolist())
+    values = psi_values(n, theta)
+    inverse = np.arange(1, n + 1, dtype=np.float64)
+    np.divide(1.0, inverse, out=inverse)
+    values *= inverse  # psi(n, m)/m
+    first = float(values.sum())
+    harmonic = np.cumsum(inverse, out=inverse)  # H_m
+    lhs = first * first - 2.0 * float(values[1:] @ harmonic[:-1])
+    del values, inverse, harmonic
+    k = np.arange(n, dtype=np.float64) + theta
+    rhs = _fsum(np.divide(1.0, np.square(k, out=k), out=k))
     return lhs, rhs
 
 
 def verify_telescoping(n: int, j: int, theta: float) -> tuple[float, float]:
     """Both sides of sum_{p=j}^{n-1} A_{p-j}^{theta-1}/(p A_p^theta)
-    = psi(n, j) (1/j - 1/n), for 1 <= j <= n-1."""
+    = psi(n, j) (1/j - 1/n), for 1 <= j <= n-1.
+
+    The summand ratio is theta/(theta+p-j) prod_{m=p-j+1}^{p} m/(theta+m), so
+    its log is -log1p((p-j)/theta) + s_p - s_{p-j} with
+    s_m = -sum_{i<=m} log1p(theta/i): no term grows like theta log theta.
+    """
     check_theta_limit(theta)
     if not 1 <= j <= n - 1:
         raise ValueError(f"j must lie in [1, n-1] = [1, {n - 1}], got {j}")
-    p = np.arange(j, n, dtype=np.float64)
-    gammaln_theta, gammaln_theta1 = _gammaln(np.array([theta, theta + 1.0]))
-    log_num = _gammaln(p - j + theta) - gammaln_theta - _gammaln(p - j + 1)
-    log_den = _gammaln(p + theta + 1) - gammaln_theta1 - _gammaln(p + 1)
-    lhs = math.fsum((np.exp(log_num - log_den) / p).tolist())
+    check_table_size(n)
+    s = np.zeros(n)  # s_0 .. s_{n-1}
+    np.cumsum(-np.log1p(theta / np.arange(1, n, dtype=np.float64)), out=s[1:])
+    k = np.arange(n - j, dtype=np.float64)  # p - j
+    log_ratio = s[j:] - s[: n - j] - np.log1p(k / theta)
+    lhs = float((np.exp(log_ratio) / (k + j)).sum())
     rhs = psi(n, j, theta) * (1.0 / j - 1.0 / n)
     return lhs, rhs

@@ -40,7 +40,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .cesaro import check_table_size
+from .cesaro import check_table_size, check_theta
 from .ewens import TrialBatch, coupling_distances, coupling_horizon, draw_batch
 from .limits import DeclaredIrrational, c2_meso, covariance_D, covariance_Dtilde
 from .rng import trial_rngs
@@ -173,8 +173,7 @@ class ExperimentConfig:
     meso_alpha: Union[Fraction, DeclaredIrrational, None] = None
 
     def __post_init__(self):
-        if not 0 < self.theta < math.inf:
-            raise ValueError(f"theta must be positive and finite, got {self.theta}")
+        check_theta(self.theta)
         if self.trials < 2:
             raise ValueError("need at least 2 trials")
         if self.model not in ("perm", "mod"):
@@ -337,11 +336,12 @@ def run_mesoscopic(config: ExperimentConfig, jobs: int = 1) -> MesoscopicResult:
     """Variance growth and normality on arcs shrinking like n**(-gamma).
 
     For the modified model the variance is evaluated by the exact formula at
-    every n in the schedule; for the plain model it is a Monte Carlo
-    estimate (its exact cross term is an O(n^2) sum, out of reach at these
-    sizes).  Each variance is set against the first-order asymptote
-    constant * theta * log(n * delta_n); the KS report is computed at the
-    largest n from ``trials`` standardised counts.
+    every n in the schedule.  For the plain model it is the Monte Carlo
+    estimate, although the exact one is an O(n log n) FFT
+    (``exact_moments_perm``): criterion 7c asserts on the estimate, and the
+    rows' printed keys are pinned.  Each variance is set against the
+    first-order asymptote constant * theta * log(n * delta_n); the KS report
+    is computed at the largest n from ``trials`` standardised counts.
     """
     if not config.n_schedule or config.gamma is None:
         raise ValueError("run_mesoscopic needs n_schedule and gamma")
@@ -424,8 +424,9 @@ def run_coupling_check(
     jobs: int = 1,
 ) -> CouplingReport:
     """Empirical coupling distance against the closed-form bound."""
-    if n < 1 or not theta > 0 or trials < 2:
-        raise ValueError(f"need n >= 1, theta > 0 and trials >= 2, got {n}, {theta}, {trials}")
+    check_theta(theta)
+    if n < 1 or trials < 2:
+        raise ValueError(f"need n >= 1 and trials >= 2, got {n}, {trials}")
     if not 0 < epsilon_tail < math.inf:
         raise ValueError(f"epsilon_tail must be positive and finite, got {epsilon_tail}")
     horizon, tail_bound = coupling_horizon(n, theta, epsilon_tail)
@@ -506,10 +507,9 @@ def run_spacings(
     the samplewise bounds (n*D >= 1, n^2*d >= 1, modified d <= plain d),
     which are theorems and must come out zero.
     """
-    if not n_schedule or not theta > 0 or trials < 1:
-        raise ValueError(
-            f"need a size, theta > 0 and trials >= 1, got {n_schedule}, {theta}, {trials}"
-        )
+    check_theta(theta)
+    if not n_schedule or trials < 1:
+        raise ValueError(f"need a size and trials >= 1, got {n_schedule}, {trials}")
     for n in n_schedule:  # before any sampling: a third of trials sort all n angles
         check_table_size(n, "the sorted angles of a trial (32-48 bytes per element)")
     rows = []

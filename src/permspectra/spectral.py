@@ -21,7 +21,10 @@ their one-trial forms.
 
 Exact finite-n mean and variance of both counts are weighted sums against
 the psi table from :mod:`permspectra.cesaro`; see ``exact_moments_perm`` and
-``exact_moments_mod``.
+``exact_moments_mod``.  The plain ensemble's cross term, a convolution of
+the per-arc weights, is one real FFT (``numpy.fft``, imported on first use),
+so every exact moment is O(n log n) at most and no size cap applies below
+``cesaro.TABLE_SIZE_LIMIT``.
 
 Arc endpoints may be floats or ``fractions.Fraction``.  Rational endpoints
 make every floor and fractional part exact integer arithmetic (int64 while
@@ -58,10 +61,6 @@ __all__ = [
 ]
 
 Endpoint = Union[float, Fraction]
-
-#: default cap on n for the O(n^2) double sum in exact_moments_perm
-PERM_VARIANCE_CAP = 5000
-
 
 @dataclass(frozen=True)
 class Arc:
@@ -245,29 +244,32 @@ def count_arc_mod(spectrum: ModifiedSpectrum, arc: Arc, closed: str = "right") -
 # ---------------------------------------------------------------------------
 
 
+def _arc_weights(arc: Arc, n: int) -> np.ndarray:
+    """u_j = ({j beta} - {j alpha}) / j for j = 1..n."""
+    u = frac_parts(arc.beta, n)
+    u -= frac_parts(arc.alpha, n)
+    u /= np.arange(1, n + 1, dtype=np.float64)
+    return u
+
+
 def _perm_mean(n: int, theta: float, arc: Arc) -> float:
     """Exact mean n (beta - alpha) - theta sum_j P_j omega_j / j of the
     permutation-matrix count, omega_j = {j beta} - {j alpha}; O(n)."""
     check_table_size(n)
     check_endpoint_size(n, arc.alpha, arc.beta)
-    # in place, psi table last: three arrays of n at most
-    weighted = frac_parts(arc.beta, n)
-    weighted -= frac_parts(arc.alpha, n)
-    weighted /= np.arange(1, n + 1, dtype=np.float64)
+    weighted = _arc_weights(arc, n)  # psi table last: three arrays of n at most
     weighted *= psi_values(n, theta)
     return n * float(arc.beta - arc.alpha) - theta * float(weighted.sum())
 
 
-def exact_moments_perm(
-    n: int, theta: float, arc: Arc, cap: int = PERM_VARIANCE_CAP
-) -> CountMoments:
+def exact_moments_perm(n: int, theta: float, arc: Arc) -> CountMoments:
     """Exact mean and variance of the permutation-matrix count in the arc.
 
     The variance is the diagonal of :func:`exact_covariance_perm`, clipped
     at zero against rounding; the mean n (beta - alpha) - theta sum_j P_j u_j
-    reuses its sum.  Above ``cap`` the call refuses rather than approximate.
+    reuses its sum.
     """
-    variance, sum1 = _covariance_perm(n, theta, arc, arc, cap)
+    variance, sum1 = _covariance_perm(n, theta, arc, arc)
     mean = n * float(arc.beta - arc.alpha) - theta * sum1
     return CountMoments(mean=mean, variance=max(variance, 0.0))
 
@@ -285,9 +287,7 @@ def exact_moments_mod(n: int, theta: float, arc: Arc) -> CountMoments:
     return CountMoments(mean=n * float(arc.width), variance=variance)
 
 
-def exact_covariance_perm(
-    n: int, theta: float, arc1: Arc, arc2: Arc, cap: int = PERM_VARIANCE_CAP
-) -> float:
+def exact_covariance_perm(n: int, theta: float, arc1: Arc, arc2: Arc) -> float:
     """Exact covariance of the two permutation-matrix counts at size n.
 
     With P the psi table, omega_j = {j beta} - {j alpha} and u_j = omega_j / j
@@ -297,30 +297,64 @@ def exact_covariance_perm(
               + theta^2 [ sum_{j+k<=n} P_{j+k} u_{j,1} u_{k,2}
                           - (sum_j P_j u_{j,1})(sum_k P_k u_{k,2}) ].
 
-    The cross term is an O(n^2) convolution; above ``cap`` the call refuses.
+    The cross term is P against the convolution of u_1 and u_2, taken by FFT
+    in O(n log n).
     """
-    return _covariance_perm(n, theta, arc1, arc2, cap)[0]
+    return _covariance_perm(n, theta, arc1, arc2)[0]
 
 
-def _covariance_perm(n: int, theta: float, arc1: Arc, arc2: Arc, cap: int) -> tuple[float, float]:
-    """(cov, sum_j P_j u_{j,1}) of :func:`exact_covariance_perm`."""
-    if n > cap:
-        raise ValueError(f"n = {n} exceeds the O(n^2) cap {cap}")
+def _fft_length(m: int) -> int:
+    """The least 2^a 3^b 5^c >= m: a transform length that pads by at most a
+    few percent and has no prime factor that slows the FFT."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        odd = p5
+        while odd < best:  # odd = 3^b 5^c, times the least power of two
+            best = min(best, odd << (-(-m // odd) - 1).bit_length())
+            odd *= 3
+        p5 *= 5
+    return best
+
+
+#: peak resident bytes per element of the plain covariance: tracemalloc sees
+#: 40 on the diagonal and 48 off it, pocketfft's work buffer and cached plan
+#: about 40 more
+_FFT_BYTES_PER_ELEMENT = 88
+
+
+def _covariance_perm(n: int, theta: float, arc1: Arc, arc2: Arc) -> tuple[float, float]:
+    """(cov, sum_j P_j u_{j,1}) of :func:`exact_covariance_perm`; each array
+    is dropped once used, and n beyond the FFT's share of the limit refused."""
+    check_table_size(n)
+    limit = cesaro.TABLE_SIZE_LIMIT * 48 // _FFT_BYTES_PER_ELEMENT
+    if n > limit:
+        raise ValueError(
+            f"n = {n} exceeds the size limit {limit} of the plain-ensemble covariance "
+            f"(its FFT takes up to {_FFT_BYTES_PER_ELEMENT} bytes per element)"
+        )
     check_endpoint_size(n, arc1.alpha, arc1.beta, arc2.alpha, arc2.beta)
     check_theta_limit(theta)
     values = psi_values(n, theta)
-    j = np.arange(1, n + 1, dtype=np.float64)
-    w1 = frac_parts(arc1.beta, n) - frac_parts(arc1.alpha, n)
-    w2 = frac_parts(arc2.beta, n) - frac_parts(arc2.alpha, n)
-    u1, u2 = w1 / j, w2 / j
-    first = theta * float((values * w1 * u2).sum())
-    if n >= 2:
-        conv = np.convolve(u1, u2)[: n - 1]  # entry i: sum over j+k = i+2
-        cross = float(values[1:] @ conv)
-    else:
-        cross = 0.0
-    sum1 = float((values * u1).sum())
-    return first + theta**2 * (cross - sum1 * float((values * u2).sum())), sum1
+    diagonal = arc2 == arc1
+    u1 = _arc_weights(arc1, n)
+    u2 = u1 if diagonal else _arc_weights(arc2, n)
+    weighted = values * u1
+    sum1 = float(weighted.sum())
+    sum2 = sum1 if diagonal else float((values * u2).sum())
+    weighted *= u2
+    weighted *= np.arange(1, n + 1, dtype=np.float64)  # P_j omega_{j,1} u_{j,2}
+    first = theta * float(weighted.sum())
+    del weighted
+    # entry i of the convolution sums over j+k = i+2; a length of at least
+    # 2n-1 keeps entries 0..n-2 free of wrap-around
+    size = _fft_length(2 * n - 1)
+    spectrum = np.fft.rfft(u1, size)
+    del u1
+    spectrum *= spectrum if diagonal else np.fft.rfft(u2, size)
+    del u2
+    cross = float(values[1:] @ np.fft.irfft(spectrum, size)[: n - 1])
+    return first + theta**2 * (cross - sum1 * sum2), sum1
 
 
 def exact_covariance_mod(n: int, theta: float, arc1: Arc, arc2: Arc) -> float:

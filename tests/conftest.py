@@ -10,8 +10,11 @@ thresholds and length reading, so that those can be tested bit by bit.
 The ``*_formula`` functions are earlier forms that the library must equal
 bit for bit: the full-array formulas of the float Cesàro sums in ``limits``
 (which its blocked kernel replaced), the separate variance formulas of
-``exact_moments_*`` (now the diagonal of ``exact_covariance_*``), the
-untiled rational fractional parts and the masked quadratic double sum.
+``exact_moments_*`` (now the diagonal of ``exact_covariance_*``; the plain
+one to a relative 1e-13, since its cross term is a direct convolution where
+the library takes an FFT) and the untiled rational fractional parts.  The
+quadratic identity's O(n^2) double sum, which the library replaced by an
+O(n) closed form, is an oracle here.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from permspectra import (
     count_arc_perm,
     psi_values,
 )
-from permspectra.cesaro import QUADRATIC_CAP, _quadratic_double_sum
 from permspectra.ewens import _dense_thresholds, _sorted_lengths
 from permspectra.spacings import _mod_angles
 from permspectra.spectral import ModifiedSpectrum, _fraction_terms, frac_parts
@@ -417,7 +419,8 @@ def ctilde_numeric_formula(s, t, u, v, n: int) -> float:
 
 
 def exact_moments_perm_formula(n: int, theta: float, arc: Arc) -> CountMoments:
-    """The separate plain-ensemble mean and variance formula."""
+    """The separate plain-ensemble mean and variance formula, with the cross
+    term as a direct O(n^2) convolution."""
     values = psi_values(n, theta)
     omega = frac_parts(arc.beta, n) - frac_parts(arc.alpha, n)
     j = np.arange(1, n + 1, dtype=np.float64)
@@ -490,16 +493,41 @@ def cesaro_number(n: int, delta: float) -> float:
     return float(np.prod((k + delta) / k))
 
 
-def absolute_quadratic_sum(n: int, theta: float, cap: int = QUADRATIC_CAP) -> float:
-    """Termwise-absolute version of the quadratic double sum of ``cesaro``.
+def quadratic_double_sum(n: int, theta: float, absolute: bool) -> float:
+    """sum over 1 <= j,k <= n of (psi(j)psi(k) - psi(j+k) [j+k<=n]) / (jk),
+    optionally with absolute values taken termwise: the quadratic identity's
+    left side term by term, O(n^2).  Chunked: the psi(j+k) of row j is the
+    window from j of psi padded with n+1 zeros."""
+    values = psi_values(n, theta)
+    j = np.arange(1, n + 1, dtype=np.float64)
+    u = values / j
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((values, np.zeros(n + 1))), n
+    )
+    partials = []
+    block = 256
+    prod_buf, cross_buf = np.empty((2, min(block, n), n))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        prod, cross = prod_buf[: stop - start], cross_buf[: stop - start]
+        np.multiply(u[start:stop, None], u, out=prod)
+        np.multiply(j[start:stop, None], j, out=cross)
+        np.divide(windows[start + 1 : stop + 1], cross, out=cross)
+        np.subtract(prod, cross, out=prod)
+        if absolute:
+            np.abs(prod, out=prod)
+        partials.append(float(prod.sum()))
+    return math.fsum(partials)
+
+
+def absolute_quadratic_sum(n: int, theta: float) -> float:
+    """Termwise-absolute version of the quadratic double sum.
 
     Stays bounded in n for fixed theta; monitored in tests as a boundedness
     proxy.  For theta >= 1 every term already has one sign, so this equals
     the signed sum.
     """
-    if n > cap:
-        raise ValueError(f"n = {n} exceeds the O(n^2) cap {cap}")
-    return _quadratic_double_sum(n, theta, absolute=True)
+    return quadratic_double_sum(n, theta, absolute=True)
 
 
 def frac_parts_direct(x, n: int, start: int = 1) -> np.ndarray:
@@ -510,26 +538,3 @@ def frac_parts_direct(x, n: int, start: int = 1) -> np.ndarray:
         return np.asarray(prod % q / float(q), dtype=np.float64)
     jx = np.arange(start, n + 1, dtype=np.float64) * float(x)
     return jx - np.floor(jx)
-
-
-def quadratic_double_sum_masked(n: int, theta: float, absolute: bool) -> float:
-    """``cesaro._quadratic_double_sum`` with psi(j+k) gathered through a
-    boolean mask and a fancy index, block by block of 256 rows."""
-    values = psi_values(n, theta)
-    j = np.arange(1, n + 1, dtype=np.float64)
-    u = values / j
-    partials = []
-    for start in range(0, n, 256):
-        stop = min(start + 256, n)
-        rows = np.arange(start + 1, stop + 1)
-        prod = np.outer(u[start:stop], u)
-        m = rows[:, None] + np.arange(1, n + 1)[None, :]
-        cross = np.zeros_like(prod)
-        inside = m <= n
-        cross[inside] = values[m[inside] - 1]
-        cross /= rows[:, None] * j[None, :]
-        terms = prod - cross
-        if absolute:
-            np.abs(terms, out=terms)
-        partials.append(float(terms.sum()))
-    return math.fsum(partials)

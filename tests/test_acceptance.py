@@ -403,6 +403,28 @@ def test_criterion_7a_meso_variance_ratio_mod():
     )
 
 
+def test_plain_fixed_arc_variance_increment():
+    """The plain-ensemble counterpart of 7a at a fixed arc: exact Var of the
+    count on (0, phi] at theta = 1 grows like theta c2 log N, c2 = 1/3 for a
+    rational alpha and an irrational beta.
+
+    The exact variances are 2.8374 at N = 1e4 and 4.3719 at N = 1e6 (the
+    FFT cross term makes both cheap), and the increment ratio
+    (Var(1e6) - Var(1e4)) / (theta c2 log 100) is 0.99966.
+    """
+    theta = 1.0
+    arc = Arc(F(0), GOLDEN.value)
+    small, large = (exact_moments_perm(n, theta, arc).variance for n in (10**4, 10**6))
+    c2 = c2_closed(RationalAlpha(0, 1, GOLDEN.value))
+    increment = (large - small) / (theta * c2 * math.log(100))
+    assert report(
+        "plain fixed arc",
+        0.99 <= increment <= 1.01,
+        f"perm (0, phi] N=1e4..1e6: exact var {small:.4f}->{large:.4f}, c2 {c2:.4f}, "
+        f"increment ratio {increment:.5f} (needs [0.99,1.01])",
+    )
+
+
 def test_criterion_7b_meso_ks_mod():
     """Modified counts at N = 1e5, delta = N**-0.5, M = 2000 pass the lattice
     KS test at p > 0.01.

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import absolute_quadratic_sum, cesaro_number, quadratic_double_sum_masked
+from conftest import (
+    absolute_quadratic_sum,
+    cesaro_number,
+    quadratic_double_sum,
+)
 from permspectra import (
     Arc,
     coupling_tail_expectation,
@@ -19,8 +23,9 @@ from permspectra import (
     verify_quadratic_identity,
     verify_telescoping,
 )
-from permspectra.cesaro import TABLE_SIZE_LIMIT, _gammaln, _quadratic_double_sum
-from permspectra.spectral import _perm_mean, exact_covariance_perm
+from permspectra import cesaro
+from permspectra.cesaro import TABLE_SIZE_LIMIT
+from permspectra.spectral import _perm_mean, exact_covariance_perm, exact_moments_perm
 
 THETAS = [0.3, 0.5, 0.7, 1.0, 1.5, 2.5]
 
@@ -64,14 +69,18 @@ class TestPsi:
     def test_size_limit_keeps_the_peak_near_2gb(self):
         # the limit is derived from the bytes per element that the exact
         # moments, the coupling tail and the identity checks hold at their peak
-        n = 200_000
+        n = 200_000  # 2n - 1 rounds up to an FFT length of 2n
         peaks = []
         for call in (
             lambda: _perm_mean(n, 1.0, Arc(Fraction(0), n**-0.5)),
+            lambda: exact_moments_perm(n, 1.0, Arc(0.1, 0.7)),
+            lambda: exact_covariance_perm(n, 0.7, Arc(0.1, 0.5), Arc(Fraction(1, 3), 0.9)),
             lambda: exact_moments_mod(n, 0.7, Arc(Fraction(1, 3), 0.7)),
             lambda: coupling_tail_expectation(n, 1.0, 2 * n),
             lambda: verify_mean_identity(n, 0.7),
             lambda: verify_harmonic_identity(n, 0.7),
+            lambda: verify_quadratic_identity(n, 0.7),
+            lambda: verify_telescoping(n, n // 3, 0.7),
         ):
             tracemalloc.start()
             call()
@@ -81,6 +90,26 @@ class TestPsi:
         assert 40 < per_element < 49
         assert TABLE_SIZE_LIMIT * per_element < 2e9
         assert 10**9 > TABLE_SIZE_LIMIT
+
+    @pytest.mark.parametrize("theta", [1e-300, 1e-12, 0.3, 0.7, 2.3, 10.0, 1e6, 1e15])
+    def test_table_within_1e13_of_the_exact_product(self, theta):
+        n = 200
+        top, bottom = theta.as_integer_ratio()
+        numerator = denominator = 1  # psi(n, j) = numerator / denominator exactly
+        for j, value in enumerate(psi_values(n, theta).tolist(), start=1):
+            m = n - j + 1
+            numerator *= m * bottom
+            denominator *= top + (m - 1) * bottom
+            if numerator * 10**290 < denominator:
+                continue  # below the normal doubles: the table underflows here
+            p, q = value.as_integer_ratio()
+            assert abs(p * denominator - q * numerator) / (q * numerator) < 1e-13
+
+    @pytest.mark.parametrize("theta", [0.3, 1.0, 7.0, 1e6])
+    def test_single_weight_equals_table_entry(self, theta):
+        table = psi_values(500, theta)
+        js = [1, 7, 166, 499, 500]
+        assert [psi(500, j, theta) for j in js] == [table[j - 1] for j in js]
 
     @pytest.mark.parametrize("theta,expect", [(2.0, -1), (0.5, +1), (1.0, 0)])
     def test_monotone_in_j(self, theta, expect):
@@ -114,6 +143,30 @@ class TestCesaroNumbers:
 
 
 class TestIdentities:
+    @pytest.mark.parametrize("theta", [0.3, 0.7, 3.3])
+    def test_mean_identity_at_four_million(self, theta):
+        # a running product of the rounded ratios drifted by 2.7e-10 here at
+        # theta = 0.7, over the identities command's 1e-10
+        lhs, rhs = verify_mean_identity(4_000_000, theta)
+        assert rel_gap(lhs, rhs) < 1e-12
+
+    def test_blocked_fsum_equals_fsum_of_the_list(self, monkeypatch):
+        monkeypatch.setattr(cesaro, "_FSUM_BLOCK", 7)
+        rng = np.random.default_rng(5)
+        for size in (0, 1, 6, 7, 8, 50):
+            x = rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size)
+            assert cesaro._fsum(x) == math.fsum(x.tolist())
+
+    def test_identity_sums_hold_no_list_of_n_floats(self):
+        # the psi table and one block of Python floats; the whole list took
+        # 32 more bytes per element
+        n = 10**6
+        tracemalloc.start()
+        verify_mean_identity(n, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak / n < 12
+
     @pytest.mark.parametrize("theta", THETAS)
     @pytest.mark.parametrize("n", [1, 7, 100, 1000])
     def test_mean_identity(self, n, theta):
@@ -146,9 +199,18 @@ class TestIdentities:
         _, rhs = verify_quadratic_identity(300, 1.0)
         assert rhs == pytest.approx(math.fsum(1 / k**2 for k in range(1, 301)), rel=1e-12)
 
-    def test_quadratic_cap(self):
-        with pytest.raises(ValueError):
-            verify_quadratic_identity(3000, 1.0)
+    @pytest.mark.parametrize("theta", [0.5, 2.3])
+    def test_quadratic_beyond_the_old_cap_equals_double_sum(self, theta):
+        # n = 6000 was refused while the left side was the O(n^2) double sum
+        lhs, rhs = verify_quadratic_identity(6000, theta)
+        assert lhs == pytest.approx(quadratic_double_sum(6000, theta, absolute=False), rel=1e-12)
+        assert rel_gap(lhs, rhs) < 1e-8
+
+    @pytest.mark.parametrize("theta", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 257, 2000])
+    def test_quadratic_closed_form_equals_double_sum(self, n, theta):
+        lhs, _ = verify_quadratic_identity(n, theta)
+        assert lhs == pytest.approx(quadratic_double_sum(n, theta, absolute=False), rel=1e-12)
 
     @pytest.mark.parametrize("theta", THETAS)
     def test_telescoping(self, theta):
@@ -157,8 +219,19 @@ class TestIdentities:
             assert rel_gap(lhs, rhs) < 1e-10
 
     def test_telescoping_readme_value(self):
-        # the identities command's probe at n = 500, unchanged by the scipy-free log-gamma
-        assert verify_telescoping(500, 166, 0.7) == (0.004541403841177735, 0.004541403841177419)
+        # the identities command's probe at n = 500, against mpmath's sum of
+        # the binomial ratios at 40 digits
+        lhs, rhs = verify_telescoping(500, 166, 0.7)
+        exact = 0.004541403841177407296470218
+        assert lhs == pytest.approx(exact, rel=1e-13)
+        assert rhs == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("theta", [1e6, 1e10, 1e15])
+    def test_telescoping_holds_at_large_theta(self, theta):
+        # log-gamma differences near theta log theta were off by 5.4e-10,
+        # 4.0e-6 and 8.6 relative here
+        lhs, rhs = verify_telescoping(10, 3, theta)
+        assert rel_gap(lhs, rhs) < 1e-13
 
     def test_telescoping_theta_one_closed_form(self):
         lhs, rhs = verify_telescoping(80, 16, 1.0)
@@ -191,35 +264,3 @@ class TestAbsoluteQuadraticSum:
         values = [absolute_quadratic_sum(n, 0.5) for n in (50, 100, 200, 400)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
         assert abs(values[-1] / values[-2] - 1.0) < 0.05
-
-
-class TestGammaln:
-    """``_gammaln`` is scipy.special.gammaln without its import, bit for bit."""
-
-    def test_equals_scipy_bit_for_bit(self):
-        from scipy.special import gammaln
-
-        rng = np.random.default_rng(5)
-        x = np.concatenate([
-            rng.uniform(1e-9, 13.0, 20_000),  # the shifted rational form
-            rng.uniform(13.0, 1000.0, 20_000),  # Stirling plus the 5-term series
-            rng.uniform(1000.0, 1e9, 20_000),  # the 3-term series, none above 1e8
-            np.arange(1.0, 5001.0),  # the integer arguments of verify_telescoping
-            np.arange(1.0, 5001.0) + 0.7,
-            [2.0, 3.0, 13.0, 1000.0, 1e8, np.nextafter(13.0, 0.0), 1e-300],
-            [2.556348e305, np.nextafter(2.556348e305, np.inf), 2.5564e305, 1e308],  # overflow
-        ])
-        with np.errstate(over="ignore"):
-            assert _gammaln(x).tobytes() == gammaln(x).tobytes()
-
-
-class TestQuadraticSumKernel:
-    """The windowed kernel equals the masked gather it replaced bit for bit:
-    the same products in the same blocks of 256 rows, summed in the same order."""
-
-    @pytest.mark.parametrize("absolute", [False, True])
-    @pytest.mark.parametrize("theta", [0.5, 2.3])
-    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 2000])
-    def test_equals_masked_gather(self, n, theta, absolute):
-        got = _quadratic_double_sum(n, theta, absolute)
-        assert got == quadratic_double_sum_masked(n, theta, absolute)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -218,10 +219,17 @@ class TestCliContract:
              "theta = 1e+308 exceeds 2**53, the guard against overflow in these sums"),
             (("identities", "--n", "10", "--theta", "1e308"),
              "theta = 1e+308 exceeds 2**53, the guard against overflow in these sums"),
+            # an infinite theta made every trial one n-cycle (spacings) or
+            # doubled the coupling horizon up to 2**40
+            (("spacings", "--n-list", "50", "--theta", "inf", "--trials", "4", "--seed", "1"),
+             "theta must be positive and finite, got inf"),
+            (("coupling-check", "--n", "10", "--theta", "inf", "--trials", "5", "--seed", "1"),
+             "theta must be positive and finite, got inf"),
         ],
         ids=["negative-jobs", "zero-jobs", "nan-epsilon-tail", "inf-epsilon-tail",
              "exact-perm-inf-theta", "exact-mod-inf-theta", "identities-inf-theta",
-             "clt-inf-theta", "exact-perm-huge-theta", "identities-huge-theta"],
+             "clt-inf-theta", "exact-perm-huge-theta", "identities-huge-theta",
+             "spacings-inf-theta", "coupling-inf-theta"],
     )
     def test_bad_value_named_in_one_error_line(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
@@ -230,6 +238,8 @@ class TestCliContract:
         ["mesoscopic", "--n-list", "10000,30000", "--model", "perm", "--seed", "1"],
         ["mesoscopic", "--n-list", "30000", "--model", "mod", "--seed", "1"],
         ["exact-moments", "--n", "30000", "--alpha", "0.1", "--beta", "0.3", "--model", "mod"],
+        ["exact-moments", "--n", "30000", "--alpha", "0.1", "--beta", "0.3", "--model", "perm"],
+        ["identities", "--n", "30000"],
         ["coupling-check", "--n", "30000", "--seed", "1"],
     ])
     def test_size_beyond_the_table_limit_refused_before_sampling(self, capsys, monkeypatch,
@@ -243,6 +253,26 @@ class TestCliContract:
         message = ("n = 30000 exceeds the size limit 20000 of a psi table "
                    "(up to 48 bytes per element at the peak)")
         assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["exact-moments", "--n", "10910", "--alpha", "0.1", "--beta", "0.3", "--model", "perm"],
+        ["clt", "--n", "10910", "--arcs", "0.1,0.3", "--model", "perm", "--seed", "1"],
+    ])
+    def test_plain_covariance_beyond_its_share_of_the_limit_refused(self, capsys, monkeypatch,
+                                                                    argv):
+        # the FFT holds about 88 resident bytes per element (tracemalloc sees
+        # 40-48), so n is capped at the limit times 48/88 (20000 -> 10909 here)
+        def no_draws(*args, **kwargs):
+            raise AssertionError("sampled before the size check")
+
+        monkeypatch.setattr("permspectra.cesaro.TABLE_SIZE_LIMIT", 20_000)
+        monkeypatch.setattr("permspectra.experiments.draw_batch", no_draws)
+        message = ("n = 10910 exceeds the size limit 10909 of the plain-ensemble covariance "
+                   "(its FFT takes up to 88 bytes per element)")
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+        out = run_json(capsys, "exact-moments", "--n", "10909", "--alpha", "0.1", "--beta", "0.3",
+                       "--model", "perm")
+        assert out["results"]["variance"] > 0
 
     def test_spacings_size_refused_before_any_trial(self, capsys, monkeypatch):
         # the mod spacings sort all n angles of a third of the trials
@@ -300,20 +330,43 @@ class TestCliContract:
         )
         assert proc.stdout.strip() == "[]"
 
-    def test_identities_leave_scipy_special_unloaded(self):
-        # its log-gamma terms come from cesaro._gammaln, not from scipy.special
+    def test_exact_layer_leaves_scipy_fft_signal_special_unloaded(self):
+        # the plain covariance's FFT is numpy.fft, and the identities need
+        # no log-gamma
         code = (
             "import contextlib, io, sys\n"
             "from permspectra.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['exact-moments', '--model', 'perm', '--n', '6000',\n"
+            "                 '--alpha', '0.2', '--beta', '0.7']) == 0\n"
             "    assert main(['identities', '--n', '300', '--theta', '0.7']) == 0\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('scipy.fft', 'scipy.signal', 'scipy.special'))))"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(permspectra.__file__).parents[1])}
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
         )
         assert proc.stdout.strip() == "[]"
+
+    def test_plain_exact_moments_at_a_million_in_a_fresh_process(self):
+        # the FFT cross term: n = 6000 was refused while it was an O(n^2) sum
+        env = {**os.environ, "PYTHONPATH": str(Path(permspectra.__file__).parents[1])}
+        argv = [sys.executable, "-m", "permspectra", "exact-moments", "--model", "perm",
+                "--n", "1000000", "--alpha", "0", "--beta", "irr:golden"]
+        start = time.perf_counter()
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["results"]["variance"] == pytest.approx(4.371946, rel=1e-6)
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("theta", ["1e6", "1e10", "1e15"])
+    def test_identities_pass_at_large_theta(self, capsys, theta):
+        # the telescoping row failed here while it differenced log-gamma values
+        out = run_json(capsys, "identities", "--n", "10", "--theta", theta)
+        assert out["results"]["telescoping"]["pass"] is True
+        assert out["results"]["all_pass"] is True
 
     def test_byte_identical_reruns(self, capsys):
         argv = ["clt", "--n", "150", "--arcs", "0.1,0.6", "--model", "perm",

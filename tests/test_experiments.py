@@ -10,6 +10,7 @@ from permspectra import (
     ExperimentConfig,
     NAMED_IRRATIONALS,
     coupling_bound,
+    exact_moments_perm,
     run_clt_fixed,
     run_coupling_check,
     run_mesoscopic,
@@ -130,13 +131,14 @@ class TestRunCltFixed:
         with pytest.raises(ValueError, match="degenerate"):
             run_clt_fixed(cfg)
 
-    def test_perm_variance_cap_propagates(self):
+    def test_perm_beyond_the_old_cap_standardises_by_exact_moments(self):
+        # n = 6000 was refused while the plain variance was an O(n^2) sum
+        arc = Arc(0.1, 0.6)
         cfg = ExperimentConfig(
-            theta=1.0, trials=10, master_seed=0, model="perm", n=6000,
-            arcs=(Arc(0.1, 0.6),),
+            theta=1.0, trials=10, master_seed=0, model="perm", n=6000, arcs=(arc,),
         )
-        with pytest.raises(ValueError, match="cap"):
-            run_clt_fixed(cfg)
+        exact = exact_moments_perm(6000, 1.0, arc)
+        assert run_clt_fixed(cfg, n_numeric=10**3).moments == [(exact.mean, exact.variance)]
 
     def test_standardisation_calibrated(self):
         # exact moments centre and scale the counts: empirical mean within
