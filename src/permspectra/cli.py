@@ -24,6 +24,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 import time
 from dataclasses import asdict, is_dataclass
@@ -75,10 +76,13 @@ def parse_endpoint(token: str):
     """Decimal, rat:p/q (-> Fraction) or irr:name (-> DeclaredIrrational)."""
     token = token.strip()
     if token.startswith("rat:"):
-        num, _, den = token[4:].partition("/")
-        if den and int(den) == 0:
+        match = re.fullmatch(r"(-?[0-9]+)/([0-9]+)", token[4:])
+        if match is None:
+            raise ValueError(f"malformed rational {token!r}; write rat:p/q with integers p and q")
+        num, den = map(int, match.groups())
+        if den == 0:
             raise ValueError(f"zero denominator in {token!r}")
-        return Fraction(int(num), int(den) if den else 1)
+        return Fraction(num, den)
     if token.startswith("irr:"):
         name = token[4:]
         if name not in NAMED_IRRATIONALS:
@@ -234,6 +238,8 @@ def _cmd_constants(args):
 
 
 def _cmd_identities(args):
+    if args.n < 2:  # the telescoping probe needs some j in [1, n-1]
+        raise ValueError(f"identities need n >= 2, got n = {args.n}")
     checks = {}
     lhs, rhs = verify_mean_identity(args.n, args.theta)
     checks["mean"] = (lhs, rhs)

@@ -510,7 +510,7 @@ def run_spacings(
     check_theta(theta)
     if not n_schedule or trials < 1:
         raise ValueError(f"need a size and trials >= 1, got {n_schedule}, {trials}")
-    for n in n_schedule:  # before any sampling: a third of trials sort all n angles
+    for n in n_schedule:  # before any sampling: a trial with no empty J-cell sorts all n angles
         check_table_size(n, "the sorted angles of a trial (32-48 bytes per element)")
     rows = []
     for idx, n in enumerate(n_schedule):

@@ -35,15 +35,18 @@ unmodified 1/max lcm: two cycles realising the max lcm come within
 1/(2 lcm) of each other (or, if the max is lcm(J, J), 1/J is present), and
 rounding is monotone, so the floats compare exactly too.
 
-The largest spacing is exactly 1/J whenever n - J < J: the J-grid cuts the
-circle into J cells of length 1/J, the other n - J angles lie inside at
-most n - J of them, and the two ends of an empty cell are consecutive.
-Only the other trials (about 30% at theta = 1) sort their n angles.  That
-gives every gap within 2**-50, and a sorted gap that close to 1/J is
-recognised as exactly 1/J with the exact pairwise distances (see
-``mod_gap_extremes``).  So the largest spacing is inexact, by at most
-2**-50, only in a trial where every J-cell holds another angle: a few
-percent of the sorted trials.
+The largest spacing is exactly 1/J whenever some J-cell is empty: the
+J-grid cuts the circle into J cells of length 1/J, and the two ends of a
+cell that holds no other angle are consecutive.  When n - J < J the other
+n - J angles lie inside at most n - J cells, so one is empty (pigeonhole).
+In the other trials (about 30% at theta = 1) one occupancy row per trial
+records the cell of every other angle, with no sort; its cell indices are
+exact once no other cycle comes within 2**-48 of the J-grid, which the
+exact pairwise distances tell.  Only trials with every J-cell occupied, or
+with a cycle that close to the grid, sort their n angles: at theta = 1,
+1.7% of all trials at n = 1000 and 0.2% at n = 16000.  The sort gives every
+gap within 2**-50, so the largest spacing is inexact, by at most 2**-50,
+only in those trials (see ``mod_gap_extremes``).
 """
 
 from __future__ import annotations
@@ -227,24 +230,74 @@ def _sorted_largest(batch: TrialBatch, trials: np.ndarray) -> np.ndarray:
     return largest
 
 
+def _has_empty_cell(batch: TrialBatch, trials: np.ndarray) -> np.ndarray:
+    """Whether some J-cell of each given trial holds no other cycle's angle,
+    J the trial's longest (last) cycle, read off an occupancy row per trial.
+
+    The angle (k + phi)/j of another cycle lies at s = k (J/j) + phi (J/j)
+    - phi_J + 1 in units of one cell, in (0, J + 1): slot floor(s) of a row
+    of J + 1, whose slot 0 (below the first J-grid point) is the wrap end
+    of the last cell, slot J.  The trials must keep every other angle 2**-48
+    from the J-grid (``to_longest`` of ``_pair_gaps``): then s lies J 2**-48
+    from any integer, while its float error (six roundings of values below
+    J + 1, that of J/j carried into both products) stays below J 2**-49, so
+    every slot is exact.  s stays local to its trial and the row's offset
+    is added after the floor, since a float offset would eat that margin.
+    """
+    n, starts, lengths, phases = batch.n, batch.starts, batch.lengths, batch.phases
+    empty = np.empty(len(trials), dtype=bool)
+    step = max(1, _ANGLE_BLOCK // n)
+    for lo in range(0, len(trials), step):
+        rows = trials[lo : lo + step]
+        last = starts[rows + 1] - 1
+        longest = lengths[last]
+        sizes = last - starts[rows]  # the other cycles of each trial
+        owner = np.repeat(np.arange(len(rows)), sizes)
+        cycles = np.repeat(starts[rows] - np.cumsum(sizes) + sizes, sizes) + np.arange(len(owner))
+        j = lengths[cycles]
+        scale = longest[owner] / j
+        base = phases[cycles] * scale - phases[last][owner] + 1.0
+        width = longest + 1
+        offset = np.cumsum(width) - width
+        s = np.arange(j.sum(), dtype=np.float64)  # the point's index, then k
+        s -= np.repeat((np.cumsum(j) - j).astype(np.float64), j)
+        s *= np.repeat(scale, j)
+        s += np.repeat(base, j)
+        slot = s.astype(np.int64)  # the floor, as s > 0
+        slot += np.repeat(offset[owner], j)
+        occupied = np.zeros(width.sum(), dtype=bool)
+        occupied[slot] = True
+        occupied[offset + longest] |= occupied[offset]
+        occupied[offset] = True
+        empty[lo : lo + step] = ~np.logical_and.reduceat(occupied, offset)
+    return empty
+
+
 def mod_gap_extremes(batch: TrialBatch) -> tuple[np.ndarray, np.ndarray]:
     """(largest, smallest) circular gap of every trial's modified spectrum;
     the lengths ascend within each trial, as drawn.
 
     With J the longest cycle, the smallest gap is the smaller of 1/J and
     the closest approach of two cycles (``_pair_gaps``): exact, rounded
-    once.  The largest is exactly 1/J when n - J < J (pigeonhole: some
-    J-cell holds no other angle).  The other trials sort their n angles,
-    which gives every gap within 2**-50.  A sorted gap within 2**-49 of 1/J
-    has both ends within 2**-48 of J-grid points, so it is exactly 1/J once
-    no other cycle comes within 2**-48 of the J-grid; otherwise the sorted
-    value stands, capped at 1/J.
+    once.  The largest is exactly 1/J when some J-cell holds no other
+    angle: always when n - J < J (pigeonhole), and in the other trials
+    whenever their occupancy row (``_has_empty_cell``) has an empty cell.
+    That row is read only once no other cycle comes within 2**-48 of the
+    J-grid.  The rest sort their n angles, which gives every gap within
+    2**-50: the trials with every J-cell occupied, whose gaps are all at
+    most 1/J - 2**-48 under that guard, and the trials that fail it.  A
+    sorted gap within 2**-49 of 1/J has both ends within 2**-48 of J-grid
+    points, so it is exactly 1/J once the guard holds; otherwise the sorted
+    value stands, capped at 1/J.  So the sort returns exactly 1/J on the
+    same trials as the occupancy rows, and the rows only spare it.
     """
     longest = batch.lengths[batch.starts[1:] - 1]
     closest, to_longest = _pair_gaps(batch)
     smallest = np.minimum(1.0 / longest, closest)
     largest = 1.0 / longest
     rest = np.flatnonzero(batch.n - longest >= longest)
+    clear = rest[to_longest[rest] >= 2.0**-48]
+    rest = np.setdiff1d(rest, clear[_has_empty_cell(batch, clear)])
     found = np.minimum(_sorted_largest(batch, rest), largest[rest])
     inexact = (found < largest[rest] - 2.0**-49) | (to_longest[rest] < 2.0**-48)
     largest[rest[inexact]] = found[inexact]

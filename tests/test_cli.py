@@ -225,11 +225,30 @@ class TestCliContract:
              "theta must be positive and finite, got inf"),
             (("coupling-check", "--n", "10", "--theta", "inf", "--trials", "5", "--seed", "1"),
              "theta must be positive and finite, got inf"),
+            # n = 1 failed inside the telescoping probe, which needs j in [1, n-1]
+            (("identities", "--n", "1"), "identities need n >= 2, got n = 1"),
+            (("identities", "--n", "0"), "identities need n >= 2, got n = 0"),
+            # rat:1/ ran as the integer 1; rat:a/3 named int()'s literal, not the token
+            (("exact-moments", "--n", "10", "--alpha", "rat:1/", "--beta", "0.5"),
+             "malformed rational 'rat:1/'; write rat:p/q with integers p and q"),
+            (("exact-moments", "--n", "10", "--alpha", "rat:a/3", "--beta", "0.5"),
+             "malformed rational 'rat:a/3'; write rat:p/q with integers p and q"),
+            (("clt", "--n", "100", "--arcs", "0.1,rat:1/2/3", "--seed", "1", "--trials", "5"),
+             "malformed rational 'rat:1/2/3'; write rat:p/q with integers p and q"),
+            (("mesoscopic", "--n-list", "100", "--alpha", "rat:1", "--seed", "1",
+              "--trials", "5"),
+             "malformed rational 'rat:1'; write rat:p/q with integers p and q"),
+            (("exact-moments", "--n", "10", "--alpha", "rat:/3", "--beta", "0.5"),
+             "malformed rational 'rat:/3'; write rat:p/q with integers p and q"),
+            (("exact-moments", "--n", "10", "--alpha", "rat:1_0/30", "--beta", "0.5"),
+             "malformed rational 'rat:1_0/30'; write rat:p/q with integers p and q"),
         ],
         ids=["negative-jobs", "zero-jobs", "nan-epsilon-tail", "inf-epsilon-tail",
              "exact-perm-inf-theta", "exact-mod-inf-theta", "identities-inf-theta",
              "clt-inf-theta", "exact-perm-huge-theta", "identities-huge-theta",
-             "spacings-inf-theta", "coupling-inf-theta"],
+             "spacings-inf-theta", "coupling-inf-theta", "identities-n1", "identities-n0",
+             "rat-empty-denominator", "rat-letter-numerator", "rat-two-slashes",
+             "rat-no-slash", "rat-empty-numerator", "rat-underscore"],
     )
     def test_bad_value_named_in_one_error_line(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")

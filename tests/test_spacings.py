@@ -23,8 +23,9 @@ from permspectra import (
     spacings_perm,
     trial_rng,
 )
-from permspectra.ewens import draw_batch
-from permspectra.spacings import mod_gap_extremes
+from permspectra import spacings
+from permspectra.ewens import TrialBatch, draw_batch
+from permspectra.spacings import _has_empty_cell, _pair_gaps, mod_gap_extremes
 
 
 class TestSpacingsPerm:
@@ -170,6 +171,102 @@ class TestModifiedExactOracle:
         # gaps of order 1/n^2 = 2.5e-11: a sort of float angles near 1 loses their digits
         rngs = [trial_rng(2016, t) for t in range(6)]
         _check_against_oracle(draw_batch(200_000, 1.0, rngs, phases=True), Counter())
+
+
+def _trials(*trials) -> TrialBatch:
+    """A batch of hand-made trials of one size, each (lengths ascending, phases)."""
+    lengths = np.concatenate([np.array(lens) for lens, _ in trials])
+    phases = np.concatenate([np.array(phis, dtype=float) for _, phis in trials])
+    starts = np.cumsum([0, *(len(lens) for lens, _ in trials)])
+    return TrialBatch(sum(trials[0][0]), lengths, phases, starts)
+
+
+@pytest.fixture
+def sorted_trials(monkeypatch):
+    """Every trial that mod_gap_extremes hands to the sort, in call order."""
+    seen = []
+    sort = spacings._sorted_largest
+
+    def spy(batch, trials):
+        seen.extend(trials.tolist())
+        return sort(batch, trials)
+
+    monkeypatch.setattr(spacings, "_sorted_largest", spy)
+    return seen
+
+
+class TestEmptyCellDecision:
+    """The occupancy rows that spare n - J >= J trials with an empty J-cell the sort."""
+
+    def test_wrap_cell(self, sorted_trials):
+        # J = 2 at phase 1/2: grid points 1/4 and 3/4, cells [1/4, 3/4) and
+        # [3/4, 5/4); 1/16 sits in the wrap slot below the first grid point
+        batch = _trials(
+            ([1, 1, 2], [0.0625, 0.5, 0.5]),  # one point per cell
+            ([1, 1, 2], [0.375, 0.5, 0.5]),  # the last cell empty
+            ([1, 1, 2], [0.875, 0.5, 0.5]),  # the last cell's point above 3/4
+        )
+        assert _has_empty_cell(batch, np.arange(3)).tolist() == [False, True, False]
+        _check_against_oracle(batch, Counter())
+        assert sorted_trials == [0, 2]
+        assert mod_gap_extremes(batch)[0].tolist() == [0.3125, 0.5, 0.375]
+
+    def test_point_on_the_grid_takes_the_sort(self, sorted_trials):
+        # the fixed point at 1/4 is a J-grid point, so no slot can be trusted
+        batch = _trials(([1, 1, 2], [0.25, 0.5, 0.5]), ([1, 1, 2], [0.375, 0.5, 0.5]))
+        assert _pair_gaps(batch)[1].tolist() == [0.0, 0.125]
+        _check_against_oracle(batch, Counter())
+        assert sorted_trials == [0]
+        assert mod_gap_extremes(batch)[0].tolist() == [0.5, 0.5]
+
+    def test_tied_longest_cycles_leave_no_empty_cell(self, sorted_trials):
+        # the other 3-cycle (or two of them) puts a point in every cell
+        batch = _trials(([3, 3], [0.125, 0.75]), ([3, 3], [0.5, 0.0625]))
+        three = _trials(([1, 1, 1, 3, 3], [0.0, 0.125, 0.25, 0.875, 0.5]))
+        assert not _has_empty_cell(batch, np.arange(2)).any()
+        assert not _has_empty_cell(three, np.arange(1)).any()
+        _check_against_oracle(batch, Counter())
+        _check_against_oracle(three, Counter())
+        assert sorted_trials == [0, 1, 0]
+
+    def test_blocks_match_one_trial_at_a_time(self):
+        # at n = 4000 a block holds 16 trials, and about 60 of these 200 need a row
+        n = 4000
+        batch = draw_batch(n, 1.0, [trial_rng(13, t) for t in range(200)], phases=True)
+        longest = batch.lengths[batch.starts[1:] - 1]
+        rows = np.flatnonzero((n - longest >= longest) & (_pair_gaps(batch)[1] >= 2.0**-48))
+        assert len(rows) > 3 * 16
+        alone = [_has_empty_cell(batch, np.array([t]))[0] for t in rows]
+        assert _has_empty_cell(batch, rows).tolist() == alone
+        largest, smallest = mod_gap_extremes(batch)
+        for t in range(batch.trials):
+            cycles = slice(batch.starts[t], batch.starts[t + 1])
+            one = TrialBatch(n, batch.lengths[cycles], batch.phases[cycles])
+            assert [x[0] for x in mod_gap_extremes(one)] == [largest[t], smallest[t]]
+
+    def test_only_trials_without_an_empty_cell_are_sorted(self, sorted_trials):
+        rng = np.random.default_rng(11)
+        kinds = Counter()
+        for theta in (0.5, 1.0, 2.0):
+            for n in (8, 30, 100, 400):
+                sorted_trials.clear()
+                rngs = [trial_rng(int(rng.integers(2**32)), t) for t in range(40)]
+                batch = draw_batch(n, theta, rngs, phases=True)
+                _check_against_oracle(batch, kinds)
+                to_longest = _pair_gaps(batch)[1]
+                expected = []
+                for t in range(batch.trials):
+                    cycles = slice(batch.starts[t], batch.starts[t + 1])
+                    lengths = batch.lengths[cycles]
+                    longest = int(lengths[-1])
+                    largest = exact_mod_gap_range(lengths, batch.phases[cycles])[1]
+                    no_empty_cell = largest < F(1, longest)
+                    if n - longest >= longest and (no_empty_cell or to_longest[t] < 2.0**-48):
+                        expected.append(t)
+                assert sorted_trials == expected
+        # both sides of the decision were met ("sorted, empty J-cell" is the
+        # oracle helper's name for n - J >= J trials that get exactly 1/J)
+        assert kinds["sorted, empty J-cell"] >= 20 and kinds["sorted, no empty J-cell"] >= 20, kinds
 
 
 class TestTwoCycleMinSpacing:
