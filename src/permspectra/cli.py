@@ -32,8 +32,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ewens import EwensParams, sample_cycle_counts
+from .ewens import draw_batch
 from .experiments import (
+    _CHUNK_TRIALS,
     ExperimentConfig,
     run_clt_fixed,
     run_coupling_check,
@@ -54,13 +55,14 @@ from .limits import (
     s3_closed,
 )
 from .cesaro import (
+    check_theta,
     verify_harmonic_identity,
     verify_mean_identity,
     verify_quadratic_identity,
     verify_telescoping,
 )
 from .rng import trial_rngs
-from .spectral import Arc, attach_phases, exact_moments_mod, exact_moments_perm
+from .spectral import Arc, exact_moments_mod, exact_moments_perm
 
 SCHEMA_VERSION = "1"
 
@@ -164,16 +166,19 @@ def _csv_cell(value):
 
 
 def _cmd_sample(args):
-    params = EwensParams(args.theta)
-    trials = []
-    for rng in trial_rngs(args.seed, 0, args.trials):
-        counts = sample_cycle_counts(args.n, params, rng)
-        entry = {"cycle_counts": {str(j): a for j, a in sorted(counts.counts.items())}}
-        if args.model == "mod":
-            spectrum = attach_phases(counts, rng)
-            entry["phases"] = spectrum.phases.tolist()
-            entry["lengths"] = spectrum.lengths.tolist()
-        trials.append(entry)
+    check_theta(args.theta)
+    phases, trials = args.model == "mod", []
+    for lo in range(0, args.trials, _CHUNK_TRIALS):
+        hi = min(lo + _CHUNK_TRIALS, args.trials)
+        batch = draw_batch(args.n, args.theta, trial_rngs(args.seed, lo, hi), phases=phases)
+        for t in range(batch.trials):
+            cycles = slice(batch.starts[t], batch.starts[t + 1])
+            lengths, multiplicity = np.unique(batch.lengths[cycles], return_counts=True)
+            entry = {"cycle_counts": dict(zip(map(str, lengths.tolist()), multiplicity.tolist()))}
+            if phases:
+                entry["phases"] = batch.phases[cycles].tolist()
+                entry["lengths"] = batch.lengths[cycles].tolist()
+            trials.append(entry)
     header = ["trial", "cycle_length", "multiplicity"]
     rows = [
         (t, j, a)
@@ -218,6 +223,9 @@ def _parse_constants_class(args):
 def _cmd_constants(args):
     if args.case in ("ell-rational", "ell-irrational", "meso-rational", "meso-irrational"):
         if args.case.endswith("rational") and not args.case.endswith("irrational"):
+            if args.q < 1:
+                name = "delta" if args.case.startswith("ell") else "alpha"
+                raise ValueError(f"{name}: denominator must be >= 1, got {args.q}")
             x = Fraction(args.p, args.q)
         else:
             x = parse_endpoint(args.alpha or "irr:golden")

@@ -46,7 +46,8 @@ from math's in the last bit, so a walk moves only when the numpy value
 clears the certificate by its slack on both sides; any other draw goes to
 the scalar step with the same uniform, and walks left with too few others
 finish one at a time, as do batches of fewer than ``_MIN_LANES`` = 80
-walks (at ``--jobs`` > 1 most chunks are that narrow).  Every position is
+walks (a driver's chunk is its call's trials over its jobs, so only calls
+of fewer than 80 trials per job are that narrow).  Every position is
 the scalar walk's by construction.  Few draws fall back: about one in a
 thousand at theta <= 2, one in a hundred over theta up to 50.
 """
@@ -202,7 +203,8 @@ _BLOCK = 64
 #: a call with fewer walks than this steps them one trial at a time: below
 #: it the numpy steps cost more than the scalar draws they replace (whole-call
 #: crossover 75-100 walks at theta <= 1, 50-75 at theta 2; per-call timings
-#: from 10 to 500 walks in BENCH_lockstep_walk.json)
+#: from 10 to 500 walks in BENCH_lockstep_walk.json); a driver's chunk makes
+#: one call of ceil(trials / jobs) walks, up to 4096 (``experiments._chunk_ranges``)
 _MIN_LANES = 80
 
 #: walks of a lockstep call finish one at a time once fewer than this are live
@@ -476,11 +478,6 @@ def _walks_lockstep(starts, limit: int, theta: float, sources) -> list[np.ndarra
     order = np.argsort(lanes, kind="stable")  # each walk's positions ascend step by step
     counts = np.bincount(lanes, minlength=len(starts))
     return np.split(found[order], np.cumsum(counts)[:-1])
-
-
-def _ones_positions_sparse(n: int, theta: float, rng) -> np.ndarray:
-    """Positions of ones in (xi_1, ..., xi_n) sampled by gap skipping."""
-    return np.asarray([1, *_ones_after(1, n, theta, rng)], dtype=np.int64)
 
 
 class _Uniforms:

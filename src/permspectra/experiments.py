@@ -11,10 +11,10 @@ the trial-ordered arrays, never over per-worker partial sums.
 All four drivers share one trial engine: trials run in chunks, and inside a
 chunk only the draws run per trial (every word, then the phases or the
 coupled tails; sparse words and tails are walked for all trials of the
-chunk in lockstep, see ``ewens.draw_batch``).  At ``jobs`` = 1 a call's
-trials are one chunk of up to ``_CHUNK_TRIALS``, so those walks run on the
-widest lanes.  Each driver's statistic is then
-computed once per chunk on the concatenated cycle-length arrays: arc counts,
+chunk in lockstep, see ``ewens.draw_batch``).  Each job takes one chunk
+of its share of a call's trials, up to ``_CHUNK_TRIALS``, so those walks
+run on the widest lanes.  Each driver's statistic is then computed once
+per chunk on the concatenated cycle-length arrays: arc counts,
 extremal spacings or coupling distances, one row per trial.
 
 The normality checks standardise integer counts with their *exact* finite-n
@@ -44,7 +44,7 @@ from .cesaro import check_table_size, check_theta
 from .ewens import TrialBatch, coupling_distances, coupling_horizon, draw_batch
 from .limits import DeclaredIrrational, c2_meso, covariance_D, covariance_Dtilde
 from .rng import trial_rngs
-from .spacings import max_lcms, mod_gap_extremes
+from .spacings import mod_gap_extremes
 from .spectral import (
     Arc,
     _perm_mean,
@@ -184,14 +184,14 @@ class ExperimentConfig:
             )
 
 
-#: most trials in one chunk at jobs = 1, where one chunk per call gives the
-#: lockstep walk (``ewens.draw_batch``) its widest lanes; more jobs take four
-#: chunks each
+#: most trials in one chunk; each job takes one chunk of its share of a
+#: call's trials up to this, which gives the lockstep walk
+#: (``ewens.draw_batch``) its widest lanes
 _CHUNK_TRIALS = 4096
 
 
 def _chunk_ranges(trials: int, jobs: int) -> list[tuple[int, int]]:
-    per = min(trials, _CHUNK_TRIALS) if jobs == 1 else max(1, math.ceil(trials / jobs / 4))
+    per = min(_CHUNK_TRIALS, math.ceil(trials / jobs))
     return [(lo, min(lo + per, trials)) for lo in range(0, trials, per)]
 
 
@@ -205,9 +205,9 @@ def _trial_chunk(args) -> np.ndarray:
 def _run_trials(statistic, extra, seed, n, theta, trials, jobs, phases=False, horizon=None):
     """``statistic(batch, *extra)`` over every trial, rows in trial order.
 
-    Trials run in chunks (up to ``_CHUNK_TRIALS`` each at ``jobs`` = 1, else
-    four per job, in worker processes);
-    trial i always draws from ``trial_rng(seed, i)``, whatever the chunking.
+    Trials run in chunks of ceil(trials / jobs), up to ``_CHUNK_TRIALS``
+    each, in worker processes when ``jobs`` > 1; trial i always draws from
+    ``trial_rng(seed, i)``, whatever the chunking.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -455,14 +455,15 @@ _QUANTILE_LEVELS = (0.05, 0.25, 0.50, 0.75, 0.95)
 def _spacings_statistic(batch: TrialBatch) -> np.ndarray:
     """Per trial: nD, n2d, nD~, n2d~, viol_nD, viol_n2d, viol_dtilde (as floats).
 
-    The plain spacings are the closed forms 1/longest and 1/lcm; the bound
-    checks n*D >= 1 and n^2*d >= 1 run on those exact integers.  Both
+    The plain spacings are the closed forms 1/longest and 1/lcm, the max
+    lcm taken in the same pairwise sweep as the modified smallest spacing;
+    the bound checks n*D >= 1 and n^2*d >= 1 run on those exact integers.  Both
     smallest spacings are exact values rounded once, so d~ <= d compares
     without slack.
     """
     n = batch.n
-    longest, lcm = batch.lengths[batch.starts[1:] - 1], max_lcms(batch)  # lengths ascend
-    largest_mod, smallest_mod = mod_gap_extremes(batch)
+    longest = batch.lengths[batch.starts[1:] - 1]  # lengths ascend
+    largest_mod, smallest_mod, lcm = mod_gap_extremes(batch)
     smallest = 1.0 / lcm
     return np.column_stack([
         n * (1.0 / longest),

@@ -422,10 +422,6 @@ class CovarianceMatrix:
         if np.linalg.eigvalsh(m).min() < -1e-6:
             raise ValueError("matrix is not positive semidefinite within tolerance")
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
 
 def covariance_D(arcs: Sequence[Arc], n_numeric: int = 10**6) -> CovarianceMatrix:
     """Normalised limit covariance of plain-ensemble counts over several arcs.

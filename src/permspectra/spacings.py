@@ -33,7 +33,9 @@ distance an integer multiple of 2**-53 computed exactly in uint64, and the
 smallest spacing the exact value rounded once.  It never exceeds the
 unmodified 1/max lcm: two cycles realising the max lcm come within
 1/(2 lcm) of each other (or, if the max is lcm(J, J), 1/J is present), and
-rounding is monotone, so the floats compare exactly too.
+rounding is monotone, so the floats compare exactly too.  Both smallest
+spacings thus come from the same pairs and the same lcm, and one sweep
+over the pairs of cycles of a batch (``_pair_gaps``) takes both.
 
 The largest spacing is exactly 1/J whenever some J-cell is empty: the
 J-grid cuts the circle into J cells of length 1/J, and the two ends of a
@@ -98,49 +100,18 @@ class NormalizedSpacings:
     n2d: float
 
 
-#: pairwise evaluations per block in max_lcms and _pair_gaps; bounds their
-#: memory for any batch size
+#: pairwise evaluations per block in _pair_gaps; bounds its memory for any
+#: batch size
 _PAIR_BLOCK = 2**18
 
 #: phases are multiples of 2**-53 (what ``Generator.random`` draws)
 _PHASE_BITS = 53
 
 
-def _padded_grids(trial: np.ndarray, trials: int, *columns: np.ndarray) -> list[np.ndarray]:
-    """One zero-padded row per trial for each per-cycle column; ``trial``
-    (ascending) names the trial of each entry, which keep their order."""
-    column = np.arange(len(trial)) - np.searchsorted(trial, trial)
-    width = int(column.max()) + 1
-    grids = []
-    for values in columns:
-        grid = np.zeros((trials, width), dtype=values.dtype)
-        grid[trial, column] = values
-        grids.append(grid)
-    return grids
-
-
-def max_lcms(batch: TrialBatch) -> np.ndarray:
-    """max lcm(k, l) over the present cycle lengths of every trial, k = l allowed.
-
-    The distinct lengths of each trial fill one row of a zero-padded grid
-    (lcm with a pad is 0, never the max); a block of rows takes every
-    pairwise lcm within each row at once.
-    """
-    lengths, trial = batch.lengths, batch.trial_of_cycle()
-    distinct = np.ones(len(lengths), dtype=bool)
-    distinct[1:] = (lengths[1:] != lengths[:-1]) | (trial[1:] != trial[:-1])
-    (grid,) = _padded_grids(trial[distinct], batch.trials, lengths[distinct])
-    best = np.empty(batch.trials, dtype=np.int64)
-    step = max(1, _PAIR_BLOCK // grid.shape[1] ** 2)
-    for lo in range(0, batch.trials, step):
-        rows = grid[lo : lo + step]
-        best[lo : lo + step] = np.lcm(rows[:, :, None], rows[:, None, :]).max(axis=(1, 2))
-    return best
-
-
 def max_pairwise_lcm(counts: CycleCounts) -> int:
     """max lcm(k, l) over present cycle lengths, k = l allowed."""
-    return int(max_lcms(TrialBatch(counts.n, counts.lengths))[0])
+    distinct = np.unique(counts.lengths)
+    return int(np.lcm.outer(distinct, distinct).max())
 
 
 def spacings_perm(counts: CycleCounts) -> SpacingStats:
@@ -162,33 +133,43 @@ def _phase_integers(phases: np.ndarray) -> np.ndarray:
     return scaled.astype(np.uint64)
 
 
-def _pair_gaps(batch: TrialBatch) -> tuple[np.ndarray, np.ndarray]:
+def _pair_gaps(batch: TrialBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per trial, the closest approach of two distinct cycles' rotated grids,
-    and of any other cycle to the trial's last (longest) one; inf if none.
+    and of any other cycle to the trial's last (longest) one (inf if none),
+    and the max lcm(k, l) over its present cycle lengths, k = l allowed.
 
     Cycles (j, phi1) and (l, phi2) come as close as
     dist((l/g) phi1 - (j/g) phi2, Z) / lcm(j, l), g = gcd(j, l).  With
     phi = m 2**-53 the distance is d 2**-53 for r = ((l/g) m1 - (j/g) m2)
     mod 2**53 and d = min(r, 2**53 - r): exact in uint64, whose wrap mod
     2**64 is exact mod 2**53.  d / lcm is then one correctly rounded division.
+    The max lcm starts from the longest cycle J = lcm(J, J), above the
+    lcm(j, j) = j of every length j that no other cycle shares, so pairs of
+    distinct cycles give the rest.  The cycles of each trial fill one
+    zero-padded row; a pad (length 0) pairs to lcm 0.
     """
     if batch.n > 2**27:  # lcm(j, l) <= n**2 / 4 must stay exact in float64
         raise ValueError(f"modified spacings are exact up to n = 2**27, got n = {batch.n}")
     mask = np.uint64(2**_PHASE_BITS - 1)
-    lengths, phases = _padded_grids(
-        batch.trial_of_cycle(), batch.trials, batch.lengths, _phase_integers(batch.phases)
-    )
+    trial = batch.trial_of_cycle()
+    column = np.arange(len(trial)) - batch.starts[trial]
+    lengths = np.zeros((batch.trials, int(column.max()) + 1), dtype=np.int64)
+    phases = np.zeros(lengths.shape, dtype=np.uint64)
+    lengths[trial, column] = batch.lengths
+    phases[trial, column] = _phase_integers(batch.phases)
     last = np.diff(batch.starts)[:, None] - 1  # column of each trial's last cycle
     first, second = np.triu_indices(lengths.shape[1], 1)
     closest, to_last = np.full(batch.trials, np.inf), np.full(batch.trials, np.inf)
+    max_lcm = batch.lengths[batch.starts[1:] - 1]
     if not len(first):  # one cycle per trial
-        return closest, to_last
+        return closest, to_last, max_lcm
     step = max(1, _PAIR_BLOCK // len(first))
     for lo in range(0, batch.trials, step):
         rows = slice(lo, lo + step)
         j, l = lengths[rows, first], lengths[rows, second]
-        g = np.maximum(np.gcd(j, l), 1)  # a pad (length 0) pairs to lcm 0 below
+        g = np.maximum(np.gcd(j, l), 1)
         lcm = j // g * l
+        max_lcm[rows] = np.maximum(max_lcm[rows], lcm.max(axis=1))
         r = (l // g).astype(np.uint64) * phases[rows, first]
         r -= (j // g).astype(np.uint64) * phases[rows, second]
         r &= mask
@@ -196,7 +177,7 @@ def _pair_gaps(batch: TrialBatch) -> tuple[np.ndarray, np.ndarray]:
         gaps = np.divide(d, lcm, out=np.full(d.shape, np.inf), where=lcm > 0)
         closest[rows] = gaps.min(axis=1)
         to_last[rows] = np.where(second == last[rows], gaps, np.inf).min(axis=1)
-    return closest * 2.0**-_PHASE_BITS, to_last * 2.0**-_PHASE_BITS
+    return closest * 2.0**-_PHASE_BITS, to_last * 2.0**-_PHASE_BITS, max_lcm
 
 
 #: angles sorted at once by mod_gap_extremes; bounds its memory for any batch size
@@ -273,9 +254,11 @@ def _has_empty_cell(batch: TrialBatch, trials: np.ndarray) -> np.ndarray:
     return empty
 
 
-def mod_gap_extremes(batch: TrialBatch) -> tuple[np.ndarray, np.ndarray]:
-    """(largest, smallest) circular gap of every trial's modified spectrum;
-    the lengths ascend within each trial, as drawn.
+def mod_gap_extremes(batch: TrialBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(largest, smallest) circular gap of every trial's modified spectrum,
+    and the max lcm over its cycle lengths (``_pair_gaps``), which gives the
+    plain smallest gap 1/max lcm; the lengths ascend within each trial, as
+    drawn.
 
     With J the longest cycle, the smallest gap is the smaller of 1/J and
     the closest approach of two cycles (``_pair_gaps``): exact, rounded
@@ -284,31 +267,26 @@ def mod_gap_extremes(batch: TrialBatch) -> tuple[np.ndarray, np.ndarray]:
     whenever their occupancy row (``_has_empty_cell``) has an empty cell.
     That row is read only once no other cycle comes within 2**-48 of the
     J-grid.  The rest sort their n angles, which gives every gap within
-    2**-50: the trials with every J-cell occupied, whose gaps are all at
-    most 1/J - 2**-48 under that guard, and the trials that fail it.  A
-    sorted gap within 2**-49 of 1/J has both ends within 2**-48 of J-grid
-    points, so it is exactly 1/J once the guard holds; otherwise the sorted
-    value stands, capped at 1/J.  So the sort returns exactly 1/J on the
-    same trials as the occupancy rows, and the rows only spare it.
+    2**-50, capped at 1/J: the trials with every J-cell occupied, whose
+    gaps are all at most 1/J - 2**-48 under that guard, so that the sorted
+    value stays below 1/J, and the trials that fail it.
     """
     longest = batch.lengths[batch.starts[1:] - 1]
-    closest, to_longest = _pair_gaps(batch)
+    closest, to_longest, max_lcm = _pair_gaps(batch)
     smallest = np.minimum(1.0 / longest, closest)
     largest = 1.0 / longest
     rest = np.flatnonzero(batch.n - longest >= longest)
     clear = rest[to_longest[rest] >= 2.0**-48]
     rest = np.setdiff1d(rest, clear[_has_empty_cell(batch, clear)])
-    found = np.minimum(_sorted_largest(batch, rest), largest[rest])
-    inexact = (found < largest[rest] - 2.0**-49) | (to_longest[rest] < 2.0**-48)
-    largest[rest[inexact]] = found[inexact]
-    return largest, smallest
+    largest[rest] = np.minimum(_sorted_largest(batch, rest), largest[rest])
+    return largest, smallest, max_lcm
 
 
 def spacings_mod(spectrum: ModifiedSpectrum) -> SpacingStats:
     """Extremal spacings of the modified spectrum (see mod_gap_extremes)."""
     order = np.argsort(spectrum.lengths, kind="stable")
     batch = TrialBatch(spectrum.n, spectrum.lengths[order], spectrum.phases[order])
-    largest, smallest = mod_gap_extremes(batch)
+    largest, smallest, _ = mod_gap_extremes(batch)
     return SpacingStats(n=spectrum.n, largest=float(largest[0]), smallest=float(smallest[0]))
 
 

@@ -203,23 +203,17 @@ def count_arcs_perm(batch: TrialBatch, arcs: Sequence[Arc]) -> np.ndarray:
     return np.add.reduceat(per_cycle, batch.starts[:-1])
 
 
-def count_arcs_mod(batch: TrialBatch, arcs: Sequence[Arc], closed: str = "right") -> np.ndarray:
+def count_arcs_mod(batch: TrialBatch, arcs: Sequence[Arc]) -> np.ndarray:
     """Modified-matrix counts, one row per trial and one column per arc.
 
     Each cycle of length j and phase phi adds
-    floor(j beta - phi) - floor(j alpha - phi) over (alpha, beta]
-    (``closed="right"``), or the same with ceil over [alpha, beta)
-    (``closed="left"``); with continuously distributed phases the two
-    almost surely agree.
+    floor(j beta - phi) - floor(j alpha - phi) over (alpha, beta].
     """
-    rounding = {"right": np.floor, "left": np.ceil}.get(closed)
-    if rounding is None:
-        raise ValueError(f"closed must be 'right' or 'left', got {closed!r}")
     j = batch.lengths.astype(np.float64)[:, None]
     phi = batch.phases[:, None]
     alpha = np.array([float(a.alpha) for a in arcs])
     beta = np.array([float(a.beta) for a in arcs])
-    per_cycle = rounding(j * beta - phi) - rounding(j * alpha - phi)
+    per_cycle = np.floor(j * beta - phi) - np.floor(j * alpha - phi)
     return np.add.reduceat(per_cycle, batch.starts[:-1]).astype(np.int64)
 
 
@@ -233,10 +227,10 @@ def attach_phases(counts: CycleCounts, rng: np.random.Generator) -> ModifiedSpec
     return ModifiedSpectrum(counts.n, counts.lengths, rng.random(len(counts.lengths)))
 
 
-def count_arc_mod(spectrum: ModifiedSpectrum, arc: Arc, closed: str = "right") -> int:
+def count_arc_mod(spectrum: ModifiedSpectrum, arc: Arc) -> int:
     """Number of eigenvalues of the modified matrix in the arc (see count_arcs_mod)."""
     batch = TrialBatch(spectrum.n, spectrum.lengths, spectrum.phases)
-    return int(count_arcs_mod(batch, (arc,), closed)[0, 0])
+    return int(count_arcs_mod(batch, (arc,))[0, 0])
 
 
 # ---------------------------------------------------------------------------

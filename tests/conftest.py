@@ -14,7 +14,9 @@ bit for bit: the full-array formulas of the float Cesàro sums in ``limits``
 one to a relative 1e-13, since its cross term is a direct convolution where
 the library takes an FFT) and the untiled rational fractional parts.  The
 quadratic identity's O(n^2) double sum, which the library replaced by an
-O(n) closed form, is an oracle here.
+O(n) closed form, is an oracle here, and so are the one-trial sparse word
+(``ones_positions_sparse``) and the modified count over [alpha, beta)
+(``count_arc_mod_left``).
 """
 
 from __future__ import annotations
@@ -36,9 +38,23 @@ from permspectra import (
     count_arc_perm,
     psi_values,
 )
-from permspectra.ewens import _dense_thresholds, _sorted_lengths
+from permspectra.ewens import _dense_thresholds, _ones_after, _sorted_lengths
 from permspectra.spacings import _mod_angles
 from permspectra.spectral import ModifiedSpectrum, _fraction_terms, frac_parts
+
+
+def ones_positions_sparse(n: int, theta: float, rng) -> np.ndarray:
+    """Positions of ones in (xi_1, ..., xi_n) sampled by gap skipping, one
+    trial on its own."""
+    return np.asarray([1, *_ones_after(1, n, theta, rng)], dtype=np.int64)
+
+
+def count_arc_mod_left(spectrum: ModifiedSpectrum, arc: Arc) -> int:
+    """``count_arc_mod`` over [alpha, beta) instead of (alpha, beta]: ceil in
+    place of floor in every cycle's term."""
+    j, phi = spectrum.lengths.astype(np.float64), spectrum.phases
+    per_cycle = np.ceil(j * float(arc.beta) - phi) - np.ceil(j * float(arc.alpha) - phi)
+    return int(per_cycle.sum())
 
 
 def counts_from_lengths(lengths) -> CycleCounts:

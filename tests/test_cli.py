@@ -11,7 +11,10 @@ from pathlib import Path
 import pytest
 
 import permspectra
+from permspectra import EwensParams, attach_phases, sample_cycle_counts, trial_rng
 from permspectra.cli import build_parser, main, parse_arcs, parse_endpoint
+from permspectra.ewens import _MIN_LANES, _SPARSE_THRESHOLD
+from permspectra.experiments import _CHUNK_TRIALS
 
 
 def run_cli(capsys, *argv):
@@ -88,6 +91,39 @@ class TestCommands:
         assert "phases" in trials[0]
         total = sum(int(j) * a for j, a in trials[0]["cycle_counts"].items())
         assert total == 8
+
+    @pytest.mark.parametrize("n, model, trials", [
+        (50, "perm", 3),
+        (50, "mod", 3),
+        (300, "mod", _MIN_LANES),
+        (_SPARSE_THRESHOLD + 500, "perm", 5),
+        (_SPARSE_THRESHOLD + 500, "mod", 5),
+        (_SPARSE_THRESHOLD + 500, "mod", _MIN_LANES + 3),
+        (3, "mod", _CHUNK_TRIALS + 5),  # two chunks
+        (5, "mod", 0),
+    ])
+    def test_sample_matches_one_trial_composition(self, capsys, n, model, trials):
+        # the batch draws against trial_rng -> sample_cycle_counts -> attach_phases
+        argv = ("sample", "--n", str(n), "--model", model, "--theta", "0.8",
+                "--seed", "31", "--trials", str(trials))
+        want = []
+        for t in range(trials):
+            rng = trial_rng(31, t)
+            counts = sample_cycle_counts(n, EwensParams(0.8), rng)
+            entry = {"cycle_counts": {str(j): a for j, a in sorted(counts.counts.items())}}
+            if model == "mod":
+                spectrum = attach_phases(counts, rng)
+                entry["phases"] = spectrum.phases.tolist()
+                entry["lengths"] = spectrum.lengths.tolist()
+            want.append(entry)
+        assert run_json(capsys, *argv)["results"] == {"trials": want}
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out))) == [
+            ["trial", "cycle_length", "multiplicity", "schema_version"],
+            *([str(t), j, str(a), "1"] for t, entry in enumerate(want)
+              for j, a in entry["cycle_counts"].items()),
+        ]
 
     def test_clt_small(self, capsys):
         env = run_json(
@@ -242,13 +278,19 @@ class TestCliContract:
              "malformed rational 'rat:/3'; write rat:p/q with integers p and q"),
             (("exact-moments", "--n", "10", "--alpha", "rat:1_0/30", "--beta", "0.5"),
              "malformed rational 'rat:1_0/30'; write rat:p/q with integers p and q"),
+            # a zero denominator ended in a ZeroDivisionError traceback
+            (("constants", "--case", "ell-rational", "--p", "1", "--q", "0"),
+             "delta: denominator must be >= 1, got 0"),
+            (("constants", "--case", "meso-rational", "--q", "0"),
+             "alpha: denominator must be >= 1, got 0"),
         ],
         ids=["negative-jobs", "zero-jobs", "nan-epsilon-tail", "inf-epsilon-tail",
              "exact-perm-inf-theta", "exact-mod-inf-theta", "identities-inf-theta",
              "clt-inf-theta", "exact-perm-huge-theta", "identities-huge-theta",
              "spacings-inf-theta", "coupling-inf-theta", "identities-n1", "identities-n0",
              "rat-empty-denominator", "rat-letter-numerator", "rat-two-slashes",
-             "rat-no-slash", "rat-empty-numerator", "rat-underscore"],
+             "rat-no-slash", "rat-empty-numerator", "rat-underscore", "ell-rational-q0",
+             "meso-rational-q0"],
     )
     def test_bad_value_named_in_one_error_line(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")

@@ -14,6 +14,7 @@ from conftest import (
     expected_total_cycles,
     feller_type_counts,
     iter_cycle_types,
+    ones_positions_sparse,
     partition_probabilities,
     sample_bernoulli_word,
     type_chisquare_pvalue,
@@ -36,7 +37,6 @@ from permspectra.ewens import (
     _log_gap_survival,
     _next_one_position,
     _ones_after,
-    _ones_positions_sparse,
     _walks_lockstep,
     draw_batch,
 )
@@ -138,7 +138,7 @@ class TestSamplers:
         trials = 20_000
         freq: dict = {}
         for _ in range(trials):
-            ones = _ones_positions_sparse(5, theta, rng)
+            ones = ones_positions_sparse(5, theta, rng)
             spac = np.diff(np.append(ones, 6))
             key = tuple(sorted(spac.tolist(), reverse=True))
             freq[key] = freq.get(key, 0) + 1
@@ -149,7 +149,7 @@ class TestSamplers:
         # every draw inverts the gap survival at positions up to 10^6
         rng = np.random.default_rng(105)
         n, trials = 10**6, 2000
-        ks = np.array([len(_ones_positions_sparse(n, theta, rng)) for _ in range(trials)])
+        ks = np.array([len(ones_positions_sparse(n, theta, rng)) for _ in range(trials)])
         se = ks.std(ddof=1) / math.sqrt(trials)
         assert abs(ks.mean() - expected_total_cycles(n, theta)) < 4 * se
 
@@ -446,7 +446,7 @@ def reference_trial(n, theta, rng, phases, horizon):
     """One trial from a raw generator, one uniform per draw: the word, then
     its phases, then the coupled tail."""
     if n > _SPARSE_THRESHOLD:
-        ones = _ones_positions_sparse(n, theta, rng)
+        ones = ones_positions_sparse(n, theta, rng)
     else:
         hits = rng.random(n) < _dense_thresholds(n, theta)
         hits[0] = True

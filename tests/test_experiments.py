@@ -260,9 +260,14 @@ class TestTrialEngine:
             (0, _CHUNK_TRIALS), (_CHUNK_TRIALS, 2 * _CHUNK_TRIALS),
             (2 * _CHUNK_TRIALS, 2 * _CHUNK_TRIALS + 5),
         ]
-        # more jobs: four chunks each
-        assert len(_chunk_ranges(150, 2)) == 8
-        assert len(_chunk_ranges(3 * _CHUNK_TRIALS, 3)) == 12
+        # more jobs: one chunk per job, up to _CHUNK_TRIALS
+        assert _chunk_ranges(150, 2) == [(0, 75), (75, 150)]
+        assert _chunk_ranges(151, 4) == [(0, 38), (38, 76), (76, 114), (114, 151)]
+        assert _chunk_ranges(3, 4) == [(0, 1), (1, 2), (2, 3)]
+        assert _chunk_ranges(3 * _CHUNK_TRIALS, 2) == [
+            (0, _CHUNK_TRIALS), (_CHUNK_TRIALS, 2 * _CHUNK_TRIALS),
+            (2 * _CHUNK_TRIALS, 3 * _CHUNK_TRIALS),
+        ]
 
     def test_mesoscopic_jobs_identical(self):
         from fractions import Fraction
@@ -313,7 +318,8 @@ class TestTrialEngine:
 
     def test_sparse_route_lengths_match_per_trial_sampler(self):
         from permspectra import EwensParams, sample_cycle_counts, trial_rng
-        from permspectra.ewens import _SPARSE_THRESHOLD, _ones_positions_sparse, draw_batch
+        from conftest import ones_positions_sparse
+        from permspectra.ewens import _SPARSE_THRESHOLD, draw_batch
 
         n, theta, trials = _SPARSE_THRESHOLD + 1000, 1.4, 7
         batch = draw_batch(n, theta, (trial_rng(5, t) for t in range(trials)))
@@ -321,7 +327,7 @@ class TestTrialEngine:
             lengths = batch.cycle_counts(t).lengths.tolist()
             one = sample_cycle_counts(n, EwensParams(theta), trial_rng(5, t))
             assert lengths == one.lengths.tolist()
-            ones = _ones_positions_sparse(n, theta, trial_rng(5, t))
+            ones = ones_positions_sparse(n, theta, trial_rng(5, t))
             assert lengths == sorted(np.diff(np.append(ones, n + 1)).tolist())
 
     def test_coupling_distances_match_per_trial_path(self):

@@ -96,7 +96,7 @@ def test_cli_refuses_bad_seed_at_parse_time(capsys, monkeypatch, argv):
         raise AssertionError("ran before the seed was checked")
 
     monkeypatch.setattr("permspectra.cli.run_clt_fixed", no_work)
-    monkeypatch.setattr("permspectra.cli.sample_cycle_counts", no_work)
+    monkeypatch.setattr("permspectra.cli.draw_batch", no_work)
     monkeypatch.setattr("permspectra.cli.run_spacings", no_work)
     with pytest.raises(SystemExit) as exc:
         main(argv)

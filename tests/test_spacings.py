@@ -25,6 +25,7 @@ from permspectra import (
 )
 from permspectra import spacings
 from permspectra.ewens import TrialBatch, draw_batch
+from permspectra.experiments import _spacings_statistic
 from permspectra.spacings import _has_empty_cell, _pair_gaps, mod_gap_extremes
 
 
@@ -75,6 +76,19 @@ class TestSpacingsPerm:
             st = spacings_perm(counts)
             assert st.largest_exact * n >= 1          # pigeonhole
             assert st.smallest_exact * n * n >= 1     # lcm(k, l) <= n^2
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 12, 400, 5000])
+    def test_batch_max_lcm_matches_one_trial(self, n):
+        # the driver's max lcm comes out of the modified pairwise sweep; at
+        # n = 1 every trial, and at n = 2 some, is one cycle with no pair
+        batch = draw_batch(n, 1.0, [trial_rng(21, t) for t in range(60)], phases=True)
+        want = [max_pairwise_lcm(batch.cycle_counts(t)) for t in range(batch.trials)]
+        assert mod_gap_extremes(batch)[2].tolist() == want
+        data = _spacings_statistic(batch)
+        assert data[:, 1].tolist() == [n**2 * (1.0 / w) for w in want]
+        assert data[:, 5].tolist() == [float(n * n < w) for w in want]
+        if n == 2:  # trials of one 2-cycle (lcm 2) and of two fixed points (lcm 1)
+            assert set(want) == {1, 2}
 
 
 class TestSpacingsMod:
@@ -138,7 +152,7 @@ def _check_against_oracle(batch, kinds: Counter) -> None:
     exact value rounded once; a largest gap below 1/J (no empty J-cell, so
     it comes from the sort) must lie within 2**-50 of the exact one.
     """
-    largest, smallest = mod_gap_extremes(batch)
+    largest, smallest = mod_gap_extremes(batch)[:2]
     n = batch.n
     for t in range(batch.trials):
         cycles = slice(batch.starts[t], batch.starts[t + 1])
@@ -238,11 +252,11 @@ class TestEmptyCellDecision:
         assert len(rows) > 3 * 16
         alone = [_has_empty_cell(batch, np.array([t]))[0] for t in rows]
         assert _has_empty_cell(batch, rows).tolist() == alone
-        largest, smallest = mod_gap_extremes(batch)
+        largest, smallest = mod_gap_extremes(batch)[:2]
         for t in range(batch.trials):
             cycles = slice(batch.starts[t], batch.starts[t + 1])
             one = TrialBatch(n, batch.lengths[cycles], batch.phases[cycles])
-            assert [x[0] for x in mod_gap_extremes(one)] == [largest[t], smallest[t]]
+            assert [x[0] for x in mod_gap_extremes(one)[:2]] == [largest[t], smallest[t]]
 
     def test_only_trials_without_an_empty_cell_are_sorted(self, sorted_trials):
         rng = np.random.default_rng(11)

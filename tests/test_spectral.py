@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from conftest import (
+    count_arc_mod_left,
     counts_from_lengths,
     enumerate_angles_mod,
     enumerate_angles_perm,
@@ -163,15 +164,8 @@ class TestCountArcMod:
             counts = sample_cycle_counts(8, params, rng)
             spec = attach_phases(counts, rng)
             arc = random_arc(rng)
-            disagreements += count_arc_mod(spec, arc, "right") != count_arc_mod(
-                spec, arc, "left"
-            )
+            disagreements += count_arc_mod(spec, arc) != count_arc_mod_left(spec, arc)
         assert disagreements == 0
-
-    def test_bad_closed_argument(self):
-        spec = attach_phases(CycleCounts(2, {2: 1}), np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            count_arc_mod(spec, Arc(0.0, 0.5), closed="both")
 
 
 class TestEnumeration:
