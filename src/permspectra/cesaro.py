@@ -19,6 +19,12 @@ explicit two-sided checks of the summation identities they rely on:
 * telescoping sum     sum_{p=j}^{n-1} A_{p-j}^{theta-1}/(p A_p^theta)
                                                         = psi(n, j) (1/j - 1/n)
 
+The table comes from one generator of blocks of TABLE_BLOCK values of j
+(``psi_blocks``), which ``psi_values`` writes into one array and the exact
+moments in :mod:`permspectra.spectral` read a block at a time, so that they
+hold no whole table.  At theta = 1 every factor is one and the blocks are
+ones.
+
 where ``A_n^delta`` are the Cesàro (binomial) numbers.  Each ``verify_*``
 function returns the two sides in O(n); callers assert the gap at their
 tolerance.  The quadratic double sum collapses through
@@ -30,11 +36,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import Iterator
 
 import numpy as np
 
 __all__ = [
     "psi",
+    "psi_blocks",
     "psi_values",
     "verify_mean_identity",
     "verify_harmonic_identity",
@@ -42,14 +50,15 @@ __all__ = [
     "verify_telescoping",
 ]
 
-#: largest n of a psi table.  Measured with tracemalloc, the exact moments
-#: built on it peak at 24 bytes per element (three float64 arrays of n, for
-#: endpoints up to int64 range) for the modified ensemble, the coupling tail
-#: bound at 40 and the identity checks at 30, so this n peaks below 2 GB.
-#: The plain ensemble's FFT holds more; ``spectral._covariance_perm`` caps
-#: its n at this limit scaled to its bytes per element.  Rational endpoints
-#: with denominators beyond 2**62 / n fall back to Python-integer arrays at
-#: about 92 bytes per element; ``spectral.check_endpoint_size`` caps those n.
+#: largest n of a psi table.  Measured with tracemalloc, the coupling tail
+#: bound peaks at 40 bytes per element and the identity checks at 30, so
+#: this n peaks below 2 GB; the table itself is 8, and the exact moments
+#: that stream it a block at a time hold 8 (the plain mean) and 16 (the
+#: modified variance) plus a few blocks.  The plain ensemble's FFT holds
+#: more; ``spectral._covariance_perm`` caps its n at this limit scaled to its
+#: bytes per element.  Rational endpoints with denominators beyond 2**62 / n
+#: fall back to Python-integer arrays at about 92 bytes per element;
+#: ``spectral.check_endpoint_size`` caps those n.
 TABLE_SIZE_LIMIT = 40_000_000
 
 
@@ -86,43 +95,94 @@ def check_table_size(
 #: the factors of psi with m > _NEAR_ONE |theta-1| lie within 1/16 of one
 _NEAR_ONE = 16
 
+#: values of j per block of the exact tables (psi here, the arc weights and
+#: h_j(x) in :mod:`permspectra.spectral`): 256 KB of float64, so that the few
+#: arrays of one block stay in a 2 MB L2 cache.  Chosen from a sweep over
+#: 2**13 .. 2**17; at 2**13 the per-block numpy calls cost more than the
+#: cache saves where theta != 1
+TABLE_BLOCK = 1 << 15
 
-def _psi_prefix(n: int, j: int, theta: float) -> np.ndarray:
-    """``[psi(n, 1), ..., psi(n, j)]`` in one array: the running product of
-    the factors 1/(1 + (theta-1)/m), m = n, n-1, ..., n-j+1.
+
+def _psi_blocks(
+    n: int, j: int, theta: float, table: np.ndarray | None = None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """``[psi(n, 1), ..., psi(n, j)]`` as (lo, block) pairs, block holding
+    entries lo+1 .. lo+len(block), at most TABLE_BLOCK of them: the running
+    product of the factors 1/(1 + (theta-1)/m), m = n, n-1, ..., n-j+1.
+    Each block is written into ``table[lo:]`` when a table of j is given,
+    else into one buffer that the next block overwrites; callers only read it.
 
     Factors near one (the first) go in as a running sum of log1p((theta-1)/m):
     rounded to doubles, with the same sign over long runs of m, they drifted
     the product by up to n eps.  The rest are multiplied directly, where a log
     sum would cost |log psi| eps; at m = 1 the factor is 1/theta itself.
+    Each block's first term carries the sum (or product) of the blocks before
+    it into ``np.cumsum`` (``np.cumprod``), which gives the sequential running
+    sum bit for bit.  At theta = 1 every factor is exactly one.
     """
-    table = np.arange(n, n - j, -1, dtype=np.float64)
-    np.divide(theta - 1.0, table, out=table)
+    size = min(j, TABLE_BLOCK)
+    buffer = np.empty(size) if table is None else None
+    ramp = None if theta == 1.0 else np.arange(size, dtype=np.float64)
     cut = _NEAR_ONE * abs(theta - 1.0)
     near = min(j, 0 if cut >= n - 1 else n - max(1, math.floor(cut)))
-    logs = table[:near]
-    np.cumsum(np.log1p(logs, out=logs), out=logs)
-    np.exp(np.negative(logs, out=logs), out=logs)
-    ratios = table[near:]
-    head = ratios[:-1] if j == n else ratios
-    np.divide(1.0, np.add(head, 1.0, out=head), out=head)
-    if j == n:
-        ratios[-1] = 1.0 / theta
-    np.cumprod(ratios, out=ratios)
-    if near:
-        ratios *= table[near - 1]
-    return table
+    log_sum, product, at_near = 0.0, 1.0, 1.0
+    for lo in range(0, j, TABLE_BLOCK):
+        hi = min(lo + TABLE_BLOCK, j)
+        block = table[lo:hi] if buffer is None else buffer[: hi - lo]
+        if theta == 1.0:
+            if buffer is None or lo == 0:  # the buffer keeps its ones
+                block.fill(1.0)
+            yield lo, block
+            continue
+        np.subtract(n - lo, ramp[: hi - lo], out=block)  # m
+        np.divide(theta - 1.0, block, out=block)
+        split = min(max(near - lo, 0), hi - lo)
+        logs = block[:split]
+        if split:
+            np.log1p(logs, out=logs)
+            logs[0] += log_sum
+            np.cumsum(logs, out=logs)
+            log_sum = logs[-1]
+            np.exp(np.negative(logs, out=logs), out=logs)
+            at_near = logs[-1]
+        ratios = block[split:]
+        if len(ratios):
+            head = ratios[:-1] if hi == n else ratios
+            np.divide(1.0, np.add(head, 1.0, out=head), out=head)
+            if hi == n:
+                ratios[-1] = 1.0 / theta
+            ratios[0] *= product
+            np.cumprod(ratios, out=ratios)
+            product = ratios[-1]
+            if near:
+                ratios *= at_near
+        yield lo, block
+
+
+def _check_table(n: int, theta: float) -> None:
+    check_theta(theta)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    check_table_size(n)
+
+
+def psi_blocks(n: int, theta: float) -> Iterator[tuple[int, np.ndarray]]:
+    """The psi table as (lo, block) pairs in one reused buffer
+    (``_psi_blocks``), its arguments checked before any block is made; n
+    above TABLE_SIZE_LIMIT is refused."""
+    _check_table(n, theta)
+    return _psi_blocks(n, n, theta)
 
 
 def psi_values(n: int, theta: float) -> np.ndarray:
     """Table ``[psi(n, 1), ..., psi(n, n)]``; no factor overflows, though the
     closed form's numerator and denominator do beyond n ~ 170.  n above
     TABLE_SIZE_LIMIT is refused."""
-    check_theta(theta)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    check_table_size(n)
-    return _psi_prefix(n, n, theta)
+    _check_table(n, theta)
+    table = np.empty(n)
+    for _ in _psi_blocks(n, n, theta, table):
+        pass
+    return table
 
 
 def psi(n: int, j: int, theta: float) -> float:
@@ -131,7 +191,9 @@ def psi(n: int, j: int, theta: float) -> float:
     check_theta(theta)
     if not 1 <= j <= n:
         raise ValueError(f"j must lie in [1, n] = [1, {n}], got {j}")
-    return float(_psi_prefix(n, j, theta)[-1])
+    for _, block in _psi_blocks(n, j, theta):
+        pass
+    return float(block[-1])
 
 
 #: block of an array that ``_fsum`` turns into Python floats at a time

@@ -145,38 +145,44 @@ def _pair_gaps(batch: TrialBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     2**64 is exact mod 2**53.  d / lcm is then one correctly rounded division.
     The max lcm starts from the longest cycle J = lcm(J, J), above the
     lcm(j, j) = j of every length j that no other cycle shares, so pairs of
-    distinct cycles give the rest.  The cycles of each trial fill one
-    zero-padded row; a pad (length 0) pairs to lcm 0.
+    distinct cycles give the rest.  Each trial's k (k - 1) / 2 pairs are
+    listed flat, trial after trial, with no padding to a wider trial; a
+    block takes whole trials up to _PAIR_BLOCK pairs (or one wider trial).
     """
     if batch.n > 2**27:  # lcm(j, l) <= n**2 / 4 must stay exact in float64
         raise ValueError(f"modified spacings are exact up to n = 2**27, got n = {batch.n}")
     mask = np.uint64(2**_PHASE_BITS - 1)
-    trial = batch.trial_of_cycle()
-    column = np.arange(len(trial)) - batch.starts[trial]
-    lengths = np.zeros((batch.trials, int(column.max()) + 1), dtype=np.int64)
-    phases = np.zeros(lengths.shape, dtype=np.uint64)
-    lengths[trial, column] = batch.lengths
-    phases[trial, column] = _phase_integers(batch.phases)
-    last = np.diff(batch.starts)[:, None] - 1  # column of each trial's last cycle
-    first, second = np.triu_indices(lengths.shape[1], 1)
+    phases = _phase_integers(batch.phases)
+    starts, sizes = batch.starts, np.diff(batch.starts)
     closest, to_last = np.full(batch.trials, np.inf), np.full(batch.trials, np.inf)
-    max_lcm = batch.lengths[batch.starts[1:] - 1]
-    if not len(first):  # one cycle per trial
-        return closest, to_last, max_lcm
-    step = max(1, _PAIR_BLOCK // len(first))
-    for lo in range(0, batch.trials, step):
-        rows = slice(lo, lo + step)
-        j, l = lengths[rows, first], lengths[rows, second]
-        g = np.maximum(np.gcd(j, l), 1)
+    max_lcm = batch.lengths[starts[1:] - 1]
+    live = np.flatnonzero(sizes > 1)
+    pairs = sizes[live] * (sizes[live] - 1) // 2
+    ends = np.cumsum(pairs)
+    lo = 0
+    while lo < len(live):
+        done = ends[lo] - pairs[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, done + _PAIR_BLOCK, "right")))
+        rows = live[lo:hi]
+        k, last = sizes[rows], starts[rows + 1] - 1
+        cycles = np.repeat(starts[rows] - np.cumsum(k) + k, k) + np.arange(k.sum())
+        later = np.repeat(last, k) - cycles  # the cycles after each in its trial
+        first = np.repeat(cycles, later)
+        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+        j, l = batch.lengths[first], batch.lengths[second]
+        g = np.gcd(j, l)
         lcm = j // g * l
-        max_lcm[rows] = np.maximum(max_lcm[rows], lcm.max(axis=1))
-        r = (l // g).astype(np.uint64) * phases[rows, first]
-        r -= (j // g).astype(np.uint64) * phases[rows, second]
+        r = (l // g).astype(np.uint64) * phases[first]
+        r -= (j // g).astype(np.uint64) * phases[second]
         r &= mask
-        d = np.minimum(r, mask + np.uint64(1) - r).astype(np.float64)
-        gaps = np.divide(d, lcm, out=np.full(d.shape, np.inf), where=lcm > 0)
-        closest[rows] = gaps.min(axis=1)
-        to_last[rows] = np.where(second == last[rows], gaps, np.inf).min(axis=1)
+        gaps = np.minimum(r, mask + np.uint64(1) - r).astype(np.float64)
+        gaps /= lcm
+        offsets = ends[lo:hi] - pairs[lo:hi] - done  # each trial's first pair
+        max_lcm[rows] = np.maximum(max_lcm[rows], np.maximum.reduceat(lcm, offsets))
+        closest[rows] = np.minimum.reduceat(gaps, offsets)
+        gaps[second != np.repeat(last, pairs[lo:hi])] = np.inf
+        to_last[rows] = np.minimum.reduceat(gaps, offsets)
+        lo = hi
     return closest * 2.0**-_PHASE_BITS, to_last * 2.0**-_PHASE_BITS, max_lcm
 
 

@@ -24,7 +24,12 @@ the psi table from :mod:`permspectra.cesaro`; see ``exact_moments_perm`` and
 ``exact_moments_mod``.  The plain ensemble's cross term, a convolution of
 the per-arc weights, is one real FFT (``numpy.fft``, imported on first use),
 so every exact moment is O(n log n) at most and no size cap applies below
-``cesaro.TABLE_SIZE_LIMIT``.
+``cesaro.TABLE_SIZE_LIMIT``.  The plain mean and the modified covariance
+read the psi table a block of ``cesaro.TABLE_BLOCK`` values of j at a time
+(``cesaro.psi_blocks``) and write each block's terms straight into the one
+array that their final sum or dot product reads (two for the modified
+covariance: P_j/j, and one h_j(x) reused for every x), so that they hold
+no other array of n and sum exactly the terms that whole arrays gave.
 
 Arc endpoints may be floats or ``fractions.Fraction``.  Rational endpoints
 make every floor and fractional part exact integer arithmetic (int64 while
@@ -43,7 +48,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import cesaro
-from .cesaro import check_table_size, check_theta_limit, psi_values
+from .cesaro import check_table_size, check_theta_limit, psi_blocks, psi_values
 from .ewens import CycleCounts, TrialBatch
 
 __all__ = [
@@ -238,21 +243,33 @@ def count_arc_mod(spectrum: ModifiedSpectrum, arc: Arc) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _fill_arc_weights(arc: Arc, lo: int, out: np.ndarray) -> None:
+    """out = u_j = ({j beta} - {j alpha}) / j for j = lo+1 .. lo+len(out)."""
+    hi = lo + len(out)
+    out[:] = frac_parts(arc.beta, hi, lo + 1)
+    out -= frac_parts(arc.alpha, hi, lo + 1)
+    out /= np.arange(lo + 1, hi + 1, dtype=np.float64)
+
+
 def _arc_weights(arc: Arc, n: int) -> np.ndarray:
     """u_j = ({j beta} - {j alpha}) / j for j = 1..n."""
-    u = frac_parts(arc.beta, n)
-    u -= frac_parts(arc.alpha, n)
-    u /= np.arange(1, n + 1, dtype=np.float64)
+    u = np.empty(n)
+    _fill_arc_weights(arc, 0, u)
     return u
 
 
 def _perm_mean(n: int, theta: float, arc: Arc) -> float:
     """Exact mean n (beta - alpha) - theta sum_j P_j omega_j / j of the
-    permutation-matrix count, omega_j = {j beta} - {j alpha}; O(n)."""
+    permutation-matrix count, omega_j = {j beta} - {j alpha}; O(n), in one
+    array of n filled a block of the psi table at a time."""
     check_table_size(n)
     check_endpoint_size(n, arc.alpha, arc.beta)
-    weighted = _arc_weights(arc, n)  # psi table last: three arrays of n at most
-    weighted *= psi_values(n, theta)
+    blocks = psi_blocks(n, theta)
+    weighted = np.empty(n)
+    for lo, block in blocks:
+        part = weighted[lo : lo + len(block)]
+        _fill_arc_weights(arc, lo, part)
+        part *= block
     return n * float(arc.beta - arc.alpha) - theta * float(weighted.sum())
 
 
@@ -365,13 +382,20 @@ def exact_covariance_mod(n: int, theta: float, arc1: Arc, arc2: Arc) -> float:
     for x, w in ((b1 - a2, 0.5), (a1 - b2, 0.5), (a1 - a2, -0.5), (b1 - b2, -0.5)):
         if x != 0:
             weights[abs(x)] = weights.get(abs(x), 0.0) + w
-
-    def h(x: Endpoint) -> np.ndarray:
-        f = frac_parts(x, n)
-        f *= 1.0 - f
-        return f
-
     check_endpoint_size(n, *(x for x, w in weights.items() if w))
-    values = psi_values(n, theta)
-    values /= np.arange(1, n + 1, dtype=np.float64)
-    return theta * sum(w * float(values @ h(x)) for x, w in weights.items() if w)
+    blocks = psi_blocks(n, theta)
+    values = np.empty(n)  # P_j / j
+    for lo, block in blocks:
+        hi = lo + len(block)
+        np.divide(block, np.arange(lo + 1, hi + 1, dtype=np.float64), out=values[lo:hi])
+    del block  # a view that keeps the psi buffer
+    h = np.empty(n)  # one array for every x, filled a block at a time
+
+    def dot_h(x: Endpoint) -> float:
+        for lo in range(0, n, cesaro.TABLE_BLOCK):
+            f = h[lo : lo + cesaro.TABLE_BLOCK]
+            f[:] = frac_parts(x, lo + len(f), lo + 1)
+            f *= 1.0 - f
+        return float(values @ h)
+
+    return theta * sum(w * dot_h(x) for x, w in weights.items() if w)

@@ -12,7 +12,10 @@ bit for bit: the full-array formulas of the float Cesàro sums in ``limits``
 (which its blocked kernel replaced), the separate variance formulas of
 ``exact_moments_*`` (now the diagonal of ``exact_covariance_*``; the plain
 one to a relative 1e-13, since its cross term is a direct convolution where
-the library takes an FFT) and the untiled rational fractional parts.  The
+the library takes an FFT), the untiled rational fractional parts and the
+whole-array psi table (``psi_values_full``), plain mean (``perm_mean_formula``)
+and modified covariance, which the library now builds a block of j at a
+time.  The
 quadratic identity's O(n^2) double sum, which the library replaced by an
 O(n) closed form, is an oracle here, and so are the one-trial sparse word
 (``ones_positions_sparse``) and the modified count over [alpha, beta)
@@ -38,6 +41,7 @@ from permspectra import (
     count_arc_perm,
     psi_values,
 )
+from permspectra.cesaro import _NEAR_ONE
 from permspectra.ewens import _dense_thresholds, _ones_after, _sorted_lengths
 from permspectra.spacings import _mod_angles
 from permspectra.spectral import ModifiedSpectrum, _fraction_terms, frac_parts
@@ -434,10 +438,41 @@ def ctilde_numeric_formula(s, t, u, v, n: int) -> float:
     return total / 2.0
 
 
+def psi_values_full(n: int, theta: float) -> np.ndarray:
+    """The psi table as one array of n: exp of minus a running log1p sum over
+    the factors with m > 16|theta-1|, a running product over the rest, 1/theta
+    at m = 1."""
+    table = np.arange(n, 0, -1, dtype=np.float64)
+    np.divide(theta - 1.0, table, out=table)
+    cut = _NEAR_ONE * abs(theta - 1.0)
+    near = 0 if cut >= n - 1 else n - max(1, math.floor(cut))
+    logs = table[:near]
+    np.cumsum(np.log1p(logs, out=logs), out=logs)
+    np.exp(np.negative(logs, out=logs), out=logs)
+    ratios = table[near:]
+    head = ratios[:-1]
+    np.divide(1.0, np.add(head, 1.0, out=head), out=head)
+    ratios[-1] = 1.0 / theta
+    np.cumprod(ratios, out=ratios)
+    if near:
+        ratios *= table[near - 1]
+    return table
+
+
+def perm_mean_formula(n: int, theta: float, arc: Arc) -> float:
+    """The plain mean n (beta - alpha) - theta sum_j P_j omega_j / j over
+    whole arrays of n."""
+    u = frac_parts(arc.beta, n)
+    u -= frac_parts(arc.alpha, n)
+    u /= np.arange(1, n + 1, dtype=np.float64)
+    u *= psi_values_full(n, theta)
+    return n * float(arc.beta - arc.alpha) - theta * float(u.sum())
+
+
 def exact_moments_perm_formula(n: int, theta: float, arc: Arc) -> CountMoments:
     """The separate plain-ensemble mean and variance formula, with the cross
     term as a direct O(n^2) convolution."""
-    values = psi_values(n, theta)
+    values = psi_values_full(n, theta)
     omega = frac_parts(arc.beta, n) - frac_parts(arc.alpha, n)
     j = np.arange(1, n + 1, dtype=np.float64)
     u = omega / j
@@ -449,12 +484,33 @@ def exact_moments_perm_formula(n: int, theta: float, arc: Arc) -> CountMoments:
     return CountMoments(mean=mean, variance=max(variance, 0.0))
 
 
+def exact_covariance_mod_formula(n: int, theta: float, arc1: Arc, arc2: Arc) -> float:
+    """theta sum_j (P_j / j) H_j over whole arrays of n, one h_j(|x|) array
+    per distinct non-zero |x| among b1-a2, a1-b2, a1-a2, b1-b2."""
+    weights: dict = {}
+    for x, w in (
+        (arc1.beta - arc2.alpha, 0.5),
+        (arc1.alpha - arc2.beta, 0.5),
+        (arc1.alpha - arc2.alpha, -0.5),
+        (arc1.beta - arc2.beta, -0.5),
+    ):
+        if x != 0:
+            weights[abs(x)] = weights.get(abs(x), 0.0) + w
+    values = psi_values_full(n, theta) / np.arange(1, n + 1, dtype=np.float64)
+    total = 0.0
+    for x, w in weights.items():
+        if w:
+            h = frac_parts(x, n)
+            total += w * float(values @ (h * (1.0 - h)))
+    return theta * total
+
+
 def exact_moments_mod_formula(n: int, theta: float, arc: Arc) -> CountMoments:
     """The separate modified-ensemble variance formula, in the width only."""
     h = frac_parts(arc.width, n)
     h = h * (1.0 - h)
     j = np.arange(1, n + 1, dtype=np.float64)
-    variance = theta * float((psi_values(n, theta) / j) @ h)
+    variance = theta * float((psi_values_full(n, theta) / j) @ h)
     return CountMoments(mean=n * float(arc.width), variance=variance)
 
 

@@ -38,6 +38,12 @@ class TestPsi:
     def test_theta_one_is_identically_one(self):
         assert np.allclose(psi_values(50, 1.0), 1.0, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, cesaro.TABLE_BLOCK, cesaro.TABLE_BLOCK + 1])
+    def test_theta_one_is_exactly_one(self, n):
+        # every factor m/(m + theta - 1) is one: no log1p, cumsum or exp
+        assert np.array_equal(psi_values(n, 1.0), np.ones(n))
+        assert {psi(n, j, 1.0) for j in {1, (n + 1) // 2, n}} == {1.0}
+
     def test_direct_product_value(self):
         # 5*4*3*2*1 / (6*5*4*3*2) = 1/6
         assert psi(5, 5, 2.0) == pytest.approx(1 / 6, rel=1e-14)
@@ -90,6 +96,28 @@ class TestPsi:
         assert 40 < per_element < 49
         assert TABLE_SIZE_LIMIT * per_element < 2e9
         assert 10**9 > TABLE_SIZE_LIMIT
+
+    @pytest.mark.parametrize("theta", [0.7, 1.0])
+    def test_streamed_tables_hold_one_array_per_table(self, theta):
+        # the plain mean holds one array of n, the modified variance two (P_j/j
+        # and one h reused for every x); the rest are blocks of TABLE_BLOCK
+        # values (1.3 bytes per element each at this n): the psi buffer and
+        # its ramp of m, and frac_parts' array and floor.  Whole arrays took
+        # 16-24 bytes per element for both
+        n = 200_000
+        peaks = []
+        for call in (
+            lambda: _perm_mean(n, theta, Arc(Fraction(0), n**-0.5)),
+            lambda: _perm_mean(n, theta, Arc(0.1, 0.7)),
+            lambda: exact_moments_mod(n, theta, Arc(Fraction(1, 3), 0.7)),
+        ):
+            tracemalloc.start()
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1] / n)
+            tracemalloc.stop()
+        *plain, modified = peaks
+        assert all(8 < peak < 14 for peak in plain)
+        assert 16 < modified < 19.5
 
     @pytest.mark.parametrize("theta", [1e-300, 1e-12, 0.3, 0.7, 2.3, 10.0, 1e6, 1e15])
     def test_table_within_1e13_of_the_exact_product(self, theta):

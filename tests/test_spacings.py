@@ -169,6 +169,35 @@ def _check_against_oracle(batch, kinds: Counter) -> None:
             kinds["sorted, no empty J-cell"] += 1
 
 
+class TestPairSweep:
+    @pytest.mark.parametrize("pair_block", [2**18, 40])
+    def test_trials_grouped_by_cycle_count_match_every_pair(self, monkeypatch, pair_block):
+        # trials of 1 to 11 cycles, their pairs listed flat (at 40 pairs per
+        # block, a few trials per block and the widest alone), against a
+        # plain loop over every pair of each trial in Python integers
+        monkeypatch.setattr(spacings, "_PAIR_BLOCK", pair_block)
+        batch = draw_batch(100, 1.0, [trial_rng(5, t) for t in range(400)], phases=True)
+        sizes = np.diff(batch.starts)
+        assert sizes.min() == 1 and len(np.unique(sizes)) > 10
+        closest, to_last, max_lcm = _pair_gaps(batch)
+        for t in range(batch.trials):
+            cycles = range(batch.starts[t], batch.starts[t + 1])
+            j = batch.lengths[cycles].tolist()
+            m = [int(phi * 2**53) for phi in batch.phases[cycles].tolist()]
+            want = [math.inf, math.inf, j[-1]]
+            for a in range(len(j)):
+                for b in range(a + 1, len(j)):
+                    g = math.gcd(j[a], j[b])
+                    lcm = j[a] * j[b] // g
+                    r = (j[b] // g * m[a] - j[a] // g * m[b]) % 2**53
+                    gap = min(r, 2**53 - r) / lcm * 2.0**-53
+                    want[0] = min(want[0], gap)
+                    if b == len(j) - 1:
+                        want[1] = min(want[1], gap)
+                    want[2] = max(want[2], lcm)
+            assert [closest[t], to_last[t], max_lcm[t]] == want
+
+
 class TestModifiedExactOracle:
     def test_extremes_against_fraction_oracle(self):
         rng = np.random.default_rng(7)

@@ -12,12 +12,15 @@ from conftest import (
     counts_from_lengths,
     enumerate_angles_mod,
     enumerate_angles_perm,
+    exact_covariance_mod_formula,
     exact_moments_mod_formula,
     exact_moments_perm_formula,
     exhaustive_moments_perm,
     frac_parts_direct,
     frac_shift_invariant,
     partition_probabilities,
+    perm_mean_formula,
+    psi_values_full,
 )
 from permspectra import (
     Arc,
@@ -32,6 +35,8 @@ from permspectra import (
     exact_moments_perm,
     sample_cycle_counts,
 )
+from permspectra import cesaro
+from permspectra.spectral import _perm_mean
 
 
 def random_arc(rng) -> Arc:
@@ -337,6 +342,89 @@ class TestOneFormulaPerEnsemble:
         expected = (whole - parts) / 2
         assert covariance(n, theta, left, right) == pytest.approx(expected, rel=1e-9, abs=1e-12)
         assert covariance(n, theta, right, left) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+BLOCK = cesaro.TABLE_BLOCK
+#: j q of its denominator q crosses 2**62 halfway through the second block,
+#: so that block onwards takes the Python-integer products
+_BIG_Q = 2**62 // (3 * BLOCK // 2) | 1
+BIG_DENOMINATOR = F(_BIG_Q // 2, _BIG_Q)
+
+
+def _streamed_cases():
+    """(n, theta): n at the block edges and, where the cut of the near-one
+    factors falls inside a run, n that put it at the edge of the first block."""
+    cases = []
+    for theta in (0.5, 1.0, 2.0, 7.3, 1e6):
+        sizes = {BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5}
+        cut = math.floor(16 * abs(theta - 1.0))
+        if 0 < cut < BLOCK:
+            sizes |= {BLOCK + cut - 1, BLOCK + cut, BLOCK + cut + 1}
+        cases += [(n, theta) for n in sorted(sizes)]
+    return cases
+
+
+STREAMED_ARCS = (
+    Arc(0.1, 0.7),
+    Arc(F(1, 3), F(5, 7)),
+    Arc(0.6180339887498949, 1.4142135623730951),
+    Arc(F(1, 5), BIG_DENOMINATOR),
+)
+
+
+class TestStreamedTables:
+    """The psi table, the plain mean and the modified covariance, built a
+    block of j at a time, equal the whole-array formulas bit for bit."""
+
+    def test_big_denominator_switches_to_python_integers_mid_run(self):
+        assert BLOCK * _BIG_Q < 2**62 <= 2 * BLOCK * _BIG_Q
+
+    @pytest.mark.parametrize("n, theta", _streamed_cases())
+    def test_psi_table_equals_whole_array(self, n, theta):
+        assert cesaro.psi_values(n, theta).tobytes() == psi_values_full(n, theta).tobytes()
+
+    @pytest.mark.parametrize("n, theta", _streamed_cases())
+    def test_plain_mean_equals_whole_array(self, n, theta):
+        for arc in STREAMED_ARCS:
+            mean = _perm_mean(n, theta, arc)
+            assert mean == perm_mean_formula(n, theta, arc)
+            if theta < 10:  # the plain covariance's overflow guard
+                assert exact_moments_perm(n, theta, arc).mean == mean
+
+    @pytest.mark.parametrize("n, theta", _streamed_cases())
+    def test_modified_variance_equals_whole_array(self, n, theta):
+        for arc in STREAMED_ARCS:
+            assert exact_moments_mod(n, theta, arc) == exact_moments_mod_formula(n, theta, arc)
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 7.3, 1e6])
+    @pytest.mark.parametrize("arcs", [
+        (Arc(0.1, 0.35), Arc(0.2, 0.8)),  # four distinct |x|
+        (Arc(0.1, 0.4), Arc(0.4, 0.7)),  # x = 0 dropped, two x of one |x|
+        (Arc(F(1, 5), F(1, 2)), Arc(F(1, 2), F(4, 5))),
+        (Arc(F(1, 5), BIG_DENOMINATOR), Arc(F(1, 3), 0.9)),
+    ], ids=str)
+    def test_modified_covariance_equals_whole_array(self, theta, arcs):
+        for n in (BLOCK + 1, 3 * BLOCK + 5):
+            for first, second in (arcs, arcs[::-1]):
+                assert exact_covariance_mod(n, theta, first, second) == (
+                    exact_covariance_mod_formula(n, theta, first, second))
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0, 1e6])
+    def test_blocks_of_seven_equal_whole_arrays(self, monkeypatch, theta):
+        # many edges at small n, where the O(n^2) plain formula is cheap too
+        monkeypatch.setattr(cesaro, "TABLE_BLOCK", 7)
+        for n in (1, 6, 7, 8, 20, 21, 50):
+            assert cesaro.psi_values(n, theta).tobytes() == psi_values_full(n, theta).tobytes()
+            assert [cesaro.psi(n, j, theta) for j in range(1, n + 1)] == (
+                psi_values_full(n, theta).tolist())
+            for arc in STREAMED_ARCS:
+                assert _perm_mean(n, theta, arc) == perm_mean_formula(n, theta, arc)
+                assert exact_moments_mod(n, theta, arc) == exact_moments_mod_formula(n, theta, arc)
+                assert exact_covariance_mod(n, theta, arc, STREAMED_ARCS[0]) == (
+                    exact_covariance_mod_formula(n, theta, arc, STREAMED_ARCS[0]))
+                if theta < 10:
+                    assert exact_moments_perm(n, theta, arc).mean == (
+                        exact_moments_perm_formula(n, theta, arc).mean)
 
 
 class TestFracShiftInvariance:
