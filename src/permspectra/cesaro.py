@@ -19,17 +19,17 @@ explicit two-sided checks of the summation identities they rely on:
 * telescoping sum     sum_{p=j}^{n-1} A_{p-j}^{theta-1}/(p A_p^theta)
                                                         = psi(n, j) (1/j - 1/n)
 
-The table comes from one generator of blocks of TABLE_BLOCK values of j
-(``psi_blocks``), which ``psi_values`` writes into one array and the exact
-moments in :mod:`permspectra.spectral` read a block at a time, so that they
-hold no whole table.  At theta = 1 every factor is one and the blocks are
-ones.
-
 where ``A_n^delta`` are the Cesàro (binomial) numbers.  Each ``verify_*``
 function returns the two sides in O(n); callers assert the gap at their
 tolerance.  The quadratic double sum collapses through
 sum_{j+k=m} 1/(jk) = 2 H_{m-1}/m, and the telescoping summands are
 exponentials of log1p window sums, not of log-gamma differences.
+
+The table comes from one generator of blocks of TABLE_BLOCK values of j
+(``psi_blocks``), which ``psi_values`` writes into one array and the exact
+moments in :mod:`permspectra.spectral` read a block at a time, so that they
+hold no whole table.  At theta = 1 every factor is one and the blocks are
+ones.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ __all__ = [
 #: modified variance) plus a few blocks.  The plain ensemble's FFT holds
 #: more; ``spectral._covariance_perm`` caps its n at this limit scaled to its
 #: bytes per element.  Rational endpoints with denominators beyond 2**62 / n
-#: fall back to Python-integer arrays at about 92 bytes per element;
-#: ``spectral.check_endpoint_size`` caps those n.
+#: take Python-integer products, but only a short run of j at a time
+#: (``spectral.frac_into``), so they hold no more than float endpoints.
 TABLE_SIZE_LIMIT = 40_000_000
 
 

@@ -7,8 +7,9 @@ Every command prints a JSON envelope on stdout:
 
 or, with ``--format csv``, the tabular part of the results as RFC-4180
 style CSV with a header row.  Stochastic commands require an explicit
-``--seed``; identical argv (up to --jobs) reproduces identical results
-bit for bit, only ``timing_ms`` may differ.
+``--seed``; identical argv reproduces identical results bit for bit
+whatever ``--jobs`` says (``sample`` runs in one process and takes none),
+only ``timing_ms`` may differ.
 
 Arc endpoints accept plain decimals, exact rationals ``rat:p/q``, named
 irrationals ``irr:golden`` / ``irr:sqrt2`` / ``irr:sqrt3`` / ``irr:e`` /
@@ -379,7 +380,7 @@ def _master_seed(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
 
 
-def _add_common(p, stochastic: bool, theta: bool) -> None:
+def _add_common(p, stochastic: bool, theta: bool, jobs: bool) -> None:
     if theta:
         p.add_argument("--theta", type=float, default=1.0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -387,6 +388,7 @@ def _add_common(p, stochastic: bool, theta: bool) -> None:
         p.add_argument("--seed", type=_master_seed, required=True,
                        help="master seed (required; no silent time seeding)")
         p.add_argument("--trials", type=int, default=2000)
+    if jobs:
         p.add_argument("--jobs", type=int, default=1)
 
 
@@ -481,7 +483,9 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
             p = sub.add_parser(name, help=help_text)
             if argv is None or named:
                 add_arguments(p)
-                _add_common(p, stochastic, theta=name != "constants")  # limits need no theta
+                # limits need no theta, and sample draws in one process
+                _add_common(p, stochastic, theta=name != "constants",
+                            jobs=stochastic and name != "sample")
     return parser
 
 

@@ -48,7 +48,6 @@ from .spacings import mod_gap_extremes
 from .spectral import (
     Arc,
     _perm_mean,
-    check_endpoint_size,
     count_arcs_mod,
     count_arcs_perm,
     exact_moments_mod,
@@ -351,8 +350,6 @@ def run_mesoscopic(config: ExperimentConfig, jobs: int = 1) -> MesoscopicResult:
         if n < 1 or n * float(n) ** (-config.gamma) <= 1:
             raise ValueError(f"n * delta must exceed 1 for a mesoscopic window, got n={n}")
         check_table_size(n)  # every row computes an exact mean or variance
-        if model == "perm":  # the exact mean's {j alpha}
-            check_endpoint_size(n, alpha_endpoint)
     if isinstance(alpha_endpoint, Fraction):
         constant = c2_meso(alpha_endpoint) if model == "perm" else 1.0 / 6.0
     else:

@@ -24,14 +24,17 @@ averages directly and are exact — rational arithmetic throughout — whenever
 the endpoints are ``fractions.Fraction``; one full period then reproduces
 the limit exactly.
 
-Float partial sums run through one blocked kernel: {j x} for every endpoint
-or difference a call needs is one (K, block) array per block of at most
-8192 values of j, in preallocated buffers, so no length-n temporary is
-made.  Results equal the full-array formulas bit for bit: each {j x} comes
-from the same product and floor, the omega columns fill the same C-ordered
-arrays the one BLAS call gets, and sums of h_j(x) = {jx}(1-{jx}) split
-where numpy's pairwise summation does (halves rounded down to a multiple
-of 8), with ``np.add.reduce`` summing each block.  x = 0 is not evaluated.
+Float partial sums run in blocks: {j x} for every endpoint or difference a
+call needs is one (K, block) array per block of at most 8192 values of j,
+in one preallocated buffer, so no length-n array is made beyond the result.
+Each row is written by ``spectral.frac_into``, the package's one
+fractional-part kernel: the float endpoints' rows in one call, each Fraction
+endpoint's row exactly by its own.  Results equal the full-array formulas
+bit for bit: each {j x} comes from the same product and floor, the omega
+columns fill the same C-ordered arrays the one BLAS call gets, and sums of
+h_j(x) = {jx}(1-{jx}) split where numpy's pairwise summation does (halves
+rounded down to a multiple of 8), with ``np.add.reduce`` summing each
+block.  x = 0 is not evaluated.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .spectral import Arc, Endpoint, frac_parts
+from .spectral import Arc, Endpoint, frac_into
 
 __all__ = [
     "DeclaredIrrational",
@@ -218,30 +221,23 @@ def _frac_seq_exact(x: Fraction, n: int) -> list[Fraction]:
 _BLOCK = 8192
 
 
-def _frac_block(xs: np.ndarray, lo: int, hi: int, buf: np.ndarray):
-    """{j x} for x in ``xs`` (rows) and j = lo+1..hi, as j x minus its floor,
-    in a C-ordered view of ``buf[0]``; the same view of ``buf[1]`` is scratch."""
-    f, t = (b[: len(xs) * (hi - lo)].reshape(len(xs), hi - lo) for b in buf)
-    np.multiply(xs[:, None], np.arange(lo + 1, hi + 1, dtype=np.float64), out=f)
-    np.floor(f, out=t)
-    np.subtract(f, t, out=f)
-    return f, t
-
-
 def _fill_frac_differences(plus: Sequence[Endpoint], minus: Sequence[Endpoint], out) -> None:
     """out[k][j-1] = {j plus[k]} - {j minus[k]} for j = 1..n, one length-n
-    array or view per pair in ``out``; Fraction endpoints stay exact."""
+    array or view per pair in ``out``; Fraction endpoints stay exact.  The
+    float endpoints take the first rows of each block, written by one call."""
     ends = [*plus, *minus]
-    xs = np.array([float(x) for x in ends])
-    buf = np.empty((2, len(ends) * _BLOCK))
+    order = sorted(range(len(ends)), key=lambda k: isinstance(ends[k], Fraction))
+    row = {k: r for r, k in enumerate(order)}  # block row of endpoint k
+    xs = np.array([float(ends[k]) for k in order if not isinstance(ends[k], Fraction)])
+    buf = np.empty(len(ends) * _BLOCK)
     for lo in range(0, len(out[0]), _BLOCK):
         hi = min(lo + _BLOCK, len(out[0]))
-        f, _ = _frac_block(xs, lo, hi, buf)
-        for k, x in enumerate(ends):
-            if isinstance(x, Fraction):
-                f[k] = frac_parts(x, hi, start=lo + 1)
-        for k, row in enumerate(out):
-            np.subtract(f[k], f[len(plus) + k], out=row[lo:hi])
+        f = buf[: len(ends) * (hi - lo)].reshape(len(ends), hi - lo)
+        frac_into(xs[:, None], lo, f[: len(xs)])
+        for r in range(len(xs), len(ends)):
+            frac_into(ends[order[r]], lo, f[r])
+        for k, diff in enumerate(out):
+            np.subtract(f[row[k]], f[row[len(plus) + k]], out=diff[lo:hi])
 
 
 def _pairwise(leaf, lo: int, size: int):
@@ -260,13 +256,13 @@ def _h_means(xs: Sequence[float], n: int) -> np.ndarray:
     over the full array f = {j x}; 0 for x = 0, which is not evaluated."""
     xs = np.asarray(xs, dtype=np.float64)
     live = xs != 0.0
-    rows = xs[live]
-    buf = np.empty((2, len(rows) * _BLOCK))
+    rows = xs[live][:, None]
+    buf = np.empty(len(rows) * _BLOCK)
 
     def leaf(lo: int, size: int) -> np.ndarray:
-        f, t = _frac_block(rows, lo, lo + size, buf)
-        np.subtract(1.0, f, out=t)
-        np.multiply(f, t, out=f)
+        f = frac_into(rows, lo, buf[: len(rows) * size].reshape(len(rows), size))
+        # 1 - f takes the memory the writer's floor has just freed: one buffer
+        np.multiply(f, 1.0 - f, out=f)
         return np.add.reduce(f, axis=1)
 
     means = np.zeros(len(xs))

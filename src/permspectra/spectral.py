@@ -29,14 +29,19 @@ read the psi table a block of ``cesaro.TABLE_BLOCK`` values of j at a time
 (``cesaro.psi_blocks``) and write each block's terms straight into the one
 array that their final sum or dot product reads (two for the modified
 covariance: P_j/j, and one h_j(x) reused for every x), so that they hold
-no other array of n and sum exactly the terms that whole arrays gave.
+no other array of n and sum exactly the terms that whole arrays gave.  The
+plain covariance fills its two arrays of arc weights the same way.
 
 Arc endpoints may be floats or ``fractions.Fraction``.  Rational endpoints
 make every floor and fractional part exact integer arithmetic (int64 while
 it cannot overflow, Python integers for larger denominators), which is what
 eliminates boundary misclassification at roots of unity; float endpoints use
 plain floor and inherit the usual caveat that an angle landing within one
-ulp of an endpoint may be classified either way.
+ulp of an endpoint may be classified either way.  Every fractional part
+{j x}, here and in :mod:`permspectra.limits`, is written by one kernel,
+``frac_into``, into its caller's buffer; it builds Python-integer products
+a short run of j at a time, so a rational endpoint needs no size cap of its
+own.
 """
 
 from __future__ import annotations
@@ -127,67 +132,64 @@ class CountMoments:
 # ---------------------------------------------------------------------------
 
 
-#: bytes per element of a Python-integer array of products j p, against the
-#: 24 per element of the int64 exact moments that TABLE_SIZE_LIMIT is set for
-_OBJECT_BYTES_PER_ELEMENT = 92
-
-
-def check_endpoint_size(n: int, *endpoints: Endpoint) -> None:
-    """Refuse, before any array of length n is built, an n at which a
-    rational endpoint takes the Python-integer products of
-    ``_fraction_terms`` (n q >= 2**62) and n exceeds TABLE_SIZE_LIMIT scaled
-    to their size, so that they stay within the limit's memory."""
-    limit = cesaro.TABLE_SIZE_LIMIT * 24 // _OBJECT_BYTES_PER_ELEMENT
-    for x in endpoints:
-        if isinstance(x, Fraction) and n > limit and n * x.denominator >= 2**62:
-            raise ValueError(
-                f"n = {n} exceeds the size limit {limit} of exact arithmetic on the rational "
-                f"{x}: its denominator {x.denominator} times n reaches 2**62, which takes "
-                f"Python-integer arrays (about {_OBJECT_BYTES_PER_ELEMENT} bytes per element)"
-            )
-
-
-def _fraction_terms(x: Fraction, j: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """(j p, q, w) for x = w + p/q with 0 <= p < q, so that exactly
-    floor(j x) = j w + (j p) // q and {j x} = ((j p) mod q) / q.
-
-    The products are int64 while max(j) * q < 2**62 and Python integers
-    (an object array) beyond, where int64 would wrap silently; callers at
-    size n refuse the sizes that would not fit first (``check_endpoint_size``).
-    """
-    q = x.denominator
-    whole, p = divmod(x.numerator, q)
-    if len(j) and int(j.max()) * q >= 2**62:
-        j = j.astype(object)
-    return j * p, q, whole
-
-
 def _floor_multiples(x: Endpoint, j: np.ndarray) -> np.ndarray:
-    """floor(j x) for an int64 array j, exact when x is a Fraction."""
+    """floor(j x) for an int64 array j, exact when x is a Fraction: for
+    x = w + p/q with 0 <= p < q it is j w + (j p) // q, on Python integers
+    once max(j) q reaches 2**62, where int64 would wrap silently."""
     if isinstance(x, Fraction):
-        prod, q, whole = _fraction_terms(x, j)
-        return np.asarray(j * whole + prod // q, dtype=np.int64)
+        q = x.denominator
+        whole, p = divmod(x.numerator, q)
+        if len(j) and int(j.max()) * q >= 2**62:
+            j = j.astype(object)
+        return np.asarray(j * whole + j * p // q, dtype=np.int64)
     return np.floor(j * float(x)).astype(np.int64)
 
 
-def frac_parts(x: Endpoint, n: int, start: int = 1) -> np.ndarray:
-    """Array of fractional parts {j x} for j = start..n, exact for Fractions.
+#: values of j per run of Python-integer products in ``frac_into``: their
+#: objects take about 80 bytes per value, so a run stays below 100 KB
+_OBJECT_RUN = 1 << 10
 
-    For x = w + p/q, {j x} = ((j p) mod q) / q has period q in j, so a run
-    of at least two periods is one period from ``start``, tiled.
+
+def frac_into(x: Union[Endpoint, np.ndarray], lo: int, out: np.ndarray) -> np.ndarray:
+    """Write {j x} for j = lo+1 .. lo+len(out) into ``out`` and return it;
+    exact for a Fraction, j x minus its floor for a float.
+
+    For x = w + p/q, {j x} = ((j p) mod q) / q: int64 products while
+    j q < 2**62, then Python integers a run of ``_OBJECT_RUN`` values of j
+    at a time, and, since it has period q in j, one period tiled once
+    2 q <= len(out).  A float x may also be an array broadcast against the
+    rows of a 2-d ``out`` (a column, one endpoint per row).
     """
-    if isinstance(x, Fraction):
-        length = n - start + 1
-        q = x.denominator
-        if 2 * q <= length:
-            return np.tile(frac_parts(x, start + q - 1, start), -(-length // q))[:length]
-        prod, q, _ = _fraction_terms(x, np.arange(start, n + 1, dtype=np.int64))
-        prod %= q  # in place: keeps the peak at two arrays of n
-        return np.asarray(prod / float(q), dtype=np.float64)
-    jx = np.arange(start, n + 1, dtype=np.float64)
-    jx *= float(x)
-    jx -= np.floor(jx)
-    return jx
+    hi = lo + out.shape[-1]
+    if not isinstance(x, Fraction):
+        j = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        np.multiply(j, x, out=out)
+        out -= np.floor(out, out=j if out.ndim == 1 else None)  # j is free for one row
+        return out
+    q = x.denominator
+    p = x.numerator % q
+    if 2 * q <= len(out):
+        frac_into(x, lo, out[:q])
+        whole = len(out) // q * q
+        out[:whole].reshape(-1, q)[1:] = out[:q]  # a 1-d reshape is a view
+        out[whole:] = out[: len(out) - whole]
+        return out
+    cut = min(max((2**62 - 1) // q, lo), hi)  # the last j of the int64 products
+    edges = [lo, cut, *range(cut + _OBJECT_RUN, hi, _OBJECT_RUN), hi]
+    for a, b in zip(edges, edges[1:]):
+        if a < b:
+            prod = np.arange(a + 1, b + 1, dtype=np.int64)
+            if b > cut:
+                prod = prod.astype(object)
+            prod *= p
+            prod %= q
+            np.divide(prod, float(q), out=out[a - lo : b - lo], casting="unsafe")
+    return out
+
+
+def frac_parts(x: Endpoint, n: int, start: int = 1) -> np.ndarray:
+    """Array of fractional parts {j x} for j = start..n (``frac_into``)."""
+    return frac_into(x, start - 1, np.empty(max(n - start + 1, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,16 +247,17 @@ def count_arc_mod(spectrum: ModifiedSpectrum, arc: Arc) -> int:
 
 def _fill_arc_weights(arc: Arc, lo: int, out: np.ndarray) -> None:
     """out = u_j = ({j beta} - {j alpha}) / j for j = lo+1 .. lo+len(out)."""
-    hi = lo + len(out)
-    out[:] = frac_parts(arc.beta, hi, lo + 1)
-    out -= frac_parts(arc.alpha, hi, lo + 1)
-    out /= np.arange(lo + 1, hi + 1, dtype=np.float64)
+    frac_into(arc.beta, lo, out)
+    out -= frac_into(arc.alpha, lo, np.empty(len(out)))
+    out /= np.arange(lo + 1, lo + len(out) + 1, dtype=np.float64)
 
 
 def _arc_weights(arc: Arc, n: int) -> np.ndarray:
-    """u_j = ({j beta} - {j alpha}) / j for j = 1..n."""
+    """u_j = ({j beta} - {j alpha}) / j for j = 1..n, a block of
+    ``cesaro.TABLE_BLOCK`` values of j at a time."""
     u = np.empty(n)
-    _fill_arc_weights(arc, 0, u)
+    for lo in range(0, n, cesaro.TABLE_BLOCK):
+        _fill_arc_weights(arc, lo, u[lo : lo + cesaro.TABLE_BLOCK])
     return u
 
 
@@ -263,7 +266,6 @@ def _perm_mean(n: int, theta: float, arc: Arc) -> float:
     permutation-matrix count, omega_j = {j beta} - {j alpha}; O(n), in one
     array of n filled a block of the psi table at a time."""
     check_table_size(n)
-    check_endpoint_size(n, arc.alpha, arc.beta)
     blocks = psi_blocks(n, theta)
     weighted = np.empty(n)
     for lo, block in blocks:
@@ -344,7 +346,6 @@ def _covariance_perm(n: int, theta: float, arc1: Arc, arc2: Arc) -> tuple[float,
             f"n = {n} exceeds the size limit {limit} of the plain-ensemble covariance "
             f"(its FFT takes up to {_FFT_BYTES_PER_ELEMENT} bytes per element)"
         )
-    check_endpoint_size(n, arc1.alpha, arc1.beta, arc2.alpha, arc2.beta)
     check_theta_limit(theta)
     values = psi_values(n, theta)
     diagonal = arc2 == arc1
@@ -382,7 +383,6 @@ def exact_covariance_mod(n: int, theta: float, arc1: Arc, arc2: Arc) -> float:
     for x, w in ((b1 - a2, 0.5), (a1 - b2, 0.5), (a1 - a2, -0.5), (b1 - b2, -0.5)):
         if x != 0:
             weights[abs(x)] = weights.get(abs(x), 0.0) + w
-    check_endpoint_size(n, *(x for x, w in weights.items() if w))
     blocks = psi_blocks(n, theta)
     values = np.empty(n)  # P_j / j
     for lo, block in blocks:
@@ -393,8 +393,7 @@ def exact_covariance_mod(n: int, theta: float, arc1: Arc, arc2: Arc) -> float:
 
     def dot_h(x: Endpoint) -> float:
         for lo in range(0, n, cesaro.TABLE_BLOCK):
-            f = h[lo : lo + cesaro.TABLE_BLOCK]
-            f[:] = frac_parts(x, lo + len(f), lo + 1)
+            f = frac_into(x, lo, h[lo : lo + cesaro.TABLE_BLOCK])
             f *= 1.0 - f
         return float(values @ h)
 

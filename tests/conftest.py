@@ -44,7 +44,7 @@ from permspectra import (
 from permspectra.cesaro import _NEAR_ONE
 from permspectra.ewens import _dense_thresholds, _ones_after, _sorted_lengths
 from permspectra.spacings import _mod_angles
-from permspectra.spectral import ModifiedSpectrum, _fraction_terms, frac_parts
+from permspectra.spectral import ModifiedSpectrum, frac_parts
 
 
 def ones_positions_sparse(n: int, theta: float, rng) -> np.ndarray:
@@ -603,10 +603,12 @@ def absolute_quadratic_sum(n: int, theta: float) -> float:
 
 
 def frac_parts_direct(x, n: int, start: int = 1) -> np.ndarray:
-    """``frac_parts`` without the periodic tiling: ((j p) mod q) / q for every
-    j = start..n of a Fraction, j x minus its floor for a float."""
+    """``frac_parts`` without the periodic tiling or int64 products:
+    ((j p) mod q) / q on Python integers for every j = start..n of a
+    Fraction, j x minus its floor for a float."""
     if isinstance(x, Fraction):
-        prod, q, _ = _fraction_terms(x, np.arange(start, n + 1, dtype=np.int64))
-        return np.asarray(prod % q / float(q), dtype=np.float64)
+        q = x.denominator
+        prod = np.arange(start, n + 1).astype(object) * (x.numerator % q) % q
+        return np.asarray(prod / float(q), dtype=np.float64)
     jx = np.arange(start, n + 1, dtype=np.float64) * float(x)
     return jx - np.floor(jx)

@@ -102,8 +102,9 @@ class TestPsi:
         # the plain mean holds one array of n, the modified variance two (P_j/j
         # and one h reused for every x); the rest are blocks of TABLE_BLOCK
         # values (1.3 bytes per element each at this n): the psi buffer and
-        # its ramp of m, and frac_parts' array and floor.  Whole arrays took
-        # 16-24 bytes per element for both
+        # its ramp of m (not at theta = 1), the writer's ramp of j and, in the
+        # plain mean, the block of {j alpha}.  Whole arrays took 16-24 bytes
+        # per element for both
         n = 200_000
         peaks = []
         for call in (
@@ -116,8 +117,30 @@ class TestPsi:
             peaks.append(tracemalloc.get_traced_memory()[1] / n)
             tracemalloc.stop()
         *plain, modified = peaks
-        assert all(8 < peak < 14 for peak in plain)
-        assert 16 < modified < 19.5
+        assert all(8 < peak < 13.5 for peak in plain)
+        assert 16 < modified < 17.5
+
+    @pytest.mark.slow  # tracemalloc follows every Python integer: 2-4 s each
+    @pytest.mark.parametrize("call", [
+        lambda n, arc: exact_covariance_perm(n, 0.7, arc, arc),
+        lambda n, arc: _perm_mean(n, 0.7, arc),
+        lambda n, arc: exact_moments_mod(n, 0.7, arc),
+    ], ids=["plain-covariance", "plain-mean", "modified-variance"])
+    def test_python_integer_products_cost_no_more_than_floats(self, call):
+        # alpha = 1/2^60 (and the width 3/4 - 1/2^60) take Python-integer
+        # products from j = 4 on, built a short run of j at a time, so the
+        # peak stays the float arc's.  Whole object arrays took 96 bytes per
+        # element against 40 in the plain covariance, and blocks of them 10-11
+        # more than floats in the plain mean and the modified variance
+        n = 200_000
+        huge = Arc(Fraction(1, 2**60), Fraction(3, 4))
+        peaks = []
+        for arc in (huge, Arc(float(huge.alpha), 0.75)):
+            tracemalloc.start()
+            call(n, arc)
+            peaks.append(tracemalloc.get_traced_memory()[1] / n)
+            tracemalloc.stop()
+        assert peaks[0] < peaks[1] + 1.0
 
     @pytest.mark.parametrize("theta", [1e-300, 1e-12, 0.3, 0.7, 2.3, 10.0, 1e6, 1e15])
     def test_table_within_1e13_of_the_exact_product(self, theta):

@@ -80,7 +80,7 @@ def test_bit_identical_to_full_array_formulas(name, n):
 
 @pytest.mark.parametrize("n", [1, 8193])
 def test_large_denominators_stay_exact(n):
-    # j q passes 2^62 inside the run of j, so frac_parts switches to Python
+    # j q passes 2^62 inside the run of j, so the writer switches to Python
     # integers part way; the blocks switch at their own j and must agree
     arcs = [Arc(F(1, 2**61 + 1), F(2**60, 2**61 + 1)), Arc(SQRT2, GOLDEN)]
     same_or_both_refuse(covariance_D, covariance_D_formula, arcs, n)

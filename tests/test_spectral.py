@@ -36,7 +36,7 @@ from permspectra import (
     sample_cycle_counts,
 )
 from permspectra import cesaro
-from permspectra.spectral import _perm_mean
+from permspectra.spectral import _perm_mean, frac_into, frac_parts
 
 
 def random_arc(rng) -> Arc:
@@ -460,17 +460,24 @@ class TestExactFractionArithmetic:
     int64 products j * p would wrap once n * q reaches 2**63."""
 
     @pytest.mark.parametrize("x", [F(5, 12), F(17, 5), F(-7, 3), F(3), F(1, 4999), F(1, 5000),
-                                   F(2, 5001), F(4999, 10001), F(10**6 + 1, 8192)], ids=str)
+                                   F(2, 5001), F(4999, 10001), F(10**6 + 1, 8192),
+                                   BIG_DENOMINATOR, F(2**62 + 1, 2**63 - 25), 0.6180339887498949,
+                                   -2.75], ids=str)
     @pytest.mark.parametrize("n, start", [(10_000, 1), (10_000, 2), (10_001, 8), (8192, 1),
-                                          (16_384, 8193), (1, 1), (7, 7)])
+                                          (16_384, 8193), (1, 1), (7, 7),
+                                          (2 * BLOCK, BLOCK + 1)])
     def test_tiled_period_equals_direct_residues(self, x, n, start):
         # q around half the length (tiled from 2q <= length on), starts beyond 1
-        # (limits' blocks), whole parts above 0 and q = 1
-        from permspectra.spectral import frac_parts
-
+        # (limits' blocks), whole parts above 0, q = 1, floats, and int64
+        # products that turn to Python integers inside the run (BIG_DENOMINATOR
+        # from the last (n, start)) or that would wrap in int64 from j = 2 on;
+        # the writer fills a slice at offset start - 1
         got, direct = frac_parts(x, n, start), frac_parts_direct(x, n, start)
         assert got.dtype == direct.dtype and got.shape == direct.shape == (n - start + 1,)
         assert got.tobytes() == direct.tobytes()
+        buffer = np.full(n - start + 3, -1.0)
+        assert frac_into(x, start - 1, buffer[1:-1]).tobytes() == direct.tobytes()
+        assert buffer[0] == buffer[-1] == -1.0
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -479,8 +486,6 @@ class TestExactFractionArithmetic:
         n=st.integers(1, 100),
     )
     def test_frac_parts_match_fraction_arithmetic(self, q, p, n):
-        from permspectra.spectral import frac_parts
-
         x = F(p % (2 * q), q)
         got = frac_parts(x, n)
         exact = [float((j * x) % 1) for j in range(1, n + 1)]
