@@ -50,13 +50,13 @@ __all__ = [
     "verify_telescoping",
 ]
 
-#: largest n of a psi table.  Measured with tracemalloc, the coupling tail
-#: bound peaks at 40 bytes per element and the identity checks at 30, so
-#: this n peaks below 2 GB; the table itself is 8, and the exact moments
-#: that stream it a block at a time hold 8 (the plain mean) and 16 (the
-#: modified variance) plus a few blocks.  The plain ensemble's FFT holds
-#: more; ``spectral._covariance_perm`` caps its n at this limit scaled to its
-#: bytes per element.  Rational endpoints with denominators beyond 2**62 / n
+#: largest n of a psi table.  Measured with tracemalloc, the identity checks
+#: peak at 30 bytes per element, so this n peaks below 2 GB; the table itself
+#: is 8, the exact moments that stream it a block at a time hold 8 (the plain
+#: mean) and 16 (the modified variance) plus a few blocks, and the coupling
+#: tail bound holds only blocks.  The plain ensemble's FFT holds more;
+#: ``spectral._covariance_perm`` caps its n at this limit scaled to its bytes
+#: per element.  Rational endpoints with denominators beyond 2**62 / n
 #: take Python-integer products, but only a short run of j at a time
 #: (``spectral.frac_into``), so they hold no more than float endpoints.
 TABLE_SIZE_LIMIT = 40_000_000

@@ -199,22 +199,30 @@ def _cmd_exact_moments(args):
     return results, (["mean", "variance"], [(m.mean, m.variance)])
 
 
+def _irrational_endpoint(token: str) -> DeclaredIrrational:
+    """An irr:name endpoint; any other token would silently change the class."""
+    x = parse_endpoint(token)
+    if not isinstance(x, DeclaredIrrational):
+        raise ValueError("irrational cases need an irr: endpoint")
+    return x
+
+
 def _parse_constants_class(args):
     case = args.case
     if case == "both-irrational-independent":
-        a = parse_endpoint(args.alpha or "irr:sqrt2")
-        b = parse_endpoint(args.beta or "irr:golden")
+        a = _irrational_endpoint(args.alpha or "irr:sqrt2")
+        b = _irrational_endpoint(args.beta or "irr:golden")
         return BothIrrationalIndependent(float(a), float(b))
     if case == "rational-alpha":
-        b = parse_endpoint(args.beta or "irr:golden")
+        b = _irrational_endpoint(args.beta or "irr:golden")
         return RationalAlpha(p=args.p, q=args.q, beta_value=float(b))
     if case == "rational-beta":
-        a = parse_endpoint(args.alpha or "irr:golden")
+        a = _irrational_endpoint(args.alpha or "irr:golden")
         return RationalBeta(alpha_value=float(a), r=args.r, s=args.s)
     if case == "both-rational":
         return BothRational(p=args.p, q=args.q, r=args.r, s=args.s)
     if case == "affine":
-        a = parse_endpoint(args.alpha or "irr:golden")
+        a = _irrational_endpoint(args.alpha or "irr:golden")
         return AffineRelated(
             p=args.p, q=args.q, r=args.r, s=args.s, alpha_value=float(a)
         )
@@ -229,9 +237,7 @@ def _cmd_constants(args):
                 raise ValueError(f"{name}: denominator must be >= 1, got {args.q}")
             x = Fraction(args.p, args.q)
         else:
-            x = parse_endpoint(args.alpha or "irr:golden")
-            if not isinstance(x, DeclaredIrrational):
-                raise ValueError("irrational cases need an irr: endpoint")
+            x = _irrational_endpoint(args.alpha or "irr:golden")
         value = ell_closed(x) if args.case.startswith("ell") else c2_meso(x)
         name = "ell" if args.case.startswith("ell") else "c2_meso"
         results = {"case": args.case, name: value}

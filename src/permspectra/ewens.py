@@ -62,7 +62,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .cesaro import check_table_size
+from .cesaro import _psi_blocks, check_table_size
 
 __all__ = [
     "EwensParams",
@@ -135,16 +135,19 @@ class TrialBatch:
 
     Trial t owns ``lengths[starts[t]:starts[t+1]]`` (ascending when drawn,
     never empty) and the aligned ``phases``, if drawn; ``starts`` defaults
-    to one trial.  A coupled draw also keeps the word's spacings of length
-    <= n inside the horizon, with the trial each belongs to.
+    to one trial.  A coupled draw also keeps, per trial, the ``closing``
+    length L = n + 1 - (last one <= n), and the ``tail`` spacings of length
+    <= n from that one through the horizon, with the trial each belongs to
+    (``tail_trial``): the whole word's spacing counts are W = a - e_L + T.
     """
 
     n: int
     lengths: np.ndarray
     phases: Optional[np.ndarray] = None
     starts: Optional[np.ndarray] = None
-    spacings: Optional[np.ndarray] = None
-    spacing_trial: Optional[np.ndarray] = None
+    closing: Optional[np.ndarray] = None
+    tail: Optional[np.ndarray] = None
+    tail_trial: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.starts is None:
@@ -153,9 +156,6 @@ class TrialBatch:
     @property
     def trials(self) -> int:
         return len(self.starts) - 1
-
-    def trial_of_cycle(self) -> np.ndarray:
-        return np.repeat(np.arange(self.trials), np.diff(self.starts))
 
     def cycle_counts(self, t: int) -> CycleCounts:
         return CycleCounts(self.n, lengths=self.lengths[self.starts[t] : self.starts[t + 1]])
@@ -526,23 +526,18 @@ def _starts(sizes) -> np.ndarray:
     return np.cumsum([0, *sizes])
 
 
-def _trial_order(trial: np.ndarray, values: np.ndarray, bound: int) -> np.ndarray:
-    """Indices sorting the pairs (trial, value), 0 <= value < bound, by trial
-    and then value: one int64 key trial * bound + value unless it could
-    overflow (a two-key sort is several times slower)."""
-    if (int(trial.max(initial=0)) + 1) * bound < 2**63:
-        return np.argsort(trial * bound + values)
-    return np.lexsort((values, trial))
-
-
 def _sorted_lengths(n: int, ones: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Cycle lengths of concatenated words, ascending within each word: the
-    spacings of a word's ones closed by the sentinel n + 1 (so they sum to n)."""
+    spacings of a word's ones closed by the sentinel n + 1 (so they sum to n).
+    They sort by one int64 key trial * (n + 1) + length unless it could
+    overflow (a two-key sort is several times slower)."""
     closing = np.append(ones[1:], n + 1)
     closing[starts[1:] - 1] = n + 1
     lengths = closing - ones
     trial = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
-    return lengths[_trial_order(trial, lengths, n + 1)]
+    if (len(starts) - 1) * (n + 1) < 2**63:
+        return lengths[np.argsort(trial * (n + 1) + lengths)]
+    return lengths[np.lexsort((lengths, trial))]
 
 
 def draw_batch(
@@ -554,7 +549,7 @@ def draw_batch(
     ones in (n, horizon].  Each generator still sees its own trial's word,
     phases and tail in that order; sparse words and tails are walked for all
     trials at once (``_walks_lockstep``), and lengths, their sort and the
-    coupled spacings are computed for the whole batch.
+    coupled tails' spacings are computed for the whole batch.
 
     A trial that makes scalar draws (a sparse word or a coupled tail) reads
     its generator through a ``_Uniforms``, in blocks, so the generator ends
@@ -586,13 +581,15 @@ def draw_batch(
     if bad_phase or (np.add.reduceat(lengths, starts[:-1]) != n).any():
         raise ValueError("cycle lengths must sum to n and phases lie in [0, 1)")
     if horizon is not None:
-        # spacings of each whole word (prefix ones, then tail ones) up to n
-        word = np.concatenate([part for pair in zip(words, tails) for part in pair])
-        word_starts = _starts([len(w) + len(t) for w, t in zip(words, tails)])
-        keep = np.diff(word) <= n
+        # each word from its last one <= n through the horizon
+        word = np.concatenate([part for w, t in zip(words, tails) for part in (w[-1:], t)])
+        word_starts = _starts([1 + len(t) for t in tails])
+        gaps = np.diff(word)
+        keep = gaps <= n
         keep[word_starts[1:-1] - 1] = False  # no spacing across two trials
-        batch.spacings = np.diff(word)[keep]
-        batch.spacing_trial = np.repeat(np.arange(batch.trials), np.diff(word_starts))[:-1][keep]
+        batch.closing = n + 1 - word[word_starts[:-1]]
+        batch.tail = gaps[keep]
+        batch.tail_trial = np.repeat(np.arange(batch.trials), np.diff(word_starts))[:-1][keep]
     return batch
 
 
@@ -618,11 +615,12 @@ def coupling_tail_expectation(n: int, theta: float, horizon: int) -> float:
     """
     if horizon < n:
         raise ValueError("horizon must be at least n")
-    check_table_size(n)  # its arrays of length n peak at 40 bytes per element too
-    i = np.arange(n, dtype=np.float64)
-    psi_h = np.cumprod((horizon - i) / (theta + horizon - 1.0 - i))  # psi(H, j), j<=n
-    j = np.arange(1, n + 1, dtype=np.float64)
-    return float(theta * np.sum(1.0 / j - psi_h * (1.0 / j - 1.0 / horizon)))
+    check_table_size(n)
+    total = 0.0
+    for lo, psi_h in _psi_blocks(horizon, n, theta):  # psi(H, j), j <= n
+        j = np.arange(lo + 1, lo + len(psi_h) + 1, dtype=np.float64)
+        total += float(np.sum(1.0 / j - psi_h * (1.0 / j - 1.0 / horizon)))
+    return theta * total
 
 
 @lru_cache(maxsize=128)
@@ -663,35 +661,24 @@ def sample_coupled(
         raise ValueError(f"epsilon_tail must be positive and finite, got {epsilon_tail}")
     horizon, tail_bound = coupling_horizon(n, params.theta, epsilon_tail)
     batch = draw_batch(n, params.theta, [_Uniforms(rng, block=1)], horizon=horizon)
+    counts = batch.cycle_counts(0)
+    poisson = counts.as_array() + np.bincount(batch.tail, minlength=n + 1)[1:]
+    poisson[batch.closing[0] - 1] -= 1  # W = a - e_L + T
     return CoupledSample(
-        cycle_counts=batch.cycle_counts(0),
-        poisson_counts=np.bincount(batch.spacings, minlength=n + 1)[1:],
-        horizon=horizon,
-        tail_bound=tail_bound,
+        cycle_counts=counts, poisson_counts=poisson, horizon=horizon, tail_bound=tail_bound
     )
 
 
 def coupling_distances(batch: TrialBatch) -> np.ndarray:
     """sum_j |a_{n,j} - W_j| for every trial of a coupled batch.
 
-    Cycle lengths (+1 each) and coupled spacings (-1 each) are sorted
-    together by (trial, length); each run of equal keys nets a_j - W_j.
+    Since W = a - e_L + T, the distance is |e_L - T|_1 = |T| + 1 - 2 [L in T].
     """
-    trial = np.concatenate([batch.trial_of_cycle(), batch.spacing_trial])
-    value = np.concatenate([batch.lengths, batch.spacings])
-    sign = np.repeat([1, -1], [len(batch.lengths), len(batch.spacings)])
-    order = _trial_order(trial, value, batch.n + 1)
-    trial, value = trial[order], value[order]
-    first = np.ones(len(value), dtype=bool)
-    first[1:] = (value[1:] != value[:-1]) | (trial[1:] != trial[:-1])
-    net = np.abs(np.add.reduceat(sign[order], np.flatnonzero(first)))
-    return np.bincount(trial[first], weights=net, minlength=batch.trials).astype(np.int64)
+    counts = np.bincount(batch.tail_trial, minlength=batch.trials)
+    hits = batch.tail_trial[batch.tail == batch.closing[batch.tail_trial]]
+    return counts + 1 - 2 * (np.bincount(hits, minlength=batch.trials) > 0)
 
 
 def coupling_distance(sample: CoupledSample) -> int:
     """sum_j |a_{n,j} - W_j| for one coupled draw."""
-    counts = sample.cycle_counts
-    spacings = np.repeat(np.arange(1, counts.n + 1), sample.poisson_counts)
-    batch = TrialBatch(counts.n, counts.lengths, spacings=spacings,
-                       spacing_trial=np.zeros(len(spacings), dtype=np.int64))
-    return int(coupling_distances(batch)[0])
+    return int(np.abs(sample.cycle_counts.as_array() - sample.poisson_counts).sum())

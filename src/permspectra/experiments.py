@@ -374,11 +374,9 @@ def run_mesoscopic(config: ExperimentConfig, jobs: int = 1) -> MesoscopicResult:
         if model == "mod":
             variance = exact_moments_mod(n, theta, arc).variance
             exact = True
-            mean = n * delta
         else:
             variance = float(np.var(counts, ddof=1))
             exact = False
-            mean = _perm_mean(n, theta, arc)
         rows.append(
             MesoscopicRow(
                 n=n,
@@ -391,6 +389,7 @@ def run_mesoscopic(config: ExperimentConfig, jobs: int = 1) -> MesoscopicResult:
             )
         )
         if n == largest:
+            mean = n * delta if model == "mod" else _perm_mean(n, theta, arc)
             report = _normality_report(counts, mean, variance)
     return MesoscopicResult(rows=rows, report=report, constant=constant)
 

@@ -317,13 +317,17 @@ def ctilde_numeric(s: Endpoint, t: Endpoint, u: Endpoint, v: Endpoint, n: int) -
 
 
 def _s3_both_rational_exact(p: int, q: int, r: int, s: int) -> Fraction:
-    """Exact lim (1/n) sum {j p/q}{j r/s} via one period of length q*s."""
-    period = q * s
-    total = Fraction(0)
-    pp, rr = p % q, r % s
-    for j in range(1, period + 1):
-        total += Fraction((j * pp) % q, q) * Fraction((j * rr) % s, s)
-    return total / period
+    """Exact lim (1/n) sum {j p/q}{j r/s}, the mean over one period of length
+    q s: (q-1)(s-1)/(4qs) + (d s(c, d) + (d-1)/4)/(qs), with d = gcd(q, s),
+    c = r p^-1 mod d and s(c, d) the Dedekind sum.  Reciprocity,
+    s(h, k) + s(k, h) = (h/k + k/h + 1/(hk))/12 - 1/4 with s(0, 1) = 0,
+    gives s(c, d) in the O(log d) steps of Euclid's algorithm on (c, d)."""
+    d = math.gcd(q, s)
+    h, k, sign, dedekind = r * pow(p, -1, d) % d, d, 1, Fraction(0)
+    while k > 1:
+        dedekind += sign * (Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4))
+        sign, h, k = -sign, k % h, h
+    return Fraction((q - 1) * (s - 1), 4 * q * s) + (d * dedekind + Fraction(d - 1, 4)) / (q * s)
 
 
 def s3_closed(cls: ArcClass) -> float:
@@ -331,8 +335,8 @@ def s3_closed(cls: ArcClass) -> float:
 
     The affine case beta = p/q + (r/s) alpha gives 1/4 + d^2/(12 s r q^2)
     with d = gcd(s, q) (r may be negative); rational-vs-irrational mixes
-    give 1/4 - 1/(4q) style values, and the fully rational case is an exact
-    one-period sum.
+    give 1/4 - 1/(4q) style values, and the fully rational case is the
+    exact one-period mean through a Dedekind sum.
     """
     if isinstance(cls, BothIrrationalIndependent):
         return 0.25
@@ -355,7 +359,7 @@ def c2_closed(cls: ArcClass) -> float:
         independent irrationals           1/6
         alpha = p/q, beta irrational      1/6 + 1/(6 q^2)
         alpha irrational, beta = r/s      1/6 + 1/(6 s^2)
-        alpha = p/q, beta = r/s           exact one-period double sum
+        alpha = p/q, beta = r/s           exact, through the one-period s3
         beta = p/q + (r/s) alpha          1/6 - gcd(s,q)^2/(6 s r q^2)
     """
     if isinstance(cls, BothIrrationalIndependent):

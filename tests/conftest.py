@@ -17,9 +17,10 @@ whole-array psi table (``psi_values_full``), plain mean (``perm_mean_formula``)
 and modified covariance, which the library now builds a block of j at a
 time.  The
 quadratic identity's O(n^2) double sum, which the library replaced by an
-O(n) closed form, is an oracle here, and so are the one-trial sparse word
-(``ones_positions_sparse``) and the modified count over [alpha, beta)
-(``count_arc_mod_left``).
+O(n) closed form, is an oracle here, as is the one-period mean of
+{j p/q}{j r/s} (``s3_period_mean``), and so are the one-trial sparse word
+(``ones_positions_sparse``), the one-trial coupled word (``reference_trial``)
+and the modified count over [alpha, beta) (``count_arc_mod_left``).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from permspectra import (
     psi_values,
 )
 from permspectra.cesaro import _NEAR_ONE
-from permspectra.ewens import _dense_thresholds, _ones_after, _sorted_lengths
+from permspectra.ewens import _SPARSE_THRESHOLD, _dense_thresholds, _ones_after, _sorted_lengths
 from permspectra.spacings import _mod_angles
 from permspectra.spectral import ModifiedSpectrum, frac_parts
 
@@ -51,6 +52,20 @@ def ones_positions_sparse(n: int, theta: float, rng) -> np.ndarray:
     """Positions of ones in (xi_1, ..., xi_n) sampled by gap skipping, one
     trial on its own."""
     return np.asarray([1, *_ones_after(1, n, theta, rng)], dtype=np.int64)
+
+
+def reference_trial(n, theta, rng, phases, horizon):
+    """One trial from a raw generator, one uniform per draw: the word's ones
+    up to n, then their phases, then the coupled tail's ones in (n, horizon]."""
+    if n > _SPARSE_THRESHOLD:
+        ones = ones_positions_sparse(n, theta, rng)
+    else:
+        hits = rng.random(n) < _dense_thresholds(n, theta)
+        hits[0] = True
+        ones = np.flatnonzero(hits) + 1
+    phase = rng.random(len(ones)) if phases else None
+    tail = _ones_after(n, horizon, theta, rng) if horizon else []
+    return ones, phase, np.array(tail, dtype=np.int64)
 
 
 def count_arc_mod_left(spectrum: ModifiedSpectrum, arc: Arc) -> int:
@@ -373,6 +388,15 @@ def l1_limit(x: Fraction | DeclaredIrrational) -> float:
         q = x.denominator
         return float(Fraction(q - 1, 2 * q))
     return 0.5
+
+
+def s3_period_mean(p: int, q: int, r: int, s: int) -> Fraction:
+    """lim (1/n) sum {j p/q}{j r/s} as the mean over one period of q s terms,
+    exactly: the loop that ``limits._s3_both_rational_exact`` replaced by
+    its Dedekind-sum closed form."""
+    period = q * s
+    total = sum((j * p % q) * (j * r % s) for j in range(1, period + 1))
+    return Fraction(total, period * period)
 
 
 def l2_limit(x: Fraction | DeclaredIrrational) -> float:

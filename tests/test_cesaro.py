@@ -74,7 +74,8 @@ class TestPsi:
 
     def test_size_limit_keeps_the_peak_near_2gb(self):
         # the limit is derived from the bytes per element that the exact
-        # moments, the coupling tail and the identity checks hold at their peak
+        # moments and the identity checks hold at their peak; the coupling
+        # tail streams psi a block at a time and holds no array of n
         n = 200_000  # 2n - 1 rounds up to an FFT length of 2n
         peaks = []
         for call in (

@@ -283,6 +283,22 @@ class TestCliContract:
              "delta: denominator must be >= 1, got 0"),
             (("constants", "--case", "meso-rational", "--q", "0"),
              "alpha: denominator must be >= 1, got 0"),
+            # a rational or decimal irrational endpoint printed another class's
+            # constants: c2 = 0.18519, s3 = 0.16667 where 1/3, 1/4 give 0.15394, 0.125
+            (("constants", "--case", "rational-alpha", "--p", "1", "--q", "3",
+              "--beta", "rat:1/4"), "irrational cases need an irr: endpoint"),
+            (("constants", "--case", "rational-beta", "--alpha", "0.25"),
+             "irrational cases need an irr: endpoint"),
+            (("constants", "--case", "both-irrational-independent", "--alpha", "rat:1/5"),
+             "irrational cases need an irr: endpoint"),
+            (("constants", "--case", "both-irrational-independent", "--beta", "0.3"),
+             "irrational cases need an irr: endpoint"),
+            (("constants", "--case", "affine", "--alpha", "rat:1/5"),
+             "irrational cases need an irr: endpoint"),
+            (("constants", "--case", "ell-irrational", "--alpha", "rat:1/3"),
+             "irrational cases need an irr: endpoint"),
+            (("constants", "--case", "meso-irrational", "--alpha", "0.4"),
+             "irrational cases need an irr: endpoint"),
         ],
         ids=["negative-jobs", "zero-jobs", "nan-epsilon-tail", "inf-epsilon-tail",
              "exact-perm-inf-theta", "exact-mod-inf-theta", "identities-inf-theta",
@@ -290,7 +306,9 @@ class TestCliContract:
              "spacings-inf-theta", "coupling-inf-theta", "identities-n1", "identities-n0",
              "rat-empty-denominator", "rat-letter-numerator", "rat-two-slashes",
              "rat-no-slash", "rat-empty-numerator", "rat-underscore", "ell-rational-q0",
-             "meso-rational-q0"],
+             "meso-rational-q0", "rational-alpha-rat-beta", "rational-beta-decimal-alpha",
+             "independent-rat-alpha", "independent-decimal-beta", "affine-rat-alpha",
+             "ell-irrational-rat", "meso-irrational-decimal"],
     )
     def test_bad_value_named_in_one_error_line(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")

@@ -16,6 +16,7 @@ from conftest import (
     iter_cycle_types,
     ones_positions_sparse,
     partition_probabilities,
+    reference_trial,
     sample_bernoulli_word,
     type_chisquare_pvalue,
 )
@@ -33,7 +34,6 @@ from permspectra.ewens import (
     _BLOCK,
     _SPARSE_THRESHOLD,
     _Uniforms,
-    _dense_thresholds,
     _log_gap_survival,
     _next_one_position,
     _ones_after,
@@ -442,20 +442,6 @@ class TestUniformSource:
         assert rng.bit_generator.state == twin.bit_generator.state
 
 
-def reference_trial(n, theta, rng, phases, horizon):
-    """One trial from a raw generator, one uniform per draw: the word, then
-    its phases, then the coupled tail."""
-    if n > _SPARSE_THRESHOLD:
-        ones = ones_positions_sparse(n, theta, rng)
-    else:
-        hits = rng.random(n) < _dense_thresholds(n, theta)
-        hits[0] = True
-        ones = np.flatnonzero(hits) + 1
-    phase = rng.random(len(ones)) if phases else None
-    tail = _ones_after(n, horizon, theta, rng) if horizon else []
-    return ones, phase, tail
-
-
 def cycle_lengths(ones, n):
     return sorted(np.diff(np.append(ones, n + 1)).tolist())
 
@@ -479,13 +465,20 @@ class TestBatchStream:
         spacings, owner = [], []
         for t in range(trials):
             ones, _, tail = reference_trial(n, theta, trial_rng(22, t), False, horizon)
-            gaps = np.diff(np.append(ones, tail))
-            spacings += gaps[gaps <= n].tolist()
-            owner += [t] * int((gaps <= n).sum())
+            rest = np.diff(np.append(ones[-1], tail))  # from the last one <= n on
+            spacings += rest[rest <= n].tolist()
+            owner += [t] * int((rest <= n).sum())
             lo, hi = batch.starts[t], batch.starts[t + 1]
             assert batch.lengths[lo:hi].tolist() == cycle_lengths(ones, n)
-        assert batch.spacings.tolist() == spacings
-        assert batch.spacing_trial.tolist() == owner
+            assert batch.closing[t] == n + 1 - ones[-1]
+            # a - e_L + T counts the spacings <= n of the whole word
+            gaps = np.diff(np.append(ones, tail))
+            w = batch.cycle_counts(t).as_array()
+            w[batch.closing[t] - 1] -= 1
+            w += np.bincount(batch.tail[batch.tail_trial == t], minlength=n + 1)[1:]
+            assert w.tolist() == np.bincount(gaps[gaps <= n], minlength=n + 1)[1:].tolist()
+        assert batch.tail.tolist() == spacings
+        assert batch.tail_trial.tolist() == owner
 
     @pytest.mark.parametrize("n", [1000, _SPARSE_THRESHOLD + 1000])
     def test_single_trial_samplers_leave_the_generator_in_step(self, n):
@@ -597,6 +590,23 @@ class TestCoupled:
         t1 = coupling_tail_expectation(100, 1.5, 200)
         t2 = coupling_tail_expectation(100, 1.5, 4000)
         assert t2 < t1
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
+    def test_tail_expectation_against_mpmath(self, theta):
+        # the bound that coupling-check prints, at its horizon for n = 1000:
+        # theta sum_j (1/j - psi(H, j) (1/j - 1/H)), psi(H, j) as the product
+        mpmath = pytest.importorskip("mpmath")
+        n = 1000
+        horizon, tail = coupling_horizon(n, theta, 1e-3)
+        with mpmath.workdps(40):
+            th, h = mpmath.mpf(theta), mpmath.mpf(horizon)
+            psi, total = mpmath.mpf(1), mpmath.mpf(0)
+            for j in range(1, n + 1):
+                psi *= (h - j + 1) / (th + h - j)
+                total += 1 / mpmath.mpf(j) - psi * (1 / mpmath.mpf(j) - 1 / h)
+            exact = float(th * total)
+        assert tail == coupling_tail_expectation(n, theta, horizon)
+        assert tail == pytest.approx(exact, rel=1e-12, abs=0)
 
     def test_unreachable_epsilon_raises(self):
         with pytest.raises(ValueError):

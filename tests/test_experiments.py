@@ -16,6 +16,7 @@ from permspectra import (
     run_mesoscopic,
     run_spacings,
 )
+from permspectra.ewens import _SPARSE_THRESHOLD
 
 GOLDEN = NAMED_IRRATIONALS["golden"].value
 PI_FRAC = NAMED_IRRATIONALS["pi"].value
@@ -319,7 +320,7 @@ class TestTrialEngine:
     def test_sparse_route_lengths_match_per_trial_sampler(self):
         from permspectra import EwensParams, sample_cycle_counts, trial_rng
         from conftest import ones_positions_sparse
-        from permspectra.ewens import _SPARSE_THRESHOLD, draw_batch
+        from permspectra.ewens import draw_batch
 
         n, theta, trials = _SPARSE_THRESHOLD + 1000, 1.4, 7
         batch = draw_batch(n, theta, (trial_rng(5, t) for t in range(trials)))
@@ -330,25 +331,32 @@ class TestTrialEngine:
             ones = ones_positions_sparse(n, theta, trial_rng(5, t))
             assert lengths == sorted(np.diff(np.append(ones, n + 1)).tolist())
 
-    def test_coupling_distances_match_per_trial_path(self):
+    @pytest.mark.parametrize("n, theta", [
+        (150, 0.8), (_SPARSE_THRESHOLD + 1000, 0.5), (_SPARSE_THRESHOLD + 1000, 2.0)])
+    def test_coupling_distances_match_per_trial_path(self, n, theta):
+        # 100 trials, so the sparse words and the tails take the lockstep walk
+        from conftest import reference_trial
         from permspectra import (
             EwensParams, coupling_distance, coupling_horizon, sample_coupled, trial_rng,
         )
         from permspectra.ewens import coupling_distances, draw_batch
 
-        n, theta, eps = 150, 0.8, 1e-3
+        eps, trials = 1e-3, 100
         horizon, _ = coupling_horizon(n, theta, eps)
-        batch = draw_batch(n, theta, (trial_rng(4, t) for t in range(40)), horizon=horizon)
+        batch = draw_batch(n, theta, (trial_rng(4, t) for t in range(trials)), horizon=horizon)
         want = [
             coupling_distance(sample_coupled(n, EwensParams(theta), trial_rng(4, t), eps))
-            for t in range(40)
+            for t in range(trials)
         ]
         assert coupling_distances(batch).tolist() == want
-        # the dense definition, sum_j |a_j - W_j|, on the same draws
+        # the definition, sum_j |a_j - W_j|, with W counted over the whole word
         dense = []
-        for t in range(40):
-            s = sample_coupled(n, EwensParams(theta), trial_rng(4, t), eps)
-            dense.append(int(np.abs(s.cycle_counts.as_array() - s.poisson_counts).sum()))
+        for t in range(trials):
+            ones, _, tail = reference_trial(n, theta, trial_rng(4, t), False, horizon)
+            gaps = np.diff(np.append(ones, tail))
+            a = np.bincount(np.diff(np.append(ones, n + 1)), minlength=n + 1)[1:]
+            w = np.bincount(gaps[gaps <= n], minlength=n + 1)[1:]
+            dense.append(int(np.abs(a - w).sum()))
         assert want == dense
 
     def test_two_key_sort_beyond_int64_keys(self):

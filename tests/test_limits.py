@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import equidistribution_average, l1_limit, l2_limit
+from conftest import equidistribution_average, l1_limit, l2_limit, s3_period_mean
 from permspectra import (
     NAMED_IRRATIONALS,
     AffineRelated,
@@ -22,7 +22,7 @@ from permspectra import (
     ell_closed,
     s3_closed,
 )
-from permspectra.limits import arc_of_class
+from permspectra.limits import _s3_both_rational_exact, arc_of_class
 
 GOLDEN = NAMED_IRRATIONALS["golden"]
 SQRT2 = NAMED_IRRATIONALS["sqrt2"]
@@ -77,6 +77,28 @@ class TestClosedForms:
         val = s3_closed(AffineRelated(1, 3, -1, 2, alpha_value=GOLDEN.value))
         d = math.gcd(2, 3)
         assert val == pytest.approx(1 / 4 + d * d / (12 * 2 * -1 * 9))
+
+    def test_s3_both_rational_equals_the_period_mean(self):
+        # every class p/q, r/s with q, s <= 24, and its representative with
+        # negative p and r
+        for q in range(1, 25):
+            for s in range(1, 25):
+                for p in (p for p in range(q) if math.gcd(p, q) == 1):
+                    for r in (r for r in range(s) if math.gcd(r, s) == 1):
+                        want = s3_period_mean(p, q, r, s)
+                        assert _s3_both_rational_exact(p, q, r, s) == want
+                        assert _s3_both_rational_exact(p - q, q, r - s, s) == want
+
+    def test_s3_both_rational_at_large_denominators(self):
+        # periods of q s ~ 10^24 terms, in O(log gcd(q, s)) steps: at r/s =
+        # +-p/q the product is {jp/q}^2 or h_j(p/q), and coprime q, s give
+        # independent fractional parts
+        q, p = 10**12, 999_999_999_989
+        square = F((2 * q - 1) * (q - 1), 6 * q * q)
+        assert _s3_both_rational_exact(p, q, p, q) == square
+        assert _s3_both_rational_exact(p, q, -p, q) == F(q - 1, 2 * q) - square
+        assert _s3_both_rational_exact(p, q, 1, q - 1) == F(q - 2, 4 * q)
+        assert s3_closed(BothRational(1, 1000, 1, 999)) == float(F(998, 4000))
 
     def test_c2_equals_l2_sum_minus_twice_s3(self):
         # c2 = lim avg {jb}^2 + lim avg {ja}^2 - 2 s3 across all class kinds
