@@ -50,6 +50,7 @@ from .limits import (
     NAMED_IRRATIONALS,
     RationalAlpha,
     RationalBeta,
+    _endpoint_value,
     c2_closed,
     c2_meso,
     ell_closed,
@@ -96,13 +97,9 @@ def parse_endpoint(token: str):
     return float(token)
 
 
-def _endpoint_for_arc(value):
-    return value.value if isinstance(value, DeclaredIrrational) else value
-
-
 def parse_arc(alpha_token: str, beta_token: str) -> Arc:
-    alpha = _endpoint_for_arc(parse_endpoint(alpha_token))
-    beta = _endpoint_for_arc(parse_endpoint(beta_token))
+    alpha = _endpoint_value(parse_endpoint(alpha_token))
+    beta = _endpoint_value(parse_endpoint(beta_token))
     return Arc(alpha=alpha, beta=beta)
 
 
@@ -168,6 +165,8 @@ def _csv_cell(value):
 
 def _cmd_sample(args):
     check_theta(args.theta)
+    if args.trials < 1:
+        raise ValueError(f"need trials >= 1, got {args.trials}")
     phases, trials = args.model == "mod", []
     for lo in range(0, args.trials, _CHUNK_TRIALS):
         hi = min(lo + _CHUNK_TRIALS, args.trials)

@@ -62,7 +62,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .cesaro import _psi_blocks, check_table_size
+from .cesaro import _psi_blocks, check_table_size, check_theta
 
 __all__ = [
     "EwensParams",
@@ -89,8 +89,7 @@ class EwensParams:
     theta: float
 
     def __post_init__(self):
-        if not 0 < self.theta < math.inf:
-            raise ValueError(f"theta must be positive and finite, got {self.theta}")
+        check_theta(self.theta)
 
 
 class CycleCounts:

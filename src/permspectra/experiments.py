@@ -42,7 +42,7 @@ import numpy as np
 
 from .cesaro import check_table_size, check_theta
 from .ewens import TrialBatch, coupling_distances, coupling_horizon, draw_batch
-from .limits import DeclaredIrrational, c2_meso, covariance_D, covariance_Dtilde
+from .limits import DeclaredIrrational, _endpoint_value, c2_meso, covariance_D, covariance_Dtilde
 from .rng import trial_rngs
 from .spacings import mod_gap_extremes
 from .spectral import (
@@ -301,14 +301,6 @@ def run_clt_fixed(
 # ---------------------------------------------------------------------------
 
 
-def _meso_endpoint(alpha: Union[Fraction, DeclaredIrrational, None]):
-    if alpha is None:
-        return Fraction(0)
-    if isinstance(alpha, DeclaredIrrational):
-        return alpha.value
-    return alpha
-
-
 def _meso_arc(alpha_endpoint, delta: float) -> Arc:
     return Arc(alpha=alpha_endpoint, beta=float(alpha_endpoint) + delta)
 
@@ -345,15 +337,13 @@ def run_mesoscopic(config: ExperimentConfig, jobs: int = 1) -> MesoscopicResult:
     if not config.n_schedule or config.gamma is None:
         raise ValueError("run_mesoscopic needs n_schedule and gamma")
     theta, model = config.theta, config.model
-    alpha_endpoint = _meso_endpoint(config.meso_alpha)
+    anchor = config.meso_alpha
+    alpha_endpoint = Fraction(0) if anchor is None else _endpoint_value(anchor)
     for n in config.n_schedule:  # before any sampling
         if n < 1 or n * float(n) ** (-config.gamma) <= 1:
             raise ValueError(f"n * delta must exceed 1 for a mesoscopic window, got n={n}")
         check_table_size(n)  # every row computes an exact mean or variance
-    if isinstance(alpha_endpoint, Fraction):
-        constant = c2_meso(alpha_endpoint) if model == "perm" else 1.0 / 6.0
-    else:
-        constant = 1.0 / 6.0  # declared irrational anchor
+    constant = c2_meso(alpha_endpoint) if model == "perm" else 1.0 / 6.0
 
     rows: list[MesoscopicRow] = []
     report: Optional[NormalityReport] = None

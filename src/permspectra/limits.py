@@ -19,6 +19,15 @@ therefore *declare* the arithmetic class of the endpoints through the
 package and are declared pairwise linearly independent over the rationals
 (together with 1), a fact used but not verified.
 
+Every closed-form constant comes from two endpoint means and one pair mean,
+kept as Fractions and rounded to float once: m1(x) = lim mean {j x} and
+m2(x) = lim mean {j x}^2 (one-period means for a rational x, 1/2 and 1/3
+for an irrational one), and s3 = lim mean {j alpha}{j beta} (a Dedekind
+sum when both endpoints are rational, a closed form in the affine case,
+m1(alpha) m1(beta) otherwise).  Then c2 = m2(alpha) + m2(beta) - 2 s3,
+ell(delta) = m1(delta) - m2(delta), and the shrinking-arc constant is c2
+against an independent irrational, m2(alpha) + 1/3 - m1(alpha).
+
 Numeric oracles (``c_numeric``, ``ctilde_numeric``) evaluate the partial
 averages directly and are exact — rational arithmetic throughout — whenever
 the endpoints are ``fractions.Fraction``; one full period then reproduces
@@ -78,6 +87,11 @@ class DeclaredIrrational:
 
     def __float__(self) -> float:
         return self.value
+
+
+def _endpoint_value(x):
+    """x as an Arc endpoint: a DeclaredIrrational's float, anything else as is."""
+    return x.value if isinstance(x, DeclaredIrrational) else x
 
 
 #: fractional parts of well-known irrationals (angles live in [0, 1)).
@@ -174,27 +188,33 @@ ArcClass = Union[
 ]
 
 
+def _endpoints(cls: ArcClass) -> tuple:
+    """(alpha, beta) of a declared class: a Fraction for each rational
+    endpoint, the declared value for each irrational one (None for an affine
+    class declared without ``alpha_value``)."""
+    if isinstance(cls, BothIrrationalIndependent):
+        return cls.alpha_value, cls.beta_value
+    if isinstance(cls, RationalAlpha):
+        return Fraction(cls.p, cls.q), cls.beta_value
+    if isinstance(cls, RationalBeta):
+        return cls.alpha_value, Fraction(cls.r, cls.s)
+    if isinstance(cls, BothRational):
+        return Fraction(cls.p, cls.q), Fraction(cls.r, cls.s)
+    if isinstance(cls, AffineRelated):
+        alpha = cls.alpha_value
+        return alpha, None if alpha is None else cls.beta_value_from(alpha)
+    raise TypeError(f"not an ArcClass: {cls!r}")
+
+
 def arc_of_class(cls: ArcClass) -> Arc:
     """Realise a concrete Arc for a declared class (numeric-oracle side).
 
     Rational endpoints become Fractions (exact); endpoints may be shifted by
     integers to satisfy the arc conventions, which changes no constant.
     """
-    if isinstance(cls, BothIrrationalIndependent):
-        alpha, beta = cls.alpha_value, cls.beta_value
-    elif isinstance(cls, RationalAlpha):
-        alpha, beta = Fraction(cls.p, cls.q), cls.beta_value
-    elif isinstance(cls, RationalBeta):
-        alpha, beta = cls.alpha_value, Fraction(cls.r, cls.s)
-    elif isinstance(cls, BothRational):
-        alpha, beta = Fraction(cls.p, cls.q), Fraction(cls.r, cls.s)
-    elif isinstance(cls, AffineRelated):
-        if cls.alpha_value is None:
-            raise ValueError("AffineRelated needs alpha_value to build an arc")
-        alpha = cls.alpha_value
-        beta = cls.beta_value_from(cls.alpha_value)
-    else:
-        raise TypeError(f"not an ArcClass: {cls!r}")
+    alpha, beta = _endpoints(cls)
+    if alpha is None:
+        raise ValueError("AffineRelated needs alpha_value to build an arc")
     alpha = alpha - math.floor(float(alpha))
     beta = beta - math.floor(float(beta))
     if float(beta) <= float(alpha):
@@ -330,74 +350,59 @@ def _s3_both_rational_exact(p: int, q: int, r: int, s: int) -> Fraction:
     return Fraction((q - 1) * (s - 1), 4 * q * s) + (d * dedekind + Fraction(d - 1, 4)) / (q * s)
 
 
-def s3_closed(cls: ArcClass) -> float:
-    """Closed-form limit of (1/n) sum {j alpha}{j beta} for a declared class.
+def _means(x) -> tuple[Fraction, Fraction]:
+    """(lim mean {j x}, lim mean {j x}^2): the one-period means
+    ((q-1)/(2q), (q-1)(2q-1)/(6q^2)) for a Fraction of denominator q, the
+    uniform moments (1/2, 1/3) for an irrational x."""
+    if isinstance(x, Fraction):
+        q = x.denominator
+        return Fraction(q - 1, 2 * q), Fraction((q - 1) * (2 * q - 1), 6 * q * q)
+    return Fraction(1, 2), Fraction(1, 3)
 
-    The affine case beta = p/q + (r/s) alpha gives 1/4 + d^2/(12 s r q^2)
-    with d = gcd(s, q) (r may be negative); rational-vs-irrational mixes
-    give 1/4 - 1/(4q) style values, and the fully rational case is the
-    exact one-period mean through a Dedekind sum.
-    """
-    if isinstance(cls, BothIrrationalIndependent):
-        return 0.25
-    if isinstance(cls, RationalAlpha):
-        return float(Fraction(1, 4) - Fraction(1, 4 * cls.q))
-    if isinstance(cls, RationalBeta):
-        return float(Fraction(1, 4) - Fraction(1, 4 * cls.s))
-    if isinstance(cls, BothRational):
-        return float(_s3_both_rational_exact(cls.p, cls.q, cls.r, cls.s))
+
+def _s3(cls: ArcClass, alpha, beta) -> Fraction:
+    """lim mean {j alpha}{j beta} of a class with endpoints ``_endpoints(cls)``:
+    the Dedekind-sum form when both are rational, 1/4 + d^2/(12 s r q^2) with
+    d = gcd(s, q) for beta = p/q + (r/s) alpha, and m1(alpha) m1(beta) for
+    independent fractional parts."""
     if isinstance(cls, AffineRelated):
         d = math.gcd(cls.s, cls.q)
-        return float(Fraction(1, 4) + Fraction(d * d, 12 * cls.s * cls.r * cls.q**2))
-    raise TypeError(f"not an ArcClass: {cls!r}")
+        return Fraction(1, 4) + Fraction(d * d, 12 * cls.s * cls.r * cls.q**2)
+    if isinstance(alpha, Fraction) and isinstance(beta, Fraction):
+        return _s3_both_rational_exact(
+            alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
+        )
+    return _means(alpha)[0] * _means(beta)[0]
+
+
+def s3_closed(cls: ArcClass) -> float:
+    """Closed-form limit of (1/n) sum {j alpha}{j beta} for a declared class."""
+    return float(_s3(cls, *_endpoints(cls)))
 
 
 def c2_closed(cls: ArcClass) -> float:
-    """Closed-form limit of (1/n) sum ({j beta} - {j alpha})^2.
-
-    Case table:
-        independent irrationals           1/6
-        alpha = p/q, beta irrational      1/6 + 1/(6 q^2)
-        alpha irrational, beta = r/s      1/6 + 1/(6 s^2)
-        alpha = p/q, beta = r/s           exact, through the one-period s3
-        beta = p/q + (r/s) alpha          1/6 - gcd(s,q)^2/(6 s r q^2)
-    """
-    if isinstance(cls, BothIrrationalIndependent):
-        return float(Fraction(1, 6))
-    if isinstance(cls, RationalAlpha):
-        return float(Fraction(1, 6) + Fraction(1, 6 * cls.q**2))
-    if isinstance(cls, RationalBeta):
-        return float(Fraction(1, 6) + Fraction(1, 6 * cls.s**2))
-    if isinstance(cls, BothRational):
-        la = Fraction((2 * cls.q - 1) * (cls.q - 1), 6 * cls.q**2)
-        lb = Fraction((2 * cls.s - 1) * (cls.s - 1), 6 * cls.s**2)
-        return float(la + lb - 2 * _s3_both_rational_exact(cls.p, cls.q, cls.r, cls.s))
-    if isinstance(cls, AffineRelated):
-        d = math.gcd(cls.s, cls.q)
-        return float(Fraction(1, 6) - Fraction(d * d, 6 * cls.s * cls.r * cls.q**2))
-    raise TypeError(f"not an ArcClass: {cls!r}")
+    """Closed-form limit of (1/n) sum ({j beta} - {j alpha})^2, m2(alpha) + m2(beta) - 2 s3:
+    1/6 for independent irrationals, 1/6 + 1/(6 q^2) against one rational
+    endpoint p/q, 1/6 - d^2/(6 s r q^2) in the affine case."""
+    alpha, beta = _endpoints(cls)
+    return float(_means(alpha)[1] + _means(beta)[1] - 2 * _s3(cls, alpha, beta))
 
 
 def ell_closed(delta: Union[Fraction, DeclaredIrrational]) -> float:
-    """Variance constant of the modified ensemble as a function of the width.
-
-    lim (1/n) sum h_j(delta) = 1/6 for irrational delta and
-    1/6 - 1/(6 q^2) for delta = p/q in lowest terms (zero when delta is an
-    integer, i.e. q = 1: the count is then deterministic).
-    """
-    if isinstance(delta, Fraction):
-        q = delta.denominator
-        return float(Fraction(1, 6) - Fraction(1, 6 * q * q))
-    return float(Fraction(1, 6))
+    """Variance constant of the modified ensemble as a function of the width:
+    lim (1/n) sum h_j(delta) = m1(delta) - m2(delta), which is 1/6 for
+    irrational delta and 1/6 - 1/(6 q^2) for delta = p/q (zero when delta is
+    an integer: the count is then deterministic)."""
+    m1, m2 = _means(delta)
+    return float(m1 - m2)
 
 
 def c2_meso(alpha: Union[Fraction, DeclaredIrrational]) -> float:
-    """Variance constant of the plain ensemble for a shrinking arc anchored at alpha:
-    1/6 for irrational alpha, 1/6 + 1/(6 q^2) for alpha = p/q (1/3 at q = 1)."""
-    if isinstance(alpha, Fraction):
-        q = alpha.denominator
-        return float(Fraction(1, 6) + Fraction(1, 6 * q * q))
-    return float(Fraction(1, 6))
+    """Variance constant of the plain ensemble for a shrinking arc anchored at
+    alpha: c2 against an independent irrational, m2(alpha) + 1/3 - m1(alpha),
+    which is 1/6 for irrational alpha and 1/6 + 1/(6 q^2) for alpha = p/q."""
+    m1, m2 = _means(alpha)
+    return float(m2 + Fraction(1, 3) - m1)
 
 
 # ---------------------------------------------------------------------------

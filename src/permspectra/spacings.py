@@ -133,6 +133,11 @@ def _phase_integers(phases: np.ndarray) -> np.ndarray:
     return scaled.astype(np.uint64)
 
 
+def _cycle_indexes(first: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Flat indexes of sizes[i] consecutive cycles from first[i], row after row."""
+    return np.repeat(first - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+
+
 def _pair_gaps(batch: TrialBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per trial, the closest approach of two distinct cycles' rotated grids,
     and of any other cycle to the trial's last (longest) one (inf if none),
@@ -165,7 +170,7 @@ def _pair_gaps(batch: TrialBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         hi = max(lo + 1, int(np.searchsorted(ends, done + _PAIR_BLOCK, "right")))
         rows = live[lo:hi]
         k, last = sizes[rows], starts[rows + 1] - 1
-        cycles = np.repeat(starts[rows] - np.cumsum(k) + k, k) + np.arange(k.sum())
+        cycles = _cycle_indexes(starts[rows], k)
         later = np.repeat(last, k) - cycles  # the cycles after each in its trial
         first = np.repeat(cycles, later)
         second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
@@ -209,7 +214,7 @@ def _sorted_largest(batch: TrialBatch, trials: np.ndarray) -> np.ndarray:
     for lo in range(0, len(trials), step):
         rows = trials[lo : lo + step]
         sizes = starts[rows + 1] - starts[rows]
-        cycles = np.repeat(starts[rows] - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+        cycles = _cycle_indexes(starts[rows], sizes)
         angles = _mod_angles(batch.lengths[cycles], batch.phases[cycles]).reshape(len(rows), n)
         angles.sort(axis=1)
         wrap = 1.0 - angles[:, -1] + angles[:, 0]
@@ -240,7 +245,7 @@ def _has_empty_cell(batch: TrialBatch, trials: np.ndarray) -> np.ndarray:
         longest = lengths[last]
         sizes = last - starts[rows]  # the other cycles of each trial
         owner = np.repeat(np.arange(len(rows)), sizes)
-        cycles = np.repeat(starts[rows] - np.cumsum(sizes) + sizes, sizes) + np.arange(len(owner))
+        cycles = _cycle_indexes(starts[rows], sizes)
         j = lengths[cycles]
         scale = longest[owner] / j
         base = phases[cycles] * scale - phases[last][owner] + 1.0

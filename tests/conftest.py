@@ -17,8 +17,9 @@ whole-array psi table (``psi_values_full``), plain mean (``perm_mean_formula``)
 and modified covariance, which the library now builds a block of j at a
 time.  The
 quadratic identity's O(n^2) double sum, which the library replaced by an
-O(n) closed form, is an oracle here, as is the one-period mean of
-{j p/q}{j r/s} (``s3_period_mean``), and so are the one-trial sparse word
+O(n) closed form, is an oracle here, as are the one-period means of
+{j p/q}, {j p/q}^2 and {j p/q}{j r/s} (``period_means``, ``s3_period_mean``)
+and the affine pair mean as an integral (``affine_s3_mean``), and so are the one-trial sparse word
 (``ones_positions_sparse``), the one-trial coupled word (``reference_trial``)
 and the modified count over [alpha, beta) (``count_arc_mod_left``).
 """
@@ -382,12 +383,15 @@ def equidistribution_average(f, t: float, b: float, n: int) -> float:
     return float(np.mean(f(x - np.floor(x))))
 
 
-def l1_limit(x: Fraction | DeclaredIrrational) -> float:
-    """lim (1/n) sum {j x}: 1/2 for irrational x, (q-1)/(2q) for x = p/q."""
-    if isinstance(x, Fraction):
-        q = x.denominator
-        return float(Fraction(q - 1, 2 * q))
-    return 0.5
+def period_means(x: Fraction | DeclaredIrrational) -> tuple[Fraction, Fraction]:
+    """(lim (1/n) sum {j x}, lim (1/n) sum {j x}^2), exactly: the means over
+    one period of q terms for x = p/q, the uniform moments (1/2, 1/3) for an
+    irrational x."""
+    if not isinstance(x, Fraction):
+        return Fraction(1, 2), Fraction(1, 3)
+    q = x.denominator
+    parts = [Fraction(j * x.numerator % q, q) for j in range(1, q + 1)]
+    return sum(parts) / q, sum(f * f for f in parts) / q
 
 
 def s3_period_mean(p: int, q: int, r: int, s: int) -> Fraction:
@@ -399,12 +403,23 @@ def s3_period_mean(p: int, q: int, r: int, s: int) -> Fraction:
     return Fraction(total, period * period)
 
 
-def l2_limit(x: Fraction | DeclaredIrrational) -> float:
-    """lim (1/n) sum {j x}^2: 1/3 for irrational x, (2q-1)(q-1)/(6q^2) for p/q."""
-    if isinstance(x, Fraction):
-        q = x.denominator
-        return float(Fraction((2 * q - 1) * (q - 1), 6 * q * q))
-    return 1.0 / 3.0
+def affine_s3_mean(q: int, r: int, s: int) -> Fraction:
+    """lim (1/n) sum {j alpha}{j beta} for alpha irrational and beta = p/q +
+    (r/s) alpha with p coprime to q, exactly.  With v = {j alpha/s}, (j mod q,
+    v) is equidistributed on Z/q x [0, 1), {j alpha} = {s v} and {j beta} =
+    {k p/q + r v} for k = j mod q; the mean over k is ({q r v} + (q-1)/2)/q
+    (Hermite's identity), so this is (int_0^1 {s v}{q r v} dv + (q-1)/4)/q,
+    the integral taken piece by piece between the jumps of either factor."""
+    big = q * r
+    scale = s * abs(big)  # every jump of either factor is a multiple of 1/scale
+    cuts = sorted({i * abs(big) for i in range(s + 1)} | {m * s for m in range(abs(big) + 1)})
+    total = 0  # 6 scale^3 times the integral, in integers
+    for a, b in zip(cuts, cuts[1:]):
+        # {s v} = s v + u and {big v} = big v + w on (a, b)/scale: floors at the midpoint
+        u, w = -(s * (a + b) // (2 * scale)), -(big * (a + b) // (2 * scale))
+        total += (2 * s * big * (b**3 - a**3) + 3 * (s * w + big * u) * (b**2 - a**2) * scale
+                  + 6 * u * w * (b - a) * scale**2)
+    return (Fraction(total, 6 * scale**3) + Fraction(q - 1, 4)) / q
 
 
 def _correlation(gram: np.ndarray) -> np.ndarray:

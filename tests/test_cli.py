@@ -48,6 +48,33 @@ class TestParsing:
         assert float(arcs[1].alpha) == 0.5
 
 
+#: the results of every constants case that the benchmark's exact workload calls
+PINNED_CONSTANTS = [
+    (("both-irrational-independent",),
+     {"case": "both-irrational-independent", "c2": 0.16666666666666666, "s3": 0.25,
+      "class": "BothIrrationalIndependent(alpha_value=0.41421356237309515, "
+               "beta_value=0.6180339887498949)"}),
+    (("rational-alpha", "--p", "1", "--q", "3"),
+     {"case": "rational-alpha", "c2": 0.18518518518518517, "s3": 0.16666666666666666,
+      "class": "RationalAlpha(p=1, q=3, beta_value=0.6180339887498949)"}),
+    (("rational-beta", "--r", "3", "--s", "4"),
+     {"case": "rational-beta", "c2": 0.17708333333333334, "s3": 0.1875,
+      "class": "RationalBeta(alpha_value=0.6180339887498949, r=3, s=4)"}),
+    (("both-rational", "--p", "1", "--q", "3", "--r", "3", "--s", "4"),
+     {"case": "both-rational", "c2": 0.15393518518518517, "s3": 0.125,
+      "class": "BothRational(p=1, q=3, r=3, s=4)"}),
+    (("affine", "--p", "1", "--q", "3", "--r", "1", "--s", "2"),
+     {"case": "affine", "c2": 0.1574074074074074, "s3": 0.25462962962962965,
+      "class": "AffineRelated(p=1, q=3, r=1, s=2, alpha_value=0.6180339887498949)"}),
+    (("ell-rational", "--p", "1", "--q", "3"),
+     {"case": "ell-rational", "ell": 0.14814814814814814}),
+    (("ell-irrational",), {"case": "ell-irrational", "ell": 0.16666666666666666}),
+    (("meso-rational", "--p", "1", "--q", "3"),
+     {"case": "meso-rational", "c2_meso": 0.18518518518518517}),
+    (("meso-irrational",), {"case": "meso-irrational", "c2_meso": 0.16666666666666666}),
+]
+
+
 class TestCommands:
     def test_exact_moments_single_eigenangle(self, capsys):
         env = run_json(
@@ -76,6 +103,11 @@ class TestCommands:
         env = run_json(capsys, "constants", "--case", "meso-rational", "--p", "0", "--q", "1")
         assert env["results"]["c2_meso"] == pytest.approx(1 / 3)
 
+    @pytest.mark.parametrize("argv, results", PINNED_CONSTANTS,
+                             ids=[argv[0] for argv, _ in PINNED_CONSTANTS])
+    def test_constants_results_pinned(self, capsys, argv, results):
+        assert run_json(capsys, "constants", "--case", *argv)["results"] == results
+
     def test_identities_pass(self, capsys):
         env = run_json(capsys, "identities", "--n", "500", "--theta", "0.7")
         assert env["results"]["all_pass"] is True
@@ -100,7 +132,6 @@ class TestCommands:
         (_SPARSE_THRESHOLD + 500, "mod", 5),
         (_SPARSE_THRESHOLD + 500, "mod", _MIN_LANES + 3),
         (3, "mod", _CHUNK_TRIALS + 5),  # two chunks
-        (5, "mod", 0),
     ])
     def test_sample_matches_one_trial_composition(self, capsys, n, model, trials):
         # the batch draws against trial_rng -> sample_cycle_counts -> attach_phases
@@ -299,6 +330,10 @@ class TestCliContract:
              "irrational cases need an irr: endpoint"),
             (("constants", "--case", "meso-irrational", "--alpha", "0.4"),
              "irrational cases need an irr: endpoint"),
+            # sample printed {"trials": []} and exited 0
+            (("sample", "--n", "5", "--seed", "1", "--trials", "-3"),
+             "need trials >= 1, got -3"),
+            (("sample", "--n", "5", "--seed", "1", "--trials", "0"), "need trials >= 1, got 0"),
         ],
         ids=["negative-jobs", "zero-jobs", "nan-epsilon-tail", "inf-epsilon-tail",
              "exact-perm-inf-theta", "exact-mod-inf-theta", "identities-inf-theta",
@@ -308,7 +343,8 @@ class TestCliContract:
              "rat-no-slash", "rat-empty-numerator", "rat-underscore", "ell-rational-q0",
              "meso-rational-q0", "rational-alpha-rat-beta", "rational-beta-decimal-alpha",
              "independent-rat-alpha", "independent-decimal-beta", "affine-rat-alpha",
-             "ell-irrational-rat", "meso-irrational-decimal"],
+             "ell-irrational-rat", "meso-irrational-decimal", "sample-negative-trials",
+             "sample-zero-trials"],
     )
     def test_bad_value_named_in_one_error_line(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")

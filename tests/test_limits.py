@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import equidistribution_average, l1_limit, l2_limit, s3_period_mean
+from conftest import affine_s3_mean, equidistribution_average, period_means, s3_period_mean
 from permspectra import (
     NAMED_IRRATIONALS,
     AffineRelated,
@@ -100,18 +100,6 @@ class TestClosedForms:
         assert _s3_both_rational_exact(p, q, 1, q - 1) == F(q - 2, 4 * q)
         assert s3_closed(BothRational(1, 1000, 1, 999)) == float(F(998, 4000))
 
-    def test_c2_equals_l2_sum_minus_twice_s3(self):
-        # c2 = lim avg {jb}^2 + lim avg {ja}^2 - 2 s3 across all class kinds
-        cases = [
-            (BothIrrationalIndependent(SQRT2.value, GOLDEN.value), 1 / 3, 1 / 3),
-            (RationalAlpha(1, 2, GOLDEN.value), float(l2_limit(F(1, 2))), 1 / 3),
-            (RationalBeta(GOLDEN.value, 2, 5), 1 / 3, float(l2_limit(F(2, 5)))),
-            (BothRational(1, 3, 1, 4), float(l2_limit(F(1, 3))), float(l2_limit(F(1, 4)))),
-            (AffineRelated(1, 2, 3, 4, alpha_value=GOLDEN.value), 1 / 3, 1 / 3),
-        ]
-        for cls, l2a, l2b in cases:
-            assert c2_closed(cls) == pytest.approx(l2a + l2b - 2 * s3_closed(cls), abs=1e-12)
-
     def test_ell(self):
         assert ell_closed(GOLDEN) == pytest.approx(1 / 6)
         assert ell_closed(F(1, 2)) == pytest.approx(1 / 8)
@@ -123,10 +111,45 @@ class TestClosedForms:
         assert c2_meso(F(0, 1)) == pytest.approx(1 / 3)
         assert c2_meso(F(1, 2)) == pytest.approx(5 / 24)
 
-    def test_l1_l2(self):
-        assert l1_limit(GOLDEN) == 0.5
-        assert l1_limit(F(1, 2)) == 0.25
-        assert l2_limit(F(1, 2)) == pytest.approx(1 / 8)
+    def test_period_means(self):
+        assert period_means(GOLDEN) == (F(1, 2), F(1, 3))
+        assert period_means(F(1, 2)) == (F(1, 4), F(1, 8))
+        assert period_means(F(-2, 3)) == (F(1, 3), F(5, 27))
+
+    def test_constants_equal_the_oracles_exactly(self):
+        # every class kind with q, s <= 12 and numerators of both signs: each
+        # constant is float() of the exact Fraction the oracles give
+        irr = period_means(GOLDEN)
+
+        def coprime(q):
+            return [p for p in range(-q, q + 1) if math.gcd(p, q) == 1]
+
+        def check(cls, ma, mb, s3):
+            assert s3_closed(cls) == float(s3)
+            assert c2_closed(cls) == float(ma[1] + mb[1] - 2 * s3)
+
+        check(BothIrrationalIndependent(SQRT2.value, GOLDEN.value), irr, irr, irr[0] ** 2)
+        means = {F(p, q): period_means(F(p, q)) for q in range(1, 13) for p in coprime(q)}
+        affine = {(q, r, s): affine_s3_mean(q, r, s)
+                  for q in range(1, 13) for s in range(1, 13) for r in coprime(s) if r}
+        for q in range(1, 13):
+            for p in coprime(q):
+                ma = means[F(p, q)]
+                assert ell_closed(F(p, q)) == float(ma[0] - ma[1])
+                # c2 against an independent irrational endpoint
+                assert c2_meso(F(p, q)) == float(ma[1] + irr[1] - 2 * ma[0] * irr[0])
+                check(RationalAlpha(p, q, GOLDEN.value), ma, irr, ma[0] * irr[0])
+                check(RationalBeta(GOLDEN.value, p, q), irr, ma, irr[0] * ma[0])
+                for s in range(1, 13):
+                    for r in coprime(s):
+                        check(BothRational(p, q, r, s), ma, means[F(r, s)],
+                              s3_period_mean(p, q, r, s))
+                        if r:
+                            s3 = affine[q, r, s]
+                            check(AffineRelated(p, q, r, s), irr, irr, s3)
+                            check(AffineRelated(p, q, r, s, GOLDEN.value), irr, irr, s3)
+        assert ell_closed(GOLDEN) == float(irr[0] - irr[1])
+        assert c2_meso(GOLDEN) == float(irr[1] + irr[1] - 2 * irr[0] * irr[0])
 
 
 class TestNumericOracles:
