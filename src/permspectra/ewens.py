@@ -30,6 +30,16 @@ slack of 2^-30 (1 + |log U|) that dwarfs the evaluation's error; a draw the
 certificate cannot settle falls back to a galloping search over the same
 function, so the position is the search's by construction.
 
+The route is a function of (n, theta) only (``_sparse_route``): a word is
+walked when n exceeds both ``_SPARSE_THRESHOLD`` = 8192 and
+``_SPARSE_COST`` = 600 times theta log1p(n/theta), about its expected
+number of ones, since the walk costs about as much per one as the dense
+route per 600 positions (a sweep with phases over theta 0.5 to 10 and
+batches of 150 and 1000 trials, ``BENCH_sparse_route.json``).  So n <= 8192
+is dense at every theta, while n = 10^4 is walked up to theta 1.9 and
+n = 65,536 up to theta 12.5.  Batch width, chunking and ``--jobs`` do not
+enter, so every trial's stream is the same however a call's trials are split.
+
 A cycle type is held as its sorted cycle lengths (``CycleCounts``).
 ``draw_batch`` draws many trials and returns their lengths concatenated
 (``TrialBatch``), the form the Monte Carlo drivers compute on.  It draws
@@ -56,7 +66,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional
 
@@ -78,8 +87,15 @@ __all__ = [
 #: hard cap on the materialised word horizon in sample_coupled
 HORIZON_HARD_CAP = 2**40
 
-#: dense bit sampling is faster below this size, gap skipping above
-_SPARSE_THRESHOLD = 65536
+#: words of at most this size are drawn bit by bit at every theta: below it
+#: the walk wins only at theta <= 1, from about n = 5,000-6,500 at 150 trials
+_SPARSE_THRESHOLD = 8192
+
+#: the gap walk costs about as much per one of the word as the dense route
+#: per this many positions: the 150-trial crossovers with phases, about
+#: n = 12,000, 25,000 and 45,000 at theta = 2, 5 and 10, give 530-720 over
+#: two sweeps (1000-trial batches cross at about half that n); see ``_sparse_route``
+_SPARSE_COST = 600
 
 
 @dataclass(frozen=True)
@@ -210,12 +226,15 @@ _MIN_LANES = 80
 _MIN_LIVE = 8
 
 
-@lru_cache(maxsize=None)
-def _bernoulli(m: int) -> Fraction:
-    """Bernoulli number B_m (B_1 = -1/2), exactly."""
-    if m == 0:
-        return Fraction(1)
-    return -sum(math.comb(m + 1, j) * _bernoulli(j) for j in range(m)) / (m + 1)
+#: Bernoulli numbers B_0..B_20 (B_1 = -1/2) as (numerator, denominator)
+_BERNOULLI = (
+    (1, 1), (-1, 2), (1, 6), (0, 1), (-1, 30), (0, 1), (1, 42), (0, 1), (-1, 30), (0, 1),
+    (5, 66), (0, 1), (-691, 2730), (0, 1), (7, 6), (0, 1), (-3617, 510), (0, 1),
+    (43867, 798), (0, 1), (-174611, 330),
+)
+
+#: the least common multiple of ``_BERNOULLI``'s denominators
+_BERNOULLI_DENOMINATOR = 9699690
 
 
 @lru_cache(maxsize=16)
@@ -225,8 +244,8 @@ def _survival_constants(theta: float) -> tuple[list[float], list[float], list[fl
     * ``table[x] = D(x) - D(_TABLE_SIZE)`` for x = 1.._TABLE_SIZE, filled
       downward by D(x) = D(x+1) - log1p(theta/x);
     * the series coefficients c_n = (-1)^(n+1) (B_{n+1}(theta) - B_{n+1}) / (n(n+1)),
-      computed exactly from the binary value of theta, rounded once and
-      stored as c_n / s^n with s = max(theta, 1), so none overflows;
+      stored as c_n / s^n with s = max(theta, 1), so none overflows: with
+      theta = a/b exactly, each is one integer ratio, rounded once;
     * ``tail[n] = max_{j >= n} j |c_j| / s^j``, which bounds what the terms
       from n on can add.
     """
@@ -234,16 +253,20 @@ def _survival_constants(theta: float) -> tuple[list[float], list[float], list[fl
     table[_TABLE_SIZE] = 0.0
     for x in range(_TABLE_SIZE - 1, 0, -1):
         table[x] = table[x + 1] - math.log1p(theta / x)
-    exact, scale = Fraction(theta), Fraction(max(theta, 1.0))
+    a, b = theta.as_integer_ratio()
+    bernoulli = [p * (_BERNOULLI_DENOMINATOR // q) for p, q in _BERNOULLI]  # B_j times the lcm
     coeffs = []
     for n in range(1, _SERIES_TERMS + 1):
-        # B_{n+1}(theta) - B_{n+1}: the binomial sum without its constant term
-        diff = sum(math.comb(n + 1, j) * _bernoulli(j) * exact ** (n + 1 - j) for j in range(n + 1))
-        coeffs.append(float((-1) ** (n + 1) * diff / (n * (n + 1)) / scale**n))
+        # (B_{n+1}(a/b) - B_{n+1}) b^(n+1) lcm: the binomial sum without its constant term
+        diff = sum(math.comb(n + 1, j) * bernoulli[j] * a ** (n + 1 - j) * b**j
+                   for j in range(n + 1))
+        # c_n / s^n = (-1)^(n+1) diff / (lcm n (n+1) b^(n+1) s^n); b^(n+1) s^n = b a^n if s = a/b
+        power = b * a**n if theta >= 1.0 else b ** (n + 1)
+        coeffs.append((-1) ** (n + 1) * diff / (_BERNOULLI_DENOMINATOR * n * (n + 1) * power))
     tail = [abs(c) * n for n, c in enumerate(coeffs, 1)]
     for n in range(len(tail) - 2, -1, -1):
         tail[n] = max(tail[n], tail[n + 1])
-    return table, coeffs, tail, float(scale)
+    return table, coeffs, tail, float(max(theta, 1.0))
 
 
 #: B_2m / (2m (2m-1)), m = 1..5: Stirling's series lnGamma(z) = (z - 1/2) ln z - z
@@ -515,6 +538,14 @@ class _Uniforms:
         return np.concatenate([rest, self._rng.random(m - len(rest))])
 
 
+def _sparse_route(n: int, theta: float) -> bool:
+    """Whether words of size n are drawn by gap skipping: when n exceeds
+    ``_SPARSE_THRESHOLD`` and ``_SPARSE_COST`` times theta log1p(n / theta),
+    about the word's expected number of ones.  It reads n and theta only, so
+    every trial takes the same route however a call's trials are split."""
+    return n > max(_SPARSE_THRESHOLD, _SPARSE_COST * theta * math.log1p(n / theta))
+
+
 def _dense_thresholds(n: int, theta: float) -> np.ndarray:
     """P(xi_k = 1) = theta/(theta+k-1) for k = 1..n."""
     k = np.arange(1, n + 1, dtype=np.float64)
@@ -557,10 +588,10 @@ def draw_batch(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    sources = list(rngs)
-    if n > _SPARSE_THRESHOLD or horizon is not None:
+    sources, sparse = list(rngs), _sparse_route(n, theta)
+    if sparse or horizon is not None:
         sources = [s if isinstance(s, _Uniforms) else _Uniforms(s) for s in sources]
-    if n > _SPARSE_THRESHOLD:
+    if sparse:
         walks = _walks_lockstep([1] * len(sources), n, theta, sources)
         words = [np.concatenate(([1], walk)) for walk in walks]
     else:
@@ -624,21 +655,35 @@ def coupling_tail_expectation(n: int, theta: float, horizon: int) -> float:
 
 @lru_cache(maxsize=128)
 def coupling_horizon(n: int, theta: float, epsilon_tail: float) -> tuple[int, float]:
-    """Smallest doubling horizon whose tail bound is <= epsilon_tail.
+    """Smallest doubling horizon 2n, 4n, 8n, ... whose tail bound is <= epsilon_tail.
 
-    Returns (horizon, achieved_tail_bound); raises if the cap would be hit.
+    The tail is close to theta^2 n / H, so the search starts at the doubling
+    nearest theta^2 n / epsilon_tail and steps down or up from there; the
+    tail halves at each doubling, so this is the first doubling from 2n that
+    meets the bound.  Returns (horizon, achieved_tail_bound); raises if the
+    cap would be hit.
     """
-    horizon = 2 * n
-    while True:
-        tail = coupling_tail_expectation(n, theta, horizon)
-        if tail <= epsilon_tail:
-            return horizon, tail
+    top = max(0, (HORIZON_HARD_CAP // (2 * n)).bit_length() - 1)  # 2n 2^top <= the cap
+    ratio = theta * theta / (2.0 * epsilon_tail) if epsilon_tail > 0 else math.inf
+    steps = top if ratio >= 2.0**top else round(math.log2(ratio)) if ratio > 1.0 else 0
+    horizon = 2 * n << steps
+    tail = coupling_tail_expectation(n, theta, horizon)
+    if tail <= epsilon_tail:
+        while horizon > 2 * n:
+            lower = coupling_tail_expectation(n, theta, horizon // 2)
+            if lower > epsilon_tail:
+                break
+            horizon, tail = horizon // 2, lower
+        return horizon, tail
+    while tail > epsilon_tail:
         horizon *= 2
         if horizon > HORIZON_HARD_CAP:
             raise ValueError(
                 f"epsilon_tail={epsilon_tail} unreachable below the horizon cap "
                 f"{HORIZON_HARD_CAP} for n={n}, theta={theta}"
             )
+        tail = coupling_tail_expectation(n, theta, horizon)
+    return horizon, tail
 
 
 def sample_coupled(

@@ -44,7 +44,9 @@ from permspectra import (
     psi_values,
 )
 from permspectra.cesaro import _NEAR_ONE
-from permspectra.ewens import _SPARSE_THRESHOLD, _dense_thresholds, _ones_after, _sorted_lengths
+from permspectra.ewens import (
+    _SERIES_TERMS, _TABLE_SIZE, _dense_thresholds, _ones_after, _sorted_lengths, _sparse_route,
+)
 from permspectra.spacings import _mod_angles
 from permspectra.spectral import ModifiedSpectrum, frac_parts
 
@@ -58,7 +60,7 @@ def ones_positions_sparse(n: int, theta: float, rng) -> np.ndarray:
 def reference_trial(n, theta, rng, phases, horizon):
     """One trial from a raw generator, one uniform per draw: the word's ones
     up to n, then their phases, then the coupled tail's ones in (n, horizon]."""
-    if n > _SPARSE_THRESHOLD:
+    if _sparse_route(n, theta):
         ones = ones_positions_sparse(n, theta, rng)
     else:
         hits = rng.random(n) < _dense_thresholds(n, theta)
@@ -67,6 +69,87 @@ def reference_trial(n, theta, rng, phases, horizon):
     phase = rng.random(len(ones)) if phases else None
     tail = _ones_after(n, horizon, theta, rng) if horizon else []
     return ones, phase, np.array(tail, dtype=np.int64)
+
+
+def sparse_size(theta: float) -> int:
+    """The smallest multiple of 1000 whose words ``draw_batch`` walks by gap
+    skipping at theta."""
+    n = 1000
+    while not _sparse_route(n, theta):
+        n += 1000
+    return n
+
+
+def bernoulli_fraction(m: int) -> Fraction:
+    """Bernoulli number B_m (B_1 = -1/2) by its recurrence, exactly."""
+    values = [Fraction(1)]
+    for k in range(1, m + 1):
+        values.append(-sum(math.comb(k + 1, j) * values[j] for j in range(k)) / (k + 1))
+    return values[m]
+
+
+def survival_constants_fractions(theta: float):
+    """``ewens._survival_constants`` in Fractions: each series coefficient
+    (-1)^(n+1) (B_{n+1}(theta) - B_{n+1}) / (n(n+1)) / s^n from the exact
+    binary value of theta and the Bernoulli recurrence, rounded once."""
+    table = [math.nan] * (_TABLE_SIZE + 1)
+    table[_TABLE_SIZE] = 0.0
+    for x in range(_TABLE_SIZE - 1, 0, -1):
+        table[x] = table[x + 1] - math.log1p(theta / x)
+    bernoulli = [bernoulli_fraction(m) for m in range(_SERIES_TERMS + 1)]
+    exact, scale = Fraction(theta), Fraction(max(theta, 1.0))
+    coeffs = []
+    for n in range(1, _SERIES_TERMS + 1):
+        diff = sum(math.comb(n + 1, j) * bernoulli[j] * exact ** (n + 1 - j) for j in range(n + 1))
+        coeffs.append(float((-1) ** (n + 1) * diff / (n * (n + 1)) / scale**n))
+    tail = [abs(c) * n for n, c in enumerate(coeffs, 1)]
+    for n in range(len(tail) - 2, -1, -1):
+        tail[n] = max(tail[n], tail[n + 1])
+    return table, coeffs, tail, float(scale)
+
+
+def cycle_number_pmf(n: int, theta: float, size: int = 256) -> np.ndarray:
+    """P(K = k), k < size, for K the number of cycles: a sum of independent
+    Bernoulli(theta/(theta+i-1)), i = 1..n, whose generating function is
+    G(z) = Gamma(theta z + n) Gamma(theta) / (Gamma(theta z) Gamma(theta + n)).
+    G at the size-th roots of unity, inverted by an FFT; the mass at k >= size
+    aliases in, so size must lie far beyond theta log n.  Each lnGamma near n
+    is off by about n eps, so each probability by as much (5e-11 at 10^6)."""
+    from scipy.special import loggamma
+
+    z = theta * np.exp(2j * np.pi * np.arange(size) / size)
+    log_g = loggamma(z + n) - loggamma(z) + loggamma(theta) - loggamma(theta + n)
+    return np.fft.fft(np.exp(log_g)).real / size
+
+
+def longest_cycle_bins(n: int, theta: float, cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edges and probabilities of the longest cycle L in ``cells`` bins
+    (e_i, e_{i+1}] of about equal mass over (n/2, n], plus the bin L <= n/2
+    first: above n/2 at most one cycle fits, so P(L = j) = (theta/j) psi(n, j)."""
+    j = np.arange(1, n + 1)
+    mass = (theta / j * psi_values(n, theta))[n // 2 :]  # L = n//2 + 1 .. n
+    cumulative = np.cumsum(mass)
+    cuts = np.unique(np.searchsorted(cumulative, cumulative[-1] * np.arange(1, cells) / cells))
+    edges = np.concatenate(([0, n // 2], n // 2 + 1 + cuts, [n]))
+    upper = np.concatenate(([0.0], cumulative[cuts], [cumulative[-1]]))
+    return edges, np.concatenate(([1.0 - cumulative[-1]], np.diff(upper)))
+
+
+def pooled_chisquare_pvalue(observed, probs, floor: float = 10.0) -> float:
+    """Chi-square p-value of counts ``observed`` against cell probabilities
+    ``probs`` (summing to one), consecutive cells pooled until each expects
+    at least ``floor`` draws; a short last pool joins the one before."""
+    from scipy.stats import chisquare
+
+    observed, expected = np.asarray(observed, float), np.asarray(probs) * np.sum(observed)
+    obs, exp, o, e = [], [], 0.0, 0.0
+    for oi, ei in zip(observed.tolist(), expected.tolist()):
+        o, e = o + oi, e + ei
+        if e >= floor:
+            obs.append(o), exp.append(e)
+            o, e = 0.0, 0.0
+    obs[-1], exp[-1] = obs[-1] + o, exp[-1] + e
+    return float(chisquare(obs, np.array(exp) * sum(obs) / sum(exp)).pvalue)
 
 
 def count_arc_mod_left(spectrum: ModifiedSpectrum, arc: Arc) -> int:

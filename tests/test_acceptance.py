@@ -301,8 +301,10 @@ def test_criterion_6a_clt_ks_mod():
     The exact count variance is 1.70 (sd 1.3), so the counts sit on a lattice
     with atoms of mass up to ~0.3; the continuity-corrected statistic compares
     the empirical cdf with Phi((k + 1/2 - mean) / sd) at every integer k.
-    Measured: D = 0.018, p = 0.53 at the written seed (the uncorrected
-    distance was 0.149); p > 0.01 on 21 of 21 seeds (1-20 and 606).
+    Measured: D = 0.010, p = 0.99 at the written seed since n = 1e4 takes
+    the gap walk (D = 0.018, p = 0.53 on the dense route; the uncorrected
+    distance was 0.149); p > 0.01 on 21 of 21 seeds (1-20 and 606), on both
+    routes.
     """
     cfg = ExperimentConfig(
         theta=1.0, trials=2000, master_seed=606, model="mod", n=10**4,
@@ -347,7 +349,8 @@ def test_criterion_6c_cross_correlation():
     """|empirical correlation| < 0.08 at M = 4000 for two arcs with
     independent irrational endpoints, both models (limit matrices are the
     identity; exact finite-N correlations of this pair: +0.007 mod at 1e4,
-    +0.013 perm at 5000)."""
+    +0.013 perm at 5000).  Measured at the written seed: +0.0096 mod (on the
+    gap walk; -0.0371 on the dense route), -0.0175 perm."""
     arcs = (Arc(SQRT2.value, GOLDEN.value), Arc(E.value, SQRT3.value))
     ok = True
     details = []

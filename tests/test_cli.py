@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import permspectra
+from conftest import sparse_size
 from permspectra import EwensParams, attach_phases, sample_cycle_counts, trial_rng
 from permspectra.cli import build_parser, main, parse_arcs, parse_endpoint
-from permspectra.ewens import _MIN_LANES, _SPARSE_THRESHOLD
+from permspectra.ewens import _MIN_LANES, _sparse_route
 from permspectra.experiments import _CHUNK_TRIALS
 
 
@@ -128,9 +129,9 @@ class TestCommands:
         (50, "perm", 3),
         (50, "mod", 3),
         (300, "mod", _MIN_LANES),
-        (_SPARSE_THRESHOLD + 500, "perm", 5),
-        (_SPARSE_THRESHOLD + 500, "mod", 5),
-        (_SPARSE_THRESHOLD + 500, "mod", _MIN_LANES + 3),
+        (sparse_size(0.8), "perm", 5),
+        (sparse_size(0.8), "mod", 5),
+        (sparse_size(0.8), "mod", _MIN_LANES + 3),
         (3, "mod", _CHUNK_TRIALS + 5),  # two chunks
     ])
     def test_sample_matches_one_trial_composition(self, capsys, n, model, trials):
@@ -489,6 +490,21 @@ class TestCliContract:
         r1 = json.dumps(json.loads(out1)["results"], sort_keys=True)
         r2 = json.dumps(json.loads(out2)["results"], sort_keys=True)
         assert r1 == r2
+
+    @pytest.mark.parametrize("argv", [
+        ("clt", "--n", "10000", "--arcs", "0.1,0.6", "--model", "mod"),
+        ("spacings", "--n-list", "10000"),
+    ], ids=["clt", "spacings"])
+    def test_sparse_route_results_independent_of_chunking(self, capsys, monkeypatch, argv):
+        # n = 10^4 at theta 1 takes the gap walk: 150 trials are one lockstep
+        # chunk at --jobs 1, two chunks of 75 < _MIN_LANES at --jobs 2, and
+        # three of 50 with the chunk cap at 50; the route reads only n and theta
+        assert _sparse_route(10_000, 1.0) and 150 // 2 < _MIN_LANES
+        argv = (*argv, "--seed", "8", "--trials", "150")
+        payloads = [run_json(capsys, *argv, "--jobs", jobs)["results"] for jobs in ("1", "2")]
+        monkeypatch.setattr("permspectra.experiments._CHUNK_TRIALS", 50)
+        payloads.append(run_json(capsys, *argv, "--jobs", "1")["results"])
+        assert len({json.dumps(p, sort_keys=True) for p in payloads}) == 1
 
     def test_csv_output_roundtrip(self, capsys):
         code, out, _ = run_cli(

@@ -1,6 +1,9 @@
+import inspect
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,9 +18,14 @@ from conftest import (
     feller_type_counts,
     iter_cycle_types,
     ones_positions_sparse,
+    cycle_number_pmf,
+    longest_cycle_bins,
     partition_probabilities,
+    pooled_chisquare_pvalue,
     reference_trial,
     sample_bernoulli_word,
+    sparse_size,
+    survival_constants_fractions,
     type_chisquare_pvalue,
 )
 from permspectra import (
@@ -37,9 +45,11 @@ from permspectra.ewens import (
     _log_gap_survival,
     _next_one_position,
     _ones_after,
+    _sparse_route,
     _walks_lockstep,
     draw_batch,
 )
+from permspectra.rng import trial_rngs
 
 
 def word_from_bits(bits) -> BernoulliWord:
@@ -170,6 +180,91 @@ class TestSamplers:
         assert abs(np.mean(ks) - expected) < 3 * se
 
 
+LAW_TRIALS = 20_000
+
+
+@lru_cache(maxsize=None)
+def sparse_words(n: int, theta: float, chunk: int) -> tuple[np.ndarray, np.ndarray]:
+    """The number of cycles and the longest cycle of LAW_TRIALS words of size
+    n on the gap walk, trial_rng(41, t), drawn through draw_batch ``chunk``
+    trials at a time: in lockstep, or one trial at a time below _MIN_LANES."""
+    cycles, longest = [], []
+    with mock.patch.object(ewens, "_sparse_route", lambda n, theta: True):
+        for lo in range(0, LAW_TRIALS, chunk):
+            batch = draw_batch(n, theta, trial_rngs(41, lo, lo + chunk))
+            cycles.append(np.diff(batch.starts))
+            longest.append(batch.lengths[batch.starts[1:] - 1])
+    return np.concatenate(cycles), np.concatenate(longest)
+
+
+LAW_CASES = [pytest.param(n, theta, LAW_TRIALS, marks=[pytest.mark.slow] if n == 10**6 else [])
+             for n in (10**4, 10**5, 10**6) for theta in (0.5, 1.0, 2.0)]
+LAW_CASES.append(pytest.param(10**5, 1.0, 50, id="scalar-walk"))
+
+
+class TestSparseLaw:
+    """Whole words of the gap walk against their exact laws, at the sizes the
+    walk runs: the number of cycles K (the word's ones) and the longest cycle
+    L over (n/2, n], where its law is exact and the walk's long jumps land."""
+
+    @pytest.mark.parametrize("n, theta", [(1, 0.7), (6, 0.5), (8, 2.0), (9, 1.0)])
+    def test_oracles_against_exhaustive_types(self, n, theta):
+        types, probs = partition_probabilities(n, theta)
+        k = np.array([t.total_cycles() for t in types])
+        pmf = cycle_number_pmf(n, theta, size=16)
+        assert pmf == pytest.approx(np.bincount(k, weights=probs, minlength=16), abs=1e-12)
+        edges, cells = longest_cycle_bins(n, theta, 3)
+        longest = np.array([t.lengths[-1] for t in types])
+        cell = np.searchsorted(edges, longest) - 1
+        assert cells == pytest.approx(np.bincount(cell, weights=probs, minlength=len(cells)),
+                                      abs=1e-12)
+
+    @pytest.mark.parametrize("theta, want", [(0.5, 0.88137), (1.0, 0.69315), (2.0, 0.38629)])
+    def test_longest_cycle_oracle_at_a_million(self, theta, want):
+        # P(L > n/2) at n = 10^6, to the five places its limit law gives
+        _, cells = longest_cycle_bins(10**6, theta, 8)
+        assert 1.0 - cells[0] == pytest.approx(want, abs=2e-5)
+
+    @pytest.mark.parametrize("n, theta, chunk", LAW_CASES)
+    def test_cycle_number_law(self, n, theta, chunk):
+        k = sparse_words(n, theta, chunk)[0]
+        pmf = cycle_number_pmf(n, theta)
+        assert k.max() < len(pmf) and np.abs(pmf[len(pmf) // 2 :]).max() < 1e-9
+        assert pooled_chisquare_pvalue(np.bincount(k, minlength=len(pmf)), pmf) > 1e-3
+
+    @pytest.mark.parametrize("n, theta, chunk", LAW_CASES)
+    def test_longest_cycle_law(self, n, theta, chunk):
+        longest = sparse_words(n, theta, chunk)[1]
+        edges, cells = longest_cycle_bins(n, theta, 12)
+        observed = np.bincount(np.searchsorted(edges, longest) - 1, minlength=len(cells))
+        assert pooled_chisquare_pvalue(observed, cells) > 1e-3
+
+
+class TestRoute:
+    def test_route_reads_only_n_and_theta(self):
+        assert list(inspect.signature(_sparse_route).parameters) == ["n", "theta"]
+        assert all(not _sparse_route(n, theta) for n in (1, 1000, 5000, _SPARSE_THRESHOLD)
+                   for theta in (0.01, 0.5, 1.0, 2.0, 10.0, 1e6, 1e300))
+        # the band that went sparse when the route came from the walk's cost
+        assert _sparse_route(10_000, 1.0) and _sparse_route(16_000, 1.0)
+        assert not _sparse_route(16_000, 5.0) and _sparse_route(65_537, 10.0)
+
+    @pytest.mark.parametrize("theta", [0.5, 2.0, 5.0])
+    def test_batch_width_does_not_change_a_trial(self, theta):
+        # 100 trials walk in lockstep, single ones by the scalar walk, and the
+        # route is the same for both
+        n = sparse_size(theta)
+        batch = draw_batch(n, theta, (trial_rng(43, t) for t in range(100)), phases=True)
+        for t in (0, 37, 99):
+            one = draw_batch(n, theta, [trial_rng(43, t)], phases=True)
+            lo, hi = batch.starts[t], batch.starts[t + 1]
+            assert batch.lengths[lo:hi].tolist() == one.lengths.tolist()
+            assert batch.phases[lo:hi].tolist() == one.phases.tolist()
+            ones, phase, _ = reference_trial(n, theta, trial_rng(43, t), True, None)
+            assert one.lengths.tolist() == cycle_lengths(ones, n)
+            assert one.phases.tolist() == phase.tolist()
+
+
 SURVIVAL_THETAS = [0.3, 0.5, 1.0, 2.0, 7.0, 50.0]
 
 
@@ -206,6 +301,20 @@ class TestGapSurvival:
         value = _log_gap_survival(10**9, 3, 0.5)
         assert value < 0
         assert value == pytest.approx(-1.499999998125e-9, rel=1e-12, abs=0)
+
+
+class TestSurvivalConstants:
+    def test_equal_to_the_bernoulli_recurrence_in_fractions(self):
+        # every float of the table, the coefficients, their tail and the scale
+        grid = random.Random(17)
+        thetas = [1e-12, 0.5, 1.0, 1.3, 2.0, 8.0, 50.0, 2.0**53, 7, 1e-300, 1e300]
+        thetas += [2 ** grid.uniform(-40, 53) for _ in range(60)]
+        for theta in thetas:
+            ewens._survival_constants.cache_clear()
+            got, want = ewens._survival_constants(theta), survival_constants_fractions(theta)
+            table, coeffs, tail, scale = got
+            assert (table[1:], coeffs, tail, scale) == (want[0][1:], *want[1:]), theta
+            assert math.isnan(table[0])
 
 
 class FixedUniform:
@@ -449,7 +558,7 @@ def cycle_lengths(ones, n):
 class TestBatchStream:
     @pytest.mark.parametrize("theta", [0.5, 2.0])
     def test_sparse_phases_follow_the_raw_stream(self, theta):
-        n, trials = _SPARSE_THRESHOLD + 1000, 12
+        n, trials = sparse_size(theta), 12
         batch = draw_batch(n, theta, (trial_rng(21, t) for t in range(trials)), phases=True)
         for t in range(trials):
             ones, phase, _ = reference_trial(n, theta, trial_rng(21, t), True, None)
@@ -457,9 +566,10 @@ class TestBatchStream:
             assert batch.lengths[lo:hi].tolist() == cycle_lengths(ones, n)
             assert batch.phases[lo:hi].tolist() == phase.tolist()
 
-    @pytest.mark.parametrize("n", [1000, _SPARSE_THRESHOLD + 1000])
+    @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("theta", [0.5, 2.0])
-    def test_coupled_tails_follow_the_raw_stream(self, n, theta):
+    def test_coupled_tails_follow_the_raw_stream(self, sparse, theta):
+        n = sparse_size(theta) if sparse else 1000
         horizon, trials = 16 * n, 12
         batch = draw_batch(n, theta, (trial_rng(22, t) for t in range(trials)), horizon=horizon)
         spacings, owner = [], []
@@ -480,7 +590,7 @@ class TestBatchStream:
         assert batch.tail.tolist() == spacings
         assert batch.tail_trial.tolist() == owner
 
-    @pytest.mark.parametrize("n", [1000, _SPARSE_THRESHOLD + 1000])
+    @pytest.mark.parametrize("n", [1000, sparse_size(1.5)])
     def test_single_trial_samplers_leave_the_generator_in_step(self, n):
         # sample_cycle_counts and sample_coupled read no uniform ahead, so a
         # caller's next draw is the one after the trial's last
@@ -607,6 +717,20 @@ class TestCoupled:
             exact = float(th * total)
         assert tail == coupling_tail_expectation(n, theta, horizon)
         assert tail == pytest.approx(exact, rel=1e-12, abs=0)
+
+    def test_horizon_is_the_first_doubling_from_2n(self):
+        # the search starts near theta^2 n / epsilon; the oracle doubles from 2n
+        def doubling(n, theta, eps):
+            horizon = 2 * n
+            while (tail := coupling_tail_expectation(n, theta, horizon)) > eps:
+                horizon *= 2
+            return horizon, tail
+
+        for n in (1, 2, 7, 60, 999, 4999):
+            for theta in (0.01, 0.1, 0.5, 1.0, 1.7, 3.0, 8.0):
+                for eps in (1e-2, 1e-3, 1e-4):
+                    coupling_horizon.cache_clear()
+                    assert coupling_horizon(n, theta, eps) == doubling(n, theta, eps)
 
     def test_unreachable_epsilon_raises(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
+from conftest import sparse_size
 from permspectra import (
     Arc,
     ExperimentConfig,
@@ -16,7 +17,6 @@ from permspectra import (
     run_mesoscopic,
     run_spacings,
 )
-from permspectra.ewens import _SPARSE_THRESHOLD
 
 GOLDEN = NAMED_IRRATIONALS["golden"].value
 PI_FRAC = NAMED_IRRATIONALS["pi"].value
@@ -322,7 +322,7 @@ class TestTrialEngine:
         from conftest import ones_positions_sparse
         from permspectra.ewens import draw_batch
 
-        n, theta, trials = _SPARSE_THRESHOLD + 1000, 1.4, 7
+        n, theta, trials = sparse_size(1.4), 1.4, 7
         batch = draw_batch(n, theta, (trial_rng(5, t) for t in range(trials)))
         for t in range(trials):
             lengths = batch.cycle_counts(t).lengths.tolist()
@@ -332,7 +332,7 @@ class TestTrialEngine:
             assert lengths == sorted(np.diff(np.append(ones, n + 1)).tolist())
 
     @pytest.mark.parametrize("n, theta", [
-        (150, 0.8), (_SPARSE_THRESHOLD + 1000, 0.5), (_SPARSE_THRESHOLD + 1000, 2.0)])
+        (150, 0.8), (sparse_size(0.5), 0.5), (sparse_size(2.0), 2.0)])
     def test_coupling_distances_match_per_trial_path(self, n, theta):
         # 100 trials, so the sparse words and the tails take the lockstep walk
         from conftest import reference_trial
