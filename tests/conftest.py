@@ -22,6 +22,10 @@ O(n) closed form, is an oracle here, as are the one-period means of
 and the affine pair mean as an integral (``affine_s3_mean``), and so are the one-trial sparse word
 (``ones_positions_sparse``), the one-trial coupled word (``reference_trial``)
 and the modified count over [alpha, beta) (``count_arc_mod_left``).
+The gap walk's per-theta constants are checked against their Fraction
+form (``survival_constants_fractions``, from the Bernoulli recurrence),
+and whole sparse words against the exact laws of the number of cycles
+(``cycle_number_pmf``) and of the longest cycle (``longest_cycle_bins``).
 """
 
 from __future__ import annotations
@@ -80,12 +84,12 @@ def sparse_size(theta: float) -> int:
     return n
 
 
-def bernoulli_fraction(m: int) -> Fraction:
-    """Bernoulli number B_m (B_1 = -1/2) by its recurrence, exactly."""
+def bernoulli_fractions(count: int) -> list[Fraction]:
+    """Bernoulli numbers B_0 .. B_{count-1} (B_1 = -1/2) by their recurrence, exactly."""
     values = [Fraction(1)]
-    for k in range(1, m + 1):
-        values.append(-sum(math.comb(k + 1, j) * values[j] for j in range(k)) / (k + 1))
-    return values[m]
+    for m in range(1, count):
+        values.append(-sum(math.comb(m + 1, j) * values[j] for j in range(m)) / (m + 1))
+    return values[:count]
 
 
 def survival_constants_fractions(theta: float):
@@ -96,7 +100,7 @@ def survival_constants_fractions(theta: float):
     table[_TABLE_SIZE] = 0.0
     for x in range(_TABLE_SIZE - 1, 0, -1):
         table[x] = table[x + 1] - math.log1p(theta / x)
-    bernoulli = [bernoulli_fraction(m) for m in range(_SERIES_TERMS + 1)]
+    bernoulli = bernoulli_fractions(_SERIES_TERMS + 1)
     exact, scale = Fraction(theta), Fraction(max(theta, 1.0))
     coeffs = []
     for n in range(1, _SERIES_TERMS + 1):

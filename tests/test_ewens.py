@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     BernoulliWord,
+    bernoulli_fractions,
     cycle_counts_from_word,
     cycle_type_probability,
     expected_total_cycles,
@@ -304,6 +305,11 @@ class TestGapSurvival:
 
 
 class TestSurvivalConstants:
+    def test_bernoulli_table_is_the_recurrence(self):
+        table = [Fraction(p, q) for p, q in ewens._BERNOULLI]
+        assert table == bernoulli_fractions(len(table))
+        assert all(ewens._BERNOULLI_DENOMINATOR % q == 0 for _, q in ewens._BERNOULLI)
+
     def test_equal_to_the_bernoulli_recurrence_in_fractions(self):
         # every float of the table, the coefficients, their tail and the scale
         grid = random.Random(17)
