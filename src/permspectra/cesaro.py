@@ -102,6 +102,18 @@ _NEAR_ONE = 16
 #: cache saves where theta != 1
 TABLE_BLOCK = 1 << 15
 
+#: 0, 1, ..., TABLE_BLOCK - 1: every block's j (or m) is this ramp shifted
+_RAMP = np.arange(TABLE_BLOCK, dtype=np.float64)
+
+
+def block_j(lo: int, size: int) -> np.ndarray:
+    """j = lo+1 .. lo+size as float64: the shared ramp plus lo + 1 for at
+    most TABLE_BLOCK values (an addition, half the time of an arange), else
+    an arange.  Both are exact while j < 2**53."""
+    if size > TABLE_BLOCK:
+        return np.arange(lo + 1, lo + size + 1, dtype=np.float64)
+    return np.add(_RAMP[:size], lo + 1)
+
 
 def _psi_blocks(
     n: int, j: int, theta: float, table: np.ndarray | None = None
@@ -122,7 +134,6 @@ def _psi_blocks(
     """
     size = min(j, TABLE_BLOCK)
     buffer = np.empty(size) if table is None else None
-    ramp = None if theta == 1.0 else np.arange(size, dtype=np.float64)
     cut = _NEAR_ONE * abs(theta - 1.0)
     near = min(j, 0 if cut >= n - 1 else n - max(1, math.floor(cut)))
     log_sum, product, at_near = 0.0, 1.0, 1.0
@@ -134,7 +145,7 @@ def _psi_blocks(
                 block.fill(1.0)
             yield lo, block
             continue
-        np.subtract(n - lo, ramp[: hi - lo], out=block)  # m
+        np.subtract(n - lo, _RAMP[: hi - lo], out=block)  # m
         np.divide(theta - 1.0, block, out=block)
         split = min(max(near - lo, 0), hi - lo)
         logs = block[:split]

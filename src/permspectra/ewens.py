@@ -49,17 +49,25 @@ A trial with gap draws (a sparse word or a coupled tail) reads its
 generator through one ``_Uniforms``, 64 uniforms at a time: the same
 stream as single draws, since numpy's ``random(m)`` is m single draws.
 
-The gap walks of a batch run in lockstep (``_walks_lockstep``): each step
-reads one uniform per live walk and makes the guess and the one survival
-evaluation for all of them in numpy.  numpy's log1p and expm1 may differ
-from math's in the last bit, so a walk moves only when the numpy value
-clears the certificate by its slack on both sides; any other draw goes to
-the scalar step with the same uniform, and walks left with too few others
-finish one at a time, as do batches of fewer than ``_MIN_LANES`` = 80
-walks (a driver's chunk is its call's trials over its jobs, so only calls
-of fewer than 80 trials per job are that narrow).  Every position is
+The gap walks of a batch run in lockstep (``_walks_lockstep``).  The
+batch's uniforms sit in one (walks x 64) array with a cursor per walk
+(``_UniformBlock``): a row starts with its trial's unread values and is
+refilled from that trial's generator when read to its end, and the unread
+values go back to each ``_Uniforms`` before the last walks finish one at a
+time, so they, the phases and the coupled tail read on from the same
+stream.  Each step gathers one
+uniform per live walk with one fancy index and makes the guess and the one
+survival evaluation for all of them in numpy.  numpy's log1p and expm1 may
+differ from math's in the last bit, so a walk moves only when the numpy
+value clears the certificate by its slack on both sides; any other draw
+goes to the scalar step with the same uniform, and walks left with too few
+others finish one at a time, as do batches of fewer than ``_MIN_LANES`` =
+80 walks (a driver's chunk is its call's trials over its jobs, so only
+calls of fewer than 80 trials per job are that narrow).  Every position is
 the scalar walk's by construction.  Few draws fall back: about one in a
-thousand at theta <= 2, one in a hundred over theta up to 50.
+thousand at theta <= 2, one in a hundred over theta up to 50.  The walk
+returns flat (trial, position) arrays, from which ``draw_batch`` builds the
+words and the coupled words by index arithmetic, with no array per walk.
 """
 
 from __future__ import annotations
@@ -71,7 +79,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .cesaro import _psi_blocks, check_table_size, check_theta
+from .cesaro import _psi_blocks, block_j, check_table_size, check_theta
 
 __all__ = [
     "EwensParams",
@@ -214,6 +222,9 @@ _CERTIFICATE_SLACK = 2.0**-30
 
 #: uniforms a trial's source reads from its generator at a time
 _BLOCK = 64
+
+#: the values of a source that has read none
+_NO_VALUES = np.empty(0)
 
 #: a call with fewer walks than this steps them one trial at a time: below
 #: it the numpy steps cost more than the scalar draws they replace (whole-call
@@ -445,78 +456,88 @@ def _log_gap_survivals(k: np.ndarray, t: np.ndarray, theta: float, constants) ->
     return out
 
 
-def _walks_lockstep(starts, limit: int, theta: float, sources) -> list[np.ndarray]:
-    """``[_ones_after(s, limit, theta, src) for s, src in zip(starts, sources)]``
-    as int64 arrays, all walks stepped together.
+def _walks_lockstep(starts, limit: int, theta: float, sources):
+    """The ones of ``_ones_after(s, limit, theta, src)`` for every pair of
+    ``starts`` and ``sources`` (``_Uniforms``), all walks stepped together.
 
-    Each step reads one uniform per live walk, from its own source, and
-    takes ``_next_one_position``'s guess g and one survival evaluation for
-    all of them in numpy.  A walk moves to k + g only when the evaluation
-    clears both sides of the scalar certificate by the margin
-    m = _CERTIFICATE_SLACK (1 + |log U|): log S(g) < log U - m, and
-    log S(g-1) = log S(g) + log1p(theta/(k+g-1)) >= log U + 2m (or g = 1);
-    it stops only when g is the horizon and log S(g) >= log U + m.  The
-    margin dwarfs the few ulps by which numpy's values may differ from
-    math's, so the scalar call would certify the same outcome.  Every other
-    draw goes to ``_next_one_position`` with the same uniform, and once
-    fewer than ``_MIN_LIVE`` walks are live they finish in ``_ones_after``,
-    as all do when fewer than ``_MIN_LANES`` are given: each position is the
-    scalar walk's by construction.
+    Returns flat arrays (walk, position), sorted by walk with each walk's
+    positions ascending, and the number of ones of each walk.
+
+    Each step takes one uniform per live walk from the batch's
+    ``_UniformBlock`` (one fancy index), and makes ``_next_one_position``'s
+    guess g and one survival evaluation for all of them in numpy.  A walk
+    moves to k + g only when the evaluation clears both sides of the scalar
+    certificate by the margin m = _CERTIFICATE_SLACK (1 + |log U|):
+    log S(g) < log U - m, and log S(g-1) = log S(g) + log1p(theta/(k+g-1))
+    >= log U + 2m (or g = 1); it stops only when g is the horizon and
+    log S(g) >= log U + m.  The margin dwarfs the few ulps by which numpy's
+    values may differ from math's, so the scalar call would certify the same
+    outcome.  Every other draw goes to ``_next_one_position`` with the same
+    uniform.  Once fewer than ``_MIN_LIVE`` walks are live, the block hands
+    its unread values back to the sources and those walks finish in
+    ``_ones_after``, as all do when fewer than ``_MIN_LANES`` are given:
+    each position is the scalar walk's by construction, and every source
+    reads on from where its walk stopped.
     """
-    if len(starts) < _MIN_LANES:
-        return [np.array(_ones_after(s, limit, theta, src), dtype=np.int64)
-                for s, src in zip(starts, sources)]
-    constants = _survival_constants(theta)
-    lanes, k = np.arange(len(starts)), np.array(starts, dtype=np.int64)
+    walks = len(starts)
+    lanes, k = np.arange(walks), np.array(starts, dtype=np.int64)
     found_lanes, found = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    while True:
-        live = k < limit
-        lanes, k = lanes[live], k[live]
-        if len(lanes) < _MIN_LIVE:
-            for lane, pos in zip(lanes.tolist(), k.tolist()):
-                rest = _ones_after(pos, limit, theta, sources[lane])
-                found_lanes.append(np.full(len(rest), lane))
-                found.append(np.array(rest, dtype=np.int64))
-            break
-        u = np.array([sources[lane].random() for lane in lanes.tolist()])
-        log_u, horizon, kf = np.log(1.0 - u), limit - k, k.astype(np.float64)
-        lead = -log_u / theta
-        lead -= (theta - 1.0) / (2.0 * kf) * np.expm1(-lead)
-        cap = np.log1p(horizon / kf)
-        guess = np.minimum(horizon, (kf * np.expm1(np.minimum(lead, cap))).astype(np.int64) + 1)
-        guess[lead >= cap] = horizon[lead >= cap]
-        log_s = _log_gap_survivals(k, guess, theta, constants)
-        margin = _CERTIFICATE_SLACK * (1.0 - log_u)
-        neighbour = log_s + np.log1p(theta / (k + guess - 1))
-        hit = (log_s < log_u - margin) & ((guess == 1) | (neighbour >= log_u + 2.0 * margin))
-        beyond = (guess == horizon) & (log_s >= log_u + margin)
-        k = np.where(hit, k + guess, np.where(beyond, limit, k))
-        for j in np.flatnonzero(~(hit | beyond)).tolist():
-            pos = _next_one_position(int(k[j]), limit, theta, None, constants, u=float(u[j]))
-            k[j], hit[j] = (limit, False) if pos is None else (pos, True)
-        found_lanes.append(lanes[hit])
-        found.append(k[hit])
+    if walks >= _MIN_LANES:
+        constants, block = _survival_constants(theta), _UniformBlock(sources)
+        while True:
+            live = k < limit
+            lanes, k = lanes[live], k[live]
+            if len(lanes) < _MIN_LIVE:
+                break
+            u = block.take(lanes)
+            log_u, horizon, kf = np.log(1.0 - u), limit - k, k.astype(np.float64)
+            lead = -log_u / theta
+            lead -= (theta - 1.0) / (2.0 * kf) * np.expm1(-lead)
+            cap = np.log1p(horizon / kf)
+            guess = np.minimum(horizon, (kf * np.expm1(np.minimum(lead, cap))).astype(np.int64) + 1)
+            guess[lead >= cap] = horizon[lead >= cap]
+            log_s = _log_gap_survivals(k, guess, theta, constants)
+            margin = _CERTIFICATE_SLACK * (1.0 - log_u)
+            neighbour = log_s + np.log1p(theta / (k + guess - 1))
+            hit = (log_s < log_u - margin) & ((guess == 1) | (neighbour >= log_u + 2.0 * margin))
+            beyond = (guess == horizon) & (log_s >= log_u + margin)
+            k = np.where(hit, k + guess, np.where(beyond, limit, k))
+            for j in np.flatnonzero(~(hit | beyond)).tolist():
+                pos = _next_one_position(int(k[j]), limit, theta, None, constants, u=float(u[j]))
+                k[j], hit[j] = (limit, False) if pos is None else (pos, True)
+            found_lanes.append(lanes[hit])
+            found.append(k[hit])
+        block.hand_back()
+    for lane, pos in zip(lanes.tolist(), k.tolist()):
+        rest = _ones_after(pos, limit, theta, sources[lane])
+        found_lanes.append(np.full(len(rest), lane))
+        found.append(np.array(rest, dtype=np.int64))
     lanes, found = np.concatenate(found_lanes), np.concatenate(found)
     order = np.argsort(lanes, kind="stable")  # each walk's positions ascend step by step
-    counts = np.bincount(lanes, minlength=len(starts))
-    return np.split(found[order], np.cumsum(counts)[:-1])
+    return lanes[order], found[order], np.bincount(lanes, minlength=walks)
 
 
 class _Uniforms:
-    """A generator's ``random``, read from it ``block`` uniforms at a time.
+    """A generator's ``random``, read from it ``block`` <= ``_BLOCK``
+    uniforms at a time.
 
     ``random()`` and ``random(m)`` return, in order, exactly what the
     generator's own would: numpy's ``random(m)`` is m single draws.  Only
     the generator's position runs ahead of the values handed out, by at most
     block - 1; with block = 1 it reads nothing ahead, for callers that keep
-    drawing from the generator afterwards.
+    drawing from the generator afterwards.  The values read ahead and not
+    yet handed out are ``_values[_next:]``.  A lockstep walk takes them into
+    a ``_UniformBlock`` and hands back what it has not used as a view of its
+    row, so the stream is the same either way.
     """
 
     __slots__ = ("_rng", "_block", "_values", "_next")
 
     def __init__(self, rng: np.random.Generator, block: int = _BLOCK):
+        if not 1 <= block <= _BLOCK:
+            raise ValueError(f"block must be in 1..{_BLOCK}, got {block}")
         self._rng, self._block = rng, block
-        self._values, self._next = [], 0
+        self._values, self._next = _NO_VALUES, 0
 
     def random(self, size: Optional[int] = None):
         if size is not None:
@@ -524,18 +545,65 @@ class _Uniforms:
         if self._next == len(self._values):
             if self._block == 1:
                 return self._rng.random()
-            self._values, self._next = self._rng.random(self._block).tolist(), 0
+            self._values, self._next = self._rng.random(self._block), 0
         self._next += 1
-        return self._values[self._next - 1]
+        return self._values.item(self._next - 1)
 
     def _take(self, m: int) -> np.ndarray:
         rest = self._values[self._next : self._next + m]
         self._next += len(rest)
-        if not rest:
+        if not len(rest):
             return self._rng.random(m)
         if len(rest) == m:
-            return np.array(rest, dtype=np.float64)
+            return rest.copy()
         return np.concatenate([rest, self._rng.random(m - len(rest))])
+
+
+class _UniformBlock:
+    """The unread uniforms of a batch of ``_Uniforms``, one row of
+    ``_BLOCK`` floats and one cursor per source.
+
+    A row starts with its source's unread values.  A row read to its end is
+    refilled from that source's generator, ``block`` values at a time, as the
+    source itself would read them, so a ``_Uniforms(rng, block=1)`` still
+    reads nothing ahead.  ``hand_back`` gives each source its row, read up
+    to its cursor, after which the source reads on from the same stream.
+    """
+
+    __slots__ = ("_sources", "_values", "_rows", "_sizes", "_cursor", "_filled")
+
+    def __init__(self, sources):
+        self._sources, self._values = sources, np.empty((len(sources), _BLOCK))
+        self._rows = list(self._values)  # one view per row
+        filled = []
+        for row, source in zip(self._rows, sources):
+            rest = source._values[source._next :]
+            if len(rest):
+                row[: len(rest)] = rest
+            filled.append(len(rest))
+        self._sizes = np.array([source._block for source in sources], dtype=np.int64)
+        self._cursor = np.zeros(len(sources), dtype=np.int64)
+        self._filled = np.array(filled, dtype=np.int64)
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """The next uniform of each of ``rows`` (distinct)."""
+        at = self._cursor[rows]
+        empty = np.flatnonzero(at == self._filled[rows])
+        if len(empty):
+            refill = rows[empty]
+            for row in refill.tolist():
+                source = self._sources[row]
+                source._rng.random(out=self._rows[row][: source._block])
+            self._filled[refill] = self._sizes[refill]
+            at[empty] = 0
+        self._cursor[rows] = at + 1
+        return self._values[rows, at]
+
+    def hand_back(self) -> None:
+        for source, row, at, end in zip(
+            self._sources, self._rows, self._cursor.tolist(), self._filled.tolist()
+        ):
+            source._values, source._next = row[:end], at
 
 
 def _sparse_route(n: int, theta: float) -> bool:
@@ -553,7 +621,20 @@ def _dense_thresholds(n: int, theta: float) -> np.ndarray:
 
 
 def _starts(sizes) -> np.ndarray:
-    return np.cumsum([0, *sizes])
+    starts = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=starts[1:])
+    return starts
+
+
+def _lead_words(leads: np.ndarray, walk: np.ndarray, positions: np.ndarray, counts: np.ndarray):
+    """Each walk's lead followed by its positions, concatenated, and the
+    index of every position in them; ``walk``, ``positions`` and ``counts``
+    are a lockstep walk's flat result.  The lead of walk t is repeated over
+    its counts[t] + 1 slots and the positions overwrite all but the first."""
+    at = np.arange(len(positions)) + walk + 1
+    words = np.repeat(leads, counts + 1)
+    words[at] = positions
+    return words, at
 
 
 def _sorted_lengths(n: int, ones: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -577,11 +658,13 @@ def draw_batch(
     """One trial per generator: draw every trial's word, then, if ``phases``,
     one uniform phase per cycle, or, given a ``horizon``, the coupled word's
     ones in (n, horizon].  Each generator still sees its own trial's word,
-    phases and tail in that order; sparse words and tails are walked for all
-    trials at once (``_walks_lockstep``), and lengths, their sort and the
-    coupled tails' spacings are computed for the whole batch.
+    phases and tail in that order.  Sparse words and tails are walked for
+    all trials at once (``_walks_lockstep``), whose flat (trial, position)
+    result becomes the words (a leading 1 per trial) and the coupled words
+    (the last one <= n, then the tail) by index arithmetic; lengths, their
+    sort and the tails' spacings are computed for the whole batch.
 
-    A trial that makes scalar draws (a sparse word or a coupled tail) reads
+    A trial that makes gap draws (a sparse word or a coupled tail) reads
     its generator through a ``_Uniforms``, in blocks, so the generator ends
     up to 63 uniforms past the trial's last draw; a ``_Uniforms(rng,
     block=1)`` given in its place reads nothing ahead.
@@ -591,35 +674,37 @@ def draw_batch(
     sources, sparse = list(rngs), _sparse_route(n, theta)
     if sparse or horizon is not None:
         sources = [s if isinstance(s, _Uniforms) else _Uniforms(s) for s in sources]
+    trials = len(sources)
     if sparse:
-        walks = _walks_lockstep([1] * len(sources), n, theta, sources)
-        words = [np.concatenate(([1], walk)) for walk in walks]
+        walk, positions, counts = _walks_lockstep([1] * trials, n, theta, sources)
+        ones, _ = _lead_words(np.ones(trials, dtype=np.int64), walk, positions, counts)
+        starts = _starts(counts + 1)
     else:
         thresholds, words = _dense_thresholds(n, theta), []
         for source in sources:
             hits = source.random(n) < thresholds
             hits[0] = True
             words.append(hits.nonzero()[0] + 1)
-    phase_draws = [s.random(len(w)) for s, w in zip(sources, words)] if phases else None
-    tails = None
-    if horizon is not None:
-        tails = _walks_lockstep([n] * len(sources), horizon, theta, sources)
-    starts = _starts([len(w) for w in words])
-    lengths = _sorted_lengths(n, np.concatenate(words), starts)
-    batch = TrialBatch(n, lengths, np.concatenate(phase_draws) if phases else None, starts)
-    bad_phase = phases and ((batch.phases < 0) | (batch.phases >= 1)).any()
+        ones, starts = np.concatenate(words), _starts([len(w) for w in words])
+    phase_draws = None
+    if phases:
+        phase_draws = np.concatenate(
+            [s.random(m) for s, m in zip(sources, np.diff(starts).tolist())]
+        )
+    lengths = _sorted_lengths(n, ones, starts)
+    batch = TrialBatch(n, lengths, phase_draws, starts)
+    bad_phase = phases and ((phase_draws < 0) | (phase_draws >= 1)).any()
     if bad_phase or (np.add.reduceat(lengths, starts[:-1]) != n).any():
         raise ValueError("cycle lengths must sum to n and phases lie in [0, 1)")
     if horizon is not None:
-        # each word from its last one <= n through the horizon
-        word = np.concatenate([part for w, t in zip(words, tails) for part in (w[-1:], t)])
-        word_starts = _starts([1 + len(t) for t in tails])
-        gaps = np.diff(word)
+        walk, positions, counts = _walks_lockstep([n] * trials, horizon, theta, sources)
+        last = ones[starts[1:] - 1]  # each trial's last one <= n
+        # the coupled words: each trial's last one <= n, then its tail
+        word, at = _lead_words(last, walk, positions, counts)
+        gaps = positions - word[at - 1]
         keep = gaps <= n
-        keep[word_starts[1:-1] - 1] = False  # no spacing across two trials
-        batch.closing = n + 1 - word[word_starts[:-1]]
-        batch.tail = gaps[keep]
-        batch.tail_trial = np.repeat(np.arange(batch.trials), np.diff(word_starts))[:-1][keep]
+        batch.closing = n + 1 - last
+        batch.tail, batch.tail_trial = gaps[keep], walk[keep]
     return batch
 
 
@@ -648,7 +733,7 @@ def coupling_tail_expectation(n: int, theta: float, horizon: int) -> float:
     check_table_size(n)
     total = 0.0
     for lo, psi_h in _psi_blocks(horizon, n, theta):  # psi(H, j), j <= n
-        j = np.arange(lo + 1, lo + len(psi_h) + 1, dtype=np.float64)
+        j = block_j(lo, len(psi_h))
         total += float(np.sum(1.0 / j - psi_h * (1.0 / j - 1.0 / horizon)))
     return theta * total
 

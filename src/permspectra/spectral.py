@@ -162,7 +162,7 @@ def frac_into(x: Union[Endpoint, np.ndarray], lo: int, out: np.ndarray) -> np.nd
     """
     hi = lo + out.shape[-1]
     if not isinstance(x, Fraction):
-        j = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        j = cesaro.block_j(lo, hi - lo)
         np.multiply(j, x, out=out)
         out -= np.floor(out, out=j if out.ndim == 1 else None)  # j is free for one row
         return out
@@ -246,10 +246,12 @@ def count_arc_mod(spectrum: ModifiedSpectrum, arc: Arc) -> int:
 
 
 def _fill_arc_weights(arc: Arc, lo: int, out: np.ndarray) -> None:
-    """out = u_j = ({j beta} - {j alpha}) / j for j = lo+1 .. lo+len(out)."""
+    """out = u_j = ({j beta} - {j alpha}) / j for j = lo+1 .. lo+len(out);
+    alpha = 0 (the mesoscopic arcs' anchor) has {j alpha} = 0."""
     frac_into(arc.beta, lo, out)
-    out -= frac_into(arc.alpha, lo, np.empty(len(out)))
-    out /= np.arange(lo + 1, lo + len(out) + 1, dtype=np.float64)
+    if arc.alpha != 0:
+        out -= frac_into(arc.alpha, lo, np.empty(len(out)))
+    out /= cesaro.block_j(lo, len(out))
 
 
 def _arc_weights(arc: Arc, n: int) -> np.ndarray:
@@ -271,7 +273,8 @@ def _perm_mean(n: int, theta: float, arc: Arc) -> float:
     for lo, block in blocks:
         part = weighted[lo : lo + len(block)]
         _fill_arc_weights(arc, lo, part)
-        part *= block
+        if theta != 1.0:  # psi = 1 at theta = 1
+            part *= block
     return n * float(arc.beta - arc.alpha) - theta * float(weighted.sum())
 
 
@@ -387,14 +390,14 @@ def exact_covariance_mod(n: int, theta: float, arc1: Arc, arc2: Arc) -> float:
     values = np.empty(n)  # P_j / j
     for lo, block in blocks:
         hi = lo + len(block)
-        np.divide(block, np.arange(lo + 1, hi + 1, dtype=np.float64), out=values[lo:hi])
+        np.divide(block, cesaro.block_j(lo, hi - lo), out=values[lo:hi])
     del block  # a view that keeps the psi buffer
     h = np.empty(n)  # one array for every x, filled a block at a time
 
     def dot_h(x: Endpoint) -> float:
         for lo in range(0, n, cesaro.TABLE_BLOCK):
             f = frac_into(x, lo, h[lo : lo + cesaro.TABLE_BLOCK])
-            f *= 1.0 - f
+            f *= 1.0 - f  # in the block the writer's floor has just freed
         return float(values @ h)
 
     return theta * sum(w * dot_h(x) for x, w in weights.items() if w)

@@ -102,9 +102,9 @@ class TestPsi:
     def test_streamed_tables_hold_one_array_per_table(self, theta):
         # the plain mean holds one array of n, the modified variance two (P_j/j
         # and one h reused for every x); the rest are blocks of TABLE_BLOCK
-        # values (1.3 bytes per element each at this n): the psi buffer and
-        # its ramp of m (not at theta = 1), the writer's ramp of j and, in the
-        # plain mean, the block of {j alpha}.  Whole arrays took 16-24 bytes
+        # values (1.3 bytes per element each at this n): the psi buffer, the
+        # writer's j (one shared ramp shifted) and, in the plain mean, the
+        # block of {j alpha}.  Whole arrays took 16-24 bytes
         # per element for both
         n = 200_000
         peaks = []

@@ -413,14 +413,21 @@ def sparse_mix():
     ]
 
 
-def sparse_mix_lockstep(source=np.random.default_rng):
+def walk_lists(walked) -> list[list[int]]:
+    """A lockstep walk's flat (walk, position, counts) result as one list of
+    positions per walk."""
+    _, positions, counts = walked
+    return [walk.tolist() for walk in np.split(positions, np.cumsum(counts)[:-1])]
+
+
+def sparse_mix_lockstep(source=lambda seed: _Uniforms(np.random.default_rng(seed))):
     """``sparse_mix()``, each case's ten walks stepped as one lockstep call;
     walk i reads ``source(i)``."""
     walks = {}
     for case, (theta, start, limit) in enumerate(SPARSE_CASES):
         seeds = range(case, 10 * len(SPARSE_CASES), len(SPARSE_CASES))
         got = _walks_lockstep([start] * 10, limit, theta, [source(seed) for seed in seeds])
-        walks.update(zip(seeds, (walk.tolist() for walk in got)))
+        walks.update(zip(seeds, walk_lists(got)))
     return [walks[seed] for seed in range(len(walks))]
 
 
@@ -442,15 +449,32 @@ class TestNeighbourCertificate:
         assert counts["evals"] > 1.5 * counts["draws"]
 
 
-class CountingSource:
-    """A generator's ``random``, counting the uniforms handed out."""
+class CountingGenerator:
+    """A generator whose ``random`` counts the uniforms it returns."""
 
     def __init__(self, seed: int, counts: dict):
         self.rng, self.counts = np.random.default_rng(seed), counts
 
-    def random(self):
-        self.counts["uniforms"] += 1
-        return self.rng.random()
+    def random(self, size=None, out=None):
+        values = self.rng.random(size, out=out)
+        self.counts["read"] += np.size(values)
+        return values
+
+
+def counting_source(counts: dict, made: list):
+    """Seed -> a ``_Uniforms`` over a ``CountingGenerator``, kept in ``made``."""
+
+    def source(seed: int) -> _Uniforms:
+        made.append(_Uniforms(CountingGenerator(seed, counts)))
+        return made[-1]
+
+    return source
+
+
+def handed_out(counts: dict, sources) -> int:
+    """The uniforms the sources handed out: those their generators returned,
+    less those the sources still hold unread (read ahead, or handed back)."""
+    return counts["read"] - sum(len(s._values) - s._next for s in sources)
 
 
 def step_every_lane_in_numpy(monkeypatch):
@@ -468,9 +492,7 @@ class TestLockstepWalk:
         sources = [_Uniforms(np.random.default_rng(seed)) for seed in range(lanes)]
         twins = [_Uniforms(np.random.default_rng(seed)) for seed in range(lanes)]
         got = _walks_lockstep([start] * lanes, limit, theta, sources)
-        assert [walk.tolist() for walk in got] == [
-            _ones_after(start, limit, theta, twin) for twin in twins
-        ]
+        assert walk_lists(got) == [_ones_after(start, limit, theta, twin) for twin in twins]
         # one uniform per draw, as the scalar walk reads
         assert [s.random() for s in sources] == [t.random() for t in twins]
 
@@ -479,11 +501,12 @@ class TestLockstepWalk:
         # all: the numpy step is not dead code
         want = sparse_mix()
         step_every_lane_in_numpy(monkeypatch)
-        counts = count_survival_evaluations(monkeypatch)
-        counts["uniforms"] = 0
-        assert sparse_mix_lockstep(lambda seed: CountingSource(seed, counts)) == want
-        assert counts["uniforms"] > 10_000
-        assert counts["draws"] <= 0.2 * counts["uniforms"]
+        counts, made = count_survival_evaluations(monkeypatch), []
+        counts["read"] = 0
+        assert sparse_mix_lockstep(counting_source(counts, made)) == want
+        uniforms = handed_out(counts, made)
+        assert uniforms > 10_000
+        assert counts["draws"] <= 0.2 * uniforms
 
     @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
     def test_numpy_steps_from_the_batch_threshold_on(self, monkeypatch, theta):
@@ -491,15 +514,17 @@ class TestLockstepWalk:
         # every draw in numpy; one walk fewer makes no numpy step at all
         lanes = ewens._MIN_LANES
         want = [_ones_after(1, 10**6, theta, np.random.default_rng(seed)) for seed in range(lanes)]
-        counts = count_survival_evaluations(monkeypatch)
-        counts["uniforms"] = 0
-        sources = [CountingSource(seed, counts) for seed in range(lanes)]
-        assert [walk.tolist() for walk in _walks_lockstep([1] * lanes, 10**6, theta, sources)] == want
-        assert counts["draws"] <= 0.2 * counts["uniforms"]
+        counts, sources = count_survival_evaluations(monkeypatch), []
+        counts["read"] = 0
+        source = counting_source(counts, sources)
+        walked = _walks_lockstep([1] * lanes, 10**6, theta, [source(seed) for seed in range(lanes)])
+        assert walk_lists(walked) == want
+        assert counts["draws"] <= 0.2 * handed_out(counts, sources)
         monkeypatch.setattr(ewens, "_log_gap_survivals", None)
-        sources = [np.random.default_rng(seed) for seed in range(lanes - 1)]
+        monkeypatch.setattr(ewens, "_UniformBlock", None)
+        sources = [_Uniforms(np.random.default_rng(seed)) for seed in range(lanes - 1)]
         narrow = _walks_lockstep([1] * (lanes - 1), 10**6, theta, sources)
-        assert [walk.tolist() for walk in narrow] == want[:-1]
+        assert walk_lists(narrow) == want[:-1]
 
     def test_positions_unchanged_when_every_draw_falls_back(self, monkeypatch):
         # an infinite slack clears no margin, so every draw goes to the
@@ -528,6 +553,41 @@ class TestLockstepWalk:
         for (ki, ti), value in zip(pairs, got.tolist()):
             want = _log_gap_survival(ki, ti, theta)
             assert value == pytest.approx(want, rel=1e-13, abs=0)
+
+
+HAND_BACK_CASES = [(0.5, 1, 10**6), (2.0, 1000, 2**20)]
+
+
+class TestHandBack:
+    """A lockstep walk reads its uniforms through one ``_UniformBlock`` and
+    hands the unread ones back: each source then reads on from its stream."""
+
+    @pytest.mark.parametrize("theta, start, limit", HAND_BACK_CASES)
+    @pytest.mark.parametrize("used", [0, 5, _BLOCK - 1])
+    def test_sources_read_on_from_the_twin_stream(self, theta, start, limit, used):
+        # ``used`` uniforms read before the walk leave a block partly unread,
+        # as a sparse word's phases do before its coupled tail
+        lanes = ewens._MIN_LANES + 20
+        sources = [_Uniforms(np.random.default_rng(seed)) for seed in range(lanes)]
+        twins = [np.random.default_rng(seed) for seed in range(lanes)]
+        for source, twin in zip(sources, twins):
+            assert [source.random() for _ in range(used)] == [twin.random() for _ in range(used)]
+        walks = walk_lists(_walks_lockstep([start] * lanes, limit, theta, sources))
+        for walk, source, twin in zip(walks, sources, twins):
+            assert walk == _ones_after(start, limit, theta, twin)
+            assert source.random(_BLOCK + 6).tolist() == twin.random(_BLOCK + 6).tolist()
+            assert source.random() == twin.random()
+
+    @pytest.mark.parametrize("theta, start, limit", HAND_BACK_CASES)
+    def test_unbuffered_sources_leave_their_generators_in_step(self, theta, start, limit):
+        lanes = ewens._MIN_LANES + 20
+        rngs = [np.random.default_rng(seed) for seed in range(lanes)]
+        twins = [np.random.default_rng(seed) for seed in range(lanes)]
+        sources = [_Uniforms(rng, block=1) for rng in rngs]
+        walks = walk_lists(_walks_lockstep([start] * lanes, limit, theta, sources))
+        for walk, rng, twin in zip(walks, rngs, twins):
+            assert walk == _ones_after(start, limit, theta, twin)
+            assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestUniformSource:
@@ -595,6 +655,44 @@ class TestBatchStream:
             assert w.tolist() == np.bincount(gaps[gaps <= n], minlength=n + 1)[1:].tolist()
         assert batch.tail.tolist() == spacings
         assert batch.tail_trial.tolist() == owner
+
+    @pytest.mark.parametrize("theta", [0.5, 2.0])
+    def test_flat_sparse_words_trial_by_trial(self, theta):
+        # a lockstep batch's words and phases, assembled from its flat walk,
+        # against one reference trial each; at theta = 0.5 a few words have
+        # no one after position 1
+        n, trials = sparse_size(theta), 300
+        batch = draw_batch(n, theta, trial_rngs(31, 0, trials), phases=True)
+        single = 0
+        for t in range(trials):
+            ones, phase, _ = reference_trial(n, theta, trial_rng(31, t), True, None)
+            lo, hi = batch.starts[t], batch.starts[t + 1]
+            assert batch.lengths[lo:hi].tolist() == cycle_lengths(ones, n)
+            assert batch.phases[lo:hi].tolist() == phase.tolist()
+            single += len(ones) == 1
+        assert single > 0 or theta > 1
+
+    @pytest.mark.parametrize("theta", [0.5, 2.0])
+    def test_flat_coupled_tails_trial_by_trial(self, theta):
+        # the coupled words at coupling-check's shape, assembled from the
+        # flat tail walk; at theta = 0.5 some words have a single one and
+        # some tails no one below the horizon
+        n, trials = 1000, 300
+        horizon = coupling_horizon(n, theta, 1e-3)[0]
+        batch = draw_batch(n, theta, trial_rngs(32, 0, trials), horizon=horizon)
+        spacings, owner, single, empty = [], [], 0, 0
+        for t in range(trials):
+            ones, _, tail = reference_trial(n, theta, trial_rng(32, t), False, horizon)
+            lo, hi = batch.starts[t], batch.starts[t + 1]
+            assert batch.lengths[lo:hi].tolist() == cycle_lengths(ones, n)
+            assert batch.closing[t] == n + 1 - ones[-1]
+            rest = np.diff(np.append(ones[-1], tail))
+            spacings += rest[rest <= n].tolist()
+            owner += [t] * int((rest <= n).sum())
+            single, empty = single + (len(ones) == 1), empty + (len(tail) == 0)
+        assert batch.tail.tolist() == spacings
+        assert batch.tail_trial.tolist() == owner
+        assert (single > 0 and empty > 0) or theta > 1
 
     @pytest.mark.parametrize("n", [1000, sparse_size(1.5)])
     def test_single_trial_samplers_leave_the_generator_in_step(self, n):
@@ -696,6 +794,30 @@ class TestCoupled:
         assert chisquare(obs, exp).pvalue > 0.001
         corr = np.corrcoef(w1, w2)[0, 1]
         assert abs(corr) < 4 / math.sqrt(trials)
+
+    @pytest.mark.parametrize("theta", [0.5, 2.0])
+    def test_poisson_laws_at_the_coupling_check_shape(self, theta):
+        # coupling-check's batches (n = 1000, horizon for 1e-3): W_1 is
+        # Poisson(theta) and sum_{j<=n} W_j Poisson(theta H_n), up to the
+        # certified truncation; W = a - e_L + T per trial
+        from scipy.stats import poisson
+
+        n, trials = 1000, 8000
+        horizon = coupling_horizon(n, theta, 1e-3)[0]
+        w1, total = [], []
+        for lo in range(0, trials, 1000):
+            batch = draw_batch(n, theta, trial_rngs(33, lo, lo + 1000), horizon=horizon)
+            owner = np.repeat(np.arange(batch.trials), np.diff(batch.starts))
+            ones = np.bincount(owner[batch.lengths == 1], minlength=batch.trials)
+            tail_ones = np.bincount(batch.tail_trial[batch.tail == 1], minlength=batch.trials)
+            w1.append(ones - (batch.closing == 1) + tail_ones)
+            tails = np.bincount(batch.tail_trial, minlength=batch.trials)
+            total.append(np.diff(batch.starts) - 1 + tails)
+        harmonic = math.fsum(1.0 / j for j in range(1, n + 1))
+        for counts, mean in ((np.concatenate(w1), theta), (np.concatenate(total), theta * harmonic)):
+            cells = poisson.pmf(np.arange(counts.max() + 1), mean)
+            cells[-1] += poisson.sf(counts.max(), mean)
+            assert pooled_chisquare_pvalue(np.bincount(counts), cells) > 1e-3
 
     def test_tail_bound_below_epsilon_and_recorded(self):
         s = sample_coupled(100, EwensParams(0.5), np.random.default_rng(2), 1e-3)
