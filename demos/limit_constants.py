@@ -10,13 +10,12 @@ products; rational cases are exact over one period.
 
 from fractions import Fraction as F
 
+import math
+
 from permspectra import (
     AffineRelated,
-    BothIrrationalIndependent,
-    BothRational,
+    Arc,
     NAMED_IRRATIONALS,
-    RationalAlpha,
-    RationalBeta,
     c2_closed,
     c2_meso,
     c_numeric,
@@ -24,37 +23,46 @@ from permspectra import (
     ell_closed,
     s3_closed,
 )
-from permspectra.limits import arc_of_class
 
 SQRT2 = NAMED_IRRATIONALS["sqrt2"]
 GOLDEN = NAMED_IRRATIONALS["golden"]
 
 N = 10**6
 
+#: (label, alpha, beta, terms): each endpoint declares its arithmetic by its
+#: type, a Fraction, a named irrational or an AffineRelated beta
 CASES = [
-    ("independent irrationals", BothIrrationalIndependent(SQRT2.value, GOLDEN.value), N),
-    ("alpha = 1/2, beta irrational", RationalAlpha(1, 2, GOLDEN.value), N),
-    ("alpha irrational, beta = 2/3", RationalBeta(SQRT2.value, 2, 3), N),
-    ("alpha = 1/3, beta = 1/4", BothRational(1, 3, 1, 4), 12),
-    ("beta = 1/2 + alpha/2", AffineRelated(1, 2, 1, 2, alpha_value=SQRT2.value), N),
-    ("beta = (2/3) alpha", AffineRelated(0, 1, 2, 3, alpha_value=GOLDEN.value), N),
+    ("independent irrationals", SQRT2, GOLDEN, N),
+    ("alpha = 1/2, beta irrational", F(1, 2), GOLDEN, N),
+    ("alpha irrational, beta = 2/3", SQRT2, F(2, 3), N),
+    ("alpha = 1/3, beta = 1/4", F(1, 3), F(1, 4), 12),
+    ("beta = 1/2 + alpha/2", SQRT2, AffineRelated(1, 2, 1, 2), N),
+    ("beta = (2/3) alpha", GOLDEN, AffineRelated(0, 1, 2, 3), N),
 ]
+
+
+def numeric_arc(alpha, beta) -> Arc:
+    """The arc a declared pair describes, shifted by integers into [0, 1)."""
+    if isinstance(beta, AffineRelated):
+        beta = beta.p / beta.q + beta.r / beta.s * alpha
+    alpha, beta = alpha - math.floor(alpha), beta - math.floor(beta)
+    return Arc(alpha, beta if beta > alpha else beta + 1)
 
 
 def constants_table():
     print("=== plain-ensemble constant c2: closed form vs Cesàro average ===")
-    for label, cls, n in CASES:
-        arc = arc_of_class(cls)
+    for label, alpha, beta, n in CASES:
+        arc = numeric_arc(alpha, beta)
         numeric = c_numeric(arc.alpha, arc.beta, arc.alpha, arc.beta, n)
         flag = "exact, one period" if n < 1000 else f"n = {n:.0e}"
-        print(f"{label:32s} closed {c2_closed(cls):.6f}   numeric {numeric:.6f}   ({flag})")
+        print(f"{label:32s} closed {c2_closed(alpha, beta):.6f}   numeric {numeric:.6f}   ({flag})")
     print()
     print("=== the cross moment s3 = lim avg {j alpha}{j beta} ===")
-    for label, cls, n in CASES:
-        arc = arc_of_class(cls)
+    for label, alpha, beta, n in CASES:
+        arc = numeric_arc(alpha, beta)
         zero = F(0) if n < 1000 else 0.0
         numeric = c_numeric(arc.alpha, zero, arc.beta, zero, n)
-        print(f"{label:32s} closed {s3_closed(cls):.6f}   numeric {numeric:.6f}")
+        print(f"{label:32s} closed {s3_closed(alpha, beta):.6f}   numeric {numeric:.6f}")
     print()
 
 

@@ -40,12 +40,8 @@ from .experiments import (
 from .limits import (
     NAMED_IRRATIONALS,
     AffineRelated,
-    BothIrrationalIndependent,
-    BothRational,
     CovarianceMatrix,
     DeclaredIrrational,
-    RationalAlpha,
-    RationalBeta,
     c2_closed,
     c2_meso,
     c_numeric,

@@ -65,7 +65,7 @@ TABLE_SIZE_LIMIT = 40_000_000
 #: overflow guard on theta for the plain-ensemble covariance and the identity
 #: checks, which square theta (overflow above 1.3e154); 2**53 leaves a wide
 #: margin.  It is not an accuracy bound: the plain covariance loses digits at
-#: far smaller theta (ROADMAP item 11)
+#: far smaller theta (ROADMAP item 18)
 THETA_LIMIT = 2.0**53
 
 

@@ -11,12 +11,13 @@ style CSV with a header row.  Stochastic commands require an explicit
 whatever ``--jobs`` says (``sample`` runs in one process and takes none),
 only ``timing_ms`` may differ.
 
-Arc endpoints accept plain decimals, exact rationals ``rat:p/q``, named
+Arc endpoints accept plain decimals, exact rationals ``rat:p/q`` and named
 irrationals ``irr:golden`` / ``irr:sqrt2`` / ``irr:sqrt3`` / ``irr:e`` /
-``irr:pi`` (their fractional parts), and ``affine:p/q+r/s*alpha`` for the
-constants command.  Exact tokens are what unlock the closed-form constant
-machinery; a decimal is treated as just a number, never as evidence of
-rationality or irrationality.
+``irr:pi`` (their fractional parts).  Exact tokens are what unlock the
+closed-form constant machinery; a decimal is treated as just a number, never
+as evidence of rationality or irrationality.  The ``constants`` command reads
+an affine pair beta = p/q + (r/s) alpha from ``--case affine`` and its
+``--p --q --r --s`` options.
 """
 
 from __future__ import annotations
@@ -44,13 +45,8 @@ from .experiments import (
 )
 from .limits import (
     AffineRelated,
-    BothIrrationalIndependent,
-    BothRational,
     DeclaredIrrational,
     NAMED_IRRATIONALS,
-    RationalAlpha,
-    RationalBeta,
-    _endpoint_value,
     c2_closed,
     c2_meso,
     ell_closed,
@@ -98,9 +94,7 @@ def parse_endpoint(token: str):
 
 
 def parse_arc(alpha_token: str, beta_token: str) -> Arc:
-    alpha = _endpoint_value(parse_endpoint(alpha_token))
-    beta = _endpoint_value(parse_endpoint(beta_token))
-    return Arc(alpha=alpha, beta=beta)
+    return Arc(alpha=parse_endpoint(alpha_token), beta=parse_endpoint(beta_token))
 
 
 def parse_arcs(spec: str) -> tuple[Arc, ...]:
@@ -198,57 +192,60 @@ def _cmd_exact_moments(args):
     return results, (["mean", "variance"], [(m.mean, m.variance)])
 
 
-def _irrational_endpoint(token: str) -> DeclaredIrrational:
-    """An irr:name endpoint; any other token would silently change the class."""
-    x = parse_endpoint(token)
-    if not isinstance(x, DeclaredIrrational):
+#: constants case -> (its endpoints, then the class text of a pair or the
+#: result key of one endpoint).  An endpoint is rational from two integer
+#: options, with the name its errors use; irrational from an endpoint option
+#: and its default token; or "affine", beta = p/q + (r/s) alpha.
+_CONSTANT_CASES = {
+    "both-irrational-independent": (
+        ("alpha", "irr:sqrt2"), ("beta", "irr:golden"),
+        "BothIrrationalIndependent(alpha_value={0!r}, beta_value={1!r})"),
+    "rational-alpha": (
+        ("p", "q", "alpha"), ("beta", "irr:golden"),
+        "RationalAlpha(p={0.numerator}, q={0.denominator}, beta_value={1!r})"),
+    "rational-beta": (
+        ("alpha", "irr:golden"), ("r", "s", "beta"),
+        "RationalBeta(alpha_value={0!r}, r={1.numerator}, s={1.denominator})"),
+    "both-rational": (
+        ("p", "q", "alpha"), ("r", "s", "beta"),
+        "BothRational(p={0.numerator}, q={0.denominator}, r={1.numerator}, s={1.denominator})"),
+    "affine": (
+        ("alpha", "irr:golden"), "affine",
+        "AffineRelated(p={1.p}, q={1.q}, r={1.r}, s={1.s}, alpha_value={0!r})"),
+    "ell-rational": (("p", "q", "delta"), "ell"),
+    "ell-irrational": (("alpha", "irr:golden"), "ell"),
+    "meso-rational": (("p", "q", "alpha"), "c2_meso"),
+    "meso-irrational": (("alpha", "irr:golden"), "c2_meso"),
+}
+
+_ONE_ENDPOINT_CONSTANTS = {"ell": ell_closed, "c2_meso": c2_meso}
+
+
+def _constants_endpoint(args, spec):
+    """One endpoint of a constants case, read from ``args`` as ``spec`` says."""
+    if spec == "affine":
+        return AffineRelated(args.p, args.q, args.r, args.s)
+    if len(spec) == 3:
+        num, den = getattr(args, spec[0]), getattr(args, spec[1])
+        if den < 1:
+            raise ValueError(f"{spec[2]}: denominator must be >= 1, got {den}")
+        return Fraction(num, den)
+    option, default = spec
+    x = parse_endpoint(getattr(args, option) or default)
+    if not isinstance(x, DeclaredIrrational):  # any other token would change the class
         raise ValueError("irrational cases need an irr: endpoint")
     return x
 
 
-def _parse_constants_class(args):
-    case = args.case
-    if case == "both-irrational-independent":
-        a = _irrational_endpoint(args.alpha or "irr:sqrt2")
-        b = _irrational_endpoint(args.beta or "irr:golden")
-        return BothIrrationalIndependent(float(a), float(b))
-    if case == "rational-alpha":
-        b = _irrational_endpoint(args.beta or "irr:golden")
-        return RationalAlpha(p=args.p, q=args.q, beta_value=float(b))
-    if case == "rational-beta":
-        a = _irrational_endpoint(args.alpha or "irr:golden")
-        return RationalBeta(alpha_value=float(a), r=args.r, s=args.s)
-    if case == "both-rational":
-        return BothRational(p=args.p, q=args.q, r=args.r, s=args.s)
-    if case == "affine":
-        a = _irrational_endpoint(args.alpha or "irr:golden")
-        return AffineRelated(
-            p=args.p, q=args.q, r=args.r, s=args.s, alpha_value=float(a)
-        )
-    raise ValueError(f"unhandled case {case!r}")
-
-
 def _cmd_constants(args):
-    if args.case in ("ell-rational", "ell-irrational", "meso-rational", "meso-irrational"):
-        if args.case.endswith("rational") and not args.case.endswith("irrational"):
-            if args.q < 1:
-                name = "delta" if args.case.startswith("ell") else "alpha"
-                raise ValueError(f"{name}: denominator must be >= 1, got {args.q}")
-            x = Fraction(args.p, args.q)
-        else:
-            x = _irrational_endpoint(args.alpha or "irr:golden")
-        value = ell_closed(x) if args.case.startswith("ell") else c2_meso(x)
-        name = "ell" if args.case.startswith("ell") else "c2_meso"
-        results = {"case": args.case, name: value}
-        return results, ([name], [(value,)])
-    cls = _parse_constants_class(args)
-    results = {
-        "case": args.case,
-        "c2": c2_closed(cls),
-        "s3": s3_closed(cls),
-        "class": repr(cls),
-    }
-    return results, (["c2", "s3"], [(results["c2"], results["s3"])])
+    *specs, text = _CONSTANT_CASES[args.case]
+    ends = [_constants_endpoint(args, spec) for spec in specs]
+    if len(ends) == 1:
+        value = _ONE_ENDPOINT_CONSTANTS[text](ends[0])
+        return {"case": args.case, text: value}, ([text], [(value,)])
+    c2, s3 = c2_closed(*ends), s3_closed(*ends)
+    results = {"case": args.case, "c2": c2, "s3": s3, "class": text.format(*ends)}
+    return results, (["c2", "s3"], [(c2, s3)])
 
 
 def _cmd_identities(args):
@@ -309,7 +306,7 @@ def _cmd_clt(args):
 
 def _cmd_mesoscopic(args):
     alpha = parse_endpoint(args.alpha) if args.alpha else Fraction(0)
-    if isinstance(alpha, float):
+    if not isinstance(alpha, (Fraction, DeclaredIrrational)):
         raise ValueError(
             "mesoscopic anchor must be rat:p/q or irr:name; rationality cannot "
             "be inferred from a decimal"
@@ -410,11 +407,7 @@ def _args_exact_moments(p):
 
 
 def _args_constants(p):
-    p.add_argument("--case", required=True, choices=(
-        "both-irrational-independent", "rational-alpha", "rational-beta",
-        "both-rational", "affine",
-        "ell-rational", "ell-irrational", "meso-rational", "meso-irrational",
-    ))
+    p.add_argument("--case", required=True, choices=tuple(_CONSTANT_CASES))
     p.add_argument("--p", type=int, default=0)
     p.add_argument("--q", type=int, default=1)
     p.add_argument("--r", type=int, default=1)

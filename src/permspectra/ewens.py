@@ -746,10 +746,12 @@ def coupling_horizon(n: int, theta: float, epsilon_tail: float) -> tuple[int, fl
     nearest theta^2 n / epsilon_tail and steps down or up from there; the
     tail halves at each doubling, so this is the first doubling from 2n that
     meets the bound.  Returns (horizon, achieved_tail_bound); raises if the
-    cap would be hit.
+    cap would be hit or epsilon_tail is not positive and finite.
     """
+    if not 0 < epsilon_tail < math.inf:
+        raise ValueError(f"epsilon_tail must be positive and finite, got {epsilon_tail}")
     top = max(0, (HORIZON_HARD_CAP // (2 * n)).bit_length() - 1)  # 2n 2^top <= the cap
-    ratio = theta * theta / (2.0 * epsilon_tail) if epsilon_tail > 0 else math.inf
+    ratio = theta * theta / (2.0 * epsilon_tail)
     steps = top if ratio >= 2.0**top else round(math.log2(ratio)) if ratio > 1.0 else 0
     horizon = 2 * n << steps
     tail = coupling_tail_expectation(n, theta, horizon)
@@ -786,8 +788,6 @@ def sample_coupled(
     Ones in (n, horizon] depend only on the current position, so the chain
     continues from position n regardless of xi_n itself.
     """
-    if not 0 < epsilon_tail < math.inf:
-        raise ValueError(f"epsilon_tail must be positive and finite, got {epsilon_tail}")
     horizon, tail_bound = coupling_horizon(n, params.theta, epsilon_tail)
     batch = draw_batch(n, params.theta, [_Uniforms(rng, block=1)], horizon=horizon)
     counts = batch.cycle_counts(0)

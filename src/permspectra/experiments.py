@@ -42,7 +42,7 @@ import numpy as np
 
 from .cesaro import check_table_size, check_theta
 from .ewens import TrialBatch, coupling_distances, coupling_horizon, draw_batch
-from .limits import DeclaredIrrational, _endpoint_value, c2_meso, covariance_D, covariance_Dtilde
+from .limits import DeclaredIrrational, c2_meso, covariance_D, covariance_Dtilde
 from .rng import trial_rngs
 from .spacings import mod_gap_extremes
 from .spectral import (
@@ -173,8 +173,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_theta(self.theta)
-        if self.trials < 2:
-            raise ValueError("need at least 2 trials")
+        if self.trials < 8:  # the fewest samples the lattice KS report takes
+            raise ValueError(f"need at least 8 trials, got {self.trials}")
         if self.model not in ("perm", "mod"):
             raise ValueError(f"model must be 'perm' or 'mod', got {self.model!r}")
         if self.gamma is not None and not 0 < self.gamma < 1:
@@ -337,8 +337,7 @@ def run_mesoscopic(config: ExperimentConfig, jobs: int = 1) -> MesoscopicResult:
     if not config.n_schedule or config.gamma is None:
         raise ValueError("run_mesoscopic needs n_schedule and gamma")
     theta, model = config.theta, config.model
-    anchor = config.meso_alpha
-    alpha_endpoint = Fraction(0) if anchor is None else _endpoint_value(anchor)
+    alpha_endpoint = Fraction(0) if config.meso_alpha is None else config.meso_alpha
     for n in config.n_schedule:  # before any sampling
         if n < 1 or n * float(n) ** (-config.gamma) <= 1:
             raise ValueError(f"n * delta must exceed 1 for a mesoscopic window, got n={n}")
@@ -413,8 +412,6 @@ def run_coupling_check(
     check_theta(theta)
     if n < 1 or trials < 2:
         raise ValueError(f"need n >= 1 and trials >= 2, got {n}, {trials}")
-    if not 0 < epsilon_tail < math.inf:
-        raise ValueError(f"epsilon_tail must be positive and finite, got {epsilon_tail}")
     horizon, tail_bound = coupling_horizon(n, theta, epsilon_tail)
     distances = _run_trials(
         coupling_distances, (), master_seed, n, theta, trials, jobs, horizon=horizon

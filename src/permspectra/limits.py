@@ -14,10 +14,14 @@ the joint Gaussian limit over several arcs.
 The closed-form values are discontinuous in the arithmetic of the
 endpoints (rational versus irrational, and rational affine relations
 between them), and rationality is undecidable from a float.  Callers must
-therefore *declare* the arithmetic class of the endpoints through the
-``ArcClass`` variants below; the named irrational constants ship with the
-package and are declared pairwise linearly independent over the rationals
-(together with 1), a fact used but not verified.
+therefore *declare* each endpoint's arithmetic through its type: a
+``Fraction`` is rational, a ``DeclaredIrrational`` (a float that carries the
+declaration) irrational, and an ``AffineRelated`` beta is p/q + (r/s) alpha.
+A pair's class is its endpoint types, and the closed forms refuse a bare
+float, which declares nothing.  Two declared irrationals are taken as
+linearly independent over the rationals together with 1, a fact used but
+not verified (two equal mod 1 are refused); so are the named irrational
+constants that ship with the package.
 
 Every closed-form constant comes from two endpoint means and one pair mean,
 kept as Fractions and rounded to float once: m1(x) = lim mean {j x} and
@@ -51,7 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -60,12 +64,7 @@ from .spectral import Arc, Endpoint, frac_into
 __all__ = [
     "DeclaredIrrational",
     "NAMED_IRRATIONALS",
-    "BothIrrationalIndependent",
-    "RationalAlpha",
-    "RationalBeta",
-    "BothRational",
     "AffineRelated",
-    "ArcClass",
     "CovarianceMatrix",
     "c_numeric",
     "ctilde_numeric",
@@ -78,20 +77,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DeclaredIrrational:
-    """A float carrying the caller's declaration that it is irrational."""
+class DeclaredIrrational(float):
+    """A float carrying the caller's declaration that it is irrational.
 
-    value: float
-    name: str = ""
+    It is the float itself, so it goes into an ``Arc`` as it is and every
+    arithmetic use sees the same bits; only the closed forms read the
+    declaration.  ``value`` is the plain float, ``name`` a label.
+    """
 
-    def __float__(self) -> float:
-        return self.value
+    def __new__(cls, value: float, name: str = ""):
+        self = super().__new__(cls, value)
+        self.name = name
+        return self
 
-
-def _endpoint_value(x):
-    """x as an Arc endpoint: a DeclaredIrrational's float, anything else as is."""
-    return x.value if isinstance(x, DeclaredIrrational) else x
+    @property
+    def value(self) -> float:
+        return float(self)
 
 
 #: fractional parts of well-known irrationals (angles live in [0, 1)).
@@ -106,120 +107,21 @@ NAMED_IRRATIONALS: dict[str, DeclaredIrrational] = {
 }
 
 
-def _check_coprime(a: int, b: int, what: str) -> None:
-    if b < 1:
-        raise ValueError(f"{what}: denominator must be >= 1, got {b}")
-    if math.gcd(a, b) != 1:
-        raise ValueError(f"{what}: {a}/{b} is not in lowest terms")
-
-
-@dataclass(frozen=True)
-class BothIrrationalIndependent:
-    """alpha, beta irrational, linearly independent over Q together with 1."""
-
-    alpha_value: float
-    beta_value: float
-
-
-@dataclass(frozen=True)
-class RationalAlpha:
-    """alpha = p/q in lowest terms, beta irrational."""
-
-    p: int
-    q: int
-    beta_value: float
-
-    def __post_init__(self):
-        _check_coprime(self.p, self.q, "alpha")
-
-
-@dataclass(frozen=True)
-class RationalBeta:
-    """alpha irrational, beta = r/s in lowest terms."""
-
-    alpha_value: float
-    r: int
-    s: int
-
-    def __post_init__(self):
-        _check_coprime(self.r, self.s, "beta")
-
-
-@dataclass(frozen=True)
-class BothRational:
-    """alpha = p/q and beta = r/s, both in lowest terms."""
-
-    p: int
-    q: int
-    r: int
-    s: int
-
-    def __post_init__(self):
-        _check_coprime(self.p, self.q, "alpha")
-        _check_coprime(self.r, self.s, "beta")
-
-
 @dataclass(frozen=True)
 class AffineRelated:
-    """alpha irrational and beta = p/q + (r/s) alpha with r != 0.
-
-    ``alpha_value`` is optional and only needed to realise a numeric arc for
-    oracle comparisons; the constant itself depends on (p, q, r, s) alone.
-    """
+    """beta = p/q + (r/s) alpha with r != 0, as the ``beta`` of an irrational
+    ``alpha``; the constants depend on p/q and r/s in lowest terms alone."""
 
     p: int
     q: int
     r: int
     s: int
-    alpha_value: Optional[float] = None
 
     def __post_init__(self):
-        _check_coprime(self.p, self.q, "p/q")
+        if self.q < 1 or self.s < 1:
+            raise ValueError(f"denominators must be >= 1, got q={self.q}, s={self.s}")
         if self.r == 0:
             raise ValueError("r must be non-zero (beta would be rational)")
-        _check_coprime(self.r, self.s, "r/s")
-
-    def beta_value_from(self, alpha: float) -> float:
-        return self.p / self.q + self.r / self.s * alpha
-
-
-ArcClass = Union[
-    BothIrrationalIndependent, RationalAlpha, RationalBeta, BothRational, AffineRelated
-]
-
-
-def _endpoints(cls: ArcClass) -> tuple:
-    """(alpha, beta) of a declared class: a Fraction for each rational
-    endpoint, the declared value for each irrational one (None for an affine
-    class declared without ``alpha_value``)."""
-    if isinstance(cls, BothIrrationalIndependent):
-        return cls.alpha_value, cls.beta_value
-    if isinstance(cls, RationalAlpha):
-        return Fraction(cls.p, cls.q), cls.beta_value
-    if isinstance(cls, RationalBeta):
-        return cls.alpha_value, Fraction(cls.r, cls.s)
-    if isinstance(cls, BothRational):
-        return Fraction(cls.p, cls.q), Fraction(cls.r, cls.s)
-    if isinstance(cls, AffineRelated):
-        alpha = cls.alpha_value
-        return alpha, None if alpha is None else cls.beta_value_from(alpha)
-    raise TypeError(f"not an ArcClass: {cls!r}")
-
-
-def arc_of_class(cls: ArcClass) -> Arc:
-    """Realise a concrete Arc for a declared class (numeric-oracle side).
-
-    Rational endpoints become Fractions (exact); endpoints may be shifted by
-    integers to satisfy the arc conventions, which changes no constant.
-    """
-    alpha, beta = _endpoints(cls)
-    if alpha is None:
-        raise ValueError("AffineRelated needs alpha_value to build an arc")
-    alpha = alpha - math.floor(float(alpha))
-    beta = beta - math.floor(float(beta))
-    if float(beta) <= float(alpha):
-        beta = beta + 1  # wrap; beta == alpha mod 1 yields the full circle
-    return Arc(alpha=alpha, beta=beta)
 
 
 # ---------------------------------------------------------------------------
@@ -352,40 +254,58 @@ def _s3_both_rational_exact(p: int, q: int, r: int, s: int) -> Fraction:
 
 def _means(x) -> tuple[Fraction, Fraction]:
     """(lim mean {j x}, lim mean {j x}^2): the one-period means
-    ((q-1)/(2q), (q-1)(2q-1)/(6q^2)) for a Fraction of denominator q, the
-    uniform moments (1/2, 1/3) for an irrational x."""
-    if isinstance(x, Fraction):
-        q = x.denominator
-        return Fraction(q - 1, 2 * q), Fraction((q - 1) * (2 * q - 1), 6 * q * q)
-    return Fraction(1, 2), Fraction(1, 3)
-
-
-def _s3(cls: ArcClass, alpha, beta) -> Fraction:
-    """lim mean {j alpha}{j beta} of a class with endpoints ``_endpoints(cls)``:
-    the Dedekind-sum form when both are rational, 1/4 + d^2/(12 s r q^2) with
-    d = gcd(s, q) for beta = p/q + (r/s) alpha, and m1(alpha) m1(beta) for
-    independent fractional parts."""
-    if isinstance(cls, AffineRelated):
-        d = math.gcd(cls.s, cls.q)
-        return Fraction(1, 4) + Fraction(d * d, 12 * cls.s * cls.r * cls.q**2)
-    if isinstance(alpha, Fraction) and isinstance(beta, Fraction):
-        return _s3_both_rational_exact(
-            alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
+    ((q-1)/(2q), (q-1)(2q-1)/(6q^2)) for a rational x of denominator q, the
+    uniform moments (1/2, 1/3) for a DeclaredIrrational.  A bare float
+    declares neither, and is refused."""
+    if isinstance(x, DeclaredIrrational):
+        return Fraction(1, 2), Fraction(1, 3)
+    if not isinstance(x, (Fraction, int)):
+        raise ValueError(
+            f"endpoint {x!r} is undeclared: give a Fraction for a rational endpoint "
+            "or a DeclaredIrrational for an irrational one"
         )
-    return _means(alpha)[0] * _means(beta)[0]
+    q = Fraction(x).denominator
+    return Fraction(q - 1, 2 * q), Fraction((q - 1) * (2 * q - 1), 6 * q * q)
 
 
-def s3_closed(cls: ArcClass) -> float:
-    """Closed-form limit of (1/n) sum {j alpha}{j beta} for a declared class."""
-    return float(_s3(cls, *_endpoints(cls)))
+def _pair_means(alpha, beta) -> tuple[Fraction, Fraction, Fraction]:
+    """(m2(alpha), m2(beta), s3) for a declared pair, s3 = lim mean {j alpha}{j beta}:
+    the Dedekind-sum form when both are rational, 1/4 + d^2/(12 s r q^2) with
+    d = gcd(s, q) for an AffineRelated beta = p/q + (r/s) alpha (lowest
+    terms), and m1(alpha) m1(beta) for independent fractional parts."""
+    if isinstance(beta, AffineRelated):
+        if not isinstance(alpha, DeclaredIrrational):
+            raise ValueError("an AffineRelated beta needs a DeclaredIrrational alpha")
+        q = Fraction(beta.p, beta.q).denominator
+        slope = Fraction(beta.r, beta.s)
+        r, s, d = slope.numerator, slope.denominator, math.gcd(slope.denominator, q)
+        return Fraction(1, 3), Fraction(1, 3), Fraction(1, 4) + Fraction(d * d, 12 * s * r * q**2)
+    (m1a, m2a), (m1b, m2b) = _means(alpha), _means(beta)
+    irrational = isinstance(alpha, DeclaredIrrational), isinstance(beta, DeclaredIrrational)
+    if all(irrational) and (alpha - beta).is_integer():
+        raise ValueError(
+            f"alpha and beta are the same irrational mod 1 ({alpha!r}, {beta!r}), not an "
+            "independent pair; declare beta as AffineRelated(0, 1, 1, 1)"
+        )
+    if any(irrational):
+        return m2a, m2b, m1a * m1b
+    a, b = Fraction(alpha), Fraction(beta)
+    return m2a, m2b, _s3_both_rational_exact(a.numerator, a.denominator, b.numerator, b.denominator)
 
 
-def c2_closed(cls: ArcClass) -> float:
-    """Closed-form limit of (1/n) sum ({j beta} - {j alpha})^2, m2(alpha) + m2(beta) - 2 s3:
-    1/6 for independent irrationals, 1/6 + 1/(6 q^2) against one rational
-    endpoint p/q, 1/6 - d^2/(6 s r q^2) in the affine case."""
-    alpha, beta = _endpoints(cls)
-    return float(_means(alpha)[1] + _means(beta)[1] - 2 * _s3(cls, alpha, beta))
+def s3_closed(alpha, beta) -> float:
+    """Closed-form limit of (1/n) sum {j alpha}{j beta} for declared endpoints:
+    each a Fraction or a DeclaredIrrational, or beta an AffineRelated."""
+    return float(_pair_means(alpha, beta)[2])
+
+
+def c2_closed(alpha, beta) -> float:
+    """Closed-form limit of (1/n) sum ({j beta} - {j alpha})^2, m2(alpha) + m2(beta) - 2 s3,
+    for endpoints declared as in ``s3_closed``: 1/6 for independent
+    irrationals, 1/6 + 1/(6 q^2) against one rational endpoint p/q,
+    1/6 - d^2/(6 s r q^2) in the affine case."""
+    m2a, m2b, s3 = _pair_means(alpha, beta)
+    return float(m2a + m2b - 2 * s3)
 
 
 def ell_closed(delta: Union[Fraction, DeclaredIrrational]) -> float:

@@ -32,7 +32,9 @@ covariance: P_j/j, and one h_j(x) reused for every x), so that they hold
 no other array of n and sum exactly the terms that whole arrays gave.  The
 plain covariance fills its two arrays of arc weights the same way.
 
-Arc endpoints may be floats or ``fractions.Fraction``.  Rational endpoints
+Arc endpoints may be floats or ``fractions.Fraction``; a declared irrational
+(``limits.DeclaredIrrational``) is a float, so it counts by the same bits
+and only the closed-form constants read its declaration.  Rational endpoints
 make every floor and fractional part exact integer arithmetic (int64 while
 it cannot overflow, Python integers for larger denominators), which is what
 eliminates boundary misclassification at roots of unity; float endpoints use

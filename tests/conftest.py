@@ -19,7 +19,8 @@ time.  The
 quadratic identity's O(n^2) double sum, which the library replaced by an
 O(n) closed form, is an oracle here, as are the one-period means of
 {j p/q}, {j p/q}^2 and {j p/q}{j r/s} (``period_means``, ``s3_period_mean``)
-and the affine pair mean as an integral (``affine_s3_mean``), and so are the one-trial sparse word
+and the affine pair mean as an integral (``affine_s3_mean``), with the
+arcs those constants describe (``declared_arc``), and so are the one-trial sparse word
 (``ones_positions_sparse``), the one-trial coupled word (``reference_trial``)
 and the modified count over [alpha, beta) (``count_arc_mod_left``).
 The gap walk's per-theta constants are checked against their Fraction
@@ -38,6 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from permspectra import (
+    AffineRelated,
     Arc,
     CountMoments,
     CovarianceMatrix,
@@ -507,6 +509,21 @@ def affine_s3_mean(q: int, r: int, s: int) -> Fraction:
         total += (2 * s * big * (b**3 - a**3) + 3 * (s * w + big * u) * (b**2 - a**2) * scale
                   + 6 * u * w * (b - a) * scale**2)
     return (Fraction(total, 6 * scale**3) + Fraction(q - 1, 4)) / q
+
+
+def declared_arc(alpha, beta) -> Arc:
+    """A concrete Arc for a declared endpoint pair, the numeric-oracle side of
+    a closed-form constant: an AffineRelated beta becomes p/q + (r/s) alpha,
+    rational endpoints stay Fractions, and both are shifted by integers into
+    the arc conventions, which changes no constant (beta equal to alpha mod 1
+    gives the full circle)."""
+    if isinstance(beta, AffineRelated):
+        beta = beta.p / beta.q + beta.r / beta.s * alpha
+    alpha = alpha - math.floor(alpha)
+    beta = beta - math.floor(beta)
+    if beta <= alpha:
+        beta = beta + 1
+    return Arc(alpha=alpha, beta=beta)
 
 
 def _correlation(gram: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ import pytest
 
 from conftest import (
     crp_type_counts,
+    declared_arc,
     enumerated_gap_range,
     exhaustive_moments_perm,
     feller_type_counts,
@@ -34,10 +35,6 @@ from permspectra import (
     ExperimentConfig,
     NAMED_IRRATIONALS,
     AffineRelated,
-    BothIrrationalIndependent,
-    BothRational,
-    RationalAlpha,
-    RationalBeta,
     c2_closed,
     c2_meso,
     c_numeric,
@@ -54,7 +51,6 @@ from permspectra import (
     verify_quadratic_identity,
     verify_telescoping,
 )
-from permspectra.limits import arc_of_class
 
 GOLDEN = NAMED_IRRATIONALS["golden"]
 SQRT2 = NAMED_IRRATIONALS["sqrt2"]
@@ -192,29 +188,29 @@ def test_criterion_4_closed_form_constants():
         if abs(closed - numeric) > tol:
             failures.append(f"{label}: closed={closed:.6f} numeric={numeric:.6f}")
 
-    # c2 and s3, all five endpoint classes ------------------------------
+    # c2 and s3, all five kinds of endpoint pair -------------------------
     classes = [
-        ("independent", BothIrrationalIndependent(SQRT2.value, GOLDEN.value), 1e-2, None),
-        ("rational-alpha", RationalAlpha(1, 2, GOLDEN.value), 1e-2, None),
-        ("rational-beta", RationalBeta(SQRT2.value, 2, 3), 1e-2, None),
-        ("both-rational", BothRational(1, 3, 1, 4), 1e-12, 12),
-        ("affine", AffineRelated(1, 2, 1, 2, alpha_value=SQRT2.value), 1e-2, None),
-        ("affine-multiple", AffineRelated(0, 1, 2, 3, alpha_value=GOLDEN.value), 1e-2, None),
-        ("affine-negative-r", AffineRelated(1, 3, -1, 2, alpha_value=GOLDEN.value), 1e-2, None),
+        ("independent", (SQRT2, GOLDEN), 1e-2, None),
+        ("rational-alpha", (F(1, 2), GOLDEN), 1e-2, None),
+        ("rational-beta", (SQRT2, F(2, 3)), 1e-2, None),
+        ("both-rational", (F(1, 3), F(1, 4)), 1e-12, 12),
+        ("affine", (SQRT2, AffineRelated(1, 2, 1, 2)), 1e-2, None),
+        ("affine-multiple", (GOLDEN, AffineRelated(0, 1, 2, 3)), 1e-2, None),
+        ("affine-negative-r", (GOLDEN, AffineRelated(1, 3, -1, 2)), 1e-2, None),
     ]
-    for label, cls, tol, period in classes:
-        arc = arc_of_class(cls)
+    for label, pair, tol, period in classes:
+        arc = declared_arc(*pair)
         n = period if period else n_big
         check(
             f"c2/{label}",
-            c2_closed(cls),
+            c2_closed(*pair),
             c_numeric(arc.alpha, arc.beta, arc.alpha, arc.beta, n),
             tol,
         )
         # s3 oracle: (1/n) sum {j alpha}{j beta} = c_numeric(alpha,0,beta,0,n)
         check(
             f"s3/{label}",
-            s3_closed(cls),
+            s3_closed(*pair),
             c_numeric(arc.alpha, 0.0 if not period else F(0), arc.beta,
                       0.0 if not period else F(0), n),
             tol,
@@ -418,7 +414,7 @@ def test_plain_fixed_arc_variance_increment():
     theta = 1.0
     arc = Arc(F(0), GOLDEN.value)
     small, large = (exact_moments_perm(n, theta, arc).variance for n in (10**4, 10**6))
-    c2 = c2_closed(RationalAlpha(0, 1, GOLDEN.value))
+    c2 = c2_closed(F(0, 1), GOLDEN)
     increment = (large - small) / (theta * c2 * math.log(100))
     assert report(
         "plain fixed arc",

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,7 +13,9 @@ import pytest
 
 import permspectra
 from conftest import sparse_size
-from permspectra import EwensParams, attach_phases, sample_cycle_counts, trial_rng
+from permspectra import (
+    NAMED_IRRATIONALS, EwensParams, attach_phases, cli, sample_cycle_counts, trial_rng,
+)
 from permspectra.cli import build_parser, main, parse_arcs, parse_endpoint
 from permspectra.ewens import _MIN_LANES, _sparse_route
 from permspectra.experiments import _CHUNK_TRIALS
@@ -47,6 +50,22 @@ class TestParsing:
         arcs = parse_arcs("0.1,0.4;rat:1/2,rat:3/4")
         assert len(arcs) == 2
         assert float(arcs[1].alpha) == 0.5
+
+    def test_declared_endpoints_enter_arcs_as_they_are(self):
+        arc = parse_arcs("irr:sqrt2,irr:golden")[0]
+        assert arc.alpha is NAMED_IRRATIONALS["sqrt2"] and arc.beta is NAMED_IRRATIONALS["golden"]
+
+    def test_every_documented_endpoint_form_parses(self):
+        # each ``prefix:...`` form that the module docstring advertises, its
+        # letters read as integers, and each irr: name there
+        forms = re.findall(r"``([a-z]+):([^`]*)``", cli.__doc__)
+        assert {"rat", "irr"} <= {prefix for prefix, _ in forms}
+        for prefix, body in forms:
+            if prefix == "irr":
+                assert body in NAMED_IRRATIONALS
+                parse_endpoint(f"irr:{body}")
+            else:
+                parse_endpoint(f"{prefix}:" + re.sub(r"[a-z]+", "1", body))
 
 
 #: the results of every constants case that the benchmark's exact workload calls
@@ -97,6 +116,12 @@ class TestCommands:
             "--p", "0", "--q", "1", "--r", "3", "--s", "2",
         )
         assert env["results"]["s3"] == pytest.approx(1 / 4 + 1 / 72)
+
+    def test_constants_take_rationals_in_lowest_terms(self, capsys):
+        # 2/6 is 1/3: the same constants, and the class text says 1/3
+        want = dict(PINNED_CONSTANTS[1][1])
+        assert run_json(capsys, "constants", "--case", "rational-alpha", "--p", "2",
+                        "--q", "6")["results"] == want
 
     def test_constants_ell_and_meso(self, capsys):
         env = run_json(capsys, "constants", "--case", "ell-rational", "--p", "1", "--q", "2")
@@ -331,6 +356,12 @@ class TestCliContract:
              "irrational cases need an irr: endpoint"),
             (("constants", "--case", "meso-irrational", "--alpha", "0.4"),
              "irrational cases need an irr: endpoint"),
+            # the exact moments were computed and every trial sampled before
+            # the KS report refused fewer than 8 samples
+            (("clt", "--n", "100", "--arcs", "0.1,0.3", "--seed", "1", "--trials", "5"),
+             "need at least 8 trials, got 5"),
+            (("mesoscopic", "--n-list", "100", "--seed", "1", "--trials", "7"),
+             "need at least 8 trials, got 7"),
             # sample printed {"trials": []} and exited 0
             (("sample", "--n", "5", "--seed", "1", "--trials", "-3"),
              "need trials >= 1, got -3"),
@@ -344,8 +375,8 @@ class TestCliContract:
              "rat-no-slash", "rat-empty-numerator", "rat-underscore", "ell-rational-q0",
              "meso-rational-q0", "rational-alpha-rat-beta", "rational-beta-decimal-alpha",
              "independent-rat-alpha", "independent-decimal-beta", "affine-rat-alpha",
-             "ell-irrational-rat", "meso-irrational-decimal", "sample-negative-trials",
-             "sample-zero-trials"],
+             "ell-irrational-rat", "meso-irrational-decimal", "clt-five-trials",
+             "mesoscopic-seven-trials", "sample-negative-trials", "sample-zero-trials"],
     )
     def test_bad_value_named_in_one_error_line(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
@@ -482,6 +513,13 @@ class TestCliContract:
         a, b = json.loads(out1), json.loads(out2)
         a.pop("timing_ms"), b.pop("timing_ms")
         assert a == b
+
+    def test_declared_arcs_cross_into_workers(self, capsys):
+        # irr: endpoints reach the workers of --jobs 2 as pickled DeclaredIrrationals
+        argv = ("clt", "--n", "300", "--arcs", "irr:sqrt2,irr:golden;irr:e,irr:sqrt3",
+                "--model", "mod", "--seed", "4", "--trials", "40")
+        payloads = [run_json(capsys, *argv, "--jobs", jobs)["results"] for jobs in ("1", "2")]
+        assert payloads[0] == payloads[1]
 
     def test_jobs_do_not_change_results_payload(self, capsys):
         base = ["spacings", "--n-list", "60", "--seed", "5", "--trials", "36"]

@@ -8,6 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.stats import chi2
 from hypothesis import strategies as st
 
 from conftest import (
@@ -239,6 +240,26 @@ class TestSparseLaw:
         edges, cells = longest_cycle_bins(n, theta, 12)
         observed = np.bincount(np.searchsorted(edges, longest) - 1, minlength=len(cells))
         assert pooled_chisquare_pvalue(observed, cells) > 1e-3
+
+
+    @pytest.mark.parametrize("n", [10**4, 10**6])
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
+    def test_window_count_law(self, n, theta):
+        # the word's ones in disjoint windows of positions are independent sums
+        # of Bernoulli(theta/(theta+k-1)): their totals over the trials, each
+        # standardised by its exact mean and variance, make one chi-square
+        # over 38-39 log-spaced windows of (1, n], which sees the gap law at
+        # every scale where K and L see only sums of it
+        sources = [_Uniforms(g) for g in trial_rngs(51, 0, LAW_TRIALS)]
+        _, positions, _ = _walks_lockstep([1] * LAW_TRIALS, n, theta, sources)
+        edges = np.unique(np.geomspace(2, n + 1, 41).astype(np.int64))  # windows [e_i, e_i+1)
+        observed = np.bincount(np.searchsorted(edges, positions, side="right") - 1,
+                               minlength=len(edges) - 1)
+        p = theta / (theta + np.arange(1.0, n))  # P(one at k) for k = 2..n
+        mean = LAW_TRIALS * np.add.reduceat(p, edges[:-1] - 2)
+        variance = LAW_TRIALS * np.add.reduceat(p * (1.0 - p), edges[:-1] - 2)
+        z = (observed - mean) / np.sqrt(variance)
+        assert len(z) >= 38 and chi2.sf(z @ z, len(z)) > 1e-3
 
 
 class TestRoute:
@@ -863,6 +884,13 @@ class TestCoupled:
     def test_unreachable_epsilon_raises(self):
         with pytest.raises(ValueError):
             coupling_horizon(1000, 1.0, 1e-30)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, 0.0, -1.0, math.inf])
+    def test_epsilon_must_be_positive_and_finite(self, epsilon):
+        # nan gave a horizon near the cap for a bound never met; 0 and -1
+        # were called unreachable below the cap
+        with pytest.raises(ValueError, match=f"epsilon_tail must be positive and finite, got {epsilon}"):
+            coupling_horizon(100, 1.0, epsilon)
 
 
 class TestDeterminism:

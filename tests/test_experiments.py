@@ -122,6 +122,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(theta=1.0, trials=1, master_seed=0, model="mod")
 
+    @pytest.mark.parametrize("trials", [2, 7])
+    def test_trials_the_ks_report_needs(self, trials):
+        with pytest.raises(ValueError, match=f"need at least 8 trials, got {trials}"):
+            ExperimentConfig(theta=1.0, trials=trials, master_seed=0, model="mod")
+        ExperimentConfig(theta=1.0, trials=8, master_seed=0, model="mod")
+
 
 class TestRunCltFixed:
     def test_degenerate_full_circle_rejected(self):
@@ -207,6 +213,19 @@ class TestRunMesoscopic:
         assert not res.rows[0].variance_is_exact
         assert res.rows[0].ratio > 0
 
+    def test_perm_refuses_an_undeclared_anchor(self, monkeypatch):
+        # a bare float anchor got the irrational constant 1/6, though 0.5 may be 1/2
+        def no_trials(*args, **kwargs):
+            raise AssertionError("trials ran")
+
+        monkeypatch.setattr("permspectra.experiments._run_trials", no_trials)
+        cfg = ExperimentConfig(
+            theta=1.0, trials=10, master_seed=4, model="perm",
+            n_schedule=(2000,), gamma=0.5, meso_alpha=0.5,
+        )
+        with pytest.raises(ValueError, match="undeclared"):
+            run_mesoscopic(cfg)
+
 
 class TestRunCouplingCheck:
     def test_bound_holds_with_margin(self):
@@ -222,11 +241,12 @@ class TestRunCouplingCheck:
         assert a.std_error == b.std_error
 
     @pytest.mark.parametrize("epsilon_tail", [math.nan, math.inf, 0.0])
-    def test_bad_epsilon_tail_refused_before_the_horizon(self, monkeypatch, epsilon_tail):
-        def no_horizon(*args):
-            raise AssertionError("coupling_horizon ran")
+    def test_bad_epsilon_tail_refused_before_sampling(self, monkeypatch, epsilon_tail):
+        # the horizon search refuses it, before any trial is drawn
+        def no_trials(*args, **kwargs):
+            raise AssertionError("trials ran")
 
-        monkeypatch.setattr("permspectra.experiments.coupling_horizon", no_horizon)
+        monkeypatch.setattr("permspectra.experiments._run_trials", no_trials)
         with pytest.raises(ValueError, match=f"got {epsilon_tail}"):
             run_coupling_check(100, 1.0, 10, master_seed=1, epsilon_tail=epsilon_tail)
 

@@ -1,18 +1,18 @@
 import math
+import pickle
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from conftest import affine_s3_mean, equidistribution_average, period_means, s3_period_mean
+from conftest import (
+    affine_s3_mean, declared_arc, equidistribution_average, period_means, s3_period_mean,
+)
 from permspectra import (
     NAMED_IRRATIONALS,
     AffineRelated,
     Arc,
-    BothIrrationalIndependent,
-    BothRational,
-    RationalAlpha,
-    RationalBeta,
+    DeclaredIrrational,
     c2_closed,
     c2_meso,
     c_numeric,
@@ -22,7 +22,7 @@ from permspectra import (
     ell_closed,
     s3_closed,
 )
-from permspectra.limits import _s3_both_rational_exact, arc_of_class
+from permspectra.limits import _s3_both_rational_exact
 
 GOLDEN = NAMED_IRRATIONALS["golden"]
 SQRT2 = NAMED_IRRATIONALS["sqrt2"]
@@ -44,37 +44,80 @@ class TestNamedIrrationals:
         assert x * x + x == pytest.approx(1.0, abs=1e-14)
 
 
-class TestClassValidation:
-    def test_non_coprime_rejected(self):
-        with pytest.raises(ValueError):
-            RationalAlpha(2, 4, 0.3)
-        with pytest.raises(ValueError):
-            BothRational(1, 2, 2, 6)
+    def test_declared_is_the_float_itself(self):
+        # an Arc takes it as it is, and it keeps its declaration through pickling
+        assert type(GOLDEN.value) is float and GOLDEN.value == GOLDEN
+        assert Arc(SQRT2, GOLDEN).alpha is SQRT2
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(GOLDEN, protocol))
+            assert type(back) is DeclaredIrrational and back.name == "golden"
+            assert back.value == GOLDEN.value
 
+
+class TestClassValidation:
     def test_zero_r_rejected(self):
         with pytest.raises(ValueError):
             AffineRelated(0, 1, 0, 1)
 
+    @pytest.mark.parametrize("q, s", [(0, 1), (1, 0), (-2, 1)])
+    def test_affine_denominators_must_be_positive(self, q, s):
+        with pytest.raises(ValueError, match="denominators must be >= 1"):
+            AffineRelated(1, q, 1, s)
+
+    def test_affine_takes_lowest_terms(self):
+        # p/q and r/s enter in lowest terms: 2/4 + (2/4) alpha is 1/2 + alpha/2
+        assert s3_closed(GOLDEN, AffineRelated(2, 4, 2, 4)) == s3_closed(
+            GOLDEN, AffineRelated(1, 2, 1, 2))
+        assert c2_closed(GOLDEN, AffineRelated(0, 3, 3, 3)) == c2_closed(
+            GOLDEN, AffineRelated(0, 1, 1, 1))
+
+    @pytest.mark.parametrize("call", [
+        lambda: c2_meso(0.5), lambda: ell_closed(0.5), lambda: c2_closed(0.3, GOLDEN),
+        lambda: s3_closed(F(1, 2), 0.3), lambda: c2_closed(F(1, 3), 0.25),
+        lambda: c2_closed(0.3, AffineRelated(1, 2, 1, 2)),
+        lambda: c2_meso(GOLDEN.value), lambda: ell_closed(float(SQRT2)),
+    ], ids=["meso", "ell", "c2-float-alpha", "s3-float-beta", "c2-float-beta",
+            "affine-float-alpha", "meso-plain-value", "ell-plain-value"])
+    def test_undeclared_float_refused(self, call):
+        # a bare float declares nothing; these returned the irrational 1/6
+        with pytest.raises(ValueError, match="undeclared|needs a DeclaredIrrational"):
+            call()
+
+    def test_affine_needs_an_irrational_alpha(self):
+        with pytest.raises(ValueError, match="needs a DeclaredIrrational alpha"):
+            c2_closed(F(1, 3), AffineRelated(1, 2, 1, 2))
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (GOLDEN, GOLDEN), (SQRT2, SQRT2), (GOLDEN, DeclaredIrrational(GOLDEN + 1.0)),
+    ], ids=["golden", "sqrt2", "golden-plus-one"])
+    def test_equal_irrationals_refused(self, alpha, beta):
+        # alpha = beta has c2 = 0; as an independent pair it returned 1/6
+        for constant in (c2_closed, s3_closed):
+            with pytest.raises(ValueError, match="same irrational mod 1"):
+                constant(alpha, beta)
+        assert c2_closed(alpha, AffineRelated(0, 1, 1, 1)) == 0.0
+
 
 class TestClosedForms:
     def test_c2_table(self):
-        assert c2_closed(BothIrrationalIndependent(SQRT2.value, GOLDEN.value)) == pytest.approx(1 / 6)
-        assert c2_closed(RationalAlpha(1, 2, GOLDEN.value)) == pytest.approx(5 / 24)
-        assert c2_closed(RationalBeta(GOLDEN.value, 1, 3)) == pytest.approx(1 / 6 + 1 / 54)
-        assert c2_closed(BothRational(0, 1, 1, 2)) == pytest.approx(1 / 8)
-        assert c2_closed(AffineRelated(0, 1, 1, 1)) == pytest.approx(0.0, abs=1e-15)
-        assert c2_closed(AffineRelated(1, 2, 1, 2)) == pytest.approx(1 / 6 - 4 / (6 * 2 * 1 * 4))
+        assert c2_closed(SQRT2, GOLDEN) == pytest.approx(1 / 6)
+        assert c2_closed(F(1, 2), GOLDEN) == pytest.approx(5 / 24)
+        assert c2_closed(GOLDEN, F(1, 3)) == pytest.approx(1 / 6 + 1 / 54)
+        assert c2_closed(F(0, 1), F(1, 2)) == pytest.approx(1 / 8)
+        assert c2_closed(GOLDEN, AffineRelated(0, 1, 1, 1)) == pytest.approx(0.0, abs=1e-15)
+        assert c2_closed(GOLDEN, AffineRelated(1, 2, 1, 2)) == pytest.approx(
+            1 / 6 - 4 / (6 * 2 * 1 * 4))
 
     def test_s3_table(self):
-        assert s3_closed(BothIrrationalIndependent(SQRT2.value, GOLDEN.value)) == pytest.approx(1 / 4)
-        assert s3_closed(RationalAlpha(1, 2, GOLDEN.value)) == pytest.approx(1 / 4 - 1 / 8)
-        assert s3_closed(AffineRelated(0, 1, 1, 1)) == pytest.approx(1 / 3)
-        assert s3_closed(AffineRelated(0, 1, 3, 2)) == pytest.approx(1 / 4 + 1 / 72)
-        assert s3_closed(AffineRelated(1, 2, 1, 2)) == pytest.approx(7 / 24)
+        assert s3_closed(SQRT2, GOLDEN) == pytest.approx(1 / 4)
+        assert s3_closed(F(1, 2), GOLDEN) == pytest.approx(1 / 4 - 1 / 8)
+        assert s3_closed(GOLDEN, AffineRelated(0, 1, 1, 1)) == pytest.approx(1 / 3)
+        assert s3_closed(GOLDEN, AffineRelated(0, 1, 3, 2)) == pytest.approx(1 / 4 + 1 / 72)
+        assert s3_closed(GOLDEN, AffineRelated(1, 2, 1, 2)) == pytest.approx(7 / 24)
 
     def test_s3_negative_r(self):
         # with r < 0 the correction is subtracted
-        val = s3_closed(AffineRelated(1, 3, -1, 2, alpha_value=GOLDEN.value))
+        val = s3_closed(GOLDEN, AffineRelated(1, 3, -1, 2))
         d = math.gcd(2, 3)
         assert val == pytest.approx(1 / 4 + d * d / (12 * 2 * -1 * 9))
 
@@ -98,7 +141,7 @@ class TestClosedForms:
         assert _s3_both_rational_exact(p, q, p, q) == square
         assert _s3_both_rational_exact(p, q, -p, q) == F(q - 1, 2 * q) - square
         assert _s3_both_rational_exact(p, q, 1, q - 1) == F(q - 2, 4 * q)
-        assert s3_closed(BothRational(1, 1000, 1, 999)) == float(F(998, 4000))
+        assert s3_closed(F(1, 1000), F(1, 999)) == float(F(998, 4000))
 
     def test_ell(self):
         assert ell_closed(GOLDEN) == pytest.approx(1 / 6)
@@ -117,18 +160,18 @@ class TestClosedForms:
         assert period_means(F(-2, 3)) == (F(1, 3), F(5, 27))
 
     def test_constants_equal_the_oracles_exactly(self):
-        # every class kind with q, s <= 12 and numerators of both signs: each
+        # every pair kind with q, s <= 12 and numerators of both signs: each
         # constant is float() of the exact Fraction the oracles give
         irr = period_means(GOLDEN)
 
         def coprime(q):
             return [p for p in range(-q, q + 1) if math.gcd(p, q) == 1]
 
-        def check(cls, ma, mb, s3):
-            assert s3_closed(cls) == float(s3)
-            assert c2_closed(cls) == float(ma[1] + mb[1] - 2 * s3)
+        def check(alpha, beta, ma, mb, s3):
+            assert s3_closed(alpha, beta) == float(s3)
+            assert c2_closed(alpha, beta) == float(ma[1] + mb[1] - 2 * s3)
 
-        check(BothIrrationalIndependent(SQRT2.value, GOLDEN.value), irr, irr, irr[0] ** 2)
+        check(SQRT2, GOLDEN, irr, irr, irr[0] ** 2)
         means = {F(p, q): period_means(F(p, q)) for q in range(1, 13) for p in coprime(q)}
         affine = {(q, r, s): affine_s3_mean(q, r, s)
                   for q in range(1, 13) for s in range(1, 13) for r in coprime(s) if r}
@@ -138,16 +181,15 @@ class TestClosedForms:
                 assert ell_closed(F(p, q)) == float(ma[0] - ma[1])
                 # c2 against an independent irrational endpoint
                 assert c2_meso(F(p, q)) == float(ma[1] + irr[1] - 2 * ma[0] * irr[0])
-                check(RationalAlpha(p, q, GOLDEN.value), ma, irr, ma[0] * irr[0])
-                check(RationalBeta(GOLDEN.value, p, q), irr, ma, irr[0] * ma[0])
+                check(F(p, q), GOLDEN, ma, irr, ma[0] * irr[0])
+                check(GOLDEN, F(p, q), irr, ma, irr[0] * ma[0])
                 for s in range(1, 13):
                     for r in coprime(s):
-                        check(BothRational(p, q, r, s), ma, means[F(r, s)],
-                              s3_period_mean(p, q, r, s))
+                        check(F(p, q), F(r, s), ma, means[F(r, s)], s3_period_mean(p, q, r, s))
                         if r:
                             s3 = affine[q, r, s]
-                            check(AffineRelated(p, q, r, s), irr, irr, s3)
-                            check(AffineRelated(p, q, r, s, GOLDEN.value), irr, irr, s3)
+                            check(GOLDEN, AffineRelated(p, q, r, s), irr, irr, s3)
+                            check(SQRT2, AffineRelated(p, q, r, s), irr, irr, s3)
         assert ell_closed(GOLDEN) == float(irr[0] - irr[1])
         assert c2_meso(GOLDEN) == float(irr[1] + irr[1] - 2 * irr[0] * irr[0])
 
@@ -176,26 +218,27 @@ class TestNumericOracles:
         assert ctilde_numeric(a, b, a, b, 2) == pytest.approx(1 / 8, abs=1e-15)
 
     @pytest.mark.parametrize(
-        "cls",
+        "alpha, beta",
         [
-            BothIrrationalIndependent(SQRT2.value, GOLDEN.value),
-            RationalAlpha(1, 2, GOLDEN.value),
-            RationalBeta(SQRT2.value, 2, 3),
-            AffineRelated(1, 2, 1, 2, alpha_value=SQRT2.value),
-            AffineRelated(0, 1, 2, 3, alpha_value=GOLDEN.value),
+            (SQRT2, GOLDEN),
+            (F(1, 2), GOLDEN),
+            (SQRT2, F(2, 3)),
+            (SQRT2, AffineRelated(1, 2, 1, 2)),
+            (GOLDEN, AffineRelated(0, 1, 2, 3)),
         ],
+        ids=["independent", "rational-alpha", "rational-beta", "affine", "affine-multiple"],
     )
-    def test_c2_closed_matches_numeric(self, cls):
-        arc = arc_of_class(cls)
+    def test_c2_closed_matches_numeric(self, alpha, beta):
+        arc = declared_arc(alpha, beta)
         val = c_numeric(arc.alpha, arc.beta, arc.alpha, arc.beta, N_ORACLE)
-        assert val == pytest.approx(c2_closed(cls), abs=TOL_ORACLE)
+        assert val == pytest.approx(c2_closed(alpha, beta), abs=TOL_ORACLE)
 
     def test_c2_closed_matches_numeric_exact_rational(self):
-        cls = BothRational(1, 3, 1, 4)
-        arc = arc_of_class(cls)
+        alpha, beta = F(1, 3), F(1, 4)
+        arc = declared_arc(alpha, beta)
         period = 12
         val = c_numeric(arc.alpha, arc.beta, arc.alpha, arc.beta, period)
-        assert val == pytest.approx(c2_closed(cls), abs=1e-12)
+        assert val == pytest.approx(c2_closed(alpha, beta), abs=1e-12)
 
     def test_ell_closed_matches_numeric_exact_rational(self):
         delta = F(2, 5)
@@ -240,15 +283,15 @@ class TestNumericOracles:
         ) == pytest.approx(1 / 6, abs=TOL_ORACLE)
 
 
-class TestArcOfClass:
+class TestDeclaredArc:
     def test_rational_endpoints_are_fractions(self):
-        arc = arc_of_class(BothRational(1, 3, 1, 4))
+        arc = declared_arc(F(1, 3), F(1, 4))
         assert arc.alpha == F(1, 3)
         assert arc.beta == F(1, 4) + 1  # wrapped past alpha
 
-    def test_affine_needs_alpha(self):
-        with pytest.raises(ValueError):
-            arc_of_class(AffineRelated(1, 2, 1, 2))
+    def test_affine_beta_from_alpha(self):
+        arc = declared_arc(SQRT2, AffineRelated(1, 2, 1, 2))
+        assert (arc.alpha, arc.beta) == (SQRT2.value, 1 / 2 + SQRT2.value / 2)
 
 
 class TestCovarianceMatrices:
