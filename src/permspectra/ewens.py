@@ -45,29 +45,28 @@ A cycle type is held as its sorted cycle lengths (``CycleCounts``).
 (``TrialBatch``), the form the Monte Carlo drivers compute on.  It draws
 every trial's word first, then the phases, then the coupled tails; each
 trial's generator still sees its own word, phases and tail in that order.
-A trial with gap draws (a sparse word or a coupled tail) reads its
-generator through one ``_Uniforms``, 64 uniforms at a time: the same
-stream as single draws, since numpy's ``random(m)`` is m single draws.
+A batch with gap draws (sparse words or coupled tails) reads its uniforms
+through one store (``_Uniforms``): a (trials x 64) array with a cursor per
+row, each row refilled from its own trial's generator when read to its
+end.  Every value it hands out, to a walk, a trial's phases or its tail,
+is the next value of that trial's generator, since numpy's ``random(m)``
+is m single draws; the read-ahead moves only where the generator stands
+afterwards, and a store of one value per row reads nothing ahead.
 
-The gap walks of a batch run in lockstep (``_walks_lockstep``).  The
-batch's uniforms sit in one (walks x 64) array with a cursor per walk
-(``_UniformBlock``): a row starts with its trial's unread values and is
-refilled from that trial's generator when read to its end, and the unread
-values go back to each ``_Uniforms`` before the last walks finish one at a
-time, so they, the phases and the coupled tail read on from the same
-stream.  Each step gathers one
-uniform per live walk with one fancy index and makes the guess and the one
-survival evaluation for all of them in numpy.  numpy's log1p and expm1 may
-differ from math's in the last bit, so a walk moves only when the numpy
-value clears the certificate by its slack on both sides; any other draw
-goes to the scalar step with the same uniform, and walks left with too few
-others finish one at a time, as do batches of fewer than ``_MIN_LANES`` =
-80 walks (a driver's chunk is its call's trials over its jobs, so only
-calls of fewer than 80 trials per job are that narrow).  Every position is
-the scalar walk's by construction.  Few draws fall back: about one in a
-thousand at theta <= 2, one in a hundred over theta up to 50.  The walk
-returns flat (trial, position) arrays, from which ``draw_batch`` builds the
-words and the coupled words by index arithmetic, with no array per walk.
+The gap walks of a batch run in lockstep (``_walks_lockstep``).  Each step
+takes one uniform per live walk from the store with one fancy index and
+makes the guess and the one survival evaluation for all of them in numpy.
+numpy's log1p and expm1 may differ from math's in the last bit, so a walk
+moves only when the numpy value clears the certificate by its slack on
+both sides; any other draw goes to the scalar step with the same uniform,
+and walks left with too few others finish one at a time on the same
+store rows, as do batches of fewer than ``_MIN_LANES`` = 80 walks (a
+driver's chunk is its call's trials over its jobs, so only calls of fewer
+than 80 trials per job are that narrow).  Every position is the scalar
+walk's by construction.  Few draws fall back: about one in a thousand at
+theta <= 2, one in a hundred over theta up to 50.  The walk returns flat
+(trial, position) arrays, from which ``draw_batch`` builds the words and
+the coupled words by index arithmetic, with no array per walk.
 """
 
 from __future__ import annotations
@@ -220,11 +219,8 @@ _SERIES_TERMS = 20
 #: slack of the neighbour certificate, relative to 1 + |log U|
 _CERTIFICATE_SLACK = 2.0**-30
 
-#: uniforms a trial's source reads from its generator at a time
+#: uniforms the batch store reads from a trial's generator at a time
 _BLOCK = 64
-
-#: the values of a source that has read none
-_NO_VALUES = np.empty(0)
 
 #: a call with fewer walks than this steps them one trial at a time: below
 #: it the numpy steps cost more than the scalar draws they replace (whole-call
@@ -339,13 +335,12 @@ def _log_gap_survival(k: int, t: int, theta: float, constants=None) -> float:
     return total
 
 
-def _next_one_position(k: int, limit: int, theta: float, rng, constants=None, u=None):
+def _next_one_position(k: int, limit: int, theta: float, u: float, constants=None):
     """Position of the first 1 after position k, or None if it lies beyond limit.
 
     The gap T satisfies P(T > t) = S(t) = prod_{i=1..t} (k+i-1)/(theta+k+i-1),
-    so T = min{t : S(t) < U} for one uniform U = 1 - u in (0, 1], with u the
-    one value read from ``rng`` (a generator or a ``_Uniforms``), or the
-    ``u`` given, which reads nothing.  Since
+    so T = min{t : S(t) < U} for the uniform U = 1 - u in (0, 1], with u in
+    [0, 1) the draw's one value from the trial's generator.  Since
     log S(t) = -theta log1p(t/k) + c_1/k (1 - k/(k+t)) + O(k^-2), the guess
     g = k expm1(-log U / theta), corrected once by the c_1/k term, is almost
     always T itself, and one evaluation settles it: if S(g) < U, the exact
@@ -361,7 +356,7 @@ def _next_one_position(k: int, limit: int, theta: float, rng, constants=None, u=
     horizon = limit - k
     if horizon <= 0:
         return None
-    log_u = math.log(1.0 - (rng.random() if u is None else u))  # uniform in (0, 1]
+    log_u = math.log(1.0 - u)  # uniform in (0, 1]
     constants = constants or _survival_constants(theta)
     lead = -log_u / theta
     lead -= (theta - 1.0) / (2.0 * k) * math.expm1(-lead)
@@ -399,14 +394,6 @@ def _next_one_position(k: int, limit: int, theta: float, rng, constants=None, u=
         else:
             lo = mid
     return k + hi
-
-
-def _ones_after(pos: int, limit: int, theta: float, rng) -> list[int]:
-    """Positions of the ones in (pos, limit], jumping from one to the next."""
-    ones, constants = [], _survival_constants(theta)
-    while (pos := _next_one_position(pos, limit, theta, rng, constants)) is not None:
-        ones.append(pos)
-    return ones
 
 
 def _log_gap_survivals(k: np.ndarray, t: np.ndarray, theta: float, constants) -> np.ndarray:
@@ -456,40 +443,39 @@ def _log_gap_survivals(k: np.ndarray, t: np.ndarray, theta: float, constants) ->
     return out
 
 
-def _walks_lockstep(starts, limit: int, theta: float, sources):
-    """The ones of ``_ones_after(s, limit, theta, src)`` for every pair of
-    ``starts`` and ``sources`` (``_Uniforms``), all walks stepped together.
+def _walks_lockstep(starts, limit: int, theta: float, uniforms: _Uniforms):
+    """The ones in (s, limit] of the walk from each of ``starts``, walk i
+    reading row i of ``uniforms``, all walks stepped together.
 
     Returns flat arrays (walk, position), sorted by walk with each walk's
     positions ascending, and the number of ones of each walk.
 
-    Each step takes one uniform per live walk from the batch's
-    ``_UniformBlock`` (one fancy index), and makes ``_next_one_position``'s
-    guess g and one survival evaluation for all of them in numpy.  A walk
-    moves to k + g only when the evaluation clears both sides of the scalar
-    certificate by the margin m = _CERTIFICATE_SLACK (1 + |log U|):
-    log S(g) < log U - m, and log S(g-1) = log S(g) + log1p(theta/(k+g-1))
-    >= log U + 2m (or g = 1); it stops only when g is the horizon and
-    log S(g) >= log U + m.  The margin dwarfs the few ulps by which numpy's
-    values may differ from math's, so the scalar call would certify the same
-    outcome.  Every other draw goes to ``_next_one_position`` with the same
-    uniform.  Once fewer than ``_MIN_LIVE`` walks are live, the block hands
-    its unread values back to the sources and those walks finish in
-    ``_ones_after``, as all do when fewer than ``_MIN_LANES`` are given:
-    each position is the scalar walk's by construction, and every source
-    reads on from where its walk stopped.
+    Each step takes one uniform per live walk (``uniforms.take``) and makes
+    ``_next_one_position``'s guess g and one survival evaluation for all of
+    them in numpy.  A walk moves to k + g only when the evaluation clears
+    both sides of the scalar certificate by the margin
+    m = _CERTIFICATE_SLACK (1 + |log U|): log S(g) < log U - m, and
+    log S(g-1) = log S(g) + log1p(theta/(k+g-1)) >= log U + 2m (or g = 1);
+    it stops only when g is the horizon and log S(g) >= log U + m.  The
+    margin dwarfs the few ulps by which numpy's values may differ from
+    math's, so the scalar call would certify the same outcome.  Every other
+    draw goes to ``_next_one_position`` with the same uniform.  Once fewer
+    than ``_MIN_LIVE`` walks are live, those walks finish one draw at a
+    time (``uniforms.next``), as all do when fewer than ``_MIN_LANES`` are
+    given: each position is the scalar walk's by construction, and each
+    walk reads one uniform per draw from its own row.
     """
     walks = len(starts)
     lanes, k = np.arange(walks), np.array(starts, dtype=np.int64)
     found_lanes, found = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    constants = _survival_constants(theta)
     if walks >= _MIN_LANES:
-        constants, block = _survival_constants(theta), _UniformBlock(sources)
         while True:
             live = k < limit
             lanes, k = lanes[live], k[live]
             if len(lanes) < _MIN_LIVE:
                 break
-            u = block.take(lanes)
+            u = uniforms.take(lanes)
             log_u, horizon, kf = np.log(1.0 - u), limit - k, k.astype(np.float64)
             lead = -log_u / theta
             lead -= (theta - 1.0) / (2.0 * kf) * np.expm1(-lead)
@@ -503,13 +489,17 @@ def _walks_lockstep(starts, limit: int, theta: float, sources):
             beyond = (guess == horizon) & (log_s >= log_u + margin)
             k = np.where(hit, k + guess, np.where(beyond, limit, k))
             for j in np.flatnonzero(~(hit | beyond)).tolist():
-                pos = _next_one_position(int(k[j]), limit, theta, None, constants, u=float(u[j]))
+                pos = _next_one_position(int(k[j]), limit, theta, float(u[j]), constants)
                 k[j], hit[j] = (limit, False) if pos is None else (pos, True)
             found_lanes.append(lanes[hit])
             found.append(k[hit])
-        block.hand_back()
     for lane, pos in zip(lanes.tolist(), k.tolist()):
-        rest = _ones_after(pos, limit, theta, sources[lane])
+        rest = []
+        while pos < limit:
+            pos = _next_one_position(pos, limit, theta, uniforms.next(lane), constants)
+            if pos is None:
+                break
+            rest.append(pos)
         found_lanes.append(np.full(len(rest), lane))
         found.append(np.array(rest, dtype=np.int64))
     lanes, found = np.concatenate(found_lanes), np.concatenate(found)
@@ -518,92 +508,54 @@ def _walks_lockstep(starts, limit: int, theta: float, sources):
 
 
 class _Uniforms:
-    """A generator's ``random``, read from it ``block`` <= ``_BLOCK``
-    uniforms at a time.
+    """The uniforms of a batch's gap draws: row t reads trial t's generator
+    ``block`` values at a time (64, or 1 to read nothing ahead).
 
-    ``random()`` and ``random(m)`` return, in order, exactly what the
-    generator's own would: numpy's ``random(m)`` is m single draws.  Only
-    the generator's position runs ahead of the values handed out, by at most
-    block - 1; with block = 1 it reads nothing ahead, for callers that keep
-    drawing from the generator afterwards.  The values read ahead and not
-    yet handed out are ``_values[_next:]``.  A lockstep walk takes them into
-    a ``_UniformBlock`` and hands back what it has not used as a view of its
-    row, so the stream is the same either way.
+    Each row holds up to ``block`` values read ahead, and a cursor to the
+    first unread one; a row read to its end is refilled from its own
+    generator.  ``take``, ``next`` and ``run`` hand out a row's values in
+    order, and then its generator's next ones: exactly what the generator's
+    own ``random`` would return, since numpy's ``random(m)`` is m single
+    draws.  The generator stands up to block - 1 values past the last one
+    handed out.
     """
 
-    __slots__ = ("_rng", "_block", "_values", "_next")
+    __slots__ = ("_rngs", "_block", "_values", "_rows", "_cursor")
 
-    def __init__(self, rng: np.random.Generator, block: int = _BLOCK):
-        if not 1 <= block <= _BLOCK:
-            raise ValueError(f"block must be in 1..{_BLOCK}, got {block}")
-        self._rng, self._block = rng, block
-        self._values, self._next = _NO_VALUES, 0
-
-    def random(self, size: Optional[int] = None):
-        if size is not None:
-            return self._take(size)
-        if self._next == len(self._values):
-            if self._block == 1:
-                return self._rng.random()
-            self._values, self._next = self._rng.random(self._block), 0
-        self._next += 1
-        return self._values.item(self._next - 1)
-
-    def _take(self, m: int) -> np.ndarray:
-        rest = self._values[self._next : self._next + m]
-        self._next += len(rest)
-        if not len(rest):
-            return self._rng.random(m)
-        if len(rest) == m:
-            return rest.copy()
-        return np.concatenate([rest, self._rng.random(m - len(rest))])
-
-
-class _UniformBlock:
-    """The unread uniforms of a batch of ``_Uniforms``, one row of
-    ``_BLOCK`` floats and one cursor per source.
-
-    A row starts with its source's unread values.  A row read to its end is
-    refilled from that source's generator, ``block`` values at a time, as the
-    source itself would read them, so a ``_Uniforms(rng, block=1)`` still
-    reads nothing ahead.  ``hand_back`` gives each source its row, read up
-    to its cursor, after which the source reads on from the same stream.
-    """
-
-    __slots__ = ("_sources", "_values", "_rows", "_sizes", "_cursor", "_filled")
-
-    def __init__(self, sources):
-        self._sources, self._values = sources, np.empty((len(sources), _BLOCK))
+    def __init__(self, rngs: list[np.random.Generator], block: int = _BLOCK):
+        self._rngs, self._block = rngs, block
+        self._values = np.empty((len(rngs), block))
         self._rows = list(self._values)  # one view per row
-        filled = []
-        for row, source in zip(self._rows, sources):
-            rest = source._values[source._next :]
-            if len(rest):
-                row[: len(rest)] = rest
-            filled.append(len(rest))
-        self._sizes = np.array([source._block for source in sources], dtype=np.int64)
-        self._cursor = np.zeros(len(sources), dtype=np.int64)
-        self._filled = np.array(filled, dtype=np.int64)
+        self._cursor = np.full(len(rngs), block, dtype=np.int64)  # every row read to its end
 
     def take(self, rows: np.ndarray) -> np.ndarray:
         """The next uniform of each of ``rows`` (distinct)."""
         at = self._cursor[rows]
-        empty = np.flatnonzero(at == self._filled[rows])
+        empty = np.flatnonzero(at == self._block)
         if len(empty):
-            refill = rows[empty]
-            for row in refill.tolist():
-                source = self._sources[row]
-                source._rng.random(out=self._rows[row][: source._block])
-            self._filled[refill] = self._sizes[refill]
+            for row in rows[empty].tolist():
+                self._rngs[row].random(out=self._rows[row])
             at[empty] = 0
         self._cursor[rows] = at + 1
         return self._values[rows, at]
 
-    def hand_back(self) -> None:
-        for source, row, at, end in zip(
-            self._sources, self._rows, self._cursor.tolist(), self._filled.tolist()
-        ):
-            source._values, source._next = row[:end], at
+    def next(self, row: int) -> float:
+        """The next uniform of ``row``."""
+        at = self._cursor.item(row)
+        if at == self._block:
+            self._rngs[row].random(out=self._rows[row])
+            at = 0
+        self._cursor[row] = at + 1
+        return self._values.item(row, at)
+
+    def run(self, row: int, m: int) -> np.ndarray:
+        """The next m uniforms of ``row``: its unread values, then its generator's."""
+        at = self._cursor.item(row)
+        rest = self._rows[row][at : at + m]
+        self._cursor[row] = at + len(rest)
+        if len(rest) == m:
+            return rest.copy()  # the row is refilled in place later
+        return np.concatenate([rest, self._rngs[row].random(m - len(rest))])
 
 
 def _sparse_route(n: int, theta: float) -> bool:
@@ -652,8 +604,8 @@ def _sorted_lengths(n: int, ones: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 
 def draw_batch(
-    n: int, theta: float, rngs: Iterable[np.random.Generator | _Uniforms], phases: bool = False,
-    horizon: Optional[int] = None,
+    n: int, theta: float, rngs: Iterable[np.random.Generator], phases: bool = False,
+    horizon: Optional[int] = None, block: int = _BLOCK,
 ) -> TrialBatch:
     """One trial per generator: draw every trial's word, then, if ``phases``,
     one uniform phase per cycle, or, given a ``horizon``, the coupled word's
@@ -664,32 +616,36 @@ def draw_batch(
     (the last one <= n, then the tail) by index arithmetic; lengths, their
     sort and the tails' spacings are computed for the whole batch.
 
-    A trial that makes gap draws (a sparse word or a coupled tail) reads
-    its generator through a ``_Uniforms``, in blocks, so the generator ends
-    up to 63 uniforms past the trial's last draw; a ``_Uniforms(rng,
-    block=1)`` given in its place reads nothing ahead.
+    A batch that makes gap draws (sparse words or coupled tails) reads them,
+    and the phases after a sparse word, through one ``_Uniforms`` store of
+    ``block`` values per trial, so each generator ends up to block - 1
+    uniforms past its trial's last draw; ``block=1`` reads nothing ahead.
+    Dense words are drawn bit by bit, so n above ``cesaro.TABLE_SIZE_LIMIT``
+    is refused on that route before anything of length n is allocated.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    sources, sparse = list(rngs), _sparse_route(n, theta)
-    if sparse or horizon is not None:
-        sources = [s if isinstance(s, _Uniforms) else _Uniforms(s) for s in sources]
-    trials = len(sources)
+    rngs, sparse = list(rngs), _sparse_route(n, theta)
+    trials = len(rngs)
+    uniforms = _Uniforms(rngs, block) if sparse or horizon is not None else None
     if sparse:
-        walk, positions, counts = _walks_lockstep([1] * trials, n, theta, sources)
+        walk, positions, counts = _walks_lockstep([1] * trials, n, theta, uniforms)
         ones, _ = _lead_words(np.ones(trials, dtype=np.int64), walk, positions, counts)
         starts = _starts(counts + 1)
     else:
+        check_table_size(n, "a dense word (17-25 bytes per element)")
         thresholds, words = _dense_thresholds(n, theta), []
-        for source in sources:
-            hits = source.random(n) < thresholds
+        for rng in rngs:  # before any gap draw, so no row of the store has read ahead
+            hits = rng.random(n) < thresholds
             hits[0] = True
             words.append(hits.nonzero()[0] + 1)
         ones, starts = np.concatenate(words), _starts([len(w) for w in words])
     phase_draws = None
     if phases:
+        sizes = np.diff(starts).tolist()
         phase_draws = np.concatenate(
-            [s.random(m) for s, m in zip(sources, np.diff(starts).tolist())]
+            [rng.random(m) for rng, m in zip(rngs, sizes)] if uniforms is None
+            else [uniforms.run(t, m) for t, m in enumerate(sizes)]
         )
     lengths = _sorted_lengths(n, ones, starts)
     batch = TrialBatch(n, lengths, phase_draws, starts)
@@ -697,7 +653,7 @@ def draw_batch(
     if bad_phase or (np.add.reduceat(lengths, starts[:-1]) != n).any():
         raise ValueError("cycle lengths must sum to n and phases lie in [0, 1)")
     if horizon is not None:
-        walk, positions, counts = _walks_lockstep([n] * trials, horizon, theta, sources)
+        walk, positions, counts = _walks_lockstep([n] * trials, horizon, theta, uniforms)
         last = ones[starts[1:] - 1]  # each trial's last one <= n
         # the coupled words: each trial's last one <= n, then its tail
         word, at = _lead_words(last, walk, positions, counts)
@@ -713,7 +669,7 @@ def sample_cycle_counts(
 ) -> CycleCounts:
     """Draw the cycle type of an Ewens(theta) n-permutation; ``rng`` is left
     just past the uniforms the draw used."""
-    return draw_batch(n, params.theta, [_Uniforms(rng, block=1)]).cycle_counts(0)
+    return draw_batch(n, params.theta, [rng], block=1).cycle_counts(0)
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +745,7 @@ def sample_coupled(
     continues from position n regardless of xi_n itself.
     """
     horizon, tail_bound = coupling_horizon(n, params.theta, epsilon_tail)
-    batch = draw_batch(n, params.theta, [_Uniforms(rng, block=1)], horizon=horizon)
+    batch = draw_batch(n, params.theta, [rng], horizon=horizon, block=1)
     counts = batch.cycle_counts(0)
     poisson = counts.as_array() + np.bincount(batch.tail, minlength=n + 1)[1:]
     poisson[batch.closing[0] - 1] -= 1  # W = a - e_L + T

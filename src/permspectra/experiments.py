@@ -495,6 +495,8 @@ def run_spacings(
     if not n_schedule or trials < 1:
         raise ValueError(f"need a size and trials >= 1, got {n_schedule}, {trials}")
     for n in n_schedule:  # before any sampling: a trial with no empty J-cell sorts all n angles
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
         check_table_size(n, "the sorted angles of a trial (32-48 bytes per element)")
     rows = []
     for idx, n in enumerate(n_schedule):

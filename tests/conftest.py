@@ -21,7 +21,8 @@ O(n) closed form, is an oracle here, as are the one-period means of
 {j p/q}, {j p/q}^2 and {j p/q}{j r/s} (``period_means``, ``s3_period_mean``)
 and the affine pair mean as an integral (``affine_s3_mean``), with the
 arcs those constants describe (``declared_arc``), and so are the one-trial sparse word
-(``ones_positions_sparse``), the one-trial coupled word (``reference_trial``)
+(``ones_positions_sparse``, from the scalar walk ``ones_after``), the
+one-trial coupled word (``reference_trial``)
 and the modified count over [alpha, beta) (``count_arc_mod_left``).
 The gap walk's per-theta constants are checked against their Fraction
 form (``survival_constants_fractions``, from the Bernoulli recurrence),
@@ -49,18 +50,32 @@ from permspectra import (
     count_arc_perm,
     psi_values,
 )
+from permspectra import ewens
 from permspectra.cesaro import _NEAR_ONE
 from permspectra.ewens import (
-    _SERIES_TERMS, _TABLE_SIZE, _dense_thresholds, _ones_after, _sorted_lengths, _sparse_route,
+    _SERIES_TERMS, _TABLE_SIZE, _dense_thresholds, _sorted_lengths, _sparse_route,
 )
 from permspectra.spacings import _mod_angles
 from permspectra.spectral import ModifiedSpectrum, frac_parts
 
 
+def ones_after(pos: int, limit: int, theta: float, rng) -> list[int]:
+    """Positions of the ones in (pos, limit], jumping from one to the next
+    with one ``rng.random()`` per draw: the scalar walk, one trial on its own.
+    The step is looked up on the module, so a test can count its calls."""
+    ones, constants = [], ewens._survival_constants(theta)
+    while pos < limit:
+        pos = ewens._next_one_position(pos, limit, theta, rng.random(), constants)
+        if pos is None:
+            break
+        ones.append(pos)
+    return ones
+
+
 def ones_positions_sparse(n: int, theta: float, rng) -> np.ndarray:
     """Positions of ones in (xi_1, ..., xi_n) sampled by gap skipping, one
     trial on its own."""
-    return np.asarray([1, *_ones_after(1, n, theta, rng)], dtype=np.int64)
+    return np.asarray([1, *ones_after(1, n, theta, rng)], dtype=np.int64)
 
 
 def reference_trial(n, theta, rng, phases, horizon):
@@ -73,7 +88,7 @@ def reference_trial(n, theta, rng, phases, horizon):
         hits[0] = True
         ones = np.flatnonzero(hits) + 1
     phase = rng.random(len(ones)) if phases else None
-    tail = _ones_after(n, horizon, theta, rng) if horizon else []
+    tail = ones_after(n, horizon, theta, rng) if horizon else []
     return ones, phase, np.array(tail, dtype=np.int64)
 
 

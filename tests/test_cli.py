@@ -433,6 +433,25 @@ class TestCliContract:
             1, "", f"error: {message}\n"
         )
 
+    def test_dense_sample_beyond_the_table_limit_refused(self, capsys, monkeypatch):
+        # a dense word holds several arrays of n; a walked one holds only its ones
+        monkeypatch.setattr("permspectra.cesaro.TABLE_SIZE_LIMIT", 20_000)
+        message = "n = 20001 exceeds the size limit 20000 of a dense word (17-25 bytes per element)"
+        argv = ("sample", "--n", "20001", "--theta", "1e6", "--seed", "1", "--trials", "1")
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+        out = run_json(capsys, "sample", "--n", "100000", "--seed", "1", "--trials", "1")
+        assert sum(int(j) * a for j, a in out["results"]["trials"][0]["cycle_counts"].items()) == (
+            100_000
+        )
+
+    def test_spacings_size_below_one_refused_before_any_trial(self, capsys, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("sampled before the size check")
+
+        monkeypatch.setattr("permspectra.experiments.draw_batch", no_draws)
+        argv = ("spacings", "--n-list", "5,-3", "--seed", "1", "--trials", "2")
+        assert run_cli(capsys, *argv) == (1, "", "error: n must be >= 1, got -3\n")
+
     @pytest.mark.parametrize("argv", [
         ["exact-moments", "--n", "6000", "--alpha", f"rat:1/{2**60}", "--beta", "rat:1/4",
          "--model", "mod"],

@@ -19,6 +19,7 @@ from conftest import (
     expected_total_cycles,
     feller_type_counts,
     iter_cycle_types,
+    ones_after,
     ones_positions_sparse,
     cycle_number_pmf,
     longest_cycle_bins,
@@ -46,7 +47,6 @@ from permspectra.ewens import (
     _Uniforms,
     _log_gap_survival,
     _next_one_position,
-    _ones_after,
     _sparse_route,
     _walks_lockstep,
     draw_batch,
@@ -241,6 +241,18 @@ class TestSparseLaw:
         observed = np.bincount(np.searchsorted(edges, longest) - 1, minlength=len(cells))
         assert pooled_chisquare_pvalue(observed, cells) > 1e-3
 
+    @pytest.mark.parametrize("chunk", [1000, 50])
+    def test_share_of_words_with_a_one_at_n(self, chunk):
+        # the walk's last position: P(one at n) = theta/(theta+n-1), seen as
+        # a closing cycle of length 1, on lockstep chunks and (below
+        # _MIN_LANES) scalar ones
+        n, theta, ends = 20, 5.0, 0
+        with mock.patch.object(ewens, "_sparse_route", lambda n, theta: True):
+            for lo in range(0, LAW_TRIALS, chunk):
+                batch = draw_batch(n, theta, trial_rngs(52, lo, lo + chunk), horizon=2 * n)
+                ends += int((batch.closing == 1).sum())
+        p = theta / (theta + n - 1)
+        assert abs(ends / LAW_TRIALS - p) < 4 * math.sqrt(p * (1 - p) / LAW_TRIALS)
 
     @pytest.mark.parametrize("n", [10**4, 10**6])
     @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
@@ -250,8 +262,8 @@ class TestSparseLaw:
         # standardised by its exact mean and variance, make one chi-square
         # over 38-39 log-spaced windows of (1, n], which sees the gap law at
         # every scale where K and L see only sums of it
-        sources = [_Uniforms(g) for g in trial_rngs(51, 0, LAW_TRIALS)]
-        _, positions, _ = _walks_lockstep([1] * LAW_TRIALS, n, theta, sources)
+        uniforms = _Uniforms(list(trial_rngs(51, 0, LAW_TRIALS)))
+        _, positions, _ = _walks_lockstep([1] * LAW_TRIALS, n, theta, uniforms)
         edges = np.unique(np.geomspace(2, n + 1, 41).astype(np.int64))  # windows [e_i, e_i+1)
         observed = np.bincount(np.searchsorted(edges, positions, side="right") - 1,
                                minlength=len(edges) - 1)
@@ -344,23 +356,23 @@ class TestSurvivalConstants:
             assert math.isnan(table[0])
 
 
-class FixedUniform:
-    """Stand-in generator whose random() returns a chosen value, counting calls."""
+class ForcedGenerator:
+    """Stand-in generator that fills every row a store refills with one value."""
 
     def __init__(self, value: float):
-        self.value, self.calls = value, 0
+        self.value = value
 
-    def random(self) -> float:
-        self.calls += 1
-        return self.value
+    def random(self, *, out: np.ndarray) -> np.ndarray:
+        out.fill(self.value)
+        return out
 
 
-def bisected_position(k: int, limit: int, theta: float, rng):
+def bisected_position(k: int, limit: int, theta: float, u: float):
     """The first 1 after k by plain bisection over the same survival function."""
     hi = limit - k
     if hi <= 0:
         return None
-    log_u = math.log(1.0 - rng.random())
+    log_u = math.log(1.0 - u)
     if _log_gap_survival(k, hi, theta) >= log_u:
         return None
     lo = 0
@@ -382,21 +394,40 @@ class TestGapInversion:
             k = max(1, int(10 ** grid.uniform(0, 9)))
             gap = 1 if case % 10 == 0 else int(10 ** grid.uniform(0, 10))
             draw = grid.choice([0.0, 1 - 2.0**-53, grid.random(), grid.random() ** 8])
-            got = _next_one_position(k, k + gap, theta, FixedUniform(draw))
-            assert got == bisected_position(k, k + gap, theta, FixedUniform(draw))
+            got = _next_one_position(k, k + gap, theta, draw)
+            assert got == bisected_position(k, k + gap, theta, draw)
             outcomes.add("beyond" if got is None else "hi=1" if gap == 1 else "inside")
         assert outcomes == {"beyond", "hi=1", "inside"}
 
     def test_one_uniform_per_call(self):
+        # a walk reads one uniform per draw: one per one, and one more for
+        # the draw beyond the limit unless its last one is the limit
         for seed, (k, limit, theta) in enumerate(
             [(1, 10**6, 0.5), (70_000, 10**6, 2.0), (10**6, 10**6 + 1, 1.0), (5, 5, 1.0),
              (3, 2**40, 50.0), (10**9, 2**40, 0.3)]
         ):
             rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-            _next_one_position(k, limit, theta, rng)
-            if limit > k:
-                twin.random()
+            walk = walk_lists(_walks_lockstep([k], limit, theta, _Uniforms([rng], block=1)))[0]
+            twin.random(len(walk) + (k < limit and (not walk or walk[-1] < limit)))
             assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 5.0])
+    @pytest.mark.parametrize("k, limit", [(1, 20), (19, 20), (50_000, 2**20), (999_963, 10**6)])
+    def test_the_last_position_is_reached(self, theta, k, limit):
+        # U strictly between S(limit - k) and S(limit - k - 1) puts the one
+        # at the limit: the scalar step, a narrow walk (its scalar finish)
+        # and a lockstep batch of such draws must all place it there
+        h = limit - k
+        below = _log_gap_survival(k, h, theta)  # log S(h)
+        above = _log_gap_survival(k, h - 1, theta) if h > 1 else 0.0  # log S(h - 1)
+        for share in (0.01, 0.5, 0.99):
+            u = -math.expm1(below + share * (above - below))
+            assert below < math.log(1.0 - u) < above
+            assert _next_one_position(k, limit, theta, u) == limit
+            for walks in (1, ewens._MIN_LANES):
+                uniforms = _Uniforms([ForcedGenerator(u)] * walks)
+                walked = walk_lists(_walks_lockstep([k] * walks, limit, theta, uniforms))
+                assert walked == [[limit]] * walks
 
 
 def count_survival_evaluations(monkeypatch) -> dict:
@@ -429,7 +460,7 @@ SPARSE_CASES = [(theta, start, limit) for theta in (0.3, 0.5, 1.0, 2.0, 7.0, 50.
 def sparse_mix():
     """Ten walks of each sparse case, walk i drawn from default_rng(i)."""
     return [
-        _ones_after(start, limit, theta, np.random.default_rng(seed))
+        ones_after(start, limit, theta, np.random.default_rng(seed))
         for seed, (theta, start, limit) in enumerate(SPARSE_CASES * 10)
     ]
 
@@ -441,13 +472,14 @@ def walk_lists(walked) -> list[list[int]]:
     return [walk.tolist() for walk in np.split(positions, np.cumsum(counts)[:-1])]
 
 
-def sparse_mix_lockstep(source=lambda seed: _Uniforms(np.random.default_rng(seed))):
+def sparse_mix_lockstep(generator=np.random.default_rng, block=_BLOCK):
     """``sparse_mix()``, each case's ten walks stepped as one lockstep call;
-    walk i reads ``source(i)``."""
+    walk i reads ``generator(i)`` through a store of ``block`` values a row."""
     walks = {}
     for case, (theta, start, limit) in enumerate(SPARSE_CASES):
         seeds = range(case, 10 * len(SPARSE_CASES), len(SPARSE_CASES))
-        got = _walks_lockstep([start] * 10, limit, theta, [source(seed) for seed in seeds])
+        uniforms = _Uniforms([generator(seed) for seed in seeds], block)
+        got = _walks_lockstep([start] * 10, limit, theta, uniforms)
         walks.update(zip(seeds, walk_lists(got)))
     return [walks[seed] for seed in range(len(walks))]
 
@@ -482,22 +514,6 @@ class CountingGenerator:
         return values
 
 
-def counting_source(counts: dict, made: list):
-    """Seed -> a ``_Uniforms`` over a ``CountingGenerator``, kept in ``made``."""
-
-    def source(seed: int) -> _Uniforms:
-        made.append(_Uniforms(CountingGenerator(seed, counts)))
-        return made[-1]
-
-    return source
-
-
-def handed_out(counts: dict, sources) -> int:
-    """The uniforms the sources handed out: those their generators returned,
-    less those the sources still hold unread (read ahead, or handed back)."""
-    return counts["read"] - sum(len(s._values) - s._next for s in sources)
-
-
 def step_every_lane_in_numpy(monkeypatch):
     """Lockstep calls step every walk in numpy to its end, however few."""
     monkeypatch.setattr(ewens, "_MIN_LANES", 1)
@@ -510,41 +526,41 @@ class TestLockstepWalk:
     @pytest.mark.parametrize("lanes", [1, 3, 150])
     def test_same_walks_as_one_trial_at_a_time(self, monkeypatch, theta, start, limit, lanes):
         step_every_lane_in_numpy(monkeypatch)
-        sources = [_Uniforms(np.random.default_rng(seed)) for seed in range(lanes)]
-        twins = [_Uniforms(np.random.default_rng(seed)) for seed in range(lanes)]
-        got = _walks_lockstep([start] * lanes, limit, theta, sources)
-        assert walk_lists(got) == [_ones_after(start, limit, theta, twin) for twin in twins]
+        uniforms = _Uniforms([np.random.default_rng(seed) for seed in range(lanes)])
+        twins = [np.random.default_rng(seed) for seed in range(lanes)]
+        got = _walks_lockstep([start] * lanes, limit, theta, uniforms)
+        assert walk_lists(got) == [ones_after(start, limit, theta, twin) for twin in twins]
         # one uniform per draw, as the scalar walk reads
-        assert [s.random() for s in sources] == [t.random() for t in twins]
+        assert [uniforms.next(lane) for lane in range(lanes)] == [t.random() for t in twins]
 
     def test_sparse_mix_unchanged_and_mostly_vectorised(self, monkeypatch):
         # the scalar walk's draws (the fallbacks) are at most a fifth of
-        # all: the numpy step is not dead code
+        # all: the numpy step is not dead code; a store of one value a row
+        # reads exactly the uniforms it hands out
         want = sparse_mix()
         step_every_lane_in_numpy(monkeypatch)
-        counts, made = count_survival_evaluations(monkeypatch), []
+        counts = count_survival_evaluations(monkeypatch)
         counts["read"] = 0
-        assert sparse_mix_lockstep(counting_source(counts, made)) == want
-        uniforms = handed_out(counts, made)
-        assert uniforms > 10_000
-        assert counts["draws"] <= 0.2 * uniforms
+        assert sparse_mix_lockstep(lambda seed: CountingGenerator(seed, counts), 1) == want
+        assert counts["read"] > 10_000
+        assert counts["draws"] <= 0.2 * counts["read"]
 
     @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
     def test_numpy_steps_from_the_batch_threshold_on(self, monkeypatch, theta):
         # at the shipped thresholds a batch of _MIN_LANES walks takes almost
         # every draw in numpy; one walk fewer makes no numpy step at all
         lanes = ewens._MIN_LANES
-        want = [_ones_after(1, 10**6, theta, np.random.default_rng(seed)) for seed in range(lanes)]
-        counts, sources = count_survival_evaluations(monkeypatch), []
+        want = [ones_after(1, 10**6, theta, np.random.default_rng(seed)) for seed in range(lanes)]
+        counts = count_survival_evaluations(monkeypatch)
         counts["read"] = 0
-        source = counting_source(counts, sources)
-        walked = _walks_lockstep([1] * lanes, 10**6, theta, [source(seed) for seed in range(lanes)])
+        uniforms = _Uniforms([CountingGenerator(seed, counts) for seed in range(lanes)], block=1)
+        walked = _walks_lockstep([1] * lanes, 10**6, theta, uniforms)
         assert walk_lists(walked) == want
-        assert counts["draws"] <= 0.2 * handed_out(counts, sources)
+        assert counts["draws"] <= 0.2 * counts["read"]
         monkeypatch.setattr(ewens, "_log_gap_survivals", None)
-        monkeypatch.setattr(ewens, "_UniformBlock", None)
-        sources = [_Uniforms(np.random.default_rng(seed)) for seed in range(lanes - 1)]
-        narrow = _walks_lockstep([1] * (lanes - 1), 10**6, theta, sources)
+        monkeypatch.setattr(_Uniforms, "take", None)
+        uniforms = _Uniforms([np.random.default_rng(seed) for seed in range(lanes - 1)])
+        narrow = _walks_lockstep([1] * (lanes - 1), 10**6, theta, uniforms)
         assert walk_lists(narrow) == want[:-1]
 
     def test_positions_unchanged_when_every_draw_falls_back(self, monkeypatch):
@@ -576,66 +592,114 @@ class TestLockstepWalk:
             assert value == pytest.approx(want, rel=1e-13, abs=0)
 
 
-HAND_BACK_CASES = [(0.5, 1, 10**6), (2.0, 1000, 2**20)]
+STORE_CASES = [(0.5, 1, 10**6), (2.0, 1000, 2**20)]
 
 
-class TestHandBack:
-    """A lockstep walk reads its uniforms through one ``_UniformBlock`` and
-    hands the unread ones back: each source then reads on from its stream."""
-
-    @pytest.mark.parametrize("theta, start, limit", HAND_BACK_CASES)
-    @pytest.mark.parametrize("used", [0, 5, _BLOCK - 1])
-    def test_sources_read_on_from_the_twin_stream(self, theta, start, limit, used):
-        # ``used`` uniforms read before the walk leave a block partly unread,
-        # as a sparse word's phases do before its coupled tail
-        lanes = ewens._MIN_LANES + 20
-        sources = [_Uniforms(np.random.default_rng(seed)) for seed in range(lanes)]
-        twins = [np.random.default_rng(seed) for seed in range(lanes)]
-        for source, twin in zip(sources, twins):
-            assert [source.random() for _ in range(used)] == [twin.random() for _ in range(used)]
-        walks = walk_lists(_walks_lockstep([start] * lanes, limit, theta, sources))
-        for walk, source, twin in zip(walks, sources, twins):
-            assert walk == _ones_after(start, limit, theta, twin)
-            assert source.random(_BLOCK + 6).tolist() == twin.random(_BLOCK + 6).tolist()
-            assert source.random() == twin.random()
-
-    @pytest.mark.parametrize("theta, start, limit", HAND_BACK_CASES)
-    def test_unbuffered_sources_leave_their_generators_in_step(self, theta, start, limit):
-        lanes = ewens._MIN_LANES + 20
-        rngs = [np.random.default_rng(seed) for seed in range(lanes)]
-        twins = [np.random.default_rng(seed) for seed in range(lanes)]
-        sources = [_Uniforms(rng, block=1) for rng in rngs]
-        walks = walk_lists(_walks_lockstep([start] * lanes, limit, theta, sources))
-        for walk, rng, twin in zip(walks, rngs, twins):
-            assert walk == _ones_after(start, limit, theta, twin)
-            assert rng.bit_generator.state == twin.bit_generator.state
+def interleaved_reads(uniforms, rows: int, seed: int) -> list:
+    """A fixed random mix of ``take``, ``next`` and ``run`` over ``rows``
+    rows of a store, each read as the list of values it handed out."""
+    grid, reads = random.Random(seed), []
+    for _ in range(400):
+        op = grid.choice(["take", "next", "run"])
+        if op == "take":
+            lanes = np.array(sorted(grid.sample(range(rows), grid.randint(1, rows))))
+            reads.append((op, lanes.tolist(), uniforms.take(lanes).tolist()))
+        elif op == "next":
+            row = grid.randrange(rows)
+            reads.append((op, row, [uniforms.next(row)]))
+        else:
+            row, m = grid.randrange(rows), grid.choice([0, 1, 5, 63, 64, 65, 200])
+            taken = uniforms.run(row, m)
+            assert taken.dtype == np.float64
+            reads.append((op, row, taken.tolist()))
+    return reads
 
 
-class TestUniformSource:
-    def test_single_draws_across_block_boundaries(self):
-        source, twin = _Uniforms(np.random.default_rng(11)), np.random.default_rng(11)
-        got = [source.random() for _ in range(3 * _BLOCK + 5)]
+class TestUniformStore:
+    """A batch's ``_Uniforms`` hands out, row by row, exactly what each
+    trial's own generator would return, however its reads interleave; at
+    block = 1 it reads nothing ahead."""
+
+    @pytest.mark.parametrize("block", [_BLOCK, 1])
+    def test_interleaved_reads_follow_the_twin_streams(self, block):
+        rows = 6
+        uniforms = _Uniforms([np.random.default_rng(seed) for seed in range(rows)], block)
+        twins = [np.random.default_rng(seed) for seed in range(rows)]
+        for op, row, values in interleaved_reads(uniforms, rows, seed=block):
+            lanes = row if op == "take" else [row] * len(values)
+            assert values == [twins[lane].random() for lane in lanes]
+
+    @pytest.mark.parametrize("block", [_BLOCK, 1])
+    def test_single_draws_across_block_boundaries(self, block):
+        uniforms, twin = _Uniforms([np.random.default_rng(11)], block), np.random.default_rng(11)
+        got = [uniforms.next(0) for _ in range(3 * _BLOCK + 5)]
         assert got == [twin.random() for _ in range(3 * _BLOCK + 5)]
 
     @pytest.mark.parametrize("used, m", [(0, 5), (10, 7), (10, 54), (10, 200), (_BLOCK, 3),
                                          (63, 0), (0, 0)])
-    def test_array_draw_after_partial_consumption(self, used, m):
-        # a trial's phases follow its sparse word from the same block
-        source, twin = _Uniforms(np.random.default_rng(12)), np.random.default_rng(12)
-        head = [source.random() for _ in range(used)]
-        taken = source.random(m)
-        after = source.random()
+    def test_run_after_partial_consumption(self, used, m):
+        # a trial's phases follow its sparse word from the same row
+        uniforms, twin = _Uniforms([np.random.default_rng(12)]), np.random.default_rng(12)
+        head = [uniforms.next(0) for _ in range(used)]
+        taken = uniforms.run(0, m)
+        after = uniforms.next(0)
         assert head == [twin.random() for _ in range(used)]
         assert taken.dtype == np.float64 and taken.tolist() == twin.random(m).tolist()
         assert after == twin.random()
 
-    def test_unbuffered_source_leaves_the_generator_in_step(self):
+    def test_one_value_a_row_leaves_the_generator_in_step(self):
         rng, twin = np.random.default_rng(13), np.random.default_rng(13)
-        source = _Uniforms(rng, block=1)
-        assert [source.random(), *source.random(4).tolist(), source.random()] == (
+        uniforms = _Uniforms([rng], block=1)
+        assert [uniforms.next(0), *uniforms.run(0, 4).tolist(), uniforms.next(0)] == (
             [twin.random(), *twin.random(4).tolist(), twin.random()]
         )
         assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("theta, start, limit", STORE_CASES)
+    @pytest.mark.parametrize("used", [0, 5, _BLOCK - 1])
+    def test_rows_read_on_from_the_twin_stream_after_a_walk(self, theta, start, limit, used):
+        # ``used`` uniforms read before the walk leave a row partly unread,
+        # as a sparse word's phases do before its coupled tail; the walk's
+        # last few walks finish one draw at a time on the same rows
+        lanes = ewens._MIN_LANES + 20
+        uniforms = _Uniforms([np.random.default_rng(seed) for seed in range(lanes)])
+        twins = [np.random.default_rng(seed) for seed in range(lanes)]
+        for lane, twin in enumerate(twins):
+            head = [uniforms.next(lane) for _ in range(used)]
+            assert head == [twin.random() for _ in range(used)]
+        walks = walk_lists(_walks_lockstep([start] * lanes, limit, theta, uniforms))
+        for lane, (walk, twin) in enumerate(zip(walks, twins)):
+            assert walk == ones_after(start, limit, theta, twin)
+            assert uniforms.run(lane, _BLOCK + 6).tolist() == twin.random(_BLOCK + 6).tolist()
+            assert uniforms.next(lane) == twin.random()
+
+    @pytest.mark.parametrize("theta, start, limit", STORE_CASES)
+    def test_one_value_a_row_walk_leaves_the_generators_in_step(self, theta, start, limit):
+        lanes = ewens._MIN_LANES + 20
+        rngs = [np.random.default_rng(seed) for seed in range(lanes)]
+        twins = [np.random.default_rng(seed) for seed in range(lanes)]
+        walks = walk_lists(_walks_lockstep([start] * lanes, limit, theta, _Uniforms(rngs, 1)))
+        for walk, rng, twin in zip(walks, rngs, twins):
+            assert walk == ones_after(start, limit, theta, twin)
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("route", ["sparse", "dense-with-horizon", "sparse-with-horizon"])
+    def test_one_value_a_row_batch_leaves_the_generators_in_step(self, route):
+        # draw_batch(block=1) reads no uniform ahead on any route with gap
+        # draws: each generator stands just past its trial's word, phases
+        # and tail, as one trial drawn from the raw generator leaves it
+        theta, trials = 1.5, ewens._MIN_LANES + 20
+        n = 1000 if route.startswith("dense") else sparse_size(theta)
+        horizon = 4 * n if route.endswith("horizon") else None
+        rngs = list(trial_rngs(24, 0, trials))
+        batch = draw_batch(n, theta, rngs, phases=True, horizon=horizon, block=1)
+        for t, rng in enumerate(rngs):
+            twin = trial_rng(24, t)
+            ones, phase, _ = reference_trial(n, theta, twin, True, horizon)
+            lo, hi = batch.starts[t], batch.starts[t + 1]
+            assert batch.lengths[lo:hi].tolist() == cycle_lengths(ones, n)
+            assert batch.phases[lo:hi].tolist() == phase.tolist()
+            assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def cycle_lengths(ones, n):
