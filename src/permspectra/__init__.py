@@ -63,7 +63,6 @@ from .spacings import (
 from .spectral import (
     Arc,
     CountMoments,
-    ModifiedSpectrum,
     attach_phases,
     count_arc_mod,
     count_arc_perm,

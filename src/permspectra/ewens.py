@@ -156,8 +156,8 @@ class TrialBatch:
     """Cycle structures of consecutive trials at one size n, as flat arrays.
 
     Trial t owns ``lengths[starts[t]:starts[t+1]]`` (ascending when drawn,
-    never empty) and the aligned ``phases``, if drawn; ``starts`` defaults
-    to one trial.  A coupled draw also keeps, per trial, the ``closing``
+    summing to n) and the aligned ``phases`` in [0, 1), if drawn; ``starts``
+    defaults to one trial.  A coupled draw also keeps, per trial, the ``closing``
     length L = n + 1 - (last one <= n), and the ``tail`` spacings of length
     <= n from that one through the horizon, with the trial each belongs to
     (``tail_trial``): the whole word's spacing counts are W = a - e_L + T.
@@ -174,6 +174,13 @@ class TrialBatch:
     def __post_init__(self):
         if self.starts is None:
             self.starts = np.array([0, len(self.lengths)])
+        if self.phases is not None and len(self.phases) != len(self.lengths):
+            raise ValueError("one phase per cycle required")
+        if self.phases is not None and not ((self.phases >= 0) & (self.phases < 1)).all():
+            raise ValueError("phases must lie in [0, 1)")
+        empty = (np.diff(self.starts) < 1).any()  # reduceat would read its neighbour
+        if empty or (np.add.reduceat(self.lengths, self.starts[:-1]) != self.n).any():
+            raise ValueError("each trial's cycle lengths must sum to n")
 
     @property
     def trials(self) -> int:
@@ -649,9 +656,6 @@ def draw_batch(
         )
     lengths = _sorted_lengths(n, ones, starts)
     batch = TrialBatch(n, lengths, phase_draws, starts)
-    bad_phase = phases and ((phase_draws < 0) | (phase_draws >= 1)).any()
-    if bad_phase or (np.add.reduceat(lengths, starts[:-1]) != n).any():
-        raise ValueError("cycle lengths must sum to n and phases lie in [0, 1)")
     if horizon is not None:
         walk, positions, counts = _walks_lockstep([n] * trials, horizon, theta, uniforms)
         last = ones[starts[1:] - 1]  # each trial's last one <= n

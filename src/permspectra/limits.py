@@ -348,6 +348,15 @@ class CovarianceMatrix:
             raise ValueError("matrix is not positive semidefinite within tolerance")
 
 
+def _correlation(gram: np.ndarray) -> CovarianceMatrix:
+    """The Gram matrix normalised by its diagonal; a degenerate arc, whose
+    diagonal entry vanishes, is refused."""
+    diag = np.diag(gram)
+    if np.any(diag <= 1e-12):
+        raise ValueError("degenerate arc: vanishing count variance constant")
+    return CovarianceMatrix(entries=gram / np.sqrt(np.outer(diag, diag)))
+
+
 def covariance_D(arcs: Sequence[Arc], n_numeric: int = 10**6) -> CovarianceMatrix:
     """Normalised limit covariance of plain-ensemble counts over several arcs.
 
@@ -360,12 +369,7 @@ def covariance_D(arcs: Sequence[Arc], n_numeric: int = 10**6) -> CovarianceMatri
         raise ValueError("need at least one arc")
     omegas = np.empty((n_numeric, len(arcs)))
     _fill_frac_differences([a.beta for a in arcs], [a.alpha for a in arcs], omegas.T)
-    gram = omegas.T @ omegas / n_numeric
-    diag = np.diag(gram)
-    if np.any(diag <= 1e-12):
-        raise ValueError("degenerate arc: vanishing count variance constant")
-    d = gram / np.sqrt(np.outer(diag, diag))
-    return CovarianceMatrix(entries=d)
+    return _correlation(omegas.T @ omegas / n_numeric)
 
 
 def covariance_Dtilde(arcs: Sequence[Arc], n_numeric: int = 10**6) -> CovarianceMatrix:
@@ -398,8 +402,4 @@ def covariance_Dtilde(arcs: Sequence[Arc], n_numeric: int = 10**6) -> Covariance
     for (k, l), row in zip(pairs, diffs):
         h1, h2, h3, h4 = (h_mean[round(x, 15)] for x in row)
         gram[k, l] = gram[l, k] = 0.5 * (h1 + h2 - h3 - h4)
-    diag = np.diag(gram)
-    if np.any(diag <= 1e-12):
-        raise ValueError("degenerate arc: vanishing count variance constant")
-    d = gram / np.sqrt(np.outer(diag, diag))
-    return CovarianceMatrix(entries=d)
+    return _correlation(gram)

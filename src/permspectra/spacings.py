@@ -60,7 +60,6 @@ from typing import Optional
 import numpy as np
 
 from .ewens import CycleCounts, TrialBatch
-from .spectral import ModifiedSpectrum
 
 __all__ = [
     "SpacingStats",
@@ -293,12 +292,12 @@ def mod_gap_extremes(batch: TrialBatch) -> tuple[np.ndarray, np.ndarray, np.ndar
     return largest, smallest, max_lcm
 
 
-def spacings_mod(spectrum: ModifiedSpectrum) -> SpacingStats:
-    """Extremal spacings of the modified spectrum (see mod_gap_extremes)."""
-    order = np.argsort(spectrum.lengths, kind="stable")
-    batch = TrialBatch(spectrum.n, spectrum.lengths[order], spectrum.phases[order])
+def spacings_mod(trial: TrialBatch) -> SpacingStats:
+    """Extremal spacings of one modified trial, sorted by length first (see mod_gap_extremes)."""
+    order = np.argsort(trial.lengths, kind="stable")
+    batch = TrialBatch(trial.n, trial.lengths[order], trial.phases[order])
     largest, smallest, _ = mod_gap_extremes(batch)
-    return SpacingStats(n=spectrum.n, largest=float(largest[0]), smallest=float(smallest[0]))
+    return SpacingStats(n=trial.n, largest=float(largest[0]), smallest=float(smallest[0]))
 
 
 def normalized_spacings(stats: SpacingStats) -> NormalizedSpacings:

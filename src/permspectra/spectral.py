@@ -30,7 +30,9 @@ read the psi table a block of ``cesaro.TABLE_BLOCK`` values of j at a time
 array that their final sum or dot product reads (two for the modified
 covariance: P_j/j, and one h_j(x) reused for every x), so that they hold
 no other array of n and sum exactly the terms that whole arrays gave.  The
-plain covariance fills its two arrays of arc weights the same way.
+plain covariance fills its two arrays of arc weights the same way.  The
+plain moments refuse theta above ``PLAIN_THETA_LIMIT`` = 2**10, past which
+their cancellation loses more than 1e-12 relative.
 
 Arc endpoints may be floats or ``fractions.Fraction``; a declared irrational
 (``limits.DeclaredIrrational``) is a float, so it counts by the same bits
@@ -61,7 +63,6 @@ from .ewens import CycleCounts, TrialBatch
 __all__ = [
     "Endpoint",
     "Arc",
-    "ModifiedSpectrum",
     "CountMoments",
     "count_arc_perm",
     "attach_phases",
@@ -96,27 +97,6 @@ class Arc:
     @property
     def width(self) -> Endpoint:
         return self.beta - self.alpha
-
-
-@dataclass
-class ModifiedSpectrum:
-    """Cycle lengths paired with their uniform rotation phases.
-
-    ``lengths[c]`` and ``phases[c]`` describe cycle c, whose eigenangles are
-    (k + phases[c]) / lengths[c] mod 1 for k = 0..lengths[c]-1.
-    """
-
-    n: int
-    lengths: np.ndarray
-    phases: np.ndarray
-
-    def __post_init__(self):
-        if len(self.lengths) != len(self.phases):
-            raise ValueError("one phase per cycle required")
-        if int(np.sum(self.lengths)) != self.n:
-            raise ValueError("cycle lengths must sum to n")
-        if np.any((self.phases < 0) | (self.phases >= 1)):
-            raise ValueError("phases must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -231,15 +211,15 @@ def count_arc_perm(counts: CycleCounts, arc: Arc) -> int:
     return int(count_arcs_perm(TrialBatch(counts.n, counts.lengths), (arc,))[0, 0])
 
 
-def attach_phases(counts: CycleCounts, rng: np.random.Generator) -> ModifiedSpectrum:
-    """Draw one independent uniform phase per cycle, in ascending length order."""
-    return ModifiedSpectrum(counts.n, counts.lengths, rng.random(len(counts.lengths)))
+def attach_phases(counts: CycleCounts, rng: np.random.Generator) -> TrialBatch:
+    """One modified trial: a uniform phase per cycle, in ascending length
+    order; cycle c's angles are (k + phases[c]) / lengths[c], k < lengths[c]."""
+    return TrialBatch(counts.n, counts.lengths, rng.random(len(counts.lengths)))
 
 
-def count_arc_mod(spectrum: ModifiedSpectrum, arc: Arc) -> int:
+def count_arc_mod(trial: TrialBatch, arc: Arc) -> int:
     """Number of eigenvalues of the modified matrix in the arc (see count_arcs_mod)."""
-    batch = TrialBatch(spectrum.n, spectrum.lengths, spectrum.phases)
-    return int(count_arcs_mod(batch, (arc,))[0, 0])
+    return int(count_arcs_mod(trial, (arc,))[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +245,33 @@ def _arc_weights(arc: Arc, n: int) -> np.ndarray:
     return u
 
 
+#: largest theta of the plain mean and covariance.  Both cancel their j = 1
+#: terms and lose about theta eps relative.  Up to 2**10 they stayed within
+#: 1e-12 relative of the exact rational law over every cycle type (n <= 20)
+#: and of 60-digit mpmath on the same formulas (n = 1000), on rational arcs
+#: that hold 0 or 1/2; at 2**12 most of those arcs missed 1e-12.  An arc
+#: that no cycle shorter than k reaches has moments of order theta^(1-k)
+#: once theta nears n, and loses more than this bound covers.
+PLAIN_THETA_LIMIT = 2.0**10
+
+
+def check_plain_theta(theta: float) -> None:
+    """Refuse theta above the overflow guard ``cesaro.THETA_LIMIT``, then
+    above PLAIN_THETA_LIMIT, the accuracy bound of the plain moments."""
+    check_theta_limit(theta)
+    if theta > PLAIN_THETA_LIMIT:
+        raise ValueError(
+            f"theta = {theta} exceeds 2**10, above which the plain-ensemble exact "
+            "moments lose more than 1e-12 relative"
+        )
+
+
 def _perm_mean(n: int, theta: float, arc: Arc) -> float:
     """Exact mean n (beta - alpha) - theta sum_j P_j omega_j / j of the
     permutation-matrix count, omega_j = {j beta} - {j alpha}; O(n), in one
     array of n filled a block of the psi table at a time."""
     check_table_size(n)
+    check_plain_theta(theta)
     blocks = psi_blocks(n, theta)
     weighted = np.empty(n)
     for lo, block in blocks:
@@ -351,7 +353,7 @@ def _covariance_perm(n: int, theta: float, arc1: Arc, arc2: Arc) -> tuple[float,
             f"n = {n} exceeds the size limit {limit} of the plain-ensemble covariance "
             f"(its FFT takes up to {_FFT_BYTES_PER_ELEMENT} bytes per element)"
         )
-    check_theta_limit(theta)
+    check_plain_theta(theta)
     values = psi_values(n, theta)
     diagonal = arc2 == arc1
     u1 = _arc_weights(arc1, n)

@@ -53,10 +53,10 @@ from permspectra import (
 from permspectra import ewens
 from permspectra.cesaro import _NEAR_ONE
 from permspectra.ewens import (
-    _SERIES_TERMS, _TABLE_SIZE, _dense_thresholds, _sorted_lengths, _sparse_route,
+    _SERIES_TERMS, _TABLE_SIZE, TrialBatch, _dense_thresholds, _sorted_lengths, _sparse_route,
 )
 from permspectra.spacings import _mod_angles
-from permspectra.spectral import ModifiedSpectrum, frac_parts
+from permspectra.spectral import frac_parts
 
 
 def ones_after(pos: int, limit: int, theta: float, rng) -> list[int]:
@@ -173,7 +173,7 @@ def pooled_chisquare_pvalue(observed, probs, floor: float = 10.0) -> float:
     return float(chisquare(obs, np.array(exp) * sum(obs) / sum(exp)).pvalue)
 
 
-def count_arc_mod_left(spectrum: ModifiedSpectrum, arc: Arc) -> int:
+def count_arc_mod_left(spectrum: TrialBatch, arc: Arc) -> int:
     """``count_arc_mod`` over [alpha, beta) instead of (alpha, beta]: ceil in
     place of floor in every cycle's term."""
     j, phi = spectrum.lengths.astype(np.float64), spectrum.phases
@@ -285,6 +285,47 @@ def exhaustive_moments_perm(n: int, theta: float, arc: Arc) -> tuple[float, floa
     values = np.array([count_arc_perm(t, arc) for t in types], dtype=np.float64)
     mean = float(probs @ values)
     return mean, float(probs @ values**2) - mean**2
+
+
+def exact_law_moments_perm(n: int, theta: Fraction, arc: Arc) -> tuple[Fraction, Fraction]:
+    """Mean and variance of the plain count as Fractions, over every cycle
+    type with its exact Ewens probability; rational theta and endpoints."""
+    rising = math.prod(theta + k for k in range(n))
+    mean = second = Fraction(0)
+    for counts in iter_cycle_types(n):
+        a = counts.counts
+        weight = Fraction(math.factorial(n), math.prod(j**m * math.factorial(m) for j, m in a.items()))
+        p = weight * theta ** counts.total_cycles() / rising
+        x = sum(m * (math.floor(j * arc.beta) - math.floor(j * arc.alpha)) for j, m in a.items())
+        mean += p * x
+        second += p * x * x
+    return mean, second - mean**2
+
+
+def plain_moments_mpmath(n: int, theta: Fraction, arc: Arc, dps: int = 60):
+    """(mean, variance) of the plain count from the closed formulas that
+    ``exact_moments_perm`` evaluates, summed in mpmath at ``dps`` digits:
+    psi(n, j) as its product and the cross term as direct dot products.
+    Rational theta and endpoints."""
+    import mpmath
+
+    def mpf(x: Fraction):
+        return mpmath.mpf(x.numerator) / x.denominator
+
+    with mpmath.workdps(dps):
+        th = mpf(Fraction(theta))
+        u = [mpmath.mpf(0)] + [
+            mpf(j * arc.beta % 1 - j * arc.alpha % 1) / j for j in range(1, n + 1)
+        ]
+        psi, p = mpmath.mpf(1), [mpmath.mpf(0)]
+        for j in range(1, n + 1):
+            psi *= mpmath.mpf(n - j + 1) / (th + n - j)
+            p.append(psi)
+        sum1 = mpmath.fdot(p[1:], u[1:])
+        first = th * mpmath.fsum(p[j] * j * u[j] ** 2 for j in range(1, n + 1))
+        cross = mpmath.fsum(p[i] * mpmath.fdot(u[1:i], u[i - 1 : 0 : -1]) for i in range(2, n + 1))
+        mean = n * mpf(Fraction(arc.beta - arc.alpha)) - th * sum1
+        return mean, first + th**2 * (cross - sum1**2)
 
 
 def feller_type_counts(n: int, theta: float, trials: int, rng) -> dict:
@@ -450,7 +491,7 @@ def enumerated_gap_range(counts: CycleCounts) -> tuple[Fraction, Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_angles_mod(spectrum: ModifiedSpectrum) -> np.ndarray:
+def enumerate_angles_mod(spectrum: TrialBatch) -> np.ndarray:
     """All n eigenangles (k + phi)/j mod 1 of the modified matrix, sorted."""
     return np.sort(_mod_angles(spectrum.lengths, spectrum.phases))
 

@@ -34,6 +34,7 @@ from conftest import (
 from permspectra import (
     CycleCounts,
     EwensParams,
+    attach_phases,
     coupling_horizon,
     coupling_tail_expectation,
     sample_coupled,
@@ -42,6 +43,7 @@ from permspectra import (
 )
 from permspectra import ewens
 from permspectra.ewens import (
+    TrialBatch,
     _BLOCK,
     _SPARSE_THRESHOLD,
     _Uniforms,
@@ -133,6 +135,53 @@ class TestCycleCountsForms:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             CycleCounts(3, **kwargs)
+
+
+class TestTrialBatchCheck:
+    """Every batch, drawn or built by hand, passes one check on construction."""
+
+    def test_valid_batches_accepted(self):
+        one = TrialBatch(4, np.array([1, 3]), np.array([0.0, 0.999]))
+        assert one.trials == 1 and one.starts.tolist() == [0, 2]
+        two = TrialBatch(3, np.array([1, 2, 3]), None, np.array([0, 2, 3]))
+        assert [two.cycle_counts(t).counts for t in range(2)] == [{1: 1, 2: 1}, {3: 1}]
+
+    @pytest.mark.parametrize("phases", [[0.5], [0.1, 0.2, 0.3]])
+    def test_one_phase_per_cycle(self, phases):
+        with pytest.raises(ValueError, match="one phase per cycle required"):
+            TrialBatch(4, np.array([1, 3]), np.array(phases))
+
+    @pytest.mark.parametrize("phi", [-1e-17, 1.0, 1.5, math.nan])
+    def test_phases_in_the_unit_interval(self, phi):
+        with pytest.raises(ValueError, match=r"phases must lie in \[0, 1\)"):
+            TrialBatch(4, np.array([1, 3]), np.array([0.25, phi]))
+
+    @pytest.mark.parametrize("lengths, starts", [
+        ([1, 1], None),  # one trial short of n
+        ([1, 2, 2, 2], [0, 2, 4]),  # the second trial over n
+        ([3, 4], [0, 1, 2]),
+    ])
+    def test_lengths_sum_to_n(self, lengths, starts):
+        starts = None if starts is None else np.array(starts)
+        with pytest.raises(ValueError, match="each trial's cycle lengths must sum to n"):
+            TrialBatch(3, np.array(lengths), None, starts)
+
+    @pytest.mark.parametrize("lengths, starts", [
+        ([], None),  # the only trial empty
+        ([3], [0, 1, 1]),  # the last trial empty: reduceat indexed past the end
+        ([3, 3], [0, 1, 1, 2]),  # a middle trial empty: reduceat read its neighbour
+    ])
+    def test_trial_with_no_cycles_refused(self, lengths, starts):
+        starts = None if starts is None else np.array(starts)
+        with pytest.raises(ValueError, match="each trial's cycle lengths must sum to n"):
+            TrialBatch(3, np.array(lengths, dtype=np.int64), None, starts)
+
+    def test_one_trial_api_builds_the_same_type(self):
+        counts = CycleCounts(5, {1: 2, 3: 1})
+        trial = attach_phases(counts, np.random.default_rng(0))
+        assert isinstance(trial, TrialBatch) and trial.trials == 1
+        assert trial.lengths.tolist() == [1, 1, 3]
+        assert trial.phases.tolist() == np.random.default_rng(0).random(3).tolist()
 
 
 class TestSamplers:
@@ -880,14 +929,16 @@ class TestCoupled:
         corr = np.corrcoef(w1, w2)[0, 1]
         assert abs(corr) < 4 / math.sqrt(trials)
 
+    @pytest.mark.parametrize("n", [1000, 10**4, 10**6])
     @pytest.mark.parametrize("theta", [0.5, 2.0])
-    def test_poisson_laws_at_the_coupling_check_shape(self, theta):
-        # coupling-check's batches (n = 1000, horizon for 1e-3): W_1 is
-        # Poisson(theta) and sum_{j<=n} W_j Poisson(theta H_n), up to the
-        # certified truncation; W = a - e_L + T per trial
+    def test_poisson_laws_at_the_coupling_check_shape(self, theta, n):
+        # coupling-check's batches (horizon for 1e-3): W_1 is Poisson(theta)
+        # and sum_{j<=n} W_j Poisson(theta H_n), up to the certified
+        # truncation; W = a - e_L + T per trial.  n = 10^4 and 10^6 walk their
+        # words (the sparse route) as well as their tails
         from scipy.stats import poisson
 
-        n, trials = 1000, 8000
+        trials = 8000
         horizon = coupling_horizon(n, theta, 1e-3)[0]
         w1, total = [], []
         for lo in range(0, trials, 1000):
@@ -944,6 +995,59 @@ class TestCoupled:
                 for eps in (1e-2, 1e-3, 1e-4):
                     coupling_horizon.cache_clear()
                     assert coupling_horizon(n, theta, eps) == doubling(n, theta, eps)
+
+    def test_horizon_contract_over_a_grid(self):
+        # H is a doubling of 2n whose tail meets the bound while its half's
+        # does not; an unreachable bound is one the last doubling below the
+        # cap misses
+        for n in (1, 3, 17, 100, 999, 3000):
+            for theta in (0.05, 0.3, 1.0, 4.0, 20.0, 100.0):
+                for eps in (0.5, 1e-2, 1e-4, 1e-6):
+                    coupling_horizon.cache_clear()
+                    try:
+                        horizon, tail = coupling_horizon(n, theta, eps)
+                    except ValueError:
+                        last = 2 * n << (ewens.HORIZON_HARD_CAP // (2 * n)).bit_length() - 1
+                        assert coupling_tail_expectation(n, theta, last) > eps
+                        continue
+                    doublings = horizon // (2 * n)
+                    assert horizon == 2 * n * doublings and doublings & (doublings - 1) == 0
+                    assert tail == coupling_tail_expectation(n, theta, horizon) <= eps
+                    if horizon > 2 * n:
+                        assert coupling_tail_expectation(n, theta, horizon // 2) > eps
+        coupling_horizon.cache_clear()
+
+    def test_horizon_steps_down_from_an_overshooting_guess(self, monkeypatch):
+        # the search starts near theta^2 n / epsilon, where the true tail is
+        # about epsilon; a tail eight times smaller puts the answer about three
+        # doublings below that start, so the search must step down to it
+        true_tail = ewens.coupling_tail_expectation
+        asked = []
+
+        def eighth(n, theta, horizon):
+            asked.append(horizon)
+            return true_tail(n, theta, horizon) / 8
+
+        def doubling(n, theta, eps):
+            horizon = 2 * n
+            while (tail := eighth(n, theta, horizon)) > eps:
+                horizon *= 2
+            return horizon, tail
+
+        monkeypatch.setattr(ewens, "coupling_tail_expectation", eighth)
+        stepped = 0
+        try:
+            for n in (1, 7, 60, 999, 3000):
+                for theta in (0.1, 0.5, 1.0, 3.0, 20.0):
+                    for eps in (1e-2, 1e-4, 1e-6):
+                        coupling_horizon.cache_clear()
+                        asked.clear()
+                        found = coupling_horizon(n, theta, eps)
+                        stepped += asked[0] > found[0]
+                        assert found == doubling(n, theta, eps)
+        finally:
+            coupling_horizon.cache_clear()
+        assert stepped > 50
 
     def test_unreachable_epsilon_raises(self):
         with pytest.raises(ValueError):

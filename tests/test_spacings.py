@@ -14,7 +14,6 @@ from conftest import (
 from permspectra import (
     CycleCounts,
     EwensParams,
-    ModifiedSpectrum,
     attach_phases,
     max_pairwise_lcm,
     normalized_spacings,
@@ -128,7 +127,7 @@ class TestSpacingsMod:
 
     def test_two_two_cycles_without_an_empty_cell(self):
         # angles 0, 1/2 and 1/8, 5/8: each half-turn cell holds a point
-        spec = ModifiedSpectrum(4, np.array([2, 2]), np.array([0.0, 0.25]))
+        spec = TrialBatch(4, np.array([2, 2]), np.array([0.0, 0.25]))
         st = spacings_mod(spec)
         assert (st.smallest, st.largest) == (0.125, 0.375)
 
@@ -136,11 +135,11 @@ class TestSpacingsMod:
         rng = np.random.default_rng(6)
         spec = attach_phases(sample_cycle_counts(500, EwensParams(1.0), rng), rng)
         order = rng.permutation(len(spec.lengths))
-        shuffled = ModifiedSpectrum(500, spec.lengths[order], spec.phases[order])
+        shuffled = TrialBatch(500, spec.lengths[order], spec.phases[order])
         assert spacings_mod(shuffled) == spacings_mod(spec)
 
     def test_phases_off_the_dyadic_grid_refused(self):
-        spec = ModifiedSpectrum(2, np.array([1, 1]), np.array([0.1, 0.6]))
+        spec = TrialBatch(2, np.array([1, 1]), np.array([0.1, 0.6]))
         with pytest.raises(ValueError, match=r"2\*\*-53 grid.*0\.1"):
             spacings_mod(spec)
 

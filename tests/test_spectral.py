@@ -14,12 +14,14 @@ from conftest import (
     enumerate_angles_perm,
     exact_covariance_mod_formula,
     exact_moments_mod_formula,
+    exact_law_moments_perm,
     exact_moments_perm_formula,
     exhaustive_moments_perm,
     frac_parts_direct,
     frac_shift_invariant,
     partition_probabilities,
     perm_mean_formula,
+    plain_moments_mpmath,
     psi_values_full,
 )
 from permspectra import (
@@ -35,8 +37,8 @@ from permspectra import (
     exact_moments_perm,
     sample_cycle_counts,
 )
-from permspectra import cesaro
-from permspectra.spectral import _perm_mean, frac_into, frac_parts
+from permspectra import cesaro, spectral
+from permspectra.spectral import PLAIN_THETA_LIMIT, _perm_mean, frac_into, frac_parts
 
 
 def random_arc(rng) -> Arc:
@@ -372,6 +374,64 @@ STREAMED_ARCS = (
 )
 
 
+#: rational arcs that hold 0 or 1/2, so that fixed points or 2-cycles reach them
+WIDE_ARCS = (
+    Arc(F(1, 10), F(1, 2)), Arc(F(1, 3), F(3, 4)), Arc(F(2, 5), F(9, 10)),
+    Arc(F(5, 13), F(12, 13)), Arc(F(0), F(1, 2)), Arc(F(1, 5), F(7, 10)),
+)
+
+
+class TestPlainThetaLimit:
+    """The plain mean and variance keep 1e-12 relative up to PLAIN_THETA_LIMIT,
+    and theta above it is refused, after the overflow guard."""
+
+    @pytest.mark.parametrize("theta", [F(1, 2), F(1), F(25, 2), F(2**10)])
+    def test_within_1e12_of_the_exact_law(self, theta):
+        for n in range(2, 21):
+            for arc in WIDE_ARCS:
+                mean, variance = exact_law_moments_perm(n, theta, arc)
+                m = exact_moments_perm(n, float(theta), arc)
+                assert m.mean == pytest.approx(float(mean), rel=1e-12, abs=0)
+                assert _perm_mean(n, float(theta), arc) == pytest.approx(m.mean, rel=1e-12, abs=0)
+                assert m.variance == pytest.approx(float(variance), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("theta", [F(1), F(2**10)])
+    @pytest.mark.parametrize("arc", WIDE_ARCS[:2], ids=str)
+    def test_within_1e12_of_mpmath_at_n_1000(self, theta, arc):
+        pytest.importorskip("mpmath")
+        mean, variance = plain_moments_mpmath(1000, theta, arc)
+        m = exact_moments_perm(1000, float(theta), arc)
+        assert m.mean == pytest.approx(float(mean), rel=1e-12, abs=0)
+        assert _perm_mean(1000, float(theta), arc) == pytest.approx(float(mean), rel=1e-12, abs=0)
+        assert m.variance == pytest.approx(float(variance), rel=1e-12, abs=0)
+
+    def test_the_exact_law_sees_the_loss_two_doublings_above(self, monkeypatch):
+        # with the limit lifted, theta = 2**12 misses 1e-12 on these arcs:
+        # the limit is not far below where the loss starts
+        monkeypatch.setattr(spectral, "PLAIN_THETA_LIMIT", math.inf)
+        theta, worst = F(2**12), 0.0
+        for n in range(2, 21):
+            for arc in WIDE_ARCS:
+                variance = float(exact_law_moments_perm(n, theta, arc)[1])
+                computed = exact_moments_perm(n, float(theta), arc).variance
+                worst = max(worst, abs(computed - variance) / variance)
+        assert worst > 1e-12
+
+    @pytest.mark.parametrize("call", [
+        lambda theta: _perm_mean(10, theta, Arc(0.1, 0.5)),
+        lambda theta: exact_moments_perm(10, theta, Arc(0.1, 0.5)),
+        lambda theta: exact_covariance_perm(10, theta, Arc(0.1, 0.5), Arc(0.2, 0.7)),
+    ], ids=["mean", "moments", "covariance"])
+    def test_theta_above_the_limit_refused(self, call):
+        call(PLAIN_THETA_LIMIT)
+        for theta in (math.nextafter(PLAIN_THETA_LIMIT, math.inf), 1e6, 2.0**53):
+            with pytest.raises(ValueError, match=f"theta = {theta} exceeds 2\\*\\*10, above"):
+                call(theta)
+        # the overflow guard speaks first
+        with pytest.raises(ValueError, match="exceeds 2\\*\\*53, the guard against overflow"):
+            call(1e308)
+
+
 class TestStreamedTables:
     """The psi table, the plain mean and the modified covariance, built a
     block of j at a time, equal the whole-array formulas bit for bit."""
@@ -386,6 +446,10 @@ class TestStreamedTables:
     @pytest.mark.parametrize("n, theta", _streamed_cases())
     def test_plain_mean_equals_whole_array(self, n, theta):
         for arc in STREAMED_ARCS:
+            if theta > PLAIN_THETA_LIMIT:  # refused, see TestPlainThetaLimit
+                with pytest.raises(ValueError, match="exceeds 2\\*\\*10"):
+                    _perm_mean(n, theta, arc)
+                continue
             mean = _perm_mean(n, theta, arc)
             assert mean == perm_mean_formula(n, theta, arc)
             if theta < 10:  # the plain covariance's overflow guard
@@ -418,7 +482,8 @@ class TestStreamedTables:
             assert [cesaro.psi(n, j, theta) for j in range(1, n + 1)] == (
                 psi_values_full(n, theta).tolist())
             for arc in STREAMED_ARCS:
-                assert _perm_mean(n, theta, arc) == perm_mean_formula(n, theta, arc)
+                if theta <= PLAIN_THETA_LIMIT:
+                    assert _perm_mean(n, theta, arc) == perm_mean_formula(n, theta, arc)
                 assert exact_moments_mod(n, theta, arc) == exact_moments_mod_formula(n, theta, arc)
                 assert exact_covariance_mod(n, theta, arc, STREAMED_ARCS[0]) == (
                     exact_covariance_mod_formula(n, theta, arc, STREAMED_ARCS[0]))
