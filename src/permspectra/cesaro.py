@@ -64,9 +64,9 @@ TABLE_SIZE_LIMIT = 40_000_000
 
 #: overflow guard on theta for the plain-ensemble moments and the identity
 #: checks, which square theta (overflow above 1.3e154); 2**53 leaves a wide
-#: margin.  It guarantees no accuracy: the plain mean and covariance lose
-#: about theta eps relative, so they also refuse theta above their accuracy
-#: bound ``spectral.PLAIN_THETA_LIMIT`` = 2**10, checked after this guard
+#: margin.  It guarantees no accuracy: the plain exact moments lose digits
+#: in proportion to theta, so they also refuse theta above
+#: ``spectral.PLAIN_THETA_LIMIT`` = 2**9, checked after this guard
 THETA_LIMIT = 2.0**53
 
 

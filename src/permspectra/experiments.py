@@ -48,7 +48,6 @@ from .spacings import mod_gap_extremes
 from .spectral import (
     Arc,
     _perm_mean,
-    check_plain_theta,
     count_arcs_mod,
     count_arcs_perm,
     exact_moments_mod,
@@ -343,8 +342,6 @@ def run_mesoscopic(config: ExperimentConfig, jobs: int = 1) -> MesoscopicResult:
         if n < 1 or n * float(n) ** (-config.gamma) <= 1:
             raise ValueError(f"n * delta must exceed 1 for a mesoscopic window, got n={n}")
         check_table_size(n)  # every row computes an exact mean or variance
-    if model == "perm":
-        check_plain_theta(theta)  # the largest row's exact mean
     constant = c2_meso(alpha_endpoint) if model == "perm" else 1.0 / 6.0
 
     rows: list[MesoscopicRow] = []

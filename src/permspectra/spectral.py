@@ -31,8 +31,8 @@ array that their final sum or dot product reads (two for the modified
 covariance: P_j/j, and one h_j(x) reused for every x), so that they hold
 no other array of n and sum exactly the terms that whole arrays gave.  The
 plain covariance fills its two arrays of arc weights the same way.  The
-plain moments refuse theta above ``PLAIN_THETA_LIMIT`` = 2**10, past which
-their cancellation loses more than 1e-12 relative.
+plain exact moments refuse theta above ``PLAIN_THETA_LIMIT`` = 2**9, since
+their cancellation loses digits in proportion to theta.
 
 Arc endpoints may be floats or ``fractions.Fraction``; a declared irrational
 (``limits.DeclaredIrrational``) is a float, so it counts by the same bits
@@ -245,25 +245,18 @@ def _arc_weights(arc: Arc, n: int) -> np.ndarray:
     return u
 
 
-#: largest theta of the plain mean and covariance.  Both cancel their j = 1
-#: terms and lose about theta eps relative.  Up to 2**10 they stayed within
-#: 1e-12 relative of the exact rational law over every cycle type (n <= 20)
-#: and of 60-digit mpmath on the same formulas (n = 1000), on rational arcs
-#: that hold 0 or 1/2; at 2**12 most of those arcs missed 1e-12.  An arc
-#: that no cycle shorter than k reaches has moments of order theta^(1-k)
-#: once theta nears n, and loses more than this bound covers.
-PLAIN_THETA_LIMIT = 2.0**10
-
-
-def check_plain_theta(theta: float) -> None:
-    """Refuse theta above the overflow guard ``cesaro.THETA_LIMIT``, then
-    above PLAIN_THETA_LIMIT, the accuracy bound of the plain moments."""
-    check_theta_limit(theta)
-    if theta > PLAIN_THETA_LIMIT:
-        raise ValueError(
-            f"theta = {theta} exceeds 2**10, above which the plain-ensemble exact "
-            "moments lose more than 1e-12 relative"
-        )
+#: largest theta of the plain moments (``exact_moments_perm``,
+#: ``exact_covariance_perm``).  Their sums cancel and lose digits in
+#: proportion to theta.  Up to 2**9, every arc that the benchmark gives
+#: them (exact-moments' three at n = 1000 and 5000, clt's two at
+#: n = 1000) stayed within 1e-12 relative of 40-digit mpmath on the same
+#: formulas, on a quarter-octave grid of theta; at 2**10 clt's (e, sqrt 3]
+#: missed it (2.4e-12).  No theta bound covers every arc: one that no cycle
+#: shorter than k reaches has moments of order theta^(1-k) once theta nears
+#: n ((e, sqrt 3] at n = 11 misses 1e-12 from theta = 8).  The plain mean
+#: of ``run_mesoscopic``, a reference for its Monte Carlo counts, takes no
+#: bound.
+PLAIN_THETA_LIMIT = 2.0**9
 
 
 def _perm_mean(n: int, theta: float, arc: Arc) -> float:
@@ -271,7 +264,6 @@ def _perm_mean(n: int, theta: float, arc: Arc) -> float:
     permutation-matrix count, omega_j = {j beta} - {j alpha}; O(n), in one
     array of n filled a block of the psi table at a time."""
     check_table_size(n)
-    check_plain_theta(theta)
     blocks = psi_blocks(n, theta)
     weighted = np.empty(n)
     for lo, block in blocks:
@@ -353,7 +345,12 @@ def _covariance_perm(n: int, theta: float, arc1: Arc, arc2: Arc) -> tuple[float,
             f"n = {n} exceeds the size limit {limit} of the plain-ensemble covariance "
             f"(its FFT takes up to {_FFT_BYTES_PER_ELEMENT} bytes per element)"
         )
-    check_plain_theta(theta)
+    check_theta_limit(theta)
+    if theta > PLAIN_THETA_LIMIT:
+        raise ValueError(
+            f"theta = {theta} exceeds 2**9, the limit of the plain-ensemble exact "
+            "moments, whose cancellation loses digits in proportion to theta"
+        )
     values = psi_values(n, theta)
     diagonal = arc2 == arc1
     u1 = _arc_weights(arc1, n)

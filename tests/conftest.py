@@ -306,16 +306,17 @@ def plain_moments_mpmath(n: int, theta: Fraction, arc: Arc, dps: int = 60):
     """(mean, variance) of the plain count from the closed formulas that
     ``exact_moments_perm`` evaluates, summed in mpmath at ``dps`` digits:
     psi(n, j) as its product and the cross term as direct dot products.
-    Rational theta and endpoints."""
+    Rational theta; a float endpoint is taken at its exact binary value."""
     import mpmath
 
     def mpf(x: Fraction):
         return mpmath.mpf(x.numerator) / x.denominator
 
+    alpha, beta = Fraction(arc.alpha), Fraction(arc.beta)
     with mpmath.workdps(dps):
         th = mpf(Fraction(theta))
         u = [mpmath.mpf(0)] + [
-            mpf(j * arc.beta % 1 - j * arc.alpha % 1) / j for j in range(1, n + 1)
+            mpf(j * beta % 1 - j * alpha % 1) / j for j in range(1, n + 1)
         ]
         psi, p = mpmath.mpf(1), [mpmath.mpf(0)]
         for j in range(1, n + 1):
@@ -324,7 +325,7 @@ def plain_moments_mpmath(n: int, theta: Fraction, arc: Arc, dps: int = 60):
         sum1 = mpmath.fdot(p[1:], u[1:])
         first = th * mpmath.fsum(p[j] * j * u[j] ** 2 for j in range(1, n + 1))
         cross = mpmath.fsum(p[i] * mpmath.fdot(u[1:i], u[i - 1 : 0 : -1]) for i in range(2, n + 1))
-        mean = n * mpf(Fraction(arc.beta - arc.alpha)) - th * sum1
+        mean = n * mpf(beta - alpha) - th * sum1
         return mean, first + th**2 * (cross - sum1**2)
 
 

@@ -404,23 +404,29 @@ class TestCliContract:
     @pytest.mark.parametrize("argv", [
         ["exact-moments", "--n", "100", "--alpha", "0.1", "--beta", "0.3", "--model", "perm"],
         ["clt", "--n", "100", "--arcs", "0.1,0.3", "--model", "perm", "--seed", "1"],
-        ["mesoscopic", "--n-list", "100,400", "--model", "perm", "--seed", "1"],
     ])
     def test_plain_theta_beyond_the_accuracy_limit_refused_before_sampling(
         self, capsys, monkeypatch, argv
     ):
-        # past 2**10 the plain moments lose more than 1e-12 relative; the
-        # modified ones, sums of non-negative terms, keep theta up to 2**53
+        # the plain moments' cancellation grows with theta; the modified
+        # ones, sums of non-negative terms, keep theta up to 2**53
         def no_draws(*args, **kwargs):
             raise AssertionError("sampled before the theta check")
 
         monkeypatch.setattr("permspectra.experiments.draw_batch", no_draws)
-        message = ("theta = 1025.0 exceeds 2**10, above which the plain-ensemble exact "
-                   "moments lose more than 1e-12 relative")
-        assert run_cli(capsys, *argv, "--theta", "1025") == (1, "", f"error: {message}\n")
+        message = ("theta = 513.0 exceeds 2**9, the limit of the plain-ensemble exact "
+                   "moments, whose cancellation loses digits in proportion to theta")
+        assert run_cli(capsys, *argv, "--theta", "513") == (1, "", f"error: {message}\n")
         if argv[0] == "exact-moments":
-            code, out, _ = run_cli(capsys, *argv[:-1], "mod", "--theta", "1025")
+            code, out, _ = run_cli(capsys, *argv[:-1], "mod", "--theta", "513")
             assert code == 0 and json.loads(out)["results"]["variance"] > 0
+
+    def test_plain_mesoscopic_takes_theta_beyond_the_accuracy_limit(self, capsys):
+        # its variances are Monte Carlo estimates, and the exact mean only
+        # centres the KS report of a few hundred counts
+        code, out, _ = run_cli(capsys, "mesoscopic", "--n-list", "100,400", "--gamma", "0.2",
+                               "--model", "perm", "--theta", "513", "--trials", "50", "--seed", "1")
+        assert code == 0 and len(json.loads(out)["results"]["rows"]) == 2
 
     @pytest.mark.parametrize("argv", [
         ["exact-moments", "--n", "10910", "--alpha", "0.1", "--beta", "0.3", "--model", "perm"],

@@ -38,6 +38,7 @@ from permspectra import (
     sample_cycle_counts,
 )
 from permspectra import cesaro, spectral
+from permspectra.cli import parse_arcs
 from permspectra.spectral import PLAIN_THETA_LIMIT, _perm_mean, frac_into, frac_parts
 
 
@@ -381,11 +382,19 @@ WIDE_ARCS = (
 )
 
 
-class TestPlainThetaLimit:
-    """The plain mean and variance keep 1e-12 relative up to PLAIN_THETA_LIMIT,
-    and theta above it is refused, after the overflow guard."""
+#: the arcs that the README and the benchmark give the plain exact moments,
+#: but for the decimal (0.2, 0.7], which WIDE_ARCS holds as (1/5, 7/10]:
+#: exact-moments' (1/3, 3/4] and (sqrt 2, golden], and clt's (sqrt 2,
+#: golden] and narrow (e, sqrt 3], which no cycle shorter than 11 reaches
+SERVED_ARCS = parse_arcs("rat:1/3,rat:3/4;irr:sqrt2,irr:golden;irr:e,irr:sqrt3")
 
-    @pytest.mark.parametrize("theta", [F(1, 2), F(1), F(25, 2), F(2**10)])
+
+class TestPlainThetaLimit:
+    """Up to PLAIN_THETA_LIMIT the plain mean and variance keep 1e-12
+    relative on wide arcs and on the arcs the commands are given; theta
+    above it is refused, after the overflow guard."""
+
+    @pytest.mark.parametrize("theta", [F(1, 2), F(1), F(25, 2), F(int(PLAIN_THETA_LIMIT))])
     def test_within_1e12_of_the_exact_law(self, theta):
         for n in range(2, 21):
             for arc in WIDE_ARCS:
@@ -395,37 +404,32 @@ class TestPlainThetaLimit:
                 assert _perm_mean(n, float(theta), arc) == pytest.approx(m.mean, rel=1e-12, abs=0)
                 assert m.variance == pytest.approx(float(variance), rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("theta", [F(1), F(2**10)])
-    @pytest.mark.parametrize("arc", WIDE_ARCS[:2], ids=str)
+    @pytest.mark.parametrize("theta", [F(2), F(int(PLAIN_THETA_LIMIT))])
+    @pytest.mark.parametrize("arc", SERVED_ARCS, ids=str)
     def test_within_1e12_of_mpmath_at_n_1000(self, theta, arc):
-        pytest.importorskip("mpmath")
         mean, variance = plain_moments_mpmath(1000, theta, arc)
         m = exact_moments_perm(1000, float(theta), arc)
         assert m.mean == pytest.approx(float(mean), rel=1e-12, abs=0)
         assert _perm_mean(1000, float(theta), arc) == pytest.approx(float(mean), rel=1e-12, abs=0)
         assert m.variance == pytest.approx(float(variance), rel=1e-12, abs=0)
 
-    def test_the_exact_law_sees_the_loss_two_doublings_above(self, monkeypatch):
-        # with the limit lifted, theta = 2**12 misses 1e-12 on these arcs:
-        # the limit is not far below where the loss starts
+    def test_the_narrow_arc_misses_1e12_one_doubling_above(self, monkeypatch):
+        # with the limit lifted, clt's (e, sqrt 3] at n = 1000 loses more
+        # than 1e-12 at 2 * PLAIN_THETA_LIMIT
         monkeypatch.setattr(spectral, "PLAIN_THETA_LIMIT", math.inf)
-        theta, worst = F(2**12), 0.0
-        for n in range(2, 21):
-            for arc in WIDE_ARCS:
-                variance = float(exact_law_moments_perm(n, theta, arc)[1])
-                computed = exact_moments_perm(n, float(theta), arc).variance
-                worst = max(worst, abs(computed - variance) / variance)
-        assert worst > 1e-12
+        theta, arc = F(2 * int(PLAIN_THETA_LIMIT)), SERVED_ARCS[2]
+        variance = float(plain_moments_mpmath(1000, theta, arc)[1])
+        computed = exact_moments_perm(1000, float(theta), arc).variance
+        assert abs(computed - variance) / variance > 1e-12
 
     @pytest.mark.parametrize("call", [
-        lambda theta: _perm_mean(10, theta, Arc(0.1, 0.5)),
         lambda theta: exact_moments_perm(10, theta, Arc(0.1, 0.5)),
         lambda theta: exact_covariance_perm(10, theta, Arc(0.1, 0.5), Arc(0.2, 0.7)),
-    ], ids=["mean", "moments", "covariance"])
+    ], ids=["moments", "covariance"])
     def test_theta_above_the_limit_refused(self, call):
         call(PLAIN_THETA_LIMIT)
         for theta in (math.nextafter(PLAIN_THETA_LIMIT, math.inf), 1e6, 2.0**53):
-            with pytest.raises(ValueError, match=f"theta = {theta} exceeds 2\\*\\*10, above"):
+            with pytest.raises(ValueError, match=f"theta = {theta} exceeds 2\\*\\*9, the limit"):
                 call(theta)
         # the overflow guard speaks first
         with pytest.raises(ValueError, match="exceeds 2\\*\\*53, the guard against overflow"):
@@ -446,10 +450,6 @@ class TestStreamedTables:
     @pytest.mark.parametrize("n, theta", _streamed_cases())
     def test_plain_mean_equals_whole_array(self, n, theta):
         for arc in STREAMED_ARCS:
-            if theta > PLAIN_THETA_LIMIT:  # refused, see TestPlainThetaLimit
-                with pytest.raises(ValueError, match="exceeds 2\\*\\*10"):
-                    _perm_mean(n, theta, arc)
-                continue
             mean = _perm_mean(n, theta, arc)
             assert mean == perm_mean_formula(n, theta, arc)
             if theta < 10:  # the plain covariance's overflow guard
@@ -482,8 +482,7 @@ class TestStreamedTables:
             assert [cesaro.psi(n, j, theta) for j in range(1, n + 1)] == (
                 psi_values_full(n, theta).tolist())
             for arc in STREAMED_ARCS:
-                if theta <= PLAIN_THETA_LIMIT:
-                    assert _perm_mean(n, theta, arc) == perm_mean_formula(n, theta, arc)
+                assert _perm_mean(n, theta, arc) == perm_mean_formula(n, theta, arc)
                 assert exact_moments_mod(n, theta, arc) == exact_moments_mod_formula(n, theta, arc)
                 assert exact_covariance_mod(n, theta, arc, STREAMED_ARCS[0]) == (
                     exact_covariance_mod_formula(n, theta, arc, STREAMED_ARCS[0]))
