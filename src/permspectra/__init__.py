@@ -18,9 +18,8 @@ from .cesaro import (
     verify_telescoping,
 )
 from .ewens import (
-    CoupledSample,
-    CycleCounts,
     EwensParams,
+    TrialBatch,
     coupling_distance,
     coupling_horizon,
     coupling_tail_expectation,

@@ -40,10 +40,11 @@ is dense at every theta, while n = 10^4 is walked up to theta 1.9 and
 n = 65,536 up to theta 12.5.  Batch width, chunking and ``--jobs`` do not
 enter, so every trial's stream is the same however a call's trials are split.
 
-A cycle type is held as its sorted cycle lengths (``CycleCounts``).
-``draw_batch`` draws many trials and returns their lengths concatenated
-(``TrialBatch``), the form the Monte Carlo drivers compute on.  It draws
-every trial's word first, then the phases, then the coupled tails; each
+A cycle type is held as its ascending cycle lengths.  ``draw_batch`` draws
+many trials and returns their lengths concatenated (``TrialBatch``), the
+one type that the drivers and kernels compute on; ``sample_cycle_counts``
+and ``sample_coupled`` return a batch of one trial.  It draws every
+trial's word first, then the phases, then the coupled tails; each
 trial's generator still sees its own word, phases and tail in that order.
 A batch with gap draws (sparse words or coupled tails) reads its uniforms
 through one store (``_Uniforms``): a (trials x 64) array with a cursor per
@@ -82,8 +83,7 @@ from .cesaro import _psi_blocks, block_j, check_table_size, check_theta
 
 __all__ = [
     "EwensParams",
-    "CycleCounts",
-    "CoupledSample",
+    "TrialBatch",
     "sample_cycle_counts",
     "sample_coupled",
     "coupling_tail_expectation",
@@ -115,51 +115,16 @@ class EwensParams:
         check_theta(self.theta)
 
 
-class CycleCounts:
-    """Cycle type of an n-permutation, held as its sorted cycle lengths.
-
-    ``lengths`` (int64, ascending, one entry per cycle) is the one source of
-    truth; ``counts[j]`` = number of j-cycles is a view derived from it.
-    Build it as ``CycleCounts(n, {j: a_j})`` or ``CycleCounts(n, lengths=...)``.
-    """
-
-    def __init__(self, n: int, counts: Optional[dict[int, int]] = None, *, lengths=None):
-        if (counts is None) == (lengths is None):
-            raise ValueError("give exactly one of counts and lengths")
-        if counts is not None:
-            if any(a < 0 for a in counts.values()):
-                raise ValueError("multiplicities must be non-negative")
-            lengths = [j for j in sorted(counts) for _ in range(counts[j])]
-        self.n = n
-        self.lengths = np.sort(np.asarray(lengths, dtype=np.int64))
-        if len(lengths) and self.lengths[0] < 1 or int(self.lengths.sum()) != n:
-            raise ValueError("cycle lengths must be positive and sum to n")
-
-    def __repr__(self) -> str:
-        return f"CycleCounts(n={self.n}, counts={self.counts})"
-
-    @property
-    def counts(self) -> dict[int, int]:
-        values, mult = np.unique(self.lengths, return_counts=True)
-        return dict(zip(values.tolist(), mult.tolist()))
-
-    def total_cycles(self) -> int:
-        return len(self.lengths)
-
-    def as_array(self) -> np.ndarray:
-        """Dense vector [a_1, ..., a_n]."""
-        return np.bincount(self.lengths, minlength=self.n + 1)[1:]
-
-
 @dataclass
 class TrialBatch:
     """Cycle structures of consecutive trials at one size n, as flat arrays.
 
-    Trial t owns ``lengths[starts[t]:starts[t+1]]`` (ascending when drawn,
-    summing to n) and the aligned ``phases`` in [0, 1), if drawn; ``starts``
-    defaults to one trial.  A coupled draw also keeps, per trial, the ``closing``
-    length L = n + 1 - (last one <= n), and the ``tail`` spacings of length
-    <= n from that one through the horizon, with the trial each belongs to
+    Trial t owns ``lengths[starts[t]:starts[t+1]]`` (positive, ascending
+    and summing to n, so its last length is its longest) and the aligned
+    ``phases`` in [0, 1), if drawn; ``starts`` defaults to one trial.  A
+    coupled draw also keeps, per trial, the ``closing`` length
+    L = n + 1 - (last one <= n), and the ``tail`` spacings of length <= n
+    from that one through the horizon, with the trial each belongs to
     (``tail_trial``): the whole word's spacing counts are W = a - e_L + T.
     """
 
@@ -181,29 +146,24 @@ class TrialBatch:
         empty = (np.diff(self.starts) < 1).any()  # reduceat would read its neighbour
         if empty or (np.add.reduceat(self.lengths, self.starts[:-1]) != self.n).any():
             raise ValueError("each trial's cycle lengths must sum to n")
+        rises = np.diff(self.lengths)
+        rises[self.starts[1:-1] - 1] = 0  # a trial may start below its predecessor's end
+        if (self.lengths[self.starts[:-1]] < 1).any() or (rises < 0).any():
+            raise ValueError("each trial's cycle lengths must be positive and ascending")
 
     @property
     def trials(self) -> int:
         return len(self.starts) - 1
 
-    def cycle_counts(self, t: int) -> CycleCounts:
-        return CycleCounts(self.n, lengths=self.lengths[self.starts[t] : self.starts[t + 1]])
+    @property
+    def counts(self) -> dict[int, int]:
+        """Multiplicity of each cycle length over the batch's cycles: the
+        cycle type {j: a_j} of a one-trial batch."""
+        values, mult = np.unique(self.lengths, return_counts=True)
+        return dict(zip(values.tolist(), mult.tolist()))
 
-
-@dataclass
-class CoupledSample:
-    """One Feller-coupled draw: cycle counts plus truncated Poisson counts.
-
-    ``poisson_counts[j-1]`` counts the j-spacings of the word whose both
-    endpoints lie within the materialised horizon; ``tail_bound`` is the
-    closed-form upper bound on the expected number of spacings (summed over
-    j <= n) lost to the truncation.
-    """
-
-    cycle_counts: CycleCounts
-    poisson_counts: np.ndarray
-    horizon: int
-    tail_bound: float
+    def total_cycles(self) -> int:
+        return len(self.lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -670,10 +630,10 @@ def draw_batch(
 
 def sample_cycle_counts(
     n: int, params: EwensParams, rng: np.random.Generator
-) -> CycleCounts:
-    """Draw the cycle type of an Ewens(theta) n-permutation; ``rng`` is left
-    just past the uniforms the draw used."""
-    return draw_batch(n, params.theta, [rng], block=1).cycle_counts(0)
+) -> TrialBatch:
+    """Draw the cycle type of an Ewens(theta) n-permutation, as a one-trial
+    batch; ``rng`` is left just past the uniforms the draw used."""
+    return draw_batch(n, params.theta, [rng], block=1)
 
 
 # ---------------------------------------------------------------------------
@@ -738,24 +698,19 @@ def sample_coupled(
     params: EwensParams,
     rng: np.random.Generator,
     epsilon_tail: float = 1e-3,
-) -> CoupledSample:
-    """Cycle counts and coupled (truncated) Poisson spacing counts.
+) -> TrialBatch:
+    """One coupled trial: the cycle type and the tail of its word.
 
     Both families are read from one realisation of the word: a_{n,j} from
-    the first n bits closed by the sentinel, W_j from all spacings whose two
-    endpoints fall inside an adaptively chosen horizon.  The horizon is the
-    smallest one whose closed-form tail expectation is below epsilon_tail.
-    Ones in (n, horizon] depend only on the current position, so the chain
+    the first n bits closed by the sentinel, W_j = a - e_L + T from all
+    spacings whose two endpoints fall inside the horizon of
+    ``coupling_horizon(n, theta, epsilon_tail)``, the smallest one whose
+    closed-form tail expectation is below epsilon_tail.  Ones in
+    (n, horizon] depend only on the current position, so the chain
     continues from position n regardless of xi_n itself.
     """
-    horizon, tail_bound = coupling_horizon(n, params.theta, epsilon_tail)
-    batch = draw_batch(n, params.theta, [rng], horizon=horizon, block=1)
-    counts = batch.cycle_counts(0)
-    poisson = counts.as_array() + np.bincount(batch.tail, minlength=n + 1)[1:]
-    poisson[batch.closing[0] - 1] -= 1  # W = a - e_L + T
-    return CoupledSample(
-        cycle_counts=counts, poisson_counts=poisson, horizon=horizon, tail_bound=tail_bound
-    )
+    horizon, _ = coupling_horizon(n, params.theta, epsilon_tail)
+    return draw_batch(n, params.theta, [rng], horizon=horizon, block=1)
 
 
 def coupling_distances(batch: TrialBatch) -> np.ndarray:
@@ -768,6 +723,6 @@ def coupling_distances(batch: TrialBatch) -> np.ndarray:
     return counts + 1 - 2 * (np.bincount(hits, minlength=batch.trials) > 0)
 
 
-def coupling_distance(sample: CoupledSample) -> int:
-    """sum_j |a_{n,j} - W_j| for one coupled draw."""
-    return int(np.abs(sample.cycle_counts.as_array() - sample.poisson_counts).sum())
+def coupling_distance(sample: TrialBatch) -> int:
+    """sum_j |a_{n,j} - W_j| for one coupled trial."""
+    return int(coupling_distances(sample)[0])

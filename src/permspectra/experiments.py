@@ -120,6 +120,11 @@ def _lattice_ks(
     m = len(counts)
     if m < 8:
         raise ValueError(f"need at least 8 samples, got {m}")
+    if not reference_variance > 0:  # NaN included
+        raise ValueError(
+            f"lattice KS needs a positive reference variance, got {reference_variance} "
+            f"for {m} samples"
+        )
     ordered = np.sort(counts)
     grid = np.arange(ordered[0] - 1, ordered[-1] + 1)
     empirical = np.searchsorted(ordered, grid, side="right") / m

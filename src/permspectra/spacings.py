@@ -59,7 +59,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ewens import CycleCounts, TrialBatch
+from .ewens import TrialBatch
 
 __all__ = [
     "SpacingStats",
@@ -107,18 +107,18 @@ _PAIR_BLOCK = 2**18
 _PHASE_BITS = 53
 
 
-def max_pairwise_lcm(counts: CycleCounts) -> int:
-    """max lcm(k, l) over present cycle lengths, k = l allowed."""
-    distinct = np.unique(counts.lengths)
+def max_pairwise_lcm(trial: TrialBatch) -> int:
+    """max lcm(k, l) over a trial's present cycle lengths, k = l allowed."""
+    distinct = np.unique(trial.lengths)
     return int(np.lcm.outer(distinct, distinct).max())
 
 
-def spacings_perm(counts: CycleCounts) -> SpacingStats:
-    """Extremal spacings of the unmodified spectrum, both in closed form:
-    largest = 1/(longest cycle), smallest = 1/max_pairwise_lcm."""
-    largest = Fraction(1, int(counts.lengths[-1]))
-    smallest = Fraction(1, max_pairwise_lcm(counts))
-    return SpacingStats(counts.n, float(largest), float(smallest), largest, smallest)
+def spacings_perm(trial: TrialBatch) -> SpacingStats:
+    """Extremal spacings of one trial's unmodified spectrum, both in closed
+    form: largest = 1/(last, so longest, length), smallest = 1/max_pairwise_lcm."""
+    largest = Fraction(1, int(trial.lengths[-1]))
+    smallest = Fraction(1, max_pairwise_lcm(trial))
+    return SpacingStats(trial.n, float(largest), float(smallest), largest, smallest)
 
 
 def _phase_integers(phases: np.ndarray) -> np.ndarray:
@@ -268,7 +268,7 @@ def mod_gap_extremes(batch: TrialBatch) -> tuple[np.ndarray, np.ndarray, np.ndar
     """(largest, smallest) circular gap of every trial's modified spectrum,
     and the max lcm over its cycle lengths (``_pair_gaps``), which gives the
     plain smallest gap 1/max lcm; the lengths ascend within each trial, as
-    drawn.
+    ``TrialBatch`` guarantees.
 
     With J the longest cycle, the smallest gap is the smaller of 1/J and
     the closest approach of two cycles (``_pair_gaps``): exact, rounded
@@ -293,10 +293,8 @@ def mod_gap_extremes(batch: TrialBatch) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def spacings_mod(trial: TrialBatch) -> SpacingStats:
-    """Extremal spacings of one modified trial, sorted by length first (see mod_gap_extremes)."""
-    order = np.argsort(trial.lengths, kind="stable")
-    batch = TrialBatch(trial.n, trial.lengths[order], trial.phases[order])
-    largest, smallest, _ = mod_gap_extremes(batch)
+    """Extremal spacings of one modified trial (see mod_gap_extremes)."""
+    largest, smallest, _ = mod_gap_extremes(trial)
     return SpacingStats(n=trial.n, largest=float(largest[0]), smallest=float(smallest[0]))
 
 

@@ -17,7 +17,8 @@ uniform on [0, 1); the count becomes
 
 The counting kernels take a whole batch of trials (``ewens.TrialBatch``)
 and return one row per trial; ``count_arc_perm`` and ``count_arc_mod`` are
-their one-trial forms.
+their one-trial forms, on the one-trial batch that ``sample_cycle_counts``
+returns (with phases from ``attach_phases`` for the modified count).
 
 Exact finite-n mean and variance of both counts are weighted sums against
 the psi table from :mod:`permspectra.cesaro`; see ``exact_moments_perm`` and
@@ -58,7 +59,7 @@ import numpy as np
 
 from . import cesaro
 from .cesaro import check_table_size, check_theta_limit, psi_blocks, psi_values
-from .ewens import CycleCounts, TrialBatch
+from .ewens import TrialBatch
 
 __all__ = [
     "Endpoint",
@@ -206,15 +207,15 @@ def count_arcs_mod(batch: TrialBatch, arcs: Sequence[Arc]) -> np.ndarray:
     return np.add.reduceat(per_cycle, batch.starts[:-1]).astype(np.int64)
 
 
-def count_arc_perm(counts: CycleCounts, arc: Arc) -> int:
+def count_arc_perm(trial: TrialBatch, arc: Arc) -> int:
     """Number of eigenvalues (with multiplicity) of the permutation matrix in the arc."""
-    return int(count_arcs_perm(TrialBatch(counts.n, counts.lengths), (arc,))[0, 0])
+    return int(count_arcs_perm(trial, (arc,))[0, 0])
 
 
-def attach_phases(counts: CycleCounts, rng: np.random.Generator) -> TrialBatch:
+def attach_phases(trial: TrialBatch, rng: np.random.Generator) -> TrialBatch:
     """One modified trial: a uniform phase per cycle, in ascending length
     order; cycle c's angles are (k + phases[c]) / lengths[c], k < lengths[c]."""
-    return TrialBatch(counts.n, counts.lengths, rng.random(len(counts.lengths)))
+    return TrialBatch(trial.n, trial.lengths, rng.random(len(trial.lengths)))
 
 
 def count_arc_mod(trial: TrialBatch, arc: Arc) -> int:

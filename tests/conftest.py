@@ -28,12 +28,15 @@ The gap walk's per-theta constants are checked against their Fraction
 form (``survival_constants_fractions``, from the Bernoulli recurrence),
 and whole sparse words against the exact laws of the number of cycles
 (``cycle_number_pmf``) and of the longest cycle (``longest_cycle_bins``).
+A drawn sample is a ``TrialBatch``; the tests build and read one through
+``cycle_type`` (a hand-built cycle type), ``trial_of`` (one trial of a
+batch), ``dense_counts`` (the vector [a_1, ..., a_n]) and
+``coupled_counts`` (W = a - e_L + T of a coupled trial).
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,7 +47,6 @@ from permspectra import (
     Arc,
     CountMoments,
     CovarianceMatrix,
-    CycleCounts,
     DeclaredIrrational,
     EwensParams,
     count_arc_perm,
@@ -181,9 +183,42 @@ def count_arc_mod_left(spectrum: TrialBatch, arc: Arc) -> int:
     return int(per_cycle.sum())
 
 
-def counts_from_lengths(lengths) -> CycleCounts:
+def cycle_type(n: int, counts=None, *, lengths=None) -> TrialBatch:
+    """A hand-built one-trial batch, from ``{j: a_j}`` or from cycle lengths
+    in any order, sorted as ``TrialBatch`` requires."""
+    if (counts is None) == (lengths is None):
+        raise ValueError("give exactly one of counts and lengths")
+    if counts is not None:
+        if any(a < 0 for a in counts.values()):
+            raise ValueError("multiplicities must be non-negative")
+        lengths = [j for j in sorted(counts) for _ in range(counts[j])]
+    return TrialBatch(n, np.sort(np.asarray(lengths, dtype=np.int64)))
+
+
+def counts_from_lengths(lengths) -> TrialBatch:
     lengths = [int(x) for x in lengths]
-    return CycleCounts(n=sum(lengths), counts=dict(Counter(lengths)))
+    return cycle_type(sum(lengths), lengths=lengths)
+
+
+def trial_of(batch: TrialBatch, t: int) -> TrialBatch:
+    """Trial t of a batch as a one-trial batch, with its phases if drawn."""
+    lo, hi = batch.starts[t], batch.starts[t + 1]
+    phases = None if batch.phases is None else batch.phases[lo:hi]
+    return TrialBatch(batch.n, batch.lengths[lo:hi], phases)
+
+
+def dense_counts(trial: TrialBatch) -> np.ndarray:
+    """The dense vector [a_1, ..., a_n] of a one-trial batch."""
+    return np.bincount(trial.lengths, minlength=trial.n + 1)[1:]
+
+
+def coupled_counts(batch: TrialBatch, t: int = 0) -> np.ndarray:
+    """W = a - e_L + T of trial t of a coupled batch: W_j counts the
+    j-spacings of its word with both endpoints within the horizon."""
+    w = dense_counts(trial_of(batch, t))
+    w[batch.closing[t] - 1] -= 1
+    w += np.bincount(batch.tail[batch.tail_trial == t], minlength=batch.n + 1)[1:]
+    return w
 
 
 @dataclass
@@ -216,17 +251,17 @@ def sample_bernoulli_word(
     return BernoulliWord(n=n, bits=bits, horizon=n)
 
 
-def cycle_counts_from_word(word: BernoulliWord) -> CycleCounts:
+def cycle_counts_from_word(word: BernoulliWord) -> TrialBatch:
     """Cycle counts read off the word: j-spacings of (1, xi_2, .., xi_n, 1).
 
     The closing sentinel 1 at position n+1 turns the run after the last one
     into a final spacing, which is what makes the lengths sum to n.
     """
     ones = np.flatnonzero(word.bits[: word.n]) + 1
-    return CycleCounts(word.n, lengths=_sorted_lengths(word.n, ones, np.array([0, len(ones)])))
+    return TrialBatch(word.n, _sorted_lengths(word.n, ones, np.array([0, len(ones)])))
 
 
-def partition_key(counts: CycleCounts) -> tuple:
+def partition_key(counts: TrialBatch) -> tuple:
     out = []
     for j in sorted(counts.counts, reverse=True):
         out.extend([j] * counts.counts[j])
@@ -235,11 +270,11 @@ def partition_key(counts: CycleCounts) -> tuple:
 
 def iter_cycle_types(n: int):
     """All cycle types of n-permutations (integer partitions as count dicts),
-    as CycleCounts in a deterministic order."""
+    as one-trial batches in a deterministic order."""
 
     def partitions(remaining: int, max_part: int, acc: dict[int, int]):
         if remaining == 0:
-            yield CycleCounts(n=n, counts=dict(acc))
+            yield cycle_type(n, dict(acc))
             return
         for part in range(min(remaining, max_part), 0, -1):
             acc[part] = acc.get(part, 0) + 1
@@ -251,7 +286,7 @@ def iter_cycle_types(n: int):
     yield from partitions(n, n, {})
 
 
-def cycle_type_probability(counts: CycleCounts, params: EwensParams) -> float:
+def cycle_type_probability(counts: TrialBatch, params: EwensParams) -> float:
     """Exact Ewens probability of a cycle type.
 
     P(type) = [n! / prod_j j^{a_j} a_j!] * theta^K / (theta (theta+1) ... (theta+n-1)),
@@ -388,7 +423,7 @@ def type_chisquare_pvalue(freq: dict, n: int, theta: float, trials: int) -> floa
     return float(chisquare(observed, expected).pvalue)
 
 
-def perm_angle_arrays(counts: CycleCounts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def perm_angle_arrays(counts: TrialBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct angles of the permutation spectrum as reduced fractions.
 
     Returns (numerators, denominators, multiplicities), sorted by angle.
@@ -418,7 +453,7 @@ def perm_angle_arrays(counts: CycleCounts) -> tuple[np.ndarray, np.ndarray, np.n
     return num[new], den[new], mult
 
 
-def enumerate_angles_perm(counts: CycleCounts) -> list[tuple[Fraction, int]]:
+def enumerate_angles_perm(counts: TrialBatch) -> list[tuple[Fraction, int]]:
     """Sorted distinct eigenangles of the permutation matrix with multiplicities."""
     num, den, mult = perm_angle_arrays(counts)
     return [(Fraction(int(a), int(b)), int(m)) for a, b, m in zip(num, den, mult)]
@@ -469,7 +504,7 @@ def _extreme_fraction(gap_num, gap_den, want_max: bool) -> Fraction:
     return Fraction(best_num, best_den)
 
 
-def enumerated_gap_range(counts: CycleCounts) -> tuple[Fraction, Fraction]:
+def enumerated_gap_range(counts: TrialBatch) -> tuple[Fraction, Fraction]:
     """(smallest, largest) circular gap by full enumeration, exact.
 
     Enumeration oracle for the closed forms of ``spacings_perm``: it sorts

@@ -213,6 +213,19 @@ class TestCommands:
         assert code == 1
         assert "rat:" in err
 
+    def test_mesoscopic_constant_sample_refused(self, capsys):
+        # at theta = 513 and n = 400 all 50 plain counts come out equal: their
+        # variance is 0, so no normal law can be fitted to them
+        code, out, err = run_cli(
+            capsys, "mesoscopic", "--n-list", "100,400", "--model", "perm",
+            "--theta", "513", "--trials", "50", "--seed", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: lattice KS needs a positive reference variance, got 0.0 for 50 samples\n"
+        )
+
     def test_spacings_small(self, capsys):
         env = run_json(
             capsys, "spacings", "--n-list", "50,100", "--seed", "2", "--trials", "40",

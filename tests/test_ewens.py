@@ -14,8 +14,11 @@ from hypothesis import strategies as st
 from conftest import (
     BernoulliWord,
     bernoulli_fractions,
+    coupled_counts,
     cycle_counts_from_word,
+    cycle_type,
     cycle_type_probability,
+    dense_counts,
     expected_total_cycles,
     feller_type_counts,
     iter_cycle_types,
@@ -29,10 +32,10 @@ from conftest import (
     sample_bernoulli_word,
     sparse_size,
     survival_constants_fractions,
+    trial_of,
     type_chisquare_pvalue,
 )
 from permspectra import (
-    CycleCounts,
     EwensParams,
     attach_phases,
     coupling_horizon,
@@ -118,14 +121,14 @@ class TestCycleCountsForms:
     )
     def test_dict_and_lengths_forms_agree(self, n, counts):
         lengths = [j for j, a in counts.items() for _ in range(a)][::-1]
-        a, b = CycleCounts(n, counts), CycleCounts(n, lengths=lengths)
+        a, b = cycle_type(n, counts), cycle_type(n, lengths=lengths)
         assert a.counts == b.counts == counts
         assert a.total_cycles() == b.total_cycles() == sum(counts.values())
-        assert np.array_equal(a.as_array(), b.as_array())
+        assert np.array_equal(dense_counts(a), dense_counts(b))
         assert a.lengths.tolist() == b.lengths.tolist() == sorted(lengths)
 
     def test_zero_multiplicity_dropped(self):
-        assert CycleCounts(3, {1: 3, 2: 0}).counts == {1: 3}
+        assert cycle_type(3, {1: 3, 2: 0}).counts == {1: 3}
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -134,7 +137,7 @@ class TestCycleCountsForms:
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            CycleCounts(3, **kwargs)
+            cycle_type(3, **kwargs)
 
 
 class TestTrialBatchCheck:
@@ -144,7 +147,10 @@ class TestTrialBatchCheck:
         one = TrialBatch(4, np.array([1, 3]), np.array([0.0, 0.999]))
         assert one.trials == 1 and one.starts.tolist() == [0, 2]
         two = TrialBatch(3, np.array([1, 2, 3]), None, np.array([0, 2, 3]))
-        assert [two.cycle_counts(t).counts for t in range(2)] == [{1: 1, 2: 1}, {3: 1}]
+        assert [trial_of(two, t).counts for t in range(2)] == [{1: 1, 2: 1}, {3: 1}]
+        # lengths ascend within each trial only: the next one may start lower
+        three = TrialBatch(3, np.array([3, 1, 2, 1, 1, 1]), None, np.array([0, 1, 3, 6]))
+        assert [trial_of(three, t).counts for t in range(3)] == [{3: 1}, {1: 1, 2: 1}, {1: 3}]
 
     @pytest.mark.parametrize("phases", [[0.5], [0.1, 0.2, 0.3]])
     def test_one_phase_per_cycle(self, phases):
@@ -176,12 +182,29 @@ class TestTrialBatchCheck:
         with pytest.raises(ValueError, match="each trial's cycle lengths must sum to n"):
             TrialBatch(3, np.array(lengths, dtype=np.int64), None, starts)
 
+    @pytest.mark.parametrize("lengths, starts", [
+        ([2, 1], None),  # one trial descends
+        ([1, 2, 2, 1], [0, 2, 4]),  # the first trial ascends, the second not
+        ([2, 1, 1, 2], [0, 2, 4]),  # the second ascends, the first not
+        ([0, 1, 2], None),  # a zero length, though the trial sums to n
+        ([-1, 1, 3], None),  # a negative one, likewise
+        ([3, 0, 3], [0, 1, 3]),  # a zero starting the second trial
+    ])
+    def test_lengths_positive_and_ascending(self, lengths, starts):
+        starts = None if starts is None else np.array(starts)
+        with pytest.raises(ValueError, match="must be positive and ascending"):
+            TrialBatch(3, np.array(lengths, dtype=np.int64), None, starts)
+
     def test_one_trial_api_builds_the_same_type(self):
-        counts = CycleCounts(5, {1: 2, 3: 1})
+        counts = cycle_type(5, {1: 2, 3: 1})
         trial = attach_phases(counts, np.random.default_rng(0))
         assert isinstance(trial, TrialBatch) and trial.trials == 1
         assert trial.lengths.tolist() == [1, 1, 3]
         assert trial.phases.tolist() == np.random.default_rng(0).random(3).tolist()
+        rng = np.random.default_rng(1)
+        for sample in (sample_cycle_counts(9, EwensParams(1.0), rng),
+                       sample_coupled(9, EwensParams(1.0), rng)):
+            assert isinstance(sample, TrialBatch) and sample.trials == 1
 
 
 class TestSamplers:
@@ -783,9 +806,7 @@ class TestBatchStream:
             assert batch.closing[t] == n + 1 - ones[-1]
             # a - e_L + T counts the spacings <= n of the whole word
             gaps = np.diff(np.append(ones, tail))
-            w = batch.cycle_counts(t).as_array()
-            w[batch.closing[t] - 1] -= 1
-            w += np.bincount(batch.tail[batch.tail_trial == t], minlength=n + 1)[1:]
+            w = coupled_counts(batch, t)
             assert w.tolist() == np.bincount(gaps[gaps <= n], minlength=n + 1)[1:].tolist()
         assert batch.tail.tolist() == spacings
         assert batch.tail_trial.tolist() == owner
@@ -836,22 +857,22 @@ class TestBatchStream:
         sample_cycle_counts(n, EwensParams(1.5), rng)
         reference_trial(n, 1.5, twin, False, None)
         assert rng.bit_generator.state == twin.bit_generator.state
-        coupled = sample_coupled(n, EwensParams(1.5), rng, epsilon_tail=0.5)
-        reference_trial(n, 1.5, twin, False, coupled.horizon)
+        sample_coupled(n, EwensParams(1.5), rng, epsilon_tail=0.5)
+        reference_trial(n, 1.5, twin, False, coupling_horizon(n, 1.5, 0.5)[0])
         assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestCycleTypeProbability:
     def test_n1(self):
-        p = cycle_type_probability(CycleCounts(1, {1: 1}), EwensParams(3.3))
+        p = cycle_type_probability(cycle_type(1, {1: 1}), EwensParams(3.3))
         assert p == pytest.approx(1.0, rel=1e-14)
 
     def test_three_cycle_uniform(self):
-        p = cycle_type_probability(CycleCounts(3, {3: 1}), EwensParams(1.0))
+        p = cycle_type_probability(cycle_type(3, {3: 1}), EwensParams(1.0))
         assert p == pytest.approx(1 / 3, rel=1e-13)
 
     def test_fixed_points_theta_two(self):
-        p = cycle_type_probability(CycleCounts(3, {1: 3}), EwensParams(2.0))
+        p = cycle_type_probability(cycle_type(3, {1: 3}), EwensParams(2.0))
         assert p == pytest.approx(1 / 3, rel=1e-13)
 
     @pytest.mark.parametrize("theta", [0.5, 1.0, 2.5])
@@ -862,12 +883,12 @@ class TestCycleTypeProbability:
 
     def test_log_space_survives_large_n(self):
         # factorials overflow floats near n = 171; log space does not care
-        p = cycle_type_probability(CycleCounts(200, {200: 1}), EwensParams(1.0))
+        p = cycle_type_probability(cycle_type(200, {200: 1}), EwensParams(1.0))
         assert p == pytest.approx(1 / 200, rel=1e-12)
         # exact big-integer oracle: P(identity of size 150 | theta=1) = 1/150!
         from fractions import Fraction
 
-        p = cycle_type_probability(CycleCounts(150, {1: 150}), EwensParams(1.0))
+        p = cycle_type_probability(cycle_type(150, {1: 150}), EwensParams(1.0))
         exact = float(Fraction(1, math.factorial(150)))
         assert p == pytest.approx(exact, rel=1e-10)
 
@@ -884,8 +905,8 @@ class TestCoupled:
         params = EwensParams(1.0)
         for _ in range(200):
             s = sample_coupled(60, params, rng, epsilon_tail=1e-2)
-            a = s.cycle_counts.as_array()
-            w = s.poisson_counts
+            a = dense_counts(s)
+            w = coupled_counts(s)
             diff = a - w
             # a exceeds W in at most one coordinate, by at most 1 (the sentinel)
             assert diff.max() <= 1
@@ -899,7 +920,7 @@ class TestCoupled:
         n = 30
         acc = np.zeros(n)
         for _ in range(trials):
-            acc += sample_coupled(n, params, rng, epsilon_tail=1e-4).poisson_counts
+            acc += coupled_counts(sample_coupled(n, params, rng, epsilon_tail=1e-4))
         means = acc / trials
         lam = 2.0 / np.arange(1, n + 1)
         se = np.sqrt(lam / trials)
@@ -916,8 +937,8 @@ class TestCoupled:
         w1 = np.empty(trials, dtype=np.int64)
         w2 = np.empty(trials, dtype=np.int64)
         for t in range(trials):
-            s = sample_coupled(40, params, rng, epsilon_tail=1e-4)
-            w1[t], w2[t] = s.poisson_counts[0], s.poisson_counts[1]
+            w = coupled_counts(sample_coupled(40, params, rng, epsilon_tail=1e-4))
+            w1[t], w2[t] = w[0], w[1]
         top = int(w1.max())
         observed = np.bincount(w1, minlength=top + 1).astype(float)
         expected = poisson.pmf(np.arange(top + 1), theta) * trials
@@ -956,9 +977,27 @@ class TestCoupled:
             assert pooled_chisquare_pvalue(np.bincount(counts), cells) > 1e-3
 
     def test_tail_bound_below_epsilon_and_recorded(self):
+        # the sampler walks its tail to the horizon that coupling_horizon records
+        horizon, tail_bound = coupling_horizon(100, 0.5, 1e-3)
+        assert 0 < tail_bound <= 1e-3
+        assert horizon >= 100
         s = sample_coupled(100, EwensParams(0.5), np.random.default_rng(2), 1e-3)
-        assert 0 < s.tail_bound <= 1e-3
-        assert s.horizon >= 100
+        want = draw_batch(100, 0.5, [np.random.default_rng(2)], horizon=horizon, block=1)
+        assert s.tail.tolist() == want.tail.tolist() and s.closing == want.closing
+
+    @pytest.mark.parametrize("n", [60, 1000])
+    @pytest.mark.parametrize("theta", [0.5, 2.0])
+    def test_coupled_counts_match_the_whole_reference_word(self, theta, n):
+        # the law tests read W from the helper a - e_L + T; here W is counted
+        # over the whole word of the same stream, one uniform per draw
+        eps = 1e-3
+        horizon = coupling_horizon(n, theta, eps)[0]
+        for t in range(300):
+            s = sample_coupled(n, EwensParams(theta), trial_rng(34, t), eps)
+            ones, _, tail = reference_trial(n, theta, trial_rng(34, t), False, horizon)
+            gaps = np.diff(np.append(ones, tail))
+            w = np.bincount(gaps[gaps <= n], minlength=n + 1)[1:]
+            assert coupled_counts(s).tolist() == w.tolist()
 
     def test_tail_expectation_decreases_with_horizon(self):
         t1 = coupling_tail_expectation(100, 1.5, 200)

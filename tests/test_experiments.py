@@ -5,7 +5,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from conftest import sparse_size
+from conftest import sparse_size, trial_of
 from permspectra import (
     Arc,
     ExperimentConfig,
@@ -102,6 +102,13 @@ class TestLatticeNormalityReport:
 
         with pytest.raises(ValueError, match="integer"):
             _normality_report(np.linspace(0.0, 1.0, 10), 0.5, 0.1)
+
+    @pytest.mark.parametrize("variance", [0.0, -1.0, math.nan])
+    def test_reference_variance_must_be_positive(self, variance):
+        from permspectra.experiments import _normality_report
+
+        with pytest.raises(ValueError, match=f"got {variance} for 12 samples"):
+            _normality_report(np.zeros(12, dtype=np.int64), 0.0, variance)
 
 
 class TestConfigValidation:
@@ -345,7 +352,7 @@ class TestTrialEngine:
         n, theta, trials = sparse_size(1.4), 1.4, 7
         batch = draw_batch(n, theta, (trial_rng(5, t) for t in range(trials)))
         for t in range(trials):
-            lengths = batch.cycle_counts(t).lengths.tolist()
+            lengths = trial_of(batch, t).lengths.tolist()
             one = sample_cycle_counts(n, EwensParams(theta), trial_rng(5, t))
             assert lengths == one.lengths.tolist()
             ones = ones_positions_sparse(n, theta, trial_rng(5, t))
@@ -389,5 +396,5 @@ class TestTrialEngine:
         batch = draw_batch(n, 1.0, (trial_rng(6, t) for t in range(3)))
         for t in range(3):
             one = sample_cycle_counts(n, EwensParams(1.0), trial_rng(6, t))
-            assert batch.cycle_counts(t).lengths.tolist() == one.lengths.tolist()
+            assert trial_of(batch, t).lengths.tolist() == one.lengths.tolist()
             assert sum(one.lengths.tolist()) == n

@@ -7,12 +7,13 @@ import pytest
 
 from conftest import (
     counts_from_lengths,
+    cycle_type,
     enumerated_gap_range,
     exact_mod_gap_range,
+    trial_of,
     two_cycle_min_spacing,
 )
 from permspectra import (
-    CycleCounts,
     EwensParams,
     attach_phases,
     max_pairwise_lcm,
@@ -30,7 +31,7 @@ from permspectra.spacings import _has_empty_cell, _pair_gaps, mod_gap_extremes
 
 class TestSpacingsPerm:
     def test_single_cycle_equally_spaced(self):
-        st = spacings_perm(CycleCounts(7, {7: 1}))
+        st = spacings_perm(cycle_type(7, {7: 1}))
         assert st.smallest_exact == F(1, 7)
         assert st.largest_exact == F(1, 7)
         norm = normalized_spacings(st)
@@ -50,7 +51,7 @@ class TestSpacingsPerm:
         assert st.smallest_exact == F(1, 12)  # lcm(4, 6) = 12
 
     def test_identity_permutation(self):
-        st = spacings_perm(CycleCounts(5, {1: 5}))
+        st = spacings_perm(cycle_type(5, {1: 5}))
         assert st.largest_exact == F(1)
         assert st.smallest_exact == F(1)
 
@@ -81,7 +82,7 @@ class TestSpacingsPerm:
         # the driver's max lcm comes out of the modified pairwise sweep; at
         # n = 1 every trial, and at n = 2 some, is one cycle with no pair
         batch = draw_batch(n, 1.0, [trial_rng(21, t) for t in range(60)], phases=True)
-        want = [max_pairwise_lcm(batch.cycle_counts(t)) for t in range(batch.trials)]
+        want = [max_pairwise_lcm(trial_of(batch, t)) for t in range(batch.trials)]
         assert mod_gap_extremes(batch)[2].tolist() == want
         data = _spacings_statistic(batch)
         assert data[:, 1].tolist() == [n**2 * (1.0 / w) for w in want]
@@ -93,13 +94,13 @@ class TestSpacingsPerm:
 class TestSpacingsMod:
     def test_single_cycle_rotation_invariant(self):
         rng = np.random.default_rng(2)
-        spec = attach_phases(CycleCounts(9, {9: 1}), rng)
+        spec = attach_phases(cycle_type(9, {9: 1}), rng)
         st = spacings_mod(spec)
         assert st.largest == pytest.approx(1 / 9, abs=1e-12)
         assert st.smallest == pytest.approx(1 / 9, abs=1e-12)
 
     def test_two_fixed_points(self):
-        spec = attach_phases(CycleCounts(2, {1: 2}), np.random.default_rng(0))
+        spec = attach_phases(cycle_type(2, {1: 2}), np.random.default_rng(0))
         spec.phases[:] = [0.0, 0.25]
         st = spacings_mod(spec)
         assert st.smallest == pytest.approx(0.25, abs=1e-12)
@@ -132,11 +133,14 @@ class TestSpacingsMod:
         assert (st.smallest, st.largest) == (0.125, 0.375)
 
     def test_cycle_order_does_not_matter(self):
+        # the kernels read a trial's last length as its longest, so a trial
+        # in any order but the ascending one is refused when it is built
         rng = np.random.default_rng(6)
         spec = attach_phases(sample_cycle_counts(500, EwensParams(1.0), rng), rng)
         order = rng.permutation(len(spec.lengths))
-        shuffled = TrialBatch(500, spec.lengths[order], spec.phases[order])
-        assert spacings_mod(shuffled) == spacings_mod(spec)
+        assert (np.diff(spec.lengths[order]) < 0).any()
+        with pytest.raises(ValueError, match="must be positive and ascending"):
+            TrialBatch(500, spec.lengths[order], spec.phases[order])
 
     def test_phases_off_the_dyadic_grid_refused(self):
         spec = TrialBatch(2, np.array([1, 1]), np.array([0.1, 0.6]))

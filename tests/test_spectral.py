@@ -10,6 +10,7 @@ from scipy.stats import kstest
 from conftest import (
     count_arc_mod_left,
     counts_from_lengths,
+    cycle_type,
     enumerate_angles_mod,
     enumerate_angles_perm,
     exact_covariance_mod_formula,
@@ -26,7 +27,6 @@ from conftest import (
 )
 from permspectra import (
     Arc,
-    CycleCounts,
     EwensParams,
     attach_phases,
     count_arc_mod,
@@ -65,11 +65,11 @@ class TestArc:
 
 class TestCountArcPerm:
     def test_identity_permutation_away_from_zero(self):
-        counts = CycleCounts(5, {1: 5})
+        counts = cycle_type(5, {1: 5})
         assert count_arc_perm(counts, Arc(F(1, 4), F(3, 4))) == 0
 
     def test_single_four_cycle_half_circle(self):
-        assert count_arc_perm(CycleCounts(4, {4: 1}), Arc(F(0), F(1, 2))) == 2
+        assert count_arc_perm(cycle_type(4, {4: 1}), Arc(F(0), F(1, 2))) == 2
 
     def test_full_circle_gives_n(self):
         rng = np.random.default_rng(0)
@@ -108,25 +108,25 @@ class TestCountArcPerm:
 
 class TestAttachPhases:
     def test_fixed_points(self):
-        spec = attach_phases(CycleCounts(6, {1: 6}), np.random.default_rng(0))
+        spec = attach_phases(cycle_type(6, {1: 6}), np.random.default_rng(0))
         assert spec.lengths.tolist() == [1] * 6
 
     def test_two_three_cycles(self):
-        spec = attach_phases(CycleCounts(6, {3: 2}), np.random.default_rng(0))
+        spec = attach_phases(cycle_type(6, {3: 2}), np.random.default_rng(0))
         assert spec.lengths.tolist() == [3, 3]
         assert len(set(spec.phases.tolist())) == 2
 
     def test_phases_uniform(self):
         rng = np.random.default_rng(3)
         phases = np.concatenate(
-            [attach_phases(CycleCounts(4, {2: 2}), rng).phases for _ in range(5000)]
+            [attach_phases(cycle_type(4, {2: 2}), rng).phases for _ in range(5000)]
         )
         assert kstest(phases, "uniform").pvalue > 0.01
 
 
 class TestCountArcMod:
     def test_two_cycle_half_phase(self):
-        spec = attach_phases(CycleCounts(2, {2: 1}), np.random.default_rng(0))
+        spec = attach_phases(cycle_type(2, {2: 1}), np.random.default_rng(0))
         spec.phases[:] = 0.5  # angles 0.25 and 0.75
         assert count_arc_mod(spec, Arc(0.0, 0.5)) == 1
 
@@ -141,7 +141,7 @@ class TestCountArcMod:
         rng = np.random.default_rng(5)
         j, width, trials = 7, 0.31, 20000
         arc = Arc(0.17, 0.17 + width)
-        counts = CycleCounts(j, {j: 1})
+        counts = cycle_type(j, {j: 1})
         values = np.array(
             [count_arc_mod(attach_phases(counts, rng), arc) for _ in range(trials)],
             dtype=float,
@@ -182,7 +182,7 @@ class TestEnumeration:
         assert angles == [(F(0), 2), (F(1, 3), 1), (F(1, 2), 1), (F(2, 3), 1)]
 
     def test_identity(self):
-        assert enumerate_angles_perm(CycleCounts(9, {1: 9})) == [(F(0), 9)]
+        assert enumerate_angles_perm(cycle_type(9, {1: 9})) == [(F(0), 9)]
 
     def test_multiplicities_sum_to_n(self):
         rng = np.random.default_rng(7)
@@ -192,12 +192,12 @@ class TestEnumeration:
             assert sum(m for _, m in angles) == 200
 
     def test_mod_single_cycle(self):
-        spec = attach_phases(CycleCounts(1, {1: 1}), np.random.default_rng(0))
+        spec = attach_phases(cycle_type(1, {1: 1}), np.random.default_rng(0))
         spec.phases[:] = 0.3
         assert np.allclose(enumerate_angles_mod(spec), [0.3])
 
     def test_mod_four_cycle_zero_phase(self):
-        spec = attach_phases(CycleCounts(4, {4: 1}), np.random.default_rng(0))
+        spec = attach_phases(cycle_type(4, {4: 1}), np.random.default_rng(0))
         spec.phases[:] = 0.0
         assert np.allclose(enumerate_angles_mod(spec), [0.0, 0.25, 0.5, 0.75])
 
