@@ -79,7 +79,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .cesaro import _psi_blocks, block_j, check_table_size, check_theta
+from .cesaro import _check_table, _psi_blocks, block_j, check_table_size, check_theta
 
 __all__ = [
     "EwensParams",
@@ -590,6 +590,7 @@ def draw_batch(
     Dense words are drawn bit by bit, so n above ``cesaro.TABLE_SIZE_LIMIT``
     is refused on that route before anything of length n is allocated.
     """
+    check_theta(theta)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rngs, sparse = list(rngs), _sparse_route(n, theta)
@@ -648,9 +649,9 @@ def coupling_tail_expectation(n: int, theta: float, horizon: int) -> float:
     theta * (1/j - psi(H, j) (1/j - 1/H)) with H the horizon; summing over
     j <= n gives the certified loss bound used by :func:`sample_coupled`.
     """
+    _check_table(n, theta)
     if horizon < n:
         raise ValueError("horizon must be at least n")
-    check_table_size(n)
     total = 0.0
     for lo, psi_h in _psi_blocks(horizon, n, theta):  # psi(H, j), j <= n
         j = block_j(lo, len(psi_h))
@@ -666,8 +667,9 @@ def coupling_horizon(n: int, theta: float, epsilon_tail: float) -> tuple[int, fl
     nearest theta^2 n / epsilon_tail and steps down or up from there; the
     tail halves at each doubling, so this is the first doubling from 2n that
     meets the bound.  Returns (horizon, achieved_tail_bound); raises if the
-    cap would be hit or epsilon_tail is not positive and finite.
+    cap would be hit, or theta, n or epsilon_tail is out of range.
     """
+    _check_table(n, theta)
     if not 0 < epsilon_tail < math.inf:
         raise ValueError(f"epsilon_tail must be positive and finite, got {epsilon_tail}")
     top = max(0, (HORIZON_HARD_CAP // (2 * n)).bit_length() - 1)  # 2n 2^top <= the cap

@@ -47,7 +47,10 @@ bit for bit: each {j x} comes from the same product and floor, the omega
 columns fill the same C-ordered arrays the one BLAS call gets, and sums of
 h_j(x) = {jx}(1-{jx}) split where numpy's pairwise summation does (halves
 rounded down to a multiple of 8), with ``np.add.reduce`` summing each
-block.  x = 0 is not evaluated.
+block.  ``covariance_Dtilde`` and ``ctilde_numeric`` read H_j as the
+(|x| -> weight) map of ``spectral.h_weights``, the one that
+``spectral.exact_covariance_mod`` reads, and the kernel evaluates its
+distinct non-zero |x|, one row each.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .spectral import Arc, Endpoint, frac_into
+from .spectral import Arc, Endpoint, frac_into, h_weights
 
 __all__ = [
     "DeclaredIrrational",
@@ -174,11 +177,9 @@ def _pairwise(leaf, lo: int, size: int):
 
 
 def _h_means(xs: Sequence[float], n: int) -> np.ndarray:
-    """(1/n) sum_{j<=n} h_j(x) for each x, bit for bit ``np.mean(f * (1 - f))``
-    over the full array f = {j x}; 0 for x = 0, which is not evaluated."""
-    xs = np.asarray(xs, dtype=np.float64)
-    live = xs != 0.0
-    rows = xs[live][:, None]
+    """(1/n) sum_{j<=n} h_j(x) for each non-zero x of ``h_weights``, bit for
+    bit ``np.mean(f * (1 - f))`` over the full array f = {j x}."""
+    rows = np.asarray(xs, dtype=np.float64)[:, None]
     buf = np.empty(len(rows) * _BLOCK)
 
     def leaf(lo: int, size: int) -> np.ndarray:
@@ -187,10 +188,7 @@ def _h_means(xs: Sequence[float], n: int) -> np.ndarray:
         np.multiply(f, 1.0 - f, out=f)
         return np.add.reduce(f, axis=1)
 
-    means = np.zeros(len(xs))
-    if len(rows):
-        means[live] = _pairwise(leaf, 0, n) / n
-    return means
+    return _pairwise(leaf, 0, n) / n
 
 
 def c_numeric(s: Endpoint, t: Endpoint, u: Endpoint, v: Endpoint, n: int) -> float:
@@ -217,20 +215,15 @@ def _h_mean_exact(x: Fraction, n: int) -> Fraction:
 
 def ctilde_numeric(s: Endpoint, t: Endpoint, u: Endpoint, v: Endpoint, n: int) -> float:
     """Partial average (1/2n) sum_{j<=n} (h_j(t-u) + h_j(s-v) - h_j(s-u) - h_j(t-v)),
-    with h_j(x) = {jx}(1-{jx}).  Exact in the all-Fraction case."""
+    with h_j(x) = {jx}(1-{jx}): the mean H_j of the arcs (t, s] and (v, u],
+    one term per entry of ``h_weights``.  Exact in the all-Fraction case."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    diffs = (t - u, s - v, s - u, t - v)
-    signs = (1, 1, -1, -1)
+    weights = h_weights(t, s, v, u)
     if _exact_mode(s, t, u, v):
-        total = Fraction(0)
-        for d, sign in zip(diffs, signs):
-            total += sign * _h_mean_exact(Fraction(d), n)
-        return float(total / 2)
-    total = 0.0
-    for h, sign in zip(_h_means([float(d) for d in diffs], n).tolist(), signs):
-        total += sign * h
-    return total / 2.0
+        return float(sum(Fraction(w) * _h_mean_exact(Fraction(x), n) for x, w in weights.items()))
+    means = _h_means(list(weights), n).tolist()
+    return sum((w * h for w, h in zip(weights.values(), means)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -375,31 +368,20 @@ def covariance_D(arcs: Sequence[Arc], n_numeric: int = 10**6) -> CovarianceMatri
 def covariance_Dtilde(arcs: Sequence[Arc], n_numeric: int = 10**6) -> CovarianceMatrix:
     """Normalised limit covariance of modified-ensemble counts over several arcs.
 
-    Entry (k, l) averages H_{j,k,l} = (h_j(beta_k - alpha_l) + h_j(alpha_k - beta_l)
-    - h_j(alpha_k - alpha_l) - h_j(beta_k - beta_l))/2; for k = l this is
-    h_j(delta_k), the variance constant of arc k.  For each j the matrix
-    (H_{j,k,l}) is a covariance of indicator differences, so the average is
-    positive semidefinite by construction.
+    Entry (k, l) averages H_{j,k,l}, the term of ``spectral.h_weights`` for
+    arcs k and l; for k = l this is h_j(delta_k), the variance constant of
+    arc k.  Each distinct |x| of all pairs is one row of ``_h_means``.  For
+    each j the matrix (H_{j,k,l}) is a covariance of indicator differences,
+    so the average is positive semidefinite by construction.
     """
     if len(arcs) < 1:
         raise ValueError("need at least one arc")
     m = len(arcs)
-    ends = [(float(a.alpha), float(a.beta)) for a in arcs]
     pairs = [(k, l) for k in range(m) for l in range(k, m)]
-    diffs = []
-    for k, l in pairs:
-        (ak, bk), (al, bl) = ends[k], ends[l]
-        diffs.append((bk - al, ak - bl, ak - al, bk - bl))
-    # one mean per distinct difference, keyed by round(x, 15) and taken at
-    # the first x seen with that key
-    first: dict[float, float] = {}
-    for row in diffs:
-        for x in row:
-            first.setdefault(round(x, 15), x)
-    h_mean = dict(zip(first, _h_means(list(first.values()), n_numeric).tolist()))
-
+    maps = [h_weights(arcs[k].alpha, arcs[k].beta, arcs[l].alpha, arcs[l].beta) for k, l in pairs]
+    xs = list(dict.fromkeys(x for weights in maps for x in weights))  # first-seen order
+    h_mean = dict(zip(xs, _h_means(xs, n_numeric).tolist()))
     gram = np.empty((m, m))
-    for (k, l), row in zip(pairs, diffs):
-        h1, h2, h3, h4 = (h_mean[round(x, 15)] for x in row)
-        gram[k, l] = gram[l, k] = 0.5 * (h1 + h2 - h3 - h4)
+    for (k, l), weights in zip(pairs, maps):
+        gram[k, l] = gram[l, k] = sum(w * h_mean[x] for x, w in weights.items())
     return _correlation(gram)

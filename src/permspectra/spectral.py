@@ -29,11 +29,14 @@ so every exact moment is O(n log n) at most and no size cap applies below
 read the psi table a block of ``cesaro.TABLE_BLOCK`` values of j at a time
 (``cesaro.psi_blocks``) and write each block's terms straight into the one
 array that their final sum or dot product reads (two for the modified
-covariance: P_j/j, and one h_j(x) reused for every x), so that they hold
-no other array of n and sum exactly the terms that whole arrays gave.  The
-plain covariance fills its two arrays of arc weights the same way.  The
-plain exact moments refuse theta above ``PLAIN_THETA_LIMIT`` = 2**9, since
-their cancellation loses digits in proportion to theta.
+covariance: P_j/j, and one h_j(x) reused for every x of ``h_weights``), so
+that they hold no other array of n and sum exactly the terms that whole
+arrays gave.  The plain covariance fills its two arrays of arc weights the
+same way.  ``h_weights``, the |x| -> weight map of the modified covariance
+term H_j, is also what :mod:`permspectra.limits` reads.  The plain exact moments
+refuse theta outside [``PLAIN_THETA_FLOOR``, ``PLAIN_THETA_LIMIT``] =
+[2**-6, 2**9]: their cancellation loses digits in proportion to theta, and
+as theta shrinks.
 
 Arc endpoints may be floats or ``fractions.Fraction``; a declared irrational
 (``limits.DeclaredIrrational``) is a float, so it counts by the same bits
@@ -259,6 +262,12 @@ def _arc_weights(arc: Arc, n: int) -> np.ndarray:
 #: bound.
 PLAIN_THETA_LIMIT = 2.0**9
 
+#: smallest theta of the plain moments, whose variance of order theta is a
+#: difference of terms of order 1.  Down to 2**-6 they kept 1e-12 relative of
+#: the exact law (n <= 20, wide rational arcs) and of 40-digit mpmath (the arcs
+#: above, n = 1000) on a quarter-octave grid; at 2**-7 the law's missed (3.6e-12).
+PLAIN_THETA_FLOOR = 2.0**-6
+
 
 def _perm_mean(n: int, theta: float, arc: Arc) -> float:
     """Exact mean n (beta - alpha) - theta sum_j P_j omega_j / j of the
@@ -352,6 +361,11 @@ def _covariance_perm(n: int, theta: float, arc1: Arc, arc2: Arc) -> tuple[float,
             f"theta = {theta} exceeds 2**9, the limit of the plain-ensemble exact "
             "moments, whose cancellation loses digits in proportion to theta"
         )
+    if theta < PLAIN_THETA_FLOOR:
+        raise ValueError(
+            f"theta = {theta} is below 2**-6, the floor of the plain-ensemble exact "
+            "moments, whose cancellation loses digits as theta shrinks"
+        )
     values = psi_values(n, theta)
     diagonal = arc2 == arc1
     u1 = _arc_weights(arc1, n)
@@ -374,20 +388,26 @@ def _covariance_perm(n: int, theta: float, arc1: Arc, arc2: Arc) -> tuple[float,
     return first + theta**2 * (cross - sum1 * sum2), sum1
 
 
-def exact_covariance_mod(n: int, theta: float, arc1: Arc, arc2: Arc) -> float:
-    """Exact covariance of the two modified-matrix counts at size n.
-
-    cov = theta sum_j (P_j / j) H_j with
-    H_j = (h_j(b1-a2) + h_j(a1-b2) - h_j(a1-a2) - h_j(b1-b2)) / 2 and
-    h_j(x) = {jx}(1-{jx}).  h_j is even, so it is evaluated once per
-    distinct non-zero |x| with the summed weight; for arc1 = arc2 that is
-    h_j(beta - alpha) with weight 1.
-    """
-    a1, b1, a2, b2 = arc1.alpha, arc1.beta, arc2.alpha, arc2.beta
+def h_weights(a1: Endpoint, b1: Endpoint, a2: Endpoint, b2: Endpoint) -> dict:
+    """H_j = (h_j(b1-a2) + h_j(a1-b2) - h_j(a1-a2) - h_j(b1-b2)) / 2 of the arcs
+    (a1, b1] and (a2, b2], h_j(x) = {jx}(1-{jx}), as the map |x| -> weight
+    with H_j = sum weight h_j(x): h_j is even and vanishes at 0, so x = 0 is
+    skipped and weights that cancel are dropped.  The differences are taken
+    as given, so Fraction endpoints stay exact."""
     weights: dict = {}
     for x, w in ((b1 - a2, 0.5), (a1 - b2, 0.5), (a1 - a2, -0.5), (b1 - b2, -0.5)):
         if x != 0:
             weights[abs(x)] = weights.get(abs(x), 0.0) + w
+    return {x: w for x, w in weights.items() if w}
+
+
+def exact_covariance_mod(n: int, theta: float, arc1: Arc, arc2: Arc) -> float:
+    """Exact covariance of the two modified-matrix counts at size n.
+
+    cov = theta sum_j (P_j / j) H_j, with H_j = sum weight h_j(x) over
+    :func:`h_weights`; for arc1 = arc2 that is h_j(beta - alpha).
+    """
+    weights = h_weights(arc1.alpha, arc1.beta, arc2.alpha, arc2.beta)
     blocks = psi_blocks(n, theta)
     values = np.empty(n)  # P_j / j
     for lo, block in blocks:
@@ -402,4 +422,4 @@ def exact_covariance_mod(n: int, theta: float, arc1: Arc, arc2: Arc) -> float:
             f *= 1.0 - f  # in the block the writer's floor has just freed
         return float(values @ h)
 
-    return theta * sum(w * dot_h(x) for x, w in weights.items() if w)
+    return theta * sum(w * dot_h(x) for x, w in weights.items())

@@ -37,6 +37,7 @@ batch), ``dense_counts`` (the vector [a_1, ..., a_n]) and
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -637,24 +638,26 @@ def covariance_D_formula(arcs, n: int) -> np.ndarray:
     return _correlation(omegas.T @ omegas / n)
 
 
+def h_weight_map(a1, b1, a2, b2) -> dict:
+    """H_j = (h_j(b1-a2) + h_j(a1-b2) - h_j(a1-a2) - h_j(b1-b2)) / 2 as a map
+    |x| -> summed weight, in first-seen order, leaving out x = 0 and the
+    weights that cancel: the oracle of ``spectral.h_weights``."""
+    weights: dict = defaultdict(float)
+    for x, w in zip((b1 - a2, a1 - b2, a1 - a2, b1 - b2), (0.5, 0.5, -0.5, -0.5)):
+        weights[abs(x)] += w
+    return {x: w for x, w in weights.items() if x != 0 and w != 0}
+
+
 def covariance_Dtilde_formula(arcs, n: int) -> np.ndarray:
-    """Entries of ``covariance_Dtilde``, one full-array mean per distinct
-    difference (keyed by round(x, 15), evaluated at the first x seen)."""
-    cache: dict[float, float] = {}
-
-    def h(x: float) -> float:
-        key = round(x, 15)
-        if key not in cache:
-            cache[key] = h_mean_formula(x, n)
-        return cache[key]
-
+    """Entries of ``covariance_Dtilde``: each H_j of a pair of arcs as the
+    weighted sum of one full-array mean per distinct non-zero |x|."""
     m = len(arcs)
     gram = np.empty((m, m))
     for k in range(m):
-        ak, bk = float(arcs[k].alpha), float(arcs[k].beta)
         for l in range(k, m):
-            al, bl = float(arcs[l].alpha), float(arcs[l].beta)
-            gram[k, l] = gram[l, k] = 0.5 * (h(bk - al) + h(ak - bl) - h(ak - al) - h(bk - bl))
+            weights = h_weight_map(arcs[k].alpha, arcs[k].beta, arcs[l].alpha, arcs[l].beta)
+            means = (w * h_mean_formula(float(x), n) for x, w in weights.items())
+            gram[k, l] = gram[l, k] = sum(means)
     return _correlation(gram)
 
 
@@ -666,11 +669,10 @@ def c_numeric_formula(s, t, u, v, n: int) -> float:
 
 
 def ctilde_numeric_formula(s, t, u, v, n: int) -> float:
-    """Float path of ``ctilde_numeric``: four full-array means."""
-    total = 0.0
-    for d, sign in zip((t - u, s - v, s - u, t - v), (1, 1, -1, -1)):
-        total += sign * h_mean_formula(float(d), n)
-    return total / 2.0
+    """Float path of ``ctilde_numeric``: H_j of the arcs (t, s] and (v, u] as
+    the weighted sum of one full-array mean per distinct non-zero |x|."""
+    weights = h_weight_map(t, s, v, u)
+    return sum((w * h_mean_formula(float(x), n) for x, w in weights.items()), 0.0)
 
 
 def psi_values_full(n: int, theta: float) -> np.ndarray:

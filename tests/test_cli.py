@@ -414,24 +414,28 @@ class TestCliContract:
                    "(up to 48 bytes per element at the peak)")
         assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("theta, message", [
+        ("513", "theta = 513.0 exceeds 2**9, the limit of the plain-ensemble exact "
+                "moments, whose cancellation loses digits in proportion to theta"),
+        ("0.001", "theta = 0.001 is below 2**-6, the floor of the plain-ensemble exact "
+                  "moments, whose cancellation loses digits as theta shrinks"),
+    ], ids=["above", "below"])
     @pytest.mark.parametrize("argv", [
         ["exact-moments", "--n", "100", "--alpha", "0.1", "--beta", "0.3", "--model", "perm"],
         ["clt", "--n", "100", "--arcs", "0.1,0.3", "--model", "perm", "--seed", "1"],
     ])
     def test_plain_theta_beyond_the_accuracy_limit_refused_before_sampling(
-        self, capsys, monkeypatch, argv
+        self, capsys, monkeypatch, argv, theta, message
     ):
-        # the plain moments' cancellation grows with theta; the modified
-        # ones, sums of non-negative terms, keep theta up to 2**53
+        # the plain moments' cancellation grows with theta, and as it shrinks;
+        # the modified ones, sums of non-negative terms, keep theta up to 2**53
         def no_draws(*args, **kwargs):
             raise AssertionError("sampled before the theta check")
 
         monkeypatch.setattr("permspectra.experiments.draw_batch", no_draws)
-        message = ("theta = 513.0 exceeds 2**9, the limit of the plain-ensemble exact "
-                   "moments, whose cancellation loses digits in proportion to theta")
-        assert run_cli(capsys, *argv, "--theta", "513") == (1, "", f"error: {message}\n")
+        assert run_cli(capsys, *argv, "--theta", theta) == (1, "", f"error: {message}\n")
         if argv[0] == "exact-moments":
-            code, out, _ = run_cli(capsys, *argv[:-1], "mod", "--theta", "513")
+            code, out, _ = run_cli(capsys, *argv[:-1], "mod", "--theta", theta)
             assert code == 0 and json.loads(out)["results"]["variance"] > 0
 
     def test_plain_mesoscopic_takes_theta_beyond_the_accuracy_limit(self, capsys):

@@ -114,6 +114,25 @@ class TestParams:
         with pytest.raises(ValueError, match=f"theta must be positive and finite, got {theta}"):
             EwensParams(theta)
 
+    #: the sampler and the public coupling functions, as (n, theta)
+    CALLS = {
+        "draw_batch": lambda n, theta: draw_batch(n, theta, trial_rngs(1, 0, 3)),
+        "coupling_tail_expectation": lambda n, theta: coupling_tail_expectation(n, theta, 400),
+        "coupling_horizon": lambda n, theta: coupling_horizon(n, theta, 1e-3),
+    }
+
+    @pytest.mark.parametrize("theta", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("call", CALLS)
+    def test_invalid_theta_refused(self, call, theta):
+        with pytest.raises(ValueError, match=f"theta must be positive and finite, got {theta}"):
+            self.CALLS[call](100, theta)
+
+    @pytest.mark.parametrize("n", [0, -5])
+    @pytest.mark.parametrize("call", CALLS)
+    def test_n_below_one_refused(self, call, n):
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}$"):
+            self.CALLS[call](n, 1.0)
+
 
 class TestCycleCountsForms:
     @pytest.mark.parametrize(

@@ -4,9 +4,10 @@ statistic computed from it must stay bit-identical across refactors.
 Each case runs a Monte Carlo driver at a small size and hashes the part of
 its output that never passes through BLAS (the correlation matrices and the
 exact modified-ensemble variances are left out: their last bits depend on
-the BLAS thread count).  One more case hashes the reference matrix
-``covariance_Dtilde`` of the README arcs at the CLI's n_numeric = 10^6:
-its entries are means of h_j sums and ratios of them, with no BLAS call.
+the BLAS thread count).  Two more cases hash the reference matrix
+``covariance_Dtilde`` of the README arcs at the CLI's n_numeric = 10^6, and
+``ctilde_numeric`` of their endpoints there: means of h_j sums and ratios
+of them, with no BLAS call.
 Floats are hashed through ``json.dumps``, whose ``repr`` round-trips
 every bit.  A changed digest means a changed stream or
 a changed statistic; if that is intended, say so and record the new values.
@@ -23,6 +24,7 @@ from permspectra import (
     ExperimentConfig,
     NAMED_IRRATIONALS,
     covariance_Dtilde,
+    ctilde_numeric,
     run_clt_fixed,
     run_coupling_check,
     run_mesoscopic,
@@ -85,6 +87,10 @@ CASES = {
     "covariance_Dtilde README arcs": lambda: covariance_Dtilde(
         parse_arcs("irr:sqrt2,irr:golden;irr:e,irr:sqrt3"), 10**6
     ).entries.tolist(),
+    "ctilde_numeric README endpoints": lambda: ctilde_numeric(
+        *(x for arc in parse_arcs("irr:sqrt2,irr:golden;irr:e,irr:sqrt3")
+          for x in (arc.beta, arc.alpha)), 10**6
+    ),
 }
 
 GOLDEN = {
@@ -94,6 +100,8 @@ GOLDEN = {
         "c963115d064d918016288867cf211c11275b0a81d3e75d6faf4202c4aac50f49",
     "covariance_Dtilde README arcs":
         "3461da3a64ef9352b2d76e6d60fe537fbaa47f5ffd32a87c50e05d965f3b0dbf",
+    "ctilde_numeric README endpoints":
+        "38b80e2d34151acc010f03fea43ca7c5907dc9ecb82fc7c7ca0011bda60c948e",
     "mesoscopic mod mean": "d4444644a577de10de6222f7536003d13a7f99e8b2f5679a1b7fcd09358e4013",
     "mesoscopic perm variances and mean":
         "a88937c3519e5d67abb00bc131e93f899fe62723c855bfaf4c79e12046fda775",

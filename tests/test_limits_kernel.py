@@ -78,6 +78,22 @@ def test_bit_identical_to_full_array_formulas(name, n):
             same_or_both_refuse(ctilde_numeric, ctilde_numeric_formula, *ends, n)
 
 
+def test_one_h_mean_row_per_distinct_nonzero_difference(monkeypatch):
+    # the README arcs' three pairs hold 9 distinct signed differences, 0
+    # among them, but 6 distinct non-zero |x|: one call with those 6
+    calls, h_means = [], limits._h_means
+
+    def spy(xs, n):
+        calls.append(list(xs))
+        return h_means(xs, n)
+
+    monkeypatch.setattr(limits, "_h_means", spy)
+    arcs = ARC_SETS["README arcs"]
+    covariance_Dtilde(arcs, 1000)
+    assert len(calls) == 1 and len(calls[0]) == len(set(calls[0])) == 6
+    assert 0.0 not in calls[0]
+
+
 @pytest.mark.parametrize("n", [1, 8193])
 def test_large_denominators_stay_exact(n):
     # j q passes 2^62 inside the run of j, so the writer switches to Python

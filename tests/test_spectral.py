@@ -38,8 +38,10 @@ from permspectra import (
     sample_cycle_counts,
 )
 from permspectra import cesaro, spectral
-from permspectra.cli import parse_arcs
-from permspectra.spectral import PLAIN_THETA_LIMIT, _perm_mean, frac_into, frac_parts
+from permspectra.cli import main, parse_arcs
+from permspectra.spectral import (
+    PLAIN_THETA_FLOOR, PLAIN_THETA_LIMIT, _perm_mean, frac_into, frac_parts,
+)
 
 
 def random_arc(rng) -> Arc:
@@ -347,6 +349,52 @@ class TestOneFormulaPerEnsemble:
         assert covariance(n, theta, right, left) == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
+#: (arc1, arc2, the map h_weights must give) in Fractions
+H_WEIGHT_CASES = {
+    "identical": ((F(1, 3), F(3, 4)), (F(1, 3), F(3, 4)), {F(5, 12): 1.0}),
+    "shared endpoint b1 = a2": (
+        (F(1, 5), F(1, 2)), (F(1, 2), F(4, 5)), {F(3, 5): 0.5, F(3, 10): -1.0}
+    ),
+    "nested": (
+        (F(1, 10), F(9, 10)), (F(1, 4), F(2, 3)),
+        {F(13, 20): 0.5, F(17, 30): 0.5, F(3, 20): -0.5, F(7, 30): -0.5},
+    ),
+    "disjoint": (
+        (F(0), F(1, 6)), (F(1, 2), F(5, 7)),
+        {F(1, 3): 0.5, F(5, 7): 0.5, F(1, 2): -0.5, F(23, 42): -0.5},
+    ),
+    "wrapped, beta > 1": (
+        (F(2, 3), F(6, 5)), (F(1, 7), F(3, 8)),
+        {F(37, 35): 0.5, F(7, 24): 0.5, F(11, 21): -0.5, F(33, 40): -0.5},
+    ),
+    "full circle": (
+        (F(1, 3), F(4, 3)), (F(1, 5), F(1, 2)),
+        {F(17, 15): 0.5, F(1, 6): 0.5, F(2, 15): -0.5, F(5, 6): -0.5},
+    ),
+    # b1 - a2 = -(a1 - a2): the weights of |x| = 1/4 cancel
+    "weights cancel": ((F(0), F(1, 2)), (F(1, 4), F(1)), {F(1): 0.5, F(1, 2): -0.5}),
+}
+
+
+class TestHWeights:
+    """``h_weights`` is the signed four-term H_j, exactly, for every j."""
+
+    @pytest.mark.parametrize("case", H_WEIGHT_CASES)
+    def test_equals_the_signed_four_terms_over_a_period(self, case):
+        (a1, b1), (a2, b2), expected = H_WEIGHT_CASES[case]
+        weights = spectral.h_weights(a1, b1, a2, b2)
+        assert weights == expected and all(x > 0 and w != 0 for x, w in weights.items())
+
+        def h(x, j):
+            f = (j * x) % 1
+            return f * (1 - f)
+
+        period = math.lcm(*(x.denominator for x in (a1, b1, a2, b2)))
+        for j in range(1, period + 1):
+            signed = (h(b1 - a2, j) + h(a1 - b2, j) - h(a1 - a2, j) - h(b1 - b2, j)) / 2
+            assert sum(F(w) * h(x, j) for x, w in weights.items()) == signed
+
+
 BLOCK = cesaro.TABLE_BLOCK
 #: j q of its denominator q crosses 2**62 halfway through the second block,
 #: so that block onwards takes the Python-integer products
@@ -390,11 +438,13 @@ SERVED_ARCS = parse_arcs("rat:1/3,rat:3/4;irr:sqrt2,irr:golden;irr:e,irr:sqrt3")
 
 
 class TestPlainThetaLimit:
-    """Up to PLAIN_THETA_LIMIT the plain mean and variance keep 1e-12
-    relative on wide arcs and on the arcs the commands are given; theta
-    above it is refused, after the overflow guard."""
+    """From PLAIN_THETA_FLOOR up to PLAIN_THETA_LIMIT the plain mean and
+    variance keep 1e-12 relative on wide arcs and on the arcs the commands
+    are given; theta outside is refused, after the overflow guard."""
 
-    @pytest.mark.parametrize("theta", [F(1, 2), F(1), F(25, 2), F(int(PLAIN_THETA_LIMIT))])
+    @pytest.mark.parametrize(
+        "theta", [F(PLAIN_THETA_FLOOR), F(1, 2), F(1), F(25, 2), F(int(PLAIN_THETA_LIMIT))]
+    )
     def test_within_1e12_of_the_exact_law(self, theta):
         for n in range(2, 21):
             for arc in WIDE_ARCS:
@@ -404,7 +454,7 @@ class TestPlainThetaLimit:
                 assert _perm_mean(n, float(theta), arc) == pytest.approx(m.mean, rel=1e-12, abs=0)
                 assert m.variance == pytest.approx(float(variance), rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("theta", [F(2), F(int(PLAIN_THETA_LIMIT))])
+    @pytest.mark.parametrize("theta", [F(PLAIN_THETA_FLOOR), F(2), F(int(PLAIN_THETA_LIMIT))])
     @pytest.mark.parametrize("arc", SERVED_ARCS, ids=str)
     def test_within_1e12_of_mpmath_at_n_1000(self, theta, arc):
         mean, variance = plain_moments_mpmath(1000, theta, arc)
@@ -434,6 +484,28 @@ class TestPlainThetaLimit:
         # the overflow guard speaks first
         with pytest.raises(ValueError, match="exceeds 2\\*\\*53, the guard against overflow"):
             call(1e308)
+
+    @pytest.mark.parametrize("call", [
+        lambda theta: exact_moments_perm(10, theta, Arc(0.1, 0.5)),
+        lambda theta: exact_covariance_perm(10, theta, Arc(0.1, 0.5), Arc(0.2, 0.7)),
+    ], ids=["moments", "covariance"])
+    def test_theta_below_the_floor_refused(self, call):
+        call(PLAIN_THETA_FLOOR)
+        for theta in (math.nextafter(PLAIN_THETA_FLOOR, 0.0), 2.0**-7, 1e-9, 5e-324):
+            with pytest.raises(ValueError, match=f"theta = {theta} is below 2\\*\\*-6, the floor"):
+                call(theta)
+        with pytest.raises(ValueError, match="theta must be positive and finite, got 0.0"):
+            call(0.0)
+
+    def test_small_theta_command_exits_1(self, capsys):
+        # the variance printed 1.7e-16 against the exact 5.0e-19 before the floor
+        argv = ["exact-moments", "--n", "3", "--alpha", "rat:5/13", "--beta", "rat:12/13",
+                "--model", "perm"]
+        assert main([*argv, "--theta", "1e-9"]) == 1
+        message = ("theta = 1e-09 is below 2**-6, the floor of the plain-ensemble exact "
+                   "moments, whose cancellation loses digits as theta shrinks")
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert main([*argv, "--theta", "0.015625"]) == 0
 
 
 class TestStreamedTables:
