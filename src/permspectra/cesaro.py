@@ -25,11 +25,10 @@ tolerance.  The quadratic double sum collapses through
 sum_{j+k=m} 1/(jk) = 2 H_{m-1}/m, and the telescoping summands are
 exponentials of log1p window sums, not of log-gamma differences.
 
-The table comes from one generator of blocks of TABLE_BLOCK values of j
-(``psi_blocks``), which ``psi_values`` writes into one array and the exact
-moments in :mod:`permspectra.spectral` read a block at a time, so that they
-hold no whole table.  At theta = 1 every factor is one and the blocks are
-ones.
+The table is made one way, as blocks of TABLE_BLOCK values of j in one
+reused buffer (``psi_blocks``), which ``psi_values`` copies into one array
+and every exact moment reads a block at a time; only the plain covariance
+keeps them whole, for its cross term.  At theta = 1 the blocks are ones.
 """
 
 from __future__ import annotations
@@ -116,14 +115,12 @@ def block_j(lo: int, size: int) -> np.ndarray:
     return np.add(_RAMP[:size], lo + 1)
 
 
-def _psi_blocks(
-    n: int, j: int, theta: float, table: np.ndarray | None = None
-) -> Iterator[tuple[int, np.ndarray]]:
+def _psi_blocks(n: int, j: int, theta: float) -> Iterator[tuple[int, np.ndarray]]:
     """``[psi(n, 1), ..., psi(n, j)]`` as (lo, block) pairs, block holding
     entries lo+1 .. lo+len(block), at most TABLE_BLOCK of them: the running
     product of the factors 1/(1 + (theta-1)/m), m = n, n-1, ..., n-j+1.
-    Each block is written into ``table[lo:]`` when a table of j is given,
-    else into one buffer that the next block overwrites; callers only read it.
+    Each block is written into one buffer that the next block overwrites;
+    callers only read it.
 
     Factors near one (the first) go in as a running sum of log1p((theta-1)/m):
     rounded to doubles, with the same sign over long runs of m, they drifted
@@ -133,16 +130,15 @@ def _psi_blocks(
     it into ``np.cumsum`` (``np.cumprod``), which gives the sequential running
     sum bit for bit.  At theta = 1 every factor is exactly one.
     """
-    size = min(j, TABLE_BLOCK)
-    buffer = np.empty(size) if table is None else None
+    buffer = np.empty(min(j, TABLE_BLOCK))
     cut = _NEAR_ONE * abs(theta - 1.0)
     near = min(j, 0 if cut >= n - 1 else n - max(1, math.floor(cut)))
     log_sum, product, at_near = 0.0, 1.0, 1.0
     for lo in range(0, j, TABLE_BLOCK):
         hi = min(lo + TABLE_BLOCK, j)
-        block = table[lo:hi] if buffer is None else buffer[: hi - lo]
+        block = buffer[: hi - lo]
         if theta == 1.0:
-            if buffer is None or lo == 0:  # the buffer keeps its ones
+            if lo == 0:  # the buffer keeps its ones
                 block.fill(1.0)
             yield lo, block
             continue
@@ -190,10 +186,10 @@ def psi_values(n: int, theta: float) -> np.ndarray:
     """Table ``[psi(n, 1), ..., psi(n, n)]``; no factor overflows, though the
     closed form's numerator and denominator do beyond n ~ 170.  n above
     TABLE_SIZE_LIMIT is refused."""
-    _check_table(n, theta)
+    blocks = psi_blocks(n, theta)
     table = np.empty(n)
-    for _ in _psi_blocks(n, n, theta, table):
-        pass
+    for lo, block in blocks:
+        table[lo : lo + len(block)] = block
     return table
 
 
@@ -219,25 +215,39 @@ def _fsum(values: np.ndarray) -> float:
     return math.fsum(itertools.chain.from_iterable(blocks))
 
 
+def _check_identity_theta(theta: float) -> None:
+    """check_theta_limit, and its mirror 2**-500: the identity sums reach
+    1/theta**2 (which overflows below 7.5e-155) and n/theta, finite there."""
+    check_theta_limit(theta)
+    if theta < 2.0**-500:
+        raise ValueError(
+            f"theta = {theta} is below 2**-500, the floor of the identity checks, "
+            "whose sums reach 1/theta**2"
+        )
+
+
 def verify_mean_identity(n: int, theta: float) -> tuple[float, float]:
     """Both sides of (1/n) sum_j psi(n, j) = 1/theta."""
+    _check_identity_theta(theta)
     lhs = _fsum(psi_values(n, theta)) / n
     return lhs, 1.0 / theta
 
 
 def verify_harmonic_identity(n: int, theta: float) -> tuple[float, float]:
-    """Both sides of sum_j psi(n, j)/j = sum_{j=1..n} 1/(theta+j-1)."""
+    """Both sides of sum_j psi(n, j)/j = sum_{j=1..n} 1/(theta+j-1); theta
+    goes in last, since theta + 1 - 1 keeps only its bits above 2**-52."""
+    _check_identity_theta(theta)
     check_table_size(n)
     j = np.arange(1, n + 1, dtype=np.float64)
     lhs = _fsum(psi_values(n, theta) / j)
-    rhs = _fsum(1.0 / (theta + j - 1.0))
+    rhs = _fsum(1.0 / ((j - 1.0) + theta))
     return lhs, rhs
 
 
 def verify_quadratic_identity(n: int, theta: float) -> tuple[float, float]:
     """Both sides of the quadratic identity, in O(n): since sum_{j+k=m} 1/(jk)
     = 2 H_{m-1}/m, its double sum is (sum_j psi_j/j)^2 - 2 sum_m psi_m H_{m-1}/m."""
-    check_theta_limit(theta)
+    _check_identity_theta(theta)
     values = psi_values(n, theta)
     inverse = np.arange(1, n + 1, dtype=np.float64)
     np.divide(1.0, inverse, out=inverse)
@@ -259,7 +269,7 @@ def verify_telescoping(n: int, j: int, theta: float) -> tuple[float, float]:
     its log is -log1p((p-j)/theta) + s_p - s_{p-j} with
     s_m = -sum_{i<=m} log1p(theta/i): no term grows like theta log theta.
     """
-    check_theta_limit(theta)
+    _check_identity_theta(theta)
     if not 1 <= j <= n - 1:
         raise ValueError(f"j must lie in [1, n-1] = [1, {n - 1}], got {j}")
     check_table_size(n)

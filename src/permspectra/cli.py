@@ -26,18 +26,20 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 import time
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, astuple, fields, is_dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .ewens import draw_batch
 from .experiments import (
-    _CHUNK_TRIALS,
     ExperimentConfig,
+    MesoscopicRow,
+    _chunk_ranges,
     run_clt_fixed,
     run_coupling_check,
     run_mesoscopic,
@@ -125,8 +127,7 @@ def _jsonable(obj):
 
 def _emit(envelope: dict, fmt: str, csv_rows) -> None:
     if fmt == "json":
-        json.dump(_jsonable(envelope), sys.stdout, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(_jsonable(envelope), sort_keys=True, allow_nan=False) + "\n")
         return
     header, rows = csv_rows
     buf = io.StringIO()
@@ -140,6 +141,8 @@ def _emit(envelope: dict, fmt: str, csv_rows) -> None:
 
 def _csv_cell(value):
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"a result is not finite ({value!r}); CSV carries finite numbers only")
         return format(value, ".17g")
     return value
 
@@ -154,8 +157,7 @@ def _cmd_sample(args):
     if args.trials < 1:
         raise ValueError(f"need trials >= 1, got {args.trials}")
     phases, trials = args.model == "mod", []
-    for lo in range(0, args.trials, _CHUNK_TRIALS):
-        hi = min(lo + _CHUNK_TRIALS, args.trials)
+    for lo, hi in _chunk_ranges(args.trials, 1):
         batch = draw_batch(args.n, args.theta, trial_rngs(args.seed, lo, hi), phases=phases)
         for t in range(batch.trials):
             cycles = slice(batch.starts[t], batch.starts[t + 1])
@@ -282,7 +284,8 @@ def _cmd_clt(args):
     res = run_clt_fixed(config, jobs=args.jobs)
     results = {
         "reports": [_jsonable(r) for r in res.reports],
-        "empirical_correlation": res.empirical_correlation.tolist(),
+        "empirical_correlation": [[None if math.isnan(c) else c for c in row]  # NaN: equal counts
+                                  for row in res.empirical_correlation.tolist()],
         "reference_correlation": res.reference_correlation.tolist(),
         "moments": [{"mean": m, "variance": v} for m, v in res.moments],
     }
@@ -313,33 +316,16 @@ def _cmd_mesoscopic(args):
         meso_alpha=alpha,
     )
     res = run_mesoscopic(config, jobs=args.jobs)
-    results = {
-        "constant": res.constant,
-        "rows": [_jsonable(r) for r in res.rows],
-        "report": _jsonable(res.report) if res.report else None,
-    }
-    header = ["n", "delta", "log_n_delta", "variance", "variance_is_exact", "target", "ratio"]
-    rows = [
-        (r.n, r.delta, r.log_n_delta, r.variance, r.variance_is_exact, r.target, r.ratio)
-        for r in res.rows
-    ]
-    return results, (header, rows)
+    header = [f.name for f in fields(MesoscopicRow)]
+    return _jsonable(res), (header, [astuple(r) for r in res.rows])
 
 
 def _cmd_spacings(args):
     res = run_spacings(args.n_list, args.theta, args.trials, args.seed, jobs=args.jobs)
-    results = {"rows": [_jsonable(r) for r in res.rows]}
     header = ["n", "statistic"] + [f"q{int(100 * q)}" for q in res.rows[0].quantile_levels]
-    rows = []
-    for r in res.rows:
-        for name, qs in (
-            ("nD", r.nD),
-            ("n2d", r.n2d),
-            ("nD_mod", r.nD_mod),
-            ("n2d_mod", r.n2d_mod),
-        ):
-            rows.append((r.n, name, *qs))
-    return results, (header, rows)
+    statistics = ("nD", "n2d", "nD_mod", "n2d_mod")
+    rows = [(r.n, name, *getattr(r, name)) for r in res.rows for name in statistics]
+    return _jsonable(res), (header, rows)
 
 
 def _cmd_coupling_check(args):
@@ -489,17 +475,17 @@ def main(argv=None) -> int:
         if getattr(args, "jobs", 1) < 1:
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         results, csv_rows = _COMMANDS[args.command][3](args)
+        envelope = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "config_echo": config_echo,
+            "results": results,
+            "timing_ms": int((time.monotonic() - start) * 1000),
+        }
+        _emit(envelope, args.format, csv_rows)
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    envelope = {
-        "schema_version": SCHEMA_VERSION,
-        "command": args.command,
-        "config_echo": config_echo,
-        "results": results,
-        "timing_ms": int((time.monotonic() - start) * 1000),
-    }
-    _emit(envelope, args.format, csv_rows)
     return 0
 
 

@@ -283,7 +283,8 @@ def run_clt_fixed(
         for k in range(len(config.arcs))
     ]
     if len(config.arcs) > 1:
-        empirical = np.corrcoef(standardized, rowvar=False)
+        with np.errstate(invalid="ignore"):  # NaN where an arc's counts are constant
+            empirical = np.corrcoef(standardized, rowvar=False)
     else:
         empirical = np.ones((1, 1))
     reference = (

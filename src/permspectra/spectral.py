@@ -31,8 +31,9 @@ read the psi table a block of ``cesaro.TABLE_BLOCK`` values of j at a time
 array that their final sum or dot product reads (two for the modified
 covariance: P_j/j, and one h_j(x) reused for every x of ``h_weights``), so
 that they hold no other array of n and sum exactly the terms that whole
-arrays gave.  The plain covariance fills its two arrays of arc weights the
-same way.  ``h_weights``, the |x| -> weight map of the modified covariance
+arrays gave.  The plain covariance fills psi and its arc weights in the
+same sweep, one block at a time, but keeps psi whole for its cross term.
+``h_weights``, the |x| -> weight map of the modified covariance
 term H_j, is also what :mod:`permspectra.limits` reads.  The plain exact moments
 refuse theta outside [``PLAIN_THETA_FLOOR``, ``PLAIN_THETA_LIMIT``] =
 [2**-6, 2**9]: their cancellation loses digits in proportion to theta, and
@@ -61,7 +62,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import cesaro
-from .cesaro import check_table_size, check_theta_limit, psi_blocks, psi_values
+from .cesaro import check_table_size, check_theta_limit, psi_blocks
 from .ewens import TrialBatch
 
 __all__ = [
@@ -240,15 +241,6 @@ def _fill_arc_weights(arc: Arc, lo: int, out: np.ndarray) -> None:
     out /= cesaro.block_j(lo, len(out))
 
 
-def _arc_weights(arc: Arc, n: int) -> np.ndarray:
-    """u_j = ({j beta} - {j alpha}) / j for j = 1..n, a block of
-    ``cesaro.TABLE_BLOCK`` values of j at a time."""
-    u = np.empty(n)
-    for lo in range(0, n, cesaro.TABLE_BLOCK):
-        _fill_arc_weights(arc, lo, u[lo : lo + cesaro.TABLE_BLOCK])
-    return u
-
-
 #: largest theta of the plain moments (``exact_moments_perm``,
 #: ``exact_covariance_perm``).  Their sums cancel and lose digits in
 #: proportion to theta.  Up to 2**9, every arc that the benchmark gives
@@ -273,7 +265,6 @@ def _perm_mean(n: int, theta: float, arc: Arc) -> float:
     """Exact mean n (beta - alpha) - theta sum_j P_j omega_j / j of the
     permutation-matrix count, omega_j = {j beta} - {j alpha}; O(n), in one
     array of n filled a block of the psi table at a time."""
-    check_table_size(n)
     blocks = psi_blocks(n, theta)
     weighted = np.empty(n)
     for lo, block in blocks:
@@ -366,10 +357,16 @@ def _covariance_perm(n: int, theta: float, arc1: Arc, arc2: Arc) -> tuple[float,
             f"theta = {theta} is below 2**-6, the floor of the plain-ensemble exact "
             "moments, whose cancellation loses digits as theta shrinks"
         )
-    values = psi_values(n, theta)
     diagonal = arc2 == arc1
-    u1 = _arc_weights(arc1, n)
-    u2 = u1 if diagonal else _arc_weights(arc2, n)
+    values, u1 = np.empty(n), np.empty(n)
+    u2 = u1 if diagonal else np.empty(n)
+    for lo, block in psi_blocks(n, theta):
+        hi = lo + len(block)
+        values[lo:hi] = block
+        _fill_arc_weights(arc1, lo, u1[lo:hi])
+        if not diagonal:
+            _fill_arc_weights(arc2, lo, u2[lo:hi])
+    del block  # a view that keeps the psi buffer
     weighted = values * u1
     sum1 = float(weighted.sum())
     sum2 = sum1 if diagonal else float((values * u2).sum())

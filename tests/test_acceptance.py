@@ -344,8 +344,8 @@ def test_criterion_6b_clt_ks_perm():
 def test_criterion_6c_cross_correlation():
     """|empirical correlation| < 0.08 at M = 4000 for two arcs with
     independent irrational endpoints, both models (limit matrices are the
-    identity; exact finite-N correlations of this pair: +0.007 mod at 1e4,
-    +0.013 perm at 5000).  Measured at the written seed: +0.0096 mod (on the
+    identity; exact finite-N correlations of this pair: -0.0073 mod at 1e4,
+    -0.0129 perm at 5000).  Measured at the written seed: +0.0096 mod (on the
     gap walk; -0.0371 on the dense route), -0.0175 perm."""
     arcs = (Arc(SQRT2.value, GOLDEN.value), Arc(E.value, SQRT3.value))
     ok = True

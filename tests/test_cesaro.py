@@ -63,10 +63,12 @@ class TestPsi:
             psi_values(10, theta)
 
     @pytest.mark.parametrize("call", [
+        lambda theta: verify_mean_identity(10, theta),
+        lambda theta: verify_harmonic_identity(10, theta),
         lambda theta: verify_quadratic_identity(10, theta),
         lambda theta: verify_telescoping(10, 3, theta),
         lambda theta: exact_covariance_perm(10, theta, Arc(0.1, 0.5), Arc(0.2, 0.7)),
-    ], ids=["quadratic", "telescoping", "plain-covariance"])
+    ], ids=["mean", "harmonic", "quadratic", "telescoping", "plain-covariance"])
     def test_theta_above_the_limit_refused(self, call):
         # at 1e308 these overflowed: an OverflowError naming nothing, or NaN
         with pytest.raises(ValueError, match="theta = 1e\\+308 exceeds 2\\*\\*53, the guard against overflow"):
@@ -230,6 +232,31 @@ class TestIdentities:
     def test_harmonic_identity(self, n, theta):
         lhs, rhs = verify_harmonic_identity(n, theta)
         assert rel_gap(lhs, rhs) < 1e-10
+
+    @pytest.mark.parametrize("theta", [1e-1, 1e-6, 1e-10, 1e-16, 1e-100, 1e-150, 2.0**-500])
+    @pytest.mark.parametrize("n", [2, 500, 2000])
+    def test_identities_hold_at_small_theta(self, n, theta):
+        # the harmonic right side formed theta + 1 before subtracting 1, so its
+        # term 1/theta kept only the bits of theta above 2**-52: a gap of
+        # 8.3e-8 at theta = 1e-10
+        for lhs, rhs in (
+            verify_mean_identity(n, theta),
+            verify_harmonic_identity(n, theta),
+            verify_quadratic_identity(n, theta),
+            verify_telescoping(n, max(1, n // 3), theta),
+        ):
+            assert rel_gap(lhs, rhs) < 1e-13
+
+    @pytest.mark.parametrize("check", [
+        verify_mean_identity,
+        verify_harmonic_identity,
+        verify_quadratic_identity,
+        lambda n, theta: verify_telescoping(n, 3, theta),
+    ], ids=["mean", "harmonic", "quadratic", "telescoping"])
+    def test_theta_below_the_floor_refused(self, check):
+        # at 1e-200 1/theta**2 overflowed: NaN and Infinity, and numpy warnings
+        with pytest.raises(ValueError, match="theta = 1e-200 is below 2\\*\\*-500, the floor"):
+            check(10, 1e-200)
 
     def test_harmonic_identity_theta_one_is_harmonic_number(self):
         lhs, rhs = verify_harmonic_identity(25, 1.0)

@@ -379,6 +379,12 @@ class TestCliContract:
             (("sample", "--n", "5", "--seed", "1", "--trials", "-3"),
              "need trials >= 1, got -3"),
             (("sample", "--n", "5", "--seed", "1", "--trials", "0"), "need trials >= 1, got 0"),
+            (("clt", "--n", "100", "--arcs", "0.1,0.2;", "--seed", "1", "--trials", "8"),
+             "arc '' must be 'alpha,beta'"),
+            # 1/theta**2 overflowed: numpy warnings, then NaN and Infinity printed
+            (("identities", "--n", "500", "--theta", "1e-200"),
+             "theta = 1e-200 is below 2**-500, the floor of the identity checks, "
+             "whose sums reach 1/theta**2"),
         ],
         ids=["negative-jobs", "zero-jobs", "nan-epsilon-tail", "inf-epsilon-tail",
              "exact-perm-inf-theta", "exact-mod-inf-theta", "identities-inf-theta",
@@ -389,7 +395,8 @@ class TestCliContract:
              "meso-rational-q0", "rational-alpha-rat-beta", "rational-beta-decimal-alpha",
              "independent-rat-alpha", "independent-decimal-beta", "affine-rat-alpha",
              "ell-irrational-rat", "meso-irrational-decimal", "clt-five-trials",
-             "mesoscopic-seven-trials", "sample-negative-trials", "sample-zero-trials"],
+             "mesoscopic-seven-trials", "sample-negative-trials", "sample-zero-trials",
+             "clt-trailing-semicolon", "identities-tiny-theta"],
     )
     def test_bad_value_named_in_one_error_line(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
@@ -561,12 +568,41 @@ class TestCliContract:
         assert json.loads(proc.stdout)["results"]["variance"] == pytest.approx(4.371946, rel=1e-6)
         assert elapsed < 1.0
 
-    @pytest.mark.parametrize("theta", ["1e6", "1e10", "1e15"])
-    def test_identities_pass_at_large_theta(self, capsys, theta):
-        # the telescoping row failed here while it differenced log-gamma values
-        out = run_json(capsys, "identities", "--n", "10", "--theta", theta)
+    # the telescoping row failed at large theta while it differenced
+    # log-gamma values, and the harmonic row from theta = 1e-6 down while its
+    # right side formed theta + 1 (a gap of 8.3e-8 at 1e-10)
+    @pytest.mark.parametrize("n, theta", [
+        ("10", "1e6"), ("10", "1e10"), ("10", "1e15"),
+        ("500", "1e-6"), ("500", "1e-10"), ("500", "1e-16"), ("500", "1e-100"),
+    ])
+    def test_identities_pass_at_extreme_theta(self, capsys, n, theta):
+        out = run_json(capsys, "identities", "--n", n, "--theta", theta)
         assert out["results"]["telescoping"]["pass"] is True
         assert out["results"]["all_pass"] is True
+
+    def test_undefined_correlation_printed_as_null(self, capsys):
+        # the first arc's 8 counts are all 0: numpy warned on stderr and the
+        # output held NaN, which is not JSON
+        code, out, err = run_cli(capsys, "clt", "--n", "3", "--arcs", "0.01,0.02;0.5,0.9",
+                                 "--model", "mod", "--seed", "1", "--trials", "8")
+        assert (code, err) == (0, "")
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} in the output")
+
+        corr = json.loads(out, parse_constant=refuse)["results"]["empirical_correlation"]
+        assert corr[0] == [None, None] and corr[1][0] is None
+        assert corr[1][1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_result_is_one_error_line(self, capsys, fmt):
+        # psi(n, n) ~ n/theta overflows; "variance": Infinity was printed with exit 0
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code, out, err = run_cli(capsys, "exact-moments", "--model", "mod", "--n", "10000",
+                                     "--theta", "1e-306", "--alpha", "0.2", "--beta", "0.7",
+                                     "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_byte_identical_reruns(self, capsys):
         argv = ["clt", "--n", "150", "--arcs", "0.1,0.6", "--model", "perm",
