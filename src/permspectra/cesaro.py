@@ -69,6 +69,12 @@ TABLE_SIZE_LIMIT = 40_000_000
 THETA_LIMIT = 2.0**53
 
 
+#: floor on theta for the identity checks, whose sums reach 1/theta**2
+#: (overflow below 7.5e-155), and for the modified exact moments, whose psi
+#: table reaches psi(n, n) ~ n/theta; both are finite down to this floor
+THETA_FLOOR = 2.0**-500
+
+
 def check_theta(theta: float) -> None:
     """Refuse a theta that is not positive and finite."""
     if not 0 < theta < math.inf:
@@ -216,10 +222,10 @@ def _fsum(values: np.ndarray) -> float:
 
 
 def _check_identity_theta(theta: float) -> None:
-    """check_theta_limit, and its mirror 2**-500: the identity sums reach
-    1/theta**2 (which overflows below 7.5e-155) and n/theta, finite there."""
+    """check_theta_limit, and its mirror THETA_FLOOR: the identity sums reach
+    1/theta**2 and n/theta, finite there."""
     check_theta_limit(theta)
-    if theta < 2.0**-500:
+    if theta < THETA_FLOOR:
         raise ValueError(
             f"theta = {theta} is below 2**-500, the floor of the identity checks, "
             "whose sums reach 1/theta**2"

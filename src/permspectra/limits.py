@@ -33,24 +33,32 @@ ell(delta) = m1(delta) - m2(delta), and the shrinking-arc constant is c2
 against an independent irrational, m2(alpha) + 1/3 - m1(alpha).
 
 Numeric oracles (``c_numeric``, ``ctilde_numeric``) evaluate the partial
-averages directly and are exact — rational arithmetic throughout — whenever
-the endpoints are ``fractions.Fraction``; one full period then reproduces
-the limit exactly.
+averages directly.  ``c_numeric`` is exact — rational arithmetic throughout
+— whenever the endpoints are ``fractions.Fraction``; one full period then
+reproduces the limit exactly.
 
-Float partial sums run in blocks: {j x} for every endpoint or difference a
-call needs is one (K, block) array per block of at most 8192 values of j,
-in one preallocated buffer, so no length-n array is made beyond the result.
+The modified ensemble needs only single-slope sums of h_j(x) = {jx}(1-{jx}),
+and those are exact for every endpoint: a float counts at its binary value
+p/q, and sum_j {jx} and sum_j {jx}^2 follow from the three floor sums
+sum floor(j p/q), sum j floor(j p/q) and sum floor(j p/q)^2, which a
+Euclid-like recursion on (p, q) gives in O(log q) steps on Python
+integers (``_floor_sums``; the same reciprocity as the Dedekind sums
+below).  So ``ctilde_numeric`` and ``covariance_Dtilde`` cost O(log q) per
+distinct |x|, whatever n, make no array of n, and round each exact average
+once.  They read H_j as the (|x| -> weight) map of ``spectral.h_weights``,
+the one that ``spectral.exact_covariance_mod`` reads, one ``_h_sum`` per
+distinct non-zero |x|.
+
+The plain ensemble's float partial sums (``c_numeric``, ``covariance_D``)
+need two slopes at once, sum {j alpha}{j beta}, which that recursion does
+not give; they run in blocks: {j x} for every endpoint a call needs is one
+(K, block) array per block of at most 8192 values of j, in one
+preallocated buffer, so no length-n array is made beyond the result.
 Each row is written by ``spectral.frac_into``, the package's one
 fractional-part kernel: the float endpoints' rows in one call, each Fraction
 endpoint's row exactly by its own.  Results equal the full-array formulas
-bit for bit: each {j x} comes from the same product and floor, the omega
-columns fill the same C-ordered arrays the one BLAS call gets, and sums of
-h_j(x) = {jx}(1-{jx}) split where numpy's pairwise summation does (halves
-rounded down to a multiple of 8), with ``np.add.reduce`` summing each
-block.  ``covariance_Dtilde`` and ``ctilde_numeric`` read H_j as the
-(|x| -> weight) map of ``spectral.h_weights``, the one that
-``spectral.exact_covariance_mod`` reads, and the kernel evaluates its
-distinct non-zero |x|, one row each.
+bit for bit: each {j x} comes from the same product and floor, and the
+omega columns fill the same C-ordered arrays the one BLAS call gets.
 """
 
 from __future__ import annotations
@@ -141,8 +149,7 @@ def _frac_seq_exact(x: Fraction, n: int) -> list[Fraction]:
     return [Fraction((j * p) % q, q) for j in range(1, n + 1)]
 
 
-#: most values of j per block; above numpy's pairwise leaf of 128 values, so
-#: numpy halves every length that the kernel halves
+#: most values of j per block of the plain ensemble's float kernel
 _BLOCK = 8192
 
 
@@ -165,30 +172,49 @@ def _fill_frac_differences(plus: Sequence[Endpoint], minus: Sequence[Endpoint], 
             np.subtract(f[row[k]], f[row[len(plus) + k]], out=diff[lo:hi])
 
 
-def _pairwise(leaf, lo: int, size: int):
-    """Sum of the ``size`` values from index ``lo`` in numpy's pairwise order:
-    halve (rounded down to a multiple of 8) down to pieces of at most
-    ``_BLOCK`` values, each summed by ``leaf(lo, size)`` with ``np.add.reduce``."""
-    if size <= _BLOCK:
-        return leaf(lo, size)
-    half = size // 2
-    half -= half % 8
-    return _pairwise(leaf, lo, half) + _pairwise(leaf, lo + half, size - half)
+def _power_sums(n: int) -> tuple[int, int]:
+    """(sum_{i<=n} i, sum_{i<=n} i^2)."""
+    return n * (n + 1) // 2, n * (n + 1) * (2 * n + 1) // 6
 
 
-def _h_means(xs: Sequence[float], n: int) -> np.ndarray:
-    """(1/n) sum_{j<=n} h_j(x) for each non-zero x of ``h_weights``, bit for
-    bit ``np.mean(f * (1 - f))`` over the full array f = {j x}."""
-    rows = np.asarray(xs, dtype=np.float64)[:, None]
-    buf = np.empty(len(rows) * _BLOCK)
+def _floor_sums(a: int, b: int, c: int, n: int) -> tuple[int, int, int]:
+    """(F, G, H) = sum_{i=0}^{n} (floor((a i + b)/c), i floor(.), floor(.)^2)
+    for integers a, b >= 0 and c > 0, in O(log) steps: reduce a and b mod c,
+    then swap the roles of i and the floor by counting lattice points under
+    the line (a i + b)/c, so (a, c) runs through Euclid's algorithm."""
+    s1, s2 = _power_sums(n)
+    if a == 0:
+        q = b // c
+        return (n + 1) * q, q * s1, (n + 1) * q * q
+    if a >= c or b >= c:
+        qa, qb = a // c, b // c
+        f, g, h = _floor_sums(a % c, b % c, c, n)
+        return (
+            f + qa * s1 + qb * (n + 1),
+            g + qa * s2 + qb * s1,
+            h + qa * qa * s2 + qb * qb * (n + 1) + 2 * qa * qb * s1 + 2 * qb * f + 2 * qa * g,
+        )
+    m = (a * n + b) // c
+    if m == 0:
+        return 0, 0, 0
+    f, g, h = _floor_sums(c, c - b - 1, a, m - 1)
+    big_f = n * m - f
+    return big_f, (m * n * (n + 1) - h - f) // 2, n * m * (m + 1) - 2 * g - 2 * f - big_f
 
-    def leaf(lo: int, size: int) -> np.ndarray:
-        f = frac_into(rows, lo, buf[: len(rows) * size].reshape(len(rows), size))
-        # 1 - f takes the memory the writer's floor has just freed: one buffer
-        np.multiply(f, 1.0 - f, out=f)
-        return np.add.reduce(f, axis=1)
 
-    return _pairwise(leaf, 0, n) / n
+def _h_sum(x: Endpoint, n: int) -> Fraction:
+    """sum_{j=1}^{n} h_j(x), h_j(x) = {jx}(1-{jx}), exactly: x is taken at its
+    exact value (a float at its binary one), x = p/q mod 1, and with the floor
+    sums of j p/q, sum {jx} = (p S1 - q F)/q and sum {jx}^2 = (p^2 S2 -
+    2 p q G + q^2 H)/q^2, where S1 = sum j and S2 = sum j^2."""
+    x = Fraction(x)
+    q = x.denominator
+    p = x.numerator % q
+    big_f, g, h = _floor_sums(p, 0, q, n)
+    s1, s2 = _power_sums(n)
+    first = p * s1 - q * big_f  # q sum {jx}
+    second = p * p * s2 - 2 * p * q * g + q * q * h  # q^2 sum {jx}^2
+    return Fraction(q * first - second, q * q)
 
 
 def c_numeric(s: Endpoint, t: Endpoint, u: Endpoint, v: Endpoint, n: int) -> float:
@@ -209,21 +235,16 @@ def c_numeric(s: Endpoint, t: Endpoint, u: Endpoint, v: Endpoint, n: int) -> flo
     return float(left @ right) / n
 
 
-def _h_mean_exact(x: Fraction, n: int) -> Fraction:
-    return sum(f * (1 - f) for f in _frac_seq_exact(x, n)) / n
-
-
 def ctilde_numeric(s: Endpoint, t: Endpoint, u: Endpoint, v: Endpoint, n: int) -> float:
     """Partial average (1/2n) sum_{j<=n} (h_j(t-u) + h_j(s-v) - h_j(s-u) - h_j(t-v)),
     with h_j(x) = {jx}(1-{jx}): the mean H_j of the arcs (t, s] and (v, u],
-    one term per entry of ``h_weights``.  Exact in the all-Fraction case."""
+    one term per entry of ``h_weights``.  Exact for every endpoint, a float
+    taken at its binary value, and rounded once; each term is one ``_h_sum``,
+    so the cost does not grow with n."""
     if n < 1:
         raise ValueError("n must be >= 1")
     weights = h_weights(t, s, v, u)
-    if _exact_mode(s, t, u, v):
-        return float(sum(Fraction(w) * _h_mean_exact(Fraction(x), n) for x, w in weights.items()))
-    means = _h_means(list(weights), n).tolist()
-    return sum((w * h for w, h in zip(weights.values(), means)), 0.0)
+    return float(sum(Fraction(w) * _h_sum(x, n) for x, w in weights.items()) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +381,8 @@ def covariance_D(arcs: Sequence[Arc], n_numeric: int = 10**6) -> CovarianceMatri
     """
     if len(arcs) < 1:
         raise ValueError("need at least one arc")
+    if n_numeric < 1:
+        raise ValueError(f"n_numeric must be >= 1, got {n_numeric}")
     omegas = np.empty((n_numeric, len(arcs)))
     _fill_frac_differences([a.beta for a in arcs], [a.alpha for a in arcs], omegas.T)
     return _correlation(omegas.T @ omegas / n_numeric)
@@ -370,18 +393,23 @@ def covariance_Dtilde(arcs: Sequence[Arc], n_numeric: int = 10**6) -> Covariance
 
     Entry (k, l) averages H_{j,k,l}, the term of ``spectral.h_weights`` for
     arcs k and l; for k = l this is h_j(delta_k), the variance constant of
-    arc k.  Each distinct |x| of all pairs is one row of ``_h_means``.  For
+    arc k.  Each distinct non-zero |x| of all pairs is one exact ``_h_sum``,
+    float endpoints taken at their binary value, so the cost does not grow
+    with n_numeric and each entry is its exact average rounded once.  For
     each j the matrix (H_{j,k,l}) is a covariance of indicator differences,
     so the average is positive semidefinite by construction.
     """
     if len(arcs) < 1:
         raise ValueError("need at least one arc")
+    if n_numeric < 1:
+        raise ValueError(f"n_numeric must be >= 1, got {n_numeric}")
     m = len(arcs)
     pairs = [(k, l) for k in range(m) for l in range(k, m)]
     maps = [h_weights(arcs[k].alpha, arcs[k].beta, arcs[l].alpha, arcs[l].beta) for k, l in pairs]
-    xs = list(dict.fromkeys(x for weights in maps for x in weights))  # first-seen order
-    h_mean = dict(zip(xs, _h_means(xs, n_numeric).tolist()))
+    xs = dict.fromkeys(x for weights in maps for x in weights)  # first-seen order
+    h_sum = {x: _h_sum(x, n_numeric) for x in xs}
     gram = np.empty((m, m))
     for (k, l), weights in zip(pairs, maps):
-        gram[k, l] = gram[l, k] = sum(w * h_mean[x] for x, w in weights.items())
+        total = sum(Fraction(w) * h_sum[x] for x, w in weights.items())
+        gram[k, l] = gram[l, k] = float(total / n_numeric)
     return _correlation(gram)

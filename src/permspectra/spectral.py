@@ -55,6 +55,7 @@ own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -110,6 +111,10 @@ class CountMoments:
     variance: float
 
     def __post_init__(self):
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean}")
+        if not math.isfinite(self.variance):
+            raise ValueError(f"variance must be finite, got {self.variance}")
         if self.variance < -1e-12:
             raise ValueError(f"variance must be >= 0, got {self.variance}")
 
@@ -402,8 +407,15 @@ def exact_covariance_mod(n: int, theta: float, arc1: Arc, arc2: Arc) -> float:
     """Exact covariance of the two modified-matrix counts at size n.
 
     cov = theta sum_j (P_j / j) H_j, with H_j = sum weight h_j(x) over
-    :func:`h_weights`; for arc1 = arc2 that is h_j(beta - alpha).
+    :func:`h_weights`; for arc1 = arc2 that is h_j(beta - alpha).  theta
+    below ``cesaro.THETA_FLOOR`` is refused, since P_n ~ n/theta overflows.
     """
+    cesaro.check_theta(theta)
+    if theta < cesaro.THETA_FLOOR:
+        raise ValueError(
+            f"theta = {theta} is below 2**-500, the floor of the modified exact moments, "
+            "whose psi table reaches n/theta"
+        )
     weights = h_weights(arc1.alpha, arc1.beta, arc2.alpha, arc2.beta)
     blocks = psi_blocks(n, theta)
     values = np.empty(n)  # P_j / j

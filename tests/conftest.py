@@ -8,8 +8,12 @@ ensemble, on exact integer angles).  The Bernoulli-word helpers are the
 exception: they feed hand-written or fully drawn words through the sampler's own
 thresholds and length reading, so that those can be tested bit by bit.
 The ``*_formula`` functions are earlier forms that the library must equal
-bit for bit: the full-array formulas of the float Cesàro sums in ``limits``
-(which its blocked kernel replaced), the separate variance formulas of
+bit for bit: the full-array formulas of the plain float Cesàro sums in
+``limits`` (which its blocked kernel replaced), and of the modified ones,
+which the library now sums exactly and must match within 1e-13 (its exact
+values are the brute-force ``h_sum_exact`` and the oracles built on it,
+``covariance_Dtilde_exact`` and ``ctilde_numeric_exact``), the separate
+variance formulas of
 ``exact_moments_*`` (now the diagonal of ``exact_covariance_*``; the plain
 one to a relative 1e-13, since its cross term is a direct convolution where
 the library takes an FFT), the untiled rational fractional parts and the
@@ -36,6 +40,7 @@ batch), ``dense_counts`` (the vector [a_1, ..., a_n]) and
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -659,6 +664,37 @@ def covariance_Dtilde_formula(arcs, n: int) -> np.ndarray:
             means = (w * h_mean_formula(float(x), n) for x, w in weights.items())
             gram[k, l] = gram[l, k] = sum(means)
     return _correlation(gram)
+
+
+@functools.cache
+def h_sum_exact(x, n: int) -> Fraction:
+    """sum_{j<=n} {jx}(1-{jx}) for x = Fraction(x) (a float at its binary
+    value), enumerated over j on Python integers: {jx} = (j p mod q)/q.
+    Cached, since the oracles below meet each |x| once per pair of arcs."""
+    x = Fraction(x)
+    q = x.denominator
+    p = x.numerator % q
+    return Fraction(sum(r * (q - r) for r in (j * p % q for j in range(1, n + 1))), q * q)
+
+
+def covariance_Dtilde_exact(arcs, n: int) -> np.ndarray:
+    """Entries of ``covariance_Dtilde`` from ``h_sum_exact``: each Gram entry
+    the exact weighted sum over its |x|, divided by n and rounded once."""
+    m = len(arcs)
+    gram = np.empty((m, m))
+    for k in range(m):
+        for l in range(k, m):
+            weights = h_weight_map(arcs[k].alpha, arcs[k].beta, arcs[l].alpha, arcs[l].beta)
+            total = sum(Fraction(w) * h_sum_exact(x, n) for x, w in weights.items())
+            gram[k, l] = gram[l, k] = float(total / n)
+    return _correlation(gram)
+
+
+def ctilde_numeric_exact(s, t, u, v, n: int) -> float:
+    """``ctilde_numeric`` from ``h_sum_exact``: the exact mean of H_j of the
+    arcs (t, s] and (v, u], rounded once."""
+    weights = h_weight_map(t, s, v, u)
+    return float(sum(Fraction(w) * h_sum_exact(x, n) for x, w in weights.items()) / n)
 
 
 def c_numeric_formula(s, t, u, v, n: int) -> float:

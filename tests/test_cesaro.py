@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from permspectra import (
     verify_telescoping,
 )
 from permspectra import cesaro
-from permspectra.cesaro import TABLE_SIZE_LIMIT
+from permspectra.cesaro import TABLE_SIZE_LIMIT, THETA_FLOOR
 from permspectra.spectral import _perm_mean, exact_covariance_perm, exact_moments_perm
 
 THETAS = [0.3, 0.5, 0.7, 1.0, 1.5, 2.5]
@@ -257,6 +258,14 @@ class TestIdentities:
         # at 1e-200 1/theta**2 overflowed: NaN and Infinity, and numpy warnings
         with pytest.raises(ValueError, match="theta = 1e-200 is below 2\\*\\*-500, the floor"):
             check(10, 1e-200)
+        # the floor is cesaro.THETA_FLOOR, and the message names it as before
+        assert THETA_FLOOR == 2.0**-500
+        check(10, THETA_FLOOR)
+        theta = math.nextafter(THETA_FLOOR, 0.0)
+        message = (f"theta = {theta} is below 2**-500, the floor of the identity checks, "
+                   "whose sums reach 1/theta**2")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check(10, theta)
 
     def test_harmonic_identity_theta_one_is_harmonic_number(self):
         lhs, rhs = verify_harmonic_identity(25, 1.0)

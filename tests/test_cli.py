@@ -2,12 +2,14 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -385,6 +387,11 @@ class TestCliContract:
             (("identities", "--n", "500", "--theta", "1e-200"),
              "theta = 1e-200 is below 2**-500, the floor of the identity checks, "
              "whose sums reach 1/theta**2"),
+            # psi(n, n) ~ n/theta overflowed: a numpy warning in the psi table
+            (("exact-moments", "--model", "mod", "--n", "10000", "--theta", "1e-306",
+              "--alpha", "0.2", "--beta", "0.7"),
+             "theta = 1e-306 is below 2**-500, the floor of the modified exact moments, "
+             "whose psi table reaches n/theta"),
         ],
         ids=["negative-jobs", "zero-jobs", "nan-epsilon-tail", "inf-epsilon-tail",
              "exact-perm-inf-theta", "exact-mod-inf-theta", "identities-inf-theta",
@@ -396,7 +403,7 @@ class TestCliContract:
              "independent-rat-alpha", "independent-decimal-beta", "affine-rat-alpha",
              "ell-irrational-rat", "meso-irrational-decimal", "clt-five-trials",
              "mesoscopic-seven-trials", "sample-negative-trials", "sample-zero-trials",
-             "clt-trailing-semicolon", "identities-tiny-theta"],
+             "clt-trailing-semicolon", "identities-tiny-theta", "exact-mod-tiny-theta"],
     )
     def test_bad_value_named_in_one_error_line(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
@@ -595,12 +602,17 @@ class TestCliContract:
         assert corr[1][1] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_non_finite_result_is_one_error_line(self, capsys, fmt):
-        # psi(n, n) ~ n/theta overflows; "variance": Infinity was printed with exit 0
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code, out, err = run_cli(capsys, "exact-moments", "--model", "mod", "--n", "10000",
-                                     "--theta", "1e-306", "--alpha", "0.2", "--beta", "0.7",
-                                     "--format", fmt)
+    def test_non_finite_result_is_one_error_line(self, capsys, monkeypatch, fmt):
+        # "variance": Infinity was printed with exit 0 when psi(n, n) ~ n/theta
+        # overflowed; the library now refuses that theta and any infinite
+        # CountMoments, so a stand-in result reaches the writer's own guard
+        def infinite(n, theta, arc):
+            return SimpleNamespace(mean=n * float(arc.width), variance=math.inf)
+
+        monkeypatch.setattr("permspectra.cli.exact_moments_mod", infinite)
+        code, out, err = run_cli(capsys, "exact-moments", "--model", "mod", "--n", "10000",
+                                 "--theta", "0.5", "--alpha", "0.2", "--beta", "0.7",
+                                 "--format", fmt)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 

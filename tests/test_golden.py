@@ -6,8 +6,8 @@ its output that never passes through BLAS (the correlation matrices and the
 exact modified-ensemble variances are left out: their last bits depend on
 the BLAS thread count).  Two more cases hash the reference matrix
 ``covariance_Dtilde`` of the README arcs at the CLI's n_numeric = 10^6, and
-``ctilde_numeric`` of their endpoints there: means of h_j sums and ratios
-of them, with no BLAS call.
+``ctilde_numeric`` of their endpoints there: exact sums of h_j, each average
+rounded once (and ratios of them), with no BLAS call.
 Floats are hashed through ``json.dumps``, whose ``repr`` round-trips
 every bit.  A changed digest means a changed stream or
 a changed statistic; if that is intended, say so and record the new values.
@@ -99,9 +99,9 @@ GOLDEN = {
     "coupling-check mean and se":
         "c963115d064d918016288867cf211c11275b0a81d3e75d6faf4202c4aac50f49",
     "covariance_Dtilde README arcs":
-        "3461da3a64ef9352b2d76e6d60fe537fbaa47f5ffd32a87c50e05d965f3b0dbf",
+        "19afda75b2bba9c1f1c862ba63e8b3c45926f07659b2820f0d9dbe4ea13e4bc0",
     "ctilde_numeric README endpoints":
-        "38b80e2d34151acc010f03fea43ca7c5907dc9ecb82fc7c7ca0011bda60c948e",
+        "645c97e3060de5d51d619826fa61c8a7873a1c65828ec9f4a3356e2d736be2fd",
     "mesoscopic mod mean": "d4444644a577de10de6222f7536003d13a7f99e8b2f5679a1b7fcd09358e4013",
     "mesoscopic perm variances and mean":
         "a88937c3519e5d67abb00bc131e93f899fe62723c855bfaf4c79e12046fda775",

@@ -1,22 +1,31 @@
-"""The blocked Cesàro kernel in ``limits`` against the full-array formulas.
+"""The numeric Cesàro sums in ``limits`` against their oracles.
 
-``covariance_D``, ``covariance_Dtilde``, ``c_numeric`` and ``ctilde_numeric``
-must equal the formulas in ``conftest`` bit for bit (no tolerance): block
-edges at 8192, numpy's pairwise-summation boundaries (8, 128) and the two
-n_numeric sizes the CLI and the benchmark use are all crossed.  All-Fraction
-endpoints must keep their exact rational path.
+``covariance_D`` and ``c_numeric`` must equal the full-array formulas in
+``conftest`` bit for bit (no tolerance): block edges at 8192 and the two
+n_numeric sizes the CLI and the benchmark use are crossed.
+``covariance_Dtilde`` and ``ctilde_numeric`` sum h_j exactly by the floor-sum
+recursion: they must equal the brute-force Fraction oracles bit for bit at
+small n, and the float formulas within 1e-13 at large n.  All-Fraction
+endpoints must keep ``c_numeric``'s exact rational path.
 """
-
 from fractions import Fraction as F
+
+import inspect
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     c_numeric_formula,
     covariance_D_formula,
+    covariance_Dtilde_exact,
     covariance_Dtilde_formula,
+    ctilde_numeric_exact,
     ctilde_numeric_formula,
+    h_sum_exact,
 )
 from permspectra import (
     NAMED_IRRATIONALS,
@@ -35,6 +44,14 @@ GOLDEN, SQRT2, SQRT3, E, PI = (
 SIZES = [1, 7, 128, 129, 8191, 8193] + [
     pytest.param(n, marks=pytest.mark.slow) for n in (999_983, 10**6)
 ]
+#: the exact h-sums meet the Fraction oracle bit for bit at these sizes, and
+#: the float formulas within their rounding at the block edges and beyond
+EXACT_SIZES = [1, 7, 128, 129, 2000, 8191, 8193, pytest.param(999_983, marks=pytest.mark.slow)]
+FLOAT_SIZES = SIZES[4:]
+
+#: arc sets whose every difference is a generic float: the float formulas'
+#: rounding of j x has no pattern there and cancels in the mean
+GENERIC_SETS = {"one arc", "README arcs"}
 
 ARC_SETS = {
     "one arc": [Arc(SQRT2, GOLDEN)],
@@ -49,7 +66,7 @@ ARC_SETS = {
 }
 
 
-def same_or_both_refuse(build, oracle, *args):
+def same_or_both_refuse(build, oracle, *args, atol=0.0):
     try:
         expected = oracle(*args)
     except ValueError:
@@ -58,40 +75,69 @@ def same_or_both_refuse(build, oracle, *args):
         return
     got = build(*args)
     if isinstance(expected, np.ndarray):
-        assert np.array_equal(got.entries, expected)
+        got = got.entries
+    assert type(got) is type(expected)
+    if atol:
+        assert np.allclose(got, expected, rtol=0.0, atol=atol)
     else:
-        assert got == expected and type(got) is type(expected)
+        assert np.array_equal(got, expected)
+
+
+def pair_ends(arcs):
+    """(s, t, u, v) = (beta, alpha, beta', alpha') of each pair of arcs."""
+    for k, arc in enumerate(arcs):
+        for other in arcs[k:]:
+            yield arc.beta, arc.alpha, other.beta, other.alpha
 
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("name", sorted(ARC_SETS))
-def test_bit_identical_to_full_array_formulas(name, n):
+def test_plain_sums_bit_identical_to_full_array_formulas(name, n):
     arcs = ARC_SETS[name]
     same_or_both_refuse(covariance_D, covariance_D_formula, arcs, n)
-    same_or_both_refuse(covariance_Dtilde, covariance_Dtilde_formula, arcs, n)
-    for k, arc in enumerate(arcs):
-        for other in arcs[k:]:
-            ends = (arc.beta, arc.alpha, other.beta, other.alpha)
-            if all(isinstance(x, F) for x in ends):
-                continue  # the exact path, below
-            same_or_both_refuse(c_numeric, c_numeric_formula, *ends, n)
-            same_or_both_refuse(ctilde_numeric, ctilde_numeric_formula, *ends, n)
+    for ends in pair_ends(arcs):
+        if all(isinstance(x, F) for x in ends):
+            continue  # the exact path, below
+        same_or_both_refuse(c_numeric, c_numeric_formula, *ends, n)
 
 
-def test_one_h_mean_row_per_distinct_nonzero_difference(monkeypatch):
+@pytest.mark.parametrize("n", EXACT_SIZES)
+@pytest.mark.parametrize("name", sorted(ARC_SETS))
+def test_h_sums_bit_identical_to_the_fraction_oracle(name, n):
+    arcs = ARC_SETS[name]
+    same_or_both_refuse(covariance_Dtilde, covariance_Dtilde_exact, arcs, n)
+    for ends in pair_ends(arcs):
+        same_or_both_refuse(ctilde_numeric, ctilde_numeric_exact, *ends, n)
+
+
+@pytest.mark.parametrize("n", FLOAT_SIZES)
+@pytest.mark.parametrize("name", sorted(ARC_SETS))
+def test_h_sums_within_rounding_of_the_float_formulas(name, n):
+    # the float formulas round each j x by up to j |x| 2**-53, and for x near
+    # a rational of small denominator (0.3 - 0.1, 0.9 - 0.6) those errors keep
+    # one sign: their mean drifts like n 2**-53 (2.1e-11 at 10**6 on
+    # "three overlapping"), while the exact sums meet the Fraction oracle
+    atol = 1e-13 if name in GENERIC_SETS else n * 2.0**-52
+    arcs = ARC_SETS[name]
+    same_or_both_refuse(covariance_Dtilde, covariance_Dtilde_formula, arcs, n, atol=atol)
+    for ends in pair_ends(arcs):
+        same_or_both_refuse(ctilde_numeric, ctilde_numeric_formula, *ends, n, atol=atol)
+
+
+def test_one_h_sum_per_distinct_nonzero_difference(monkeypatch):
     # the README arcs' three pairs hold 9 distinct signed differences, 0
-    # among them, but 6 distinct non-zero |x|: one call with those 6
-    calls, h_means = [], limits._h_means
+    # among them, but 6 distinct non-zero |x|: one h-sum for each
+    calls, h_sum = [], limits._h_sum
 
-    def spy(xs, n):
-        calls.append(list(xs))
-        return h_means(xs, n)
+    def spy(x, n):
+        calls.append(x)
+        return h_sum(x, n)
 
-    monkeypatch.setattr(limits, "_h_means", spy)
+    monkeypatch.setattr(limits, "_h_sum", spy)
     arcs = ARC_SETS["README arcs"]
     covariance_Dtilde(arcs, 1000)
-    assert len(calls) == 1 and len(calls[0]) == len(set(calls[0])) == 6
-    assert 0.0 not in calls[0]
+    assert len(calls) == len(set(calls)) == 6
+    assert 0.0 not in calls
 
 
 @pytest.mark.parametrize("n", [1, 8193])
@@ -116,7 +162,6 @@ def test_all_fraction_endpoints_take_the_exact_path(monkeypatch):
         raise AssertionError("the float kernel ran on all-Fraction endpoints")
 
     monkeypatch.setattr(limits, "_fill_frac_differences", refuse)
-    monkeypatch.setattr(limits, "_h_means", refuse)
     s, t, u, v = F(3, 4), F(1, 3), F(1, 7), F(0)
     n = 84  # one full period
 
@@ -133,27 +178,58 @@ def test_all_fraction_endpoints_take_the_exact_path(monkeypatch):
     assert ctilde_numeric(s, t, u, v, n) == float(ct_exact)
 
 
-@pytest.mark.parametrize("n", [1, 5, 7, 8, 9, 128, 129, 8191, 8192, 8193, 10**6 + 1])
-def test_pairwise_split_follows_numpy(n):
-    """The kernel reproduces ``np.mean`` by splitting a sum where numpy does.
+def floor_sums_brute(a, b, c, n):
+    floors = [(a * i + b) // c for i in range(n + 1)]
+    return sum(floors), sum(i * f for i, f in enumerate(floors)), sum(f * f for f in floors)
 
-    If this fails, numpy has moved its summation order: the blocked sums
-    still agree with numpy to rounding, so every figure stays correct, but
-    last digits, and golden digests, would shift.
-    """
-    rng = np.random.default_rng(n)
-    data = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-8, 9, (3, n))
 
-    def leaf(lo, size):
-        # the kernel sums each block of K rows as one C-ordered (K, size) array
-        return np.add.reduce(np.ascontiguousarray(data[:, lo:lo + size]), axis=1)
+@settings(max_examples=400, deadline=None)
+@given(
+    a=st.one_of(st.just(0), st.integers(0, 10**6)),
+    b=st.integers(0, 10**6),
+    c=st.integers(1, 10**6),
+    n=st.one_of(st.just(0), st.integers(0, 300)),
+)
+@example(a=0, b=7, c=3, n=5)  # a = 0 with b >= c
+@example(a=5, b=9, c=3, n=4)  # both reduced mod c
+@example(a=3, b=0, c=7, n=0)  # the empty-floor return at n = 0
+def test_floor_sums_match_brute_force(a, b, c, n):
+    assert limits._floor_sums(a, b, c, n) == floor_sums_brute(a, b, c, n)
 
-    got = limits._pairwise(leaf, 0, n)
-    expected = np.array([np.add.reduce(row) for row in data])
-    message = (
-        f"numpy {np.__version__} moved its summation order; the blocked sums in "
-        "permspectra.limits still agree to rounding (correctness is kept) but no "
-        "longer bit for bit, so golden digits would shift"
-    )
-    assert np.array_equal(got, expected), message
-    assert np.array_equal(got / n, [np.mean(row) for row in data]), message
+
+#: float corners of the recursion: next to 1, the smallest subnormal (q = 2**1074),
+#: a tiny normal, just above 1/2; x >= 1 (wrapped arcs), and a Fraction whose
+#: j q passes 2**62
+EDGE_XS = [1 - 2**-53, 5e-324, 1e-300, 0.5 + 2**-53, 1.2, F(5, 4), F(2**60, 2**61 + 1)]
+
+
+@pytest.mark.parametrize("x", EDGE_XS, ids=repr)
+@pytest.mark.parametrize("n", [1, 2, 97, 1000])
+def test_h_sum_edge_cases(x, n):
+    assert limits._h_sum(x, n) == h_sum_exact(x, n)
+
+
+def test_h_sum_at_1e18_under_the_default_recursion_limit():
+    # 200 frames above the caller's stack is far below the default limit of 1000
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 200)
+    try:
+        sums = [limits._h_sum(x, 10**18) for x in [*EDGE_XS, F(1, 3), GOLDEN, SQRT2, PI]]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert all(0 <= total <= F(10**18, 4) for total in sums)
+    # {j/3} runs 1/3, 2/3, 0, so each period of three holds 4/9, and 10**18 = 3 k + 1
+    assert sums[len(EDGE_XS)] == (10**18 // 3) * F(4, 9) + F(2, 9)
+
+
+def test_covariance_Dtilde_at_1e12_makes_no_array_of_n():
+    arcs = ARC_SETS["README arcs"]
+    at_1e6 = covariance_Dtilde(arcs, 10**6).entries
+    tracemalloc.start()
+    try:
+        at_1e12 = covariance_Dtilde(arcs, 10**12).entries
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert np.allclose(at_1e12, at_1e6, rtol=0.0, atol=1e-5)

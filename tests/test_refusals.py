@@ -2,6 +2,8 @@
 must raise ValueError with its own message, so a check that goes missing,
 or starts refusing for another reason, shows here."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,8 @@ _TOO_LONG = 2**27 + 2
      "matrix is not positive semidefinite within tolerance"),
     (lambda: covariance_D([]), "need at least one arc"),
     (lambda: covariance_Dtilde([]), "need at least one arc"),
+    (lambda: covariance_D([Arc(0.1, 0.6)], 0), "n_numeric must be >= 1, got 0"),
+    (lambda: covariance_Dtilde([Arc(0.1, 0.6)], 0), "n_numeric must be >= 1, got 0"),
     (lambda: c_numeric(0.1, 0.2, 0.3, 0.4, 0), "n must be >= 1"),
     (lambda: ctilde_numeric(0.1, 0.2, 0.3, 0.4, 0), "n must be >= 1"),
     (lambda: run_clt_fixed(_config(arcs=(Arc(0.1, 0.5),))),
@@ -53,6 +57,9 @@ _TOO_LONG = 2**27 + 2
     (lambda: verify_telescoping(10, 0, 0.7), "j must lie in \\[1, n-1\\] = \\[1, 9\\], got 0"),
     (lambda: verify_telescoping(10, 10, 0.7), "j must lie in \\[1, n-1\\] = \\[1, 9\\], got 10"),
     (lambda: CountMoments(1.0, -1e-6), "variance must be >= 0, got -1e-06"),
+    (lambda: CountMoments(math.nan, 1.0), "mean must be finite, got nan"),
+    (lambda: CountMoments(1.0, math.nan), "variance must be finite, got nan"),
+    (lambda: CountMoments(1.0, math.inf), "variance must be finite, got inf"),
     (lambda: _report(1.5), "KS statistic and p-value must lie in \\[0, 1\\]"),
     (lambda: _lattice_ks(np.zeros(5, dtype=np.int64), 0.0, 1.0),
      "need at least 8 samples, got 5"),
@@ -63,10 +70,11 @@ _TOO_LONG = 2**27 + 2
 ], ids=[
     "arc-three-endpoints", "arc-trailing-semicolon", "matrix-not-square",
     "matrix-not-symmetric", "matrix-diagonal", "matrix-not-psd", "D-no-arcs",
-    "Dtilde-no-arcs", "c-numeric-n0", "ctilde-numeric-n0", "clt-without-n",
-    "clt-without-arcs", "coupling-short-horizon", "telescoping-j0", "telescoping-jn",
-    "negative-variance", "ks-statistic-above-one", "ks-five-counts", "spacings-beyond-2**27",
-    "precomputed-seed-other-state",
+    "Dtilde-no-arcs", "D-n0", "Dtilde-n0", "c-numeric-n0", "ctilde-numeric-n0",
+    "clt-without-n", "clt-without-arcs", "coupling-short-horizon", "telescoping-j0",
+    "telescoping-jn",
+    "negative-variance", "nan-mean", "nan-variance", "inf-variance", "ks-statistic-above-one",
+    "ks-five-counts", "spacings-beyond-2**27", "precomputed-seed-other-state",
 ])
 def test_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

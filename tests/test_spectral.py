@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -506,6 +508,36 @@ class TestPlainThetaLimit:
                    "moments, whose cancellation loses digits as theta shrinks")
         assert capsys.readouterr().err == f"error: {message}\n"
         assert main([*argv, "--theta", "0.015625"]) == 0
+
+
+class TestModifiedThetaFloor:
+    """The modified exact moments hold down to cesaro.THETA_FLOOR, where
+    psi(n, n) ~ n/theta is still finite, and refuse theta below it."""
+
+    @pytest.mark.parametrize("n, h", [(10**4, F(10, 49)), (10**6, F(12, 49))])
+    def test_at_the_floor_the_variance_is_one_cycles_variance(self, n, h):
+        # at theta -> 0 the permutation is one n-cycle, whose modified count
+        # in an arc of width 3/7 has variance {3n/7}(1 - {3n/7})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for arc in (Arc(0.2, 0.7), Arc(F(1, 7), F(4, 7))):
+                variance = exact_moments_mod(n, cesaro.THETA_FLOOR, arc).variance
+                assert math.isfinite(variance)
+        assert variance == pytest.approx(float(h), rel=1e-12)
+
+    @pytest.mark.parametrize("call", [
+        lambda theta: exact_moments_mod(10, theta, Arc(0.1, 0.5)),
+        lambda theta: exact_covariance_mod(10, theta, Arc(0.1, 0.5), Arc(0.2, 0.7)),
+    ], ids=["moments", "covariance"])
+    def test_theta_below_the_floor_refused(self, call):
+        call(cesaro.THETA_FLOOR)
+        for theta in (math.nextafter(cesaro.THETA_FLOOR, 0.0), 1e-306, 5e-324):
+            message = (f"theta = {theta} is below 2**-500, the floor of the modified "
+                       "exact moments, whose psi table reaches n/theta")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(theta)
+        with pytest.raises(ValueError, match="theta must be positive and finite, got 0.0"):
+            call(0.0)
 
 
 class TestStreamedTables:
