@@ -27,8 +27,10 @@ exponentials of log1p window sums, not of log-gamma differences.
 
 The table is made one way, as blocks of TABLE_BLOCK values of j in one
 reused buffer (``psi_blocks``), which ``psi_values`` copies into one array
-and every exact moment reads a block at a time; only the plain covariance
-keeps them whole, for its cross term.  At theta = 1 the blocks are ones.
+and every exact moment reads a block at a time.  The plain mean and the
+modified covariance then hold no array of n at all; only the plain
+covariance keeps the blocks whole, for its cross term.  At theta = 1 the
+blocks are ones.
 """
 
 from __future__ import annotations
@@ -51,13 +53,13 @@ __all__ = [
 
 #: largest n of a psi table.  Measured with tracemalloc, the identity checks
 #: peak at 30 bytes per element, so this n peaks below 2 GB; the table itself
-#: is 8, the exact moments that stream it a block at a time hold 8 (the plain
-#: mean) and 16 (the modified variance) plus a few blocks, and the coupling
-#: tail bound holds only blocks.  The plain ensemble's FFT holds more;
-#: ``spectral._covariance_perm`` caps its n at this limit scaled to its bytes
-#: per element.  Rational endpoints with denominators beyond 2**62 / n
-#: take Python-integer products, but only a short run of j at a time
-#: (``spectral.frac_into``), so they hold no more than float endpoints.
+#: is 8; the plain mean, the modified variance and the coupling tail bound
+#: stream it a block at a time and hold only blocks.  The plain ensemble's
+#: FFT holds more; ``spectral._covariance_perm`` caps its n at this limit
+#: scaled to its bytes per element.  Rational endpoints with denominators
+#: beyond 2**62 / n take Python-integer products, but only a short run of j
+#: at a time (``spectral.frac_into``), so they hold no more than float
+#: endpoints.
 TABLE_SIZE_LIMIT = 40_000_000
 
 
@@ -112,13 +114,15 @@ TABLE_BLOCK = 1 << 15
 _RAMP = np.arange(TABLE_BLOCK, dtype=np.float64)
 
 
-def block_j(lo: int, size: int) -> np.ndarray:
-    """j = lo+1 .. lo+size as float64: the shared ramp plus lo + 1 for at
-    most TABLE_BLOCK values (an addition, half the time of an arange), else
-    an arange.  Both are exact while j < 2**53."""
-    if size > TABLE_BLOCK:
-        return np.arange(lo + 1, lo + size + 1, dtype=np.float64)
-    return np.add(_RAMP[:size], lo + 1)
+def block_j(lo: int, out: np.ndarray) -> np.ndarray:
+    """Write j = lo+1 .. lo+len(out) as float64 into ``out`` and return it:
+    the shared ramp plus a shift, one ramp's length at a time (an addition,
+    half the time of an arange, and nothing allocated).  Exact while
+    j < 2**53."""
+    for start in range(0, len(out), len(_RAMP)):
+        part = out[start : start + len(_RAMP)]
+        np.add(_RAMP[: len(part)], lo + 1 + start, out=part)
+    return out
 
 
 def _psi_blocks(n: int, j: int, theta: float) -> Iterator[tuple[int, np.ndarray]]:

@@ -654,7 +654,7 @@ def coupling_tail_expectation(n: int, theta: float, horizon: int) -> float:
         raise ValueError("horizon must be at least n")
     total = 0.0
     for lo, psi_h in _psi_blocks(horizon, n, theta):  # psi(H, j), j <= n
-        j = block_j(lo, len(psi_h))
+        j = block_j(lo, np.empty(len(psi_h)))
         total += float(np.sum(1.0 / j - psi_h * (1.0 / j - 1.0 / horizon)))
     return theta * total
 

@@ -27,12 +27,14 @@ the per-arc weights, is one real FFT (``numpy.fft``, imported on first use),
 so every exact moment is O(n log n) at most and no size cap applies below
 ``cesaro.TABLE_SIZE_LIMIT``.  The plain mean and the modified covariance
 read the psi table a block of ``cesaro.TABLE_BLOCK`` values of j at a time
-(``cesaro.psi_blocks``) and write each block's terms straight into the one
-array that their final sum or dot product reads (two for the modified
-covariance: P_j/j, and one h_j(x) reused for every x of ``h_weights``), so
-that they hold no other array of n and sum exactly the terms that whole
-arrays gave.  The plain covariance fills psi and its arc weights in the
-same sweep, one block at a time, but keeps psi whole for its cross term.
+(``cesaro.psi_blocks``) and form each block's terms (P_j u_j; (P_j/j) h_j(x)
+for every x of ``h_weights``) in buffers of one block, made once per call,
+so that they hold no array of n and allocate nothing per block.  Each
+block's terms are summed pairwise (``np.add.reduce``) and the blocks' sums
+by ``math.fsum``: no BLAS call, so the same bits for every BLAS build and
+thread count.  The plain covariance fills psi and its arc weights in the
+same sweep and sums its first term and the means of its arcs the same way,
+but keeps psi and the weights whole for its cross term, an FFT.
 ``h_weights``, the |x| -> weight map of the modified covariance
 term H_j, is also what :mod:`permspectra.limits` reads.  The plain exact moments
 refuse theta outside [``PLAIN_THETA_FLOOR``, ``PLAIN_THETA_LIMIT``] =
@@ -48,9 +50,9 @@ eliminates boundary misclassification at roots of unity; float endpoints use
 plain floor and inherit the usual caveat that an angle landing within one
 ulp of an endpoint may be classified either way.  Every fractional part
 {j x}, here and in :mod:`permspectra.limits`, is written by one kernel,
-``frac_into``, into its caller's buffer; it builds Python-integer products
-a short run of j at a time, so a rational endpoint needs no size cap of its
-own.
+``frac_into``, into its caller's buffer and with its caller's scratch
+array; it builds Python-integer products a short run of j at a time, so a
+rational endpoint needs no size cap of its own.
 """
 
 from __future__ import annotations
@@ -142,46 +144,54 @@ def _floor_multiples(x: Endpoint, j: np.ndarray) -> np.ndarray:
 _OBJECT_RUN = 1 << 10
 
 
-def frac_into(x: Union[Endpoint, np.ndarray], lo: int, out: np.ndarray) -> np.ndarray:
+def frac_into(
+    x: Union[Endpoint, np.ndarray], lo: int, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
     """Write {j x} for j = lo+1 .. lo+len(out) into ``out`` and return it;
-    exact for a Fraction, j x minus its floor for a float.
+    exact for a Fraction, j x minus its floor for a float.  ``scratch``, a
+    float64 array of out's shape that the writer overwrites, takes a float's
+    j (in its first row when ``out`` is 2-d) and then the floor, so that the
+    writer allocates nothing of the length of ``out``.
 
-    For x = w + p/q, {j x} = ((j p) mod q) / q: int64 products while
-    j q < 2**62, then Python integers a run of ``_OBJECT_RUN`` values of j
-    at a time, and, since it has period q in j, one period tiled once
+    For x = w + p/q, {j x} = ((j p) mod q) / q: int64 products, in scratch,
+    while j q < 2**62, then Python integers a run of ``_OBJECT_RUN`` values
+    of j at a time, and, since it has period q in j, one period tiled once
     2 q <= len(out).  A float x may also be an array broadcast against the
     rows of a 2-d ``out`` (a column, one endpoint per row).
     """
     hi = lo + out.shape[-1]
     if not isinstance(x, Fraction):
-        j = cesaro.block_j(lo, hi - lo)
-        np.multiply(j, x, out=out)
-        out -= np.floor(out, out=j if out.ndim == 1 else None)  # j is free for one row
+        np.multiply(cesaro.block_j(lo, scratch if out.ndim == 1 else scratch[0]), x, out=out)
+        out -= np.floor(out, out=scratch)
         return out
     q = x.denominator
     p = x.numerator % q
     if 2 * q <= len(out):
-        frac_into(x, lo, out[:q])
+        frac_into(x, lo, out[:q], scratch[:q])
         whole = len(out) // q * q
         out[:whole].reshape(-1, q)[1:] = out[:q]  # a 1-d reshape is a view
         out[whole:] = out[: len(out) - whole]
         return out
     cut = min(max((2**62 - 1) // q, lo), hi)  # the last j of the int64 products
-    edges = [lo, cut, *range(cut + _OBJECT_RUN, hi, _OBJECT_RUN), hi]
+    run = len(cesaro._RAMP)
+    edges = [*range(lo, cut, run), *range(cut, hi, _OBJECT_RUN), hi]
+    products = scratch.view(np.int64)
     for a, b in zip(edges, edges[1:]):
-        if a < b:
-            prod = np.arange(a + 1, b + 1, dtype=np.int64)
-            if b > cut:
-                prod = prod.astype(object)
-            prod *= p
-            prod %= q
-            np.divide(prod, float(q), out=out[a - lo : b - lo], casting="unsafe")
+        if b <= cut:
+            prod = products[: b - a]
+            np.add(cesaro._RAMP[: b - a], a + 1, out=prod, casting="unsafe")  # j, exact
+        else:
+            prod = np.arange(a + 1, b + 1, dtype=np.int64).astype(object)
+        prod *= p
+        prod %= q
+        np.divide(prod, float(q), out=out[a - lo : b - lo], casting="unsafe")
     return out
 
 
 def frac_parts(x: Endpoint, n: int, start: int = 1) -> np.ndarray:
     """Array of fractional parts {j x} for j = start..n (``frac_into``)."""
-    return frac_into(x, start - 1, np.empty(max(n - start + 1, 0)))
+    size = max(n - start + 1, 0)
+    return frac_into(x, start - 1, np.empty(size), np.empty(size))
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +247,17 @@ def count_arc_mod(trial: TrialBatch, arc: Arc) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fill_arc_weights(arc: Arc, lo: int, out: np.ndarray) -> None:
+def _fill_arc_weights(arc: Arc, lo: int, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     """out = u_j = ({j beta} - {j alpha}) / j for j = lo+1 .. lo+len(out);
-    alpha = 0 (the mesoscopic arcs' anchor) has {j alpha} = 0."""
-    frac_into(arc.beta, lo, out)
+    alpha = 0 (the mesoscopic arcs' anchor) has {j alpha} = 0.  ``work``,
+    two rows at least as long as ``out``, takes {j alpha} and the writer's
+    scratch, so nothing of the block's length is allocated."""
+    second, scratch = work[0, : len(out)], work[1, : len(out)]
+    frac_into(arc.beta, lo, out, scratch)
     if arc.alpha != 0:
-        out -= frac_into(arc.alpha, lo, np.empty(len(out)))
-    out /= cesaro.block_j(lo, len(out))
+        out -= frac_into(arc.alpha, lo, second, scratch)
+    out /= cesaro.block_j(lo, scratch)
+    return out
 
 
 #: largest theta of the plain moments (``exact_moments_perm``,
@@ -268,16 +282,18 @@ PLAIN_THETA_FLOOR = 2.0**-6
 
 def _perm_mean(n: int, theta: float, arc: Arc) -> float:
     """Exact mean n (beta - alpha) - theta sum_j P_j omega_j / j of the
-    permutation-matrix count, omega_j = {j beta} - {j alpha}; O(n), in one
-    array of n filled a block of the psi table at a time."""
+    permutation-matrix count, omega_j = {j beta} - {j alpha}; O(n), one block
+    of the psi table at a time into buffers of one block, each block's terms
+    summed pairwise and the blocks' sums by ``math.fsum``."""
     blocks = psi_blocks(n, theta)
-    weighted = np.empty(n)
+    buffers = np.empty((3, min(n, cesaro.TABLE_BLOCK)))  # the terms, the writer's two rows
+    partials = []
     for lo, block in blocks:
-        part = weighted[lo : lo + len(block)]
-        _fill_arc_weights(arc, lo, part)
+        part = _fill_arc_weights(arc, lo, buffers[0, : len(block)], buffers[1:])
         if theta != 1.0:  # psi = 1 at theta = 1
             part *= block
-    return n * float(arc.beta - arc.alpha) - theta * float(weighted.sum())
+        partials.append(np.add.reduce(part))
+    return n * float(arc.beta - arc.alpha) - theta * math.fsum(partials)
 
 
 def exact_moments_perm(n: int, theta: float, arc: Arc) -> CountMoments:
@@ -365,20 +381,23 @@ def _covariance_perm(n: int, theta: float, arc1: Arc, arc2: Arc) -> tuple[float,
     diagonal = arc2 == arc1
     values, u1 = np.empty(n), np.empty(n)
     u2 = u1 if diagonal else np.empty(n)
+    work = np.empty((3, min(n, cesaro.TABLE_BLOCK)))  # the writer's two rows, the products
+    partials = [], [], []  # of sum_j P_j u_{j,1}, P_j u_{j,2} and P_j omega_{j,1} u_{j,2}
     for lo, block in psi_blocks(n, theta):
         hi = lo + len(block)
         values[lo:hi] = block
-        _fill_arc_weights(arc1, lo, u1[lo:hi])
+        _fill_arc_weights(arc1, lo, u1[lo:hi], work)
         if not diagonal:
-            _fill_arc_weights(arc2, lo, u2[lo:hi])
-    del block  # a view that keeps the psi buffer
-    weighted = values * u1
-    sum1 = float(weighted.sum())
-    sum2 = sum1 if diagonal else float((values * u2).sum())
-    weighted *= u2
-    weighted *= np.arange(1, n + 1, dtype=np.float64)  # P_j omega_{j,1} u_{j,2}
-    first = theta * float(weighted.sum())
-    del weighted
+            _fill_arc_weights(arc2, lo, u2[lo:hi], work)
+            partials[1].append(np.add.reduce(np.multiply(block, u2[lo:hi], out=work[0, : hi - lo])))
+        weighted = np.multiply(block, u1[lo:hi], out=work[2, : hi - lo])
+        partials[0].append(np.add.reduce(weighted))
+        weighted *= u2[lo:hi]
+        weighted *= cesaro.block_j(lo, work[1, : hi - lo])
+        partials[2].append(np.add.reduce(weighted))
+    del block, work, weighted  # block is a view that keeps the psi buffer
+    sum1, first = math.fsum(partials[0]), theta * math.fsum(partials[2])
+    sum2 = sum1 if diagonal else math.fsum(partials[1])
     # entry i of the convolution sums over j+k = i+2; a length of at least
     # 2n-1 keeps entries 0..n-2 free of wrap-around
     size = _fft_length(2 * n - 1)
@@ -418,17 +437,15 @@ def exact_covariance_mod(n: int, theta: float, arc1: Arc, arc2: Arc) -> float:
         )
     weights = h_weights(arc1.alpha, arc1.beta, arc2.alpha, arc2.beta)
     blocks = psi_blocks(n, theta)
-    values = np.empty(n)  # P_j / j
+    # one block each of P_j / j, h_j(x) and the writer's scratch
+    ratio, h, scratch = np.empty((3, min(n, cesaro.TABLE_BLOCK)))
+    partials: dict = {x: [] for x in weights}
     for lo, block in blocks:
-        hi = lo + len(block)
-        np.divide(block, cesaro.block_j(lo, hi - lo), out=values[lo:hi])
-    del block  # a view that keeps the psi buffer
-    h = np.empty(n)  # one array for every x, filled a block at a time
-
-    def dot_h(x: Endpoint) -> float:
-        for lo in range(0, n, cesaro.TABLE_BLOCK):
-            f = frac_into(x, lo, h[lo : lo + cesaro.TABLE_BLOCK])
-            f *= 1.0 - f  # in the block the writer's floor has just freed
-        return float(values @ h)
-
-    return theta * sum(w * dot_h(x) for x, w in weights.items())
+        width = len(block)
+        np.divide(block, cesaro.block_j(lo, scratch[:width]), out=ratio[:width])
+        for x, sums in partials.items():
+            f = frac_into(x, lo, h[:width], scratch[:width])
+            f *= np.subtract(1.0, f, out=scratch[:width])
+            f *= ratio[:width]
+            sums.append(np.add.reduce(f))
+    return theta * sum(w * math.fsum(partials[x]) for x, w in weights.items())

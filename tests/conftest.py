@@ -8,8 +8,11 @@ ensemble, on exact integer angles).  The Bernoulli-word helpers are the
 exception: they feed hand-written or fully drawn words through the sampler's own
 thresholds and length reading, so that those can be tested bit by bit.
 The ``*_formula`` functions are earlier forms that the library must equal
-bit for bit: the full-array formulas of the plain float Cesàro sums in
-``limits`` (which its blocked kernel replaced), and of the modified ones,
+bit for bit, their terms built as whole arrays and summed in the streamed
+kernels' order (``blocked_sum``: pairwise within each block, ``math.fsum``
+across blocks): the full-array formulas of the plain float Cesàro sums in
+``limits`` (which its blocked kernel replaced; ``c_numeric_fractions`` is
+its former all-Fraction path), and of the modified ones,
 which the library now sums exactly and must match within 1e-13 (its exact
 values are the brute-force ``h_sum_exact`` and the oracles built on it,
 ``covariance_Dtilde_exact`` and ``ctilde_numeric_exact``), the separate
@@ -58,7 +61,7 @@ from permspectra import (
     count_arc_perm,
     psi_values,
 )
-from permspectra import ewens
+from permspectra import cesaro, ewens, limits
 from permspectra.cesaro import _NEAR_ONE
 from permspectra.ewens import (
     _SERIES_TERMS, _TABLE_SIZE, TrialBatch, _dense_thresholds, _sorted_lengths, _sparse_route,
@@ -637,10 +640,19 @@ def h_mean_formula(x: float, n: int) -> float:
     return float(np.mean(f * (1.0 - f)))
 
 
+def blocked_sum(terms: np.ndarray, block: int) -> float:
+    """The order in which the streamed kernels sum: ``np.add.reduce`` (numpy's
+    pairwise sum) over each run of ``block`` consecutive terms, then
+    ``math.fsum`` over the runs' sums."""
+    return math.fsum(np.add.reduce(terms[lo : lo + block]) for lo in range(0, len(terms), block))
+
+
 def covariance_D_formula(arcs, n: int) -> np.ndarray:
-    """Entries of ``covariance_D``: the stacked omega columns and one gram."""
-    omegas = np.column_stack([frac_parts(a.beta, n) - frac_parts(a.alpha, n) for a in arcs])
-    return _correlation(omegas.T @ omegas / n)
+    """Entries of ``covariance_D``: whole omega arrays, each gram entry the
+    blocked sum of one product."""
+    omegas = [frac_parts(a.beta, n) - frac_parts(a.alpha, n) for a in arcs]
+    gram = np.array([[blocked_sum(a * b, limits._BLOCK) / n for b in omegas] for a in omegas])
+    return _correlation(gram)
 
 
 def h_weight_map(a1, b1, a2, b2) -> dict:
@@ -698,10 +710,18 @@ def ctilde_numeric_exact(s, t, u, v, n: int) -> float:
 
 
 def c_numeric_formula(s, t, u, v, n: int) -> float:
-    """Float path of ``c_numeric``: one dot of two full-length arrays."""
+    """Float path of ``c_numeric``: the blocked sum of the product of two
+    full-length arrays."""
     left = frac_parts(s, n) - frac_parts(t, n)
     right = frac_parts(u, n) - frac_parts(v, n)
-    return float(left @ right) / n
+    return blocked_sum(left * right, limits._BLOCK) / n
+
+
+def c_numeric_fractions(s, t, u, v, n: int) -> float:
+    """All-Fraction path of ``c_numeric``: the sum over j of the products of
+    the four Fraction sequences {j x}, rounded once."""
+    fs, ft, fu, fv = ([(j * Fraction(x)) % 1 for j in range(1, n + 1)] for x in (s, t, u, v))
+    return float(sum((a - b) * (c - d) for a, b, c, d in zip(fs, ft, fu, fv)) / n)
 
 
 def ctilde_numeric_formula(s, t, u, v, n: int) -> float:
@@ -734,23 +754,24 @@ def psi_values_full(n: int, theta: float) -> np.ndarray:
 
 def perm_mean_formula(n: int, theta: float, arc: Arc) -> float:
     """The plain mean n (beta - alpha) - theta sum_j P_j omega_j / j over
-    whole arrays of n."""
+    whole arrays of n, summed in blocks of ``cesaro.TABLE_BLOCK``."""
     u = frac_parts(arc.beta, n)
     u -= frac_parts(arc.alpha, n)
     u /= np.arange(1, n + 1, dtype=np.float64)
     u *= psi_values_full(n, theta)
-    return n * float(arc.beta - arc.alpha) - theta * float(u.sum())
+    return n * float(arc.beta - arc.alpha) - theta * blocked_sum(u, cesaro.TABLE_BLOCK)
 
 
 def exact_moments_perm_formula(n: int, theta: float, arc: Arc) -> CountMoments:
     """The separate plain-ensemble mean and variance formula, with the cross
-    term as a direct O(n^2) convolution."""
+    term as a direct O(n^2) convolution; the mean summed in blocks of
+    ``cesaro.TABLE_BLOCK``, as ``perm_mean_formula``."""
     values = psi_values_full(n, theta)
     omega = frac_parts(arc.beta, n) - frac_parts(arc.alpha, n)
     j = np.arange(1, n + 1, dtype=np.float64)
     u = omega / j
     weighted = values * u
-    mean = n * float(arc.beta - arc.alpha) - theta * float(weighted.sum())
+    mean = n * float(arc.beta - arc.alpha) - theta * blocked_sum(weighted, cesaro.TABLE_BLOCK)
     first = theta * float((values * omega * u).sum())
     cross = float(values[1:] @ np.convolve(u, u)[: n - 1]) if n >= 2 else 0.0
     variance = first + theta**2 * (cross - float(weighted.sum()) ** 2)
@@ -759,7 +780,8 @@ def exact_moments_perm_formula(n: int, theta: float, arc: Arc) -> CountMoments:
 
 def exact_covariance_mod_formula(n: int, theta: float, arc1: Arc, arc2: Arc) -> float:
     """theta sum_j (P_j / j) H_j over whole arrays of n, one h_j(|x|) array
-    per distinct non-zero |x| among b1-a2, a1-b2, a1-a2, b1-b2."""
+    per distinct non-zero |x| among b1-a2, a1-b2, a1-a2, b1-b2, each sum
+    taken in blocks of ``cesaro.TABLE_BLOCK``."""
     weights: dict = {}
     for x, w in (
         (arc1.beta - arc2.alpha, 0.5),
@@ -774,16 +796,17 @@ def exact_covariance_mod_formula(n: int, theta: float, arc1: Arc, arc2: Arc) -> 
     for x, w in weights.items():
         if w:
             h = frac_parts(x, n)
-            total += w * float(values @ (h * (1.0 - h)))
+            total += w * blocked_sum(values * (h * (1.0 - h)), cesaro.TABLE_BLOCK)
     return theta * total
 
 
 def exact_moments_mod_formula(n: int, theta: float, arc: Arc) -> CountMoments:
-    """The separate modified-ensemble variance formula, in the width only."""
+    """The separate modified-ensemble variance formula, in the width only,
+    summed in blocks of ``cesaro.TABLE_BLOCK``."""
     h = frac_parts(arc.width, n)
     h = h * (1.0 - h)
     j = np.arange(1, n + 1, dtype=np.float64)
-    variance = theta * float((psi_values_full(n, theta) / j) @ h)
+    variance = theta * blocked_sum((psi_values_full(n, theta) / j) * h, cesaro.TABLE_BLOCK)
     return CountMoments(mean=n * float(arc.width), variance=variance)
 
 

@@ -1,7 +1,12 @@
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +20,9 @@ from conftest import (
 )
 from permspectra import (
     Arc,
+    c_numeric,
     coupling_tail_expectation,
+    covariance_D,
     exact_moments_mod,
     psi,
     psi_values,
@@ -26,9 +33,40 @@ from permspectra import (
 )
 from permspectra import cesaro
 from permspectra.cesaro import TABLE_SIZE_LIMIT, THETA_FLOOR
+from permspectra.cli import parse_arcs
 from permspectra.spectral import _perm_mean, exact_covariance_perm, exact_moments_perm
 
 THETAS = [0.3, 0.5, 0.7, 1.0, 1.5, 2.5]
+
+README_ARCS = parse_arcs("irr:sqrt2,irr:golden;irr:e,irr:sqrt3")
+README_ENDS = [x for arc in README_ARCS for x in (arc.beta, arc.alpha)]
+
+#: minor page faults of a warm call at n = 10**5 and 10**6, the fewest of three
+PAGE_FAULTS = """
+import json, resource
+from permspectra import Arc, c_numeric, covariance_D, exact_moments_mod
+from permspectra.cli import parse_arcs
+from permspectra.spectral import _perm_mean
+arcs = parse_arcs("irr:sqrt2,irr:golden;irr:e,irr:sqrt3")
+ends = [x for arc in arcs for x in (arc.beta, arc.alpha)]
+calls = {
+    "_perm_mean": lambda n: _perm_mean(n, 0.7, Arc(0.1, 0.7)),
+    "exact_moments_mod": lambda n: exact_moments_mod(n, 0.7, Arc(0.2, 0.7)),
+    "covariance_D": lambda n: covariance_D(arcs, n),
+    "c_numeric": lambda n: c_numeric(*ends, n),
+}
+
+def faults(call, n):
+    call(n)
+    counts = []
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        call(n)
+        counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return min(counts)
+
+print(json.dumps({name: [faults(call, 10**5), faults(call, 10**6)] for name, call in calls.items()}))
+"""
 
 
 def rel_gap(lhs, rhs):
@@ -101,28 +139,58 @@ class TestPsi:
         assert TABLE_SIZE_LIMIT * per_element < 2e9
         assert 10**9 > TABLE_SIZE_LIMIT
 
+    @pytest.mark.parametrize("n", [200_000, 10**6])
     @pytest.mark.parametrize("theta", [0.7, 1.0])
-    def test_streamed_tables_hold_one_array_per_table(self, theta):
-        # the plain mean holds one array of n, the modified variance two (P_j/j
-        # and one h reused for every x); the rest are blocks of TABLE_BLOCK
-        # values (1.3 bytes per element each at this n): the psi buffer, the
-        # writer's j (one shared ramp shifted) and, in the plain mean, the
-        # block of {j alpha}.  Whole arrays took 16-24 bytes
-        # per element for both
-        n = 200_000
-        peaks = []
-        for call in (
+    def test_streamed_sums_hold_a_few_blocks(self, theta, n):
+        # no array of n: the psi buffer and the callers' buffers of one block
+        # each, of TABLE_BLOCK values (256 KB) in spectral and of
+        # limits._BLOCK per endpoint in limits, about 1 MB in all.  Whole
+        # arrays took 8.8 MB (the plain mean) and 16.3-16.6 MB (the rest) at 10**6
+        calls = (
             lambda: _perm_mean(n, theta, Arc(Fraction(0), n**-0.5)),
             lambda: _perm_mean(n, theta, Arc(0.1, 0.7)),
             lambda: exact_moments_mod(n, theta, Arc(Fraction(1, 3), 0.7)),
-        ):
+            lambda: exact_moments_mod(n, theta, Arc(0.2, 0.7)),
+            lambda: covariance_D(README_ARCS, n),
+            lambda: c_numeric(*README_ENDS, n),
+        )
+        for call in calls:
             tracemalloc.start()
             call()
-            peaks.append(tracemalloc.get_traced_memory()[1] / n)
+            peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-        *plain, modified = peaks
-        assert all(8 < peak < 13.5 for peak in plain)
-        assert 16 < modified < 17.5
+            assert peak < 1.5e6
+
+    def test_streamed_sums_fault_no_more_at_larger_n(self):
+        # buffers of one block, made once per call, so a warm call's minor
+        # page faults do not grow with n.  A fresh interpreter keeps the
+        # allocator's state of this suite out: there, whole arrays made the
+        # modified variance fault 873-1,383 times per call at 10**6 and not at 10**5
+        src = str(Path(cesaro.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", PAGE_FAULTS], env=env, capture_output=True,
+                              text=True, check=True, timeout=120)
+        faults = json.loads(done.stdout)
+        assert all(at_1e6 <= at_1e5 for at_1e5, at_1e6 in faults.values()), faults
+
+    @pytest.mark.parametrize("n", [10**5, pytest.param(10**6, marks=pytest.mark.slow)])
+    def test_exact_c_numeric_holds_no_list_of_n(self, n):
+        # Fraction endpoints sum integer terms from generators: lists of n
+        # Fractions took 224 bytes per element, 22 MB and 3.3 s at 10**5
+        ends = (Fraction(3, 4), Fraction(1, 3), Fraction(1, 7), Fraction(2, 11))
+        tracemalloc.start()
+        value = c_numeric(*ends, n)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2**16
+        s, t, u, v = ends
+
+        def exact_sum(m):
+            return sum(((j * s) % 1 - (j * t) % 1) * ((j * u) % 1 - (j * v) % 1)
+                       for j in range(1, m + 1))
+
+        period = 4 * 3 * 7 * 11  # of every term
+        assert value == float((n // period * exact_sum(period) + exact_sum(n % period)) / n)
 
     @pytest.mark.slow  # tracemalloc follows every Python integer: 2-4 s each
     @pytest.mark.parametrize("call", [

@@ -2,12 +2,17 @@
 statistic computed from it must stay bit-identical across refactors.
 
 Each case runs a Monte Carlo driver at a small size and hashes the part of
-its output that never passes through BLAS (the correlation matrices and the
-exact modified-ensemble variances are left out: their last bits depend on
-the BLAS thread count).  Two more cases hash the reference matrix
-``covariance_Dtilde`` of the README arcs at the CLI's n_numeric = 10^6, and
-``ctilde_numeric`` of their endpoints there: exact sums of h_j, each average
-rounded once (and ratios of them), with no BLAS call.
+its output that never passes through BLAS (the empirical correlation
+matrices are left out: ``np.corrcoef``'s last bits depend on the BLAS build
+and thread count); that includes the exact modified variances of
+``mesoscopic``, summed a block of j at a time.  Five more cases hash the reference sums at the CLI's
+n_numeric = 10^6, which call no BLAS: ``covariance_Dtilde`` of the README
+arcs and ``ctilde_numeric`` of their endpoints, exact sums of h_j each
+rounded once; ``covariance_D`` of those arcs and ``c_numeric`` of those
+endpoints, and the exact modified variance at n = 10^6, each a sum taken
+pairwise within blocks of j and by ``math.fsum`` across them.  A subprocess
+test checks that the last three are the same under one and two OpenBLAS
+threads.
 Floats are hashed through ``json.dumps``, whose ``repr`` round-trips
 every bit.  A changed digest means a changed stream or
 a changed statistic; if that is intended, say so and record the new values.
@@ -15,7 +20,11 @@ a changed statistic; if that is intended, say so and record the new values.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,8 +32,11 @@ from permspectra import (
     Arc,
     ExperimentConfig,
     NAMED_IRRATIONALS,
+    c_numeric,
+    covariance_D,
     covariance_Dtilde,
     ctilde_numeric,
+    exact_moments_mod,
     run_clt_fixed,
     run_coupling_check,
     run_mesoscopic,
@@ -39,6 +51,10 @@ ARCS = (
 )
 
 
+README_ARCS = parse_arcs("irr:sqrt2,irr:golden;irr:e,irr:sqrt3")
+README_ENDS = [x for arc in README_ARCS for x in (arc.beta, arc.alpha)]
+
+
 def digest(payload) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
@@ -50,13 +66,17 @@ def clt_counts(model: str):
     return run_clt_fixed(cfg, n_numeric=10**3).counts.tolist()
 
 
-def mesoscopic(model: str):
+def run_meso(model: str):
     # 70000 lies above the dense/sparse switch, so both sampler routes run
     cfg = ExperimentConfig(
         theta=1.3, trials=41, master_seed=1117, model=model,
         n_schedule=(3000, 70_000), gamma=0.5, meso_alpha=Fraction(0),
     )
-    res = run_mesoscopic(cfg)
+    return run_mesoscopic(cfg)
+
+
+def mesoscopic(model: str):
+    res = run_meso(model)
     out = {"empirical_mean": res.report.empirical_mean}
     if model == "perm":
         out["variances"] = [row.variance for row in res.rows]
@@ -82,26 +102,35 @@ CASES = {
     "clt perm counts": lambda: clt_counts("perm"),
     "mesoscopic perm variances and mean": lambda: mesoscopic("perm"),
     "mesoscopic mod mean": lambda: mesoscopic("mod"),
+    "mesoscopic mod exact variances": lambda: [row.variance for row in run_meso("mod").rows],
     "spacings quantiles and counters": spacings,
     "coupling-check mean and se": coupling,
-    "covariance_Dtilde README arcs": lambda: covariance_Dtilde(
-        parse_arcs("irr:sqrt2,irr:golden;irr:e,irr:sqrt3"), 10**6
-    ).entries.tolist(),
-    "ctilde_numeric README endpoints": lambda: ctilde_numeric(
-        *(x for arc in parse_arcs("irr:sqrt2,irr:golden;irr:e,irr:sqrt3")
-          for x in (arc.beta, arc.alpha)), 10**6
-    ),
+    "covariance_Dtilde README arcs": lambda: covariance_Dtilde(README_ARCS, 10**6).entries.tolist(),
+    "ctilde_numeric README endpoints": lambda: ctilde_numeric(*README_ENDS, 10**6),
+    "covariance_D README arcs": lambda: covariance_D(README_ARCS, 10**6).entries.tolist(),
+    "c_numeric README endpoints": lambda: c_numeric(*README_ENDS, 10**6),
+    "exact_moments_mod variance n=10^6": lambda: exact_moments_mod(
+        10**6, 0.5, Arc(0.2, 0.7)
+    ).variance,
 }
 
 GOLDEN = {
     "clt mod counts": "69bcc601b0672539a16b4e324c963f0717affaaa4d44f7f9ba49145bb66edac2",
     "clt perm counts": "7a3b30b811803b4b356c3f6ef67ec8ac185ac6280c33737d2bf26684358aa6da",
+    "c_numeric README endpoints":
+        "b8bdd40396edcd9fa90ada73c55386f6f7b033cf606457d243f86e1620e53d7b",
     "coupling-check mean and se":
         "c963115d064d918016288867cf211c11275b0a81d3e75d6faf4202c4aac50f49",
+    "covariance_D README arcs":
+        "3393fac2ea54a7cc9df5d5d2d62a3c0369b241b6eacdb57f0f0616e34d7e3b72",
     "covariance_Dtilde README arcs":
         "19afda75b2bba9c1f1c862ba63e8b3c45926f07659b2820f0d9dbe4ea13e4bc0",
     "ctilde_numeric README endpoints":
         "645c97e3060de5d51d619826fa61c8a7873a1c65828ec9f4a3356e2d736be2fd",
+    "exact_moments_mod variance n=10^6":
+        "ad67345c90d3a08e56e8928822d2fe7ec1403bcdf3ee7b65dbee86554f6692fe",
+    "mesoscopic mod exact variances":
+        "11353fa2449d99925e16b4f4c8697a05f81f1579487f3bdaaaf02d13cfe8ea0a",
     "mesoscopic mod mean": "d4444644a577de10de6222f7536003d13a7f99e8b2f5679a1b7fcd09358e4013",
     "mesoscopic perm variances and mean":
         "a88937c3519e5d67abb00bc131e93f899fe62723c855bfaf4c79e12046fda775",
@@ -120,3 +149,30 @@ def test_clt_counts_c_ordered():
     # empirical correlation stays bit-identical only with C-ordered counts
     cfg = ExperimentConfig(theta=1.0, trials=40, master_seed=5, model="mod", n=200, arcs=ARCS)
     assert run_clt_fixed(cfg, n_numeric=10**3).counts.flags.c_contiguous
+
+
+#: the streamed reference sums, printed with every bit by a fresh interpreter
+BLAS_FREE = """
+import json
+from permspectra import Arc, c_numeric, covariance_D, exact_moments_mod
+from permspectra.cli import parse_arcs
+arcs = parse_arcs("irr:sqrt2,irr:golden;irr:e,irr:sqrt3")
+ends = [x for arc in arcs for x in (arc.beta, arc.alpha)]
+print(json.dumps([covariance_D(arcs, 10**6).entries.tolist(), c_numeric(*ends, 10**6),
+                  c_numeric(0.1, 0.2, 0.3, 0.9, 10**6),
+                  exact_moments_mod(10**6, 0.5, Arc(0.2, 0.7)).variance]))
+"""
+
+
+def test_reference_sums_do_not_depend_on_the_blas_thread_count():
+    # one BLAS call over all n gave 1.0294321688218389 and 1.0294321688218413
+    # for the variance at one and two OpenBLAS threads
+    src = str(Path(__import__("permspectra").__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", BLAS_FREE], env=env, capture_output=True,
+                              text=True, check=True, timeout=120)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]

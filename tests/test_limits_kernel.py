@@ -1,8 +1,10 @@
 """The numeric Cesàro sums in ``limits`` against their oracles.
 
 ``covariance_D`` and ``c_numeric`` must equal the full-array formulas in
-``conftest`` bit for bit (no tolerance): block edges at 8192 and the two
-n_numeric sizes the CLI and the benchmark use are crossed.
+``conftest``, summed in the kernel's order (pairwise within each block of
+``limits._BLOCK`` values of j, ``math.fsum`` across blocks), bit for
+bit (no tolerance): block edges and the two n_numeric sizes the CLI and the
+benchmark use are crossed.
 ``covariance_Dtilde`` and ``ctilde_numeric`` sum h_j exactly by the floor-sum
 recursion: they must equal the brute-force Fraction oracles bit for bit at
 small n, and the float formulas within 1e-13 at large n.  All-Fraction
@@ -20,6 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     c_numeric_formula,
+    c_numeric_fractions,
     covariance_D_formula,
     covariance_Dtilde_exact,
     covariance_Dtilde_formula,
@@ -41,7 +44,8 @@ GOLDEN, SQRT2, SQRT3, E, PI = (
     NAMED_IRRATIONALS[k].value for k in ("golden", "sqrt2", "sqrt3", "e", "pi")
 )
 
-SIZES = [1, 7, 128, 129, 8191, 8193] + [
+B = limits._BLOCK
+SIZES = [1, 7, 128, 129, 8191, 8193, B - 1, B + 1, 3 * B + 5] + [
     pytest.param(n, marks=pytest.mark.slow) for n in (999_983, 10**6)
 ]
 #: the exact h-sums meet the Fraction oracle bit for bit at these sizes, and
@@ -151,17 +155,28 @@ def test_large_denominators_stay_exact(n):
 
 
 def test_fraction_rows_are_exact():
-    out = np.empty(98)
-    limits._fill_frac_differences([F(1, 49)], [0.0], (out,))
+    (omega,) = limits._frac_difference_blocks([F(1, 49)], [0.0], 98)
+    out = omega[0]
     assert out[48] == 0.0 and out[97] == 0.0  # {49/49}, {98/49}
     assert out[0] == 1 / 49
+
+
+@pytest.mark.parametrize("n", [1, 7, 128, 1000])
+def test_exact_c_numeric_equals_the_fraction_sequences(n):
+    # integer terms over the lcm of each pair's denominators, against the
+    # four lists of Fractions that the exact path used to build
+    ends = [(F(3, 4), F(1, 3), F(1, 7), F(0)), (F(5, 4), F(-2, 9), F(7, 3), F(1, 2**61 + 1))]
+    ends += [e for e in pair_ends(ARC_SETS["fractions mixed with floats"])
+             if all(isinstance(x, F) for x in e)]
+    for s, t, u, v in ends:
+        assert c_numeric(s, t, u, v, n) == c_numeric_fractions(s, t, u, v, n)
 
 
 def test_all_fraction_endpoints_take_the_exact_path(monkeypatch):
     def refuse(*args):
         raise AssertionError("the float kernel ran on all-Fraction endpoints")
 
-    monkeypatch.setattr(limits, "_fill_frac_differences", refuse)
+    monkeypatch.setattr(limits, "_frac_difference_blocks", refuse)
     s, t, u, v = F(3, 4), F(1, 3), F(1, 7), F(0)
     n = 84  # one full period
 

@@ -542,7 +542,9 @@ class TestModifiedThetaFloor:
 
 class TestStreamedTables:
     """The psi table, the plain mean and the modified covariance, built a
-    block of j at a time, equal the whole-array formulas bit for bit."""
+    block of j at a time, equal the whole-array formulas bit for bit: the
+    sums as the kernels take them, pairwise within each block of
+    ``cesaro.TABLE_BLOCK`` terms and by ``math.fsum`` across blocks."""
 
     def test_big_denominator_switches_to_python_integers_mid_run(self):
         assert BLOCK * _BIG_Q < 2**62 <= 2 * BLOCK * _BIG_Q
@@ -644,7 +646,8 @@ class TestExactFractionArithmetic:
         assert got.dtype == direct.dtype and got.shape == direct.shape == (n - start + 1,)
         assert got.tobytes() == direct.tobytes()
         buffer = np.full(n - start + 3, -1.0)
-        assert frac_into(x, start - 1, buffer[1:-1]).tobytes() == direct.tobytes()
+        scratch = np.empty(n - start + 1)
+        assert frac_into(x, start - 1, buffer[1:-1], scratch).tobytes() == direct.tobytes()
         assert buffer[0] == buffer[-1] == -1.0
 
     @settings(max_examples=200, deadline=None)
