@@ -27,15 +27,14 @@ exponentials of log1p window sums, not of log-gamma differences.
 
 The table is made one way, as blocks of TABLE_BLOCK values of j in one
 reused buffer (``psi_blocks``), which ``psi_values`` copies into one array
-and every exact moment reads a block at a time.  The plain mean and the
-modified covariance then hold no array of n at all; only the plain
-covariance keeps the blocks whole, for its cross term.  At theta = 1 the
-blocks are ones.
+and every exact sum reads a block at a time, summing each block pairwise
+(``np.add.reduce``) and the blocks' sums by ``math.fsum``, with no BLAS
+call.  Only the plain covariance keeps the blocks whole, for its cross
+term.  At theta = 1 the blocks are ones.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterator
 
@@ -51,10 +50,10 @@ __all__ = [
     "verify_telescoping",
 ]
 
-#: largest n of a psi table.  Measured with tracemalloc, the identity checks
-#: peak at 30 bytes per element, so this n peaks below 2 GB; the table itself
-#: is 8; the plain mean, the modified variance and the coupling tail bound
-#: stream it a block at a time and hold only blocks.  The plain ensemble's
+#: largest n of a psi table.  Measured with tracemalloc, the telescoping
+#: check peaks at 29.3 bytes per element, so this n peaks below 2 GB; the
+#: table itself is 8; the other sums that read it stream it a block at a
+#: time and hold only blocks.  The plain ensemble's
 #: FFT holds more; ``spectral._covariance_perm`` caps its n at this limit
 #: scaled to its bytes per element.  Rational endpoints with denominators
 #: beyond 2**62 / n take Python-integer products, but only a short run of j
@@ -214,17 +213,6 @@ def psi(n: int, j: int, theta: float) -> float:
     return float(block[-1])
 
 
-#: block of an array that ``_fsum`` turns into Python floats at a time
-_FSUM_BLOCK = 1 << 16
-
-
-def _fsum(values: np.ndarray) -> float:
-    """``math.fsum(values.tolist())`` read a block at a time, so that no list
-    of n Python floats (about 56 resident bytes per element) is built."""
-    blocks = (values[i : i + _FSUM_BLOCK].tolist() for i in range(0, values.size, _FSUM_BLOCK))
-    return math.fsum(itertools.chain.from_iterable(blocks))
-
-
 def _check_identity_theta(theta: float) -> None:
     """check_theta_limit, and its mirror THETA_FLOOR: the identity sums reach
     1/theta**2 and n/theta, finite there."""
@@ -236,39 +224,49 @@ def _check_identity_theta(theta: float) -> None:
         )
 
 
+def _identity_sums(n: int, theta: float) -> tuple[float, ...]:
+    """(sum psi_j, sum psi_j/j, sum psi_j H_{j-1}/j, sum 1/(theta+j-1),
+    sum 1/(theta+j-1)^2) over j <= n, in one sweep of ``psi_blocks`` into
+    buffers of one block: H_{j-1} is a running cumsum of 1/j carried from
+    block to block, and theta goes in last, since theta + 1 - 1 keeps only
+    its bits above 2**-52."""
+    _check_identity_theta(theta)
+    blocks = psi_blocks(n, theta)
+    ramp, inverse, ratio, term = np.empty((4, min(n, TABLE_BLOCK)))
+    partials: tuple[list, ...] = ([], [], [], [], [])
+    harmonic = 0.0  # H_lo
+    for lo, block in blocks:
+        j = block_j(lo, ramp[: len(block)])
+        inv = np.divide(1.0, j, out=inverse[: len(block)])
+        r = np.divide(block, j, out=ratio[: len(block)])  # psi_j / j
+        h = term[: len(block)]
+        h[0], h[1:] = harmonic, inv[:-1]
+        harmonic = np.cumsum(h, out=h)[-1] + inv[-1]  # h = H_{j-1}, harmonic = H_hi
+        h *= r
+        k = np.add(np.subtract(j, 1.0, out=j), theta, out=j)
+        reciprocal = np.divide(1.0, k, out=inv)
+        square = np.divide(1.0, np.square(k, out=k), out=k)
+        for sums, terms in zip(partials, (block, r, h, reciprocal, square)):
+            sums.append(np.add.reduce(terms))
+    return tuple(math.fsum(sums) for sums in partials)
+
+
 def verify_mean_identity(n: int, theta: float) -> tuple[float, float]:
     """Both sides of (1/n) sum_j psi(n, j) = 1/theta."""
-    _check_identity_theta(theta)
-    lhs = _fsum(psi_values(n, theta)) / n
-    return lhs, 1.0 / theta
+    return _identity_sums(n, theta)[0] / n, 1.0 / theta
 
 
 def verify_harmonic_identity(n: int, theta: float) -> tuple[float, float]:
-    """Both sides of sum_j psi(n, j)/j = sum_{j=1..n} 1/(theta+j-1); theta
-    goes in last, since theta + 1 - 1 keeps only its bits above 2**-52."""
-    _check_identity_theta(theta)
-    check_table_size(n)
-    j = np.arange(1, n + 1, dtype=np.float64)
-    lhs = _fsum(psi_values(n, theta) / j)
-    rhs = _fsum(1.0 / ((j - 1.0) + theta))
-    return lhs, rhs
+    """Both sides of sum_j psi(n, j)/j = sum_{j=1..n} 1/(theta+j-1)."""
+    sums = _identity_sums(n, theta)
+    return sums[1], sums[3]
 
 
 def verify_quadratic_identity(n: int, theta: float) -> tuple[float, float]:
     """Both sides of the quadratic identity, in O(n): since sum_{j+k=m} 1/(jk)
     = 2 H_{m-1}/m, its double sum is (sum_j psi_j/j)^2 - 2 sum_m psi_m H_{m-1}/m."""
-    _check_identity_theta(theta)
-    values = psi_values(n, theta)
-    inverse = np.arange(1, n + 1, dtype=np.float64)
-    np.divide(1.0, inverse, out=inverse)
-    values *= inverse  # psi(n, m)/m
-    first = float(values.sum())
-    harmonic = np.cumsum(inverse, out=inverse)  # H_m
-    lhs = first * first - 2.0 * float(values[1:] @ harmonic[:-1])
-    del values, inverse, harmonic
-    k = np.arange(n, dtype=np.float64) + theta
-    rhs = _fsum(np.divide(1.0, np.square(k, out=k), out=k))
-    return lhs, rhs
+    _, first, cross, _, rhs = _identity_sums(n, theta)
+    return first * first - 2.0 * cross, rhs
 
 
 def verify_telescoping(n: int, j: int, theta: float) -> tuple[float, float]:

@@ -79,7 +79,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .cesaro import _check_table, _psi_blocks, block_j, check_table_size, check_theta
+from .cesaro import TABLE_BLOCK, _check_table, _psi_blocks, block_j, check_table_size, check_theta
 
 __all__ = [
     "EwensParams",
@@ -652,11 +652,14 @@ def coupling_tail_expectation(n: int, theta: float, horizon: int) -> float:
     _check_table(n, theta)
     if horizon < n:
         raise ValueError("horizon must be at least n")
-    total = 0.0
+    inverse, term = np.empty((2, min(n, TABLE_BLOCK)))  # 1/j and the terms, one block each
+    partials = []
     for lo, psi_h in _psi_blocks(horizon, n, theta):  # psi(H, j), j <= n
-        j = block_j(lo, np.empty(len(psi_h)))
-        total += float(np.sum(1.0 / j - psi_h * (1.0 / j - 1.0 / horizon)))
-    return theta * total
+        inv, t = inverse[: len(psi_h)], term[: len(psi_h)]
+        np.divide(1.0, block_j(lo, inv), out=inv)
+        np.multiply(np.subtract(inv, 1.0 / horizon, out=t), psi_h, out=t)
+        partials.append(np.add.reduce(np.subtract(inv, t, out=t)))  # 1/j - psi (1/j - 1/H)
+    return theta * math.fsum(partials)
 
 
 @lru_cache(maxsize=128)

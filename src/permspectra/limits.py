@@ -62,13 +62,14 @@ fractional-part kernel: the float endpoints' rows in one call, each Fraction
 endpoint's row exactly by its own.  Each block's products are summed
 pairwise (``np.add.reduce``) and the blocks' sums by ``math.fsum``, so the
 sums call no BLAS and give the same bits for every BLAS build and thread
-count.  The all-Fraction path of ``c_numeric`` sums integer terms, each
-pair's differences scaled by the lcm of its denominators, from generators,
-so it holds no list of n either.
+count.  The all-Fraction path of ``c_numeric`` sums integer terms, the
+differences scaled by the lcm P of the denominators, from generators over
+one period P of the terms, so it holds no list of n and walks min(n, P).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -193,16 +194,14 @@ def _omega_sums(
     return [math.fsum(sums) for sums in partials]
 
 
-def _scaled_differences(a: Fraction, b: Fraction, n: int) -> tuple[Iterator[int], int]:
-    """(m ({j a} - {j b}) for j = 1..n, m) with m = lcm of the denominators,
-    so that every term is an integer: {j p/q} = (j p mod q) / q."""
-    m = math.lcm(a.denominator, b.denominator)
-    terms = (
-        (j * a.numerator % a.denominator) * (m // a.denominator)
-        - (j * b.numerator % b.denominator) * (m // b.denominator)
-        for j in range(1, n + 1)
-    )
-    return terms, m
+def _period_products(ends: Sequence[Fraction], n: int) -> tuple[Iterator[int], int]:
+    """(m^2 ({js} - {jt})({ju} - {jv}) for j = 1..min(n, m), m) for ends
+    (s, t, u, v) and m the lcm of their denominators, the period of the
+    terms; each term is an integer, since m {j p/q} = (j p mod q) (m/q)."""
+    m = math.lcm(*(x.denominator for x in ends))
+    scales = [(x.numerator, x.denominator, m // x.denominator) for x in ends]
+    scaled = ([j * p % q * r for p, q, r in scales] for j in range(1, min(n, m) + 1))
+    return ((a - b) * (c - d) for a, b, c, d in scaled), m
 
 
 def _power_sums(n: int) -> tuple[int, int]:
@@ -254,17 +253,17 @@ def c_numeric(s: Endpoint, t: Endpoint, u: Endpoint, v: Endpoint, n: int) -> flo
     """Partial Cesàro average (1/n) sum_{j<=n} ({js}-{jt})({ju}-{jv}).
 
     Float endpoints: double precision a block of j at a time (``_omega_sums``).
-    All-Fraction endpoints: exact integer arithmetic on generators, so
-    summing over one full period returns the limit with no rounding beyond
-    the final float conversion, and no list of n is built.
+    All-Fraction endpoints: exact integer arithmetic on generators over one
+    period P of the terms (the lcm of the four denominators), taken n // P
+    times, plus the first n mod P terms: O(min(n, P)) terms, no list, and
+    no rounding beyond the final float conversion.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if _exact_mode(s, t, u, v):
-        left, m_left = _scaled_differences(Fraction(s), Fraction(t), n)
-        right, m_right = _scaled_differences(Fraction(u), Fraction(v), n)
-        total = sum(a * b for a, b in zip(left, right))
-        return float(Fraction(total, m_left * m_right * n))
+        products, period = _period_products((s, t, u, v), n)
+        head = sum(itertools.islice(products, n % period))  # the first n mod P terms
+        return float(Fraction(n // period * (head + sum(products)) + head, period**2 * n))
     return _omega_sums((s, u), (t, v), [(0, 1)], n)[0] / n
 
 

@@ -21,25 +21,21 @@ their one-trial forms, on the one-trial batch that ``sample_cycle_counts``
 returns (with phases from ``attach_phases`` for the modified count).
 
 Exact finite-n mean and variance of both counts are weighted sums against
-the psi table from :mod:`permspectra.cesaro`; see ``exact_moments_perm`` and
-``exact_moments_mod``.  The plain ensemble's cross term, a convolution of
-the per-arc weights, is one real FFT (``numpy.fft``, imported on first use),
-so every exact moment is O(n log n) at most and no size cap applies below
-``cesaro.TABLE_SIZE_LIMIT``.  The plain mean and the modified covariance
-read the psi table a block of ``cesaro.TABLE_BLOCK`` values of j at a time
-(``cesaro.psi_blocks``) and form each block's terms (P_j u_j; (P_j/j) h_j(x)
-for every x of ``h_weights``) in buffers of one block, made once per call,
-so that they hold no array of n and allocate nothing per block.  Each
-block's terms are summed pairwise (``np.add.reduce``) and the blocks' sums
-by ``math.fsum``: no BLAS call, so the same bits for every BLAS build and
-thread count.  The plain covariance fills psi and its arc weights in the
-same sweep and sums its first term and the means of its arcs the same way,
-but keeps psi and the weights whole for its cross term, an FFT.
-``h_weights``, the |x| -> weight map of the modified covariance
-term H_j, is also what :mod:`permspectra.limits` reads.  The plain exact moments
-refuse theta outside [``PLAIN_THETA_FLOOR``, ``PLAIN_THETA_LIMIT``] =
-[2**-6, 2**9]: their cancellation loses digits in proportion to theta, and
-as theta shrinks.
+the psi table from :mod:`permspectra.cesaro` (``exact_moments_perm``,
+``exact_moments_mod``), read a block of ``cesaro.TABLE_BLOCK`` values of j
+at a time (``cesaro.psi_blocks``).  Each block's terms are formed in
+buffers of one block made once per call and summed pairwise
+(``np.add.reduce``), the blocks' sums by ``math.fsum``: no BLAS call, so
+the same bits for every BLAS build and thread count.  The plain mean and
+the modified covariance (P_j u_j; (P_j/j) h_j(x) for every x of
+``h_weights``, the |x| -> weight map that :mod:`permspectra.limits` also
+reads) hold no array of n.  The plain covariance keeps psi and its arc
+weights whole for its cross term, a convolution taken by one real FFT
+(``numpy.fft``, imported on first use) and multiplied by psi in place, so
+every exact moment is O(n log n) at most.  The plain exact moments refuse
+theta outside [``PLAIN_THETA_FLOOR``, ``PLAIN_THETA_LIMIT``] = [2**-6,
+2**9]: their cancellation loses digits in proportion to theta, and as
+theta shrinks.
 
 Arc endpoints may be floats or ``fractions.Fraction``; a declared irrational
 (``limits.DeclaredIrrational``) is a float, so it counts by the same bits
@@ -405,7 +401,10 @@ def _covariance_perm(n: int, theta: float, arc1: Arc, arc2: Arc) -> tuple[float,
     del u1
     spectrum *= spectrum if diagonal else np.fft.rfft(u2, size)
     del u2
-    cross = float(values[1:] @ np.fft.irfft(spectrum, size)[: n - 1])
+    terms = np.fft.irfft(spectrum, size)[: n - 1]
+    terms *= values[1:]
+    block = cesaro.TABLE_BLOCK
+    cross = math.fsum(np.add.reduce(terms[lo : lo + block]) for lo in range(0, n - 1, block))
     return first + theta**2 * (cross - sum1 * sum2), sum1
 
 

@@ -20,9 +20,10 @@ variance formulas of
 ``exact_moments_*`` (now the diagonal of ``exact_covariance_*``; the plain
 one to a relative 1e-13, since its cross term is a direct convolution where
 the library takes an FFT), the untiled rational fractional parts and the
-whole-array psi table (``psi_values_full``), plain mean (``perm_mean_formula``)
-and modified covariance, which the library now builds a block of j at a
-time.  The
+whole-array psi table (``psi_values_full``), plain mean (``perm_mean_formula``),
+modified covariance, identity sums (``identity_sums_formula``) and coupling
+tail bound (``coupling_tail_formula``), which the library now builds a
+block of j at a time.  The
 quadratic identity's O(n^2) double sum, which the library replaced by an
 O(n) closed form, is an oracle here, as are the one-period means of
 {j p/q}, {j p/q}^2 and {j p/q}{j r/s} (``period_means``, ``s3_period_mean``)
@@ -776,6 +777,29 @@ def exact_moments_perm_formula(n: int, theta: float, arc: Arc) -> CountMoments:
     cross = float(values[1:] @ np.convolve(u, u)[: n - 1]) if n >= 2 else 0.0
     variance = first + theta**2 * (cross - float(weighted.sum()) ** 2)
     return CountMoments(mean=mean, variance=max(variance, 0.0))
+
+
+def identity_sums_formula(n: int, theta: float) -> tuple[float, ...]:
+    """The five sums of ``cesaro._identity_sums`` over whole arrays of n:
+    sum psi_j, sum psi_j/j, sum psi_j H_{j-1}/j (H the sequential cumsum of
+    1/j), sum 1/(theta+j-1) and sum 1/(theta+j-1)^2 with theta added last,
+    each summed in blocks of ``cesaro.TABLE_BLOCK``."""
+    values = psi_values_full(n, theta)
+    j = np.arange(1, n + 1, dtype=np.float64)
+    ratio = values / j
+    harmonic = np.concatenate(([0.0], np.cumsum(1.0 / j)[:-1]))  # H_{j-1}
+    k = (j - 1.0) + theta
+    terms = (values, ratio, harmonic * ratio, 1.0 / k, 1.0 / np.square(k))
+    return tuple(blocked_sum(t, cesaro.TABLE_BLOCK) for t in terms)
+
+
+def coupling_tail_formula(n: int, theta: float, horizon: int) -> float:
+    """theta sum_{j<=n} (1/j - psi(H, j) (1/j - 1/H)) over whole arrays of n,
+    psi(H, j) the first n entries of the horizon's table, summed in blocks of
+    ``cesaro.TABLE_BLOCK``."""
+    values = psi_values_full(horizon, theta)[:n]
+    inverse = 1.0 / np.arange(1, n + 1, dtype=np.float64)
+    return theta * blocked_sum(inverse - values * (inverse - 1.0 / horizon), cesaro.TABLE_BLOCK)
 
 
 def exact_covariance_mod_formula(n: int, theta: float, arc1: Arc, arc2: Arc) -> float:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import (
     absolute_quadratic_sum,
     cesaro_number,
+    identity_sums_formula,
     quadratic_double_sum,
 )
 from permspectra import (
@@ -273,22 +274,33 @@ class TestIdentities:
         lhs, rhs = verify_mean_identity(4_000_000, theta)
         assert rel_gap(lhs, rhs) < 1e-12
 
-    def test_blocked_fsum_equals_fsum_of_the_list(self, monkeypatch):
-        monkeypatch.setattr(cesaro, "_FSUM_BLOCK", 7)
-        rng = np.random.default_rng(5)
-        for size in (0, 1, 6, 7, 8, 50):
-            x = rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size)
-            assert cesaro._fsum(x) == math.fsum(x.tolist())
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [1, 2, cesaro.TABLE_BLOCK, cesaro.TABLE_BLOCK + 1,
+                                   3 * cesaro.TABLE_BLOCK + 5])
+    def test_identity_sums_equal_whole_array(self, n, theta):
+        # one psi_blocks sweep, summed pairwise per block and by fsum across
+        # blocks, with H_{j-1} carried from block to block
+        assert cesaro._identity_sums(n, theta) == identity_sums_formula(n, theta)
 
-    def test_identity_sums_hold_no_list_of_n_floats(self):
-        # the psi table and one block of Python floats; the whole list took
-        # 32 more bytes per element
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
+    def test_identity_sums_in_blocks_of_seven_equal_whole_array(self, monkeypatch, theta):
+        # many block edges, each crossed by the running harmonic sum
+        monkeypatch.setattr(cesaro, "TABLE_BLOCK", 7)
+        for n in (1, 2, 6, 7, 8, 20, 21, 50):
+            assert cesaro._identity_sums(n, theta) == identity_sums_formula(n, theta)
+
+    @pytest.mark.parametrize("check", [
+        verify_mean_identity, verify_harmonic_identity, verify_quadratic_identity,
+    ], ids=["mean", "harmonic", "quadratic"])
+    def test_identity_sums_hold_no_list_of_n_floats(self, check):
+        # buffers of one block: 1.3 MB.  The whole psi table and up to three
+        # more arrays of n took 10.1, 24.0 and 16.0 MB here
         n = 10**6
         tracemalloc.start()
-        verify_mean_identity(n, 0.7)
+        check(n, 0.7)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert peak / n < 12
+        assert peak < 4e6
 
     @pytest.mark.parametrize("theta", THETAS)
     @pytest.mark.parametrize("n", [1, 7, 100, 1000])

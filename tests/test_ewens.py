@@ -15,6 +15,7 @@ from conftest import (
     BernoulliWord,
     bernoulli_fractions,
     coupled_counts,
+    coupling_tail_formula,
     cycle_counts_from_word,
     cycle_type,
     cycle_type_probability,
@@ -56,6 +57,7 @@ from permspectra.ewens import (
     _walks_lockstep,
     draw_batch,
 )
+from permspectra.cesaro import TABLE_BLOCK
 from permspectra.rng import trial_rngs
 
 
@@ -1017,6 +1019,15 @@ class TestCoupled:
             gaps = np.diff(np.append(ones, tail))
             w = np.bincount(gaps[gaps <= n], minlength=n + 1)[1:]
             assert coupled_counts(s).tolist() == w.tolist()
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [1000, 2 * TABLE_BLOCK + 3])
+    def test_tail_expectation_equals_whole_array(self, n, theta):
+        # one block of 1/j and of the terms per call, each block summed
+        # pairwise and the blocks' sums by fsum
+        for horizon in (n, 2 * n, 8 * n + 1):
+            assert coupling_tail_expectation(n, theta, horizon) == (
+                coupling_tail_formula(n, theta, horizon))
 
     def test_tail_expectation_decreases_with_horizon(self):
         t1 = coupling_tail_expectation(100, 1.5, 200)

@@ -11,13 +11,15 @@ arcs and ``ctilde_numeric`` of their endpoints, exact sums of h_j each
 rounded once; ``covariance_D`` of those arcs and ``c_numeric`` of those
 endpoints, and the exact modified variance at n = 10^6, each a sum taken
 pairwise within blocks of j and by ``math.fsum`` across them.  A subprocess
-test checks that the last three are the same under one and two OpenBLAS
-threads.
+test checks that these, the plain exact variance and the quadratic identity
+are the same under one and two OpenBLAS threads, and an AST test that the
+exact layer's modules make no BLAS call.
 Floats are hashed through ``json.dumps``, whose ``repr`` round-trips
 every bit.  A changed digest means a changed stream or
 a changed statistic; if that is intended, say so and record the new values.
 """
 
+import ast
 import hashlib
 import json
 import os
@@ -151,22 +153,32 @@ def test_clt_counts_c_ordered():
     assert run_clt_fixed(cfg, n_numeric=10**3).counts.flags.c_contiguous
 
 
-#: the streamed reference sums, printed with every bit by a fresh interpreter
+#: the streamed reference sums, the plain exact variance and the quadratic
+#: identity, printed with every bit by a fresh interpreter
 BLAS_FREE = """
 import json
-from permspectra import Arc, c_numeric, covariance_D, exact_moments_mod
+from permspectra import (Arc, c_numeric, covariance_D, exact_moments_mod, exact_moments_perm,
+                         verify_quadratic_identity)
 from permspectra.cli import parse_arcs
 arcs = parse_arcs("irr:sqrt2,irr:golden;irr:e,irr:sqrt3")
 ends = [x for arc in arcs for x in (arc.beta, arc.alpha)]
 print(json.dumps([covariance_D(arcs, 10**6).entries.tolist(), c_numeric(*ends, 10**6),
                   c_numeric(0.1, 0.2, 0.3, 0.9, 10**6),
-                  exact_moments_mod(10**6, 0.5, Arc(0.2, 0.7)).variance]))
+                  exact_moments_mod(10**6, 0.5, Arc(0.2, 0.7)).variance,
+                  exact_moments_perm(10**5, 0.7, Arc(0.1, 0.7)).variance,
+                  exact_moments_perm(10**6, 0.7, Arc(0.1, 0.7)).variance,
+                  verify_quadratic_identity(10**6, 0.7),
+                  verify_quadratic_identity(2 * 10**5, 2.0)]))
 """
 
 
 def test_reference_sums_do_not_depend_on_the_blas_thread_count():
     # one BLAS call over all n gave 1.0294321688218389 and 1.0294321688218413
-    # for the variance at one and two OpenBLAS threads
+    # for the modified variance at one and two OpenBLAS threads; a BLAS dot
+    # in the plain covariance's cross term 1.2944097137640855 and
+    # 1.294409713764085 for the plain one at 10**5, and one in the quadratic
+    # identity 0.6449290668858794 and 0.6449290668859646 for its left side
+    # at 2*10**5, theta = 2
     src = str(Path(__import__("permspectra").__file__).resolve().parent.parent)
     outputs = []
     for threads in ("1", "2"):
@@ -176,3 +188,28 @@ def test_reference_sums_do_not_depend_on_the_blas_thread_count():
                               text=True, check=True, timeout=120)
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
+
+
+#: the exact layer: every sum that it prints
+EXACT_MODULES = ("cesaro", "spectral", "limits", "ewens")
+BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
+
+
+@pytest.mark.parametrize("module", EXACT_MODULES)
+def test_exact_layer_calls_no_blas(module):
+    """No ``@`` and no BLAS-backed numpy call in the exact layer, whose
+    printed sums must not follow the BLAS build or thread count.  The two
+    BLAS users left print nothing that layer reports: ``np.corrcoef`` for the
+    empirical correlation in ``experiments``, and ``eigvalsh`` in
+    ``CovarianceMatrix``'s check that a matrix is positive semi-definite."""
+    path = Path(__import__("permspectra").__file__).resolve().parent / f"{module}.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"line {node.lineno}: @")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in BLAS_CALLS:
+                found.append(f"line {node.lineno}: {name}")
+    assert not found, found

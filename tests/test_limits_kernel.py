@@ -13,6 +13,7 @@ endpoints must keep ``c_numeric``'s exact rational path.
 from fractions import Fraction as F
 
 import inspect
+import math
 import sys
 import tracemalloc
 
@@ -161,15 +162,52 @@ def test_fraction_rows_are_exact():
     assert out[0] == 1 / 49
 
 
-@pytest.mark.parametrize("n", [1, 7, 128, 1000])
-def test_exact_c_numeric_equals_the_fraction_sequences(n):
-    # integer terms over the lcm of each pair's denominators, against the
-    # four lists of Fractions that the exact path used to build
-    ends = [(F(3, 4), F(1, 3), F(1, 7), F(0)), (F(5, 4), F(-2, 9), F(7, 3), F(1, 2**61 + 1))]
-    ends += [e for e in pair_ends(ARC_SETS["fractions mixed with floats"])
-             if all(isinstance(x, F) for x in e)]
-    for s, t, u, v in ends:
-        assert c_numeric(s, t, u, v, n) == c_numeric_fractions(s, t, u, v, n)
+#: the all-Fraction endpoints of the exact c_numeric tests; their terms
+#: repeat with period 84, about 2**64.6 and 12
+EXACT_ENDS = [(F(3, 4), F(1, 3), F(1, 7), F(0)), (F(5, 4), F(-2, 9), F(7, 3), F(1, 2**61 + 1))]
+EXACT_ENDS += [e for e in pair_ends(ARC_SETS["fractions mixed with floats"])
+               if all(isinstance(x, F) for x in e)]
+
+
+def period(ends) -> int:
+    return math.lcm(*(x.denominator for x in ends))
+
+
+@pytest.mark.parametrize("periods, extra", [(0, 1), (0, 7), (0, 128), (0, 1000),
+                                            (1, -1), (1, 0), (1, 1), (3, 7)],
+                         ids=["1", "7", "128", "1000", "P-1", "P", "P+1", "3P+7"])
+def test_exact_c_numeric_equals_the_fraction_sequences(periods, extra):
+    # integer terms over the lcm of each pair's denominators, n // P whole
+    # periods and the first n mod P terms, against the four lists of
+    # Fractions that the exact path used to build; n about the period P of
+    # the terms only where P is small enough for those lists
+    for ends in EXACT_ENDS:
+        if periods and period(ends) > 10**4:
+            continue
+        n = periods * period(ends) + extra
+        assert c_numeric(*ends, n) == c_numeric_fractions(*ends, n)
+
+
+def test_exact_c_numeric_walks_one_period(monkeypatch):
+    # n = 10**6 terms of period P = 924 took 1.04 s walked one by one
+    ends = (F(3, 4), F(1, 3), F(1, 7), F(2, 11))
+    walked = []
+    products_of = limits._period_products
+
+    def counted(ends, n):
+        products, m = products_of(ends, n)
+
+        def walk():
+            for term in products:
+                walked.append(term)
+                yield term
+
+        return walk(), m
+
+    monkeypatch.setattr(limits, "_period_products", counted)
+    value = c_numeric(*ends, 10**6)
+    assert len(walked) == period(ends) == 924
+    assert value == float(F(10**6 // 924 * sum(walked) + sum(walked[: 10**6 % 924]), 924**2 * 10**6))
 
 
 def test_all_fraction_endpoints_take_the_exact_path(monkeypatch):
