@@ -46,6 +46,7 @@ from permspectra import (
     trial_rng,
 )
 from permspectra import ewens
+from permspectra.cesaro import TABLE_BLOCK
 from permspectra.ewens import (
     TrialBatch,
     _BLOCK,
@@ -57,7 +58,6 @@ from permspectra.ewens import (
     _walks_lockstep,
     draw_batch,
 )
-from permspectra.cesaro import TABLE_BLOCK
 from permspectra.rng import trial_rngs
 
 

@@ -177,7 +177,7 @@ def period(ends) -> int:
                                             (1, -1), (1, 0), (1, 1), (3, 7)],
                          ids=["1", "7", "128", "1000", "P-1", "P", "P+1", "3P+7"])
 def test_exact_c_numeric_equals_the_fraction_sequences(periods, extra):
-    # integer terms over the lcm of each pair's denominators, n // P whole
+    # integer terms scaled by the lcm P of the denominators, n // P whole
     # periods and the first n mod P terms, against the four lists of
     # Fractions that the exact path used to build; n about the period P of
     # the terms only where P is small enough for those lists
