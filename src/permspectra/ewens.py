@@ -20,22 +20,22 @@ word far enough that the expected number of uncounted tail spacings is below
 a requested bound, computed in closed form from the psi weights.
 
 Two equivalent samplers are provided for the word itself: a dense one that
-draws every bit, and a sparse one that jumps straight from one 1 to the next
-by inverting the exact survival function of the gap, evaluated without
-cancellation (the expected number of ones up to n is only ~theta log n, so
-large n costs almost nothing).  Each jump evaluates the survival function
-once, at a closed-form guess, and certifies the guess's lower neighbour from
-the exact step identity log S(t-1) = log S(t) + log1p(theta/(k+t-1)), with a
-slack of 2^-30 (1 + |log U|) that dwarfs the evaluation's error; a draw the
-certificate cannot settle falls back to a galloping search over the same
-function, so the position is the search's by construction.
+draws every bit, and a sparse one that jumps from candidate to candidate by
+thinning (Lewis & Shedler 1979), since the expected number of ones up to n
+is only ~theta log n, so large n costs almost nothing.  From position k
+every later bit is 1 with probability at most theta/(theta+k); a geometric
+skip at that rate proposes the next candidate c, and a second uniform keeps
+it with probability (theta+k)/(theta+c-1), which makes P(xi_c = 1) exact.
+It takes two uniforms per candidate and no special function.
 
 The route is a function of (n, theta) only (``_sparse_route``): a word is
 walked when n exceeds both ``_SPARSE_THRESHOLD`` = 8192 and
 ``_SPARSE_COST`` = 600 times theta log1p(n/theta), about its expected
 number of ones, since the walk costs about as much per one as the dense
 route per 600 positions (a sweep with phases over theta 0.5 to 10 and
-batches of 150 and 1000 trials, ``BENCH_sparse_route.json``).  So n <= 8192
+batches of 150 and 1000 trials, ``BENCH_sparse_route.json``, taken on the
+survival-inversion walk that thinning replaced; the cheaper walk has not
+been refitted, so the route is conservative).  So n <= 8192
 is dense at every theta, while n = 10^4 is walked up to theta 1.9 and
 n = 65,536 up to theta 12.5.  Batch width, chunking and ``--jobs`` do not
 enter, so every trial's stream is the same however a call's trials are split.
@@ -54,20 +54,13 @@ is the next value of that trial's generator, since numpy's ``random(m)``
 is m single draws; the read-ahead moves only where the generator stands
 afterwards, and a store of one value per row reads nothing ahead.
 
-The gap walks of a batch run in lockstep (``_walks_lockstep``).  Each step
-takes one uniform per live walk from the store with one fancy index and
-makes the guess and the one survival evaluation for all of them in numpy.
-numpy's log1p and expm1 may differ from math's in the last bit, so a walk
-moves only when the numpy value clears the certificate by its slack on
-both sides; any other draw goes to the scalar step with the same uniform,
-and walks left with too few others finish one at a time on the same
-store rows, as do batches of fewer than ``_MIN_LANES`` = 80 walks (a
-driver's chunk is its call's trials over its jobs, so only calls of fewer
-than 80 trials per job are that narrow).  Every position is the scalar
-walk's by construction.  Few draws fall back: about one in a thousand at
-theta <= 2, one in a hundred over theta up to 50.  The walk returns flat
-(trial, position) arrays, from which ``draw_batch`` builds the words and
-the coupled words by index arithmetic, with no array per walk.
+The gap walks of a batch are stepped together (``_thinned_walks``).  Each
+step takes two uniforms per live walk from the store, with one fancy index
+each, and makes every walk's skip and acceptance in elementwise numpy, so a
+trial's positions are the same at any batch width, chunking or ``--jobs``.
+The walk returns flat (trial, position) arrays, from which ``draw_batch``
+builds the words and the coupled words by index arithmetic, with no array
+per walk.
 """
 
 from __future__ import annotations
@@ -171,307 +164,8 @@ class TrialBatch:
 # ---------------------------------------------------------------------------
 
 
-#: gaps of at most this many positions are summed term by term
-_SUM_TERMS = 8
-
-#: D is tabulated at the integers 1.._TABLE_SIZE
-_TABLE_SIZE = 64
-
-#: the Stirling-difference series runs where k >= _SERIES_RATIO * theta
-_SERIES_RATIO = 8
-
-#: terms of that series (cut earlier once the rest is below 2**-60)
-_SERIES_TERMS = 20
-
-#: slack of the neighbour certificate, relative to 1 + |log U|
-_CERTIFICATE_SLACK = 2.0**-30
-
 #: uniforms the batch store reads from a trial's generator at a time
 _BLOCK = 64
-
-#: a call with fewer walks than this steps them one trial at a time: below
-#: it the numpy steps cost more than the scalar draws they replace (whole-call
-#: crossover 75-100 walks at theta <= 1, 50-75 at theta 2; per-call timings
-#: from 10 to 500 walks in BENCH_lockstep_walk.json); a driver's chunk makes
-#: one call of ceil(trials / jobs) walks, up to 4096 (``experiments._chunk_ranges``)
-_MIN_LANES = 80
-
-#: walks of a lockstep call finish one at a time once fewer than this are live
-_MIN_LIVE = 8
-
-
-#: Bernoulli numbers B_0..B_20 (B_1 = -1/2) as (numerator, denominator)
-_BERNOULLI = (
-    (1, 1), (-1, 2), (1, 6), (0, 1), (-1, 30), (0, 1), (1, 42), (0, 1), (-1, 30), (0, 1),
-    (5, 66), (0, 1), (-691, 2730), (0, 1), (7, 6), (0, 1), (-3617, 510), (0, 1),
-    (43867, 798), (0, 1), (-174611, 330),
-)
-
-#: the least common multiple of ``_BERNOULLI``'s denominators
-_BERNOULLI_DENOMINATOR = 9699690
-
-
-@lru_cache(maxsize=16)
-def _survival_constants(theta: float) -> tuple[list[float], list[float], list[float], float]:
-    """Per-theta constants of ``_log_gap_survival``.
-
-    * ``table[x] = D(x) - D(_TABLE_SIZE)`` for x = 1.._TABLE_SIZE, filled
-      downward by D(x) = D(x+1) - log1p(theta/x);
-    * the series coefficients c_n = (-1)^(n+1) (B_{n+1}(theta) - B_{n+1}) / (n(n+1)),
-      stored as c_n / s^n with s = max(theta, 1), so none overflows: with
-      theta = a/b exactly, each is one integer ratio, rounded once;
-    * ``tail[n] = max_{j >= n} j |c_j| / s^j``, which bounds what the terms
-      from n on can add.
-    """
-    table = [math.nan] * (_TABLE_SIZE + 1)
-    table[_TABLE_SIZE] = 0.0
-    for x in range(_TABLE_SIZE - 1, 0, -1):
-        table[x] = table[x + 1] - math.log1p(theta / x)
-    a, b = theta.as_integer_ratio()
-    bernoulli = [p * (_BERNOULLI_DENOMINATOR // q) for p, q in _BERNOULLI]  # B_j times the lcm
-    coeffs = []
-    for n in range(1, _SERIES_TERMS + 1):
-        # (B_{n+1}(a/b) - B_{n+1}) b^(n+1) lcm: the binomial sum without its constant term
-        diff = sum(math.comb(n + 1, j) * bernoulli[j] * a ** (n + 1 - j) * b**j
-                   for j in range(n + 1))
-        # c_n / s^n = (-1)^(n+1) diff / (lcm n (n+1) b^(n+1) s^n); b^(n+1) s^n = b a^n if s = a/b
-        power = b * a**n if theta >= 1.0 else b ** (n + 1)
-        coeffs.append((-1) ** (n + 1) * diff / (_BERNOULLI_DENOMINATOR * n * (n + 1) * power))
-    tail = [abs(c) * n for n, c in enumerate(coeffs, 1)]
-    for n in range(len(tail) - 2, -1, -1):
-        tail[n] = max(tail[n], tail[n + 1])
-    return table, coeffs, tail, float(max(theta, 1.0))
-
-
-#: B_2m / (2m (2m-1)), m = 1..5: Stirling's series lnGamma(z) = (z - 1/2) ln z - z
-#: + ln(2 pi)/2 + sum_m B_2m / (2m (2m-1) z^(2m-1)); the next term is < 1e-22 at z >= 64
-_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
-
-
-def _stirling_remainder_difference(z: float, t: int) -> float:
-    """F(z + t) - F(z) for F(z) = sum_m B_2m / (2m (2m-1) z^(2m-1)), z >= 64."""
-    return sum(c * ((z + t) ** (1 - 2 * m) - z ** (1 - 2 * m)) for m, c in enumerate(_STIRLING, 1))
-
-
-def _log_gap_survival(k: int, t: int, theta: float, constants=None) -> float:
-    """log P(no 1 at positions k+1 .. k+t) = log prod_{i=1..t} (k+i-1)/(theta+k+i-1).
-
-    This is D(k) - D(k+t) with D(x) = lnGamma(x+theta) - lnGamma(x), for
-    integers k >= 1, t >= 0.  Four lnGamma values at k+t ~ 10^9 are ~10^10
-    and cancel down to the answer, which may be ~10^-9; so no branch
-    subtracts lnGamma values:
-
-    * t <= _SUM_TERMS: -sum_i log1p(theta/(k+i));
-    * k < _TABLE_SIZE: the per-theta table of D, plus the rest of the gap
-      from _TABLE_SIZE on;
-    * k >= _SERIES_RATIO * theta: with L = log1p(t/k), the Stirling
-      difference -theta L + sum_n c_n k^-n (-expm1(-n L)), whose
-      corrections are at most |theta - 1|/(2k) of its leading term;
-    * otherwise (theta > 8, k < 8 theta, where the terms c_n k^-n ~ theta
-      (theta/k)^n decay too slowly), the two Stirling forms of
-      lnGamma(z+t) - lnGamma(z) at z = k and z = k + theta, which cancel by
-      at most a factor ~16 there.
-
-    ``constants`` are ``_survival_constants(theta)``, looked up here when
-    not given.  Relative error below 1e-12 (tests/test_ewens.py checks it
-    against mpmath for k, t up to 2^40; the worst seen is 1.7e-15).
-    """
-    if t <= _SUM_TERMS:
-        return -sum(math.log1p(theta / (k + i)) for i in range(t))
-    table, coeffs, tail, scale = constants or _survival_constants(theta)
-    if k < _TABLE_SIZE:
-        if k + t <= _TABLE_SIZE:
-            return table[k] - table[k + t]
-        return table[k] + _log_gap_survival(_TABLE_SIZE, k + t - _TABLE_SIZE, theta, constants)
-    if k < _SERIES_RATIO * theta:
-        kt = k + theta
-        return (
-            (k - 0.5) * math.log1p(t / k)
-            - (kt - 0.5) * math.log1p(t / kt)
-            - t * math.log1p(theta / (k + t))
-            + _stirling_remainder_difference(k, t)
-            - _stirling_remainder_difference(kt, t)
-        )
-    lead = math.log1p(t / k)
-    total, ratio, power = -theta * lead, scale / k, 1.0
-    for n, coeff in enumerate(coeffs, 1):
-        power *= ratio
-        if tail[n - 1] * power < 2.0**-60 * theta:
-            break
-        total -= coeff * power * math.expm1(-n * lead)
-    return total
-
-
-def _next_one_position(k: int, limit: int, theta: float, u: float, constants=None):
-    """Position of the first 1 after position k, or None if it lies beyond limit.
-
-    The gap T satisfies P(T > t) = S(t) = prod_{i=1..t} (k+i-1)/(theta+k+i-1),
-    so T = min{t : S(t) < U} for the uniform U = 1 - u in (0, 1], with u in
-    [0, 1) the draw's one value from the trial's generator.  Since
-    log S(t) = -theta log1p(t/k) + c_1/k (1 - k/(k+t)) + O(k^-2), the guess
-    g = k expm1(-log U / theta), corrected once by the c_1/k term, is almost
-    always T itself, and one evaluation settles it: if S(g) < U, the exact
-    identity log S(g-1) = log S(g) + log1p(theta/(k+g-1)) certifies
-    S(g-1) >= U, so T = g, once the sum clears log U by a slack of
-    2^-30 (1 + |log U|).  The slack exceeds what the evaluations' relative
-    error (below 2e-15) and the rounding of the sum can move, so the
-    evaluation at g-1 that a search would make agrees with the certificate.
-    Otherwise a galloping search outward from g, on the evaluation already
-    made, fixes the exact integer with the bracket S(T-1) >= U > S(T).
-    T beyond the horizon (S(limit - k) >= U) returns None.
-    """
-    horizon = limit - k
-    if horizon <= 0:
-        return None
-    log_u = math.log(1.0 - u)  # uniform in (0, 1]
-    constants = constants or _survival_constants(theta)
-    lead = -log_u / theta
-    lead -= (theta - 1.0) / (2.0 * k) * math.expm1(-lead)
-    if lead >= math.log1p(horizon / k):
-        guess = horizon
-    else:
-        guess = min(horizon, int(k * math.expm1(lead)) + 1)
-    log_s = _log_gap_survival(k, guess, theta, constants)
-    if log_s < log_u:
-        neighbour = log_s + math.log1p(theta / (k + guess - 1))  # log S(guess - 1)
-        if guess == 1 or neighbour >= log_u + _CERTIFICATE_SLACK * (1.0 - log_u):
-            return k + guess
-
-    def below(t: int) -> bool:  # S(t) < U
-        return _log_gap_survival(k, t, theta, constants) < log_u
-
-    # bracket lo < T <= hi with S(lo) >= U > S(hi); S(0) = 1 >= U
-    if log_s < log_u:
-        hi, step = guess, 1
-        while (lo := max(hi - step, 0)) > 0 and below(lo):
-            hi, step = lo, 2 * step
-    else:
-        lo, step = guess, 1
-        while True:
-            if lo == horizon:
-                return None  # the gap exceeds the remaining horizon
-            hi = min(lo + step, horizon)
-            if below(hi):
-                break
-            lo, step = hi, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if below(mid):
-            hi = mid
-        else:
-            lo = mid
-    return k + hi
-
-
-def _log_gap_survivals(k: np.ndarray, t: np.ndarray, theta: float, constants) -> np.ndarray:
-    """``_log_gap_survival`` at every pair of the int64 arrays k >= 1, t >= 1:
-    the same branches and constants in numpy, so each value is within a
-    few ulps of the scalar one, not equal to it (numpy's log1p and expm1
-    are not math's in the last bit)."""
-    table, coeffs, tail, scale = constants
-    out = np.empty(len(k))
-    kf, tf = k.astype(np.float64), t.astype(np.float64)
-    short = t <= _SUM_TERMS
-    if short.any():
-        i = np.arange(_SUM_TERMS)
-        terms = np.log1p(theta / (kf[short, None] + i))
-        out[short] = -np.where(i < t[short, None], terms, 0.0).sum(axis=1)
-    low = ~short & (k < _TABLE_SIZE)
-    if low.any():
-        tab, end = np.array(table), k[low] + t[low]
-        value = tab[k[low]] - tab[np.minimum(end, _TABLE_SIZE)]
-        spill = end > _TABLE_SIZE
-        if spill.any():
-            value[spill] += _log_gap_survivals(
-                np.full(int(spill.sum()), _TABLE_SIZE), end[spill] - _TABLE_SIZE, theta, constants
-            )
-        out[low] = value
-    series = ~short & (k >= _TABLE_SIZE) & (kf >= _SERIES_RATIO * theta)
-    if series.any():
-        ks, lead = kf[series], np.log1p(tf[series] / kf[series])
-        total, ratio, power = -theta * lead, scale / ks, np.ones(len(ks))
-        for n, coeff in enumerate(coeffs, 1):
-            power *= ratio
-            if tail[n - 1] * power.max() < 2.0**-60 * theta:
-                break
-            total -= coeff * power * np.expm1(-n * lead)
-        out[series] = total
-    middle = ~short & (k >= _TABLE_SIZE) & ~series
-    if middle.any():
-        km, tm = kf[middle], tf[middle]
-        kt = km + theta
-        out[middle] = (
-            (km - 0.5) * np.log1p(tm / km)
-            - (kt - 0.5) * np.log1p(tm / kt)
-            - tm * np.log1p(theta / (km + tm))
-            + _stirling_remainder_difference(km, tm)
-            - _stirling_remainder_difference(kt, tm)
-        )
-    return out
-
-
-def _walks_lockstep(starts, limit: int, theta: float, uniforms: _Uniforms):
-    """The ones in (s, limit] of the walk from each of ``starts``, walk i
-    reading row i of ``uniforms``, all walks stepped together.
-
-    Returns flat arrays (walk, position), sorted by walk with each walk's
-    positions ascending, and the number of ones of each walk.
-
-    Each step takes one uniform per live walk (``uniforms.take``) and makes
-    ``_next_one_position``'s guess g and one survival evaluation for all of
-    them in numpy.  A walk moves to k + g only when the evaluation clears
-    both sides of the scalar certificate by the margin
-    m = _CERTIFICATE_SLACK (1 + |log U|): log S(g) < log U - m, and
-    log S(g-1) = log S(g) + log1p(theta/(k+g-1)) >= log U + 2m (or g = 1);
-    it stops only when g is the horizon and log S(g) >= log U + m.  The
-    margin dwarfs the few ulps by which numpy's values may differ from
-    math's, so the scalar call would certify the same outcome.  Every other
-    draw goes to ``_next_one_position`` with the same uniform.  Once fewer
-    than ``_MIN_LIVE`` walks are live, those walks finish one draw at a
-    time (``uniforms.next``), as all do when fewer than ``_MIN_LANES`` are
-    given: each position is the scalar walk's by construction, and each
-    walk reads one uniform per draw from its own row.
-    """
-    walks = len(starts)
-    lanes, k = np.arange(walks), np.array(starts, dtype=np.int64)
-    found_lanes, found = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    constants = _survival_constants(theta)
-    if walks >= _MIN_LANES:
-        while True:
-            live = k < limit
-            lanes, k = lanes[live], k[live]
-            if len(lanes) < _MIN_LIVE:
-                break
-            u = uniforms.take(lanes)
-            log_u, horizon, kf = np.log(1.0 - u), limit - k, k.astype(np.float64)
-            lead = -log_u / theta
-            lead -= (theta - 1.0) / (2.0 * kf) * np.expm1(-lead)
-            cap = np.log1p(horizon / kf)
-            guess = np.minimum(horizon, (kf * np.expm1(np.minimum(lead, cap))).astype(np.int64) + 1)
-            guess[lead >= cap] = horizon[lead >= cap]
-            log_s = _log_gap_survivals(k, guess, theta, constants)
-            margin = _CERTIFICATE_SLACK * (1.0 - log_u)
-            neighbour = log_s + np.log1p(theta / (k + guess - 1))
-            hit = (log_s < log_u - margin) & ((guess == 1) | (neighbour >= log_u + 2.0 * margin))
-            beyond = (guess == horizon) & (log_s >= log_u + margin)
-            k = np.where(hit, k + guess, np.where(beyond, limit, k))
-            for j in np.flatnonzero(~(hit | beyond)).tolist():
-                pos = _next_one_position(int(k[j]), limit, theta, float(u[j]), constants)
-                k[j], hit[j] = (limit, False) if pos is None else (pos, True)
-            found_lanes.append(lanes[hit])
-            found.append(k[hit])
-    for lane, pos in zip(lanes.tolist(), k.tolist()):
-        rest = []
-        while pos < limit:
-            pos = _next_one_position(pos, limit, theta, uniforms.next(lane), constants)
-            if pos is None:
-                break
-            rest.append(pos)
-        found_lanes.append(np.full(len(rest), lane))
-        found.append(np.array(rest, dtype=np.int64))
-    lanes, found = np.concatenate(found_lanes), np.concatenate(found)
-    order = np.argsort(lanes, kind="stable")  # each walk's positions ascend step by step
-    return lanes[order], found[order], np.bincount(lanes, minlength=walks)
 
 
 class _Uniforms:
@@ -480,8 +174,7 @@ class _Uniforms:
 
     Each row holds up to ``block`` values read ahead, and a cursor to the
     first unread one; a row read to its end is refilled from its own
-    generator.  ``take``, ``next`` and ``run`` hand out a row's values in
-    order, and then its generator's next ones: exactly what the generator's
+    generator.  ``take`` and ``run`` hand out a row's values in order, and then its generator's next ones: exactly what the generator's
     own ``random`` would return, since numpy's ``random(m)`` is m single
     draws.  The generator stands up to block - 1 values past the last one
     handed out.
@@ -506,15 +199,6 @@ class _Uniforms:
         self._cursor[rows] = at + 1
         return self._values[rows, at]
 
-    def next(self, row: int) -> float:
-        """The next uniform of ``row``."""
-        at = self._cursor.item(row)
-        if at == self._block:
-            self._rngs[row].random(out=self._rows[row])
-            at = 0
-        self._cursor[row] = at + 1
-        return self._values.item(row, at)
-
     def run(self, row: int, m: int) -> np.ndarray:
         """The next m uniforms of ``row``: its unread values, then its generator's."""
         at = self._cursor.item(row)
@@ -523,6 +207,41 @@ class _Uniforms:
         if len(rest) == m:
             return rest.copy()  # the row is refilled in place later
         return np.concatenate([rest, self._rngs[row].random(m - len(rest))])
+
+
+def _thinned_walks(walks: int, start: int, limit: int, theta: float, uniforms: _Uniforms):
+    """The ones in (start, limit] of ``walks`` walks from ``start``, walk i
+    reading row i of ``uniforms``, all walks stepped together by thinning.
+
+    From position k every later bit is 1 with probability at most
+    p = theta/(theta+k), so a geometric skip of rate p,
+    floor(-log1p(-u) / log1p(theta/k)), proposes the candidate
+    c = k + 1 + skip, which is a one with probability p_c / p =
+    (theta+k)/(theta+c-1): it is accepted when v (theta+c-1) < theta+k.  The
+    walk goes on from c either way, and a candidate beyond ``limit`` ends it.
+    Each candidate reads two uniforms, u then v, from its walk's row, and
+    every operation is elementwise, so no walk's positions depend on another.
+    Where theta/k underflows to 0 the skip is infinite (0/0 at u = 0, which
+    ``fmin`` drops): the walk ends, as a dense threshold of 0 never hits.
+
+    Returns flat arrays (walk, position), sorted by walk with each walk's
+    positions ascending, and the number of ones of each walk.
+    """
+    lanes, k = np.arange(walks), np.full(walks, start, dtype=np.int64)
+    found_lanes, found = [lanes[:0]], [k[:0]]
+    while len(lanes):
+        u, v = uniforms.take(lanes), uniforms.take(lanes)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            skip = np.floor(-np.log1p(-u) / np.log1p(theta / k))
+        c = k + 1 + np.fmin(skip, limit - k).astype(np.int64)
+        hit = (c <= limit) & (v * (theta + (c - 1)) < theta + k)
+        found_lanes.append(lanes[hit])
+        found.append(c[hit])
+        live = c < limit
+        lanes, k = lanes[live], c[live]
+    lanes, found = np.concatenate(found_lanes), np.concatenate(found)
+    order = np.argsort(lanes, kind="stable")  # each walk's positions ascend step by step
+    return lanes[order], found[order], np.bincount(lanes, minlength=walks)
 
 
 def _sparse_route(n: int, theta: float) -> bool:
@@ -534,9 +253,11 @@ def _sparse_route(n: int, theta: float) -> bool:
 
 
 def _dense_thresholds(n: int, theta: float) -> np.ndarray:
-    """P(xi_k = 1) = theta/(theta+k-1) for k = 1..n."""
-    k = np.arange(1, n + 1, dtype=np.float64)
-    return theta / (theta + k - 1.0)
+    """P(xi_k = 1) = theta/(theta+k-1) for k = 1..n; the first is 1 exactly,
+    since theta + 1 - 1 rounds to 0 for theta below 2^-53."""
+    below = theta + np.arange(1, n + 1, dtype=np.float64) - 1.0
+    below[0] = theta
+    return theta / below
 
 
 def _starts(sizes) -> np.ndarray:
@@ -548,7 +269,7 @@ def _starts(sizes) -> np.ndarray:
 def _lead_words(leads: np.ndarray, walk: np.ndarray, positions: np.ndarray, counts: np.ndarray):
     """Each walk's lead followed by its positions, concatenated, and the
     index of every position in them; ``walk``, ``positions`` and ``counts``
-    are a lockstep walk's flat result.  The lead of walk t is repeated over
+    are ``_thinned_walks``' flat result.  The lead of walk t is repeated over
     its counts[t] + 1 slots and the positions overwrite all but the first."""
     at = np.arange(len(positions)) + walk + 1
     words = np.repeat(leads, counts + 1)
@@ -578,7 +299,7 @@ def draw_batch(
     one uniform phase per cycle, or, given a ``horizon``, the coupled word's
     ones in (n, horizon].  Each generator still sees its own trial's word,
     phases and tail in that order.  Sparse words and tails are walked for
-    all trials at once (``_walks_lockstep``), whose flat (trial, position)
+    all trials at once (``_thinned_walks``), whose flat (trial, position)
     result becomes the words (a leading 1 per trial) and the coupled words
     (the last one <= n, then the tail) by index arithmetic; lengths, their
     sort and the tails' spacings are computed for the whole batch.
@@ -597,7 +318,7 @@ def draw_batch(
     trials = len(rngs)
     uniforms = _Uniforms(rngs, block) if sparse or horizon is not None else None
     if sparse:
-        walk, positions, counts = _walks_lockstep([1] * trials, n, theta, uniforms)
+        walk, positions, counts = _thinned_walks(trials, 1, n, theta, uniforms)
         ones, _ = _lead_words(np.ones(trials, dtype=np.int64), walk, positions, counts)
         starts = _starts(counts + 1)
     else:
@@ -618,7 +339,7 @@ def draw_batch(
     lengths = _sorted_lengths(n, ones, starts)
     batch = TrialBatch(n, lengths, phase_draws, starts)
     if horizon is not None:
-        walk, positions, counts = _walks_lockstep([n] * trials, horizon, theta, uniforms)
+        walk, positions, counts = _thinned_walks(trials, n, horizon, theta, uniforms)
         last = ones[starts[1:] - 1]  # each trial's last one <= n
         # the coupled words: each trial's last one <= n, then its tail
         word, at = _lead_words(last, walk, positions, counts)
@@ -642,14 +363,29 @@ def sample_cycle_counts(
 # ---------------------------------------------------------------------------
 
 
+#: the smallest theta whose coupling tail bound is computed: each term
+#: 1/j - psi(H, j) (1/j - 1/H) cancels to O(theta), so the bound's relative
+#: error grows as theta shrinks (against 40-digit mpmath at the horizons
+#: ``coupling_horizon`` visits, n = 10, 10^3 and 10^5: within 1e-9 from
+#: here on, 1.3e-9 at theta = 5e-6, 5e-8 at 1e-8, and the bound went
+#: negative at 1e-17)
+_TAIL_THETA_FLOOR = 2.0**-17
+
+
 def coupling_tail_expectation(n: int, theta: float, horizon: int) -> float:
     """sum_{j<=n} E(number of j-spacings with an endpoint beyond the horizon).
 
     For a single j the tail expectation is
     theta * (1/j - psi(H, j) (1/j - 1/H)) with H the horizon; summing over
     j <= n gives the certified loss bound used by :func:`sample_coupled`.
+    Theta below ``_TAIL_THETA_FLOOR`` = 2^-17 is refused.
     """
     _check_table(n, theta)
+    if theta < _TAIL_THETA_FLOOR:
+        raise ValueError(
+            f"theta = {theta} is below 2**-17, the floor of the coupling tail bound, "
+            "whose cancellation loses digits as theta shrinks"
+        )
     if horizon < n:
         raise ValueError("horizon must be at least n")
     inverse, term = np.empty((2, min(n, TABLE_BLOCK)))  # 1/j and the terms, one block each

@@ -29,12 +29,10 @@ O(n) closed form, is an oracle here, as are the one-period means of
 {j p/q}, {j p/q}^2 and {j p/q}{j r/s} (``period_means``, ``s3_period_mean``)
 and the affine pair mean as an integral (``affine_s3_mean``), with the
 arcs those constants describe (``declared_arc``), and so are the one-trial sparse word
-(``ones_positions_sparse``, from the scalar walk ``ones_after``), the
-one-trial coupled word (``reference_trial``)
+(``ones_positions_sparse``, from the thinning rule on a raw generator,
+``ones_after``), the one-trial coupled word (``reference_trial``)
 and the modified count over [alpha, beta) (``count_arc_mod_left``).
-The gap walk's per-theta constants are checked against their Fraction
-form (``survival_constants_fractions``, from the Bernoulli recurrence),
-and whole sparse words against the exact laws of the number of cycles
+Whole sparse words are checked against the exact laws of the number of cycles
 (``cycle_number_pmf``) and of the longest cycle (``longest_cycle_bins``).
 A drawn sample is a ``TrialBatch``; the tests build and read one through
 ``cycle_type`` (a hand-built cycle type), ``trial_of`` (one trial of a
@@ -62,25 +60,27 @@ from permspectra import (
     count_arc_perm,
     psi_values,
 )
-from permspectra import cesaro, ewens, limits
+from permspectra import cesaro, limits
 from permspectra.cesaro import _NEAR_ONE
-from permspectra.ewens import (
-    _SERIES_TERMS, _TABLE_SIZE, TrialBatch, _dense_thresholds, _sorted_lengths, _sparse_route,
-)
+from permspectra.ewens import TrialBatch, _dense_thresholds, _sorted_lengths, _sparse_route
 from permspectra.spacings import _mod_angles
 from permspectra.spectral import frac_parts
 
 
 def ones_after(pos: int, limit: int, theta: float, rng) -> list[int]:
-    """Positions of the ones in (pos, limit], jumping from one to the next
-    with one ``rng.random()`` per draw: the scalar walk, one trial on its own.
-    The step is looked up on the module, so a test can count its calls."""
-    ones, constants = [], ewens._survival_constants(theta)
+    """Positions of the ones in (pos, limit] by the thinning rule, one trial
+    on its own, two ``rng.random()`` per candidate: from k, the skip
+    floor(-log1p(-u) / log1p(theta/k)) proposes c = k + 1 + skip, kept when
+    v (theta + c - 1) < theta + k, and the walk goes on from c.  The float
+    work is in ``np.float64`` scalars, whose bits match the walk's arrays."""
+    ones, theta = [], np.float64(theta)
     while pos < limit:
-        pos = ewens._next_one_position(pos, limit, theta, rng.random(), constants)
-        if pos is None:
-            break
-        ones.append(pos)
+        u, v = np.float64(rng.random()), np.float64(rng.random())
+        skip = np.floor(-np.log1p(-u) / np.log1p(theta / pos))
+        c = pos + 1 + int(min(skip, limit - pos))
+        if c <= limit and v * (theta + (c - 1)) < theta + pos:
+            ones.append(c)
+        pos = c
     return ones
 
 
@@ -111,34 +111,6 @@ def sparse_size(theta: float) -> int:
     while not _sparse_route(n, theta):
         n += 1000
     return n
-
-
-def bernoulli_fractions(count: int) -> list[Fraction]:
-    """Bernoulli numbers B_0 .. B_{count-1} (B_1 = -1/2) by their recurrence, exactly."""
-    values = [Fraction(1)]
-    for m in range(1, count):
-        values.append(-sum(math.comb(m + 1, j) * values[j] for j in range(m)) / (m + 1))
-    return values[:count]
-
-
-def survival_constants_fractions(theta: float):
-    """``ewens._survival_constants`` in Fractions: each series coefficient
-    (-1)^(n+1) (B_{n+1}(theta) - B_{n+1}) / (n(n+1)) / s^n from the exact
-    binary value of theta and the Bernoulli recurrence, rounded once."""
-    table = [math.nan] * (_TABLE_SIZE + 1)
-    table[_TABLE_SIZE] = 0.0
-    for x in range(_TABLE_SIZE - 1, 0, -1):
-        table[x] = table[x + 1] - math.log1p(theta / x)
-    bernoulli = bernoulli_fractions(_SERIES_TERMS + 1)
-    exact, scale = Fraction(theta), Fraction(max(theta, 1.0))
-    coeffs = []
-    for n in range(1, _SERIES_TERMS + 1):
-        diff = sum(math.comb(n + 1, j) * bernoulli[j] * exact ** (n + 1 - j) for j in range(n + 1))
-        coeffs.append(float((-1) ** (n + 1) * diff / (n * (n + 1)) / scale**n))
-    tail = [abs(c) * n for n, c in enumerate(coeffs, 1)]
-    for n in range(len(tail) - 2, -1, -1):
-        tail[n] = max(tail[n], tail[n + 1])
-    return table, coeffs, tail, float(scale)
 
 
 def cycle_number_pmf(n: int, theta: float, size: int = 256) -> np.ndarray:

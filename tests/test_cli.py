@@ -19,7 +19,7 @@ from permspectra import (
     NAMED_IRRATIONALS, EwensParams, attach_phases, cli, sample_cycle_counts, trial_rng,
 )
 from permspectra.cli import build_parser, main, parse_arcs, parse_endpoint
-from permspectra.ewens import _MIN_LANES, _sparse_route
+from permspectra.ewens import _sparse_route
 from permspectra.experiments import _CHUNK_TRIALS
 
 
@@ -155,10 +155,10 @@ class TestCommands:
     @pytest.mark.parametrize("n, model, trials", [
         (50, "perm", 3),
         (50, "mod", 3),
-        (300, "mod", _MIN_LANES),
+        (300, "mod", 80),
         (sparse_size(0.8), "perm", 5),
         (sparse_size(0.8), "mod", 5),
-        (sparse_size(0.8), "mod", _MIN_LANES + 3),
+        (sparse_size(0.8), "mod", 83),
         (3, "mod", _CHUNK_TRIALS + 5),  # two chunks
     ])
     def test_sample_matches_one_trial_composition(self, capsys, n, model, trials):
@@ -452,6 +452,15 @@ class TestCliContract:
             code, out, _ = run_cli(capsys, *argv[:-1], "mod", "--theta", theta)
             assert code == 0 and json.loads(out)["results"]["variance"] > 0
 
+    @pytest.mark.parametrize("theta", ["1e-17", "1e-310"])
+    def test_coupling_theta_below_the_tail_floor_refused(self, capsys, theta):
+        # the printed tail_bound was -2.06e-33 at 1e-17, and 1e-310 failed
+        # to print its non-finite bound as JSON
+        message = (f"theta = {float(theta)} is below 2**-17, the floor of the coupling tail "
+                   "bound, whose cancellation loses digits as theta shrinks")
+        argv = ("coupling-check", "--n", "1000", "--seed", "1", "--trials", "20", "--theta", theta)
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
     def test_plain_mesoscopic_takes_theta_beyond_the_accuracy_limit(self, capsys):
         # its variances are Monte Carlo estimates, and the exact mean only
         # centres the KS report of a few hundred counts
@@ -645,10 +654,10 @@ class TestCliContract:
         ("spacings", "--n-list", "10000"),
     ], ids=["clt", "spacings"])
     def test_sparse_route_results_independent_of_chunking(self, capsys, monkeypatch, argv):
-        # n = 10^4 at theta 1 takes the gap walk: 150 trials are one lockstep
-        # chunk at --jobs 1, two chunks of 75 < _MIN_LANES at --jobs 2, and
-        # three of 50 with the chunk cap at 50; the route reads only n and theta
-        assert _sparse_route(10_000, 1.0) and 150 // 2 < _MIN_LANES
+        # n = 10^4 at theta 1 takes the gap walk: 150 trials are one chunk at
+        # --jobs 1, two chunks of 75 at --jobs 2, and three of 50 with the
+        # chunk cap at 50; the route reads only n and theta
+        assert _sparse_route(10_000, 1.0)
         argv = (*argv, "--seed", "8", "--trials", "150")
         payloads = [run_json(capsys, *argv, "--jobs", jobs)["results"] for jobs in ("1", "2")]
         monkeypatch.setattr("permspectra.experiments._CHUNK_TRIALS", 50)

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 
 from conftest import (
     BernoulliWord,
-    bernoulli_fractions,
     coupled_counts,
     coupling_tail_formula,
     cycle_counts_from_word,
@@ -32,7 +32,6 @@ from conftest import (
     reference_trial,
     sample_bernoulli_word,
     sparse_size,
-    survival_constants_fractions,
     trial_of,
     type_chisquare_pvalue,
 )
@@ -52,10 +51,8 @@ from permspectra.ewens import (
     _BLOCK,
     _SPARSE_THRESHOLD,
     _Uniforms,
-    _log_gap_survival,
-    _next_one_position,
     _sparse_route,
-    _walks_lockstep,
+    _thinned_walks,
     draw_batch,
 )
 from permspectra.rng import trial_rngs
@@ -251,7 +248,7 @@ class TestSamplers:
 
     @pytest.mark.parametrize("theta", [0.5, 2.0])
     def test_sparse_route_mean_cycle_number_at_large_n(self, theta):
-        # every draw inverts the gap survival at positions up to 10^6
+        # every candidate is thinned at positions up to 10^6
         rng = np.random.default_rng(105)
         n, trials = 10**6, 2000
         ks = np.array([len(ones_positions_sparse(n, theta, rng)) for _ in range(trials)])
@@ -282,7 +279,7 @@ LAW_TRIALS = 20_000
 def sparse_words(n: int, theta: float, chunk: int) -> tuple[np.ndarray, np.ndarray]:
     """The number of cycles and the longest cycle of LAW_TRIALS words of size
     n on the gap walk, trial_rng(41, t), drawn through draw_batch ``chunk``
-    trials at a time: in lockstep, or one trial at a time below _MIN_LANES."""
+    trials at a time."""
     cycles, longest = [], []
     with mock.patch.object(ewens, "_sparse_route", lambda n, theta: True):
         for lo in range(0, LAW_TRIALS, chunk):
@@ -294,7 +291,7 @@ def sparse_words(n: int, theta: float, chunk: int) -> tuple[np.ndarray, np.ndarr
 
 LAW_CASES = [pytest.param(n, theta, LAW_TRIALS, marks=[pytest.mark.slow] if n == 10**6 else [])
              for n in (10**4, 10**5, 10**6) for theta in (0.5, 1.0, 2.0)]
-LAW_CASES.append(pytest.param(10**5, 1.0, 50, id="scalar-walk"))
+LAW_CASES.append(pytest.param(10**5, 1.0, 50, id="narrow-batch"))
 
 
 class TestSparseLaw:
@@ -337,8 +334,7 @@ class TestSparseLaw:
     @pytest.mark.parametrize("chunk", [1000, 50])
     def test_share_of_words_with_a_one_at_n(self, chunk):
         # the walk's last position: P(one at n) = theta/(theta+n-1), seen as
-        # a closing cycle of length 1, on lockstep chunks and (below
-        # _MIN_LANES) scalar ones
+        # a closing cycle of length 1, on wide chunks and narrow ones
         n, theta, ends = 20, 5.0, 0
         with mock.patch.object(ewens, "_sparse_route", lambda n, theta: True):
             for lo in range(0, LAW_TRIALS, chunk):
@@ -356,7 +352,7 @@ class TestSparseLaw:
         # over 38-39 log-spaced windows of (1, n], which sees the gap law at
         # every scale where K and L see only sums of it
         uniforms = _Uniforms(list(trial_rngs(51, 0, LAW_TRIALS)))
-        _, positions, _ = _walks_lockstep([1] * LAW_TRIALS, n, theta, uniforms)
+        _, positions, _ = _thinned_walks(LAW_TRIALS, 1, n, theta, uniforms)
         edges = np.unique(np.geomspace(2, n + 1, 41).astype(np.int64))  # windows [e_i, e_i+1)
         observed = np.bincount(np.searchsorted(edges, positions, side="right") - 1,
                                minlength=len(edges) - 1)
@@ -378,8 +374,8 @@ class TestRoute:
 
     @pytest.mark.parametrize("theta", [0.5, 2.0, 5.0])
     def test_batch_width_does_not_change_a_trial(self, theta):
-        # 100 trials walk in lockstep, single ones by the scalar walk, and the
-        # route is the same for both
+        # 100 trials walk together, single ones alone, and the route is the
+        # same for both
         n = sparse_size(theta)
         batch = draw_batch(n, theta, (trial_rng(43, t) for t in range(100)), phases=True)
         for t in (0, 37, 99):
@@ -392,304 +388,91 @@ class TestRoute:
             assert one.phases.tolist() == phase.tolist()
 
 
-SURVIVAL_THETAS = [0.3, 0.5, 1.0, 2.0, 7.0, 50.0]
+class CyclingGenerator:
+    """Stand-in generator that hands out ``values`` over and over, one at a
+    time or a store's block at a time."""
 
+    def __init__(self, values):
+        self.values = itertools.cycle(values)
 
-def exact_log_survival(k: int, t: int, theta: float) -> float:
-    """log prod_{i=1..t} (k+i-1)/(theta+k+i-1) from the exact rational product."""
-    ratio = Fraction(1)
-    for i in range(t):
-        ratio *= Fraction(k + i) / (Fraction(theta) + k + i)
-    # log1p is well conditioned for a ratio near 1, log for one far below it
-    return math.log1p(float(ratio - 1)) if ratio > 0.5 else math.log(float(ratio))
-
-
-class TestGapSurvival:
-    @pytest.mark.parametrize("theta", SURVIVAL_THETAS)
-    def test_small_gaps_against_exact_product(self, theta):
-        for k in (1, 2, 5, 63, 64, 65, 399, 400, 10**6, 10**9, 2**40):
-            for t in (1, 2, 3, 8, 9, 12, 20):
-                exact = exact_log_survival(k, t, theta)
-                assert _log_gap_survival(k, t, theta) == pytest.approx(exact, rel=1e-12, abs=0)
-
-    @pytest.mark.parametrize("theta", SURVIVAL_THETAS)
-    def test_log_uniform_grid_against_mpmath(self, theta):
-        mpmath = pytest.importorskip("mpmath")
-        grid = random.Random(int(theta * 10))
-        lg, th = mpmath.loggamma, mpmath.mpf(theta)
-        for _ in range(150):
-            k, t = (max(1, int(2 ** grid.uniform(0, 40))) for _ in range(2))
-            with mpmath.workdps(60):
-                exact = float(lg(k + t) - lg(k) + lg(th + k) - lg(th + k + t))
-            assert _log_gap_survival(k, t, theta) == pytest.approx(exact, rel=1e-12, abs=0)
-
-    def test_no_cancellation_at_large_k(self):
-        # four lnGamma values near 2e10 used to cancel to +3.8e-6 here
-        value = _log_gap_survival(10**9, 3, 0.5)
-        assert value < 0
-        assert value == pytest.approx(-1.499999998125e-9, rel=1e-12, abs=0)
-
-
-class TestSurvivalConstants:
-    def test_bernoulli_table_is_the_recurrence(self):
-        table = [Fraction(p, q) for p, q in ewens._BERNOULLI]
-        assert table == bernoulli_fractions(len(table))
-        assert all(ewens._BERNOULLI_DENOMINATOR % q == 0 for _, q in ewens._BERNOULLI)
-
-    def test_equal_to_the_bernoulli_recurrence_in_fractions(self):
-        # every float of the table, the coefficients, their tail and the scale
-        grid = random.Random(17)
-        thetas = [1e-12, 0.5, 1.0, 1.3, 2.0, 8.0, 50.0, 2.0**53, 7, 1e-300, 1e300]
-        thetas += [2 ** grid.uniform(-40, 53) for _ in range(60)]
-        for theta in thetas:
-            ewens._survival_constants.cache_clear()
-            got, want = ewens._survival_constants(theta), survival_constants_fractions(theta)
-            table, coeffs, tail, scale = got
-            assert (table[1:], coeffs, tail, scale) == (want[0][1:], *want[1:]), theta
-            assert math.isnan(table[0])
-
-
-class ForcedGenerator:
-    """Stand-in generator that fills every row a store refills with one value."""
-
-    def __init__(self, value: float):
-        self.value = value
-
-    def random(self, *, out: np.ndarray) -> np.ndarray:
-        out.fill(self.value)
+    def random(self, *, out=None):
+        if out is None:
+            return next(self.values)
+        out[:] = [next(self.values) for _ in range(len(out))]
         return out
 
 
-def bisected_position(k: int, limit: int, theta: float, u: float):
-    """The first 1 after k by plain bisection over the same survival function."""
-    hi = limit - k
-    if hi <= 0:
-        return None
-    log_u = math.log(1.0 - u)
-    if _log_gap_survival(k, hi, theta) >= log_u:
-        return None
-    lo = 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _log_gap_survival(k, mid, theta) < log_u:
-            hi = mid
-        else:
-            lo = mid
-    return k + hi
-
-
-class TestGapInversion:
-    def test_same_position_as_bisection(self):
-        grid = random.Random(2024)
-        outcomes = set()
-        for case in range(3000):
-            theta = grid.choice(SURVIVAL_THETAS + [0.01, 1.3, 20.0])
-            k = max(1, int(10 ** grid.uniform(0, 9)))
-            gap = 1 if case % 10 == 0 else int(10 ** grid.uniform(0, 10))
-            draw = grid.choice([0.0, 1 - 2.0**-53, grid.random(), grid.random() ** 8])
-            got = _next_one_position(k, k + gap, theta, draw)
-            assert got == bisected_position(k, k + gap, theta, draw)
-            outcomes.add("beyond" if got is None else "hi=1" if gap == 1 else "inside")
-        assert outcomes == {"beyond", "hi=1", "inside"}
-
-    def test_one_uniform_per_call(self):
-        # a walk reads one uniform per draw: one per one, and one more for
-        # the draw beyond the limit unless its last one is the limit
-        for seed, (k, limit, theta) in enumerate(
-            [(1, 10**6, 0.5), (70_000, 10**6, 2.0), (10**6, 10**6 + 1, 1.0), (5, 5, 1.0),
-             (3, 2**40, 50.0), (10**9, 2**40, 0.3)]
-        ):
-            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-            walk = walk_lists(_walks_lockstep([k], limit, theta, _Uniforms([rng], block=1)))[0]
-            twin.random(len(walk) + (k < limit and (not walk or walk[-1] < limit)))
-            assert rng.bit_generator.state == twin.bit_generator.state
-
-    @pytest.mark.parametrize("theta", [0.5, 1.0, 5.0])
-    @pytest.mark.parametrize("k, limit", [(1, 20), (19, 20), (50_000, 2**20), (999_963, 10**6)])
-    def test_the_last_position_is_reached(self, theta, k, limit):
-        # U strictly between S(limit - k) and S(limit - k - 1) puts the one
-        # at the limit: the scalar step, a narrow walk (its scalar finish)
-        # and a lockstep batch of such draws must all place it there
-        h = limit - k
-        below = _log_gap_survival(k, h, theta)  # log S(h)
-        above = _log_gap_survival(k, h - 1, theta) if h > 1 else 0.0  # log S(h - 1)
-        for share in (0.01, 0.5, 0.99):
-            u = -math.expm1(below + share * (above - below))
-            assert below < math.log(1.0 - u) < above
-            assert _next_one_position(k, limit, theta, u) == limit
-            for walks in (1, ewens._MIN_LANES):
-                uniforms = _Uniforms([ForcedGenerator(u)] * walks)
-                walked = walk_lists(_walks_lockstep([k] * walks, limit, theta, uniforms))
-                assert walked == [[limit]] * walks
-
-
-def count_survival_evaluations(monkeypatch) -> dict:
-    """Count draws (calls that read a uniform) and top-level survival evaluations."""
-    counts, depth = {"draws": 0, "evals": 0}, [0]
-    evaluate, step = ewens._log_gap_survival, ewens._next_one_position
-
-    def counted_evaluate(*args):
-        counts["evals"] += depth[0] == 0
-        depth[0] += 1
-        try:
-            return evaluate(*args)
-        finally:
-            depth[0] -= 1
-
-    def counted_step(k, limit, *args, **kwargs):
-        counts["draws"] += limit > k
-        return step(k, limit, *args, **kwargs)
-
-    monkeypatch.setattr(ewens, "_log_gap_survival", counted_evaluate)
-    monkeypatch.setattr(ewens, "_next_one_position", counted_step)
-    return counts
-
-
-#: (theta, start, limit): words at n = 10^6 and coupled tails from 1000 to 2^20
-SPARSE_CASES = [(theta, start, limit) for theta in (0.3, 0.5, 1.0, 2.0, 7.0, 50.0)
-                for start, limit in ((1, 10**6), (1000, 2**20))]
-
-
-def sparse_mix():
-    """Ten walks of each sparse case, walk i drawn from default_rng(i)."""
-    return [
-        ones_after(start, limit, theta, np.random.default_rng(seed))
-        for seed, (theta, start, limit) in enumerate(SPARSE_CASES * 10)
-    ]
-
-
 def walk_lists(walked) -> list[list[int]]:
-    """A lockstep walk's flat (walk, position, counts) result as one list of
+    """A walk's flat (walk, position, counts) result as one list of
     positions per walk."""
     _, positions, counts = walked
     return [walk.tolist() for walk in np.split(positions, np.cumsum(counts)[:-1])]
 
 
-def sparse_mix_lockstep(generator=np.random.default_rng, block=_BLOCK):
-    """``sparse_mix()``, each case's ten walks stepped as one lockstep call;
-    walk i reads ``generator(i)`` through a store of ``block`` values a row."""
-    walks = {}
-    for case, (theta, start, limit) in enumerate(SPARSE_CASES):
-        seeds = range(case, 10 * len(SPARSE_CASES), len(SPARSE_CASES))
-        uniforms = _Uniforms([generator(seed) for seed in seeds], block)
-        got = _walks_lockstep([start] * 10, limit, theta, uniforms)
-        walks.update(zip(seeds, walk_lists(got)))
-    return [walks[seed] for seed in range(len(walks))]
+#: (start, limit): words at n = 10^6 and coupled tails from 1000 to 2^20
+WALK_SPANS = [(1, 10**6), (1000, 2**20)]
 
 
-class TestNeighbourCertificate:
-    def test_one_evaluation_per_draw(self, monkeypatch):
-        counts = count_survival_evaluations(monkeypatch)
-        sparse_mix()
-        assert counts["draws"] > 1000
-        assert counts["evals"] <= 1.05 * counts["draws"]
+class TestThinnedWalk:
+    @pytest.mark.parametrize("theta", [0.05, 0.5, 1.0, 2.0, 5.0, 40.0])
+    @pytest.mark.parametrize("start, limit", WALK_SPANS)
+    @pytest.mark.parametrize("lanes", [2, 7, 79, 80, 300])
+    @pytest.mark.parametrize("block", [1, _BLOCK])
+    def test_a_lane_does_not_depend_on_the_batch_width(self, theta, start, limit, lanes, block):
+        # every lane equals the one-trial reference, and the first and last
+        # lanes the same walk drawn alone
+        uniforms = _Uniforms([np.random.default_rng(seed) for seed in range(lanes)], block)
+        walks = walk_lists(_thinned_walks(lanes, start, limit, theta, uniforms))
+        assert walks == [ones_after(start, limit, theta, np.random.default_rng(seed))
+                         for seed in range(lanes)]
+        for seed in (0, lanes - 1):
+            alone = _Uniforms([np.random.default_rng(seed)], block)
+            assert walk_lists(_thinned_walks(1, start, limit, theta, alone)) == [walks[seed]]
 
-    def test_positions_unchanged_when_no_certificate_holds(self, monkeypatch):
-        # an infinite slack fails every certificate, so every draw takes the
-        # galloping search; the positions must be the certified ones
-        certified = sparse_mix()
-        counts = count_survival_evaluations(monkeypatch)
-        monkeypatch.setattr(ewens, "_CERTIFICATE_SLACK", math.inf)
-        searched = sparse_mix()
-        assert searched == certified
-        assert counts["evals"] > 1.5 * counts["draws"]
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 5.0])
+    @pytest.mark.parametrize("k, limit", [(1, 20), (19, 20), (500_000, 2**20), (999_963, 10**6)])
+    def test_the_last_position_is_reached(self, theta, k, limit):
+        # a skip of limit - k - 1 puts the candidate at the limit, and v = 0
+        # keeps it: the reference, a lone walk and a wide batch of such
+        # draws must all place a one there and stop; each skip here needs
+        # -log1p(-u) below 36.7, the most that one uniform can give
+        rate = math.log1p(theta / k)
+        for share in (0.01, 0.5, 0.99):
+            u = -math.expm1(-rate * (limit - k - 1 + share))
+            assert math.floor(-math.log1p(-u) / rate) == limit - k - 1
+            assert ones_after(k, limit, theta, CyclingGenerator([u, 0.0])) == [limit]
+            for walks in (1, 80):
+                uniforms = _Uniforms([CyclingGenerator([u, 0.0]) for _ in range(walks)])
+                walked = walk_lists(_thinned_walks(walks, k, limit, theta, uniforms))
+                assert walked == [[limit]] * walks
 
-
-class CountingGenerator:
-    """A generator whose ``random`` counts the uniforms it returns."""
-
-    def __init__(self, seed: int, counts: dict):
-        self.rng, self.counts = np.random.default_rng(seed), counts
-
-    def random(self, size=None, out=None):
-        values = self.rng.random(size, out=out)
-        self.counts["read"] += np.size(values)
-        return values
-
-
-def step_every_lane_in_numpy(monkeypatch):
-    """Lockstep calls step every walk in numpy to its end, however few."""
-    monkeypatch.setattr(ewens, "_MIN_LANES", 1)
-    monkeypatch.setattr(ewens, "_MIN_LIVE", 1)
-
-
-class TestLockstepWalk:
-    @pytest.mark.parametrize("theta", [0.3, 0.5, 1.0, 2.0, 7.0, 50.0])
-    @pytest.mark.parametrize("start, limit", [(1, 10**6), (1000, 2**20)])
-    @pytest.mark.parametrize("lanes", [1, 3, 150])
-    def test_same_walks_as_one_trial_at_a_time(self, monkeypatch, theta, start, limit, lanes):
-        step_every_lane_in_numpy(monkeypatch)
-        uniforms = _Uniforms([np.random.default_rng(seed) for seed in range(lanes)])
-        twins = [np.random.default_rng(seed) for seed in range(lanes)]
-        got = _walks_lockstep([start] * lanes, limit, theta, uniforms)
-        assert walk_lists(got) == [ones_after(start, limit, theta, twin) for twin in twins]
-        # one uniform per draw, as the scalar walk reads
-        assert [uniforms.next(lane) for lane in range(lanes)] == [t.random() for t in twins]
-
-    def test_sparse_mix_unchanged_and_mostly_vectorised(self, monkeypatch):
-        # the scalar walk's draws (the fallbacks) are at most a fifth of
-        # all: the numpy step is not dead code; a store of one value a row
-        # reads exactly the uniforms it hands out
-        want = sparse_mix()
-        step_every_lane_in_numpy(monkeypatch)
-        counts = count_survival_evaluations(monkeypatch)
-        counts["read"] = 0
-        assert sparse_mix_lockstep(lambda seed: CountingGenerator(seed, counts), 1) == want
-        assert counts["read"] > 10_000
-        assert counts["draws"] <= 0.2 * counts["read"]
-
-    @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
-    def test_numpy_steps_from_the_batch_threshold_on(self, monkeypatch, theta):
-        # at the shipped thresholds a batch of _MIN_LANES walks takes almost
-        # every draw in numpy; one walk fewer makes no numpy step at all
-        lanes = ewens._MIN_LANES
-        want = [ones_after(1, 10**6, theta, np.random.default_rng(seed)) for seed in range(lanes)]
-        counts = count_survival_evaluations(monkeypatch)
-        counts["read"] = 0
-        uniforms = _Uniforms([CountingGenerator(seed, counts) for seed in range(lanes)], block=1)
-        walked = _walks_lockstep([1] * lanes, 10**6, theta, uniforms)
-        assert walk_lists(walked) == want
-        assert counts["draws"] <= 0.2 * counts["read"]
-        monkeypatch.setattr(ewens, "_log_gap_survivals", None)
-        monkeypatch.setattr(_Uniforms, "take", None)
-        uniforms = _Uniforms([np.random.default_rng(seed) for seed in range(lanes - 1)])
-        narrow = _walks_lockstep([1] * (lanes - 1), 10**6, theta, uniforms)
-        assert walk_lists(narrow) == want[:-1]
-
-    def test_positions_unchanged_when_every_draw_falls_back(self, monkeypatch):
-        # an infinite slack clears no margin, so every draw goes to the
-        # scalar walk with the uniform the lockstep read
-        certified = sparse_mix()
-        step_every_lane_in_numpy(monkeypatch)
-        counts = count_survival_evaluations(monkeypatch)
-        monkeypatch.setattr(ewens, "_CERTIFICATE_SLACK", math.inf)
-        assert sparse_mix_lockstep() == certified
-        limits = [limit for _, _, limit in SPARSE_CASES * 10]
-        # a walk ends with a draw beyond its limit unless its last one is the limit
-        ending = sum(not walk or walk[-1] != limit for walk, limit in zip(certified, limits))
-        assert counts["draws"] == sum(map(len, certified)) + ending
-
-    @pytest.mark.parametrize("theta", SURVIVAL_THETAS + [0.01, 20.0])
-    def test_vectorised_survival_against_scalar(self, theta):
-        # every branch: short gaps, the table and its spill past it, the
-        # series and, for theta > 8, the two Stirling forms
-        grid = random.Random(int(theta * 100))
-        pairs = [(k, t) for k in (1, 5, 63, 64, 65, 399, 10**6) for t in (1, 8, 9, 60, 10**5)]
-        pairs += [tuple(max(1, int(2 ** grid.uniform(0, 40))) for _ in range(2))
-                  for _ in range(300)]
-        k, t = (np.array(column, dtype=np.int64) for column in zip(*pairs))
-        constants = ewens._survival_constants(theta)
-        got = ewens._log_gap_survivals(k, t, theta, constants)
-        for (ki, ti), value in zip(pairs, got.tolist()):
-            want = _log_gap_survival(ki, ti, theta)
-            assert value == pytest.approx(want, rel=1e-13, abs=0)
+    @pytest.mark.parametrize("theta", [5e-324, 1e-310, 1e-17, 1e300, 1.7e308])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_extreme_theta_draws_without_warnings(self, theta, sparse):
+        # the suite turns every RuntimeWarning into an error; theta/k
+        # underflows to 0 at the smallest theta, theta + 1 - 1 to 0 below
+        # 2^-53, and at the largest every position is a one
+        tiny, n = theta < 1, 20_000 if theta < 1 else 12
+        with mock.patch.object(ewens, "_sparse_route", lambda n, theta: sparse):
+            for horizon in (None, 4 * n):
+                batch = draw_batch(n, theta, trial_rngs(6, 0, 5), phases=True, horizon=horizon)
+                # no one after position 1 at the tiny theta, one everywhere at the huge
+                assert batch.lengths.tolist() == ([n] * 5 if tiny else [1] * (5 * n))
+                if horizon is not None:
+                    tails = np.bincount(batch.tail_trial, minlength=5).tolist()
+                    assert tails == [0 if tiny else 3 * n] * 5
 
 
 STORE_CASES = [(0.5, 1, 10**6), (2.0, 1000, 2**20)]
 
 
+def next_uniform(uniforms, row: int) -> float:
+    """The next uniform of one row of a store, by ``take``."""
+    return uniforms.take(np.array([row])).item()
+
+
 def interleaved_reads(uniforms, rows: int, seed: int) -> list:
-    """A fixed random mix of ``take``, ``next`` and ``run`` over ``rows``
+    """A fixed random mix of ``take`` (of several rows or of one) and ``run`` over ``rows``
     rows of a store, each read as the list of values it handed out."""
     grid, reads = random.Random(seed), []
     for _ in range(400):
@@ -699,7 +482,7 @@ def interleaved_reads(uniforms, rows: int, seed: int) -> list:
             reads.append((op, lanes.tolist(), uniforms.take(lanes).tolist()))
         elif op == "next":
             row = grid.randrange(rows)
-            reads.append((op, row, [uniforms.next(row)]))
+            reads.append((op, row, [next_uniform(uniforms, row)]))
         else:
             row, m = grid.randrange(rows), grid.choice([0, 1, 5, 63, 64, 65, 200])
             taken = uniforms.run(row, m)
@@ -725,7 +508,7 @@ class TestUniformStore:
     @pytest.mark.parametrize("block", [_BLOCK, 1])
     def test_single_draws_across_block_boundaries(self, block):
         uniforms, twin = _Uniforms([np.random.default_rng(11)], block), np.random.default_rng(11)
-        got = [uniforms.next(0) for _ in range(3 * _BLOCK + 5)]
+        got = [next_uniform(uniforms, 0) for _ in range(3 * _BLOCK + 5)]
         assert got == [twin.random() for _ in range(3 * _BLOCK + 5)]
 
     @pytest.mark.parametrize("used, m", [(0, 5), (10, 7), (10, 54), (10, 200), (_BLOCK, 3),
@@ -733,9 +516,9 @@ class TestUniformStore:
     def test_run_after_partial_consumption(self, used, m):
         # a trial's phases follow its sparse word from the same row
         uniforms, twin = _Uniforms([np.random.default_rng(12)]), np.random.default_rng(12)
-        head = [uniforms.next(0) for _ in range(used)]
+        head = [next_uniform(uniforms, 0) for _ in range(used)]
         taken = uniforms.run(0, m)
-        after = uniforms.next(0)
+        after = next_uniform(uniforms, 0)
         assert head == [twin.random() for _ in range(used)]
         assert taken.dtype == np.float64 and taken.tolist() == twin.random(m).tolist()
         assert after == twin.random()
@@ -743,7 +526,7 @@ class TestUniformStore:
     def test_one_value_a_row_leaves_the_generator_in_step(self):
         rng, twin = np.random.default_rng(13), np.random.default_rng(13)
         uniforms = _Uniforms([rng], block=1)
-        assert [uniforms.next(0), *uniforms.run(0, 4).tolist(), uniforms.next(0)] == (
+        assert [next_uniform(uniforms, 0), *uniforms.run(0, 4).tolist(), next_uniform(uniforms, 0)] == (
             [twin.random(), *twin.random(4).tolist(), twin.random()]
         )
         assert rng.bit_generator.state == twin.bit_generator.state
@@ -752,26 +535,25 @@ class TestUniformStore:
     @pytest.mark.parametrize("used", [0, 5, _BLOCK - 1])
     def test_rows_read_on_from_the_twin_stream_after_a_walk(self, theta, start, limit, used):
         # ``used`` uniforms read before the walk leave a row partly unread,
-        # as a sparse word's phases do before its coupled tail; the walk's
-        # last few walks finish one draw at a time on the same rows
-        lanes = ewens._MIN_LANES + 20
+        # as a sparse word's phases do before its coupled tail
+        lanes = 100
         uniforms = _Uniforms([np.random.default_rng(seed) for seed in range(lanes)])
         twins = [np.random.default_rng(seed) for seed in range(lanes)]
         for lane, twin in enumerate(twins):
-            head = [uniforms.next(lane) for _ in range(used)]
+            head = [next_uniform(uniforms, lane) for _ in range(used)]
             assert head == [twin.random() for _ in range(used)]
-        walks = walk_lists(_walks_lockstep([start] * lanes, limit, theta, uniforms))
+        walks = walk_lists(_thinned_walks(lanes, start, limit, theta, uniforms))
         for lane, (walk, twin) in enumerate(zip(walks, twins)):
             assert walk == ones_after(start, limit, theta, twin)
             assert uniforms.run(lane, _BLOCK + 6).tolist() == twin.random(_BLOCK + 6).tolist()
-            assert uniforms.next(lane) == twin.random()
+            assert next_uniform(uniforms, lane) == twin.random()
 
     @pytest.mark.parametrize("theta, start, limit", STORE_CASES)
     def test_one_value_a_row_walk_leaves_the_generators_in_step(self, theta, start, limit):
-        lanes = ewens._MIN_LANES + 20
+        lanes = 100
         rngs = [np.random.default_rng(seed) for seed in range(lanes)]
         twins = [np.random.default_rng(seed) for seed in range(lanes)]
-        walks = walk_lists(_walks_lockstep([start] * lanes, limit, theta, _Uniforms(rngs, 1)))
+        walks = walk_lists(_thinned_walks(lanes, start, limit, theta, _Uniforms(rngs, 1)))
         for walk, rng, twin in zip(walks, rngs, twins):
             assert walk == ones_after(start, limit, theta, twin)
             assert rng.bit_generator.state == twin.bit_generator.state
@@ -781,7 +563,7 @@ class TestUniformStore:
         # draw_batch(block=1) reads no uniform ahead on any route with gap
         # draws: each generator stands just past its trial's word, phases
         # and tail, as one trial drawn from the raw generator leaves it
-        theta, trials = 1.5, ewens._MIN_LANES + 20
+        theta, trials = 1.5, 100
         n = 1000 if route.startswith("dense") else sparse_size(theta)
         horizon = 4 * n if route.endswith("horizon") else None
         rngs = list(trial_rngs(24, 0, trials))
@@ -834,7 +616,7 @@ class TestBatchStream:
 
     @pytest.mark.parametrize("theta", [0.5, 2.0])
     def test_flat_sparse_words_trial_by_trial(self, theta):
-        # a lockstep batch's words and phases, assembled from its flat walk,
+        # a wide batch's words and phases, assembled from its flat walk,
         # against one reference trial each; at theta = 0.5 a few words have
         # no one after position 1
         n, trials = sparse_size(theta), 300
@@ -1034,10 +816,13 @@ class TestCoupled:
         t2 = coupling_tail_expectation(100, 1.5, 4000)
         assert t2 < t1
 
-    @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
-    def test_tail_expectation_against_mpmath(self, theta):
+    @pytest.mark.parametrize("theta, rel", [
+        (0.5, 1e-12), (1.0, 1e-12), (2.0, 1e-12), (ewens._TAIL_THETA_FLOOR, 1e-9),
+    ], ids=["0.5", "1.0", "2.0", "floor"])
+    def test_tail_expectation_against_mpmath(self, theta, rel):
         # the bound that coupling-check prints, at its horizon for n = 1000:
-        # theta sum_j (1/j - psi(H, j) (1/j - 1/H)), psi(H, j) as the product
+        # theta sum_j (1/j - psi(H, j) (1/j - 1/H)), psi(H, j) as the product;
+        # its terms cancel to O(theta), so at the floor it is good to 1e-9
         mpmath = pytest.importorskip("mpmath")
         n = 1000
         horizon, tail = coupling_horizon(n, theta, 1e-3)
@@ -1049,7 +834,18 @@ class TestCoupled:
                 total += 1 / mpmath.mpf(j) - psi * (1 / mpmath.mpf(j) - 1 / h)
             exact = float(th * total)
         assert tail == coupling_tail_expectation(n, theta, horizon)
-        assert tail == pytest.approx(exact, rel=1e-12, abs=0)
+        assert tail == pytest.approx(exact, rel=rel, abs=0)
+
+    @pytest.mark.parametrize("theta", [math.nextafter(2.0**-17, 0.0), 1e-8, 1e-17, 1e-310, 5e-324])
+    def test_tail_expectation_refused_below_its_theta_floor(self, theta):
+        # 1e-17 gave a negative bound, 1e-310 a non-finite one
+        assert ewens._TAIL_THETA_FLOOR == 2.0**-17
+        message = (f"theta = {theta} is below 2\\*\\*-17, the floor of the coupling tail "
+                   "bound, whose cancellation loses digits as theta shrinks$")
+        for call in (lambda: coupling_tail_expectation(1000, theta, 2000),
+                     lambda: coupling_horizon(1000, theta, 1e-3)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
     def test_horizon_is_the_first_doubling_from_2n(self):
         # the search starts near theta^2 n / epsilon; the oracle doubles from 2n

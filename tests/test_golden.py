@@ -122,7 +122,7 @@ GOLDEN = {
     "c_numeric README endpoints":
         "b8bdd40396edcd9fa90ada73c55386f6f7b033cf606457d243f86e1620e53d7b",
     "coupling-check mean and se":
-        "c963115d064d918016288867cf211c11275b0a81d3e75d6faf4202c4aac50f49",
+        "ec38bdc0b9b42b7f9896301e85b7cd48cebb011e792cbb1db9796061e4f34dea",
     "covariance_D README arcs":
         "3393fac2ea54a7cc9df5d5d2d62a3c0369b241b6eacdb57f0f0616e34d7e3b72",
     "covariance_Dtilde README arcs":
@@ -133,9 +133,9 @@ GOLDEN = {
         "ad67345c90d3a08e56e8928822d2fe7ec1403bcdf3ee7b65dbee86554f6692fe",
     "mesoscopic mod exact variances":
         "11353fa2449d99925e16b4f4c8697a05f81f1579487f3bdaaaf02d13cfe8ea0a",
-    "mesoscopic mod mean": "d4444644a577de10de6222f7536003d13a7f99e8b2f5679a1b7fcd09358e4013",
+    "mesoscopic mod mean": "b097e560ffb4da04eb1b16a339f57ddea73c9c0f31fec28ca4228caf2296fc42",
     "mesoscopic perm variances and mean":
-        "a88937c3519e5d67abb00bc131e93f899fe62723c855bfaf4c79e12046fda775",
+        "c9569d754f63481560290351edca01d97fe3d51c7ae03daae70bc9692fc0f685",
     "spacings quantiles and counters":
         "e90d119fd927a9126459281ee79a34b88dd12744146ac153b3d94ce9033719c5",
 }
