@@ -174,10 +174,10 @@ class _Uniforms:
 
     Each row holds up to ``block`` values read ahead, and a cursor to the
     first unread one; a row read to its end is refilled from its own
-    generator.  ``take`` and ``run`` hand out a row's values in order, and then its generator's next ones: exactly what the generator's
-    own ``random`` would return, since numpy's ``random(m)`` is m single
-    draws.  The generator stands up to block - 1 values past the last one
-    handed out.
+    generator.  ``take`` and ``run`` hand out a row's values in order, and
+    then its generator's next ones: exactly what the generator's own
+    ``random`` would return, since numpy's ``random(m)`` is m single draws.
+    The generator stands up to block - 1 values past the last one handed out.
     """
 
     __slots__ = ("_rngs", "_block", "_values", "_rows", "_cursor")
@@ -298,11 +298,12 @@ def draw_batch(
     """One trial per generator: draw every trial's word, then, if ``phases``,
     one uniform phase per cycle, or, given a ``horizon``, the coupled word's
     ones in (n, horizon].  Each generator still sees its own trial's word,
-    phases and tail in that order.  Sparse words and tails are walked for
-    all trials at once (``_thinned_walks``), whose flat (trial, position)
-    result becomes the words (a leading 1 per trial) and the coupled words
-    (the last one <= n, then the tail) by index arithmetic; lengths, their
-    sort and the tails' spacings are computed for the whole batch.
+    phases and tail in that order.  Sparse words and tails are walked by
+    thinning for all trials at once (``_thinned_walks``, two uniforms per
+    candidate), whose flat (trial, position) result becomes the words (a
+    leading 1 per trial) and the coupled words (the last one <= n, then the
+    tail) by index arithmetic; lengths, their sort and the tails' spacings
+    are computed for the whole batch.
 
     A batch that makes gap draws (sparse words or coupled tails) reads them,
     and the phases after a sparse word, through one ``_Uniforms`` store of

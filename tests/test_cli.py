@@ -655,11 +655,12 @@ class TestCliContract:
     ], ids=["clt", "spacings"])
     def test_sparse_route_results_independent_of_chunking(self, capsys, monkeypatch, argv):
         # n = 10^4 at theta 1 takes the gap walk: 150 trials are one chunk at
-        # --jobs 1, two chunks of 75 at --jobs 2, and three of 50 with the
-        # chunk cap at 50; the route reads only n and theta
+        # --jobs 1, two chunks of 75 at --jobs 2, four of 38 or 36 at --jobs 4,
+        # and three of 50 with the chunk cap at 50; the route reads only n and theta
         assert _sparse_route(10_000, 1.0)
         argv = (*argv, "--seed", "8", "--trials", "150")
-        payloads = [run_json(capsys, *argv, "--jobs", jobs)["results"] for jobs in ("1", "2")]
+        payloads = [run_json(capsys, *argv, "--jobs", jobs)["results"]
+                    for jobs in ("1", "2", "4")]
         monkeypatch.setattr("permspectra.experiments._CHUNK_TRIALS", 50)
         payloads.append(run_json(capsys, *argv, "--jobs", "1")["results"])
         assert len({json.dumps(p, sort_keys=True) for p in payloads}) == 1

@@ -2,7 +2,6 @@ import inspect
 import itertools
 import math
 import random
-from fractions import Fraction
 from functools import lru_cache
 from unittest import mock
 
@@ -472,8 +471,9 @@ def next_uniform(uniforms, row: int) -> float:
 
 
 def interleaved_reads(uniforms, rows: int, seed: int) -> list:
-    """A fixed random mix of ``take`` (of several rows or of one) and ``run`` over ``rows``
-    rows of a store, each read as the list of values it handed out."""
+    """A fixed random mix of ``take`` (of several rows or of one) and
+    ``run`` over ``rows`` rows of a store, each read as the list of values
+    it handed out."""
     grid, reads = random.Random(seed), []
     for _ in range(400):
         op = grid.choice(["take", "next", "run"])
@@ -526,9 +526,9 @@ class TestUniformStore:
     def test_one_value_a_row_leaves_the_generator_in_step(self):
         rng, twin = np.random.default_rng(13), np.random.default_rng(13)
         uniforms = _Uniforms([rng], block=1)
-        assert [next_uniform(uniforms, 0), *uniforms.run(0, 4).tolist(), next_uniform(uniforms, 0)] == (
-            [twin.random(), *twin.random(4).tolist(), twin.random()]
-        )
+        first, run, last = next_uniform(uniforms, 0), uniforms.run(0, 4), next_uniform(uniforms, 0)
+        want = [twin.random(), *twin.random(4).tolist(), twin.random()]
+        assert [first, *run.tolist(), last] == want
         assert rng.bit_generator.state == twin.bit_generator.state
 
     @pytest.mark.parametrize("theta, start, limit", STORE_CASES)
