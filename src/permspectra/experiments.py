@@ -10,20 +10,22 @@ the trial-ordered arrays, never over per-worker partial sums.
 
 All four drivers share one trial engine: trials run in chunks, and inside a
 chunk only the draws run per trial (every word, then the phases or the
-coupled tails; sparse words and tails are walked for all trials of the
-chunk in lockstep, see ``ewens.draw_batch``).  Each job takes one chunk
-of its share of a call's trials, up to ``_CHUNK_TRIALS``, so those walks
-run on the widest lanes.  Each driver's statistic is then computed once
-per chunk on the concatenated cycle-length arrays: arc counts,
-extremal spacings or coupling distances, one row per trial.
+coupled tails; sparse words and tails are walked by thinning for all
+trials of the chunk at once, see ``ewens._thinned_walks``).  Each job takes
+one chunk of its share of a call's trials, up to ``_CHUNK_TRIALS``, so
+those elementwise walks step the most trials per numpy call.  Each
+driver's statistic is then computed once per chunk on the concatenated
+cycle-length arrays: arc counts, extremal spacings or coupling distances,
+one row per trial.
 
 The normality checks standardise integer counts with their *exact* finite-n
 moments (the asymptotic ones converge like 1/log n, far too slowly to be
 usable at desk scale) and compare them with the normal law by a lattice
 Kolmogorov-Smirnov test: the reference cdf is the continuity-corrected
 Phi((k + 1/2 - mean) / sd), compared with the empirical cdf at every integer
-k, and the p-value is the asymptotic Kolmogorov one
-(``scipy.special.kolmogorov``), conservative for a discrete null.  The
+k, and the p-value is the asymptotic Kolmogorov one, conservative for a
+discrete null.  Phi, the Kolmogorov tail and the digamma of the coupling
+bound are evaluated with the standard library's ``math`` alone.  The
 variance is the exact one (the Monte Carlo one for plain mesoscopic rows),
 without Sheppard's -1/12.  Comparing integer counts with the continuous
 Phi instead would put a floor of about half the largest lattice atom
@@ -72,9 +74,55 @@ __all__ = [
 
 def coupling_bound(theta: float) -> float:
     """Upper bound 2 + theta (gamma + psi(theta)) on E sum_j |a_{n,j} - W_j|."""
-    from scipy.special import digamma
+    return float(2.0 + theta * (np.euler_gamma + _digamma(theta)))
 
-    return float(2.0 + theta * (np.euler_gamma + digamma(theta)))
+
+#: B_2k / 2k for k = 1..7, the coefficients of the asymptotic series of psi in 1/x^2
+_DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
+
+
+def _digamma(x: float) -> float:
+    """psi(x) for x > 0: the recurrence psi(x) = psi(x + 1) - 1/x up to
+    x >= 10, then ln x - 1/(2x) - sum_k B_2k / (2k x^2k), whose first omitted
+    term is below 5e-17 there; the terms are summed exactly, rounded once."""
+    terms = []
+    while x < 10.0:
+        terms.append(-1.0 / x)
+        x += 1.0
+    z = 1.0 / (x * x)
+    series = 0.0
+    for c in reversed(_DIGAMMA_SERIES):
+        series = series * z + c
+    return math.fsum([*terms, math.log(x), -0.5 / x, -series * z])
+
+
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _ndtr(x: float) -> float:
+    """Phi(x), split as cephes' ndtr: 1/2 + erf(x/sqrt 2)/2 near 0, erfc of
+    |x|/sqrt 2 in the tails, so the lower tail keeps its relative precision."""
+    z = x * _SQRT_HALF
+    if abs(z) < _SQRT_HALF:
+        return 0.5 + 0.5 * math.erf(z)
+    tail = 0.5 * math.erfc(abs(z))
+    return 1.0 - tail if z > 0 else tail
+
+
+def _kolmogorov(x: float) -> float:
+    """P(K > x) for Kolmogorov's limit law, by its two classical series: below
+    x = 0.82, 1 - (sqrt(2 pi)/x) sum_k exp(-(2k-1)^2 pi^2 / (8x^2)), and above
+    it 2 sum_k (-1)^(k-1) exp(-2k^2 x^2); seven terms of either reach double
+    precision on its side of the cut."""
+    if x <= 0:
+        return 1.0
+    if x < 0.82:
+        w = math.pi / x  # inf for tiny x, where every term is 0
+        log_scale = 0.5 * math.log(2 * math.pi) - math.log(x)
+        return 1.0 - math.fsum(
+            math.exp(log_scale - (2 * k - 1) ** 2 * w * w / 8) for k in range(1, 8)
+        )
+    return 2.0 * math.fsum((-1) ** (k - 1) * math.exp(-2 * k * k * x * x) for k in range(1, 8))
 
 
 @dataclass
@@ -113,8 +161,6 @@ def _lattice_ks(
     (statistic, p_value); the asymptotic Kolmogorov p-value is conservative
     for a discrete null.
     """
-    from scipy.special import kolmogorov, ndtr
-
     if not np.issubdtype(counts.dtype, np.integer):
         raise ValueError(f"lattice KS needs integer counts, got dtype {counts.dtype}")
     m = len(counts)
@@ -128,9 +174,10 @@ def _lattice_ks(
     ordered = np.sort(counts)
     grid = np.arange(ordered[0] - 1, ordered[-1] + 1)
     empirical = np.searchsorted(ordered, grid, side="right") / m
-    reference = ndtr((grid + 0.5 - reference_mean) / math.sqrt(reference_variance))
+    z = (grid + 0.5 - reference_mean) / math.sqrt(reference_variance)
+    reference = np.array([_ndtr(x) for x in z.tolist()])
     stat = float(np.max(np.abs(empirical - reference)))
-    return stat, float(kolmogorov(math.sqrt(m) * stat))
+    return stat, _kolmogorov(math.sqrt(m) * stat)
 
 
 def _normality_report(
@@ -189,8 +236,8 @@ class ExperimentConfig:
 
 
 #: most trials in one chunk; each job takes one chunk of its share of a
-#: call's trials up to this, which gives the lockstep walk
-#: (``ewens.draw_batch``) its widest lanes
+#: call's trials up to this, which gives the thinning walk
+#: (``ewens._thinned_walks``) the most walks per step
 _CHUNK_TRIALS = 4096
 
 

@@ -539,13 +539,33 @@ class TestCliContract:
         assert variances and min(variances) > 0
 
     def test_import_leaves_heavy_scipy_modules_unloaded(self):
-        # scipy.special alone was most of a CLI call's start-up; the functions
-        # that need scipy import it when they run, and the process pool is
-        # imported only for --jobs > 1
+        # scipy.special alone was most of a CLI call's start-up; no command
+        # imports scipy, and the process pool is imported only for --jobs > 1
         code = (
             "import sys, permspectra.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')"
             " or m == 'concurrent.futures.process'))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(permspectra.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert proc.stdout.strip() == "[]"
+
+    def test_monte_carlo_commands_load_no_scipy(self):
+        # the lattice KS report's Phi and Kolmogorov tail and the coupling
+        # bound's digamma are computed from math alone
+        code = (
+            "import contextlib, io, sys\n"
+            "from permspectra.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['clt', '--n', '200', '--arcs', '0.1,0.4;0.3,0.8',\n"
+            "                 '--model', 'mod', '--seed', '1', '--trials', '50']) == 0\n"
+            "    assert main(['mesoscopic', '--n-list', '400,1600', '--gamma', '0.5',\n"
+            "                 '--model', 'perm', '--seed', '2', '--trials', '50']) == 0\n"
+            "    assert main(['coupling-check', '--n', '100', '--theta', '0.5',\n"
+            "                 '--seed', '3', '--trials', '50']) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(permspectra.__file__).parents[1])}
         proc = subprocess.run(

@@ -29,7 +29,8 @@ class TestCouplingBound:
 
     def test_theta_half_is_two_minus_log_two(self):
         # psi(1/2) = -gamma - 2 log 2
-        assert coupling_bound(0.5) == pytest.approx(2.0 - math.log(2.0), rel=1e-15, abs=0)
+        expected = 2.0 - math.log(2.0)
+        assert abs(coupling_bound(0.5) - expected) <= 2 * math.ulp(expected)
 
     def test_monotone_in_theta(self):
         grid = np.linspace(0.1, 5.0, 200)
@@ -38,6 +39,53 @@ class TestCouplingBound:
 
     def test_small_theta_limit_near_one(self):
         assert coupling_bound(0.001) == pytest.approx(1.0, abs=5e-3)
+
+
+class TestStdlibSpecialFunctions:
+    """Phi, the Kolmogorov tail and digamma from ``math`` alone, against
+    scipy.special and mpmath as oracles."""
+
+    def test_ndtr_matches_scipy_on_minus_forty_to_forty(self):
+        from permspectra.experiments import _ndtr
+
+        x = np.linspace(-40.0, 40.0, 80_001)
+        got = np.array([_ndtr(v) for v in x.tolist()])
+        want = scipy.special.ndtr(x)
+        assert np.max(np.abs(got - want)) <= 4.5e-16
+        # the lower tail keeps its relative precision down to 1e-290
+        tail = want >= 1e-290
+        assert np.max(np.abs(got[tail] - want[tail]) / want[tail]) <= 1e-13
+
+    def test_kolmogorov_matches_scipy_on_its_range(self):
+        from permspectra.experiments import _kolmogorov
+
+        x = np.linspace(0.01, 10.0, 20_000)
+        got = np.array([_kolmogorov(v) for v in x.tolist()])
+        want = scipy.special.kolmogorov(x)
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+
+    def test_digamma_matches_mpmath(self):
+        # absolute near the root x0 = 1.4616..., relative where |psi| is large
+        import mpmath
+
+        from permspectra.experiments import _digamma
+
+        grid = np.geomspace(2.0**-17, 2.0**9, 1_500).tolist() + [1.4616321449683622]
+        for theta in grid:
+            want = float(mpmath.digamma(mpmath.mpf(theta)))
+            assert abs(_digamma(theta) - want) <= 1e-15 * (1.0 + abs(want)), theta
+
+    def test_edges_warn_and_raise_nothing(self):
+        import warnings
+
+        from permspectra.experiments import _kolmogorov, _ndtr
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _ndtr(0.0) == 0.5
+            assert _ndtr(40.0) == 1.0 and _ndtr(-40.0) == 0.0
+            assert _kolmogorov(0.0) == 1.0 and _kolmogorov(1e-300) == 1.0
+            assert _kolmogorov(40.0) == 0.0
 
 
 class TestLatticeNormalityReport:
@@ -67,7 +115,8 @@ class TestLatticeNormalityReport:
 
         r = _normality_report(rounded_normal, self.MU + 0.05, self.SD**2)
         assert 0 < r.ks_p_value < 1
-        assert r.ks_p_value == scipy.special.kolmogorov(math.sqrt(self.M) * r.ks_statistic)
+        expected = scipy.special.kolmogorov(math.sqrt(self.M) * r.ks_statistic)
+        assert r.ks_p_value == pytest.approx(expected, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize(
         "mean_shift, variance_scale", [(0.0, 2.0), (0.0, 0.5), (0.5, 1.0)]

@@ -213,3 +213,20 @@ def test_exact_layer_calls_no_blas(module):
             if name in BLAS_CALLS:
                 found.append(f"line {node.lineno}: {name}")
     assert not found, found
+
+
+def test_package_imports_no_scipy():
+    """No module of the package imports scipy: the tests use it as an oracle
+    only, and a fresh Monte Carlo command loads none of it."""
+    package = Path(__import__("permspectra").__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert not found, found
