@@ -19,26 +19,13 @@ which are independent Poisson(theta/j).  ``sample_coupled`` materialises the
 word far enough that the expected number of uncounted tail spacings is below
 a requested bound, computed in closed form from the psi weights.
 
-Two equivalent samplers are provided for the word itself: a dense one that
-draws every bit, and a sparse one that jumps from candidate to candidate by
-thinning (Lewis & Shedler 1979), since the expected number of ones up to n
-is only ~theta log n, so large n costs almost nothing.  From position k
-every later bit is 1 with probability at most theta/(theta+k); a geometric
-skip at that rate proposes the next candidate c, and a second uniform keeps
-it with probability (theta+k)/(theta+c-1), which makes P(xi_c = 1) exact.
-It takes two uniforms per candidate and no special function.
-
-The route is a function of (n, theta) only (``_sparse_route``): a word is
-walked when n exceeds both ``_SPARSE_THRESHOLD`` = 8192 and
-``_SPARSE_COST`` = 600 times theta log1p(n/theta), about its expected
-number of ones, since the walk costs about as much per one as the dense
-route per 600 positions (a sweep with phases over theta 0.5 to 10 and
-batches of 150 and 1000 trials, ``BENCH_sparse_route.json``, taken on the
-survival-inversion walk that thinning replaced; the cheaper walk has not
-been refitted, so the route is conservative).  So n <= 8192
-is dense at every theta, while n = 10^4 is walked up to theta 1.9 and
-n = 65,536 up to theta 12.5.  Batch width, chunking and ``--jobs`` do not
-enter, so every trial's stream is the same however a call's trials are split.
+The word is drawn by thinning (Lewis & Shedler 1979), since the expected
+number of ones up to n is only ~theta log n, so large n costs almost
+nothing.  From position k every later bit is 1 with probability at most
+theta/(theta+k); a geometric skip at that rate proposes the next candidate
+c, and a second uniform keeps it with probability (theta+k)/(theta+c-1),
+which makes P(xi_c = 1) exact.  It takes two uniforms per candidate and no
+special function.
 
 A cycle type is held as its ascending cycle lengths.  ``draw_batch`` draws
 many trials and returns their lengths concatenated (``TrialBatch``), the
@@ -46,7 +33,7 @@ one type that the drivers and kernels compute on; ``sample_cycle_counts``
 and ``sample_coupled`` return a batch of one trial.  It draws every
 trial's word first, then the phases, then the coupled tails; each
 trial's generator still sees its own word, phases and tail in that order.
-A batch with gap draws (sparse words or coupled tails) reads its uniforms
+A batch reads its uniforms, for the words, the phases and the tails,
 through one store (``_Uniforms``): a (trials x 64) array with a cursor per
 row, each row refilled from its own trial's generator when read to its
 end.  Every value it hands out, to a walk, a trial's phases or its tail,
@@ -54,13 +41,16 @@ is the next value of that trial's generator, since numpy's ``random(m)``
 is m single draws; the read-ahead moves only where the generator stands
 afterwards, and a store of one value per row reads nothing ahead.
 
-The gap walks of a batch are stepped together (``_thinned_walks``).  Each
+The walks of a batch are stepped together (``_thinned_walks``).  Each
 step takes two uniforms per live walk from the store, with one fancy index
 each, and makes every walk's skip and acceptance in elementwise numpy, so a
 trial's positions are the same at any batch width, chunking or ``--jobs``.
 The walk returns flat (trial, position) arrays, from which ``draw_batch``
 builds the words and the coupled words by index arithmetic, with no array
-per walk.
+per walk.  Each step costs a numpy call's fixed time whatever the number of
+live walks, so a narrow batch (one trial: 0.29 ms at n = 1000) or a theta
+near n/100, where a word has many ones, draws more slowly than bits drawn n
+at a time would (``BENCH_walk_only.json``).
 """
 
 from __future__ import annotations
@@ -72,7 +62,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .cesaro import TABLE_BLOCK, _check_table, _psi_blocks, block_j, check_table_size, check_theta
+from .cesaro import TABLE_BLOCK, _check_table, _psi_blocks, block_j, check_theta
 
 __all__ = [
     "EwensParams",
@@ -86,17 +76,6 @@ __all__ = [
 
 #: hard cap on the materialised word horizon in sample_coupled
 HORIZON_HARD_CAP = 2**40
-
-#: words of at most this size are drawn bit by bit at every theta: below it
-#: the walk wins only at theta <= 1, from about n = 5,000-6,500 at 150 trials
-_SPARSE_THRESHOLD = 8192
-
-#: the gap walk costs about as much per one of the word as the dense route
-#: per this many positions: the 150-trial crossovers with phases, about
-#: n = 12,000, 25,000 and 45,000 at theta = 2, 5 and 10, give 530-720 over
-#: two sweeps (1000-trial batches cross at about half that n); see ``_sparse_route``
-_SPARSE_COST = 600
-
 
 @dataclass(frozen=True)
 class EwensParams:
@@ -169,7 +148,7 @@ _BLOCK = 64
 
 
 class _Uniforms:
-    """The uniforms of a batch's gap draws: row t reads trial t's generator
+    """The uniforms of a batch's draws: row t reads trial t's generator
     ``block`` values at a time (64, or 1 to read nothing ahead).
 
     Each row holds up to ``block`` values read ahead, and a cursor to the
@@ -222,12 +201,14 @@ def _thinned_walks(walks: int, start: int, limit: int, theta: float, uniforms: _
     Each candidate reads two uniforms, u then v, from its walk's row, and
     every operation is elementwise, so no walk's positions depend on another.
     Where theta/k underflows to 0 the skip is infinite (0/0 at u = 0, which
-    ``fmin`` drops): the walk ends, as a dense threshold of 0 never hits.
+    ``fmin`` drops): the walk ends, as a bit of probability 0 is never 1.
+    A walk from ``limit`` on (a word of size 1) reads nothing.
 
     Returns flat arrays (walk, position), sorted by walk with each walk's
     positions ascending, and the number of ones of each walk.
     """
-    lanes, k = np.arange(walks), np.full(walks, start, dtype=np.int64)
+    lanes = np.arange(walks if start < limit else 0)
+    k = np.full(len(lanes), start, dtype=np.int64)
     found_lanes, found = [lanes[:0]], [k[:0]]
     while len(lanes):
         u, v = uniforms.take(lanes), uniforms.take(lanes)
@@ -242,28 +223,6 @@ def _thinned_walks(walks: int, start: int, limit: int, theta: float, uniforms: _
     lanes, found = np.concatenate(found_lanes), np.concatenate(found)
     order = np.argsort(lanes, kind="stable")  # each walk's positions ascend step by step
     return lanes[order], found[order], np.bincount(lanes, minlength=walks)
-
-
-def _sparse_route(n: int, theta: float) -> bool:
-    """Whether words of size n are drawn by gap skipping: when n exceeds
-    ``_SPARSE_THRESHOLD`` and ``_SPARSE_COST`` times theta log1p(n / theta),
-    about the word's expected number of ones.  It reads n and theta only, so
-    every trial takes the same route however a call's trials are split."""
-    return n > max(_SPARSE_THRESHOLD, _SPARSE_COST * theta * math.log1p(n / theta))
-
-
-def _dense_thresholds(n: int, theta: float) -> np.ndarray:
-    """P(xi_k = 1) = theta/(theta+k-1) for k = 1..n; the first is 1 exactly,
-    since theta + 1 - 1 rounds to 0 for theta below 2^-53."""
-    below = theta + np.arange(1, n + 1, dtype=np.float64) - 1.0
-    below[0] = theta
-    return theta / below
-
-
-def _starts(sizes) -> np.ndarray:
-    starts = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=starts[1:])
-    return starts
 
 
 def _lead_words(leads: np.ndarray, walk: np.ndarray, positions: np.ndarray, counts: np.ndarray):
@@ -298,45 +257,29 @@ def draw_batch(
     """One trial per generator: draw every trial's word, then, if ``phases``,
     one uniform phase per cycle, or, given a ``horizon``, the coupled word's
     ones in (n, horizon].  Each generator still sees its own trial's word,
-    phases and tail in that order.  Sparse words and tails are walked by
-    thinning for all trials at once (``_thinned_walks``, two uniforms per
-    candidate), whose flat (trial, position) result becomes the words (a
-    leading 1 per trial) and the coupled words (the last one <= n, then the
-    tail) by index arithmetic; lengths, their sort and the tails' spacings
-    are computed for the whole batch.
+    phases and tail in that order.  Words and tails are walked by thinning
+    for all trials at once (``_thinned_walks``, two uniforms per candidate),
+    whose flat (trial, position) result becomes the words (a leading 1 per
+    trial) and the coupled words (the last one <= n, then the tail) by index
+    arithmetic; lengths, their sort and the tails' spacings are computed for
+    the whole batch.
 
-    A batch that makes gap draws (sparse words or coupled tails) reads them,
-    and the phases after a sparse word, through one ``_Uniforms`` store of
-    ``block`` values per trial, so each generator ends up to block - 1
-    uniforms past its trial's last draw; ``block=1`` reads nothing ahead.
-    Dense words are drawn bit by bit, so n above ``cesaro.TABLE_SIZE_LIMIT``
-    is refused on that route before anything of length n is allocated.
+    Every draw reads through one ``_Uniforms`` store of ``block`` values per
+    trial, so each generator ends up to block - 1 uniforms past its trial's
+    last draw; ``block=1`` reads nothing ahead.
     """
     check_theta(theta)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rngs, sparse = list(rngs), _sparse_route(n, theta)
-    trials = len(rngs)
-    uniforms = _Uniforms(rngs, block) if sparse or horizon is not None else None
-    if sparse:
-        walk, positions, counts = _thinned_walks(trials, 1, n, theta, uniforms)
-        ones, _ = _lead_words(np.ones(trials, dtype=np.int64), walk, positions, counts)
-        starts = _starts(counts + 1)
-    else:
-        check_table_size(n, "a dense word (17-25 bytes per element)")
-        thresholds, words = _dense_thresholds(n, theta), []
-        for rng in rngs:  # before any gap draw, so no row of the store has read ahead
-            hits = rng.random(n) < thresholds
-            hits[0] = True
-            words.append(hits.nonzero()[0] + 1)
-        ones, starts = np.concatenate(words), _starts([len(w) for w in words])
+    rngs = list(rngs)
+    trials, uniforms = len(rngs), _Uniforms(rngs, block)
+    walk, positions, counts = _thinned_walks(trials, 1, n, theta, uniforms)
+    ones, _ = _lead_words(np.ones(trials, dtype=np.int64), walk, positions, counts)
+    starts = np.concatenate(([0], np.cumsum(counts + 1)))
     phase_draws = None
     if phases:
-        sizes = np.diff(starts).tolist()
-        phase_draws = np.concatenate(
-            [rng.random(m) for rng, m in zip(rngs, sizes)] if uniforms is None
-            else [uniforms.run(t, m) for t, m in enumerate(sizes)]
-        )
+        sizes = (counts + 1).tolist()
+        phase_draws = np.concatenate([uniforms.run(t, m) for t, m in enumerate(sizes)])
     lengths = _sorted_lengths(n, ones, starts)
     batch = TrialBatch(n, lengths, phase_draws, starts)
     if horizon is not None:

@@ -10,7 +10,7 @@ the trial-ordered arrays, never over per-worker partial sums.
 
 All four drivers share one trial engine: trials run in chunks, and inside a
 chunk only the draws run per trial (every word, then the phases or the
-coupled tails; sparse words and tails are walked by thinning for all
+coupled tails; the words and tails are walked by thinning for all
 trials of the chunk at once, see ``ewens._thinned_walks``).  Each job takes
 one chunk of its share of a call's trials, up to ``_CHUNK_TRIALS``, so
 those elementwise walks step the most trials per numpy call.  Each
@@ -330,8 +330,10 @@ def run_clt_fixed(
         for k in range(len(config.arcs))
     ]
     if len(config.arcs) > 1:
-        with np.errstate(invalid="ignore"):  # NaN where an arc's counts are constant
-            empirical = np.corrcoef(standardized, rowvar=False)
+        # of the integer counts, so a constant column is exactly 0/0 (NaN,
+        # printed as null); standardising does not change a correlation
+        with np.errstate(invalid="ignore"):
+            empirical = np.corrcoef(counts, rowvar=False)
     else:
         empirical = np.ones((1, 1))
     reference = (

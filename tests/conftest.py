@@ -5,8 +5,10 @@ exhaustive sums over all cycle types, sampler laws are checked against the
 exact type probabilities, and spacing formulas against full enumeration
 (``enumerated_gap_range``; ``exact_mod_gap_range`` for the modified
 ensemble, on exact integer angles).  The Bernoulli-word helpers are the
-exception: they feed hand-written or fully drawn words through the sampler's own
-thresholds and length reading, so that those can be tested bit by bit.
+exception: they draw every bit of a word against its probability
+(``_dense_thresholds``, the bit-by-bit sampler that the thinning walk
+replaced) and feed hand-written or fully drawn words through the sampler's
+own length reading, so that it can be tested bit by bit.
 The ``*_formula`` functions are earlier forms that the library must equal
 bit for bit, their terms built as whole arrays and summed in the streamed
 kernels' order (``blocked_sum``: pairwise within each block, ``math.fsum``
@@ -62,7 +64,7 @@ from permspectra import (
 )
 from permspectra import cesaro, limits
 from permspectra.cesaro import _NEAR_ONE
-from permspectra.ewens import TrialBatch, _dense_thresholds, _sorted_lengths, _sparse_route
+from permspectra.ewens import TrialBatch, _sorted_lengths
 from permspectra.spacings import _mod_angles
 from permspectra.spectral import frac_parts
 
@@ -93,24 +95,10 @@ def ones_positions_sparse(n: int, theta: float, rng) -> np.ndarray:
 def reference_trial(n, theta, rng, phases, horizon):
     """One trial from a raw generator, one uniform per draw: the word's ones
     up to n, then their phases, then the coupled tail's ones in (n, horizon]."""
-    if _sparse_route(n, theta):
-        ones = ones_positions_sparse(n, theta, rng)
-    else:
-        hits = rng.random(n) < _dense_thresholds(n, theta)
-        hits[0] = True
-        ones = np.flatnonzero(hits) + 1
+    ones = ones_positions_sparse(n, theta, rng)
     phase = rng.random(len(ones)) if phases else None
     tail = ones_after(n, horizon, theta, rng) if horizon else []
     return ones, phase, np.array(tail, dtype=np.int64)
-
-
-def sparse_size(theta: float) -> int:
-    """The smallest multiple of 1000 whose words ``draw_batch`` walks by gap
-    skipping at theta."""
-    n = 1000
-    while not _sparse_route(n, theta):
-        n += 1000
-    return n
 
 
 def cycle_number_pmf(n: int, theta: float, size: int = 256) -> np.ndarray:
@@ -201,6 +189,14 @@ def coupled_counts(batch: TrialBatch, t: int = 0) -> np.ndarray:
     w[batch.closing[t] - 1] -= 1
     w += np.bincount(batch.tail[batch.tail_trial == t], minlength=batch.n + 1)[1:]
     return w
+
+
+def _dense_thresholds(n: int, theta: float) -> np.ndarray:
+    """P(xi_k = 1) = theta/(theta+k-1) for k = 1..n; the first is 1 exactly,
+    since theta + 1 - 1 rounds to 0 for theta below 2^-53."""
+    below = theta + np.arange(1, n + 1, dtype=np.float64) - 1.0
+    below[0] = theta
+    return theta / below
 
 
 @dataclass

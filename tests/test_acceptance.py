@@ -297,10 +297,9 @@ def test_criterion_6a_clt_ks_mod():
     The exact count variance is 1.70 (sd 1.3), so the counts sit on a lattice
     with atoms of mass up to ~0.3; the continuity-corrected statistic compares
     the empirical cdf with Phi((k + 1/2 - mean) / sd) at every integer k.
-    Measured: D = 0.016, p = 0.71 at the written seed since n = 1e4 takes
-    the thinning walk (D = 0.018, p = 0.53 on the dense route; the
-    uncorrected distance was 0.149); p > 0.01 on 21 of 21 seeds (1-20 and
-    606), on both routes.
+    Measured: D = 0.016, p = 0.71 at the written seed (the uncorrected
+    distance was 0.149); p > 0.01 on 21 of 21 seeds (1-20 and 606), on the
+    thinning walk and on the bit-by-bit sampler it replaced.
     """
     cfg = ExperimentConfig(
         theta=1.0, trials=2000, master_seed=606, model="mod", n=10**4,
@@ -324,8 +323,10 @@ def test_criterion_6b_clt_ks_perm():
     is the finite-N law, not a defect: over 200,000 trials the plain count at
     N = 5000 has skewness -0.40 and lies at KS distance about 0.027 from the
     corrected normal, near the 1% critical value 0.036 at M = 2000 (the
-    Gaussian limit is approached like 1/sqrt(log N)).  Measured: D = 0.026,
-    p = 0.13 at the written seed; p > 0.01 on 15 of 21 seeds (1-20 and 607).
+    Gaussian limit is approached like 1/sqrt(log N)).  Measured: D = 0.0337,
+    p = 0.021 at the written seed; p > 0.01 on 15 of 21 seeds (1-20 and 607),
+    as on the bit-by-bit sampler that the thinning walk replaced (D = 0.026,
+    p = 0.13 there).
     """
     cfg = ExperimentConfig(
         theta=1.0, trials=2000, master_seed=607, model="perm", n=5000,
@@ -345,8 +346,9 @@ def test_criterion_6c_cross_correlation():
     """|empirical correlation| < 0.08 at M = 4000 for two arcs with
     independent irrational endpoints, both models (limit matrices are the
     identity; exact finite-N correlations of this pair: -0.0073 mod at 1e4,
-    -0.0129 perm at 5000).  Measured at the written seed: +0.0096 mod (on the
-    gap walk; -0.0371 on the dense route), -0.0175 perm."""
+    -0.0129 perm at 5000).  Measured at the written seed: +0.0077 mod,
+    -0.0054 perm (-0.0175 on the bit-by-bit sampler that the thinning walk
+    replaced)."""
     arcs = (Arc(SQRT2.value, GOLDEN.value), Arc(E.value, SQRT3.value))
     ok = True
     details = []

@@ -14,12 +14,10 @@ from types import SimpleNamespace
 import pytest
 
 import permspectra
-from conftest import sparse_size
 from permspectra import (
     NAMED_IRRATIONALS, EwensParams, attach_phases, cli, sample_cycle_counts, trial_rng,
 )
 from permspectra.cli import build_parser, main, parse_arcs, parse_endpoint
-from permspectra.ewens import _sparse_route
 from permspectra.experiments import _CHUNK_TRIALS
 
 
@@ -156,9 +154,9 @@ class TestCommands:
         (50, "perm", 3),
         (50, "mod", 3),
         (300, "mod", 80),
-        (sparse_size(0.8), "perm", 5),
-        (sparse_size(0.8), "mod", 5),
-        (sparse_size(0.8), "mod", 83),
+        (10_000, "perm", 5),
+        (10_000, "mod", 5),
+        (10_000, "mod", 83),
         (3, "mod", _CHUNK_TRIALS + 5),  # two chunks
     ])
     def test_sample_matches_one_trial_composition(self, capsys, n, model, trials):
@@ -500,12 +498,9 @@ class TestCliContract:
             1, "", f"error: {message}\n"
         )
 
-    def test_dense_sample_beyond_the_table_limit_refused(self, capsys, monkeypatch):
-        # a dense word holds several arrays of n; a walked one holds only its ones
+    def test_sample_beyond_the_table_limit_runs(self, capsys, monkeypatch):
+        # a walked word holds only its ones, so sample takes no size cap
         monkeypatch.setattr("permspectra.cesaro.TABLE_SIZE_LIMIT", 20_000)
-        message = "n = 20001 exceeds the size limit 20000 of a dense word (17-25 bytes per element)"
-        argv = ("sample", "--n", "20001", "--theta", "1e6", "--seed", "1", "--trials", "1")
-        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
         out = run_json(capsys, "sample", "--n", "100000", "--seed", "1", "--trials", "1")
         assert sum(int(j) * a for j, a in out["results"]["trials"][0]["cycle_counts"].items()) == (
             100_000
@@ -618,15 +613,19 @@ class TestCliContract:
 
     def test_undefined_correlation_printed_as_null(self, capsys):
         # the first arc's 8 counts are all 0: numpy warned on stderr and the
-        # output held NaN, which is not JSON
-        code, out, err = run_cli(capsys, "clt", "--n", "3", "--arcs", "0.01,0.02;0.5,0.9",
+        # output held NaN, which is not JSON; and while the correlation was
+        # taken of the standardised counts, rounding in (0 - mean) / sd left
+        # noise that printed as a correlation near 1
+        code, out, err = run_cli(capsys, "clt", "--n", "3", "--arcs", "0.01,0.010001;0.5,0.9",
                                  "--model", "mod", "--seed", "1", "--trials", "8")
         assert (code, err) == (0, "")
 
         def refuse(constant):
             raise AssertionError(f"{constant} in the output")
 
-        corr = json.loads(out, parse_constant=refuse)["results"]["empirical_correlation"]
+        results = json.loads(out, parse_constant=refuse)["results"]
+        assert results["reports"][0]["empirical_variance"] == 0.0
+        corr = results["empirical_correlation"]
         assert corr[0] == [None, None] and corr[1][0] is None
         assert corr[1][1] == pytest.approx(1.0)
 
@@ -673,11 +672,10 @@ class TestCliContract:
         ("clt", "--n", "10000", "--arcs", "0.1,0.6", "--model", "mod"),
         ("spacings", "--n-list", "10000"),
     ], ids=["clt", "spacings"])
-    def test_sparse_route_results_independent_of_chunking(self, capsys, monkeypatch, argv):
-        # n = 10^4 at theta 1 takes the gap walk: 150 trials are one chunk at
-        # --jobs 1, two chunks of 75 at --jobs 2, four of 38 or 36 at --jobs 4,
-        # and three of 50 with the chunk cap at 50; the route reads only n and theta
-        assert _sparse_route(10_000, 1.0)
+    def test_walk_results_independent_of_chunking(self, capsys, monkeypatch, argv):
+        # 150 trials at n = 10^4 are one chunk at --jobs 1, two chunks of 75
+        # at --jobs 2, four of 38 or 36 at --jobs 4, and three of 50 with the
+        # chunk cap at 50
         argv = (*argv, "--seed", "8", "--trials", "150")
         payloads = [run_json(capsys, *argv, "--jobs", jobs)["results"]
                     for jobs in ("1", "2", "4")]

@@ -1,9 +1,7 @@
-import inspect
 import itertools
 import math
 import random
 from functools import lru_cache
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +28,6 @@ from conftest import (
     pooled_chisquare_pvalue,
     reference_trial,
     sample_bernoulli_word,
-    sparse_size,
     trial_of,
     type_chisquare_pvalue,
 )
@@ -48,9 +45,7 @@ from permspectra.cesaro import TABLE_BLOCK
 from permspectra.ewens import (
     TrialBatch,
     _BLOCK,
-    _SPARSE_THRESHOLD,
     _Uniforms,
-    _sparse_route,
     _thinned_walks,
     draw_batch,
 )
@@ -280,16 +275,17 @@ def sparse_words(n: int, theta: float, chunk: int) -> tuple[np.ndarray, np.ndarr
     n on the gap walk, trial_rng(41, t), drawn through draw_batch ``chunk``
     trials at a time."""
     cycles, longest = [], []
-    with mock.patch.object(ewens, "_sparse_route", lambda n, theta: True):
-        for lo in range(0, LAW_TRIALS, chunk):
-            batch = draw_batch(n, theta, trial_rngs(41, lo, lo + chunk))
-            cycles.append(np.diff(batch.starts))
-            longest.append(batch.lengths[batch.starts[1:] - 1])
+    for lo in range(0, LAW_TRIALS, chunk):
+        batch = draw_batch(n, theta, trial_rngs(41, lo, lo + chunk))
+        cycles.append(np.diff(batch.starts))
+        longest.append(batch.lengths[batch.starts[1:] - 1])
     return np.concatenate(cycles), np.concatenate(longest)
 
 
 LAW_CASES = [pytest.param(n, theta, LAW_TRIALS, marks=[pytest.mark.slow] if n == 10**6 else [])
              for n in (10**4, 10**5, 10**6) for theta in (0.5, 1.0, 2.0)]
+# the size of mc_dense, coupling-check and criterion 6b
+LAW_CASES += [pytest.param(1000, theta, LAW_TRIALS) for theta in (0.5, 2.0)]
 LAW_CASES.append(pytest.param(10**5, 1.0, 50, id="narrow-batch"))
 
 
@@ -335,10 +331,9 @@ class TestSparseLaw:
         # the walk's last position: P(one at n) = theta/(theta+n-1), seen as
         # a closing cycle of length 1, on wide chunks and narrow ones
         n, theta, ends = 20, 5.0, 0
-        with mock.patch.object(ewens, "_sparse_route", lambda n, theta: True):
-            for lo in range(0, LAW_TRIALS, chunk):
-                batch = draw_batch(n, theta, trial_rngs(52, lo, lo + chunk), horizon=2 * n)
-                ends += int((batch.closing == 1).sum())
+        for lo in range(0, LAW_TRIALS, chunk):
+            batch = draw_batch(n, theta, trial_rngs(52, lo, lo + chunk), horizon=2 * n)
+            ends += int((batch.closing == 1).sum())
         p = theta / (theta + n - 1)
         assert abs(ends / LAW_TRIALS - p) < 4 * math.sqrt(p * (1 - p) / LAW_TRIALS)
 
@@ -360,31 +355,6 @@ class TestSparseLaw:
         variance = LAW_TRIALS * np.add.reduceat(p * (1.0 - p), edges[:-1] - 2)
         z = (observed - mean) / np.sqrt(variance)
         assert len(z) >= 38 and chi2.sf(z @ z, len(z)) > 1e-3
-
-
-class TestRoute:
-    def test_route_reads_only_n_and_theta(self):
-        assert list(inspect.signature(_sparse_route).parameters) == ["n", "theta"]
-        assert all(not _sparse_route(n, theta) for n in (1, 1000, 5000, _SPARSE_THRESHOLD)
-                   for theta in (0.01, 0.5, 1.0, 2.0, 10.0, 1e6, 1e300))
-        # the band that went sparse when the route came from the walk's cost
-        assert _sparse_route(10_000, 1.0) and _sparse_route(16_000, 1.0)
-        assert not _sparse_route(16_000, 5.0) and _sparse_route(65_537, 10.0)
-
-    @pytest.mark.parametrize("theta", [0.5, 2.0, 5.0])
-    def test_batch_width_does_not_change_a_trial(self, theta):
-        # 100 trials walk together, single ones alone, and the route is the
-        # same for both
-        n = sparse_size(theta)
-        batch = draw_batch(n, theta, (trial_rng(43, t) for t in range(100)), phases=True)
-        for t in (0, 37, 99):
-            one = draw_batch(n, theta, [trial_rng(43, t)], phases=True)
-            lo, hi = batch.starts[t], batch.starts[t + 1]
-            assert batch.lengths[lo:hi].tolist() == one.lengths.tolist()
-            assert batch.phases[lo:hi].tolist() == one.phases.tolist()
-            ones, phase, _ = reference_trial(n, theta, trial_rng(43, t), True, None)
-            assert one.lengths.tolist() == cycle_lengths(ones, n)
-            assert one.phases.tolist() == phase.tolist()
 
 
 class CyclingGenerator:
@@ -446,20 +416,18 @@ class TestThinnedWalk:
                 assert walked == [[limit]] * walks
 
     @pytest.mark.parametrize("theta", [5e-324, 1e-310, 1e-17, 1e300, 1.7e308])
-    @pytest.mark.parametrize("sparse", [False, True])
-    def test_extreme_theta_draws_without_warnings(self, theta, sparse):
+    def test_extreme_theta_draws_without_warnings(self, theta):
         # the suite turns every RuntimeWarning into an error; theta/k
-        # underflows to 0 at the smallest theta, theta + 1 - 1 to 0 below
-        # 2^-53, and at the largest every position is a one
+        # underflows to 0 at the smallest theta, and at the largest every
+        # position is a one
         tiny, n = theta < 1, 20_000 if theta < 1 else 12
-        with mock.patch.object(ewens, "_sparse_route", lambda n, theta: sparse):
-            for horizon in (None, 4 * n):
-                batch = draw_batch(n, theta, trial_rngs(6, 0, 5), phases=True, horizon=horizon)
-                # no one after position 1 at the tiny theta, one everywhere at the huge
-                assert batch.lengths.tolist() == ([n] * 5 if tiny else [1] * (5 * n))
-                if horizon is not None:
-                    tails = np.bincount(batch.tail_trial, minlength=5).tolist()
-                    assert tails == [0 if tiny else 3 * n] * 5
+        for horizon in (None, 4 * n):
+            batch = draw_batch(n, theta, trial_rngs(6, 0, 5), phases=True, horizon=horizon)
+            # no one after position 1 at the tiny theta, one everywhere at the huge
+            assert batch.lengths.tolist() == ([n] * 5 if tiny else [1] * (5 * n))
+            if horizon is not None:
+                tails = np.bincount(batch.tail_trial, minlength=5).tolist()
+                assert tails == [0 if tiny else 3 * n] * 5
 
 
 STORE_CASES = [(0.5, 1, 10**6), (2.0, 1000, 2**20)]
@@ -558,14 +526,13 @@ class TestUniformStore:
             assert walk == ones_after(start, limit, theta, twin)
             assert rng.bit_generator.state == twin.bit_generator.state
 
-    @pytest.mark.parametrize("route", ["sparse", "dense-with-horizon", "sparse-with-horizon"])
-    def test_one_value_a_row_batch_leaves_the_generators_in_step(self, route):
-        # draw_batch(block=1) reads no uniform ahead on any route with gap
-        # draws: each generator stands just past its trial's word, phases
-        # and tail, as one trial drawn from the raw generator leaves it
-        theta, trials = 1.5, 100
-        n = 1000 if route.startswith("dense") else sparse_size(theta)
-        horizon = 4 * n if route.endswith("horizon") else None
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_one_value_a_row_batch_leaves_the_generators_in_step(self, coupled):
+        # draw_batch(block=1) reads no uniform ahead: each generator stands
+        # just past its trial's word, phases and tail, as one trial drawn
+        # from the raw generator leaves it
+        theta, trials, n = 1.5, 100, 1000
+        horizon = 4 * n if coupled else None
         rngs = list(trial_rngs(24, 0, trials))
         batch = draw_batch(n, theta, rngs, phases=True, horizon=horizon, block=1)
         for t, rng in enumerate(rngs):
@@ -582,9 +549,23 @@ def cycle_lengths(ones, n):
 
 
 class TestBatchStream:
+    @pytest.mark.parametrize("theta", [0.5, 2.0, 5.0])
+    def test_batch_width_does_not_change_a_trial(self, theta):
+        # 100 trials walk together, single ones alone
+        n = 1000
+        batch = draw_batch(n, theta, (trial_rng(43, t) for t in range(100)), phases=True)
+        for t in (0, 37, 99):
+            one = draw_batch(n, theta, [trial_rng(43, t)], phases=True)
+            lo, hi = batch.starts[t], batch.starts[t + 1]
+            assert batch.lengths[lo:hi].tolist() == one.lengths.tolist()
+            assert batch.phases[lo:hi].tolist() == one.phases.tolist()
+            ones, phase, _ = reference_trial(n, theta, trial_rng(43, t), True, None)
+            assert one.lengths.tolist() == cycle_lengths(ones, n)
+            assert one.phases.tolist() == phase.tolist()
+
     @pytest.mark.parametrize("theta", [0.5, 2.0])
     def test_sparse_phases_follow_the_raw_stream(self, theta):
-        n, trials = sparse_size(theta), 12
+        n, trials = 1000, 12
         batch = draw_batch(n, theta, (trial_rng(21, t) for t in range(trials)), phases=True)
         for t in range(trials):
             ones, phase, _ = reference_trial(n, theta, trial_rng(21, t), True, None)
@@ -592,11 +573,9 @@ class TestBatchStream:
             assert batch.lengths[lo:hi].tolist() == cycle_lengths(ones, n)
             assert batch.phases[lo:hi].tolist() == phase.tolist()
 
-    @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("theta", [0.5, 2.0])
-    def test_coupled_tails_follow_the_raw_stream(self, sparse, theta):
-        n = sparse_size(theta) if sparse else 1000
-        horizon, trials = 16 * n, 12
+    def test_coupled_tails_follow_the_raw_stream(self, theta):
+        n, horizon, trials = 1000, 16_000, 12
         batch = draw_batch(n, theta, (trial_rng(22, t) for t in range(trials)), horizon=horizon)
         spacings, owner = [], []
         for t in range(trials):
@@ -619,7 +598,7 @@ class TestBatchStream:
         # a wide batch's words and phases, assembled from its flat walk,
         # against one reference trial each; at theta = 0.5 a few words have
         # no one after position 1
-        n, trials = sparse_size(theta), 300
+        n, trials = 1000, 300
         batch = draw_batch(n, theta, trial_rngs(31, 0, trials), phases=True)
         single = 0
         for t in range(trials):
@@ -652,7 +631,7 @@ class TestBatchStream:
         assert batch.tail_trial.tolist() == owner
         assert (single > 0 and empty > 0) or theta > 1
 
-    @pytest.mark.parametrize("n", [1000, sparse_size(1.5)])
+    @pytest.mark.parametrize("n", [1, 1000, 10_000])
     def test_single_trial_samplers_leave_the_generator_in_step(self, n):
         # sample_cycle_counts and sample_coupled read no uniform ahead, so a
         # caller's next draw is the one after the trial's last

@@ -5,7 +5,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from conftest import sparse_size, trial_of
+from conftest import trial_of
 from permspectra import (
     Arc,
     ExperimentConfig,
@@ -393,12 +393,12 @@ class TestTrialEngine:
                 want = [count_arc_perm(counts, a) for a in arcs]
             assert got[t].tolist() == want
 
-    def test_sparse_route_lengths_match_per_trial_sampler(self):
+    def test_walked_lengths_match_per_trial_sampler(self):
         from permspectra import EwensParams, sample_cycle_counts, trial_rng
         from conftest import ones_positions_sparse
         from permspectra.ewens import draw_batch
 
-        n, theta, trials = sparse_size(1.4), 1.4, 7
+        n, theta, trials = 10_000, 1.4, 7
         batch = draw_batch(n, theta, (trial_rng(5, t) for t in range(trials)))
         for t in range(trials):
             lengths = trial_of(batch, t).lengths.tolist()
@@ -408,9 +408,9 @@ class TestTrialEngine:
             assert lengths == sorted(np.diff(np.append(ones, n + 1)).tolist())
 
     @pytest.mark.parametrize("n, theta", [
-        (150, 0.8), (sparse_size(0.5), 0.5), (sparse_size(2.0), 2.0)])
+        (150, 0.8), (10_000, 0.5), (10_000, 2.0)])
     def test_coupling_distances_match_per_trial_path(self, n, theta):
-        # 100 trials, so the sparse words and the tails take the lockstep walk
+        # 100 trials, whose words and tails take the lockstep walk
         from conftest import reference_trial
         from permspectra import (
             EwensParams, coupling_distance, coupling_horizon, sample_coupled, trial_rng,

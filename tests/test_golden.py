@@ -69,7 +69,7 @@ def clt_counts(model: str):
 
 
 def run_meso(model: str):
-    # 70000 lies above the dense/sparse switch, so both sampler routes run
+    # a small and a large word: about 11 and 15 ones at theta 1.3
     cfg = ExperimentConfig(
         theta=1.3, trials=41, master_seed=1117, model=model,
         n_schedule=(3000, 70_000), gamma=0.5, meso_alpha=Fraction(0),
@@ -117,12 +117,12 @@ CASES = {
 }
 
 GOLDEN = {
-    "clt mod counts": "69bcc601b0672539a16b4e324c963f0717affaaa4d44f7f9ba49145bb66edac2",
-    "clt perm counts": "7a3b30b811803b4b356c3f6ef67ec8ac185ac6280c33737d2bf26684358aa6da",
+    "clt mod counts": "f52d88199591beeaa0cd1d4e3fa9961b26bc33b152337c72986f64b6225a4191",
+    "clt perm counts": "eaceb1e557ae7a0a1ec5a367c22534100a501bf13d601f9cfd07fca5c509091f",
     "c_numeric README endpoints":
         "b8bdd40396edcd9fa90ada73c55386f6f7b033cf606457d243f86e1620e53d7b",
     "coupling-check mean and se":
-        "ec38bdc0b9b42b7f9896301e85b7cd48cebb011e792cbb1db9796061e4f34dea",
+        "59e7167bb38ca117f399a10c5c2d399408af50a73b91ce8878bc065dc674b217",
     "covariance_D README arcs":
         "3393fac2ea54a7cc9df5d5d2d62a3c0369b241b6eacdb57f0f0616e34d7e3b72",
     "covariance_Dtilde README arcs":
@@ -135,9 +135,9 @@ GOLDEN = {
         "11353fa2449d99925e16b4f4c8697a05f81f1579487f3bdaaaf02d13cfe8ea0a",
     "mesoscopic mod mean": "b097e560ffb4da04eb1b16a339f57ddea73c9c0f31fec28ca4228caf2296fc42",
     "mesoscopic perm variances and mean":
-        "c9569d754f63481560290351edca01d97fe3d51c7ae03daae70bc9692fc0f685",
+        "ccea8ef411e960b921997d0038cfd163516c39851f4bd5eb1c671332c4bb8c71",
     "spacings quantiles and counters":
-        "e90d119fd927a9126459281ee79a34b88dd12744146ac153b3d94ce9033719c5",
+        "da937a083179ccdb5b93c40b5209988cd9c64d4a50769478c7accfe5b6d91efa",
 }
 
 
