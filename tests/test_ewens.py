@@ -416,13 +416,15 @@ class TestThinnedWalk:
                 assert walked == [[limit]] * walks
 
     @pytest.mark.parametrize("theta", [5e-324, 1e-310, 1e-17, 1e300, 1.7e308])
-    def test_extreme_theta_draws_without_warnings(self, theta):
+    @pytest.mark.parametrize("block", [_BLOCK, 1])
+    def test_extreme_theta_draws_without_warnings(self, theta, block):
         # the suite turns every RuntimeWarning into an error; theta/k
         # underflows to 0 at the smallest theta, and at the largest every
-        # position is a one
+        # position is a one; block = 1 is the one-trial samplers' read path
         tiny, n = theta < 1, 20_000 if theta < 1 else 12
         for horizon in (None, 4 * n):
-            batch = draw_batch(n, theta, trial_rngs(6, 0, 5), phases=True, horizon=horizon)
+            batch = draw_batch(n, theta, trial_rngs(6, 0, 5), phases=True, horizon=horizon,
+                               block=block)
             # no one after position 1 at the tiny theta, one everywhere at the huge
             assert batch.lengths.tolist() == ([n] * 5 if tiny else [1] * (5 * n))
             if horizon is not None:
@@ -527,11 +529,12 @@ class TestUniformStore:
             assert rng.bit_generator.state == twin.bit_generator.state
 
     @pytest.mark.parametrize("coupled", [False, True])
-    def test_one_value_a_row_batch_leaves_the_generators_in_step(self, coupled):
+    @pytest.mark.parametrize("n", [1000, 10_000])
+    def test_one_value_a_row_batch_leaves_the_generators_in_step(self, n, coupled):
         # draw_batch(block=1) reads no uniform ahead: each generator stands
         # just past its trial's word, phases and tail, as one trial drawn
         # from the raw generator leaves it
-        theta, trials, n = 1.5, 100, 1000
+        theta, trials = 1.5, 100
         horizon = 4 * n if coupled else None
         rngs = list(trial_rngs(24, 0, trials))
         batch = draw_batch(n, theta, rngs, phases=True, horizon=horizon, block=1)
@@ -573,9 +576,10 @@ class TestBatchStream:
             assert batch.lengths[lo:hi].tolist() == cycle_lengths(ones, n)
             assert batch.phases[lo:hi].tolist() == phase.tolist()
 
+    @pytest.mark.parametrize("n", [1000, 10_000])
     @pytest.mark.parametrize("theta", [0.5, 2.0])
-    def test_coupled_tails_follow_the_raw_stream(self, theta):
-        n, horizon, trials = 1000, 16_000, 12
+    def test_coupled_tails_follow_the_raw_stream(self, theta, n):
+        horizon, trials = 16 * n, 12
         batch = draw_batch(n, theta, (trial_rng(22, t) for t in range(trials)), horizon=horizon)
         spacings, owner = [], []
         for t in range(trials):
