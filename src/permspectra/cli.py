@@ -167,12 +167,20 @@ def _cmd_sample(args):
                 entry["phases"] = batch.phases[cycles].tolist()
                 entry["lengths"] = batch.lengths[cycles].tolist()
             trials.append(entry)
-    header = ["trial", "cycle_length", "multiplicity"]
-    rows = [
-        (t, j, a)
-        for t, entry in enumerate(trials)
-        for j, a in entry["cycle_counts"].items()
-    ]
+    if phases:  # a row per cycle, as the JSON's lengths and phases
+        header = ["trial", "cycle_length", "phase"]
+        rows = [
+            (t, j, phase)
+            for t, entry in enumerate(trials)
+            for j, phase in zip(entry["lengths"], entry["phases"])
+        ]
+    else:
+        header = ["trial", "cycle_length", "multiplicity"]
+        rows = [
+            (t, j, a)
+            for t, entry in enumerate(trials)
+            for j, a in entry["cycle_counts"].items()
+        ]
     return {"trials": trials}, (header, rows)
 
 

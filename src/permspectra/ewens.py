@@ -47,10 +47,15 @@ each, and makes every walk's skip and acceptance in elementwise numpy, so a
 trial's positions are the same at any batch width, chunking or ``--jobs``.
 The walk returns flat (trial, position) arrays, from which ``draw_batch``
 builds the words and the coupled words by index arithmetic, with no array
-per walk.  Each step costs a numpy call's fixed time whatever the number of
-live walks, so a narrow batch (one trial: 0.29 ms at n = 1000) or a theta
-near n/100, where a word has many ones, draws more slowly than bits drawn n
-at a time would (``BENCH_walk_only.json``).
+per walk.  Each step costs a numpy call's fixed time whatever the number
+of live walks, so a narrow batch (one trial: 0.29 ms at n = 1000) or a
+theta near n/100, where a word has many ones, draws more slowly than bits
+drawn n at a time would (``BENCH_walk_only.json``).
+
+Walks are nested: only the candidate that crosses the limit is clipped, so
+the ones <= n of a walk to N are the walk to n.  One walk per trial to the
+largest size thus gives the batches of a whole size schedule
+(``_nested_batches``), each the batch a draw at its size alone gives.
 """
 
 from __future__ import annotations
@@ -236,6 +241,13 @@ def _lead_words(leads: np.ndarray, walk: np.ndarray, positions: np.ndarray, coun
     return words, at
 
 
+def _words(walk: np.ndarray, positions: np.ndarray, counts: np.ndarray):
+    """Each trial's word, a leading 1 then its walk's positions, concatenated
+    (``_thinned_walks``' flat result from 1), and where each trial starts in it."""
+    ones, _ = _lead_words(np.ones(len(counts), dtype=np.int64), walk, positions, counts)
+    return ones, np.concatenate(([0], np.cumsum(counts + 1)))
+
+
 def _sorted_lengths(n: int, ones: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Cycle lengths of concatenated words, ascending within each word: the
     spacings of a word's ones closed by the sentinel n + 1 (so they sum to n).
@@ -274,8 +286,7 @@ def draw_batch(
     rngs = list(rngs)
     trials, uniforms = len(rngs), _Uniforms(rngs, block)
     walk, positions, counts = _thinned_walks(trials, 1, n, theta, uniforms)
-    ones, _ = _lead_words(np.ones(trials, dtype=np.int64), walk, positions, counts)
-    starts = np.concatenate(([0], np.cumsum(counts + 1)))
+    ones, starts = _words(walk, positions, counts)
     phase_draws = None
     if phases:
         sizes = (counts + 1).tolist()
@@ -292,6 +303,29 @@ def draw_batch(
         batch.closing = n + 1 - last
         batch.tail, batch.tail_trial = gaps[keep], walk[keep]
     return batch
+
+
+def _nested_batches(sizes: tuple[int, ...], theta: float,
+                    rngs: Iterable[np.random.Generator]) -> list[TrialBatch]:
+    """One batch per size in ``sizes``, all cut from one word per generator,
+    walked to the largest size: the batch at n holds each trial's ones <= n,
+    closed by n + 1.  That is ``draw_batch(n, theta, rngs)``'s batch, since
+    a walk's candidate beyond n is clipped without changing any one below
+    it, so the ones <= n of a walk to N are the walk to n.
+    """
+    check_theta(theta)
+    if min(sizes) < 1:
+        raise ValueError(f"n must be >= 1, got {min(sizes)}")
+    rngs = list(rngs)
+    trials = len(rngs)
+    walk, positions, _ = _thinned_walks(trials, 1, max(sizes), theta, _Uniforms(rngs))
+    batches = []
+    for n in sizes:
+        keep = positions <= n  # each walk's positions ascend, so its ones <= n lead
+        counts = np.bincount(walk[keep], minlength=trials)
+        ones, starts = _words(walk[keep], positions[keep], counts)
+        batches.append(TrialBatch(n, _sorted_lengths(n, ones, starts), starts=starts))
+    return batches
 
 
 def sample_cycle_counts(

@@ -11,7 +11,8 @@ the trial-ordered arrays, never over per-worker partial sums.
 All four drivers share one trial engine: trials run in chunks, and inside a
 chunk only the draws run per trial (every word, then the phases or the
 coupled tails; the words and tails are walked by thinning for all
-trials of the chunk at once, see ``ewens._thinned_walks``).  Each job takes
+trials of the chunk at once, see ``ewens._thinned_walks``; the plain
+mesoscopic rows cut one walk per trial at every size).  Each job takes
 one chunk of its share of a call's trials, up to ``_CHUNK_TRIALS``, so
 those elementwise walks step the most trials per numpy call.  Each
 driver's statistic is then computed once per chunk on the concatenated
@@ -43,7 +44,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .cesaro import check_table_size, check_theta
-from .ewens import TrialBatch, coupling_distances, coupling_horizon, draw_batch
+from .ewens import TrialBatch, _nested_batches, coupling_distances, coupling_horizon, draw_batch
 from .limits import DeclaredIrrational, c2_meso, covariance_D, covariance_Dtilde
 from .rng import trial_rngs
 from .spacings import mod_gap_extremes
@@ -248,14 +249,19 @@ def _chunk_ranges(trials: int, jobs: int) -> list[tuple[int, int]]:
 
 def _trial_chunk(args) -> np.ndarray:
     """Trials lo..hi-1: draw each from its own generator, then one statistic
-    over the whole batch (a row per trial)."""
+    over the whole batch, or the batches of every size (a row per trial)."""
     lo, hi, seed, n, theta, phases, horizon, statistic, extra = args
-    return statistic(draw_batch(n, theta, trial_rngs(seed, lo, hi), phases, horizon), *extra)
+    rngs = trial_rngs(seed, lo, hi)
+    if isinstance(n, tuple):
+        return statistic(_nested_batches(n, theta, rngs), *extra)
+    return statistic(draw_batch(n, theta, rngs, phases, horizon), *extra)
 
 
 def _run_trials(statistic, extra, seed, n, theta, trials, jobs, phases=False, horizon=None):
     """``statistic(batch, *extra)`` over every trial, rows in trial order.
 
+    A tuple of sizes ``n`` walks each trial's word once, to the largest,
+    and hands the statistic one batch per size (``ewens._nested_batches``).
     Trials run in chunks of ceil(trials / jobs), up to ``_CHUNK_TRIALS``
     each, in worker processes when ``jobs`` > 1; trial i always draws from
     ``trial_rng(seed, i)``, whatever the chunking.
@@ -280,6 +286,11 @@ def _arc_counts(model, arcs, seed, n, theta, trials, jobs) -> np.ndarray:
     """Counts of every trial (rows) in every arc (columns) for one ensemble."""
     statistic = count_arcs_mod if model == "mod" else count_arcs_perm
     return _run_trials(statistic, (arcs,), seed, n, theta, trials, jobs, phases=model == "mod")
+
+
+def _nested_arc_counts(batches: list[TrialBatch], arcs: Sequence[Arc]) -> np.ndarray:
+    """Plain counts of every trial (rows), batch k in arc k (columns)."""
+    return np.column_stack([count_arcs_perm(b, (a,))[:, 0] for b, a in zip(batches, arcs)])
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +393,16 @@ def run_mesoscopic(config: ExperimentConfig, jobs: int = 1) -> MesoscopicResult:
     """Variance growth and normality on arcs shrinking like n**(-gamma).
 
     For the modified model the variance is evaluated by the exact formula at
-    every n in the schedule.  For the plain model it is the Monte Carlo
-    estimate, although the exact one is an O(n log n) FFT
-    (``exact_moments_perm``): criterion 7c asserts on the estimate, and the
-    rows' printed keys are pinned.  Each variance is set against the
-    first-order asymptote constant * theta * log(n * delta_n); the KS report
-    is computed at the largest n from ``trials`` standardised counts.
+    every n in the schedule, and trials are drawn at the largest n only.
+    For the plain model it is the Monte Carlo estimate, although the exact
+    one is an O(n log n) FFT (``exact_moments_perm``): criterion 7c asserts
+    on the estimate, and the rows' printed keys are pinned.  The plain rows
+    share one word per trial, walked to the largest n and cut at each size
+    (the Feller coupling), so trial i's rows are the counts of one sigma_n
+    per n, each what a draw at that n alone would give.  Each variance is
+    set against the first-order asymptote constant * theta * log(n *
+    delta_n); the KS report is computed at the largest n from ``trials``
+    standardised counts.  A size repeated in the schedule repeats its row.
     """
     if not config.n_schedule or config.gamma is None:
         raise ValueError("run_mesoscopic needs n_schedule and gamma")
@@ -396,45 +411,45 @@ def run_mesoscopic(config: ExperimentConfig, jobs: int = 1) -> MesoscopicResult:
     for n in config.n_schedule:  # before any sampling
         if n < 1 or n * float(n) ** (-config.gamma) <= 1:
             raise ValueError(f"n * delta must exceed 1 for a mesoscopic window, got n={n}")
-        check_table_size(n)  # every row computes an exact mean or variance
+        # the exact variances (mod) and the report's exact mean at the largest n
+        check_table_size(n)
     constant = c2_meso(alpha_endpoint) if model == "perm" else 1.0 / 6.0
 
+    sizes = tuple(dict.fromkeys(config.n_schedule))  # each size once, in schedule order
+    largest = max(sizes)
+    deltas = {n: float(n) ** (-config.gamma) for n in sizes}
+    arcs = {n: _meso_arc(alpha_endpoint, deltas[n]) for n in sizes}
+    seed, trials = config.master_seed, config.trials
+    if model == "perm":
+        counts = _run_trials(
+            _nested_arc_counts, (tuple(arcs.values()),), seed, sizes, theta, trials, jobs
+        )
+        variances = {n: float(np.var(counts[:, k], ddof=1)) for k, n in enumerate(sizes)}
+        top = counts[:, sizes.index(largest)]
+    else:
+        variances = {n: exact_moments_mod(n, theta, arcs[n]).variance for n in sizes}
+        top = _arc_counts(model, (arcs[largest],), seed, largest, theta, trials, jobs)[:, 0]
+
     rows: list[MesoscopicRow] = []
-    report: Optional[NormalityReport] = None
-    largest = max(config.n_schedule)
     for n in config.n_schedule:
-        delta = float(n) ** (-config.gamma)
-        arc = _meso_arc(alpha_endpoint, delta)
-        log_nd = math.log(n * delta)
+        log_nd = math.log(n * deltas[n])
         target = constant * theta * log_nd
-
-        need_counts = model == "perm" or n == largest
-        counts = None
-        if need_counts:
-            counts = _arc_counts(
-                model, (arc,), config.master_seed, n, theta, config.trials, jobs
-            )[:, 0]
-
-        if model == "mod":
-            variance = exact_moments_mod(n, theta, arc).variance
-            exact = True
-        else:
-            variance = float(np.var(counts, ddof=1))
-            exact = False
         rows.append(
             MesoscopicRow(
                 n=n,
-                delta=delta,
+                delta=deltas[n],
                 log_n_delta=log_nd,
-                variance=variance,
-                variance_is_exact=exact,
+                variance=variances[n],
+                variance_is_exact=model == "mod",
                 target=target,
-                ratio=variance / target,
+                ratio=variances[n] / target,
             )
         )
-        if n == largest:
-            mean = n * delta if model == "mod" else _perm_mean(n, theta, arc)
-            report = _normality_report(counts, mean, variance)
+    if model == "mod":
+        mean = largest * deltas[largest]
+    else:
+        mean = _perm_mean(largest, theta, arcs[largest])
+    report = _normality_report(top, mean, variances[largest])
     return MesoscopicResult(rows=rows, report=report, constant=constant)
 
 

@@ -36,6 +36,8 @@ arcs those constants describe (``declared_arc``), and so are the one-trial spars
 and the modified count over [alpha, beta) (``count_arc_mod_left``).
 Whole sparse words are checked against the exact laws of the number of cycles
 (``cycle_number_pmf``) and of the longest cycle (``longest_cycle_bins``).
+``mesoscopic_per_n`` is the mesoscopic driver as it drew before its plain
+rows shared one word per trial: a fresh draw of every trial at each n.
 A drawn sample is a ``TrialBatch``; the tests build and read one through
 ``cycle_type`` (a hand-built cycle type), ``trial_of`` (one trial of a
 batch), ``dense_counts`` (the vector [a_1, ..., a_n]) and
@@ -900,3 +902,39 @@ def frac_parts_direct(x, n: int, start: int = 1) -> np.ndarray:
         return np.asarray(prod / float(q), dtype=np.float64)
     jx = np.arange(start, n + 1, dtype=np.float64) * float(x)
     return jx - np.floor(jx)
+
+
+def mesoscopic_per_n(config, jobs: int = 1):
+    """``run_mesoscopic`` as it drew when every row of the schedule took its
+    own draw of all trials (``_arc_counts`` at that n alone; the modified
+    model at the largest n only, once per row that repeats it), each row
+    built in turn, the report at the largest n."""
+    from permspectra.experiments import (
+        MesoscopicResult, MesoscopicRow, _arc_counts, _meso_arc, _normality_report,
+    )
+    from permspectra.limits import c2_meso
+    from permspectra.spectral import _perm_mean, exact_moments_mod
+
+    theta, model = config.theta, config.model
+    alpha = Fraction(0) if config.meso_alpha is None else config.meso_alpha
+    constant = c2_meso(alpha) if model == "perm" else 1.0 / 6.0
+    rows, report, largest = [], None, max(config.n_schedule)
+    for n in config.n_schedule:
+        delta = float(n) ** (-config.gamma)
+        arc = _meso_arc(alpha, delta)
+        log_nd = math.log(n * delta)
+        target = constant * theta * log_nd
+        counts = None
+        if model == "perm" or n == largest:
+            counts = _arc_counts(model, (arc,), config.master_seed, n, theta, config.trials,
+                                 jobs)[:, 0]
+        if model == "mod":
+            variance = exact_moments_mod(n, theta, arc).variance
+        else:
+            variance = float(np.var(counts, ddof=1))
+        rows.append(MesoscopicRow(n, delta, log_nd, variance, model == "mod", target,
+                                  variance / target))
+        if n == largest:
+            mean = n * delta if model == "mod" else _perm_mean(n, theta, arc)
+            report = _normality_report(counts, mean, variance)
+    return MesoscopicResult(rows=rows, report=report, constant=constant)

@@ -176,11 +176,18 @@ class TestCommands:
         assert run_json(capsys, *argv)["results"] == {"trials": want}
         code, out, _ = run_cli(capsys, *argv, "--format", "csv")
         assert code == 0
-        assert list(csv.reader(io.StringIO(out))) == [
-            ["trial", "cycle_length", "multiplicity", "schema_version"],
-            *([str(t), j, str(a), "1"] for t, entry in enumerate(want)
-              for j, a in entry["cycle_counts"].items()),
-        ]
+        if model == "mod":  # a row per cycle with its phase, as the JSON carries
+            assert list(csv.reader(io.StringIO(out))) == [
+                ["trial", "cycle_length", "phase", "schema_version"],
+                *([str(t), str(j), format(phase, ".17g"), "1"] for t, entry in enumerate(want)
+                  for j, phase in zip(entry["lengths"], entry["phases"])),
+            ]
+        else:
+            assert list(csv.reader(io.StringIO(out))) == [
+                ["trial", "cycle_length", "multiplicity", "schema_version"],
+                *([str(t), j, str(a), "1"] for t, entry in enumerate(want)
+                  for j, a in entry["cycle_counts"].items()),
+            ]
 
     def test_clt_small(self, capsys):
         env = run_json(
@@ -422,6 +429,7 @@ class TestCliContract:
 
         monkeypatch.setattr("permspectra.cesaro.TABLE_SIZE_LIMIT", 20_000)
         monkeypatch.setattr("permspectra.experiments.draw_batch", no_draws)
+        monkeypatch.setattr("permspectra.experiments._nested_batches", no_draws)
         message = ("n = 30000 exceeds the size limit 20000 of a psi table "
                    "(up to 48 bytes per element at the peak)")
         assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")

@@ -46,6 +46,7 @@ from permspectra.ewens import (
     TrialBatch,
     _BLOCK,
     _Uniforms,
+    _nested_batches,
     _thinned_walks,
     draw_batch,
 )
@@ -430,6 +431,43 @@ class TestThinnedWalk:
             if horizon is not None:
                 tails = np.bincount(batch.tail_trial, minlength=5).tolist()
                 assert tails == [0 if tiny else 3 * n] * 5
+
+
+class TestNestedWalks:
+    """The ones <= n of a walk to N are the walk to n: the candidate that
+    crosses the limit is clipped, and nothing below it changes."""
+
+    @pytest.mark.parametrize("theta", [0.05, 0.5, 1.0, 7.5, 40.0])
+    @pytest.mark.parametrize("block", [1, _BLOCK])
+    @pytest.mark.parametrize("limit", [300, 10**5])
+    def test_the_ones_up_to_n_of_a_walk_are_the_walk_to_n(self, theta, block, limit):
+        lanes = 30
+
+        def walks(to):
+            uniforms = _Uniforms([np.random.default_rng(seed) for seed in range(lanes)], block)
+            return walk_lists(_thinned_walks(lanes, 1, to, theta, uniforms))
+
+        whole = walks(limit)
+        # cuts at a one and just before it, besides the ends and interior sizes
+        at_ones = [p for walk in whole[:3] for p in walk[:2]]
+        cuts = {1, 2, limit // 7, limit // 2, limit - 1, limit,
+                *at_ones, *(p - 1 for p in at_ones)}
+        for n in sorted(cuts):
+            assert [[p for p in walk if p <= n] for walk in whole] == walks(n)
+
+    @pytest.mark.parametrize("sizes", [(1000,), (10, 10**5, 100), (100, 100, 1, 2)])
+    @pytest.mark.parametrize("theta", [0.5, 7.5])
+    def test_nested_batches_are_the_batches_drawn_at_each_size(self, sizes, theta):
+        batches = _nested_batches(sizes, theta, trial_rngs(7, 0, 30))
+        assert [b.n for b in batches] == list(sizes)
+        for n, batch in zip(sizes, batches):
+            want = draw_batch(n, theta, trial_rngs(7, 0, 30))
+            assert batch.lengths.tolist() == want.lengths.tolist()
+            assert batch.starts.tolist() == want.starts.tolist()
+
+    def test_a_size_below_one_refused(self):
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            _nested_batches((10, 0), 1.0, trial_rngs(7, 0, 3))
 
 
 STORE_CASES = [(0.5, 1, 10**6), (2.0, 1000, 2**20)]

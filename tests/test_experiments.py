@@ -5,7 +5,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from conftest import trial_of
+from conftest import mesoscopic_per_n, trial_of
 from permspectra import (
     Arc,
     ExperimentConfig,
@@ -268,6 +268,49 @@ class TestRunMesoscopic:
         assert res.constant == pytest.approx(1 / 3)
         assert not res.rows[0].variance_is_exact
         assert res.rows[0].ratio > 0
+
+    @pytest.mark.parametrize("schedule", [
+        (40, 400, 4000), (4000, 40, 400), (400, 40, 400, 400), (4000,),
+    ], ids=["sorted", "unsorted", "repeated", "one"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("chunk", [None, 16])
+    def test_perm_rows_equal_a_draw_at_each_n(self, monkeypatch, schedule, jobs, chunk):
+        # one walk per trial to the largest n, cut at each size, gives the
+        # rows and report of a fresh draw at every n; at theta = 4 some
+        # trial has a one at n = 40 (probability 4/43 each)
+        from fractions import Fraction
+
+        if chunk is not None:
+            monkeypatch.setattr("permspectra.experiments._CHUNK_TRIALS", chunk)
+        cfg = ExperimentConfig(
+            theta=4.0, trials=61, master_seed=9, model="perm",
+            n_schedule=schedule, gamma=0.4, meso_alpha=Fraction(1, 3),
+        )
+        assert run_mesoscopic(cfg, jobs=jobs) == mesoscopic_per_n(cfg, jobs=jobs)
+
+    @pytest.mark.parametrize("schedule", [(1000, 1000), (400, 1000, 1000, 400)])
+    def test_mod_draws_once_at_the_largest_n(self, monkeypatch, schedule):
+        from permspectra import experiments
+
+        calls = {"draws": 0, "reports": 0}
+
+        def counted(name, key):
+            inner = getattr(experiments, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(experiments, name, wrapper)
+
+        cfg = ExperimentConfig(
+            theta=1.3, trials=40, master_seed=2, model="mod", n_schedule=schedule, gamma=0.5,
+        )
+        want = mesoscopic_per_n(cfg)
+        counted("_arc_counts", "draws")
+        counted("_normality_report", "reports")
+        assert run_mesoscopic(cfg) == want
+        assert calls == {"draws": 1, "reports": 1}
 
     def test_perm_refuses_an_undeclared_anchor(self, monkeypatch):
         # a bare float anchor got the irrational constant 1/6, though 0.5 may be 1/2
