@@ -32,6 +32,7 @@ import sys
 import time
 from dataclasses import asdict, astuple, fields, is_dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .ewens import draw_batch
 from .experiments import (
     ExperimentConfig,
     MesoscopicRow,
-    _chunk_ranges,
+    _run_trials,
     run_clt_fixed,
     run_coupling_check,
     run_mesoscopic,
@@ -61,7 +62,6 @@ from .cesaro import (
     verify_quadratic_identity,
     verify_telescoping,
 )
-from .rng import trial_rngs
 from .spectral import Arc, exact_moments_mod, exact_moments_perm
 
 SCHEMA_VERSION = "1"
@@ -152,21 +152,27 @@ def _csv_cell(value):
 # ---------------------------------------------------------------------------
 
 
+def _sample_entries(batch) -> np.ndarray:
+    """Each trial's JSON entry: cycle counts, and lengths and phases if drawn."""
+    entries = np.empty(batch.trials, dtype=object)
+    for t in range(batch.trials):
+        cycles = slice(batch.starts[t], batch.starts[t + 1])
+        lengths, multiplicity = np.unique(batch.lengths[cycles], return_counts=True)
+        entry = {"cycle_counts": dict(zip(map(str, lengths.tolist()), multiplicity.tolist()))}
+        if batch.phases is not None:
+            entry["phases"] = batch.phases[cycles].tolist()
+            entry["lengths"] = batch.lengths[cycles].tolist()
+        entries[t] = entry
+    return entries
+
+
 def _cmd_sample(args):
     check_theta(args.theta)
     if args.trials < 1:
         raise ValueError(f"need trials >= 1, got {args.trials}")
-    phases, trials = args.model == "mod", []
-    for lo, hi in _chunk_ranges(args.trials, 1):
-        batch = draw_batch(args.n, args.theta, trial_rngs(args.seed, lo, hi), phases=phases)
-        for t in range(batch.trials):
-            cycles = slice(batch.starts[t], batch.starts[t + 1])
-            lengths, multiplicity = np.unique(batch.lengths[cycles], return_counts=True)
-            entry = {"cycle_counts": dict(zip(map(str, lengths.tolist()), multiplicity.tolist()))}
-            if phases:
-                entry["phases"] = batch.phases[cycles].tolist()
-                entry["lengths"] = batch.lengths[cycles].tolist()
-            trials.append(entry)
+    phases = args.model == "mod"
+    trials = _run_trials(partial(draw_batch, args.n, args.theta, phases=phases),
+                         _sample_entries, args.seed, args.trials, 1).tolist()
     if phases:  # a row per cycle, as the JSON's lengths and phases
         header = ["trial", "cycle_length", "phase"]
         rows = [

@@ -45,17 +45,19 @@ The walks of a batch are stepped together (``_thinned_walks``).  Each
 step takes two uniforms per live walk from the store, with one fancy index
 each, and makes every walk's skip and acceptance in elementwise numpy, so a
 trial's positions are the same at any batch width, chunking or ``--jobs``.
-The walk returns flat (trial, position) arrays, from which ``draw_batch``
-builds the words and the coupled words by index arithmetic, with no array
-per walk.  Each step costs a numpy call's fixed time whatever the number
-of live walks, so a narrow batch (one trial: 0.29 ms at n = 1000) or a
-theta near n/100, where a word has many ones, draws more slowly than bits
-drawn n at a time would (``BENCH_walk_only.json``).
+The walk returns flat (trial, position) arrays, which one cut (``_cut``)
+turns into the words and sorted lengths, and ``draw_batch`` into the
+coupled words, by index arithmetic with no array per walk.  Each step
+costs a numpy call's fixed time whatever the number of live walks, so a
+narrow batch (one trial: 0.29 ms at n = 1000) or a theta near n/100,
+where a word has many ones, draws more slowly than bits drawn n at a
+time would (``BENCH_walk_only.json``).
 
 Walks are nested: only the candidate that crosses the limit is clipped, so
 the ones <= n of a walk to N are the walk to n.  One walk per trial to the
 largest size thus gives the batches of a whole size schedule
-(``_nested_batches``), each the batch a draw at its size alone gives.
+(``_nested_batches``), each the batch a draw at its size alone gives.  The
+positions are int64, so a size above 2**62 is refused before any draw.
 """
 
 from __future__ import annotations
@@ -207,6 +209,8 @@ def _thinned_walks(walks: int, start: int, limit: int, theta: float, uniforms: _
     every operation is elementwise, so no walk's positions depend on another.
     Where theta/k underflows to 0 the skip is infinite (0/0 at u = 0, which
     ``fmin`` drops): the walk ends, as a bit of probability 0 is never 1.
+    The candidate is clipped to limit + 1 in int64, the skip capped at 2**62
+    so that k + skip fits: a float limit - k rounds above 2**53.
     A walk from ``limit`` on (a word of size 1) reads nothing.
 
     Returns flat arrays (walk, position), sorted by walk with each walk's
@@ -219,7 +223,7 @@ def _thinned_walks(walks: int, start: int, limit: int, theta: float, uniforms: _
         u, v = uniforms.take(lanes), uniforms.take(lanes)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             skip = np.floor(-np.log1p(-u) / np.log1p(theta / k))
-        c = k + 1 + np.fmin(skip, limit - k).astype(np.int64)
+        c = np.minimum(np.fmin(skip, 2.0**62).astype(np.int64) + k, limit) + 1
         hit = (c <= limit) & (v * (theta + (c - 1)) < theta + k)
         found_lanes.append(lanes[hit])
         found.append(c[hit])
@@ -241,11 +245,12 @@ def _lead_words(leads: np.ndarray, walk: np.ndarray, positions: np.ndarray, coun
     return words, at
 
 
-def _words(walk: np.ndarray, positions: np.ndarray, counts: np.ndarray):
-    """Each trial's word, a leading 1 then its walk's positions, concatenated
-    (``_thinned_walks``' flat result from 1), and where each trial starts in it."""
-    ones, _ = _lead_words(np.ones(len(counts), dtype=np.int64), walk, positions, counts)
-    return ones, np.concatenate(([0], np.cumsum(counts + 1)))
+def _cut(n: int, walk: np.ndarray, positions: np.ndarray, counts: np.ndarray):
+    """Walks from 1 to n (``_thinned_walks``' flat result) as words, a 1 then
+    each walk's ones, concatenated; each word's start; its lengths, sorted."""
+    ones = _lead_words(np.ones(len(counts), dtype=np.int64), walk, positions, counts)[0]
+    starts = np.concatenate(([0], np.cumsum(counts + 1)))
+    return ones, starts, _sorted_lengths(n, ones, starts)
 
 
 def _sorted_lengths(n: int, ones: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -262,6 +267,15 @@ def _sorted_lengths(n: int, ones: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return lengths[np.lexsort((lengths, trial))]
 
 
+def _check_sizes(theta: float, sizes: tuple[int, ...]) -> None:
+    """Refuse theta or any size that a walk cannot take, before any draw."""
+    check_theta(theta)
+    if min(sizes) < 1:
+        raise ValueError(f"n must be >= 1, got {min(sizes)}")
+    if max(sizes) > 2**62:  # a walk's positions, up to n + 1, are int64
+        raise ValueError(f"n = {max(sizes)} exceeds 2**62, the largest size a walk takes")
+
+
 def draw_batch(
     n: int, theta: float, rngs: Iterable[np.random.Generator], phases: bool = False,
     horizon: Optional[int] = None, block: int = _BLOCK,
@@ -270,28 +284,23 @@ def draw_batch(
     one uniform phase per cycle, or, given a ``horizon``, the coupled word's
     ones in (n, horizon].  Each generator still sees its own trial's word,
     phases and tail in that order.  Words and tails are walked by thinning
-    for all trials at once (``_thinned_walks``, two uniforms per candidate),
-    whose flat (trial, position) result becomes the words (a leading 1 per
-    trial) and the coupled words (the last one <= n, then the tail) by index
-    arithmetic; lengths, their sort and the tails' spacings are computed for
-    the whole batch.
+    for all trials at once (``_thinned_walks``); the words and their sorted
+    lengths are cut from the walk (``_cut``), and the coupled words (the last
+    one <= n, then the tail) and their spacings built for the whole batch.
 
     Every draw reads through one ``_Uniforms`` store of ``block`` values per
     trial, so each generator ends up to block - 1 uniforms past its trial's
     last draw; ``block=1`` reads nothing ahead.
     """
-    check_theta(theta)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_sizes(theta, (n,))
     rngs = list(rngs)
     trials, uniforms = len(rngs), _Uniforms(rngs, block)
     walk, positions, counts = _thinned_walks(trials, 1, n, theta, uniforms)
-    ones, starts = _words(walk, positions, counts)
     phase_draws = None
     if phases:
         sizes = (counts + 1).tolist()
         phase_draws = np.concatenate([uniforms.run(t, m) for t, m in enumerate(sizes)])
-    lengths = _sorted_lengths(n, ones, starts)
+    ones, starts, lengths = _cut(n, walk, positions, counts)
     batch = TrialBatch(n, lengths, phase_draws, starts)
     if horizon is not None:
         walk, positions, counts = _thinned_walks(trials, n, horizon, theta, uniforms)
@@ -313,18 +322,15 @@ def _nested_batches(sizes: tuple[int, ...], theta: float,
     a walk's candidate beyond n is clipped without changing any one below
     it, so the ones <= n of a walk to N are the walk to n.
     """
-    check_theta(theta)
-    if min(sizes) < 1:
-        raise ValueError(f"n must be >= 1, got {min(sizes)}")
+    _check_sizes(theta, sizes)
     rngs = list(rngs)
-    trials = len(rngs)
-    walk, positions, _ = _thinned_walks(trials, 1, max(sizes), theta, _Uniforms(rngs))
+    walk, positions, _ = _thinned_walks(len(rngs), 1, max(sizes), theta, _Uniforms(rngs))
     batches = []
     for n in sizes:
         keep = positions <= n  # each walk's positions ascend, so its ones <= n lead
-        counts = np.bincount(walk[keep], minlength=trials)
-        ones, starts = _words(walk[keep], positions[keep], counts)
-        batches.append(TrialBatch(n, _sorted_lengths(n, ones, starts), starts=starts))
+        counts = np.bincount(walk[keep], minlength=len(rngs))
+        _, starts, lengths = _cut(n, walk[keep], positions[keep], counts)
+        batches.append(TrialBatch(n, lengths, starts=starts))
     return batches
 
 

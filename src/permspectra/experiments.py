@@ -8,16 +8,16 @@ unchanged, but each chunk computes its generators at once with
 pins against the installed numpy's ``SeedSequence``.  Aggregations run over
 the trial-ordered arrays, never over per-worker partial sums.
 
-All four drivers share one trial engine: trials run in chunks, and inside a
-chunk only the draws run per trial (every word, then the phases or the
-coupled tails; the words and tails are walked by thinning for all
-trials of the chunk at once, see ``ewens._thinned_walks``; the plain
-mesoscopic rows cut one walk per trial at every size).  Each job takes
-one chunk of its share of a call's trials, up to ``_CHUNK_TRIALS``, so
-those elementwise walks step the most trials per numpy call.  Each
-driver's statistic is then computed once per chunk on the concatenated
-cycle-length arrays: arc counts, extremal spacings or coupling distances,
-one row per trial.
+All four drivers, and the CLI's ``sample``, run their trials through one
+engine, ``_run_trials(draw, statistic, seed, trials, jobs)``: a chunk of
+trials computes ``statistic(draw(its generators))``, a row per trial.  The
+draw is ``ewens.draw_batch`` with the driver's phases or coupling horizon
+bound, or ``ewens._nested_batches``, which cuts one walk per trial at every
+size for the plain mesoscopic rows; either walks the words of a chunk's
+trials at once (``ewens._thinned_walks``), and the statistic (arc counts,
+extremal spacings, coupling distances) runs on their concatenated cycle
+lengths.  Each job takes one chunk of its share of a call's trials, up to
+``_CHUNK_TRIALS``, so the elementwise walks step the most trials per call.
 
 The normality checks standardise integer counts with their *exact* finite-n
 moments (the asymptotic ones converge like 1/log n, far too slowly to be
@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -248,30 +249,23 @@ def _chunk_ranges(trials: int, jobs: int) -> list[tuple[int, int]]:
 
 
 def _trial_chunk(args) -> np.ndarray:
-    """Trials lo..hi-1: draw each from its own generator, then one statistic
-    over the whole batch, or the batches of every size (a row per trial)."""
-    lo, hi, seed, n, theta, phases, horizon, statistic, extra = args
-    rngs = trial_rngs(seed, lo, hi)
-    if isinstance(n, tuple):
-        return statistic(_nested_batches(n, theta, rngs), *extra)
-    return statistic(draw_batch(n, theta, rngs, phases, horizon), *extra)
+    """Trials lo..hi-1, each from its own generator: the statistic of their draw."""
+    draw, statistic, seed, lo, hi = args
+    return statistic(draw(trial_rngs(seed, lo, hi)))
 
 
-def _run_trials(statistic, extra, seed, n, theta, trials, jobs, phases=False, horizon=None):
-    """``statistic(batch, *extra)`` over every trial, rows in trial order.
+def _run_trials(draw, statistic, seed, trials, jobs):
+    """``statistic(draw(generators))`` over every trial, rows in trial order.
 
-    A tuple of sizes ``n`` walks each trial's word once, to the largest,
-    and hands the statistic one batch per size (``ewens._nested_batches``).
-    Trials run in chunks of ceil(trials / jobs), up to ``_CHUNK_TRIALS``
-    each, in worker processes when ``jobs`` > 1; trial i always draws from
+    ``draw`` (``ewens.draw_batch`` or ``ewens._nested_batches``, options
+    bound) and ``statistic`` must pickle when ``jobs`` > 1, as the chunks
+    then run in worker processes.  A chunk holds ceil(trials / jobs)
+    trials, up to ``_CHUNK_TRIALS``; trial i always draws from
     ``trial_rng(seed, i)``, whatever the chunking.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    payloads = [
-        (lo, hi, seed, n, theta, phases, horizon, statistic, extra)
-        for lo, hi in _chunk_ranges(trials, jobs)
-    ]
+    payloads = [(draw, statistic, seed, lo, hi) for lo, hi in _chunk_ranges(trials, jobs)]
     if jobs == 1:
         parts = [_trial_chunk(p) for p in payloads]
     else:
@@ -280,12 +274,6 @@ def _run_trials(statistic, extra, seed, n, theta, trials, jobs, phases=False, ho
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_trial_chunk, payloads))
     return np.concatenate(parts, axis=0)
-
-
-def _arc_counts(model, arcs, seed, n, theta, trials, jobs) -> np.ndarray:
-    """Counts of every trial (rows) in every arc (columns) for one ensemble."""
-    statistic = count_arcs_mod if model == "mod" else count_arcs_perm
-    return _run_trials(statistic, (arcs,), seed, n, theta, trials, jobs, phases=model == "mod")
 
 
 def _nested_arc_counts(batches: list[TrialBatch], arcs: Sequence[Arc]) -> np.ndarray:
@@ -319,11 +307,12 @@ def run_clt_fixed(
     """
     if config.n is None or not config.arcs:
         raise ValueError("run_clt_fixed needs n and at least one arc")
-    n, theta, model = config.n, config.theta, config.model
-    if model == "mod":
-        moments = [exact_moments_mod(n, theta, a) for a in config.arcs]
-    else:
-        moments = [exact_moments_perm(n, theta, a) for a in config.arcs]
+    n, theta, mod = config.n, config.theta, config.model == "mod"
+    exact_moments, count_arcs, covariance = (
+        (exact_moments_mod, count_arcs_mod, covariance_Dtilde) if mod
+        else (exact_moments_perm, count_arcs_perm, covariance_D)
+    )
+    moments = [exact_moments(n, theta, a) for a in config.arcs]
     for arc, m in zip(config.arcs, moments):
         if m.variance < 1e-12:
             raise ValueError(
@@ -331,7 +320,9 @@ def run_clt_fixed(
                 "standardisation is impossible"
             )
 
-    counts = _arc_counts(model, config.arcs, config.master_seed, n, theta, config.trials, jobs)
+    counts = _run_trials(partial(draw_batch, n, theta, phases=mod),
+                         partial(count_arcs, arcs=config.arcs), config.master_seed,
+                         config.trials, jobs)
 
     means = np.array([m.mean for m in moments])
     sds = np.sqrt([m.variance for m in moments])
@@ -347,11 +338,7 @@ def run_clt_fixed(
             empirical = np.corrcoef(counts, rowvar=False)
     else:
         empirical = np.ones((1, 1))
-    reference = (
-        covariance_Dtilde(config.arcs, n_numeric)
-        if model == "mod"
-        else covariance_D(config.arcs, n_numeric)
-    ).entries
+    reference = covariance(config.arcs, n_numeric).entries
     return CltFixedResult(
         counts=counts,
         standardized=standardized,
@@ -421,14 +408,15 @@ def run_mesoscopic(config: ExperimentConfig, jobs: int = 1) -> MesoscopicResult:
     arcs = {n: _meso_arc(alpha_endpoint, deltas[n]) for n in sizes}
     seed, trials = config.master_seed, config.trials
     if model == "perm":
-        counts = _run_trials(
-            _nested_arc_counts, (tuple(arcs.values()),), seed, sizes, theta, trials, jobs
-        )
+        counts = _run_trials(partial(_nested_batches, sizes, theta),
+                             partial(_nested_arc_counts, arcs=tuple(arcs.values())),
+                             seed, trials, jobs)
         variances = {n: float(np.var(counts[:, k], ddof=1)) for k, n in enumerate(sizes)}
         top = counts[:, sizes.index(largest)]
     else:
         variances = {n: exact_moments_mod(n, theta, arcs[n]).variance for n in sizes}
-        top = _arc_counts(model, (arcs[largest],), seed, largest, theta, trials, jobs)[:, 0]
+        top = _run_trials(partial(draw_batch, largest, theta, phases=True),
+                          partial(count_arcs_mod, arcs=(arcs[largest],)), seed, trials, jobs)[:, 0]
 
     rows: list[MesoscopicRow] = []
     for n in config.n_schedule:
@@ -483,9 +471,8 @@ def run_coupling_check(
     if n < 1 or trials < 2:
         raise ValueError(f"need n >= 1 and trials >= 2, got {n}, {trials}")
     horizon, tail_bound = coupling_horizon(n, theta, epsilon_tail)
-    distances = _run_trials(
-        coupling_distances, (), master_seed, n, theta, trials, jobs, horizon=horizon
-    )
+    distances = _run_trials(partial(draw_batch, n, theta, horizon=horizon), coupling_distances,
+                            master_seed, trials, jobs)
     return CouplingReport(
         n=n,
         theta=theta,
@@ -570,9 +557,8 @@ def run_spacings(
         check_table_size(n, "the sorted angles of a trial (32-48 bytes per element)")
     rows = []
     for idx, n in enumerate(n_schedule):
-        data = _run_trials(
-            _spacings_statistic, (), master_seed + idx, n, theta, trials, jobs, phases=True
-        )
+        data = _run_trials(partial(draw_batch, n, theta, phases=True), _spacings_statistic,
+                           master_seed + idx, trials, jobs)
         qs = [np.quantile(data[:, c], _QUANTILE_LEVELS).tolist() for c in range(4)]
         rows.append(
             SpacingsRow(

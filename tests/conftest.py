@@ -906,14 +906,17 @@ def frac_parts_direct(x, n: int, start: int = 1) -> np.ndarray:
 
 def mesoscopic_per_n(config, jobs: int = 1):
     """``run_mesoscopic`` as it drew when every row of the schedule took its
-    own draw of all trials (``_arc_counts`` at that n alone; the modified
+    own draw of all trials (``draw_batch`` at that n alone; the modified
     model at the largest n only, once per row that repeats it), each row
     built in turn, the report at the largest n."""
+    from functools import partial
+
+    from permspectra.ewens import draw_batch
     from permspectra.experiments import (
-        MesoscopicResult, MesoscopicRow, _arc_counts, _meso_arc, _normality_report,
+        MesoscopicResult, MesoscopicRow, _meso_arc, _normality_report, _run_trials,
     )
     from permspectra.limits import c2_meso
-    from permspectra.spectral import _perm_mean, exact_moments_mod
+    from permspectra.spectral import _perm_mean, count_arcs_mod, count_arcs_perm, exact_moments_mod
 
     theta, model = config.theta, config.model
     alpha = Fraction(0) if config.meso_alpha is None else config.meso_alpha
@@ -926,7 +929,9 @@ def mesoscopic_per_n(config, jobs: int = 1):
         target = constant * theta * log_nd
         counts = None
         if model == "perm" or n == largest:
-            counts = _arc_counts(model, (arc,), config.master_seed, n, theta, config.trials,
+            count = count_arcs_mod if model == "mod" else count_arcs_perm
+            counts = _run_trials(partial(draw_batch, n, theta, phases=model == "mod"),
+                                 partial(count, arcs=(arc,)), config.master_seed, config.trials,
                                  jobs)[:, 0]
         if model == "mod":
             variance = exact_moments_mod(n, theta, arc).variance

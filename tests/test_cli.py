@@ -1,6 +1,7 @@
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -386,6 +387,10 @@ class TestCliContract:
             (("sample", "--n", "5", "--seed", "1", "--trials", "-3"),
              "need trials >= 1, got -3"),
             (("sample", "--n", "5", "--seed", "1", "--trials", "0"), "need trials >= 1, got 0"),
+            # the walk's int64 positions failed with "Python int too large to
+            # convert to C long"
+            (("sample", "--n", "10000000000000000000", "--seed", "1", "--trials", "2"),
+             "n = 10000000000000000000 exceeds 2**62, the largest size a walk takes"),
             (("clt", "--n", "100", "--arcs", "0.1,0.2;", "--seed", "1", "--trials", "8"),
              "arc '' must be 'alpha,beta'"),
             # 1/theta**2 overflowed: numpy warnings, then NaN and Infinity printed
@@ -408,6 +413,7 @@ class TestCliContract:
              "independent-rat-alpha", "independent-decimal-beta", "affine-rat-alpha",
              "ell-irrational-rat", "meso-irrational-decimal", "clt-five-trials",
              "mesoscopic-seven-trials", "sample-negative-trials", "sample-zero-trials",
+             "sample-n-above-2-62",
              "clt-trailing-semicolon", "identities-tiny-theta", "exact-mod-tiny-theta"],
     )
     def test_bad_value_named_in_one_error_line(self, capsys, argv, message):
@@ -678,17 +684,26 @@ class TestCliContract:
 
     @pytest.mark.parametrize("argv", [
         ("clt", "--n", "10000", "--arcs", "0.1,0.6", "--model", "mod"),
+        ("clt", "--n", "10000", "--arcs", "irr:sqrt2,irr:golden;rat:1/3,rat:5/7", "--model",
+         "mod"),
+        ("clt", "--n", "10000", "--arcs", "irr:sqrt2,irr:golden;rat:1/3,rat:5/7", "--model",
+         "perm"),
+        ("mesoscopic", "--n-list", "1000,10000,3000", "--model", "perm"),
+        ("coupling-check", "--n", "1000"),
         ("spacings", "--n-list", "10000"),
-    ], ids=["clt", "spacings"])
+    ], ids=["clt", "clt-mod-exact-arcs", "clt-perm-exact-arcs", "mesoscopic-perm",
+            "coupling-check", "spacings"])
     def test_walk_results_independent_of_chunking(self, capsys, monkeypatch, argv):
-        # 150 trials at n = 10^4 are one chunk at --jobs 1, two chunks of 75
-        # at --jobs 2, four of 38 or 36 at --jobs 4, and three of 50 with the
-        # chunk cap at 50
+        # 150 trials are one chunk at --jobs 1, two chunks of 75 at --jobs 2
+        # and four of 38 or 36 at --jobs 4, or 150 chunks of one trial and 22
+        # of seven with the chunk cap at 1 or 7; irr: and rat: endpoints and
+        # each driver's draw and statistic cross into the workers pickled
         argv = (*argv, "--seed", "8", "--trials", "150")
-        payloads = [run_json(capsys, *argv, "--jobs", jobs)["results"]
-                    for jobs in ("1", "2", "4")]
-        monkeypatch.setattr("permspectra.experiments._CHUNK_TRIALS", 50)
-        payloads.append(run_json(capsys, *argv, "--jobs", "1")["results"])
+        payloads = []
+        for chunk, jobs in [*itertools.product((_CHUNK_TRIALS, 1, 7), ("1", "2")),
+                            (_CHUNK_TRIALS, "4")]:
+            monkeypatch.setattr("permspectra.experiments._CHUNK_TRIALS", chunk)
+            payloads.append(run_json(capsys, *argv, "--jobs", jobs)["results"])
         assert len({json.dumps(p, sort_keys=True) for p in payloads}) == 1
 
     def test_csv_output_roundtrip(self, capsys):

@@ -127,6 +127,16 @@ class TestParams:
         with pytest.raises(ValueError, match=f"n must be >= 1, got {n}$"):
             self.CALLS[call](n, 1.0)
 
+    @pytest.mark.parametrize("sizes", [(2**62 + 1,), (10, 10**19)])
+    def test_n_above_the_walk_range_refused_before_any_draw(self, sizes):
+        # n = 10^19 ended in numpy's "Python int too large to convert to C
+        # long"; a generator of None would fail on its first draw
+        message = rf"n = {max(sizes)} exceeds 2\*\*62, the largest size a walk takes$"
+        with pytest.raises(ValueError, match=message):
+            draw_batch(max(sizes), 1.0, [None])
+        with pytest.raises(ValueError, match=message):
+            _nested_batches(sizes, 1.0, [None])
+
 
 class TestCycleCountsForms:
     @pytest.mark.parametrize(
@@ -415,6 +425,16 @@ class TestThinnedWalk:
                 uniforms = _Uniforms([CyclingGenerator([u, 0.0]) for _ in range(walks)])
                 walked = walk_lists(_thinned_walks(walks, k, limit, theta, uniforms))
                 assert walked == [[limit]] * walks
+
+    @pytest.mark.parametrize("n", [10**17, 10**18, 2**62])
+    def test_no_one_lands_next_to_a_limit_above_2_53(self, n):
+        # the crossing candidate was clipped to limit - k in float64, which
+        # rounds above 2**53: these 2,000 walks at theta = 1 put 371 ones
+        # within 1,024 of n = 10^17 and 644 of 10^18, where the expected
+        # number is about 2e-11
+        uniforms = _Uniforms(list(trial_rngs(1, 0, 2000)))
+        _, positions, _ = _thinned_walks(2000, 1, n, 1.0, uniforms)
+        assert positions.max() <= n and (positions > n - 1024).sum() == 0
 
     @pytest.mark.parametrize("theta", [5e-324, 1e-310, 1e-17, 1e300, 1.7e308])
     @pytest.mark.parametrize("block", [_BLOCK, 1])

@@ -307,7 +307,7 @@ class TestRunMesoscopic:
             theta=1.3, trials=40, master_seed=2, model="mod", n_schedule=schedule, gamma=0.5,
         )
         want = mesoscopic_per_n(cfg)
-        counted("_arc_counts", "draws")
+        counted("draw_batch", "draws")
         counted("_normality_report", "reports")
         assert run_mesoscopic(cfg) == want
         assert calls == {"draws": 1, "reports": 1}

@@ -12,8 +12,9 @@ rounded once; ``covariance_D`` of those arcs and ``c_numeric`` of those
 endpoints, and the exact modified variance at n = 10^6, each a sum taken
 pairwise within blocks of j and by ``math.fsum`` across them.  A subprocess
 test checks that these, the plain exact variance and the quadratic identity
-are the same under one and two OpenBLAS threads, and an AST test that the
-exact layer's modules make no BLAS call.
+are the same under one and two OpenBLAS threads, an AST test that the
+exact layer's modules make no BLAS call, and another that trials are
+chunked and seeded in one place.
 Floats are hashed through ``json.dumps``, whose ``repr`` round-trips
 every bit.  A changed digest means a changed stream or
 a changed statistic; if that is intended, say so and record the new values.
@@ -213,6 +214,30 @@ def test_exact_layer_calls_no_blas(module):
             if name in BLAS_CALLS:
                 found.append(f"line {node.lineno}: {name}")
     assert not found, found
+
+
+def test_trials_are_chunked_and_seeded_in_one_place():
+    """Chunking and seeding live in ``experiments`` alone: there only
+    ``_trial_chunk`` calls ``trial_rngs``, and ``cli`` (whose ``sample``
+    draws through ``_run_trials``) neither imports nor names ``trial_rngs``
+    or ``_chunk_ranges``."""
+    package = Path(__import__("permspectra").__file__).resolve().parent
+
+    def seedings(tree):
+        return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "trial_rngs"]
+
+    experiments = ast.parse((package / "experiments.py").read_text())
+    chunk, = [f for f in experiments.body
+              if isinstance(f, ast.FunctionDef) and f.name == "_trial_chunk"]
+    assert seedings(chunk) and seedings(experiments) == seedings(chunk)
+    named = set()
+    for node in ast.walk(ast.parse((package / "cli.py").read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            named.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            named.add(node.id if isinstance(node, ast.Name) else node.attr)
+    assert not named & {"trial_rngs", "_chunk_ranges"}
 
 
 def test_package_imports_no_scipy():

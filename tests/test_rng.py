@@ -5,6 +5,8 @@ must hand out exactly the generators ``default_rng(SeedSequence((s, i)))``
 of the installed numpy, state for state and draw for draw.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,5 +117,6 @@ def test_run_trials_rows_identical_across_jobs_and_to_per_trial_seeding():
         draw_batch(n, theta, (trial_rng(seed, t) for t in range(trials)), phases=True), arcs
     )
     for jobs in (1, 2, 3):
-        rows = _run_trials(count_arcs_mod, (arcs,), seed, n, theta, trials, jobs, phases=True)
+        rows = _run_trials(partial(draw_batch, n, theta, phases=True),
+                           partial(count_arcs_mod, arcs=arcs), seed, trials, jobs)
         np.testing.assert_array_equal(rows, expected)
